@@ -39,6 +39,8 @@ EXIT_CODES = {
     errors.DimensionMismatch: 18,
     errors.NegativeTime: 19,
     errors.BoundViolated: 20,
+    errors.BadAlpha: 21,
+    errors.NotSelfAdjoint: 22,
 }
 
 
@@ -181,7 +183,7 @@ def cmd_heat(args) -> int:
     measure, tm = _measure_args(args, assign)
     basis = spectra.full_basis(spec, assign, disc, measure, tm)
     table = heat.heat_kernel(basis, args.t)
-    gen = operators.generator(spec, assign, disc, measure, tm)
+    gen = basis.generator
     T = heat.semigroup(gen, args.t)
     agreement = float(np.max(np.abs(table.matrix * gen.measure[None, :] - T.matrix)))
     digest = serialize.matrix_export(args.output, table.matrix, {

@@ -51,12 +51,22 @@ class LevelTooCoarse(UltraheatError):
 
 # --- operators -------------------------------------------------------------------
 
+class BadAlpha(UltraheatError):
+    """The kernel exponent alpha is not a number at least 1."""
+
+
 class CellOutsideZ(UltraheatError):
     """A cell does not belong to any vertex disc."""
 
 
 class InvalidLevel(UltraheatError):
     """Tree truncation level outside the valid range."""
+
+
+# --- linalg --------------------------------------------------------------------------
+
+class NotSelfAdjoint(UltraheatError, ValueError):
+    """An operator is not symmetric under the given measure."""
 
 
 # --- spectra -----------------------------------------------------------------------

@@ -39,7 +39,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import BoundViolated, DimensionMismatch, IncompleteBasis, NegativeTime
+from .errors import (
+    BoundViolated,
+    DimensionMismatch,
+    IncompleteBasis,
+    NegativeTime,
+    NotSelfAdjoint,
+)
 from .linalg import weighted_symmetric_eig
 from .operators import GeneratorMatrix, KernelSpec, generator, truncated_domain
 from .padic import DiscAssignment, Discretization, PAdicCell, discretize, padic_distance
@@ -111,12 +117,12 @@ class _Evolver:
 
 def semigroup(A: GeneratorMatrix, t: float) -> SemigroupMatrix:
     """exp(tA) via the symmetrised eigendecomposition, falling back to
-    scaling-and-squaring when the generator is not measure-symmetric."""
+    scaling-and-squaring only when the generator is not measure-symmetric."""
     if t < 0:
         raise NegativeTime(f"t={t}")
     try:
         mat = _Evolver(A).matrix(t)
-    except ValueError:
+    except NotSelfAdjoint:
         mat = scipy.linalg.expm(t * A.matrix)
     return SemigroupMatrix(t, mat)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NotSelfAdjoint
+
 
 def weighted_symmetric_eig(L: np.ndarray, masses: np.ndarray, degenerate_gap: float = 1e-9):
     """Eigenpairs of an operator self-adjoint w.r.t. diag(masses).
@@ -15,6 +17,8 @@ def weighted_symmetric_eig(L: np.ndarray, masses: np.ndarray, degenerate_gap: fl
     output is reproducible.
 
     Returns (eigenvalues ascending, eigenvector columns, multiplicities).
+    Raises ``NotSelfAdjoint`` when the symmetrisation is not symmetric and
+    ``ValueError`` when a mass is not positive.
     """
     masses = np.asarray(masses, dtype=float)
     if np.any(masses <= 0):
@@ -24,7 +28,7 @@ def weighted_symmetric_eig(L: np.ndarray, masses: np.ndarray, degenerate_gap: fl
     asym = np.max(np.abs(S - S.T))
     scale = max(1.0, float(np.max(np.abs(S))))
     if asym > 1e-8 * scale:
-        raise ValueError(f"operator is not symmetric under the given measure (defect {asym:g})")
+        raise NotSelfAdjoint(f"operator is not symmetric under the given measure (defect {asym:g})")
     S = 0.5 * (S + S.T)
     evals, Q = np.linalg.eigh(S)
 

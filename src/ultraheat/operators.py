@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 import numpy as np
 
-from .errors import CellOutsideZ, InvalidLevel
+from .errors import BadAlpha, CellOutsideZ, InvalidLevel
 from .padic import (
     DiscAssignment,
     Discretization,
@@ -56,8 +56,8 @@ class KernelSpec:
         base = np.asarray(self.base, dtype=float)
         base.setflags(write=False)
         object.__setattr__(self, "base", base)
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
+        if not self.alpha >= 1:
+            raise BadAlpha(f"alpha must be >= 1, got {self.alpha}")
         n = len(self.labels)
         if base.shape != (n, n):
             raise ValueError("base matrix shape does not match labels")
@@ -83,8 +83,19 @@ class KernelSpec:
 
 
 def _prefix_length_matrix(digits: np.ndarray) -> np.ndarray:
-    eq = digits[:, None, :] == digits[None, :, :]
-    return np.cumprod(eq, axis=2).sum(axis=2)
+    """Common leading-digit count of every pair of digit rows.
+
+    One running N x N mask of "equal so far" is narrowed level by level,
+    so the temporaries stay O(N^2) booleans instead of O(N^2 L) integers.
+    """
+    n, levels = digits.shape
+    out = np.zeros((n, n), dtype=np.int64)
+    same = np.ones((n, n), dtype=bool)
+    for k in range(levels):
+        col = digits[:, k]
+        same &= col[:, None] == col[None, :]
+        out += same
+    return out
 
 
 def cell_distance_matrix(disc) -> np.ndarray:
@@ -96,16 +107,21 @@ def cell_distance_matrix(disc) -> np.ndarray:
     return dist
 
 
+def _leaf_indices(spec: KernelSpec, assign: DiscAssignment, disc: Discretization) -> np.ndarray:
+    """Position in ``spec.labels`` of the vertex disc of every cell."""
+    if set(spec.labels) != set(assign.labels):
+        raise ValueError("kernel labels do not match the disc assignment")
+    idx = spec.label_index()
+    return np.array([idx[l] for l in disc.leaf_labels])
+
+
 def kernel_matrix(spec: KernelSpec, assign: DiscAssignment, disc: Discretization) -> np.ndarray:
     """k_p over all cell pairs: Vladimirov inside a disc, cross rate between
     discs, zero on the diagonal."""
-    if set(spec.labels) != set(assign.labels):
-        raise ValueError("kernel labels do not match the disc assignment")
+    leaf_idx = _leaf_indices(spec, assign, disc)
     dist = cell_distance_matrix(disc)
     with np.errstate(divide="ignore"):
         intra = np.where(dist > 0, dist, 1.0) ** -spec.alpha
-    idx = spec.label_index()
-    leaf_idx = np.array([idx[l] for l in disc.leaf_labels])
     same = leaf_idx[:, None] == leaf_idx[None, :]
     cross = spec.cross_rates()
     K = np.where(same, intra, cross[np.ix_(leaf_idx, leaf_idx)])
@@ -159,12 +175,16 @@ class GeneratorMatrix:
 MAX_DENSE_CELLS = 10_000
 
 
-def _assemble(K, measure_vec, cells, leaf_labels, level, measure_kind, bullet, alpha):
-    if len(cells) > MAX_DENSE_CELLS:
+def _check_dense(n_cells: int) -> None:
+    if n_cells > MAX_DENSE_CELLS:
         raise ValueError(
-            f"{len(cells)} cells exceed the dense-matrix limit of {MAX_DENSE_CELLS}; "
+            f"{n_cells} cells exceed the dense-matrix limit of {MAX_DENSE_CELLS}; "
             "choose a coarser level"
         )
+
+
+def _assemble(K, measure_vec, cells, leaf_labels, level, measure_kind, bullet, alpha):
+    _check_dense(len(cells))
     A = K * measure_vec[None, :]
     np.fill_diagonal(A, 0.0)
     np.fill_diagonal(A, -A.sum(axis=1))
@@ -187,7 +207,12 @@ def generator(
     measure: str = "haar",
     tree_measure: TreeMeasure | None = None,
 ) -> GeneratorMatrix:
-    """Exact matrix of the jump operator on level-n locally constant functions."""
+    """Exact matrix of the jump operator on level-n locally constant functions.
+
+    The cell count is checked against the dense limit before any N x N
+    array is allocated.
+    """
+    _check_dense(len(disc.cells))
     if isinstance(disc, TruncatedDomain):
         if measure != "haar":
             raise ValueError("truncated domains are discretised with the Haar measure")
@@ -196,18 +221,21 @@ def generator(
         return _assemble(
             K, mvec, disc.cells, disc.leaf_labels, disc.level, "haar", spec.bullet, spec.alpha
         )
-    if measure == "haar":
-        mvec = disc.haar_volumes()
-    elif measure == "nu":
-        if tree_measure is None:
-            raise ValueError("nu measure requires a TreeMeasure")
-        mvec = disc.nu_volumes(tree_measure)
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
+    mvec = _measure_vector(disc, measure, tree_measure)
     K = kernel_matrix(spec, assign, disc)
     return _assemble(
         K, mvec, disc.cells, disc.leaf_labels, disc.level, measure, spec.bullet, spec.alpha
     )
+
+
+def _measure_vector(disc: Discretization, measure: str, tree_measure: TreeMeasure | None):
+    if measure == "haar":
+        return disc.haar_volumes()
+    if measure == "nu":
+        if tree_measure is None:
+            raise ValueError("nu measure requires a TreeMeasure")
+        return disc.nu_volumes(tree_measure)
+    raise ValueError(f"unknown measure {measure!r}")
 
 
 def degree(
@@ -218,10 +246,17 @@ def degree(
     measure: str = "haar",
     tree_measure: TreeMeasure | None = None,
 ) -> float:
-    """Total jump rate out of cell x (off-diagonal row sum)."""
-    gen = generator(spec, assign, disc, measure, tree_measure)
+    """Total jump rate out of cell x (off-diagonal row sum of the generator),
+    computed from x's row alone in O(N)."""
     i = disc.index_of(x)
-    return float(gen.matrix[i].sum() - gen.matrix[i, i])
+    mvec = _measure_vector(disc, measure, tree_measure)
+    leaf_idx = _leaf_indices(spec, assign, disc)
+    digits = disc.digit_matrix()
+    j = np.logical_and.accumulate(digits == digits[i], axis=1).sum(axis=1)
+    intra = (float(disc.p) ** -j.astype(float)) ** -spec.alpha
+    rates = np.where(leaf_idx == leaf_idx[i], intra, spec.cross_rates()[leaf_idx[i], leaf_idx])
+    rates[i] = 0.0
+    return float(rates @ mvec)
 
 
 # --- tree truncation ------------------------------------------------------------

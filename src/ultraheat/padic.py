@@ -216,6 +216,7 @@ class Discretization:
     leaf_labels: tuple  # label of the disc containing each cell
 
     _index: dict = field(default=None, repr=False, compare=False)
+    _digits: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {c.digits: i for i, c in enumerate(self.cells)})
@@ -246,7 +247,12 @@ class Discretization:
         return out
 
     def digit_matrix(self) -> np.ndarray:
-        return np.array([c.digits for c in self.cells], dtype=np.int64)
+        """The cells' digits as a read-only N x level array, built on first use."""
+        if self._digits is None:
+            digits = np.array([c.digits for c in self.cells], dtype=np.int64)
+            digits.setflags(write=False)
+            object.__setattr__(self, "_digits", digits)
+        return self._digits
 
 
 def discretize(assign: DiscAssignment, n: int) -> Discretization:

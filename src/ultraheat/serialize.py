@@ -191,9 +191,10 @@ def index_from_obj(obj):
 
 
 def matrix_export(path, matrix: np.ndarray, header: dict) -> str:
+    matrix = np.asarray(matrix)
+    row_format = " ".join(["%.17g"] * matrix.shape[1])
     lines = ["# " + json.dumps(header, sort_keys=True)]
-    for row in np.asarray(matrix):
-        lines.append(" ".join(f"{x:.17g}" for x in row))
+    lines.extend(row_format % tuple(row.tolist()) for row in matrix)
     text = "\n".join(lines) + "\n"
     Path(path).write_text(text, encoding="utf-8")
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,16 +67,25 @@ class EigenPair:
     psi: np.ndarray
     residual: float = float("nan")
 
-    def with_residual(self, r: float) -> "EigenPair":
-        return EigenPair(self.kind, self.support, self.index, self.lam, self.psi, r)
-
 
 @dataclass(frozen=True)
 class EigenBasis:
+    """Eigenpairs over the cells, with their functions as the columns of one
+    read-only matrix ``psi`` (stacked from the pairs when not given) and,
+    when known, the generator their residuals were certified against."""
+
     pairs: tuple
     cells: tuple
     measure: np.ndarray
     measure_kind: str
+    psi: np.ndarray | None = field(default=None, repr=False, compare=False)
+    generator: GeneratorMatrix | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.psi is None:
+            psi = np.column_stack([np.asarray(p.psi, dtype=complex) for p in self.pairs])
+            psi.setflags(write=False)
+            object.__setattr__(self, "psi", psi)
 
     def __len__(self):
         return len(self.pairs)
@@ -88,7 +97,7 @@ class EigenBasis:
         return self.pairs[i]
 
     def psi_matrix(self) -> np.ndarray:
-        return np.column_stack([np.asarray(p.psi, dtype=complex) for p in self.pairs])
+        return self.psi
 
     def eigenvalues(self) -> np.ndarray:
         return np.array([p.lam for p in self.pairs])
@@ -124,12 +133,11 @@ def kozyrev_wavelet(
     if disc.level < d + 1:
         raise ValueError("discretisation too coarse to resolve the wavelet")
     amp = float(p) ** (d / 2.0)
+    values = np.array([amp * np.exp(2j * math.pi * j * a / p) for a in range(p)])
+    digits = disc.digit_matrix()
+    inside = np.all(digits[:, :d] == np.asarray(B.digits, dtype=np.int64), axis=1)
     out = np.zeros(len(disc.cells), dtype=complex)
-    for i, cell in enumerate(disc.cells):
-        if cell.digits[:d] != B.digits:
-            continue
-        a = cell.digits[d]
-        out[i] = amp * np.exp(2j * math.pi * j * a / p)
+    out[inside] = values[digits[inside, d]]
     return out
 
 
@@ -278,27 +286,50 @@ def laplacian_block_modes(
     return out
 
 
-def verify_eigenpair(A: GeneratorMatrix, psi: np.ndarray, lam: float) -> float:
+_VERIFY_BLOCK = 256  # columns per matrix product in a batched check
+
+
+def verify_eigenpair(A: GeneratorMatrix, psi: np.ndarray, lam):
     """Relative residual ||A psi - lam psi||_inf / max(1, |lam|): the
-    universal oracle for every closed-form eigenvalue."""
+    universal oracle for every closed-form eigenvalue.
+
+    ``psi`` is one vector with a scalar ``lam`` (returns a float), or an
+    N x k column block with k eigenvalues (returns the k residuals).  A
+    block is checked with real matrix products on the real and imaginary
+    parts, ``_VERIFY_BLOCK`` columns at a time.
+    """
     psi = np.asarray(psi)
-    if psi.shape != (A.n_cells,):
-        raise DimensionMismatch(f"vector of length {psi.shape} against {A.n_cells} cells")
-    r = A.matrix @ psi - lam * psi
-    return float(np.max(np.abs(r)) / max(1.0, abs(lam)))
+    if psi.ndim == 1:
+        if psi.shape != (A.n_cells,):
+            raise DimensionMismatch(f"vector of length {psi.shape} against {A.n_cells} cells")
+        r = A.matrix @ psi - lam * psi
+        return float(np.max(np.abs(r)) / max(1.0, abs(lam)))
+    lam = np.asarray(lam, dtype=float)
+    if psi.ndim != 2 or psi.shape[0] != A.n_cells or lam.shape != (psi.shape[1],):
+        raise DimensionMismatch(
+            f"block of shape {psi.shape} with {lam.shape} eigenvalues against {A.n_cells} cells"
+        )
+    out = np.empty(len(lam))
+    for lo in range(0, len(lam), _VERIFY_BLOCK):
+        cols = slice(lo, lo + _VERIFY_BLOCK)
+        block, lam_b = psi[:, cols], lam[cols]
+        err = np.abs(A.matrix @ block.real - block.real * lam_b)
+        if np.iscomplexobj(block):
+            err = np.hypot(err, A.matrix @ block.imag - block.imag * lam_b)
+        out[cols] = err.max(axis=0, initial=0.0) / np.maximum(1.0, np.abs(lam_b))
+    return out
 
 
 # --- full bases ----------------------------------------------------------------------
 
 
-def _balls_inside(assign: DiscAssignment, disc: Discretization, label) -> list[PAdicCell]:
-    """All balls of level m..n-1 inside the labelled vertex disc."""
-    prefix = assign.discs[label]
-    out = [prefix]
-    for d in range(assign.m + 1, disc.level):
-        for suffix in itertools.product(range(assign.p), repeat=d - assign.m):
-            out.append(PAdicCell(assign.p, prefix.digits + suffix))
-    return out
+def _balls_by_level(assign: DiscAssignment, disc: Discretization, label):
+    """The balls of each level m..n-1 inside the labelled vertex disc, one
+    list per level."""
+    prefix = assign.discs[label].digits
+    for d in range(assign.m, disc.level):
+        suffixes = itertools.product(range(assign.p), repeat=d - assign.m)
+        yield [PAdicCell(assign.p, prefix + suffix) for suffix in suffixes]
 
 
 def full_basis(
@@ -314,12 +345,21 @@ def full_basis(
     the disc-constant block modes.  Tree measure with the ultrametric
     kernel: the constant, the ultrametric wavelets, and the Kozyrev
     wavelets (renormalised); other kernels replace the wavelet block by
-    the measure-weighted block modes.  Residuals are stamped against the
-    assembled generator.
+    the measure-weighted block modes.  The functions are written once
+    into the columns of one matrix, and all residuals are stamped by one
+    batched ``verify_eigenpair`` against the assembled generator, which
+    the basis keeps.
     """
     gen = generator(spec, assign, disc, measure, tree_measure)
     p = assign.p
-    pairs: list[EigenPair] = []
+    n_cells = len(disc.cells)
+    psi = np.zeros((n_cells, n_cells), dtype=complex)
+    meta: list[tuple] = []  # (kind, support, index, lam) per column
+
+    def add(kind, support, index, lam, vec):
+        if len(meta) < n_cells:
+            psi[:, len(meta)] = vec
+        meta.append((kind, support, index, lam))
 
     if measure == "nu":
         if tree_measure is None:
@@ -329,32 +369,35 @@ def full_basis(
     for label in assign.labels:
         if measure == "nu":
             s_v = nu_masses[label] * float(p) ** assign.m
-        for B in _balls_inside(assign, disc, label):
-            lam = kozyrev_eigenvalue(spec, assign, B, label, measure, tree_measure)
-            for j in range(1, p):
-                psi = kozyrev_wavelet(assign, disc, B, j)
-                if measure == "nu":
-                    psi = psi / math.sqrt(s_v)
-                pairs.append(EigenPair("kozyrev", f"{label}:{B}", j, lam, psi))
+        for balls in _balls_by_level(assign, disc, label):
+            lam = kozyrev_eigenvalue(spec, assign, balls[0], label, measure, tree_measure)
+            for B in balls:
+                for j in range(1, p):
+                    vec = kozyrev_wavelet(assign, disc, B, j)
+                    if measure == "nu":
+                        vec = vec / math.sqrt(s_v)
+                    add("kozyrev", f"{label}:{B}", j, lam, vec)
 
-    if measure == "haar":
-        pairs.extend(laplacian_block_modes(spec, assign, disc, measure, tree_measure))
-    elif spec.bullet is Bullet.ULTRAMETRIC:
+    if measure == "nu" and spec.bullet is Bullet.ULTRAMETRIC:
         dend = assign.dendrogram
-        pairs.append(
-            EigenPair("constant", "domain", 0, 0.0, np.ones(len(disc.cells), dtype=float))
-        )
+        add("constant", "domain", 0, 0.0, 1.0)
         delta = dend.delta_matrix()
         for node in dend.internal_nodes():
             gamma = ultrametric_eigenvalue(dend, delta, tree_measure, node, spec.alpha)
+            support = ",".join(sorted(map(str, node.members)))
             for k in range(1, len(node.children)):
-                psi = ultrametric_wavelet(dend, tree_measure, disc, node, k)
-                support = ",".join(sorted(map(str, node.members)))
-                pairs.append(EigenPair("ultrametric", support, k, gamma, psi))
+                add("ultrametric", support, k, gamma,
+                    ultrametric_wavelet(dend, tree_measure, disc, node, k))
     else:
-        pairs.extend(laplacian_block_modes(spec, assign, disc, measure, tree_measure))
+        for pair in laplacian_block_modes(spec, assign, disc, measure, tree_measure):
+            add(pair.kind, pair.support, pair.index, pair.lam, pair.psi)
 
-    if len(pairs) != len(disc.cells):
-        raise IncompleteBasis(f"{len(pairs)} basis functions for {len(disc.cells)} cells")
-    stamped = tuple(pr.with_residual(verify_eigenpair(gen, pr.psi, pr.lam)) for pr in pairs)
-    return EigenBasis(stamped, disc.cells, gen.measure, measure)
+    if len(meta) != n_cells:
+        raise IncompleteBasis(f"{len(meta)} basis functions for {n_cells} cells")
+    residuals = verify_eigenpair(gen, psi, [lam for *_, lam in meta])
+    psi.setflags(write=False)
+    pairs = tuple(
+        EigenPair(kind, support, index, lam, psi[:, k], float(residuals[k]))
+        for k, (kind, support, index, lam) in enumerate(meta)
+    )
+    return EigenBasis(pairs, disc.cells, gen.measure, measure, psi, gen)

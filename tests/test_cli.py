@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ultraheat import heat
 from ultraheat.cli import main
 from ultraheat.serialize import canonical_dumps
 
@@ -213,6 +214,54 @@ def test_converge_subcommand(tmp_path, capsys):
     rows = [line.split("\t") for line in out.read_text().strip().split("\n")[1:]]
     gaps = [float(g) for _, g in rows]
     assert gaps[-1] < 1e-9
+    capsys.readouterr()
+
+
+def test_alpha_below_one_exit_code(tmp_path, capsys):
+    index = index_fixture(tmp_path)
+    code = main([
+        "spectrum", "--input", str(index), "--output", str(tmp_path / "s.tsv"),
+        "--bullet", "ultrametric", "--alpha", "0.5", "--level", "4",
+    ])
+    assert code == 21
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "BadAlpha" and err["exit"] == 21
+    assert "0.5" in err["detail"]
+
+
+def test_exit_codes_are_distinct_per_error_type():
+    from ultraheat.cli import EXIT_CODES
+
+    shared = {4}  # DuplicatePrime and NotPrime are both bad prime labels
+    codes = [c for c in EXIT_CODES.values() if c not in shared]
+    assert len(codes) == len(set(codes))
+    assert 30 not in EXIT_CODES.values()  # reserved for unmapped library errors
+
+
+def test_heat_reuses_the_certified_generator(tmp_path, capsys, monkeypatch):
+    from ultraheat import operators, spectra
+
+    built = []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            gen = original(*args, **kwargs)
+            built.append(gen)
+            return gen
+        return wrapper
+
+    monkeypatch.setattr(operators, "generator", counting(operators.generator))
+    monkeypatch.setattr(spectra, "generator", counting(spectra.generator))
+    seen = []
+    original_semigroup = heat.semigroup
+    monkeypatch.setattr(heat, "semigroup", lambda gen, t: seen.append(gen) or original_semigroup(gen, t))
+    index = index_fixture(tmp_path)
+    code = main([
+        "heat", "--input", str(index), "--output", str(tmp_path / "kernel.txt"),
+        "--bullet", "graphdist", "--level", "4", "--t", "0.5",
+    ])
+    assert code == 0
+    assert len(built) == 1 and seen == built
     capsys.readouterr()
 
 

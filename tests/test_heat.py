@@ -351,3 +351,20 @@ def test_project_and_embed_roundtrip():
     lifted = embed_piecewise(coarse, fine, u)
     back = project_pointwise(fine, coarse, lifted)
     assert np.array_equal(back, u)
+
+
+def test_semigroup_falls_back_only_for_non_self_adjoint_generators():
+    import scipy.linalg
+    from ultraheat.padic import PAdicCell
+
+    cells = (PAdicCell(2, (0,)), PAdicCell(2, (1,)))
+
+    def gen(matrix, measure):
+        return GeneratorMatrix(1, cells, ("a", "b"), np.array(matrix), np.array(measure),
+                               "haar", Bullet.ULTRAMETRIC, 1.0)
+
+    skew = gen([[-1.0, 1.0], [2.0, -2.0]], [0.5, 0.5])  # not symmetric under its measure
+    T = semigroup(skew, 0.7)
+    assert np.max(np.abs(T.matrix - scipy.linalg.expm(0.7 * skew.matrix))) < 1e-12
+    with pytest.raises(ValueError, match="masses must be positive"):
+        semigroup(gen([[-1.0, 1.0], [1.0, -1.0]], [0.5, 0.0]), 0.7)

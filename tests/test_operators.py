@@ -268,3 +268,62 @@ def test_generator_refuses_oversized_dense_matrices():
             Bullet.ULTRAMETRIC,
             1.0,
         )
+
+
+def test_prefix_length_matrix_matches_cumprod_formula():
+    from ultraheat.operators import _prefix_length_matrix
+
+    rng = np.random.default_rng(79)
+    shapes = [(1, 1), (1, 4), (5, 1), (12, 3), (40, 6)]
+    for n, levels in shapes:
+        for p in (2, 3):
+            digits = rng.integers(0, p, size=(n, levels))
+            eq = digits[:, None, :] == digits[None, :, :]
+            expected = np.cumprod(eq, axis=2).sum(axis=2)
+            assert np.array_equal(_prefix_length_matrix(digits), expected)
+
+
+def test_generator_checks_dense_limit_before_allocating(monkeypatch):
+    import ultraheat.operators as operators
+
+    def unreachable(*args):
+        raise AssertionError("an N x N array was built before the size check")
+
+    dend, assign, spec = simple_assignment()
+    disc = discretize(assign, assign.m + 2)
+    dom, _ = truncated_domain(assign, 1, assign.m + 2)
+    monkeypatch.setattr(operators, "MAX_DENSE_CELLS", 4)
+    for name in ("cell_distance_matrix", "kernel_matrix", "truncated_kernel_matrix",
+                 "_prefix_length_matrix"):
+        monkeypatch.setattr(operators, name, unreachable)
+    for domain in (disc, dom):
+        with pytest.raises(ValueError, match="dense-matrix limit"):
+            generator(spec, assign, domain, "haar")
+
+
+def test_degree_equals_generator_diagonal():
+    from conftest import random_connected_weights, specs_from_weights
+
+    rng = np.random.default_rng(83)
+    dend = random_dendrogram(rng, 6, max_children=3)
+    assign = embed(dend)
+    nu = tree_measure(dend)
+    disc = discretize(assign, assign.m + 2)
+    specs = specs_from_weights(rng, assign.labels, random_connected_weights(rng, assign.labels), 1.5)
+    for spec in specs:
+        for measure, tm in (("haar", None), ("nu", nu)):
+            diag = -np.diag(generator(spec, assign, disc, measure, tm).matrix)
+            degs = [degree(spec, assign, disc, x, measure, tm) for x in disc.cells]
+            assert np.allclose(degs, diag, rtol=1e-12, atol=0)
+
+
+def test_alpha_below_one_raises_typed_error():
+    from ultraheat.errors import BadAlpha, UltraheatError
+
+    labels = ("a", "b")
+    base = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for alpha in (0.5, 0.999, float("nan")):
+        with pytest.raises(BadAlpha) as info:
+            KernelSpec(Bullet.ULTRAMETRIC, alpha, labels, base)
+        assert isinstance(info.value, UltraheatError)
+    assert KernelSpec(Bullet.ULTRAMETRIC, 1, labels, base).alpha == 1

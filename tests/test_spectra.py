@@ -379,3 +379,88 @@ def test_full_basis_incomplete_detection():
     broken = EigenBasis(basis.pairs[:-1], basis.cells, basis.measure, basis.measure_kind)
     with pytest.raises(IncompleteBasis):
         heat_kernel(broken, 1.0)
+
+
+# --- batched certification -------------------------------------------------------
+
+
+def random_bases(seed):
+    """A Haar basis (graph distance kernel) and a nu basis (ultrametric kernel)."""
+    from conftest import random_connected_weights, specs_from_weights
+
+    rng = np.random.default_rng(seed)
+    dend = random_dendrogram(rng, 7, max_children=3)
+    assign = embed(dend)
+    nu = tree_measure(dend)
+    disc = discretize(assign, assign.m + 2)
+    _, gd_spec, _ = specs_from_weights(rng, assign.labels, random_connected_weights(rng, assign.labels))
+    return (
+        full_basis(gd_spec, assign, disc, "haar"),
+        full_basis(ultra_spec(dend), assign, disc, "nu", nu),
+    )
+
+
+def test_batched_verify_matches_per_column(monkeypatch):
+    import ultraheat.spectra as spectra
+
+    monkeypatch.setattr(spectra, "_VERIFY_BLOCK", 7)  # several blocks and a ragged tail
+    for basis in random_bases(97):
+        gen, psi, lams = basis.generator, basis.psi_matrix(), basis.eigenvalues()
+        per_column = np.array(
+            [verify_eigenpair(gen, np.array(psi[:, k]), lams[k]) for k in range(len(lams))]
+        )
+        batched = verify_eigenpair(gen, psi, lams)
+        assert batched.shape == (len(lams),)
+        assert np.max(np.abs(batched - per_column)) <= 1e-12
+        assert np.array_equal(batched, [p.residual for p in basis])
+        real = verify_eigenpair(gen, psi.real, lams)
+        per_real = [verify_eigenpair(gen, np.array(psi[:, k].real), lams[k]) for k in range(len(lams))]
+        assert np.max(np.abs(real - per_real)) <= 1e-12
+
+
+def test_batched_verify_shape_errors():
+    haar, _ = random_bases(5)
+    gen, psi = haar.generator, haar.psi_matrix()
+    with pytest.raises(DimensionMismatch):
+        verify_eigenpair(gen, psi, haar.eigenvalues()[:-1])
+    with pytest.raises(DimensionMismatch):
+        verify_eigenpair(gen, psi[:-1], haar.eigenvalues())
+
+
+def test_full_basis_keeps_one_psi_matrix_and_its_generator():
+    rng = np.random.default_rng(41)
+    dend = random_dendrogram(rng, 6, max_children=3)
+    assign = embed(dend)
+    nu = tree_measure(dend)
+    spec = ultra_spec(dend)
+    disc = discretize(assign, assign.m + 2)
+    basis = full_basis(spec, assign, disc, "nu", nu)
+    assert np.array_equal(basis.generator.matrix, generator(spec, assign, disc, "nu", nu).matrix)
+    psi = basis.psi_matrix()
+    assert psi is basis.psi_matrix()
+    assert not psi.flags.writeable
+    for k, pair in enumerate(basis):
+        assert np.shares_memory(pair.psi, psi)
+        assert np.array_equal(pair.psi, psi[:, k])
+    restacked = type(basis)(basis.pairs, basis.cells, basis.measure, basis.measure_kind)
+    assert np.array_equal(restacked.psi_matrix(), psi)
+    assert restacked.generator is None
+
+
+def test_kozyrev_wavelet_matches_cell_loop():
+    rng = np.random.default_rng(43)
+    dend = random_dendrogram(rng, 5, max_children=3)
+    assign = embed(dend)
+    p = assign.p
+    disc = discretize(assign, assign.m + 2)
+    for label in assign.labels:
+        prefix = assign.discs[label].digits
+        for B in (PAdicCell(p, prefix), PAdicCell(p, prefix + (p - 1,))):
+            for j in range(1, p):
+                amp = float(p) ** (B.level / 2.0)
+                expected = np.zeros(len(disc.cells), dtype=complex)
+                for i, cell in enumerate(disc.cells):
+                    if cell.digits[: B.level] == B.digits:
+                        a = cell.digits[B.level]
+                        expected[i] = amp * np.exp(2j * math.pi * j * a / p)
+                assert np.array_equal(kozyrev_wavelet(assign, disc, B, j), expected)
