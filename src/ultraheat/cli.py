@@ -41,6 +41,7 @@ EXIT_CODES = {
     errors.BoundViolated: 20,
     errors.BadAlpha: 21,
     errors.NotSelfAdjoint: 22,
+    errors.BadWeight: 23,
 }
 
 

@@ -33,6 +33,10 @@ class DisconnectedGraph(UltraheatError):
     """Shortest-path distances requested on a disconnected graph."""
 
 
+class BadWeight(UltraheatError, ValueError):
+    """An edge weight is not a finite positive number."""
+
+
 # --- toposort -----------------------------------------------------------------
 
 class CycleDetected(UltraheatError):

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BoundViolated,
@@ -123,6 +122,8 @@ def semigroup(A: GeneratorMatrix, t: float) -> SemigroupMatrix:
     try:
         mat = _Evolver(A).matrix(t)
     except NotSelfAdjoint:
+        import scipy.linalg  # only this fallback needs scipy; it would double import time
+
         mat = scipy.linalg.expm(t * A.matrix)
     return SemigroupMatrix(t, mat)
 

@@ -1,22 +1,20 @@
 """Cluster-parallel topological sorting over a dendrogram index.
 
-Minimal clusters (the smallest non-singleton balls of the index) are
-sorted independently, then merged pairwise: the merged order is a Kahn
-sort of the union's original edges plus the chain of each cluster's
-order.  A deterministic binary reduction over clusters ordered by their
-smallest member makes the result independent of physical parallelism.
+The minimal cluster of each seed (the smallest non-singleton ball of the
+index around it) is sorted on its own, then all cluster orders are merged
+in one Kahn pass over the DAG's edges plus the successive-pair chain of
+every cluster order.
 
-Locally valid cluster orders can still be globally incompatible (the
+Locally valid cluster orders can still be jointly incompatible (the
 chains may close a cycle against edges through outside vertices); the
-pairwise merge surfaces that as CycleDetected, while the full pipeline
-falls back to re-sorting the union from scratch so that its output is
-always a linear extension of an acyclic input.
+merge surfaces that as CycleDetected, and the full pipeline then falls
+back to one Kahn sort of the whole DAG.  The physical parallelism does
+not enter the computation, so it cannot change the output.
 """
 
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -69,23 +67,27 @@ class ClusterRelation(Enum):
 
 
 def _kahn(vertices: Iterable, edges: Iterable[tuple]) -> tuple:
-    """Kahn's algorithm with the smallest-label tie break."""
-    verts = list(vertices)
-    indeg = {v: 0 for v in verts}
-    succ: dict = {v: [] for v in verts}
+    """Kahn's algorithm; ties go to the smallest label under ``str``.
+
+    The heap holds ranks in ``str`` order, so labels are never compared
+    with each other and mixed label types sort.
+    """
+    verts = sorted(vertices, key=str)
+    rank = {v: i for i, v in enumerate(verts)}
+    indeg = [0] * len(verts)
+    succ: list[list[int]] = [[] for _ in verts]
     for u, v in edges:
-        succ[u].append(v)
-        indeg[v] += 1
-    heap = [v for v in verts if indeg[v] == 0]
-    heapq.heapify(heap)
+        succ[rank[u]].append(rank[v])
+        indeg[rank[v]] += 1
+    heap = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so a heap
     out = []
     while heap:
-        u = heapq.heappop(heap)
-        out.append(u)
-        for v in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, v)
+        i = heapq.heappop(heap)
+        out.append(verts[i])
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, j)
     if len(out) != len(verts):
         raise CycleDetected(f"{len(verts) - len(out)} vertices stuck on a cycle")
     return tuple(out)
@@ -97,38 +99,6 @@ def kahn_sort(dag: Dag, members=None) -> tuple:
         return _kahn(dag.vertices, dag.edges)
     mset = frozenset(members)
     return _kahn(mset, dag.restricted_edges(mset))
-
-
-def transitive_reduction(vertices: Iterable, edges: Iterable[tuple]) -> set:
-    """Drop edges implied by longer paths.  Input must be acyclic."""
-    verts = list(vertices)
-    succ: dict = {v: set() for v in verts}
-    for u, v in edges:
-        succ[u].add(v)
-
-    def reachable(src, banned_direct: set) -> set:
-        seen = set()
-        stack = [w for w in succ[src] if w not in banned_direct]
-        while stack:
-            w = stack.pop()
-            if w in seen:
-                continue
-            seen.add(w)
-            stack.extend(succ[w])
-        return seen
-
-    kept = set()
-    for u in verts:
-        direct = succ[u]
-        if not direct:
-            continue
-        via = set()
-        for w in direct:
-            via |= reachable(w, set())
-        for v in direct:
-            if v not in via:
-                kept.add((u, v))
-    return kept
 
 
 def cluster_sort(dend: Dendrogram, dag: Dag, x) -> SortedCluster:
@@ -158,99 +128,40 @@ def compare_clusters(dend: Dendrogram, x, y) -> ClusterRelation:
     return ClusterRelation.DISJOINT
 
 
-def merge_sorted_clusters(
-    dag: Dag, left: SortedCluster, right: SortedCluster, *, reduce: bool = True
-) -> SortedCluster:
-    """Kahn sort of the union under original edges plus both order chains.
+def merge_sorted_clusters(dag: Dag, *clusters: SortedCluster) -> SortedCluster:
+    """Kahn sort of the clusters' union under the DAG's edges plus every
+    cluster's order chain (the successive-pair edges of its order).
 
-    Chains are the successive-pair edges of each cluster's order.  When
-    the chains conflict with original edges across the clusters the
-    combined relation is cyclic and CycleDetected is raised; the local
-    orders were incompatible and the caller decides how to recover.
-
-    The transitive reduction requested by ``reduce`` never changes the
-    Kahn output (availability of a vertex depends only on which
-    predecessors are done, which redundant edges cannot alter); bulk
-    callers disable it for speed.
+    When the chains conflict with each other or with the DAG's edges the
+    combined relation is cyclic and CycleDetected is raised; the orders
+    were incompatible and the caller decides how to recover.
     """
-    if left.members == right.members:
-        raise ValueError("merge requires two distinct clusters")
-    union = left.members | right.members
+    union = frozenset().union(*(c.members for c in clusters))
     combined = set(dag.restricted_edges(union))
-    for cluster in (left, right):
+    for cluster in clusters:
         combined.update(zip(cluster.order, cluster.order[1:]))
-    order = _kahn(union, combined)  # raises CycleDetected on conflict
-    if reduce:
-        order = _kahn(union, transitive_reduction(union, combined))
-    return SortedCluster(union, order)
-
-
-def _resort(dag: Dag, members: frozenset) -> SortedCluster:
-    return SortedCluster(members, kahn_sort(dag, members))
-
-
-def _merge_or_resort(dag: Dag, left: SortedCluster, right: SortedCluster) -> SortedCluster:
-    try:
-        return merge_sorted_clusters(dag, left, right, reduce=False)
-    except CycleDetected:
-        # Incompatible local orders on an acyclic restriction: discard the
-        # chains and sort the union directly.  A genuine input cycle makes
-        # this re-sort raise again, so cyclic inputs still surface.
-        return _resort(dag, left.members | right.members)
+    return SortedCluster(union, _kahn(union, combined))
 
 
 def parallel_toposort(dag: Dag, dend: Dendrogram, seeds: Sequence, parallelism: int = 1) -> tuple:
-    """Sort minimal clusters of all seeds concurrently, then merge them by a
-    deterministic binary reduction until one cluster covers the vertex set.
+    """Sort the distinct minimal clusters of the seeds, then merge their
+    orders with every other vertex in one Kahn pass.
 
-    The output is a linear extension of the DAG, identical for any
-    parallelism level.  With a trivial index (the only non-singleton ball
-    is the whole set) this degenerates to a plain Kahn sort.
+    The output is a linear extension of the DAG and is identical for every
+    ``parallelism`` (validated as >= 1; it changes no work).  When the
+    seed clusters' orders are jointly compatible with the DAG the output
+    keeps each of them as a subsequence; otherwise it is ``kahn_sort(dag)``,
+    which raises CycleDetected if the DAG itself has a cycle.
     """
     if not seeds:
         raise ValueError("at least one seed vertex required")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    root = dend.root
-    if root.is_leaf or all(c.is_leaf for c in root.children):
-        return kahn_sort(dag)
-
-    pool = ThreadPoolExecutor(max_workers=parallelism) if parallelism > 1 else None
+    members = {minimal_cluster(dend, x) for x in seeds}
+    clusters = [SortedCluster(m, kahn_sort(dag, m)) for m in members]
+    covered = frozenset().union(*members)
+    loose = [SortedCluster((v,), (v,)) for v in dag.vertices if v not in covered]
     try:
-
-        def run_all(fn, jobs):
-            if pool is None or len(jobs) <= 1:
-                return [fn(*job) for job in jobs]
-            return [f.result() for f in [pool.submit(fn, *job) for job in jobs]]
-
-        sorted_clusters = run_all(lambda x: cluster_sort(dend, dag, x), [(x,) for x in seeds])
-
-        clusters: list[SortedCluster] = []
-        seen: set[frozenset] = set()
-        for sc in sorted_clusters:
-            if sc.members not in seen:
-                seen.add(sc.members)
-                clusters.append(sc)
-        covered = frozenset().union(*(c.members for c in clusters))
-        for v in sorted((set(dag.vertices) - covered), key=str):
-            clusters.append(SortedCluster(frozenset([v]), (v,)))
-
-        while len(clusters) > 1:
-            clusters.sort(key=lambda c: min(map(str, c.members)))
-            jobs = []
-            for i in range(0, len(clusters) - 1, 2):
-                jobs.append((dag, clusters[i], clusters[i + 1]))
-            merged = run_all(_merge_or_resort, jobs)
-            if len(clusters) % 2 == 1:
-                merged.append(clusters[-1])
-            # merging nested clusters can produce coinciding unions
-            seen = set()
-            clusters = []
-            for sc in merged:
-                if sc.members not in seen:
-                    seen.add(sc.members)
-                    clusters.append(sc)
-        return clusters[0].order
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+        return merge_sorted_clusters(dag, *clusters, *loose).order
+    except CycleDetected:
+        return kahn_sort(dag)

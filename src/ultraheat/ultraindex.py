@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DisconnectedGraph
+from .errors import BadWeight, DisconnectedGraph
 from .multitopo import WeightedMultiGraph
 
 
@@ -80,7 +80,8 @@ def graph_distances(graph, weights: Mapping | None = None) -> DistanceMatrix:
     ``graph`` is either a WeightedMultiGraph (weights default to the
     1/log(w+1) map unless given) or an iterable of vertex labels with an
     explicit ``weights`` mapping frozenset({u,v}) -> positive float.
-    Raises DisconnectedGraph if any pair is unreachable.
+    Raises BadWeight for a weight that is not finite and positive, and
+    DisconnectedGraph if any pair is unreachable.
     """
     if isinstance(graph, WeightedMultiGraph):
         vertices = graph.vertices
@@ -90,13 +91,14 @@ def graph_distances(graph, weights: Mapping | None = None) -> DistanceMatrix:
         vertices = tuple(graph)
         if weights is None:
             raise ValueError("explicit weights required for a plain vertex list")
+    for e, wt in weights.items():
+        if not (math.isfinite(wt) and wt > 0):
+            raise BadWeight(f"edge weight must be finite and positive, got {wt} on {set(e)}")
     labels = tuple(sorted(vertices, key=str))
     pos = {v: i for i, v in enumerate(labels)}
     adj: list[list[tuple[int, float]]] = [[] for _ in labels]
     for e, wt in weights.items():
         u, v = tuple(e)
-        if wt <= 0:
-            raise ValueError(f"edge weight must be positive, got {wt} on {set(e)}")
         adj[pos[u]].append((pos[v], float(wt)))
         adj[pos[v]].append((pos[u], float(wt)))
     n = len(labels)

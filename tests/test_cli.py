@@ -217,6 +217,28 @@ def test_converge_subcommand(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_toposort_mixed_label_types(tmp_path, capsys):
+    dag = tmp_path / "dag.json"
+    write(dag, {"vertices": [1, "a", 2], "edges": [[1, 2], ["a", 2]]})
+    out = tmp_path / "order.txt"
+    assert main(["toposort", "--input", str(dag), "--output", str(out)]) == 0
+    assert out.read_text().split() == ["1", "a", "2"]
+
+
+@pytest.mark.parametrize("wt", ["NaN", "Infinity", "-1"])
+def test_toposort_bad_weight_exit_code(tmp_path, capsys, wt):
+    dag = tmp_path / "dag.json"
+    dag.write_text(
+        '{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]], '
+        f'"weights": {{"a|b": 0.5, "b|c": {wt}}}}}',
+        encoding="utf-8",
+    )
+    out = tmp_path / "order.txt"
+    assert main(["toposort", "--input", str(dag), "--output", str(out)]) == 23
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "BadWeight" and err["exit"] == 23
+
+
 def test_alpha_below_one_exit_code(tmp_path, capsys):
     index = index_fixture(tmp_path)
     code = main([

@@ -368,3 +368,26 @@ def test_semigroup_falls_back_only_for_non_self_adjoint_generators():
     assert np.max(np.abs(T.matrix - scipy.linalg.expm(0.7 * skew.matrix))) < 1e-12
     with pytest.raises(ValueError, match="masses must be positive"):
         semigroup(gen([[-1.0, 1.0], [1.0, -1.0]], [0.5, 0.0]), 0.7)
+
+
+def test_scipy_is_imported_only_by_the_expm_fallback():
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import sys
+import numpy as np
+import ultraheat.cli
+from ultraheat import Bullet, semigroup
+from ultraheat.operators import GeneratorMatrix
+from ultraheat.padic import PAdicCell
+assert "scipy" not in sys.modules
+cells = (PAdicCell(2, (0,)), PAdicCell(2, (1,)))
+skew = GeneratorMatrix(1, cells, ("a", "b"), np.array([[-1.0, 1.0], [2.0, -2.0]]),
+                       np.array([0.5, 0.5]), "haar", Bullet.ULTRAMETRIC, 1.0)
+semigroup(skew, 0.7)
+assert "scipy.linalg" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)

@@ -3,8 +3,11 @@
 Validity oracle: every DAG edge must point forward in the output.
 """
 
+from graphlib import CycleError, TopologicalSorter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultraheat import (
     ClusterRelation,
@@ -15,11 +18,11 @@ from ultraheat import (
     compare_clusters,
     kahn_sort,
     merge_sorted_clusters,
+    minimal_cluster,
     parallel_toposort,
     UltrametricMatrix,
 )
 from ultraheat.errors import CycleDetected
-from ultraheat.toposort import _kahn, transitive_reduction
 
 from conftest import random_dag, random_dendrogram
 
@@ -44,6 +47,15 @@ def test_kahn_diamond():
 def test_kahn_ties_lexicographic():
     dag = Dag(("b", "a"), frozenset())
     assert kahn_sort(dag) == ("a", "b")
+
+
+def test_kahn_ties_follow_str_order_for_any_label_type():
+    assert kahn_sort(Dag((2, 10), frozenset())) == (10, 2)
+    dag = Dag((1, "a", 2), {(1, 2), ("a", 2)})
+    assert kahn_sort(dag) == (1, "a", 2)
+    vals = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0]])
+    dend = build_dendrogram(UltrametricMatrix((1, "a", 2), vals))
+    assert parallel_toposort(dag, dend, [1, 2]) == (1, "a", 2)
 
 
 def test_kahn_cycle():
@@ -133,15 +145,6 @@ def test_merge_refines_both_input_orders():
             assert pos[u] < pos[v]
 
 
-def test_transitive_reduction_is_inert_for_kahn():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        dag = random_dag(rng, 14, density=0.3)
-        reduced = transitive_reduction(dag.vertices, dag.edges)
-        assert reduced <= set(dag.edges)
-        assert _kahn(dag.vertices, dag.edges) == _kahn(dag.vertices, reduced)
-
-
 def test_parallel_example():
     dend = three_ball_dendrogram()
     dag = Dag(("a", "b", "c"), {("a", "b"), ("b", "c")})
@@ -198,3 +201,40 @@ def test_parallel_propagates_cycles():
     dag = Dag(verts, edges)
     with pytest.raises(CycleDetected):
         parallel_toposort(dag, dend, [verts[0], verts[3]])
+
+
+def is_subsequence(sub, order) -> bool:
+    it = iter(order)
+    return all(v in it for v in sub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parallel_contract(data):
+    n = data.draw(st.integers(2, 40), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+    dend = random_dendrogram(rng, n)
+    dag = random_dag(rng, n, density=data.draw(st.floats(0.0, 0.4), label="density"))
+    picks = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True), label="seeds"
+    )
+    seeds = [dag.vertices[i] for i in picks]
+
+    order = parallel_toposort(dag, dend, seeds, parallelism=1)
+    assert is_linear_extension(dag, order)
+    assert parallel_toposort(dag, dend, seeds, parallelism=4) == order
+
+    cluster_orders = [kahn_sort(dag, minimal_cluster(dend, x)) for x in seeds]
+    relation = TopologicalSorter({v: () for v in dag.vertices})
+    for u, v in dag.edges:
+        relation.add(v, u)
+    for co in cluster_orders:
+        for u, v in zip(co, co[1:]):
+            relation.add(v, u)
+    try:
+        relation.prepare()
+    except CycleError:
+        assert order == kahn_sort(dag)
+        return
+    for co in cluster_orders:
+        assert is_subsequence(co, order)

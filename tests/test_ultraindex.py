@@ -17,7 +17,7 @@ from ultraheat import (
     minimal_cluster,
     subdominant_ultrametric,
 )
-from ultraheat.errors import DisconnectedGraph
+from ultraheat.errors import BadWeight, DisconnectedGraph
 from ultraheat.serialize import dendrogram_from_obj, dendrogram_to_obj
 
 from conftest import random_connected_weights, random_dendrogram, random_metric
@@ -77,6 +77,13 @@ def test_graph_distances_triangle():
 def test_graph_distances_disconnected():
     with pytest.raises(DisconnectedGraph):
         graph_distances(("a", "b"), {})
+
+
+@pytest.mark.parametrize("wt", [float("nan"), float("inf"), 0.0, -1.0])
+def test_graph_distances_rejects_bad_weights(wt):
+    w = {frozenset(("a", "b")): 1.0, frozenset(("b", "c")): wt}
+    with pytest.raises(BadWeight, match="finite and positive"):
+        graph_distances(("a", "b", "c"), w)
 
 
 def test_subdominant_path_example():
