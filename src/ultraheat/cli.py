@@ -113,9 +113,35 @@ def cmd_index(args) -> int:
     return 0
 
 
+def _resolve_seeds(dag: toposort.Dag, text: str) -> list:
+    """The DAG labels named by a comma-separated seed list, matched by str,
+    so that seeds reach integer labels too."""
+    by_text: dict = {}
+    for v in dag.vertices:
+        by_text.setdefault(str(v), []).append(v)
+    seeds = []
+    for name in text.split(","):
+        found = by_text.get(name, [])
+        if len(found) != 1:
+            problem = "names no vertex" if not found else "names several vertices"
+            raise errors.ParseError(f"seed {name!r} {problem} of the DAG")
+        seeds.append(found[0])
+    return seeds
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def cmd_toposort(args) -> int:
     dag, weights = serialize.dag_from_obj(serialize.load_json(args.input))
-    seeds = args.seeds.split(",") if args.seeds else [sorted(dag.vertices, key=str)[0]]
+    seeds = _resolve_seeds(dag, args.seeds) if args.seeds else [sorted(dag.vertices, key=str)[0]]
     if args.index:
         assign, _, _, _ = serialize.index_from_obj(serialize.load_json(args.index))
         dend = assign.dendrogram
@@ -277,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--seeds", default="")
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=_positive_int, default=1)
     p.add_argument("--index", default="")
     p.set_defaults(fn=cmd_toposort)
 

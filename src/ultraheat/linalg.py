@@ -34,21 +34,17 @@ def weighted_symmetric_eig(L: np.ndarray, masses: np.ndarray, degenerate_gap: fl
 
     # group numerically degenerate clusters and re-orthonormalise each
     mults = np.ones(len(evals), dtype=int)
-    start = 0
-    while start < len(evals):
-        stop = start + 1
-        while stop < len(evals) and evals[stop] - evals[stop - 1] < degenerate_gap:
-            stop += 1
-        if stop - start > 1:
-            block, _ = np.linalg.qr(Q[:, start:stop])
-            Q[:, start:stop] = block
-            mults[start:stop] = stop - start
-        start = stop
+    bounds = np.flatnonzero(~(np.diff(evals) < degenerate_gap)) + 1
+    starts = np.concatenate([[0], bounds])
+    stops = np.concatenate([bounds, [len(evals)]])
+    multi = stops - starts > 1
+    for start, stop in zip(starts[multi].tolist(), stops[multi].tolist()):
+        block, _ = np.linalg.qr(Q[:, start:stop])
+        Q[:, start:stop] = block
+        mults[start:stop] = stop - start
 
-    for k in range(Q.shape[1]):
-        col = Q[:, k]
-        pivot = int(np.argmax(np.abs(col)))
-        if col[pivot] < 0:
-            Q[:, k] = -col
+    # make each column's entry of largest magnitude positive (first one on ties)
+    pivots = np.argmax(np.abs(Q), axis=0)
+    Q[:, Q[pivots, np.arange(Q.shape[1])] < 0] *= -1.0
     vectors = Q / d[:, None]
     return evals, vectors, mults

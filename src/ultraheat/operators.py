@@ -209,18 +209,25 @@ def generator(
 ) -> GeneratorMatrix:
     """Exact matrix of the jump operator on level-n locally constant functions.
 
-    The cell count is checked against the dense limit before any N x N
-    array is allocated.
+    ``disc`` is a discretisation, a truncated domain, or the cut kernel
+    of one (whose matrix is then built once and shared with its other
+    uses).  The cell count is checked against the dense limit before any
+    N x N array is allocated.
     """
-    _check_dense(len(disc.cells))
     if isinstance(disc, TruncatedDomain):
+        disc = TruncatedKernel(spec, disc)
+    if isinstance(disc, TruncatedKernel):
+        if disc.spec is not spec:
+            raise ValueError("the cut kernel was built for another kernel spec")
         if measure != "haar":
             raise ValueError("truncated domains are discretised with the Haar measure")
-        K = truncated_kernel_matrix(spec, disc)
-        mvec = disc.haar_volumes()
+        dom = disc.domain
+        _check_dense(len(dom.cells))
         return _assemble(
-            K, mvec, disc.cells, disc.leaf_labels, disc.level, "haar", spec.bullet, spec.alpha
+            disc.matrix(), dom.haar_volumes(), dom.cells, dom.leaf_labels, dom.level,
+            "haar", spec.bullet, spec.alpha,
         )
+    _check_dense(len(disc.cells))
     mvec = _measure_vector(disc, measure, tree_measure)
     K = kernel_matrix(spec, assign, disc)
     return _assemble(
@@ -318,13 +325,20 @@ class TruncatedDomain:
 
 @dataclass(frozen=True)
 class TruncatedKernel:
-    """The cut kernel: Vladimirov inside every cut ball, untouched across."""
+    """The cut kernel: Vladimirov inside every cut ball, untouched across.
+    Its matrix is built on first use and kept read-only."""
 
     spec: KernelSpec
     domain: TruncatedDomain
 
+    _matrix: np.ndarray = field(default=None, repr=False, compare=False)
+
     def matrix(self) -> np.ndarray:
-        return truncated_kernel_matrix(self.spec, self.domain)
+        if self._matrix is None:
+            K = truncated_kernel_matrix(self.spec, self.domain)
+            K.setflags(write=False)
+            object.__setattr__(self, "_matrix", K)
+        return self._matrix
 
     def max_rate_z_to_filler(self) -> float:
         K = self.matrix()

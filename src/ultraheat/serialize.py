@@ -191,10 +191,20 @@ def index_from_obj(obj):
 
 
 def matrix_export(path, matrix: np.ndarray, header: dict) -> str:
-    matrix = np.asarray(matrix)
-    row_format = " ".join(["%.17g"] * matrix.shape[1])
+    """Write a header line and the matrix rows, each entry as ``%.17g``.
+
+    Heat kernels repeat few values, so each distinct bit pattern is
+    formatted once, and every row gathers its texts by a sorted lookup
+    (row by row, so no index array the size of the matrix is kept).
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {matrix.shape}")
+    bits = matrix.view(np.int64)
+    distinct = np.unique(bits)
+    texts = np.array(["%.17g" % x for x in distinct.view(np.float64).tolist()], dtype=object)
     lines = ["# " + json.dumps(header, sort_keys=True)]
-    lines.extend(row_format % tuple(row.tolist()) for row in matrix)
+    lines.extend(" ".join(texts[np.searchsorted(distinct, row)].tolist()) for row in bits)
     text = "\n".join(lines) + "\n"
     Path(path).write_text(text, encoding="utf-8")
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

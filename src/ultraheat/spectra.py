@@ -154,6 +154,28 @@ def kozyrev_local_eigenvalue(p: int, alpha: float, d: int, m: int) -> float:
     return -(1.0 - 1.0 / p) * shells - float(p) ** (d * (alpha - 1.0))
 
 
+def _disc_masses(spec: KernelSpec, assign: DiscAssignment, measure: str,
+                 tree_measure: TreeMeasure | None) -> dict:
+    """Mass of every vertex disc under the Haar or the tree measure."""
+    if measure == "haar":
+        return dict.fromkeys(spec.labels, float(assign.p) ** -assign.m)
+    if measure == "nu":
+        if tree_measure is None:
+            raise ValueError("nu measure requires a TreeMeasure")
+        return {w: float(tree_measure.leaf_mass(w)) for w in spec.labels}
+    raise ValueError(f"unknown measure {measure!r}")
+
+
+def _kozyrev_shift(spec: KernelSpec, assign: DiscAssignment, v, measure: str,
+                   masses: dict, rates: np.ndarray) -> tuple[float, float]:
+    """(s_v, sum_w k(v,w) mass(U_w)): the scale of the local part and the
+    escape rate of disc v, from precomputed disc masses and cross rates."""
+    scale = 1.0 if measure == "haar" else masses[v] * float(assign.p) ** assign.m
+    iv = spec.labels.index(v)
+    escape = sum(rates[iv, iw] * masses[w] for iw, w in enumerate(spec.labels) if w != v)
+    return scale, escape
+
+
 def kozyrev_eigenvalue(
     spec: KernelSpec,
     assign: DiscAssignment,
@@ -163,23 +185,10 @@ def kozyrev_eigenvalue(
     tree_measure: TreeMeasure | None = None,
 ) -> float:
     """Closed-form generator eigenvalue of the Kozyrev wavelet in B inside disc v."""
-    p, m = assign.p, assign.m
-    local = kozyrev_local_eigenvalue(p, spec.alpha, B.level, m)
-    rates = spec.cross_rates()
-    idx = spec.label_index()
-    iv = idx[v]
-    if measure == "haar":
-        masses = {w: float(p) ** -m for w in spec.labels}
-        scale = 1.0
-    elif measure == "nu":
-        if tree_measure is None:
-            raise ValueError("nu measure requires a TreeMeasure")
-        masses = {w: float(tree_measure.leaf_mass(w)) for w in spec.labels}
-        scale = masses[v] * float(p) ** m
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
-    cross = sum(rates[iv, idx[w]] * masses[w] for w in spec.labels if w != v)
-    return scale * local - cross
+    local = kozyrev_local_eigenvalue(assign.p, spec.alpha, B.level, assign.m)
+    masses = _disc_masses(spec, assign, measure, tree_measure)
+    scale, escape = _kozyrev_shift(spec, assign, v, measure, masses, spec.cross_rates())
+    return scale * local - escape
 
 
 # --- ultrametric wavelets -----------------------------------------------------------
@@ -263,15 +272,7 @@ def laplacian_block_modes(
     functions constant on each disc and normalised in the cell inner
     product.  All eigenvalues are non-positive."""
     labels = spec.labels
-    p, m = assign.p, assign.m
-    if measure == "haar":
-        mass = np.full(len(labels), float(p) ** -m)
-    elif measure == "nu":
-        if tree_measure is None:
-            raise ValueError("nu measure requires a TreeMeasure")
-        mass = np.array([float(tree_measure.leaf_mass(l)) for l in labels])
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
+    mass = np.array(list(_disc_masses(spec, assign, measure, tree_measure).values()))
     rates = spec.cross_rates()
     L = rates * mass[None, :]
     np.fill_diagonal(L, 0.0)
@@ -361,16 +362,13 @@ def full_basis(
             psi[:, len(meta)] = vec
         meta.append((kind, support, index, lam))
 
-    if measure == "nu":
-        if tree_measure is None:
-            raise ValueError("nu measure requires a TreeMeasure")
-        nu_masses = {l: float(tree_measure.leaf_mass(l)) for l in assign.labels}
-
+    masses = _disc_masses(spec, assign, measure, tree_measure)
+    rates = spec.cross_rates()
     for label in assign.labels:
-        if measure == "nu":
-            s_v = nu_masses[label] * float(p) ** assign.m
+        s_v, escape = _kozyrev_shift(spec, assign, label, measure, masses, rates)
         for balls in _balls_by_level(assign, disc, label):
-            lam = kozyrev_eigenvalue(spec, assign, balls[0], label, measure, tree_measure)
+            local = kozyrev_local_eigenvalue(p, spec.alpha, balls[0].level, assign.m)
+            lam = s_v * local - escape
             for B in balls:
                 for j in range(1, p):
                     vec = kozyrev_wavelet(assign, disc, B, j)

@@ -291,3 +291,39 @@ def test_bounds_requires_exactly_one_mode(tmp_path):
     index = index_fixture(tmp_path)
     with pytest.raises(SystemExit):
         main(["bounds", "--input", str(index), "--output", "x.json", "--level", "4"])
+
+
+def test_toposort_seeds_match_integer_labels(tmp_path, capsys):
+    dag = tmp_path / "dag.json"
+    write(dag, {"vertices": [1, "a", 2], "edges": [[1, 2], ["a", 2]]})
+    out = tmp_path / "order.txt"
+    for seeds in ("1", "a,1", "2"):
+        assert main(["toposort", "--input", str(dag), "--output", str(out),
+                     "--seeds", seeds]) == 0
+        assert out.read_text().split() == ["1", "a", "2"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("seeds", ["zz", "a,zz"])
+def test_toposort_unknown_seed_is_a_parse_error(tmp_path, capsys, seeds):
+    dag = tmp_path / "dag.json"
+    write(dag, {"vertices": [1, "a", 2], "edges": [[1, 2], ["a", 2]]})
+    out = tmp_path / "order.txt"
+    argv = ["toposort", "--input", str(dag), "--output", str(out), "--seeds", seeds]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ParseError" and err["exit"] == 2
+    assert "'zz'" in err["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_toposort_parallelism_below_one_is_a_usage_error(tmp_path, capsys, value):
+    dag = tmp_path / "dag.json"
+    write(dag, THREE_LEAF_DAG)
+    with pytest.raises(SystemExit) as exc:
+        main(["toposort", "--input", str(dag), "--output", str(tmp_path / "o.txt"),
+              "--parallelism", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--parallelism" in err and "Traceback" not in err

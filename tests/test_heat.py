@@ -391,3 +391,168 @@ assert "scipy.linalg" in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", script], check=True, env=env)
+
+
+# --- index maps, one coefficient per grid, shared eigensolves and cut kernels ---
+
+
+def loop_project(disc_fine, disc_coarse, u):
+    """Per-cell lookup of every coarse cell's zero-padded representative."""
+    return np.array([u[disc_fine.index_of(c.extended(disc_fine.level))] for c in disc_coarse.cells])
+
+
+def loop_embed(disc_coarse, disc_fine, u):
+    """Per-cell lookup of the coarse cell containing every fine cell."""
+    from ultraheat.padic import PAdicCell
+
+    return np.array([
+        u[disc_coarse.index_of(PAdicCell(c.p, c.digits[: disc_coarse.level]))]
+        for c in disc_fine.cells
+    ])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_index_maps_match_the_per_cell_lookups(p):
+    rng = np.random.default_rng(29 + p)
+    dend = random_dendrogram(rng, 4, max_children=2)
+    assign = embed(dend, p)
+    coarse = discretize(assign, assign.m + 1)
+    for gap in (0, 1, 2, 3):
+        fine = discretize(assign, assign.m + 1 + gap)
+        u_fine = rng.uniform(-1, 1, len(fine.cells))
+        u_coarse = rng.uniform(-1, 1, len(coarse.cells))
+        assert np.array_equal(project_pointwise(fine, coarse, u_fine),
+                              loop_project(fine, coarse, u_fine))
+        assert np.array_equal(embed_piecewise(coarse, fine, u_coarse),
+                              loop_embed(coarse, fine, u_coarse))
+        # a trailing axis (one column per time) is carried along
+        grid = rng.uniform(-1, 1, (len(coarse.cells), 4))
+        assert np.array_equal(embed_piecewise(coarse, fine, grid),
+                              np.stack([loop_embed(coarse, fine, g) for g in grid.T], axis=1))
+
+
+def test_index_maps_refuse_mismatched_discretisations():
+    dend, assign, spec = three_leaf_setup()
+    coarse = discretize(assign, assign.m + 1)
+    fine = discretize(assign, assign.m + 2)
+    other = discretize(embed(dend), assign.m + 2)
+    u = np.zeros(len(fine.cells))
+    with pytest.raises(ValueError, match="coarser"):
+        embed_piecewise(fine, coarse, u)
+    with pytest.raises(ValueError, match="different disc assignments"):
+        project_pointwise(other, coarse, u)
+
+
+def loop_convergence(spec, assign, u0, levels, tau, measure, tree_measure):
+    """The convergence study one time and one cell at a time, with a fresh
+    eigensolve per level."""
+    from ultraheat.padic import PAdicCell
+
+    def apply(ev, t, u):
+        coeff = ev.Q.T @ (ev.d * u)
+        return (ev.Q @ (np.exp(t * ev.evals) * coeff)) / ev.d
+
+    n_ref = assign.m + round(np.log(len(u0) // len(assign.labels)) / np.log(assign.p))
+    disc_ref = discretize(assign, n_ref)
+    ev_ref = _Evolver(generator(spec, assign, disc_ref, measure, tree_measure))
+    rows = []
+    for n in levels:
+        disc_n = discretize(assign, n)
+        ev_n = _Evolver(generator(spec, assign, disc_n, measure, tree_measure))
+        un0 = loop_project(disc_ref, disc_n, u0)
+        gap = 0.0
+        for t in t_grid(tau):
+            lifted = loop_embed(disc_n, disc_ref, apply(ev_n, t, un0))
+            gap = max(gap, float(np.max(np.abs(lifted - apply(ev_ref, t, u0)))))
+        rows.append((n, gap))
+    return rows
+
+
+@pytest.mark.parametrize("measure", ["haar", "nu"])
+def test_convergence_study_equals_the_per_time_per_cell_loop(measure):
+    rng = np.random.default_rng(31)
+    dend = random_dendrogram(rng, 5, max_children=3)
+    assign = embed(dend)
+    delta = dend.delta_matrix()
+    spec = KernelSpec(Bullet.ULTRAMETRIC, 1.2, delta.labels, delta.values)
+    tm = tree_measure(dend) if measure == "nu" else None
+    n0 = assign.m + 1
+    u0 = rng.uniform(-1, 1, len(discretize(assign, n0 + 2).cells))
+    levels = [n0, n0 + 1, n0 + 2]
+    rows = convergence_study(spec, assign, u0, levels, 0.7, measure, tm)
+    assert rows == loop_convergence(spec, assign, u0, levels, 0.7, measure, tm)
+
+
+def test_convergence_study_reuses_the_reference_eigensolve(monkeypatch):
+    from ultraheat import heat
+
+    solves = []
+    original = heat.weighted_symmetric_eig
+    monkeypatch.setattr(heat, "weighted_symmetric_eig",
+                        lambda *args: solves.append(len(args[1])) or original(*args))
+    dend, assign, spec = three_leaf_setup()
+    n0 = assign.m + 1
+    u0 = np.random.default_rng(37).uniform(-1, 1, len(discretize(assign, n0 + 2).cells))
+    rows = convergence_study(spec, assign, u0, [n0, n0 + 1, n0 + 2], 1.0)
+    assert rows[-1] == (n0 + 2, 0.0)
+    assert len(solves) == 3  # reference, n0, n0 + 1; the reference level reuses the first
+    solves.clear()
+    convergence_study(spec, assign, u0, [n0, n0 + 1], 1.0)
+    assert len(solves) == 3
+
+
+def test_evolver_grid_columns_equal_single_applications():
+    dend, assign, spec = three_leaf_setup()
+    gen = generator(spec, assign, discretize(assign, assign.m + 2), "haar")
+    ev = _Evolver(gen)
+    u = np.random.default_rng(41).uniform(-1, 1, gen.n_cells)
+    grid = t_grid(2.0)
+    columns = ev.over_grid(u, grid)
+    assert columns.shape == (gen.n_cells, len(grid))
+    for k, t in enumerate(grid):
+        single = ev.over_grid(u, np.array([t]))[:, 0]
+        assert np.array_equal(columns[:, k], single)
+        assert np.allclose(single, semigroup(gen, t).matrix @ u, atol=1e-12)
+
+
+def test_truncation_bound_builds_the_cut_kernel_once(monkeypatch):
+    from ultraheat import operators
+
+    rng = np.random.default_rng(43)
+    dend = random_dendrogram(rng, 6, max_children=3)
+    assign = embed(dend)
+    delta = dend.delta_matrix()
+    spec = KernelSpec(Bullet.ULTRAMETRIC, 1.0, delta.labels, delta.values)
+    disc = discretize(assign, assign.m + 1)
+    u = rng.uniform(-1, 1, len(disc.cells))
+
+    builds = []
+    original = operators.truncated_kernel_matrix
+    monkeypatch.setattr(operators, "truncated_kernel_matrix",
+                        lambda *args: builds.append(1) or original(*args))
+    for ell in range(1, dend.max_level + 1):
+        builds.clear()
+        once = truncation_bound(spec, assign, disc, ell, 1.0, u)
+        assert len(builds) == 1
+        # the same bound with the cut kernel rebuilt at each use
+        with monkeypatch.context() as m:
+            m.setattr(operators.TruncatedKernel, "matrix",
+                      lambda self: operators.truncated_kernel_matrix(self.spec, self.domain))
+            builds.clear()
+            twice = truncation_bound(spec, assign, disc, ell, 1.0, u)
+            assert len(builds) == 2
+        for name in ("measured_sup_error", "theoretical_bound", "tight_bound", "constants",
+                     "volumes", "meta", "per_t_slack"):
+            assert getattr(once, name) == getattr(twice, name), name
+
+
+def test_generator_rejects_a_cut_kernel_of_another_spec():
+    from ultraheat import truncated_domain
+
+    dend, assign, spec = three_leaf_setup()
+    other = KernelSpec(Bullet.ULTRAMETRIC, 2.0, spec.labels, spec.base)
+    dom, cut = truncated_domain(assign, 1, assign.m + 1, other)
+    with pytest.raises(ValueError, match="another kernel spec"):
+        generator(spec, assign, cut)
+    assert np.array_equal(generator(other, assign, cut).matrix,
+                          generator(other, assign, dom).matrix)

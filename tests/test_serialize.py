@@ -26,3 +26,26 @@ def test_matrix_export_matches_elementwise_formatting(tmp_path):
     assert text == reference_text(matrix, '# {"p": 3, "t": 0.5}')
     assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert text.splitlines()[1].split(" ")[:3] == ["-0", "0", "4.9406564584124654e-324"]
+
+
+def row_format_text(matrix, header_line):
+    """One %.17g format string per row, applied to the row's Python floats."""
+    row_format = " ".join(["%.17g"] * matrix.shape[1])
+    return "\n".join([header_line] + [row_format % tuple(row.tolist()) for row in matrix]) + "\n"
+
+
+def test_matrix_export_formats_repeated_values_like_the_row_formatter(tmp_path):
+    specials = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1 / 3, 2.5])
+    rng = np.random.default_rng(13)
+    # few distinct values, repeated in random places, as in a heat kernel
+    matrix = specials[rng.integers(0, len(specials), size=(40, 30))]
+    path = tmp_path / "kernel.txt"
+    digest = matrix_export(path, matrix, {"n": 4})
+    text = path.read_text(encoding="utf-8")
+    assert text == row_format_text(matrix, '# {"n": 4}')
+    assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    tokens = set(" ".join(text.splitlines()[1:]).split())
+    assert {"-0", "0", "nan", "inf", "-inf"} <= tokens
+    # integer matrices are written as their float values
+    matrix_export(path, np.arange(6).reshape(2, 3), {})
+    assert path.read_text(encoding="utf-8") == "# {}\n0 1 2\n3 4 5\n"

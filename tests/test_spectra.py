@@ -464,3 +464,22 @@ def test_kozyrev_wavelet_matches_cell_loop():
                         a = cell.digits[B.level]
                         expected[i] = amp * np.exp(2j * math.pi * j * a / p)
                 assert np.array_equal(kozyrev_wavelet(assign, disc, B, j), expected)
+
+
+def test_full_basis_kozyrev_eigenvalues_equal_the_closed_form_bit_for_bit():
+    rng = np.random.default_rng(109)
+    dend = random_dendrogram(rng, 6, max_children=3)
+    assign = embed(dend)
+    nu = tree_measure(dend)
+    delta = dend.delta_matrix()
+    base = delta.values + np.where(~np.eye(6, dtype=bool), 0.3, 0.0)
+    disc = discretize(assign, assign.m + 2)
+    for spec in (ultra_spec(dend, alpha=1.5),
+                 KernelSpec(Bullet.GRAPH_DISTANCE, 1.0, delta.labels, base)):
+        for measure, tm in (("haar", None), ("nu", nu)):
+            pairs = [p for p in full_basis(spec, assign, disc, measure, tm) if p.kind == "kozyrev"]
+            assert len(pairs) == len(disc.cells) - len(assign.labels)
+            for pair in pairs:
+                label, digits = pair.support.split(":")
+                B = PAdicCell(assign.p, tuple(int(d) for d in digits))
+                assert pair.lam == kozyrev_eigenvalue(spec, assign, B, label, measure, tm)
