@@ -42,6 +42,7 @@ EXIT_CODES = {
     errors.BadAlpha: 21,
     errors.NotSelfAdjoint: 22,
     errors.BadWeight: 23,
+    errors.TooManyCells: 24,
 }
 
 
@@ -264,9 +265,8 @@ def cmd_converge(args) -> int:
     assign, delta, d_e, kappa = serialize.index_from_obj(serialize.load_json(args.input))
     spec = _spec_from_index(args, assign, delta, d_e, kappa)
     measure, tm = _measure_args(args, assign)
-    disc_ref = padic.discretize(assign, args.reference)
     rng = np.random.default_rng(args.seed)
-    u0 = rng.uniform(-1, 1, len(disc_ref.cells))
+    u0 = rng.uniform(-1, 1, padic.cell_count(assign, args.reference))
     levels = [int(s) for s in args.levels.split(",")]
     rows = heat.convergence_study(spec, assign, u0, levels, args.tau, measure, tm)
     text = "n\tgap\n" + "".join(f"{n}\t{gap:.17g}\n" for n, gap in rows)

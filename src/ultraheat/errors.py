@@ -67,6 +67,10 @@ class InvalidLevel(UltraheatError):
     """Tree truncation level outside the valid range."""
 
 
+class TooManyCells(UltraheatError, ValueError):
+    """A discretisation has more cells than the dense-matrix limit."""
+
+
 # --- linalg --------------------------------------------------------------------------
 
 class NotSelfAdjoint(UltraheatError, ValueError):

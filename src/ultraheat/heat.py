@@ -42,6 +42,7 @@ from .errors import (
     BoundViolated,
     DimensionMismatch,
     IncompleteBasis,
+    InvalidLevel,
     NegativeTime,
     NotSelfAdjoint,
 )
@@ -381,14 +382,16 @@ def convergence_study(
     disc_ref = discretize(assign, n_ref)
     if len(disc_ref.cells) != len(u0):
         raise DimensionMismatch("u0 length is not |V| * p^(N-m) for any N")
+    levels = list(n_range)
+    for n in levels:
+        if not assign.m < n <= n_ref:
+            raise InvalidLevel(f"level {n} outside ({assign.m}, {n_ref}]")
     ev_ref = _Evolver(generator(spec, assign, disc_ref, measure, tree_measure))
     grid = t_grid(tau)
     refs = ev_ref.over_grid(u0, grid)
 
     rows: list[tuple[int, float]] = []
-    for n in n_range:
-        if not assign.m < n <= n_ref:
-            raise ValueError(f"level {n} outside ({assign.m}, {n_ref}]")
+    for n in levels:
         if n == n_ref:
             disc_n, ev_n = disc_ref, ev_ref
         else:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 import numpy as np
 
-from .errors import BadAlpha, CellOutsideZ, InvalidLevel
+from .errors import BadAlpha, CellOutsideZ, InvalidLevel, TooManyCells
 from .padic import (
     DiscAssignment,
     Discretization,
@@ -177,7 +177,7 @@ MAX_DENSE_CELLS = 10_000
 
 def _check_dense(n_cells: int) -> None:
     if n_cells > MAX_DENSE_CELLS:
-        raise ValueError(
+        raise TooManyCells(
             f"{n_cells} cells exceed the dense-matrix limit of {MAX_DENSE_CELLS}; "
             "choose a coarser level"
         )
@@ -377,6 +377,7 @@ def truncated_domain(
     if n <= assign.m:
         raise InvalidLevel(f"cell level {n} is not finer than the vertex discs (m={assign.m})")
     nodes = cut_nodes(assign, ell)
+    _check_dense(sum(assign.p ** (n - assign.cell_of(node).level) for node in nodes))
     cells: list[PAdicCell] = []
     labels: list = []
     node_idx: list[int] = []

@@ -152,27 +152,17 @@ def embed(dend: Dendrogram, p: int | None = None) -> DiscAssignment:
     rank = {r: k for k, r in enumerate(radii)}
     m = len(radii)
 
-    node_cells: dict[int, PAdicCell] = {}
+    node_cells = {id(dend.root): PAdicCell(p, ())}
     discs: dict = {}
-
-    def assign(node: DendrogramNode, cell: PAdicCell):
-        node_cells[id(node)] = cell
+    for node in dend.nodes:  # parents before children
+        cell = node_cells[id(node)]
         if node.is_leaf:
             discs[node.label] = cell
-            return
-        depth = rank[node.radius]
-        assert cell.level == depth
+            continue
+        assert cell.level == rank[node.radius]
         for idx, child in enumerate(node.children):
             child_depth = m if child.is_leaf else rank[child.radius]
-            child_cell = cell.child(idx).extended(child_depth)
-            assign(child, child_cell)
-
-    root_cell = PAdicCell(p, ())
-    if dend.root.is_leaf:
-        node_cells[id(dend.root)] = root_cell
-        discs[dend.root.label] = root_cell
-    else:
-        assign(dend.root, root_cell)
+            node_cells[id(child)] = cell.child(idx).extended(child_depth)
 
     rho = tuple((float(p) ** -k, radii[k]) for k in range(m))
     return DiscAssignment(dend, p, m, discs, node_cells, rho)
@@ -255,10 +245,21 @@ class Discretization:
         return self._digits
 
 
-def discretize(assign: DiscAssignment, n: int) -> Discretization:
-    """Enumerate the level-n cells inside every vertex disc (n > m)."""
+def cell_count(assign: DiscAssignment, n: int) -> int:
+    """Number |V| * p^(n-m) of level-n cells in the vertex discs (n > m),
+    checked against the dense-matrix limit without building any cell."""
+    from .operators import _check_dense  # operators imports this module
+
     if n <= assign.m:
         raise LevelTooCoarse(f"level {n} is not finer than the vertex discs (m={assign.m})")
+    count = len(assign.discs) * assign.p ** (n - assign.m)
+    _check_dense(count)
+    return count
+
+
+def discretize(assign: DiscAssignment, n: int) -> Discretization:
+    """Enumerate the level-n cells inside every vertex disc (n > m)."""
+    cell_count(assign, n)
     cells: list[PAdicCell] = []
     labels: list = []
     for label in assign.labels:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParseError
 from .multitopo import TopologyFamily, WeightedMultiGraph
-from .padic import DiscAssignment
+from .padic import DiscAssignment, embed
 from .toposort import Dag
 from .ultraindex import Dendrogram, DendrogramNode, UltrametricMatrix
 
@@ -172,8 +172,6 @@ def index_to_obj(
 
 
 def index_from_obj(obj):
-    from .padic import embed
-
     try:
         labels = tuple(obj["vertices"])
         delta = UltrametricMatrix(labels, np.array(obj["delta"], dtype=float))
@@ -181,9 +179,13 @@ def index_from_obj(obj):
         p = int(obj["assignment"]["p"])
         d_e = np.array(obj["d_e"], dtype=float) if "d_e" in obj else None
         kappa = np.array(obj["kappa"], dtype=float) if "kappa" in obj else None
+        assign = embed(dend, p)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed index file: {exc}") from exc
-    assign = embed(dend, p)
+    if labels != dend.labels:
+        raise ParseError("index vertices differ from the dendrogram's leaves")
+    if obj["assignment"] != assignment_to_obj(assign):
+        raise ParseError("stored disc assignment differs from the dendrogram's embedding")
     return assign, delta, d_e, kappa
 
 

@@ -122,17 +122,33 @@ def graph_distances(graph, weights: Mapping | None = None) -> DistanceMatrix:
     return DistanceMatrix(labels, out)
 
 
-def subdominant_ultrametric(d: DistanceMatrix) -> UltrametricMatrix:
-    """Largest ultrametric pointwise below d.
+def _single_linkage(vals: np.ndarray):
+    """Single-linkage merges of the points of a dense distance matrix.
 
-    Single-linkage agglomeration: scanning pairs by increasing distance,
-    two clusters merge at height d(i,j), and the merge height becomes the
-    ultrametric value for every cross pair.  Equivalently the minimax
-    path distance in the complete graph weighted by d.
+    Prim's algorithm grows the minimum spanning tree of the complete graph
+    weighted by the upper triangle of vals in n - 1 vectorised steps.  Its
+    edges sorted by (height, i, j) are the single-linkage merges (Gower &
+    Ross 1969), run through one union-find.  Yields (height, keep, gone,
+    a, b) before each merge: the clusters rooted at keep and gone, with
+    member indices a and b, join at height, and keep stays the root.
     """
-    n = d.n
-    vals = d.values
-    delta = np.zeros((n, n))
+    n = len(vals)
+    if n < 2:
+        return
+    w = np.triu(vals, 1)
+    w = w + w.T
+    best = w[0].copy()
+    src = np.zeros(n, dtype=np.intp)
+    rest = np.arange(1, n)
+    edges = []
+    while rest.size:
+        at = int(np.argmin(best[rest]))
+        k, rest = int(rest[at]), np.delete(rest, at)
+        edges.append((float(best[k]), min(int(src[k]), k), max(int(src[k]), k)))
+        closer = w[k] < best
+        best[closer] = w[k][closer]
+        src[closer] = k
+
     parent = list(range(n))
     members: list[list[int]] = [[i] for i in range(n)]
 
@@ -142,22 +158,28 @@ def subdominant_ultrametric(d: DistanceMatrix) -> UltrametricMatrix:
             x = parent[x]
         return x
 
-    pairs = sorted(
-        ((vals[i, j], i, j) for i in range(n) for j in range(i + 1, n)),
-        key=lambda t: (t[0], t[1], t[2]),
-    )
-    for val, i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        if len(members[ri]) < len(members[rj]):
-            ri, rj = rj, ri
-        for a in members[ri]:
-            for b in members[rj]:
-                delta[a, b] = delta[b, a] = val
-        members[ri].extend(members[rj])
-        members[rj] = []
-        parent[rj] = ri
+    for height, i, j in sorted(edges):
+        keep, gone = find(i), find(j)
+        if len(members[keep]) < len(members[gone]):
+            keep, gone = gone, keep
+        yield height, keep, gone, members[keep], members[gone]
+        members[keep].extend(members[gone])
+        members[gone] = []
+        parent[gone] = keep
+
+
+def subdominant_ultrametric(d: DistanceMatrix) -> UltrametricMatrix:
+    """Largest ultrametric pointwise below d.
+
+    Single-linkage agglomeration: two clusters merge at height d(i,j), and
+    the merge height becomes the ultrametric value for every cross pair.
+    Equivalently the minimax path distance in the complete graph weighted
+    by d, read off its minimum spanning tree.
+    """
+    delta = np.zeros((d.n, d.n))
+    for height, _, _, a, b in _single_linkage(d.values):
+        delta[np.ix_(a, b)] = height
+        delta[np.ix_(b, a)] = height
     return UltrametricMatrix(d.labels, delta)
 
 
@@ -197,26 +219,20 @@ class Dendrogram:
 
     def __init__(self, root: DendrogramNode):
         self.root = root
-        self._normalise(root)
-        self.leaves: dict = {}
-        self.nodes: tuple = tuple(self._walk(root))
-        for node in self.nodes:
-            if node.is_leaf:
-                self.leaves[node.label] = node
+        root.level, root.parent = 0, None
+        nodes = []
+        stack = [root]
+        while stack:  # preorder with an explicit stack: no depth limit
+            node = stack.pop()
+            nodes.append(node)
+            node.children = tuple(sorted(node.children, key=DendrogramNode.sort_key))
+            for ch in node.children:
+                ch.level, ch.parent = node.level + 1, node
+            stack.extend(reversed(node.children))
+        self.nodes: tuple = tuple(nodes)
+        self.leaves: dict = {node.label: node for node in nodes if node.is_leaf}
         self.labels = tuple(sorted(self.leaves, key=str))
         self._validate()
-
-    def _normalise(self, node: DendrogramNode, level: int = 0, parent=None):
-        node.level = level
-        node.parent = parent
-        node.children = tuple(sorted(node.children, key=DendrogramNode.sort_key))
-        for ch in node.children:
-            self._normalise(ch, level + 1, node)
-
-    def _walk(self, node):
-        yield node
-        for ch in node.children:
-            yield from self._walk(ch)
 
     def _validate(self):
         for node in self.nodes:
@@ -265,12 +281,10 @@ class Dendrogram:
         pos = {l: i for i, l in enumerate(self.labels)}
         vals = np.zeros((n, n))
         for node in self.internal_nodes():
-            kids = [sorted(pos[l] for l in c.members) for c in node.children]
-            for i in range(len(kids)):
-                for j in range(i + 1, len(kids)):
-                    for a in kids[i]:
-                        for b in kids[j]:
-                            vals[a, b] = vals[b, a] = node.radius
+            kids = [[pos[l] for l in c.members] for c in node.children]
+            for k, a in enumerate(kids):
+                others = [b for part in kids[:k] + kids[k + 1:] for b in part]
+                vals[np.ix_(a, others)] = node.radius
         return UltrametricMatrix(self.labels, vals)
 
     def branching(self) -> int:
@@ -281,50 +295,34 @@ class Dendrogram:
 def build_dendrogram(delta: UltrametricMatrix) -> Dendrogram:
     """Tree of the distinct balls of an ultrametric.
 
-    Clusters merging at equal heights join a single polytomous node, so
-    the nodes are exactly the distinct balls and merge radii strictly
-    decrease root-to-leaf.
+    Walks the single-linkage merges; clusters merging at equal heights
+    join a single polytomous node, so the nodes are exactly the distinct
+    balls and merge radii strictly decrease root-to-leaf.
     """
     labels = delta.labels
-    n = len(labels)
-    vals = delta.values
-    cluster: dict[int, DendrogramNode] = {
-        i: DendrogramNode(frozenset([labels[i]]), 0.0) for i in range(n)
-    }
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    levels = sorted({float(vals[i, j]) for i in range(n) for j in range(i + 1, n)})
-    for r in levels:
-        if r <= 0:
-            raise ValueError("distinct points at ultrametric distance 0")
-        merged: dict[int, list[DendrogramNode]] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                if float(vals[i, j]) != r:
-                    continue
-                ri, rj = find(i), find(j)
-                if ri == rj:
-                    continue
-                group = merged.pop(ri, [cluster[ri]]) + merged.pop(rj, [cluster[rj]])
-                parent[rj] = ri
-                merged[ri] = group
-        for root, group in merged.items():
-            node = DendrogramNode(
-                members=frozenset().union(*(g.members for g in group)),
-                radius=r,
-                children=tuple(group),
-            )
-            cluster[root] = node
-    roots = {find(i) for i in range(n)}
-    if len(roots) != 1:
+    if not labels:
         raise ValueError("ultrametric matrix did not merge into a single root")
-    return Dendrogram(cluster[roots.pop()])
+    cluster = {i: DendrogramNode(frozenset([l]), 0.0) for i, l in enumerate(labels)}
+    pending: dict[int, list[DendrogramNode]] = {}  # root -> children at `radius`
+    radius, root = None, 0
+
+    def flush():
+        for r, group in pending.items():
+            members = frozenset().union(*(g.members for g in group))
+            cluster[r] = DendrogramNode(members, radius, tuple(group))
+        pending.clear()
+
+    for height, keep, gone, _, _ in _single_linkage(delta.values):
+        if height <= 0:
+            raise ValueError("distinct points at ultrametric distance 0")
+        if height != radius:
+            flush()
+            radius = height
+        group = pending.setdefault(keep, [cluster[keep]])
+        group.extend(pending.pop(gone, [cluster[gone]]))
+        root = keep
+    flush()
+    return Dendrogram(cluster[root])
 
 
 def minimal_cluster(dend: Dendrogram, x) -> frozenset:

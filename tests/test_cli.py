@@ -327,3 +327,80 @@ def test_toposort_parallelism_below_one_is_a_usage_error(tmp_path, capsys, value
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "--parallelism" in err and "Traceback" not in err
+
+
+def test_converge_rejects_levels_before_any_eigensolve(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an eigensolve ran before the levels were checked")
+
+    monkeypatch.setattr(heat, "weighted_symmetric_eig", unreachable)
+    index = index_fixture(tmp_path)
+    m = json.loads(index.read_text())["assignment"]["m"]
+    for levels in (f"{m},{m + 1}", f"{m + 1},{m + 3}"):
+        code = main([
+            "converge", "--input", str(index), "--output", str(tmp_path / "c.tsv"),
+            "--bullet", "ultrametric", "--levels", levels, "--reference", str(m + 2),
+        ])
+        assert code == 11
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "InvalidLevel" and err["exit"] == 11
+    code = main([
+        "converge", "--input", str(index), "--output", str(tmp_path / "c.tsv"),
+        "--bullet", "ultrametric", "--levels", str(m), "--reference", str(m),
+    ])
+    assert code == 10
+    capsys.readouterr()
+
+
+FOUR_VERTEX_FAMILY = {
+    "vertices": ["a", "b", "c", "d"],
+    "topologies": [
+        {"edges": [["a", "b"], ["b", "c"], ["c", "d"]]},
+        {"edges": [["a", "b"]]},
+    ],
+    "primes": [2, 3],
+}
+
+
+@pytest.mark.parametrize("subcommand", ["spectrum", "converge"])
+def test_oversized_level_exits_24_before_enumerating_cells(tmp_path, capsys, subcommand):
+    import time
+
+    fam, graph, index = (tmp_path / name for name in ("f.json", "g.json", "i.json"))
+    write(fam, FOUR_VERTEX_FAMILY)
+    assert main(["encode", "--input", str(fam), "--output", str(graph)]) == 0
+    assert main(["index", "--input", str(graph), "--output", str(index)]) == 0
+    argv = [subcommand, "--input", str(index), "--output", str(tmp_path / "out"),
+            "--bullet", "ultrametric"]
+    argv += ["--level", "40"] if subcommand == "spectrum" else ["--levels", "39",
+                                                                 "--reference", "40"]
+    start = time.perf_counter()
+    assert main(argv) == 24
+    assert time.perf_counter() - start < 10.0
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "TooManyCells" and err["exit"] == 24
+    assert "dense-matrix limit" in err["detail"]
+
+
+@pytest.mark.parametrize("edit", ["vertex", "disc", "m", "rho"])
+def test_hand_edited_index_is_a_parse_error(tmp_path, capsys, edit):
+    index = index_fixture(tmp_path)
+    obj = json.loads(index.read_text())
+    assignment = obj["assignment"]
+    if edit == "vertex":
+        obj["vertices"][0] = "z"
+    elif edit == "disc":
+        label = sorted(assignment["discs"])[0]
+        assignment["discs"][label] = assignment["discs"][label][::-1] + "1"
+    elif edit == "m":
+        assignment["m"] += 1
+    else:
+        assignment["rho"][0][1] *= 2
+    write(index, obj)
+    code = main([
+        "spectrum", "--input", str(index), "--output", str(tmp_path / "s.tsv"),
+        "--bullet", "ultrametric", "--level", str(obj["assignment"]["m"] + 1),
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ParseError" and err["exit"] == 2

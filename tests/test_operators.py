@@ -233,6 +233,14 @@ def test_truncated_domain_invalid_level():
         truncated_domain(assign, dend.max_level + 1)
 
 
+def test_truncated_domain_counts_cells_before_enumerating():
+    from ultraheat.errors import TooManyCells
+
+    dend, assign, _ = simple_assignment()
+    with pytest.raises(TooManyCells, match="dense-matrix limit"):
+        truncated_domain(assign, 1, assign.m + 60)
+
+
 def test_adjacency_rates_may_exceed_one():
     labels = ("a", "b")
     kappa = np.array([[0.0, 0.25], [0.25, 0.0]])

@@ -17,7 +17,7 @@ from ultraheat import (
     padic_distance,
     tree_measure,
 )
-from ultraheat.errors import LevelTooCoarse, PrimeMismatch
+from ultraheat.errors import LevelTooCoarse, PrimeMismatch, TooManyCells
 
 from conftest import random_dendrogram
 
@@ -178,3 +178,14 @@ def test_discretize_rejects_coarse_level():
     assign = embed(leaf_pair())
     with pytest.raises(LevelTooCoarse):
         discretize(assign, assign.m)
+
+
+def test_discretize_counts_cells_before_enumerating():
+    from ultraheat.padic import cell_count
+
+    assign = embed(random_dendrogram(np.random.default_rng(3), 6))
+    for n in range(assign.m + 1, assign.m + 3):
+        assert cell_count(assign, n) == len(discretize(assign, n))
+    # 6 * p^60 cells: enumerating them would never finish
+    with pytest.raises(TooManyCells, match="dense-matrix limit"):
+        discretize(assign, assign.m + 60)

@@ -8,14 +8,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultraheat import (
+    Dendrogram,
+    DendrogramNode,
     DistanceMatrix,
     UltrametricMatrix,
     build_dendrogram,
+    embed,
     graph_distances,
     minimal_cluster,
     subdominant_ultrametric,
+    tree_measure,
 )
 from ultraheat.errors import BadWeight, DisconnectedGraph
 from ultraheat.serialize import dendrogram_from_obj, dendrogram_to_obj
@@ -227,3 +232,71 @@ def test_index_persistence_roundtrip_and_determinism():
     for u in dend.labels:
         for v in dend.labels:
             assert dend.delta(u, v) == again.delta(u, v)
+
+
+def distinct_balls(delta: UltrametricMatrix) -> set:
+    """Every closed ball {y : delta(x, y) <= r} with r a value in row x."""
+    vals, labels = delta.values, delta.labels
+    return {
+        frozenset(labels[j] for j in np.flatnonzero(row <= r))
+        for row in vals
+        for r in np.unique(row)
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_single_linkage_index_matches_oracles(data):
+    """Random float metrics and integer-valued ones, whose many ties make
+    equal-height merges: exact minimax values, the distinct balls as the
+    nodes, and the tree's ultrametric given back bit for bit."""
+    n = data.draw(st.integers(1, 24), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+    if data.draw(st.booleans(), label="integer valued"):
+        k = data.draw(st.integers(1, 4), label="k")
+        vals = rng.integers(k, 2 * k, size=(n, n))  # in [k, 2k): a metric
+        vals = np.minimum(vals, vals.T).astype(float)
+        np.fill_diagonal(vals, 0.0)
+        d = DistanceMatrix(tuple(f"v{i:03d}" for i in range(n)), vals)
+    else:
+        d = random_metric(rng, n)
+    delta = subdominant_ultrametric(d)
+    assert np.array_equal(delta.values, minimax_dp(d.values))
+    dend = build_dendrogram(delta)
+    balls = distinct_balls(delta)
+    assert {node.members for node in dend.nodes} == balls
+    assert len(dend.nodes) == len(balls)
+    assert np.array_equal(dend.delta_matrix().values, delta.values)
+
+
+def test_build_dendrogram_keeps_its_errors():
+    with pytest.raises(ValueError, match="single root"):
+        build_dendrogram(UltrametricMatrix((), np.zeros((0, 0))))
+    vals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="distance 0"):
+        build_dendrogram(UltrametricMatrix(tuple("abc"), vals))
+
+
+def test_deep_chain_needs_no_recursion():
+    """A caterpillar of 1500 leaves is 1499 levels deep, past Python's
+    recursion limit: the tree walks, the embedding, the measure and the
+    ultrametric matrix all run on explicit stacks or the node list."""
+    n = 1500
+    labels = tuple(f"v{i:04d}" for i in range(n))
+    node = DendrogramNode(frozenset(labels[:1]), 0.0)
+    for i in range(1, n):
+        leaf = DendrogramNode(frozenset([labels[i]]), 0.0)
+        node = DendrogramNode(node.members | leaf.members, float(i), (node, leaf))
+    dend = Dendrogram(node)
+    assert dend.max_level == n - 1
+    assert [x.level for x in dend.nodes[:4]] == [0, 1, 2, 3]
+    assign = embed(dend)
+    assert (assign.p, assign.m) == (2, n - 1)
+    assert tree_measure(dend).leaf_mass(labels[0]) * 2 ** (n - 1) == 1
+    idx = np.arange(n)
+    chain = np.maximum.outer(idx, idx).astype(float)
+    np.fill_diagonal(chain, 0.0)
+    delta = dend.delta_matrix()
+    assert np.array_equal(delta.values, chain)
+    rebuilt = build_dendrogram(delta)
+    assert [x.members for x in rebuilt.nodes] == [x.members for x in dend.nodes]
