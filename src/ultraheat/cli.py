@@ -9,6 +9,7 @@ errors map to distinct exit codes; malformed input exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -84,29 +85,13 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _index_pieces(graph: multitopo.WeightedMultiGraph):
-    weights = ultraindex.default_distance_weights(graph)
-    d_e = ultraindex.graph_distances(graph, weights)
-    delta = ultraindex.subdominant_ultrametric(d_e)
-    dend = ultraindex.build_dendrogram(delta)
-    assign = padic.embed(dend)
-    labels = d_e.labels
-    n = len(labels)
-    kappa = np.zeros((n, n))
-    pos = {l: i for i, l in enumerate(labels)}
-    for e, wt in weights.items():
-        u, v = tuple(e)
-        kappa[pos[u], pos[v]] = kappa[pos[v], pos[u]] = wt
-    return assign, delta, d_e, kappa
-
-
 def cmd_index(args) -> int:
     graph, _ = serialize.graph_from_obj(serialize.load_json(args.input))
-    assign, delta, d_e, kappa = _index_pieces(graph)
-    obj = serialize.index_to_obj(assign, delta, d_e=d_e.values, kappa=kappa)
-    digest = serialize.write_canonical(args.output, obj)
+    weights = ultraindex.default_distance_weights(graph)
+    assign = padic.embed(ultraindex.graph_dendrogram(graph, weights))
+    digest = serialize.write_canonical(args.output, serialize.index_to_obj(assign, weights))
     _summary("index", [{"path": args.output, "sha256": digest}], {
-        "vertices": len(delta.labels),
+        "vertices": len(assign.labels),
         "p": assign.p,
         "m": assign.m,
         "max_level": assign.dendrogram.max_level,
@@ -144,14 +129,12 @@ def cmd_toposort(args) -> int:
     dag, weights = serialize.dag_from_obj(serialize.load_json(args.input))
     seeds = _resolve_seeds(dag, args.seeds) if args.seeds else [sorted(dag.vertices, key=str)[0]]
     if args.index:
-        assign, _, _, _ = serialize.index_from_obj(serialize.load_json(args.index))
+        assign, _ = serialize.index_from_obj(serialize.load_json(args.index))
         dend = assign.dendrogram
     else:
         if not weights:
             weights = {frozenset(e): 1.0 for e in dag.edges}
-        d_e = ultraindex.graph_distances(dag.vertices, weights)
-        delta = ultraindex.subdominant_ultrametric(d_e)
-        dend = ultraindex.build_dendrogram(delta)
+        dend = ultraindex.graph_dendrogram(dag.vertices, weights)
     order = toposort.parallel_toposort(dag, dend, seeds, parallelism=args.parallelism)
     pos = {v: i for i, v in enumerate(order)}
     valid = all(pos[u] < pos[v] for u, v in dag.edges)
@@ -166,19 +149,22 @@ def cmd_toposort(args) -> int:
     return 0 if valid else 1
 
 
-def _spec_from_index(args, assign, delta, d_e, kappa) -> operators.KernelSpec:
-    labels = delta.labels
+def _spec_from_index(args, assign, weights) -> operators.KernelSpec:
+    """The kernel of one bullet, with only that bullet's base matrix built:
+    the tree's ultrametric, the graph distances or the weighted adjacency."""
+    dend = assign.dendrogram
+    labels = dend.labels
     bullet = operators.Bullet(args.bullet)
     if bullet is operators.Bullet.ULTRAMETRIC:
-        base = delta.values
+        base = dend.delta_matrix().values
     elif bullet is operators.Bullet.GRAPH_DISTANCE:
-        if d_e is None:
-            raise errors.ParseError("index file lacks the graph distance matrix")
-        base = d_e
+        base = ultraindex.graph_distances(labels, weights).values
     else:
-        if kappa is None:
-            raise errors.ParseError("index file lacks the adjacency matrix")
-        base = kappa
+        pos = {l: i for i, l in enumerate(labels)}
+        base = np.zeros((len(labels), len(labels)))
+        for e, wt in weights.items():
+            u, v = tuple(e)
+            base[pos[u], pos[v]] = base[pos[v], pos[u]] = wt
     return operators.KernelSpec(bullet, args.alpha, labels, base)
 
 
@@ -189,8 +175,8 @@ def _measure_args(args, assign):
 
 
 def cmd_spectrum(args) -> int:
-    assign, delta, d_e, kappa = serialize.index_from_obj(serialize.load_json(args.input))
-    spec = _spec_from_index(args, assign, delta, d_e, kappa)
+    assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
+    spec = _spec_from_index(args, assign, weights)
     disc = padic.discretize(assign, args.level)
     measure, tm = _measure_args(args, assign)
     basis = spectra.full_basis(spec, assign, disc, measure, tm)
@@ -205,8 +191,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_heat(args) -> int:
-    assign, delta, d_e, kappa = serialize.index_from_obj(serialize.load_json(args.input))
-    spec = _spec_from_index(args, assign, delta, d_e, kappa)
+    assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
+    spec = _spec_from_index(args, assign, weights)
     disc = padic.discretize(assign, args.level)
     measure, tm = _measure_args(args, assign)
     basis = spectra.full_basis(spec, assign, disc, measure, tm)
@@ -227,20 +213,20 @@ def cmd_heat(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    assign, delta, d_e, kappa = serialize.index_from_obj(serialize.load_json(args.input))
+    assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
     disc = padic.discretize(assign, args.level)
     rng = np.random.default_rng(args.seed)
     if args.truncate is not None:
-        spec = _spec_from_index(args, assign, delta, d_e, kappa)
+        spec = _spec_from_index(args, assign, weights)
         u = rng.uniform(-1, 1, len(disc.cells))
         report = heat.truncation_bound(spec, assign, disc, args.truncate, args.t, u)
         meta = {"mode": "truncate", "ell": args.truncate}
     else:
-        name_a, _, name_b = args.swap.partition(",")
+        name_a, name_b = args.swap
         args_a = argparse.Namespace(bullet=name_a, alpha=args.alpha)
         args_b = argparse.Namespace(bullet=name_b, alpha=args.alpha)
-        spec_a = _spec_from_index(args_a, assign, delta, d_e, kappa)
-        spec_b = _spec_from_index(args_b, assign, delta, d_e, kappa)
+        spec_a = _spec_from_index(args_a, assign, weights)
+        spec_b = _spec_from_index(args_b, assign, weights)
         report = heat.kernel_swap_bound(spec_a, spec_b, assign, disc, args.t)
         meta = {"mode": "swap", "pair": [name_a, name_b]}
     obj = {
@@ -262,8 +248,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    assign, delta, d_e, kappa = serialize.index_from_obj(serialize.load_json(args.input))
-    spec = _spec_from_index(args, assign, delta, d_e, kappa)
+    assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
+    spec = _spec_from_index(args, assign, weights)
     measure, tm = _measure_args(args, assign)
     rng = np.random.default_rng(args.seed)
     u0 = rng.uniform(-1, 1, padic.cell_count(assign, args.reference))
@@ -279,25 +265,36 @@ def cmd_converge(args) -> int:
     return 0
 
 
+def _bullet_pair(text: str) -> tuple[str, str]:
+    names = text.split(",")
+    known = [b.value for b in operators.Bullet]
+    if len(names) != 2 or not all(name in known for name in names):
+        raise argparse.ArgumentTypeError(
+            f"expected two of {', '.join(known)} separated by a comma, got {text!r}"
+        )
+    return names[0], names[1]
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Subcommands are
+    dispatched by name at call time (``cmd_<subcommand>``), so the parser
+    holds no function that a caller might later replace."""
     parser = argparse.ArgumentParser(prog="ultraheat", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("encode", help="pack a family of DAG topologies into one graph")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(fn=cmd_encode)
 
     p = sub.add_parser("decode", help="recover the family from a weighted graph")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--primes", default="")
-    p.set_defaults(fn=cmd_decode)
 
-    p = sub.add_parser("index", help="distances, subdominant ultrametric, dendrogram, discs")
+    p = sub.add_parser("index", help="dendrogram from the graph's spanning tree, and its discs")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(fn=cmd_index)
 
     p = sub.add_parser("toposort", help="cluster-parallel topological sort")
     p.add_argument("--input", required=True)
@@ -305,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="")
     p.add_argument("--parallelism", type=_positive_int, default=1)
     p.add_argument("--index", default="")
-    p.set_defaults(fn=cmd_toposort)
 
     p = sub.add_parser("spectrum", help="full eigenbasis with certified residuals")
     p.add_argument("--input", required=True)
@@ -314,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=["haar", "nu"], default="haar")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--level", type=int, required=True)
-    p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("heat", help="heat kernel table at time t")
     p.add_argument("--input", required=True)
@@ -324,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.set_defaults(fn=cmd_heat)
 
     p = sub.add_parser("bounds", help="certify truncation or kernel-swap bounds")
     p.add_argument("--input", required=True)
@@ -335,9 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--truncate", type=int, default=None)
-    p.add_argument("--swap", default="")
+    p.add_argument("--swap", type=_bullet_pair, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("converge", help="level-refinement convergence study")
     p.add_argument("--input", required=True)
@@ -349,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", required=True)
     p.add_argument("--reference", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_converge)
 
     return parser
 
@@ -360,7 +352,7 @@ def main(argv=None) -> int:
     if args.subcommand == "bounds" and (args.truncate is None) == (not args.swap):
         parser.error("bounds needs exactly one of --truncate or --swap")
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.subcommand}"](args)
     except errors.UltraheatError as exc:
         code = EXIT_CODES.get(type(exc), 30)
         print(

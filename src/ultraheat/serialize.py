@@ -2,7 +2,8 @@
 
 All writers emit canonical JSON (sorted keys, fixed separators, sorted
 collections, trailing newline), so identical inputs produce identical
-bytes.
+bytes.  Index files are version 2: vertices, distance-weighted edges and
+the disc assignment; the dendrogram and every matrix are rebuilt on read.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DisconnectedGraph, ParseError
 from .multitopo import TopologyFamily, WeightedMultiGraph
 from .padic import DiscAssignment, embed
 from .toposort import Dag
-from .ultraindex import Dendrogram, DendrogramNode, UltrametricMatrix
+from .ultraindex import graph_dendrogram
 
 
 def canonical_dumps(obj) -> str:
@@ -33,7 +34,7 @@ def write_canonical(path, obj) -> str:
 def load_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -117,30 +118,9 @@ def dag_from_obj(obj) -> tuple[Dag, dict]:
     return Dag(vertices, edges), weights
 
 
-# --- dendrogram / index files ----------------------------------------------------------
+# --- index files ----------------------------------------------------------------------
 
-
-def dendrogram_to_obj(node: DendrogramNode):
-    if node.is_leaf:
-        return {"leaf": str(node.label)}
-    return {
-        "radius": node.radius,
-        "children": [dendrogram_to_obj(c) for c in node.children],
-    }
-
-
-def dendrogram_from_obj(obj) -> Dendrogram:
-    def build(rec) -> DendrogramNode:
-        if "leaf" in rec:
-            return DendrogramNode(frozenset([rec["leaf"]]), 0.0)
-        children = tuple(build(c) for c in rec["children"])
-        members = frozenset().union(*(c.members for c in children))
-        return DendrogramNode(members, float(rec["radius"]), children)
-
-    try:
-        return Dendrogram(build(obj))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed dendrogram: {exc}") from exc
+INDEX_VERSION = 2
 
 
 def assignment_to_obj(assign: DiscAssignment) -> dict:
@@ -152,41 +132,39 @@ def assignment_to_obj(assign: DiscAssignment) -> dict:
     }
 
 
-def index_to_obj(
-    assign: DiscAssignment,
-    delta: UltrametricMatrix,
-    d_e=None,
-    kappa=None,
-) -> dict:
-    obj = {
-        "vertices": list(map(str, delta.labels)),
-        "delta": [[float(x) for x in row] for row in delta.values],
-        "dendrogram": dendrogram_to_obj(assign.dendrogram.root),
+def index_to_obj(assign: DiscAssignment, weights) -> dict:
+    """The index as its vertices, its distance-weighted edges and its disc
+    assignment; weights maps frozenset({u, v}) to the edge's distance
+    weight.  Floats are written by ``repr``, so they read back exactly."""
+    return {
+        "version": INDEX_VERSION,
+        "vertices": list(map(str, assign.labels)),
+        "edges": sorted([*sorted(map(str, e)), float(wt)] for e, wt in weights.items()),
         "assignment": assignment_to_obj(assign),
     }
-    if d_e is not None:
-        obj["d_e"] = [[float(x) for x in row] for row in np.asarray(d_e)]
-    if kappa is not None:
-        obj["kappa"] = [[float(x) for x in row] for row in np.asarray(kappa)]
-    return obj
 
 
 def index_from_obj(obj):
+    """Rebuild (assignment, distance weights) from an index file.
+
+    The dendrogram is rebuilt from the stored edges and re-embedded; a
+    stored assignment that differs from that embedding is a ParseError.
+    """
+    if not isinstance(obj, dict) or obj.get("version") != INDEX_VERSION:
+        raise ParseError(
+            f"index file is not version {INDEX_VERSION}: re-run `ultraheat index` on its graph"
+        )
     try:
         labels = tuple(obj["vertices"])
-        delta = UltrametricMatrix(labels, np.array(obj["delta"], dtype=float))
-        dend = dendrogram_from_obj(obj["dendrogram"])
-        p = int(obj["assignment"]["p"])
-        d_e = np.array(obj["d_e"], dtype=float) if "d_e" in obj else None
-        kappa = np.array(obj["kappa"], dtype=float) if "kappa" in obj else None
-        assign = embed(dend, p)
-    except (KeyError, TypeError, ValueError) as exc:
+        weights = {frozenset((u, v)): float(wt) for u, v, wt in obj["edges"]}
+        assign = embed(graph_dendrogram(labels, weights), int(obj["assignment"]["p"]))
+    except (KeyError, TypeError, ValueError, DisconnectedGraph) as exc:
         raise ParseError(f"malformed index file: {exc}") from exc
-    if labels != dend.labels:
-        raise ParseError("index vertices differ from the dendrogram's leaves")
+    if labels != assign.labels:
+        raise ParseError("index vertices are not distinct and sorted")
     if obj["assignment"] != assignment_to_obj(assign):
         raise ParseError("stored disc assignment differs from the dendrogram's embedding")
-    return assign, delta, d_e, kappa
+    return assign, weights
 
 
 # --- text matrices ---------------------------------------------------------------------

@@ -4,7 +4,11 @@ The subdominant ultrametric of a metric d is the largest ultrametric below
 it; on a finite set it equals the minimax path distance (minimise over
 paths the maximum step) and the single-linkage merge heights.  Its balls
 are nested or disjoint and form a rooted tree, the dendrogram, which is
-the index structure used everywhere else in this package.
+the index structure used everywhere else in this package.  Of a graph,
+``graph_dendrogram`` builds that tree from the graph's own edges; the
+dense routes (``subdominant_ultrametric``, ``build_dendrogram``) start
+from a full distance matrix.  Both walk one minimum spanning tree through
+one union-find.
 """
 
 from __future__ import annotations
@@ -74,15 +78,10 @@ def default_distance_weights(g: WeightedMultiGraph) -> dict:
     return {e: 1.0 / math.log(g.w[e] + 1.0) for e in g.edges}
 
 
-def graph_distances(graph, weights: Mapping | None = None) -> DistanceMatrix:
-    """All-pairs shortest-path distances of an undirected weighted graph.
-
-    ``graph`` is either a WeightedMultiGraph (weights default to the
-    1/log(w+1) map unless given) or an iterable of vertex labels with an
-    explicit ``weights`` mapping frozenset({u,v}) -> positive float.
-    Raises BadWeight for a weight that is not finite and positive, and
-    DisconnectedGraph if any pair is unreachable.
-    """
+def _graph_edges(graph, weights: Mapping | None) -> tuple[tuple, list]:
+    """Vertex labels sorted by str and the edges as (weight, i, j), i < j,
+    of a graph given as ``graph_distances`` takes it.  Raises BadWeight for
+    a weight that is not finite and positive."""
     if isinstance(graph, WeightedMultiGraph):
         vertices = graph.vertices
         if weights is None:
@@ -96,11 +95,28 @@ def graph_distances(graph, weights: Mapping | None = None) -> DistanceMatrix:
             raise BadWeight(f"edge weight must be finite and positive, got {wt} on {set(e)}")
     labels = tuple(sorted(vertices, key=str))
     pos = {v: i for i, v in enumerate(labels)}
-    adj: list[list[tuple[int, float]]] = [[] for _ in labels]
+    edges = []
     for e, wt in weights.items():
         u, v = tuple(e)
-        adj[pos[u]].append((pos[v], float(wt)))
-        adj[pos[v]].append((pos[u], float(wt)))
+        i, j = sorted((pos[u], pos[v]))
+        edges.append((float(wt), i, j))
+    return labels, edges
+
+
+def graph_distances(graph, weights: Mapping | None = None) -> DistanceMatrix:
+    """All-pairs shortest-path distances of an undirected weighted graph.
+
+    ``graph`` is either a WeightedMultiGraph (weights default to the
+    1/log(w+1) map unless given) or an iterable of vertex labels with an
+    explicit ``weights`` mapping frozenset({u,v}) -> positive float.
+    Raises BadWeight for a weight that is not finite and positive, and
+    DisconnectedGraph if any pair is unreachable.
+    """
+    labels, edges = _graph_edges(graph, weights)
+    adj: list[list[tuple[int, float]]] = [[] for _ in labels]
+    for wt, i, j in edges:
+        adj[i].append((j, wt))
+        adj[j].append((i, wt))
     n = len(labels)
     out = np.full((n, n), np.inf)
     for s in range(n):
@@ -122,19 +138,15 @@ def graph_distances(graph, weights: Mapping | None = None) -> DistanceMatrix:
     return DistanceMatrix(labels, out)
 
 
-def _single_linkage(vals: np.ndarray):
-    """Single-linkage merges of the points of a dense distance matrix.
+def _prim_edges(vals: np.ndarray) -> list:
+    """Minimum spanning tree of the complete graph on a dense matrix.
 
-    Prim's algorithm grows the minimum spanning tree of the complete graph
-    weighted by the upper triangle of vals in n - 1 vectorised steps.  Its
-    edges sorted by (height, i, j) are the single-linkage merges (Gower &
-    Ross 1969), run through one union-find.  Yields (height, keep, gone,
-    a, b) before each merge: the clusters rooted at keep and gone, with
-    member indices a and b, join at height, and keep stays the root.
+    Prim's algorithm, weighted by the upper triangle of vals, in n - 1
+    vectorised steps.  Returns the tree edges as (weight, i, j), i < j.
     """
     n = len(vals)
     if n < 2:
-        return
+        return []
     w = np.triu(vals, 1)
     w = w + w.T
     best = w[0].copy()
@@ -148,7 +160,19 @@ def _single_linkage(vals: np.ndarray):
         closer = w[k] < best
         best[closer] = w[k][closer]
         src[closer] = k
+    return edges
 
+
+def _single_linkage(n: int, edges: list):
+    """Single-linkage merges of n points joined by weighted edges.
+
+    Kruskal's walk: the edges sorted by (height, i, j) go through one
+    union-find, and every edge that joins two clusters is a merge; on a
+    minimum spanning tree every edge is one (Gower & Ross 1969).  Yields
+    (height, keep, gone, a, b) before each merge: the clusters rooted at
+    keep and gone, with member indices a and b, join at height, and keep
+    stays the root.
+    """
     parent = list(range(n))
     members: list[list[int]] = [[i] for i in range(n)]
 
@@ -160,6 +184,8 @@ def _single_linkage(vals: np.ndarray):
 
     for height, i, j in sorted(edges):
         keep, gone = find(i), find(j)
+        if keep == gone:
+            continue
         if len(members[keep]) < len(members[gone]):
             keep, gone = gone, keep
         yield height, keep, gone, members[keep], members[gone]
@@ -177,7 +203,7 @@ def subdominant_ultrametric(d: DistanceMatrix) -> UltrametricMatrix:
     by d, read off its minimum spanning tree.
     """
     delta = np.zeros((d.n, d.n))
-    for height, _, _, a, b in _single_linkage(d.values):
+    for height, _, _, a, b in _single_linkage(d.n, _prim_edges(d.values)):
         delta[np.ix_(a, b)] = height
         delta[np.ix_(b, a)] = height
     return UltrametricMatrix(d.labels, delta)
@@ -292,16 +318,16 @@ class Dendrogram:
         return max((len(n.children) for n in internal), default=1)
 
 
-def build_dendrogram(delta: UltrametricMatrix) -> Dendrogram:
-    """Tree of the distinct balls of an ultrametric.
+def _dendrogram(labels: tuple, merges) -> Dendrogram:
+    """Tree of the clusters made by single-linkage merges of labels.
 
-    Walks the single-linkage merges; clusters merging at equal heights
-    join a single polytomous node, so the nodes are exactly the distinct
-    balls and merge radii strictly decrease root-to-leaf.
+    Clusters merging at equal heights join a single polytomous node, so
+    the nodes are exactly the distinct balls and merge radii strictly
+    decrease root-to-leaf.  Raises DisconnectedGraph unless the merges
+    join every label.
     """
-    labels = delta.labels
     if not labels:
-        raise ValueError("ultrametric matrix did not merge into a single root")
+        raise ValueError("no points to merge into a single root")
     cluster = {i: DendrogramNode(frozenset([l]), 0.0) for i, l in enumerate(labels)}
     pending: dict[int, list[DendrogramNode]] = {}  # root -> children at `radius`
     radius, root = None, 0
@@ -312,7 +338,7 @@ def build_dendrogram(delta: UltrametricMatrix) -> Dendrogram:
             cluster[r] = DendrogramNode(members, radius, tuple(group))
         pending.clear()
 
-    for height, keep, gone, _, _ in _single_linkage(delta.values):
+    for height, keep, gone, _, _ in merges:
         if height <= 0:
             raise ValueError("distinct points at ultrametric distance 0")
         if height != radius:
@@ -322,7 +348,30 @@ def build_dendrogram(delta: UltrametricMatrix) -> Dendrogram:
         group.extend(pending.pop(gone, [cluster[gone]]))
         root = keep
     flush()
+    if len(cluster[root].members) != len(labels):
+        raise DisconnectedGraph("graph is not connected")
     return Dendrogram(cluster[root])
+
+
+def build_dendrogram(delta: UltrametricMatrix) -> Dendrogram:
+    """Tree of the distinct balls of an ultrametric, from the single-linkage
+    merges along the minimum spanning tree of its dense matrix."""
+    return _dendrogram(delta.labels, _single_linkage(delta.n, _prim_edges(delta.values)))
+
+
+def graph_dendrogram(graph, weights: Mapping | None = None) -> Dendrogram:
+    """Dendrogram of the subdominant ultrametric of a graph's path metric.
+
+    That ultrametric is the minimax path distance, so single linkage over
+    the graph's own |E| edges gives the same tree, radii and
+    ``delta_matrix()`` as ``build_dendrogram(subdominant_ultrametric(
+    graph_distances(graph, weights)))``, bit for bit, with no all-pairs
+    distances: on a minimum spanning tree edge the shortest path is the
+    edge itself.  Takes the graph as ``graph_distances`` does and raises
+    the same BadWeight and DisconnectedGraph.
+    """
+    labels, edges = _graph_edges(graph, weights)
+    return _dendrogram(labels, _single_linkage(len(labels), edges))
 
 
 def minimal_cluster(dend: Dendrogram, x) -> frozenset:

@@ -118,7 +118,9 @@ def test_unknown_prime_exit_code(tmp_path, capsys):
 def test_index_subcommand(tmp_path, capsys):
     index = index_fixture(tmp_path)
     obj = json.loads(index.read_text())
-    assert set(obj) >= {"vertices", "delta", "dendrogram", "assignment", "d_e", "kappa"}
+    assert set(obj) == {"version", "vertices", "edges", "assignment"}
+    assert obj["version"] == 2
+    assert [e[:2] for e in obj["edges"]] == [["a", "b"], ["b", "c"]]
     assert obj["assignment"]["p"] >= 2
     capsys.readouterr()
 
@@ -382,7 +384,7 @@ def test_oversized_level_exits_24_before_enumerating_cells(tmp_path, capsys, sub
     assert "dense-matrix limit" in err["detail"]
 
 
-@pytest.mark.parametrize("edit", ["vertex", "disc", "m", "rho"])
+@pytest.mark.parametrize("edit", ["vertex", "disc", "m", "rho", "mst_weight", "v1"])
 def test_hand_edited_index_is_a_parse_error(tmp_path, capsys, edit):
     index = index_fixture(tmp_path)
     obj = json.loads(index.read_text())
@@ -394,8 +396,13 @@ def test_hand_edited_index_is_a_parse_error(tmp_path, capsys, edit):
         assignment["discs"][label] = assignment["discs"][label][::-1] + "1"
     elif edit == "m":
         assignment["m"] += 1
-    else:
+    elif edit == "rho":
         assignment["rho"][0][1] *= 2
+    elif edit == "mst_weight":
+        obj["edges"][0][2] /= 2  # the fixture graph is a path: every edge is in the tree
+    else:  # the shape of a version-1 file: no "version" key, a "delta" matrix
+        del obj["version"]
+        obj["delta"] = [[0.0] * 3] * 3
     write(index, obj)
     code = main([
         "spectrum", "--input", str(index), "--output", str(tmp_path / "s.tsv"),
@@ -404,3 +411,71 @@ def test_hand_edited_index_is_a_parse_error(tmp_path, capsys, edit):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ParseError" and err["exit"] == 2
+    if edit == "v1":
+        assert "re-run `ultraheat index`" in err["detail"]
+
+
+def test_deep_chain_index_writes_and_reads_back(tmp_path, capsys):
+    """A 700-vertex path whose distance weights fall along the path is a
+    699-level chain dendrogram: the flat index file has no nesting, so it
+    is written and read back with no recursion limit in the way."""
+    n = 700
+    labels = [f"v{i:03d}" for i in range(n)]
+    graph, index, dag, out = (tmp_path / name for name in ("g.json", "i.json", "d.json", "o.txt"))
+    write(graph, {
+        "vertices": labels,
+        # w rises along the path, so the distance weight 1/log(w+1) falls
+        "edges": [{"ends": [labels[i], labels[i + 1]], "w": i + 2} for i in range(n - 1)],
+        "d": {l: [0] for l in labels},
+    })
+    assert main(["index", "--input", str(graph), "--output", str(index)]) == 0
+    summary = parse_summaries(capsys.readouterr().out)[-1]
+    assert summary["metrics"]["max_level"] == n - 1
+    write(dag, {"vertices": labels, "edges": [[labels[i], labels[i + 1]] for i in range(n - 1)]})
+    argv = ["toposort", "--input", str(dag), "--output", str(out), "--index", str(index),
+            "--seeds", labels[0]]
+    assert main(argv) == 0
+    assert out.read_text().split() == labels
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000], ids=["utf16_bom", "deep"])
+def test_unreadable_json_is_a_parse_error(tmp_path, capsys, content):
+    """Bytes that are not UTF-8, and nesting deeper than the decoder's
+    recursion limit, exit 2 with a ParseError instead of a traceback."""
+    graph = tmp_path / "graph.json"
+    graph.write_bytes(content)
+    assert main(["index", "--input", str(graph), "--output", str(tmp_path / "i.json")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ParseError" and err["exit"] == 2
+
+
+@pytest.mark.parametrize(
+    "swap", ["foo,ultrametric", "ultrametric", "ultrametric,graphdist,adjacency", "ultrametric,"]
+)
+def test_bounds_swap_needs_two_bullet_names(tmp_path, capsys, swap):
+    index = index_fixture(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--input", str(index), "--output", str(tmp_path / "b.json"),
+              "--level", "4", "--swap", swap])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--swap" in err and "Traceback" not in err
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(tmp_path, capsys):
+    from ultraheat import cli
+
+    cli.build_parser.cache_clear()
+    dag = tmp_path / "dag.json"
+    write(dag, THREE_LEAF_DAG)
+    out = tmp_path / "order.txt"
+    base = ["toposort", "--input", str(dag), "--output", str(out)]
+    assert main(base + ["--parallelism", "4", "--seeds", "c"]) == 0
+    assert main(base) == 0
+    first, second = parse_summaries(capsys.readouterr().out)[-2:]
+    assert first["metrics"]["parallelism"] == 4
+    assert second["metrics"]["parallelism"] == 1  # the default, not the last value seen
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

@@ -17,13 +17,14 @@ from ultraheat import (
     UltrametricMatrix,
     build_dendrogram,
     embed,
+    graph_dendrogram,
     graph_distances,
     minimal_cluster,
     subdominant_ultrametric,
     tree_measure,
 )
 from ultraheat.errors import BadWeight, DisconnectedGraph
-from ultraheat.serialize import dendrogram_from_obj, dendrogram_to_obj
+from ultraheat.serialize import assignment_to_obj, index_from_obj, index_to_obj
 
 from conftest import random_connected_weights, random_dendrogram, random_metric
 
@@ -224,14 +225,26 @@ def test_graph_distance_metric_axioms():
 
 
 def test_index_persistence_roundtrip_and_determinism():
+    """A version-2 index (vertices, distance-weighted edges, assignment)
+    reads back to the same tree, radii, assignment and weights, and writes
+    the same object again; the object survives a JSON text round trip."""
+    import json
+
     rng = np.random.default_rng(43)
-    dend = random_dendrogram(rng, 9)
-    obj = dendrogram_to_obj(dend.root)
-    again = dendrogram_from_obj(obj)
-    assert dendrogram_to_obj(again.root) == obj
+    labels = tuple(f"v{i:02d}" for i in range(12))
+    weights = random_connected_weights(rng, labels)
+    dend = graph_dendrogram(labels, weights)
+    assign = embed(dend)
+    obj = index_to_obj(assign, weights)
+    assert set(obj) == {"version", "vertices", "edges", "assignment"}
+    assert obj["version"] == 2 and len(obj["edges"]) == len(weights)
+    again, read_weights = index_from_obj(json.loads(json.dumps(obj)))
+    assert read_weights == weights
+    assert assignment_to_obj(again) == assignment_to_obj(assign)
+    assert index_to_obj(again, read_weights) == obj
     for u in dend.labels:
         for v in dend.labels:
-            assert dend.delta(u, v) == again.delta(u, v)
+            assert dend.delta(u, v) == again.dendrogram.delta(u, v)
 
 
 def distinct_balls(delta: UltrametricMatrix) -> set:
@@ -300,3 +313,59 @@ def test_deep_chain_needs_no_recursion():
     assert np.array_equal(delta.values, chain)
     rebuilt = build_dendrogram(delta)
     assert [x.members for x in rebuilt.nodes] == [x.members for x in dend.nodes]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_graph_dendrogram_matches_the_dense_route(data):
+    """Single linkage over the graph's own edges gives the dense route's
+    tree: the same nodes in the same order, the same radii and the same
+    ultrametric matrix, bit for bit, on float and tied integer weights."""
+    n = data.draw(st.integers(1, 24), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+    labels = tuple(f"v{i:03d}" for i in range(n))
+    weights = random_connected_weights(rng, labels)
+    if data.draw(st.booleans(), label="integer weights"):
+        k = data.draw(st.integers(1, 3), label="k")
+        weights = {e: float(rng.integers(1, k + 1)) for e in weights}
+    dend = graph_dendrogram(labels, weights)
+    dense = build_dendrogram(subdominant_ultrametric(graph_distances(labels, weights)))
+    assert dend.labels == dense.labels
+    assert [(x.members, x.radius) for x in dend.nodes] == [
+        (x.members, x.radius) for x in dense.nodes
+    ]
+    assert np.array_equal(dend.delta_matrix().values, dense.delta_matrix().values)
+
+
+def test_graph_dendrogram_takes_an_encoded_graph():
+    from ultraheat import TopologyFamily, encode
+
+    fam = TopologyFamily(
+        ("a", "b", "c"),
+        (frozenset({("a", "b")}), frozenset({("a", "b"), ("b", "c")})),
+        (2, 3),
+    )
+    g = encode(fam)
+    dend = graph_dendrogram(g)  # default weights 1/log(w+1)
+    dense = build_dendrogram(subdominant_ultrametric(graph_distances(g)))
+    assert [(x.members, x.radius) for x in dend.nodes] == [
+        (x.members, x.radius) for x in dense.nodes
+    ]
+    assert minimal_cluster(dend, "a") == frozenset("ab")
+
+
+@pytest.mark.parametrize("wt", [float("nan"), float("inf"), 0.0, -1.0])
+def test_graph_dendrogram_rejects_bad_weights(wt):
+    w = {frozenset(("a", "b")): 1.0, frozenset(("b", "c")): wt}
+    with pytest.raises(BadWeight, match="finite and positive"):
+        graph_dendrogram(("a", "b", "c"), w)
+
+
+def test_graph_dendrogram_rejects_a_disconnected_graph():
+    with pytest.raises(DisconnectedGraph):
+        graph_dendrogram(("a", "b"), {})
+    w = {frozenset(("a", "b")): 1.0, frozenset(("c", "d")): 2.0}
+    with pytest.raises(DisconnectedGraph):
+        graph_dendrogram(tuple("abcd"), w)
+    single = graph_dendrogram(("a",), {})
+    assert single.root.is_leaf and single.labels == ("a",)
