@@ -24,8 +24,8 @@ from .operators import (
     truncated_domain,
 )
 from .padic import (
+    CellDomain,
     DiscAssignment,
-    Discretization,
     PAdicCell,
     TreeMeasure,
     discretize,

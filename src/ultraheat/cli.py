@@ -44,6 +44,7 @@ EXIT_CODES = {
     errors.NotSelfAdjoint: 22,
     errors.BadWeight: 23,
     errors.TooManyCells: 24,
+    errors.BadKernel: 25,
 }
 
 

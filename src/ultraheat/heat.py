@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BadKernel,
     BoundViolated,
     DimensionMismatch,
     IncompleteBasis,
@@ -48,7 +49,7 @@ from .errors import (
 )
 from .linalg import weighted_symmetric_eig
 from .operators import GeneratorMatrix, KernelSpec, generator, truncated_domain
-from .padic import DiscAssignment, Discretization, discretize, padic_distance
+from .padic import CellDomain, DiscAssignment, discretize, padic_distance
 from .spectra import EigenBasis
 
 
@@ -185,14 +186,14 @@ def _mean_value_constant(alpha: float, a: float, b: float) -> float:
     """alpha |a - b| / min(a,b)^(alpha+1), the derivative bound for x^-alpha."""
     lo = min(a, b)
     if lo <= 0:
-        raise ValueError("mean-value constant needs positive rates on both sides")
+        raise BadKernel("mean-value constant needs positive rates on both sides")
     return alpha * abs(a - b) / lo ** (alpha + 1.0)
 
 
 def truncation_bound(
     spec: KernelSpec,
     assign: DiscAssignment,
-    disc: Discretization,
+    disc: CellDomain,
     ell: int,
     t_max: float,
     u: np.ndarray,
@@ -201,43 +202,42 @@ def truncation_bound(
 
     Measures sup over a t-grid and over the cells of the original domain
     of |T_ell(t) u~ - T(t) u| with u~ the zero extension, and checks it
-    against the derived constant.  Raises BoundViolated on negative slack.
+    against the derived constant, computed first (a zero base rate raises
+    BadKernel before any generator).  Raises BoundViolated on negative slack.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (len(disc.cells),):
-        raise DimensionMismatch(f"u of shape {u.shape} over {len(disc.cells)} cells")
+    if u.shape != (len(disc),):
+        raise DimensionMismatch(f"u of shape {u.shape} over {len(disc)} cells")
     dom, cut = truncated_domain(assign, ell, disc.level, spec)
+
+    # ordered pairs of distinct vertex discs inside one cut ball
+    constants: dict = {}
+    vol_disc = float(assign.p) ** -assign.m
+    labels = assign.labels
+    node_of = dict(zip(labels, dom.block_index[dom.leaf_start].tolist()))
+    idx = spec.label_index()
+    csum = 0.0
+    for w in labels:
+        for v in labels:
+            if w == v or node_of[w] != node_of[v]:
+                continue
+            dist_p = padic_distance(assign.discs[w], assign.discs[v])
+            base = float(spec.base[idx[w], idx[v]])
+            c = _mean_value_constant(spec.alpha, dist_p, base)
+            constants[(w, v)] = c
+            csum += c * vol_disc
+
     A = generator(spec, assign, disc, "haar")
     A_ell = generator(spec, assign, cut, "haar")  # the cut kernel keeps its matrix
 
-    u_ext = np.zeros(len(dom.cells))
-    positions = np.array([dom.index_of(c) for c in disc.cells])
+    positions = disc.positions_in(dom)
+    u_ext = np.zeros(len(dom))
     u_ext[positions] = u
 
     grid = t_grid(t_max)
     gap = _Evolver(A_ell).over_grid(u_ext, grid)[positions] - _Evolver(A).over_grid(u, grid)
     gaps = np.max(np.abs(gap), axis=0)
     measured = float(gaps.max())
-
-    # ordered pairs of distinct vertex discs inside one cut ball
-    constants: dict = {}
-    vol_disc = float(assign.p) ** -assign.m
-    node_of = {}
-    for cell, node_idx, label in zip(dom.cells, dom.node_index, dom.leaf_labels):
-        if label is not None:
-            node_of[label] = node_idx
-    idx = spec.label_index()
-    csum = 0.0
-    labels = assign.labels
-    for w in labels:
-        for v in labels:
-            if w == v or node_of[w] != node_of[v]:
-                continue
-            dist_p = _disc_distance(assign, w, v)
-            base = float(spec.base[idx[w], idx[v]])
-            c = _mean_value_constant(spec.alpha, dist_p, base)
-            constants[(w, v)] = c
-            csum += c * vol_disc
     max_cut_rate = cut.max_rate_z_to_filler()
     sup_u = float(np.max(np.abs(u))) if u.size else 0.0
 
@@ -267,28 +267,19 @@ def truncation_bound(
     return report
 
 
-def _disc_distance(assign: DiscAssignment, w, v) -> float:
-    return padic_distance(assign.discs[w], assign.discs[v])
-
-
 def kernel_swap_bound(
     spec_a: KernelSpec,
     spec_b: KernelSpec,
     assign: DiscAssignment,
-    disc: Discretization,
+    disc: CellDomain,
     t: float,
 ) -> BoundReport:
-    """Certify ||T_a(t) - T_b(t)||_inf <= 2 t sum C~_{w,v} Vol(U_v)."""
+    """Certify ||T_a(t) - T_b(t)||_inf <= 2 t sum C~_{w,v} Vol(U_v); the
+    constants come first (a zero base rate raises BadKernel at once)."""
     if spec_a.labels != spec_b.labels:
         raise ValueError("kernel specs must share the vertex labels")
     if spec_a.alpha != spec_b.alpha:
         raise ValueError("kernel specs must share alpha")
-    A = generator(spec_a, assign, disc, "haar")
-    B = generator(spec_b, assign, disc, "haar")
-    Ta = semigroup(A, t).matrix
-    Tb = semigroup(B, t).matrix
-    measured = float(np.max(np.abs(Ta - Tb).sum(axis=1)))
-
     alpha = spec_a.alpha
     idx = spec_a.label_index()
     vol_disc = float(assign.p) ** -assign.m
@@ -303,6 +294,12 @@ def kernel_swap_bound(
             c = _mean_value_constant(alpha, a, b)
             constants[(w, v)] = c
             csum += c * vol_disc
+
+    A = generator(spec_a, assign, disc, "haar")
+    B = generator(spec_b, assign, disc, "haar")
+    Ta = semigroup(A, t).matrix
+    Tb = semigroup(B, t).matrix
+    measured = float(np.max(np.abs(Ta - Tb).sum(axis=1)))
     bound = 2.0 * t * csum
     report = BoundReport(
         measured_sup_error=measured,
@@ -324,39 +321,37 @@ def kernel_swap_bound(
     return report
 
 
-def _level_gap(disc_coarse: Discretization, disc_fine: Discretization) -> int:
+def _level_gap(disc_coarse: CellDomain, disc_fine: CellDomain) -> int:
     """How many levels the fine discretisation lies below the coarse one.
 
-    Both must enumerate the same assignment's discs completely (as
-    ``discretize`` does), so that their cells line up leaf by leaf in
-    digit order.
+    Both must be full discretisations of one assignment (``cut_level``
+    None, as ``discretize`` makes them), so that their cells line up leaf
+    by leaf in digit order.
     """
-    assign = disc_coarse.assignment
-    if disc_fine.assignment is not assign:
+    if disc_fine.assignment is not disc_coarse.assignment:
         raise ValueError("discretisations of different disc assignments")
     gap = disc_fine.level - disc_coarse.level
     if gap < 0:
         raise ValueError(f"level {disc_fine.level} is coarser than level {disc_coarse.level}")
-    for disc in (disc_coarse, disc_fine):
-        if len(disc.cells) != len(assign.discs) * assign.p ** (disc.level - assign.m):
-            raise ValueError(f"level-{disc.level} discretisation does not cover every disc")
+    if disc_coarse.cut_level is not None or disc_fine.cut_level is not None:
+        raise ValueError("a truncated domain is not a discretisation")
     return gap
 
 
-def project_pointwise(disc_fine: Discretization, disc_coarse: Discretization, u: np.ndarray):
+def project_pointwise(disc_fine: CellDomain, disc_coarse: CellDomain, u: np.ndarray):
     """Evaluate a fine-level function at the zero-padded representative of
     every coarse cell: fine cell i * p^gap for coarse cell i.  ``u`` may
     carry further axes after the cell axis."""
     step = disc_fine.p ** _level_gap(disc_coarse, disc_fine)
-    return np.asarray(u)[np.arange(len(disc_coarse.cells)) * step]
+    return np.asarray(u)[np.arange(len(disc_coarse)) * step]
 
 
-def embed_piecewise(disc_coarse: Discretization, disc_fine: Discretization, u: np.ndarray):
+def embed_piecewise(disc_coarse: CellDomain, disc_fine: CellDomain, u: np.ndarray):
     """Extend a coarse-level function to the fine level, constant per cell:
     fine cell i lies in coarse cell i // p^gap.  ``u`` may carry further
     axes after the cell axis."""
     step = disc_fine.p ** _level_gap(disc_coarse, disc_fine)
-    return np.asarray(u)[np.arange(len(disc_fine.cells)) // step]
+    return np.asarray(u)[np.arange(len(disc_fine)) // step]
 
 
 def convergence_study(
@@ -380,7 +375,7 @@ def convergence_study(
     per_leaf = len(u0) // n_leaves
     n_ref = assign.m + round(math.log(per_leaf, assign.p))
     disc_ref = discretize(assign, n_ref)
-    if len(disc_ref.cells) != len(u0):
+    if len(disc_ref) != len(u0):
         raise DimensionMismatch("u0 length is not |V| * p^(N-m) for any N")
     levels = list(n_range)
     for n in levels:

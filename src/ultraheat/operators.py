@@ -11,23 +11,21 @@ zero row sums.
 Tree truncation cuts the dendrogram at a level, replaces every rate
 inside a cut node's ball by the Vladimirov rate, and widens the domain by
 the filler cells of the cut balls not covered by any vertex disc.
+
+Both domains are one ``padic.CellDomain``, with a block per vertex disc
+or per cut node.  A malformed kernel base, labels that differ from the
+assignment, or an unknown measure raise ``BadKernel`` (exit 25).
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 import numpy as np
 
-from .errors import BadAlpha, CellOutsideZ, InvalidLevel, TooManyCells
-from .padic import (
-    DiscAssignment,
-    Discretization,
-    PAdicCell,
-    TreeMeasure,
-    padic_distance,
-)
+from .errors import BadAlpha, BadKernel, CellOutsideZ, InvalidLevel, TooManyCells
+from .padic import CellDomain, DiscAssignment, PAdicCell, TreeMeasure, padic_distance
 
 
 class Bullet(str, Enum):
@@ -60,15 +58,15 @@ class KernelSpec:
             raise BadAlpha(f"alpha must be >= 1, got {self.alpha}")
         n = len(self.labels)
         if base.shape != (n, n):
-            raise ValueError("base matrix shape does not match labels")
+            raise BadKernel("base matrix shape does not match labels")
         if not np.allclose(base, base.T, rtol=0, atol=0):
-            raise ValueError("base matrix must be symmetric")
+            raise BadKernel("base matrix must be symmetric")
         if np.any(base < 0):
-            raise ValueError("base matrix must be non-negative")
+            raise BadKernel("base matrix must be non-negative")
         if self.bullet is not Bullet.ADJACENCY:
             off = base[~np.eye(n, dtype=bool)]
             if n > 1 and np.any(off == 0):
-                raise ValueError(f"{self.bullet.value} base must be positive off the diagonal")
+                raise BadKernel(f"{self.bullet.value} base must be positive off the diagonal")
 
     def cross_rates(self) -> np.ndarray:
         """k(v,w) = base^(-alpha) off the diagonal, 0 where base is 0."""
@@ -107,23 +105,27 @@ def cell_distance_matrix(disc) -> np.ndarray:
     return dist
 
 
-def _leaf_indices(spec: KernelSpec, assign: DiscAssignment, disc: Discretization) -> np.ndarray:
-    """Position in ``spec.labels`` of the vertex disc of every cell."""
+def _leaf_indices(spec: KernelSpec, assign: DiscAssignment, disc: CellDomain) -> np.ndarray:
+    """Position in ``spec.labels`` of the vertex disc of every cell, -1 for
+    filler."""
     if set(spec.labels) != set(assign.labels):
-        raise ValueError("kernel labels do not match the disc assignment")
+        raise BadKernel("kernel labels do not match the disc assignment")
     idx = spec.label_index()
-    return np.array([idx[l] for l in disc.leaf_labels])
+    per_leaf = [idx[label] for label in disc.assignment.labels]
+    return np.array(per_leaf + [-1])[disc.leaf_index]
 
 
-def kernel_matrix(spec: KernelSpec, assign: DiscAssignment, disc: Discretization) -> np.ndarray:
-    """k_p over all cell pairs: Vladimirov inside a disc, cross rate between
-    discs, zero on the diagonal."""
+def kernel_matrix(spec: KernelSpec, assign: DiscAssignment, disc: CellDomain) -> np.ndarray:
+    """k_p over all cell pairs: Vladimirov inside a block (a vertex disc, or
+    a cut ball of a truncated domain), the cross rate between the discs of
+    cells in different blocks (none from filler), zero on the diagonal."""
     leaf_idx = _leaf_indices(spec, assign, disc)
     dist = cell_distance_matrix(disc)
     with np.errstate(divide="ignore"):
         intra = np.where(dist > 0, dist, 1.0) ** -spec.alpha
-    same = leaf_idx[:, None] == leaf_idx[None, :]
-    cross = spec.cross_rates()
+    same = disc.block_index[:, None] == disc.block_index[None, :]
+    cross = np.zeros((len(spec.labels) + 1,) * 2)  # filler (-1) takes the zero last row
+    cross[:-1, :-1] = spec.cross_rates()
     K = np.where(same, intra, cross[np.ix_(leaf_idx, leaf_idx)])
     np.fill_diagonal(K, 0.0)
     return K
@@ -148,7 +150,7 @@ class GeneratorMatrix:
     """Finite generator: off-diagonal rate*measure, zero row sums."""
 
     level: int
-    cells: tuple
+    cells: Sequence  # the domain's cells, read lazily
     leaf_labels: tuple
     matrix: np.ndarray
     measure: np.ndarray  # per-cell masses
@@ -190,7 +192,7 @@ def _assemble(K, measure_vec, cells, leaf_labels, level, measure_kind, bullet, a
     np.fill_diagonal(A, -A.sum(axis=1))
     return GeneratorMatrix(
         level=level,
-        cells=tuple(cells),
+        cells=cells,
         leaf_labels=tuple(leaf_labels),
         matrix=A,
         measure=measure_vec,
@@ -209,46 +211,42 @@ def generator(
 ) -> GeneratorMatrix:
     """Exact matrix of the jump operator on level-n locally constant functions.
 
-    ``disc`` is a discretisation, a truncated domain, or the cut kernel
-    of one (whose matrix is then built once and shared with its other
-    uses).  The cell count is checked against the dense limit before any
-    N x N array is allocated.
+    ``disc`` is a cell domain (a discretisation or a truncated domain), or
+    the cut kernel of a truncated domain (whose matrix is then built once
+    and shared with its other uses).  The cell count is checked against
+    the dense limit before any N x N array is allocated.
     """
-    if isinstance(disc, TruncatedDomain):
+    if isinstance(disc, CellDomain) and disc.cut_level is not None:
         disc = TruncatedKernel(spec, disc)
-    if isinstance(disc, TruncatedKernel):
-        if disc.spec is not spec:
+    cut = disc if isinstance(disc, TruncatedKernel) else None
+    if cut is not None:
+        if cut.spec is not spec:
             raise ValueError("the cut kernel was built for another kernel spec")
         if measure != "haar":
             raise ValueError("truncated domains are discretised with the Haar measure")
-        dom = disc.domain
-        _check_dense(len(dom.cells))
-        return _assemble(
-            disc.matrix(), dom.haar_volumes(), dom.cells, dom.leaf_labels, dom.level,
-            "haar", spec.bullet, spec.alpha,
-        )
-    _check_dense(len(disc.cells))
+        disc = cut.domain
+    _check_dense(len(disc))
     mvec = _measure_vector(disc, measure, tree_measure)
-    K = kernel_matrix(spec, assign, disc)
+    K = kernel_matrix(spec, assign, disc) if cut is None else cut.matrix()
     return _assemble(
         K, mvec, disc.cells, disc.leaf_labels, disc.level, measure, spec.bullet, spec.alpha
     )
 
 
-def _measure_vector(disc: Discretization, measure: str, tree_measure: TreeMeasure | None):
+def _measure_vector(disc: CellDomain, measure: str, tree_measure: TreeMeasure | None):
     if measure == "haar":
         return disc.haar_volumes()
     if measure == "nu":
         if tree_measure is None:
-            raise ValueError("nu measure requires a TreeMeasure")
+            raise BadKernel("nu measure requires a TreeMeasure")
         return disc.nu_volumes(tree_measure)
-    raise ValueError(f"unknown measure {measure!r}")
+    raise BadKernel(f"unknown measure {measure!r}")
 
 
 def degree(
     spec: KernelSpec,
     assign: DiscAssignment,
-    disc: Discretization,
+    disc: CellDomain,
     x: PAdicCell,
     measure: str = "haar",
     tree_measure: TreeMeasure | None = None,
@@ -270,66 +268,12 @@ def degree(
 
 
 @dataclass(frozen=True)
-class TruncatedDomain:
-    """Cells of the widened domain obtained by cutting the dendrogram.
-
-    Cut nodes are the dendrogram nodes at the cut level plus any leaves
-    above it; their full p-adic balls are discretised, so cells not
-    covered by a vertex disc appear as filler (leaf label None).
-    """
-
-    assignment: DiscAssignment
-    cut_level: int
-    level: int
-    cells: tuple
-    leaf_labels: tuple  # label or None (filler)
-    node_index: tuple  # cut-node ordinal per cell
-    cut_node_levels: tuple  # p-adic ball level per cut node
-
-    _index: dict = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {c.digits: i for i, c in enumerate(self.cells)})
-
-    def __len__(self):
-        return len(self.cells)
-
-    def index_of(self, cell: PAdicCell) -> int:
-        return self._index[cell.digits]
-
-    @property
-    def p(self) -> int:
-        return self.assignment.p
-
-    def haar_volumes(self) -> np.ndarray:
-        return np.full(len(self.cells), float(self.p) ** -self.level)
-
-    def digit_matrix(self) -> np.ndarray:
-        return np.array([c.digits for c in self.cells], dtype=np.int64)
-
-    def z_mask(self) -> np.ndarray:
-        return np.array([l is not None for l in self.leaf_labels])
-
-    @property
-    def vol_z(self) -> float:
-        return int(self.z_mask().sum()) * float(self.p) ** -self.level
-
-    @property
-    def vol_total(self) -> float:
-        return len(self.cells) * float(self.p) ** -self.level
-
-    @property
-    def vol_filler(self) -> float:
-        return self.vol_total - self.vol_z
-
-
-@dataclass(frozen=True)
 class TruncatedKernel:
     """The cut kernel: Vladimirov inside every cut ball, untouched across.
     Its matrix is built on first use and kept read-only."""
 
     spec: KernelSpec
-    domain: TruncatedDomain
+    domain: CellDomain
 
     _matrix: np.ndarray = field(default=None, repr=False, compare=False)
 
@@ -342,7 +286,7 @@ class TruncatedKernel:
 
     def max_rate_z_to_filler(self) -> float:
         K = self.matrix()
-        z = self.domain.z_mask()
+        z = self.domain.leaf_index >= 0
         if z.all():
             return 0.0
         return float(K[np.ix_(z, ~z)].max())
@@ -367,8 +311,10 @@ def truncated_domain(
     ell: int,
     level: int | None = None,
     spec: KernelSpec | None = None,
-) -> tuple[TruncatedDomain, "TruncatedKernel | None"]:
-    """Discretise the union of cut-node balls at the given cell level.
+) -> tuple[CellDomain, "TruncatedKernel | None"]:
+    """The cells of the cut-node balls at the given cell level: one block
+    per cut node (the dendrogram nodes at the cut level plus the leaves
+    above it), so cells outside every vertex disc are filler.
 
     Returns the domain and, when a KernelSpec is supplied, the cut kernel
     acting on it; the domain can also be passed straight to ``generator``.
@@ -376,49 +322,12 @@ def truncated_domain(
     n = assign.m + 1 if level is None else level
     if n <= assign.m:
         raise InvalidLevel(f"cell level {n} is not finer than the vertex discs (m={assign.m})")
-    nodes = cut_nodes(assign, ell)
-    _check_dense(sum(assign.p ** (n - assign.cell_of(node).level) for node in nodes))
-    cells: list[PAdicCell] = []
-    labels: list = []
-    node_idx: list[int] = []
-    ball_levels: list[int] = []
-    for k, node in enumerate(nodes):
-        ball = assign.cell_of(node)
-        ball_levels.append(ball.level)
-        for suffix in itertools.product(range(assign.p), repeat=n - ball.level):
-            cell = PAdicCell(assign.p, ball.digits + suffix)
-            cells.append(cell)
-            labels.append(assign.vertex_of(cell))
-            node_idx.append(k)
-    dom = TruncatedDomain(
-        assignment=assign,
-        cut_level=ell,
-        level=n,
-        cells=tuple(cells),
-        leaf_labels=tuple(labels),
-        node_index=tuple(node_idx),
-        cut_node_levels=tuple(ball_levels),
-    )
+    balls = tuple(assign.cell_of(node) for node in cut_nodes(assign, ell))
+    _check_dense(sum(assign.p ** (n - ball.level) for ball in balls))
+    dom = CellDomain(assign, n, balls, ell)
     return dom, (TruncatedKernel(spec, dom) if spec is not None else None)
 
 
-def truncated_kernel_matrix(spec: KernelSpec, dom: TruncatedDomain) -> np.ndarray:
-    digits = dom.digit_matrix()
-    j = _prefix_length_matrix(digits)
-    dist = float(dom.p) ** (-j.astype(float))
-    np.fill_diagonal(dist, 1.0)
-    vlad = dist ** -spec.alpha
-
-    idx = spec.label_index()
-    leaf_idx = np.array([-1 if l is None else idx[l] for l in dom.leaf_labels])
-    node_idx = np.asarray(dom.node_index)
-    same_node = node_idx[:, None] == node_idx[None, :]
-
-    cross = spec.cross_rates()
-    both_in_z = (leaf_idx[:, None] >= 0) & (leaf_idx[None, :] >= 0)
-    safe = np.where(leaf_idx >= 0, leaf_idx, 0)
-    cross_vals = np.where(both_in_z, cross[np.ix_(safe, safe)], 0.0)
-
-    K = np.where(same_node, vlad, cross_vals)
-    np.fill_diagonal(K, 0.0)
-    return K
+def truncated_kernel_matrix(spec: KernelSpec, dom: CellDomain) -> np.ndarray:
+    """The cut kernel's matrix: ``kernel_matrix`` over the cut-node blocks."""
+    return kernel_matrix(spec, dom.assignment, dom)

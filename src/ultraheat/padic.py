@@ -10,11 +10,19 @@ ultrametric distance through a single strictly increasing lookup table.
 
 The tree measure gives the root mass 1 and splits every node's mass
 equally among its children, kept in exact rationals.
+
+The operators act on one cell domain (``CellDomain``): disjoint balls,
+each cut into its level-n cells, numbered ball by ball in digit order.
+Every ball inside one of them is a contiguous range of cells, so its
+lookups are arithmetic on integer arrays; ``PAdicCell`` is the value
+type of a single ball, built only when a cell is read.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -196,50 +204,131 @@ def tree_measure(dend: Dendrogram) -> TreeMeasure:
     return TreeMeasure(dend, masses)
 
 
+class _Cells(Sequence):
+    """A domain's cells, read-only: a ``PAdicCell`` is built per element read."""
+
+    def __init__(self, domain: "CellDomain"):
+        self._domain = domain
+
+    def __len__(self) -> int:
+        return len(self._domain)
+
+    def __getitem__(self, i: int) -> PAdicCell:
+        return PAdicCell(self._domain.p, tuple(self._domain.digit_matrix()[i].tolist()))
+
+
 @dataclass(frozen=True)
-class Discretization:
-    """All level-n cells of the domain, leaf by leaf, in digit order."""
+class CellDomain:
+    """The level-n cells of disjoint balls of level <= m (the blocks), block
+    by block and in digit order inside a block, so every ball inside a
+    block is one contiguous range of cells.
+
+    ``discretize`` has one block per vertex disc (``cut_level`` None);
+    ``operators.truncated_domain`` one per cut node, with filler cells
+    outside the vertex discs.  Per cell: ``leaf_index`` (position of its
+    disc in ``assignment.labels``, -1 for filler) and ``block_index``; per
+    disc: ``leaf_start``, its first cell (-1 outside the domain).
+    """
 
     assignment: DiscAssignment
     level: int
-    cells: tuple  # PAdicCell at the common level
-    leaf_labels: tuple  # label of the disc containing each cell
+    balls: tuple  # PAdicCell per block, in domain order
+    cut_level: int | None = None
 
-    _index: dict = field(default=None, repr=False, compare=False)
-    _digits: np.ndarray = field(default=None, repr=False, compare=False)
+    leaf_index: np.ndarray = field(init=False, repr=False, compare=False)
+    block_index: np.ndarray = field(init=False, repr=False, compare=False)
+    leaf_start: np.ndarray = field(init=False, repr=False, compare=False)
+    cells: Sequence = field(init=False, repr=False, compare=False)
+    _offsets: tuple = field(init=False, repr=False, compare=False)
+    _sorted_balls: tuple = field(init=False, repr=False, compare=False)
+    _digits: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {c.digits: i for i, c in enumerate(self.cells)})
+        n, balls, assign = self.level, tuple(self.balls), self.assignment
+        sizes = [self.p ** (n - ball.level) for ball in balls]
+        order = sorted(range(len(balls)), key=lambda k: balls[k].digits)
+        object.__setattr__(self, "balls", balls)
+        object.__setattr__(self, "_offsets", (0, *itertools.accumulate(sizes)))
+        object.__setattr__(self, "_sorted_balls", ([balls[k].digits for k in order], order))
+        discs = [self.ball_range(assign.discs[label]) for label in assign.labels]
+        starts = np.array([r.start if r else -1 for r in discs], dtype=np.int64)
+        unit = self.p ** (n - assign.m)
+        inside = np.flatnonzero(starts >= 0)
+        leaf = np.full(len(self), -1, dtype=np.int64)
+        leaf[(starts[inside, None] + np.arange(unit)).ravel()] = np.repeat(inside, unit)
+        block = np.repeat(np.arange(len(balls), dtype=np.int64), sizes)
+        for name, arr in (("leaf_index", leaf), ("block_index", block), ("leaf_start", starts)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "cells", _Cells(self))
 
     def __len__(self) -> int:
-        return len(self.cells)
-
-    def index_of(self, cell: PAdicCell) -> int:
-        return self._index[cell.digits]
+        return self._offsets[-1]
 
     @property
     def p(self) -> int:
         return self.assignment.p
 
+    def ball_range(self, ball: PAdicCell) -> range:
+        """The cells of a ball that lies in one block (empty otherwise): the
+        block's offset plus the ball's digits below the block, in base p."""
+        keys, order = self._sorted_balls
+        pos = bisect.bisect_right(keys, ball.digits) - 1  # the only block that can hold it
+        b = len(keys[pos]) if pos >= 0 else 0
+        if pos < 0 or ball.p != self.p or ball.digits[:b] != keys[pos] or ball.level > self.level:
+            return range(0)
+        r = 0
+        for d in ball.digits[b:]:
+            r = r * self.p + d
+        size = self.p ** (self.level - ball.level)
+        return range(self._offsets[order[pos]] + r * size, self._offsets[order[pos]] + (r + 1) * size)
+
+    def index_of(self, cell: PAdicCell) -> int:
+        cells = self.ball_range(cell) if cell.level == self.level else range(0)
+        if not cells:
+            raise KeyError(f"cell {cell} is not in the domain")
+        return cells.start
+
+    def positions_in(self, other: "CellDomain") -> np.ndarray:
+        """Index in ``other`` of each cell, all of which lie in vertex discs
+        that ``other`` holds at the same level."""
+        return np.arange(len(self)) + (other.leaf_start - self.leaf_start)[self.leaf_index]
+
+    @property
+    def leaf_labels(self) -> tuple:
+        """Label of the vertex disc holding each cell, None for filler."""
+        labels = (*self.assignment.labels, None)
+        return tuple(map(labels.__getitem__, self.leaf_index.tolist()))
+
     def haar_volumes(self) -> np.ndarray:
-        return np.full(len(self.cells), float(self.p) ** -self.level)
+        return np.full(len(self), float(self.p) ** -self.level)
+
+    def nu_volumes(self, measure: TreeMeasure) -> np.ndarray:
+        """Leaf mass split equally over the leaf's level-n cells; filler has none."""
+        per_leaf = self.p ** (self.level - self.assignment.m)
+        masses = [float(measure.leaf_mass(label) / per_leaf) for label in self.assignment.labels]
+        return np.array(masses + [0.0])[self.leaf_index]
 
     @property
     def vol_z(self) -> float:
-        return len(self.assignment.discs) * float(self.p) ** -self.assignment.m
+        return int(np.count_nonzero(self.leaf_index >= 0)) * float(self.p) ** -self.level
 
-    def nu_volumes(self, measure: TreeMeasure) -> np.ndarray:
-        """Leaf mass split equally over the leaf's level-n cells."""
-        per_leaf = self.p ** (self.level - self.assignment.m)
-        out = np.empty(len(self.cells))
-        for i, label in enumerate(self.leaf_labels):
-            out[i] = float(measure.leaf_mass(label) / per_leaf)
-        return out
+    @property
+    def vol_filler(self) -> float:
+        return len(self) * float(self.p) ** -self.level - self.vol_z
 
     def digit_matrix(self) -> np.ndarray:
-        """The cells' digits as a read-only N x level array, built on first use."""
+        """The cells' digits as a read-only N x level array, built on first
+        use: block ball digits plus the offset in the block in base p."""
         if self._digits is None:
-            digits = np.array([c.digits for c in self.cells], dtype=np.int64)
+            p, n = self.p, self.level
+            digits = np.zeros((len(self.balls), n), dtype=np.int64)
+            for k, ball in enumerate(self.balls):
+                digits[k, : ball.level] = ball.digits
+            digits = digits[self.block_index]
+            width = n - min((ball.level for ball in self.balls), default=n)
+            offset = np.arange(len(self)) - np.array(self._offsets[:-1])[self.block_index]
+            digits[:, n - width:] += offset[:, None] // p ** np.arange(width - 1, -1, -1) % p
             digits.setflags(write=False)
             object.__setattr__(self, "_digits", digits)
         return self._digits
@@ -257,14 +346,8 @@ def cell_count(assign: DiscAssignment, n: int) -> int:
     return count
 
 
-def discretize(assign: DiscAssignment, n: int) -> Discretization:
-    """Enumerate the level-n cells inside every vertex disc (n > m)."""
+def discretize(assign: DiscAssignment, n: int) -> CellDomain:
+    """The level-n cells of every vertex disc (n > m), one block per disc
+    in label order."""
     cell_count(assign, n)
-    cells: list[PAdicCell] = []
-    labels: list = []
-    for label in assign.labels:
-        prefix = assign.discs[label]
-        for suffix in itertools.product(range(assign.p), repeat=n - assign.m):
-            cells.append(PAdicCell(assign.p, prefix.digits + suffix))
-            labels.append(label)
-    return Discretization(assign, n, tuple(cells), tuple(labels))
+    return CellDomain(assign, n, tuple(assign.discs[label] for label in assign.labels))

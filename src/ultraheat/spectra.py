@@ -40,12 +40,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     BadJ,
+    BadKernel,
     BallOutsideZ,
     DimensionMismatch,
     IncompleteBasis,
@@ -53,8 +55,8 @@ from .errors import (
     TrivialCharacter,
 )
 from .linalg import weighted_symmetric_eig
-from .operators import Bullet, GeneratorMatrix, KernelSpec, generator
-from .padic import DiscAssignment, Discretization, PAdicCell, TreeMeasure
+from .operators import Bullet, GeneratorMatrix, KernelSpec, _leaf_indices, generator
+from .padic import CellDomain, DiscAssignment, PAdicCell, TreeMeasure
 from .ultraindex import Dendrogram, DendrogramNode
 
 
@@ -75,7 +77,7 @@ class EigenBasis:
     when known, the generator their residuals were certified against."""
 
     pairs: tuple
-    cells: tuple
+    cells: Sequence  # the domain's cells, read lazily
     measure: np.ndarray
     measure_kind: str
     psi: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -115,12 +117,13 @@ class EigenBasis:
 
 
 def kozyrev_wavelet(
-    assign: DiscAssignment, disc: Discretization, B: PAdicCell, j: int
+    assign: DiscAssignment, disc: CellDomain, B: PAdicCell, j: int
 ) -> np.ndarray:
     """Unit-Haar-norm Kozyrev wavelet supported in ball B, as a cell vector.
 
     On the child cell of B with branch digit a the value is
-    |B|^(-1/2) exp(2 pi i j a / p); locally constant at level d+1.
+    |B|^(-1/2) exp(2 pi i j a / p); locally constant at level d+1.  B's
+    cells are one range of the domain, so this writes one slice.
     """
     p = assign.p
     if not 1 <= j <= p - 1:
@@ -128,16 +131,15 @@ def kozyrev_wavelet(
     if B.p != p:
         raise BallOutsideZ(f"ball over p={B.p}, domain over p={p}")
     d = B.level
-    if d < assign.m or assign.vertex_of(B.extended(max(d, assign.m))) is None:
+    if d < assign.m or assign.vertex_of(B) is None:
         raise BallOutsideZ("ball is not contained in a vertex disc")
     if disc.level < d + 1:
         raise ValueError("discretisation too coarse to resolve the wavelet")
+    cells = disc.ball_range(B)
     amp = float(p) ** (d / 2.0)
     values = np.array([amp * np.exp(2j * math.pi * j * a / p) for a in range(p)])
-    digits = disc.digit_matrix()
-    inside = np.all(digits[:, :d] == np.asarray(B.digits, dtype=np.int64), axis=1)
-    out = np.zeros(len(disc.cells), dtype=complex)
-    out[inside] = values[digits[inside, d]]
+    out = np.zeros(len(disc), dtype=complex)
+    out[cells.start:cells.stop] = np.repeat(values, len(cells) // p)
     return out
 
 
@@ -161,9 +163,9 @@ def _disc_masses(spec: KernelSpec, assign: DiscAssignment, measure: str,
         return dict.fromkeys(spec.labels, float(assign.p) ** -assign.m)
     if measure == "nu":
         if tree_measure is None:
-            raise ValueError("nu measure requires a TreeMeasure")
+            raise BadKernel("nu measure requires a TreeMeasure")
         return {w: float(tree_measure.leaf_mass(w)) for w in spec.labels}
-    raise ValueError(f"unknown measure {measure!r}")
+    raise BadKernel(f"unknown measure {measure!r}")
 
 
 def _kozyrev_shift(spec: KernelSpec, assign: DiscAssignment, v, measure: str,
@@ -197,12 +199,13 @@ def kozyrev_eigenvalue(
 def ultrametric_wavelet(
     dend: Dendrogram,
     nu: TreeMeasure,
-    disc: Discretization,
+    disc: CellDomain,
     node: DendrogramNode,
     k: int,
 ) -> np.ndarray:
     """Haar-like wavelet of a non-leaf node: nu(node)^(-1/2) times the k-th
-    character of the cyclic group on its children, constant per child."""
+    character of the cyclic group on its children, constant per child:
+    one value per vertex disc, gathered onto the cells."""
     if node.is_leaf:
         raise LeafNode("ultrametric wavelets live on internal nodes")
     c = len(node.children)
@@ -211,17 +214,11 @@ def ultrametric_wavelet(
     if not 1 <= k <= c - 1:
         raise ValueError(f"character index k must lie in 1..{c - 1}, got {k}")
     amp = float(nu.of(node)) ** -0.5
-    child_of = {}
-    for idx_child, child in enumerate(node.children):
-        for label in child.members:
-            child_of[label] = idx_child
-    out = np.zeros(len(disc.cells), dtype=complex)
-    for i, label in enumerate(disc.leaf_labels):
-        ic = child_of.get(label)
-        if ic is None:
-            continue
-        out[i] = amp * np.exp(2j * math.pi * k * ic / c)
-    return out
+    pos = {label: i for i, label in enumerate(disc.assignment.labels)}
+    per_leaf = np.zeros(len(pos) + 1, dtype=complex)  # filler last
+    for ic, child in enumerate(node.children):
+        per_leaf[[pos[label] for label in child.members]] = amp * np.exp(2j * math.pi * k * ic / c)
+    return per_leaf[disc.leaf_index]
 
 
 def ultrametric_eigenvalue(
@@ -264,7 +261,7 @@ def ultrametric_eigenvalue(
 def laplacian_block_modes(
     spec: KernelSpec,
     assign: DiscAssignment,
-    disc: Discretization,
+    disc: CellDomain,
     measure: str = "haar",
     tree_measure: TreeMeasure | None = None,
 ) -> list[EigenPair]:
@@ -278,8 +275,7 @@ def laplacian_block_modes(
     np.fill_diagonal(L, 0.0)
     np.fill_diagonal(L, -L.sum(axis=1))
     evals, vecs, _ = weighted_symmetric_eig(L, mass)
-    idx = spec.label_index()
-    leaf_idx = np.array([idx[l] for l in disc.leaf_labels])
+    leaf_idx = _leaf_indices(spec, assign, disc)
     out = []
     for k in range(len(labels)):
         lifted = vecs[leaf_idx, k]
@@ -324,7 +320,7 @@ def verify_eigenpair(A: GeneratorMatrix, psi: np.ndarray, lam):
 # --- full bases ----------------------------------------------------------------------
 
 
-def _balls_by_level(assign: DiscAssignment, disc: Discretization, label):
+def _balls_by_level(assign: DiscAssignment, disc: CellDomain, label):
     """The balls of each level m..n-1 inside the labelled vertex disc, one
     list per level."""
     prefix = assign.discs[label].digits
@@ -336,7 +332,7 @@ def _balls_by_level(assign: DiscAssignment, disc: Discretization, label):
 def full_basis(
     spec: KernelSpec,
     assign: DiscAssignment,
-    disc: Discretization,
+    disc: CellDomain,
     measure: str = "haar",
     tree_measure: TreeMeasure | None = None,
 ) -> EigenBasis:
@@ -353,7 +349,7 @@ def full_basis(
     """
     gen = generator(spec, assign, disc, measure, tree_measure)
     p = assign.p
-    n_cells = len(disc.cells)
+    n_cells = len(disc)
     psi = np.zeros((n_cells, n_cells), dtype=complex)
     meta: list[tuple] = []  # (kind, support, index, lam) per column
 

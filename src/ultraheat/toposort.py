@@ -152,6 +152,11 @@ def parallel_toposort(dag: Dag, dend: Dendrogram, seeds: Sequence, parallelism: 
     seed clusters' orders are jointly compatible with the DAG the output
     keeps each of them as a subsequence; otherwise it is ``kahn_sort(dag)``,
     which raises CycleDetected if the DAG itself has a cycle.
+
+    The merge is a heuristic, and incompatible seed orders cost extra: such
+    a sort pays for the cluster sorts and a failed merge before the
+    fallback Kahn sort does the work again.  On a wide five-topology
+    family index (n = 200) that was 70 % of the sorts.
     """
     if not seeds:
         raise ValueError("at least one seed vertex required")

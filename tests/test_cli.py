@@ -204,6 +204,44 @@ def test_bounds_swap_subcommand(tmp_path, capsys):
     assert float(summary["metrics"]["slack"]) >= -1e-9
 
 
+@pytest.mark.parametrize("mode", [
+    ["--bullet", "adjacency", "--truncate", "1"],
+    ["--swap", "adjacency,graphdist"],
+    ["--swap", "ultrametric,adjacency"],
+])
+def test_bounds_with_a_zero_adjacency_rate_exit_with_bad_kernel(tmp_path, capsys, monkeypatch,
+                                                                  mode):
+    # a-b and b-c are equally heavy, so {a, b, c} is one cut ball at level
+    # 1; a and c are not adjacent, so their adjacency rate is 0 and no
+    # mean-value constant exists.  That is found before any generator.
+    fam, graph, index = (tmp_path / name for name in ("family.json", "graph.json", "index.json"))
+    write(fam, {
+        "vertices": ["a", "b", "c", "d"],
+        "topologies": [{"edges": [["a", "b"], ["b", "c"], ["c", "d"]]},
+                       {"edges": [["a", "b"], ["b", "c"]]}],
+        "primes": [2, 3],
+    })
+    assert main(["encode", "--input", str(fam), "--output", str(graph)]) == 0
+    assert main(["index", "--input", str(graph), "--output", str(index)]) == 0
+    capsys.readouterr()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a generator was built before the constants")
+
+    monkeypatch.setattr(heat, "generator", unreachable)
+    out = tmp_path / "bounds.json"
+    code = main(["bounds", "--input", str(index), "--output", str(out), "--level", "3", *mode])
+    assert code == 25
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "BadKernel",
+        "detail": "mean-value constant needs positive rates on both sides",
+        "exit": 25,
+    }
+    assert not out.exists()
+
+
 def test_converge_subcommand(tmp_path, capsys):
     index = index_fixture(tmp_path)
     out = tmp_path / "converge.tsv"

@@ -201,7 +201,7 @@ def test_truncated_kernel_vladimirov_inside_cut_ball():
         for j in range(len(dom.cells)):
             if i == j:
                 continue
-            if dom.node_index[i] == dom.node_index[j]:
+            if dom.block_index[i] == dom.block_index[j]:
                 dist = float(assign.p) ** -int(
                     np.cumprod(digits[i] == digits[j]).sum()
                 )
@@ -335,3 +335,30 @@ def test_alpha_below_one_raises_typed_error():
             KernelSpec(Bullet.ULTRAMETRIC, alpha, labels, base)
         assert isinstance(info.value, UltraheatError)
     assert KernelSpec(Bullet.ULTRAMETRIC, 1, labels, base).alpha == 1
+
+
+def test_kernel_errors_are_typed_and_still_value_errors():
+    from ultraheat.errors import BadKernel
+    from ultraheat.operators import _leaf_indices
+
+    labels = ("a", "b")
+    bad_bases = {
+        "shape": np.zeros((3, 3)),
+        "symmetric": np.array([[0.0, 1.0], [2.0, 0.0]]),
+        "non-negative": np.array([[0.0, -1.0], [-1.0, 0.0]]),
+        "positive off the diagonal": np.zeros((2, 2)),
+    }
+    for match, base in bad_bases.items():
+        with pytest.raises(BadKernel, match=match) as info:
+            KernelSpec(Bullet.GRAPH_DISTANCE, 1.0, labels, base)
+        assert isinstance(info.value, ValueError)
+
+    dend, assign, spec = simple_assignment()
+    disc = discretize(assign, assign.m + 1)
+    other = KernelSpec(Bullet.ULTRAMETRIC, 1.0, ("x", "y", "z"), spec.base)
+    with pytest.raises(BadKernel, match="do not match"):
+        _leaf_indices(other, assign, disc)
+    with pytest.raises(BadKernel, match="unknown measure"):
+        generator(spec, assign, disc, "lebesgue")
+    with pytest.raises(BadKernel, match="requires a TreeMeasure"):
+        generator(spec, assign, disc, "nu")
