@@ -33,7 +33,6 @@ constants or in the assembly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,7 +227,7 @@ def truncation_bound(
             csum += c * vol_disc
 
     A = generator(spec, assign, disc, "haar")
-    A_ell = generator(spec, assign, cut, "haar")  # the cut kernel keeps its matrix
+    A_ell = generator(spec, assign, dom, "haar")
 
     positions = disc.positions_in(dom)
     u_ext = np.zeros(len(dom))
@@ -371,12 +370,13 @@ def convergence_study(
     reference level reuses the reference eigendecomposition.
     """
     u0 = np.asarray(u0, dtype=float)
-    n_leaves = len(assign.labels)
-    per_leaf = len(u0) // n_leaves
-    n_ref = assign.m + round(math.log(per_leaf, assign.p))
+    k, cells = 1, len(assign.labels) * assign.p
+    while cells < len(u0):
+        k, cells = k + 1, cells * assign.p
+    if cells != len(u0):
+        raise DimensionMismatch(f"u0 length {len(u0)} is not |V| * p^k for any k >= 1")
+    n_ref = assign.m + k
     disc_ref = discretize(assign, n_ref)
-    if len(disc_ref) != len(u0):
-        raise DimensionMismatch("u0 length is not |V| * p^(N-m) for any N")
     levels = list(n_range)
     for n in levels:
         if not assign.m < n <= n_ref:

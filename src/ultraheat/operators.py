@@ -13,14 +13,17 @@ inside a cut node's ball by the Vladimirov rate, and widens the domain by
 the filler cells of the cut balls not covered by any vertex disc.
 
 Both domains are one ``padic.CellDomain``, with a block per vertex disc
-or per cut node.  A malformed kernel base, labels that differ from the
+or per cut node.  A block's cells are numbered in digit order, so two of
+them share the block ball's level plus the common prefix of their offsets
+in the block: one Vladimirov table per ball level serves every block of
+that level.  A malformed kernel base, labels that differ from the
 assignment, or an unknown measure raise ``BadKernel`` (exit 25).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
@@ -80,31 +83,6 @@ class KernelSpec:
         return {l: i for i, l in enumerate(self.labels)}
 
 
-def _prefix_length_matrix(digits: np.ndarray) -> np.ndarray:
-    """Common leading-digit count of every pair of digit rows.
-
-    One running N x N mask of "equal so far" is narrowed level by level,
-    so the temporaries stay O(N^2) booleans instead of O(N^2 L) integers.
-    """
-    n, levels = digits.shape
-    out = np.zeros((n, n), dtype=np.int64)
-    same = np.ones((n, n), dtype=bool)
-    for k in range(levels):
-        col = digits[:, k]
-        same &= col[:, None] == col[None, :]
-        out += same
-    return out
-
-
-def cell_distance_matrix(disc) -> np.ndarray:
-    """Pairwise p-adic distances between the discretisation cells."""
-    digits = disc.digit_matrix()
-    j = _prefix_length_matrix(digits)
-    dist = float(disc.p) ** (-j.astype(float))
-    np.fill_diagonal(dist, 0.0)
-    return dist
-
-
 def _leaf_indices(spec: KernelSpec, assign: DiscAssignment, disc: CellDomain) -> np.ndarray:
     """Position in ``spec.labels`` of the vertex disc of every cell, -1 for
     filler."""
@@ -115,18 +93,38 @@ def _leaf_indices(spec: KernelSpec, assign: DiscAssignment, disc: CellDomain) ->
     return np.array(per_leaf + [-1])[disc.leaf_index]
 
 
-def kernel_matrix(spec: KernelSpec, assign: DiscAssignment, disc: CellDomain) -> np.ndarray:
-    """k_p over all cell pairs: Vladimirov inside a block (a vertex disc, or
-    a cut ball of a truncated domain), the cross rate between the discs of
-    cells in different blocks (none from filler), zero on the diagonal."""
-    leaf_idx = _leaf_indices(spec, assign, disc)
-    dist = cell_distance_matrix(disc)
-    with np.errstate(divide="ignore"):
-        intra = np.where(dist > 0, dist, 1.0) ** -spec.alpha
-    same = disc.block_index[:, None] == disc.block_index[None, :]
-    cross = np.zeros((len(spec.labels) + 1,) * 2)  # filler (-1) takes the zero last row
+def _cross_rates(spec: KernelSpec) -> np.ndarray:
+    """The cross rates with a zero last row and column, which filler (-1)
+    takes."""
+    cross = np.zeros((len(spec.labels) + 1,) * 2)
     cross[:-1, :-1] = spec.cross_rates()
-    K = np.where(same, intra, cross[np.ix_(leaf_idx, leaf_idx)])
+    return cross
+
+
+def _prefix_table(p: int, ball_level: int, level: int) -> np.ndarray:
+    """Common digit-prefix length of every pair of level-n cells of one ball
+    of level b, in digit order: kron(I_p, j + 1) applied n - b times to
+    [[0]], plus b.  The same table serves every ball of that level."""
+    j = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(level - ball_level):
+        j = np.kron(np.eye(p, dtype=np.int64), j + 1)
+    return j + ball_level
+
+
+def kernel_matrix(spec: KernelSpec, assign: DiscAssignment, disc: CellDomain) -> np.ndarray:
+    """k_p over all cell pairs: the cross rate between the discs of cells in
+    different blocks (none from filler), overwritten inside every block (a
+    vertex disc, or a cut ball of a truncated domain) by the Vladimirov
+    rates of one prefix table per ball level; zero on the diagonal."""
+    leaf_idx = _leaf_indices(spec, assign, disc)
+    K = _cross_rates(spec)[np.ix_(leaf_idx, leaf_idx)]
+    tables: dict = {}
+    for ball in disc.balls:
+        if ball.level not in tables:
+            j = _prefix_table(disc.p, ball.level, disc.level)
+            tables[ball.level] = (float(disc.p) ** -j) ** -spec.alpha
+        cells = disc.ball_range(ball)
+        K[cells.start:cells.stop, cells.start:cells.stop] = tables[ball.level]
     np.fill_diagonal(K, 0.0)
     return K
 
@@ -205,31 +203,23 @@ def _assemble(K, measure_vec, cells, leaf_labels, level, measure_kind, bullet, a
 def generator(
     spec: KernelSpec,
     assign: DiscAssignment,
-    disc,
+    disc: CellDomain,
     measure: str = "haar",
     tree_measure: TreeMeasure | None = None,
 ) -> GeneratorMatrix:
     """Exact matrix of the jump operator on level-n locally constant functions.
 
-    ``disc`` is a cell domain (a discretisation or a truncated domain), or
-    the cut kernel of a truncated domain (whose matrix is then built once
-    and shared with its other uses).  The cell count is checked against
-    the dense limit before any N x N array is allocated.
+    ``disc`` is a discretisation or a truncated domain; the latter takes
+    the Haar measure only.  The cell count is checked against the dense
+    limit before any N x N array is allocated.
     """
-    if isinstance(disc, CellDomain) and disc.cut_level is not None:
-        disc = TruncatedKernel(spec, disc)
-    cut = disc if isinstance(disc, TruncatedKernel) else None
-    if cut is not None:
-        if cut.spec is not spec:
-            raise ValueError("the cut kernel was built for another kernel spec")
-        if measure != "haar":
-            raise ValueError("truncated domains are discretised with the Haar measure")
-        disc = cut.domain
+    if disc.cut_level is not None and measure != "haar":
+        raise ValueError("truncated domains are discretised with the Haar measure")
     _check_dense(len(disc))
     mvec = _measure_vector(disc, measure, tree_measure)
-    K = kernel_matrix(spec, assign, disc) if cut is None else cut.matrix()
     return _assemble(
-        K, mvec, disc.cells, disc.leaf_labels, disc.level, measure, spec.bullet, spec.alpha
+        kernel_matrix(spec, assign, disc), mvec, disc.cells, disc.leaf_labels, disc.level,
+        measure, spec.bullet, spec.alpha,
     )
 
 
@@ -251,15 +241,17 @@ def degree(
     measure: str = "haar",
     tree_measure: TreeMeasure | None = None,
 ) -> float:
-    """Total jump rate out of cell x (off-diagonal row sum of the generator),
-    computed from x's row alone in O(N)."""
+    """Total jump rate out of cell x (off-diagonal row sum of the generator):
+    x's row of the cross rates, overwritten on x's block by its row of the
+    block's prefix table."""
     i = disc.index_of(x)
     mvec = _measure_vector(disc, measure, tree_measure)
     leaf_idx = _leaf_indices(spec, assign, disc)
-    digits = disc.digit_matrix()
-    j = np.logical_and.accumulate(digits == digits[i], axis=1).sum(axis=1)
-    intra = (float(disc.p) ** -j.astype(float)) ** -spec.alpha
-    rates = np.where(leaf_idx == leaf_idx[i], intra, spec.cross_rates()[leaf_idx[i], leaf_idx])
+    rates = _cross_rates(spec)[leaf_idx[i], leaf_idx]
+    ball = disc.balls[disc.block_index[i]]
+    cells = disc.ball_range(ball)
+    j = _prefix_table(disc.p, ball.level, disc.level)[i - cells.start]
+    rates[cells.start:cells.stop] = (float(disc.p) ** -j) ** -spec.alpha
     rates[i] = 0.0
     return float(rates @ mvec)
 
@@ -269,26 +261,16 @@ def degree(
 
 @dataclass(frozen=True)
 class TruncatedKernel:
-    """The cut kernel: Vladimirov inside every cut ball, untouched across.
-    Its matrix is built on first use and kept read-only."""
+    """The cut kernel: Vladimirov inside every cut ball, untouched across."""
 
     spec: KernelSpec
     domain: CellDomain
 
-    _matrix: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            K = truncated_kernel_matrix(self.spec, self.domain)
-            K.setflags(write=False)
-            object.__setattr__(self, "_matrix", K)
-        return self._matrix
-
     def max_rate_z_to_filler(self) -> float:
-        K = self.matrix()
         z = self.domain.leaf_index >= 0
         if z.all():
             return 0.0
+        K = kernel_matrix(self.spec, self.domain.assignment, self.domain)
         return float(K[np.ix_(z, ~z)].max())
 
 
@@ -326,8 +308,3 @@ def truncated_domain(
     _check_dense(sum(assign.p ** (n - ball.level) for ball in balls))
     dom = CellDomain(assign, n, balls, ell)
     return dom, (TruncatedKernel(spec, dom) if spec is not None else None)
-
-
-def truncated_kernel_matrix(spec: KernelSpec, dom: CellDomain) -> np.ndarray:
-    """The cut kernel's matrix: ``kernel_matrix`` over the cut-node blocks."""
-    return kernel_matrix(spec, dom.assignment, dom)

@@ -118,9 +118,7 @@ def test_domains_and_generators_build_no_cell_objects(monkeypatch):
             gen = generator(spec, assign, disc, measure, tm)
             assert gen.cells is disc.cells
         for ell in range(1, dend.max_level + 1):
-            dom, cut = truncated_domain(assign, ell, n, spec)
-            generator(spec, assign, dom)
-            generator(spec, assign, cut)
+            generator(spec, assign, truncated_domain(assign, ell, n)[0])
     assert built == []
     disc.cells[0]  # a cell is built only when it is read
     assert len(built) == 1

@@ -307,6 +307,26 @@ def test_convergence_gap_nonincreasing_for_decaying_profiles():
     assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
 
+def test_convergence_study_rejects_lengths_off_the_level_grid(monkeypatch):
+    """Only a u0 of |V| * p^k cells with k >= 1 names a reference level; any
+    other length raises DimensionMismatch before any domain is built."""
+    from ultraheat import heat
+    from ultraheat.errors import DimensionMismatch
+
+    dend, assign, spec = three_leaf_setup()
+    n_v, p = len(assign.labels), assign.p
+
+    def unreachable(*args):
+        raise AssertionError("a domain was built for a u0 of the wrong length")
+
+    with monkeypatch.context() as m:
+        m.setattr(heat, "discretize", unreachable)
+        for length in (0, 1, n_v, n_v * p - 1, n_v * p + 1, n_v * (p**2 + 1)):
+            with pytest.raises(DimensionMismatch, match=f"length {length} "):
+                convergence_study(spec, assign, np.zeros(length), [assign.m + 1], 1.0)
+    rows = convergence_study(spec, assign, np.zeros(n_v * p**2), [assign.m + 1], 1.0)
+    assert rows == [(assign.m + 1, 0.0)]
+
 def test_projection_error_equals_discarded_tail_at_t0():
     # coefficient-truncation projection: dropping all components finer than
     # level n changes u0 by exactly the explicitly summed tail
@@ -513,46 +533,3 @@ def test_evolver_grid_columns_equal_single_applications():
         single = ev.over_grid(u, np.array([t]))[:, 0]
         assert np.array_equal(columns[:, k], single)
         assert np.allclose(single, semigroup(gen, t).matrix @ u, atol=1e-12)
-
-
-def test_truncation_bound_builds_the_cut_kernel_once(monkeypatch):
-    from ultraheat import operators
-
-    rng = np.random.default_rng(43)
-    dend = random_dendrogram(rng, 6, max_children=3)
-    assign = embed(dend)
-    delta = dend.delta_matrix()
-    spec = KernelSpec(Bullet.ULTRAMETRIC, 1.0, delta.labels, delta.values)
-    disc = discretize(assign, assign.m + 1)
-    u = rng.uniform(-1, 1, len(disc.cells))
-
-    builds = []
-    original = operators.truncated_kernel_matrix
-    monkeypatch.setattr(operators, "truncated_kernel_matrix",
-                        lambda *args: builds.append(1) or original(*args))
-    for ell in range(1, dend.max_level + 1):
-        builds.clear()
-        once = truncation_bound(spec, assign, disc, ell, 1.0, u)
-        assert len(builds) == 1
-        # the same bound with the cut kernel rebuilt at each use
-        with monkeypatch.context() as m:
-            m.setattr(operators.TruncatedKernel, "matrix",
-                      lambda self: operators.truncated_kernel_matrix(self.spec, self.domain))
-            builds.clear()
-            twice = truncation_bound(spec, assign, disc, ell, 1.0, u)
-            assert len(builds) == 2
-        for name in ("measured_sup_error", "theoretical_bound", "tight_bound", "constants",
-                     "volumes", "meta", "per_t_slack"):
-            assert getattr(once, name) == getattr(twice, name), name
-
-
-def test_generator_rejects_a_cut_kernel_of_another_spec():
-    from ultraheat import truncated_domain
-
-    dend, assign, spec = three_leaf_setup()
-    other = KernelSpec(Bullet.ULTRAMETRIC, 2.0, spec.labels, spec.base)
-    dom, cut = truncated_domain(assign, 1, assign.m + 1, other)
-    with pytest.raises(ValueError, match="another kernel spec"):
-        generator(spec, assign, cut)
-    assert np.array_equal(generator(other, assign, cut).matrix,
-                          generator(other, assign, dom).matrix)

@@ -22,7 +22,7 @@ from ultraheat import (
     truncated_domain,
 )
 from ultraheat.errors import CellOutsideZ, InvalidLevel
-from ultraheat.operators import kernel_matrix, truncated_kernel_matrix
+from ultraheat.operators import _prefix_table, kernel_matrix
 from ultraheat.padic import padic_distance
 
 from conftest import random_dendrogram
@@ -185,17 +185,19 @@ def test_truncated_domain_no_op_at_max_level():
     disc = discretize(assign, n)
     assert set(c.digits for c in dom.cells) == set(c.digits for c in disc.cells)
     assert dom.vol_filler == 0.0
-    K_cut = truncated_kernel_matrix(spec, dom)
+    K_cut = kernel_matrix(spec, assign, dom)
     K = kernel_matrix(spec, assign, disc)
     reorder = [dom.index_of(c) for c in disc.cells]
     assert np.allclose(K_cut[np.ix_(reorder, reorder)], K, rtol=0, atol=0)
+    with pytest.raises(ValueError, match="Haar measure"):
+        generator(spec, assign, dom, "nu", tree_measure(dend))
 
 
 def test_truncated_kernel_vladimirov_inside_cut_ball():
     dend, assign, spec = simple_assignment()
     n = assign.m + 1
     dom, _ = truncated_domain(assign, 1, n, spec)
-    K = truncated_kernel_matrix(spec, dom)
+    K = kernel_matrix(spec, assign, dom)
     digits = dom.digit_matrix()
     for i in range(len(dom.cells)):
         for j in range(len(dom.cells)):
@@ -278,17 +280,48 @@ def test_generator_refuses_oversized_dense_matrices():
         )
 
 
-def test_prefix_length_matrix_matches_cumprod_formula():
-    from ultraheat.operators import _prefix_length_matrix
+def chain_dendrogram(n_leaves):
+    """A caterpillar: every internal node has one leaf child and the rest,
+    so the tree has n_leaves - 1 levels and embeds over p = 2 with m =
+    n_leaves - 1."""
+    labels = [f"v{i:03d}" for i in range(n_leaves)]
+    node = DendrogramNode(frozenset([labels[-1]]), 0.0)
+    for k in range(n_leaves - 2, -1, -1):
+        leaf = DendrogramNode(frozenset([labels[k]]), 0.0)
+        node = DendrogramNode(leaf.members | node.members, float(n_leaves - k), (leaf, node))
+    return Dendrogram(node)
 
+
+def test_prefix_table_matches_cumprod_oracle():
+    """Inside every block ball, the prefix table equals the common-prefix
+    count of the cells' own digits: p = 2, 3, 5, discretisations and
+    truncated domains (ball levels 0..m), and a deep p = 2 chain."""
+    domains = []
     rng = np.random.default_rng(79)
-    shapes = [(1, 1), (1, 4), (5, 1), (12, 3), (40, 6)]
-    for n, levels in shapes:
-        for p in (2, 3):
-            digits = rng.integers(0, p, size=(n, levels))
-            eq = digits[:, None, :] == digits[None, :, :]
-            expected = np.cumprod(eq, axis=2).sum(axis=2)
-            assert np.array_equal(_prefix_length_matrix(digits), expected)
+    for p in (2, 3, 5):
+        for _ in range(3):
+            dend = random_dendrogram(rng, int(rng.integers(3, 8)), max_children=2)
+            assign = embed(dend, p)
+            for n in (assign.m + 1, assign.m + 2):
+                domains.append(discretize(assign, n))
+                domains += [truncated_domain(assign, ell, n)[0]
+                            for ell in range(1, dend.max_level + 1)
+                            if p ** (n - ell) <= 500]
+    chain = embed(chain_dendrogram(40), 2)
+    assert chain.m == 39
+    domains.append(discretize(chain, chain.m + 1))
+    domains += [truncated_domain(chain, ell, chain.m + 1)[0] for ell in range(31, 40)]
+    levels = set()
+    for dom in domains:
+        digits = dom.digit_matrix()
+        for ball in dom.balls:
+            cells = dom.ball_range(ball)
+            d = digits[cells.start:cells.stop]
+            expected = np.cumprod(d[:, None, :] == d[None, :, :], axis=2).sum(axis=2)
+            assert np.array_equal(_prefix_table(dom.p, ball.level, dom.level), expected)
+            levels.add((dom.p, ball.level, dom.level))
+    assert {p for p, _, _ in levels} == {2, 3, 5}
+    assert max(n - b for _, b, n in levels) >= 9 and max(b for _, b, _ in levels) == 39
 
 
 def test_generator_checks_dense_limit_before_allocating(monkeypatch):
@@ -301,8 +334,7 @@ def test_generator_checks_dense_limit_before_allocating(monkeypatch):
     disc = discretize(assign, assign.m + 2)
     dom, _ = truncated_domain(assign, 1, assign.m + 2)
     monkeypatch.setattr(operators, "MAX_DENSE_CELLS", 4)
-    for name in ("cell_distance_matrix", "kernel_matrix", "truncated_kernel_matrix",
-                 "_prefix_length_matrix"):
+    for name in ("kernel_matrix", "_prefix_table"):
         monkeypatch.setattr(operators, name, unreachable)
     for domain in (disc, dom):
         with pytest.raises(ValueError, match="dense-matrix limit"):
@@ -316,12 +348,16 @@ def test_degree_equals_generator_diagonal():
     dend = random_dendrogram(rng, 6, max_children=3)
     assign = embed(dend)
     nu = tree_measure(dend)
-    disc = discretize(assign, assign.m + 2)
+    n = assign.m + 2
+    disc = discretize(assign, n)
+    # every cut level's truncated domain, whose blocks hold several discs and filler
+    truncated = [truncated_domain(assign, ell, n)[0] for ell in range(1, dend.max_level + 1)]
     specs = specs_from_weights(rng, assign.labels, random_connected_weights(rng, assign.labels), 1.5)
     for spec in specs:
-        for measure, tm in (("haar", None), ("nu", nu)):
-            diag = -np.diag(generator(spec, assign, disc, measure, tm).matrix)
-            degs = [degree(spec, assign, disc, x, measure, tm) for x in disc.cells]
+        inputs = [(disc, "haar", None), (disc, "nu", nu)] + [(dom, "haar", None) for dom in truncated]
+        for dom, measure, tm in inputs:
+            diag = -np.diag(generator(spec, assign, dom, measure, tm).matrix)
+            degs = [degree(spec, assign, dom, x, measure, tm) for x in dom.cells]
             assert np.allclose(degs, diag, rtol=1e-12, atol=0)
 
 
