@@ -192,6 +192,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_heat(args) -> int:
+    heat.check_time(args.t)
     assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
     spec = _spec_from_index(args, assign, weights)
     disc = padic.discretize(assign, args.level)

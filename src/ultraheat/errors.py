@@ -56,7 +56,7 @@ class LevelTooCoarse(UltraheatError):
 # --- operators -------------------------------------------------------------------
 
 class BadAlpha(UltraheatError):
-    """The kernel exponent alpha is not a number at least 1."""
+    """The kernel exponent alpha is not a finite number at least 1."""
 
 
 class CellOutsideZ(UltraheatError):
@@ -111,7 +111,7 @@ class DimensionMismatch(UltraheatError):
 # --- heat ----------------------------------------------------------------------------
 
 class NegativeTime(UltraheatError):
-    """Semigroups are only defined for t >= 0."""
+    """Times must be finite and non-negative: semigroups are defined for t >= 0."""
 
 
 class BoundViolated(UltraheatError):

@@ -22,9 +22,11 @@ assignment, or an unknown measure raise ``BadKernel`` (exit 25).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+
 import numpy as np
 
 from .errors import BadAlpha, BadKernel, CellOutsideZ, InvalidLevel, TooManyCells
@@ -57,8 +59,8 @@ class KernelSpec:
         base = np.asarray(self.base, dtype=float)
         base.setflags(write=False)
         object.__setattr__(self, "base", base)
-        if not self.alpha >= 1:
-            raise BadAlpha(f"alpha must be >= 1, got {self.alpha}")
+        if not 1 <= self.alpha < math.inf:
+            raise BadAlpha(f"alpha must be a finite number >= 1, got {self.alpha}")
         n = len(self.labels)
         if base.shape != (n, n):
             raise BadKernel("base matrix shape does not match labels")
@@ -267,11 +269,18 @@ class TruncatedKernel:
     domain: CellDomain
 
     def max_rate_z_to_filler(self) -> float:
-        z = self.domain.leaf_index >= 0
-        if z.all():
+        """The largest rate between a disc cell and a filler cell, 0 without
+        filler.  Filler meets discs only inside a cut ball, at the Vladimirov
+        rate of their common prefix.  A filler pure ball of level d shares
+        d - 1 digits with a disc cell of its parent ball, which is not pure,
+        and no more with any, so the longest prefix is the deepest filler
+        pure ball's level minus one."""
+        starts, levels = self.domain.pure_balls()
+        filler = levels[self.domain.leaf_index[starts] < 0]
+        if not filler.size:
             return 0.0
-        K = kernel_matrix(self.spec, self.domain.assignment, self.domain)
-        return float(K[np.ix_(z, ~z)].max())
+        j = int(filler.max()) - 1
+        return float((float(self.domain.p) ** -j) ** -self.spec.alpha)
 
 
 def cut_nodes(assign: DiscAssignment, ell: int):

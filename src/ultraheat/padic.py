@@ -294,6 +294,28 @@ class CellDomain:
         that ``other`` holds at the same level."""
         return np.arange(len(self)) + (other.leaf_start - self.leaf_start)[self.leaf_index]
 
+    def pure_balls(self) -> tuple[np.ndarray, np.ndarray]:
+        """The maximal balls inside the blocks on which ``leaf_index`` is
+        constant (part of one vertex disc, or all filler), in domain order,
+        as the arrays of their first cells and their levels: one stack walk
+        per block that splits every ball whose cells change leaf into its p
+        children.  On a discretisation these are the discs."""
+        p, n = self.p, self.level
+        changes = np.concatenate([[0], np.cumsum(self.leaf_index[1:] != self.leaf_index[:-1])])
+        starts, levels = [], []
+        for ball, offset in zip(self.balls, self._offsets):
+            stack = [(offset, ball.level)]
+            while stack:
+                start, d = stack.pop()
+                size = p ** (n - d)
+                if changes[start + size - 1] == changes[start]:
+                    starts.append(start)
+                    levels.append(d)
+                else:
+                    step = size // p
+                    stack.extend((start + a * step, d + 1) for a in reversed(range(p)))
+        return np.array(starts, dtype=np.int64), np.array(levels, dtype=np.int64)
+
     @property
     def leaf_labels(self) -> tuple:
         """Label of the vertex disc holding each cell, None for filler."""

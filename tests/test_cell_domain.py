@@ -86,6 +86,22 @@ def test_cell_domain_equals_the_per_cell_enumeration(p, seed, leaves, extra):
             assert dom.index_of(PAdicCell(p, d)) == i
             assert dom.cells[i].digits == d
         assert dom.cells[-1].digits == digits[-1]
+        # the pure balls: the largest ball inside the block around each cell
+        # whose cells all carry one label
+        seen: dict = {}  # (block, digit prefix) -> (labels, first cell)
+        for i, d in enumerate(digits):
+            for lv in range(len(balls[blocks[i]].digits), n + 1):
+                found, first = seen.get((blocks[i], d[:lv]), (set(), i))
+                seen[(blocks[i], d[:lv])] = (found | {labels[i]}, first)
+        pure = set()
+        for i, d in enumerate(digits):
+            lv = next(lv for lv in range(len(balls[blocks[i]].digits), n + 1)
+                      if len(seen[(blocks[i], d[:lv])][0]) == 1)
+            pure.add((seen[(blocks[i], d[:lv])][1], lv))
+        starts, levels = dom.pure_balls()
+        assert list(zip(starts.tolist(), levels.tolist())) == sorted(pure)
+        if dom.cut_level is None:
+            assert levels.tolist() == [assign.m] * len(assign.labels)
         # the zero extension of a discretisation into the domain
         disc_digits = enumerate_cells(assign, [assign.discs[l] for l in assign.labels], n)[0]
         assert disc.positions_in(dom).tolist() == [index[d] for d in disc_digits]

@@ -291,6 +291,44 @@ def test_alpha_below_one_exit_code(tmp_path, capsys):
     assert "0.5" in err["detail"]
 
 
+def test_infinite_alpha_exit_code(tmp_path, capsys):
+    index = index_fixture(tmp_path)
+    code = main([
+        "spectrum", "--input", str(index), "--output", str(tmp_path / "s.tsv"),
+        "--bullet", "ultrametric", "--alpha", "inf", "--level", "4",
+    ])
+    assert code == 21
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    err = json.loads(err.strip().splitlines()[-1])
+    assert err["error"] == "BadAlpha" and err["exit"] == 21
+    assert not (tmp_path / "s.tsv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--truncate", "1", "--t", "nan"],
+    ["bounds", "--truncate", "1", "--t", "inf"],
+    ["bounds", "--truncate", "1", "--t=-inf"],
+    ["bounds", "--swap", "graphdist,ultrametric", "--t", "nan"],
+    ["converge", "--bullet", "ultrametric", "--levels", "4,5", "--reference", "5", "--tau", "nan"],
+    ["heat", "--bullet", "ultrametric", "--t", "nan"],
+    ["heat", "--bullet", "ultrametric", "--t", "inf"],
+], ids=["bounds-nan", "bounds-inf", "bounds-minus-inf", "swap-nan", "converge-nan",
+        "heat-nan", "heat-inf"])
+def test_non_finite_times_exit_19(tmp_path, capsys, argv):
+    index = index_fixture(tmp_path)
+    out = tmp_path / "out"
+    level = [] if argv[0] == "converge" else ["--level", "4"]
+    code = main([argv[0], "--input", str(index), "--output", str(out), *level, *argv[1:]])
+    assert code == 19
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    err = json.loads(err.strip().splitlines()[-1])
+    assert err["error"] == "NegativeTime" and err["exit"] == 19
+    assert "not a finite time" in err["detail"]
+    assert not out.exists()
+
+
 def test_exit_codes_are_distinct_per_error_type():
     from ultraheat.cli import EXIT_CODES
 

@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultraheat import (
     Bullet,
@@ -27,13 +28,19 @@ from ultraheat import (
     solve_cauchy,
     subdominant_ultrametric,
     tree_measure,
+    truncated_domain,
     truncation_bound,
 )
 from ultraheat.errors import NegativeTime
-from ultraheat.heat import _Evolver, embed_piecewise, project_pointwise, t_grid
-from ultraheat.operators import GeneratorMatrix
+from ultraheat.heat import _BallEvolver, _Evolver, embed_piecewise, project_pointwise, t_grid
+from ultraheat.operators import GeneratorMatrix, cut_nodes
 
-from conftest import random_connected_weights, random_dendrogram, specs_from_weights
+from conftest import (
+    random_connected_weights,
+    random_dendrogram,
+    random_metric,
+    specs_from_weights,
+)
 
 
 def three_leaf_setup(alpha=1.0):
@@ -465,25 +472,19 @@ def test_index_maps_refuse_mismatched_discretisations():
 
 def loop_convergence(spec, assign, u0, levels, tau, measure, tree_measure):
     """The convergence study one time and one cell at a time, with a fresh
-    eigensolve per level."""
-    from ultraheat.padic import PAdicCell
-
-    def apply(ev, t, u):
-        coeff = ev.Q.T @ (ev.d * u)
-        return (ev.Q @ (np.exp(t * ev.evals) * coeff)) / ev.d
-
+    evolver per level, each applied at a single time."""
     n_ref = assign.m + round(np.log(len(u0) // len(assign.labels)) / np.log(assign.p))
     disc_ref = discretize(assign, n_ref)
-    ev_ref = _Evolver(generator(spec, assign, disc_ref, measure, tree_measure))
+    ev_ref = _BallEvolver(spec, disc_ref, measure, tree_measure)
     rows = []
     for n in levels:
         disc_n = discretize(assign, n)
-        ev_n = _Evolver(generator(spec, assign, disc_n, measure, tree_measure))
+        ev_n = _BallEvolver(spec, disc_n, measure, tree_measure)
         un0 = loop_project(disc_ref, disc_n, u0)
         gap = 0.0
         for t in t_grid(tau):
-            lifted = loop_embed(disc_n, disc_ref, apply(ev_n, t, un0))
-            gap = max(gap, float(np.max(np.abs(lifted - apply(ev_ref, t, u0)))))
+            lifted = loop_embed(disc_n, disc_ref, ev_n.apply(un0, t))
+            gap = max(gap, float(np.max(np.abs(lifted - ev_ref.apply(u0, t)))))
         rows.append((n, gap))
     return rows
 
@@ -523,13 +524,148 @@ def test_convergence_study_reuses_the_reference_eigensolve(monkeypatch):
 
 def test_evolver_grid_columns_equal_single_applications():
     dend, assign, spec = three_leaf_setup()
-    gen = generator(spec, assign, discretize(assign, assign.m + 2), "haar")
-    ev = _Evolver(gen)
+    disc = discretize(assign, assign.m + 2)
+    gen = generator(spec, assign, disc, "haar")
+    ev = _BallEvolver(spec, disc)
     u = np.random.default_rng(41).uniform(-1, 1, gen.n_cells)
     grid = t_grid(2.0)
     columns = ev.over_grid(u, grid)
     assert columns.shape == (gen.n_cells, len(grid))
     for k, t in enumerate(grid):
-        single = ev.over_grid(u, np.array([t]))[:, 0]
+        single = ev.apply(u, t)
         assert np.array_equal(columns[:, k], single)
         assert np.allclose(single, semigroup(gen, t).matrix @ u, atol=1e-12)
+
+
+# --- the pure-ball evolver against the dense semigroup --------------------------------
+
+MAX_ORACLE_CELLS = 1500
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    alpha=st.sampled_from([1.0, 1.3, 2.0]),
+    bullet=st.sampled_from([Bullet.ULTRAMETRIC, Bullet.GRAPH_DISTANCE]),
+    seed=st.integers(0, 2**32 - 1),
+    leaves=st.integers(2, 6),
+)
+def test_ball_evolver_matches_the_dense_semigroup(p, alpha, bullet, seed, leaves):
+    """On discretisations at m+1..m+3 under Haar and nu, and on every
+    truncated domain of at most MAX_ORACLE_CELLS cells, T(t) u from the pure
+    balls matches the dense semigroup's T(t) u at every time of the grid."""
+    rng = np.random.default_rng(seed)
+    dend = random_dendrogram(rng, leaves, max_children=p)
+    assign = embed(dend, p)
+    base = dend.delta_matrix() if bullet is Bullet.ULTRAMETRIC else random_metric(rng, leaves)
+    spec = KernelSpec(bullet, alpha, base.labels, base.values)
+    nu = tree_measure(dend)
+    inputs = []
+    for n in range(assign.m + 1, assign.m + 4):
+        disc = discretize(assign, n)
+        inputs += [(disc, "haar", None), (disc, "nu", nu)]
+        for ell in range(1, dend.max_level + 1):
+            balls = [assign.cell_of(node) for node in cut_nodes(assign, ell)]
+            if sum(p ** (n - ball.level) for ball in balls) <= MAX_ORACLE_CELLS:
+                inputs.append((truncated_domain(assign, ell, n)[0], "haar", None))
+    for dom, measure, tm in inputs:
+        gen = generator(spec, assign, dom, measure, tm)
+        u = rng.uniform(-1, 1, len(dom))
+        grid = t_grid(float(rng.uniform(0.1, 2.0)), points=4)
+        columns = _BallEvolver(spec, dom, measure, tm).over_grid(u, grid)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(u))))
+        for k, t in enumerate(grid):
+            assert np.max(np.abs(columns[:, k] - semigroup(gen, t).matrix @ u)) <= tol
+
+
+def three_spine_dendrogram(depth=7):
+    """Three spines under the root, each internal node holding one leaf and
+    the next node down to ``depth - 1``; one radius per depth, so m = depth
+    and each root child's ball holds p^(m + 1 - 1) cells at level m + 1."""
+    def leaf(label):
+        return DendrogramNode(frozenset([label]), 0.0)
+
+    def spine(name, d):
+        if d == depth - 1:
+            kids = (leaf(f"{name}x"), leaf(f"{name}y"))
+        else:
+            kids = (leaf(f"{name}{d}"), spine(name, d + 1))
+        return DendrogramNode(kids[0].members | kids[1].members, float(depth + 1 - d), kids)
+
+    kids = tuple(spine(name, 1) for name in "abc")
+    members = frozenset().union(*(kid.members for kid in kids))
+    return Dendrogram(DendrogramNode(members, float(depth + 1), kids))
+
+
+def test_certify_routines_build_no_generator_and_no_kernel_matrix(monkeypatch):
+    from ultraheat import heat, operators
+
+    dend = three_spine_dendrogram()
+    assign = embed(dend, 3)
+    delta = dend.delta_matrix()
+    spec = KernelSpec(Bullet.ULTRAMETRIC, 1.0, delta.labels, delta.values)
+    m = assign.m
+    disc = discretize(assign, m + 1)
+    assert len(truncated_domain(assign, 1, m + 1)[0]) >= 5000
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a dense N x N operator was built")
+
+    monkeypatch.setattr(heat, "generator", unreachable)
+    monkeypatch.setattr(operators, "kernel_matrix", unreachable)
+    rng = np.random.default_rng(43)
+    report = truncation_bound(spec, assign, disc, 1, 1.0, rng.uniform(-1, 1, len(disc)))
+    assert report.slack >= -1e-9
+    assert report.volumes["max_cut_rate"] > 0.0
+    u0 = rng.uniform(-1, 1, len(discretize(assign, m + 3)))
+    rows = convergence_study(spec, assign, u0, [m + 1, m + 2, m + 3], 1.0, "nu",
+                             tree_measure(dend))
+    assert rows[-1] == (m + 3, 0.0)
+
+
+# --- times and gates ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf"), -0.5])
+def test_times_that_are_not_finite_and_non_negative_raise_before_any_domain(monkeypatch, t):
+    from ultraheat import heat
+
+    dend, assign, spec = three_leaf_setup()
+    disc = discretize(assign, assign.m + 1)
+    basis = full_basis(spec, assign, disc, "haar")
+    u = np.zeros(len(disc))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the time was checked")
+
+    for name in ("discretize", "truncated_domain", "generator", "weighted_symmetric_eig"):
+        monkeypatch.setattr(heat, name, unreachable)
+    calls = {
+        "t_grid": lambda: t_grid(t),
+        "semigroup": lambda: semigroup(basis.generator, t),
+        "heat_kernel": lambda: heat_kernel(basis, t),
+        "solve_cauchy": lambda: solve_cauchy(basis, u, t),
+        "truncation_bound": lambda: truncation_bound(spec, assign, disc, 1, t, u),
+        "kernel_swap_bound": lambda: kernel_swap_bound(spec, spec, assign, disc, t),
+        "convergence_study": lambda: convergence_study(spec, assign, u, [assign.m + 1], t),
+    }
+    for name, call in calls.items():
+        with pytest.raises(NegativeTime, match="not a finite time"):
+            call()
+
+
+def test_bound_gates_refuse_a_nan_error(monkeypatch):
+    from ultraheat import heat
+    from ultraheat.errors import BoundViolated
+    from ultraheat.heat import SemigroupMatrix
+
+    dend, assign, spec = three_leaf_setup()
+    disc = discretize(assign, assign.m + 1)
+    u = np.zeros(len(disc))
+    u[0] = np.nan
+    with pytest.raises(BoundViolated, match="nan"):
+        truncation_bound(spec, assign, disc, 1, 1.0, u)
+    monkeypatch.setattr(heat, "semigroup",
+                        lambda A, t: SemigroupMatrix(t, np.full(A.matrix.shape, np.nan)))
+    with pytest.raises(BoundViolated, match="nan"):
+        kernel_swap_bound(spec, spec, assign, disc, 1.0)

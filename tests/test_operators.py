@@ -210,6 +210,31 @@ def test_truncated_kernel_vladimirov_inside_cut_ball():
                 assert K[i, j] == pytest.approx(dist**-spec.alpha)
 
 
+def test_max_cut_rate_equals_the_kernel_maximum_between_discs_and_filler():
+    """The cut rate read off the deepest filler pure ball is bit for bit the
+    largest disc-to-filler entry of the assembled cut kernel."""
+    rng = np.random.default_rng(79)
+    checked = 0
+    for p in (2, 3, 5):
+        for _ in range(6):
+            dend = random_dendrogram(rng, int(rng.integers(3, 8)), max_children=p)
+            assign = embed(dend, p)
+            alpha = float(rng.choice([1.0, 1.3, 2.0]))
+            delta = dend.delta_matrix()
+            spec = KernelSpec(Bullet.ULTRAMETRIC, alpha, delta.labels, delta.values)
+            for ell in range(1, dend.max_level + 1):
+                for n in (assign.m + 1, assign.m + 2):
+                    dom, cut = truncated_domain(assign, ell, n, spec)
+                    if len(dom) > 1500:
+                        continue
+                    z = dom.leaf_index >= 0
+                    K = kernel_matrix(spec, assign, dom)
+                    expected = float(K[np.ix_(z, ~z)].max()) if not z.all() else 0.0
+                    assert cut.max_rate_z_to_filler() == expected
+                    checked += not z.all()
+    assert checked > 20
+
+
 def test_truncated_domain_volume_monotone():
     rng = np.random.default_rng(73)
     for _ in range(10):
@@ -371,6 +396,15 @@ def test_alpha_below_one_raises_typed_error():
             KernelSpec(Bullet.ULTRAMETRIC, alpha, labels, base)
         assert isinstance(info.value, UltraheatError)
     assert KernelSpec(Bullet.ULTRAMETRIC, 1, labels, base).alpha == 1
+
+
+def test_infinite_alpha_raises_bad_alpha():
+    from ultraheat.errors import BadAlpha
+
+    base = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for alpha in (float("inf"), float("-inf")):
+        with pytest.raises(BadAlpha, match="finite"):
+            KernelSpec(Bullet.ULTRAMETRIC, alpha, ("a", "b"), base)
 
 
 def test_kernel_errors_are_typed_and_still_value_errors():
