@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -74,7 +75,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     graph, stored_primes = serialize.graph_from_obj(serialize.load_json(args.input))
-    primes = tuple(int(p) for p in args.primes.split(",")) if args.primes else stored_primes
+    primes = args.primes or stored_primes
     if not primes:
         raise errors.ParseError("no primes stored in the file and none given")
     family = multitopo.decode(graph, primes)
@@ -124,6 +125,14 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected integers separated by commas, got {text!r}") from None
 
 
 def cmd_toposort(args) -> int:
@@ -237,7 +246,8 @@ def cmd_bounds(args) -> int:
         "tight_bound": report.tight_bound,
         "slack": report.slack,
         "volumes": report.volumes,
-        "constants_sum": sum(report.constants.values()),
+        # left to right, which the builtin sum of Python >= 3.12 is not
+        "constants_sum": functools.reduce(operator.add, report.constants.values(), 0),
         **meta,
     }
     digest = serialize.write_canonical(args.output, obj)
@@ -255,13 +265,12 @@ def cmd_converge(args) -> int:
     measure, tm = _measure_args(args, assign)
     rng = np.random.default_rng(args.seed)
     u0 = rng.uniform(-1, 1, padic.cell_count(assign, args.reference))
-    levels = [int(s) for s in args.levels.split(",")]
-    rows = heat.convergence_study(spec, assign, u0, levels, args.tau, measure, tm)
+    rows = heat.convergence_study(spec, assign, u0, args.levels, args.tau, measure, tm)
     text = "n\tgap\n" + "".join(f"{n}\t{gap:.17g}\n" for n, gap in rows)
     Path(args.output).write_text(text, encoding="utf-8")
     digest = hashlib.sha256(text.encode()).hexdigest()
     _summary("converge", [{"path": args.output, "sha256": digest}], {
-        "levels": levels,
+        "levels": args.levels,
         "final_gap": _fmt(rows[-1][1]),
     })
     return 0
@@ -292,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="recover the family from a weighted graph")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--primes", default="")
+    p.add_argument("--primes", type=_int_list, default=[])
 
     p = sub.add_parser("index", help="dendrogram from the graph's spanning tree, and its discs")
     p.add_argument("--input", required=True)
@@ -341,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=["haar", "nu"], default="haar")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--levels", required=True)
+    p.add_argument("--levels", type=_int_list, required=True)
     p.add_argument("--reference", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 

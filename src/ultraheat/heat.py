@@ -8,14 +8,8 @@ two routes agree after measure weighting and both are exercised by the
 tests.
 
 The certify routines (``truncation_bound``, ``convergence_study``) evolve
-without the N x N generator.  A cell domain splits into pure balls, the
-largest balls of one block on which the vertex disc (or filler) does not
-change.  Inside a pure ball the functions of mean zero on every level-d
-sub-ball and constant on its children are eigenspaces with the closed-form
-Kozyrev eigenvalues of ``spectra`` (block-ball level in place of m, scaled
-by the measure density, shifted by the escape rate); what is left is
-constant on the pure balls, where the generator is a K x K matrix solved
-by one weighted eigensolve (the vertex matrix on a discretisation).  The
+without the N x N generator, through the closed-form pure-ball spectrum
+of ``spectra.ball_spectrum``, and evolve u to u itself at t = 0.  The
 dense ``semigroup`` stays the independent second route and the test
 oracle.  Every time must be finite and non-negative (``NegativeTime``).
 
@@ -60,16 +54,9 @@ from .errors import (
     NotSelfAdjoint,
 )
 from .linalg import weighted_symmetric_eig
-from .operators import (
-    GeneratorMatrix,
-    KernelSpec,
-    _cross_rates,
-    _leaf_indices,
-    generator,
-    truncated_domain,
-)
+from .operators import GeneratorMatrix, KernelSpec, generator, truncated_domain
 from .padic import CellDomain, DiscAssignment, TreeMeasure, discretize, padic_distance
-from .spectra import EigenBasis, _disc_masses, kozyrev_local_eigenvalue
+from .spectra import EigenBasis, ball_spectrum
 
 
 @dataclass(frozen=True)
@@ -132,77 +119,31 @@ class _Evolver:
 
 
 class _BallEvolver:
-    """T(t) u on a cell domain from its pure balls, with no N x N array.
-
-    Inside a pure ball a of level d_a (``CellDomain.pure_balls``), the
-    functions constant on the level-(d+1) balls and of mean zero on every
-    level-d ball (d_a <= d < n) form one eigenspace of the generator, with
-    eigenvalue s_a * kozyrev_local_eigenvalue(p, alpha, d, b_a) - escape_a:
-    b_a is the level of a's block, s_a the density of the measure on a (1
-    under Haar) and escape_a the cross rate towards every disc times that
-    disc's mass outside a's block (0 for filler).  On functions constant
-    on the K pure balls the generator is a K x K matrix: the Vladimirov
-    rate of the common prefix inside a block, the cross rate across blocks,
-    times the target ball's mass, with zero row sums; one weighted
-    eigensolve diagonalises it.  So on a,
+    """T(t) u on a cell domain from ``spectra.ball_spectrum``: on pure ball a,
 
         T(t) u = (coarse part)_a + sum_d e^(lambda_d t) (E_{d+1} u - E_d u)
 
-    with E_d the mean over the level-d balls.
+    with E_d the mean over the level-d balls, lambda_d a's level-d Kozyrev
+    eigenvalue and the coarse part the pure-ball means evolved by the K x K
+    eigenpairs.
     """
 
     def __init__(self, spec: KernelSpec, dom: CellDomain, measure: str = "haar",
                  tree_measure: TreeMeasure | None = None):
-        p, n = dom.p, dom.level
-        starts, levels = dom.pure_balls()
-        leaf = _leaf_indices(spec, dom.assignment, dom)[starts]
-        block = dom.block_index[starts]
-        if measure == "haar":
-            density = np.ones(len(spec.labels) + 1)
-        else:
-            masses = _disc_masses(spec, dom.assignment, measure, tree_measure)
-            density = np.array([masses[w] for w in spec.labels] + [0.0])
-            density *= float(p) ** dom.assignment.m
-        scale = density[leaf]
-        mass = scale * float(p) ** -levels  # of each pure ball
-
-        rates = _cross_rates(spec)[np.ix_(leaf, leaf)]
-        same = block[:, None] == block[None, :]
-        rates[same] = 0.0
-        escape = rates @ mass
-        # common prefix of two balls of one block: n minus the number of
-        # base-p truncations under which their first cells' offsets differ
-        q = starts - np.searchsorted(dom.block_index, block)
-        j = np.full(rates.shape, n)
-        while q.any():
-            j -= q[:, None] != q[None, :]
-            q = q // p
-        rates[same] = ((float(p) ** -j) ** -spec.alpha)[same]
-        L = rates * mass[None, :]
-        np.fill_diagonal(L, 0.0)
-        np.fill_diagonal(L, -L.sum(axis=1))
-        evals, vecs, _ = weighted_symmetric_eig(L, mass)
-        self.evals = evals
-        self.d = np.sqrt(mass)
-        self.Q = vecs * self.d[:, None]
-
-        # wavelet eigenvalues: one row per pure ball, one column per level d_a..n-1
-        shells = {b: [kozyrev_local_eigenvalue(p, spec.alpha, d, b) for d in range(b, n)]
-                  for b in {ball.level for ball in dom.balls}}
-        block_level = [dom.balls[k].level for k in block.tolist()]
-        self.p, self.level, self.groups = p, n, []
-        for d0 in np.unique(levels).tolist():  # pure balls of one level: one cell block
-            members = np.flatnonzero(levels == d0)
-            local = np.array([shells[block_level[a]][d0 - block_level[a]:] for a in members])
-            lam = scale[members, None] * local - escape[members, None]
-            cells = starts[members, None] + np.arange(p ** (n - d0))
-            self.groups.append((d0, members, cells, lam))
+        spectrum = ball_spectrum(spec, dom, measure, tree_measure)
+        self.p, self.level, self.groups, self.evals = dom.p, dom.level, [], spectrum.evals
+        self.d = np.sqrt(spectrum.mass)
+        self.Q = spectrum.vecs * self.d[:, None]
+        for d0 in np.unique(spectrum.levels).tolist():  # pure balls of one level: one cell block
+            members = np.flatnonzero(spectrum.levels == d0)
+            cells = spectrum.starts[members, None] + np.arange(spectrum.sizes[members[0]])
+            self.groups.append((d0, members, cells, spectrum.kozyrev[members, :dom.level - d0]))
 
     def over_grid(self, u: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """T(t) u for every t of the grid as the columns of one cells x times
-        matrix.  Only elementwise work and one stack of K x K matrix-vector
-        products depend on t, so each column carries the rounding of T(t) u
-        applied alone, whatever grid it is evaluated on."""
+        """T(t) u for every t of the grid (u itself at t = 0) as the columns
+        of one cells x times matrix.  Only elementwise work and one stack of
+        K x K matrix-vector products depend on t, so each column carries the
+        rounding of T(t) u applied alone, whatever grid it is evaluated on."""
         u = np.asarray(u, dtype=float)
         times = np.asarray(times, dtype=float)
         p, n = self.p, self.level
@@ -226,6 +167,7 @@ class _BallEvolver:
                 by_ball += diff[:, :, None, None] * decay[:, None, None, :]
                 prev = finer
             out[cells.ravel()] = acc.reshape(-1, len(times))
+        out[:, times == 0] = u[:, None]
         return out
 
     def apply(self, u: np.ndarray, t: float) -> np.ndarray:
@@ -287,20 +229,24 @@ def solve_cauchy(basis: EigenBasis, u0: np.ndarray, t: float) -> np.ndarray:
 
 
 def t_grid(t_max: float, points: int = 64) -> np.ndarray:
-    """Endpoints plus log-spaced interior samples of [0, t_max]."""
+    """0, t_max and log-spaced samples from max(t_max * 1e-4, 5e-324) to t_max."""
     check_time(t_max, "t_max")
     if t_max == 0:
         return np.array([0.0])
-    interior = np.geomspace(t_max * 1e-4, t_max, points)
+    interior = np.geomspace(max(t_max * 1e-4, math.ulp(0.0)), t_max, points)
     return np.unique(np.concatenate([[0.0, t_max], interior]))
 
 
-def _mean_value_constant(alpha: float, a: float, b: float) -> float:
-    """alpha |a - b| / min(a,b)^(alpha+1), the derivative bound for x^-alpha."""
-    lo = min(a, b)
-    if lo <= 0:
-        raise BadKernel("mean-value constant needs positive rates on both sides")
-    return alpha * abs(a - b) / lo ** (alpha + 1.0)
+def _mean_value_constants(alpha: float, pairs, vol_disc: float) -> tuple[dict, float]:
+    """alpha |a - b| / min(a,b)^(alpha+1), the derivative bound for x^-alpha,
+    for each ((w, v), a, b) of ``pairs``, and vol_disc times their sum."""
+    constants, csum = {}, 0.0
+    for key, a, b in pairs:
+        if min(a, b) <= 0:
+            raise BadKernel("mean-value constant needs positive rates on both sides")
+        constants[key] = c = alpha * abs(a - b) / min(a, b) ** (alpha + 1.0)
+        csum += c * vol_disc
+    return constants, csum
 
 
 def truncation_bound(
@@ -328,21 +274,13 @@ def truncation_bound(
     dom, cut = truncated_domain(assign, ell, disc.level, spec)
 
     # ordered pairs of distinct vertex discs inside one cut ball
-    constants: dict = {}
     vol_disc = float(assign.p) ** -assign.m
-    labels = assign.labels
+    labels, idx = assign.labels, spec.label_index()
     node_of = dict(zip(labels, dom.block_index[dom.leaf_start].tolist()))
-    idx = spec.label_index()
-    csum = 0.0
-    for w in labels:
-        for v in labels:
-            if w == v or node_of[w] != node_of[v]:
-                continue
-            dist_p = padic_distance(assign.discs[w], assign.discs[v])
-            base = float(spec.base[idx[w], idx[v]])
-            c = _mean_value_constant(spec.alpha, dist_p, base)
-            constants[(w, v)] = c
-            csum += c * vol_disc
+    constants, csum = _mean_value_constants(spec.alpha, (
+        ((w, v), padic_distance(assign.discs[w], assign.discs[v]), float(spec.base[idx[w], idx[v]]))
+        for w in labels for v in labels if w != v and node_of[w] == node_of[v]
+    ), vol_disc)
 
     positions = disc.positions_in(dom)
     u_ext = np.zeros(len(dom))
@@ -400,17 +338,10 @@ def kernel_swap_bound(
     alpha = spec_a.alpha
     idx = spec_a.label_index()
     vol_disc = float(assign.p) ** -assign.m
-    constants: dict = {}
-    csum = 0.0
-    for w in spec_a.labels:
-        for v in spec_a.labels:
-            if w == v:
-                continue
-            a = float(spec_a.base[idx[w], idx[v]])
-            b = float(spec_b.base[idx[w], idx[v]])
-            c = _mean_value_constant(alpha, a, b)
-            constants[(w, v)] = c
-            csum += c * vol_disc
+    constants, csum = _mean_value_constants(alpha, (
+        ((w, v), float(spec_a.base[idx[w], idx[v]]), float(spec_b.base[idx[w], idx[v]]))
+        for w in spec_a.labels for v in spec_a.labels if w != v
+    ), vol_disc)
 
     A = generator(spec_a, assign, disc, "haar")
     B = generator(spec_b, assign, disc, "haar")

@@ -32,8 +32,10 @@ constant on the vertex discs:
   the evaluation point.  ``verify_eigenpair`` certifies every closed form
   against the assembled generator and is the authority on all of them.
 
-Functions constant on the discs are handled by the dense eigensolve of
-the measure-weighted vertex matrix (``laplacian_block_modes``).
+``ball_spectrum`` builds both parts once per domain (over the pure balls of
+a truncated domain) for ``full_basis``, ``laplacian_block_modes`` and the
+certify evolver of ``heat``.  Float sums run left to right, as the builtin
+``sum`` does only before Python 3.12.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .errors import (
     TrivialCharacter,
 )
 from .linalg import weighted_symmetric_eig
-from .operators import Bullet, GeneratorMatrix, KernelSpec, _leaf_indices, generator
+from .operators import Bullet, GeneratorMatrix, KernelSpec, _cross_rates, _leaf_indices, generator
 from .padic import CellDomain, DiscAssignment, PAdicCell, TreeMeasure
 from .ultraindex import Dendrogram, DendrogramNode
 
@@ -116,6 +118,12 @@ class EigenBasis:
 # --- Kozyrev wavelets ------------------------------------------------------------
 
 
+def _wavelet_values(p: int, d: int, j: int) -> np.ndarray:
+    """|B|^(-1/2) exp(2 pi i j a / p) for the branch digits a of a level-d ball."""
+    amp = float(p) ** (d / 2.0)
+    return np.array([amp * np.exp(2j * math.pi * j * a / p) for a in range(p)])
+
+
 def kozyrev_wavelet(
     assign: DiscAssignment, disc: CellDomain, B: PAdicCell, j: int
 ) -> np.ndarray:
@@ -136,10 +144,8 @@ def kozyrev_wavelet(
     if disc.level < d + 1:
         raise ValueError("discretisation too coarse to resolve the wavelet")
     cells = disc.ball_range(B)
-    amp = float(p) ** (d / 2.0)
-    values = np.array([amp * np.exp(2j * math.pi * j * a / p) for a in range(p)])
     out = np.zeros(len(disc), dtype=complex)
-    out[cells.start:cells.stop] = np.repeat(values, len(cells) // p)
+    out[cells.start:cells.stop] = np.repeat(_wavelet_values(p, d, j), len(cells) // p)
     return out
 
 
@@ -148,34 +154,35 @@ def kozyrev_local_eigenvalue(p: int, alpha: float, d: int, m: int) -> float:
 
     Shell-by-shell integral over the disc outside the ball plus the
     in-ball exchange term; strictly decreasing in d, independent of the
-    character index.
+    character index.  The shells are summed left to right.
     """
     if d < m:
         raise ValueError(f"ball level d={d} must be at least the disc level m={m}")
-    shells = sum(float(p) ** (k * (alpha - 1.0)) for k in range(m, d))
+    shells = 0.0
+    for k in range(m, d):
+        shells += float(p) ** (k * (alpha - 1.0))
     return -(1.0 - 1.0 / p) * shells - float(p) ** (d * (alpha - 1.0))
 
 
-def _disc_masses(spec: KernelSpec, assign: DiscAssignment, measure: str,
-                 tree_measure: TreeMeasure | None) -> dict:
-    """Mass of every vertex disc under the Haar or the tree measure."""
+def _disc_shifts(spec: KernelSpec, assign: DiscAssignment, measure: str,
+                 tree_measure: TreeMeasure | None, block: np.ndarray | None = None):
+    """Per disc in ``spec.labels`` order: its mass, its measure density s_v
+    and its escape rate sum_w k(v,w) mass(U_w), summed left to right over
+    the discs w outside v's block (``block``: one id per disc; default all)."""
     if measure == "haar":
-        return dict.fromkeys(spec.labels, float(assign.p) ** -assign.m)
-    if measure == "nu":
+        mass = np.full(len(spec.labels), float(assign.p) ** -assign.m)
+        scale = np.ones(len(spec.labels))
+    elif measure == "nu":
         if tree_measure is None:
             raise BadKernel("nu measure requires a TreeMeasure")
-        return {w: float(tree_measure.leaf_mass(w)) for w in spec.labels}
-    raise BadKernel(f"unknown measure {measure!r}")
-
-
-def _kozyrev_shift(spec: KernelSpec, assign: DiscAssignment, v, measure: str,
-                   masses: dict, rates: np.ndarray) -> tuple[float, float]:
-    """(s_v, sum_w k(v,w) mass(U_w)): the scale of the local part and the
-    escape rate of disc v, from precomputed disc masses and cross rates."""
-    scale = 1.0 if measure == "haar" else masses[v] * float(assign.p) ** assign.m
-    iv = spec.labels.index(v)
-    escape = sum(rates[iv, iw] * masses[w] for iw, w in enumerate(spec.labels) if w != v)
-    return scale, escape
+        mass = np.array([float(tree_measure.leaf_mass(w)) for w in spec.labels])
+        scale = mass * float(assign.p) ** assign.m
+    else:
+        raise BadKernel(f"unknown measure {measure!r}")
+    terms = spec.cross_rates() * mass[None, :]
+    if block is not None:
+        terms[block[:, None] == block[None, :]] = 0.0
+    return mass, scale, np.cumsum(terms, axis=1)[:, -1]
 
 
 def kozyrev_eigenvalue(
@@ -188,9 +195,9 @@ def kozyrev_eigenvalue(
 ) -> float:
     """Closed-form generator eigenvalue of the Kozyrev wavelet in B inside disc v."""
     local = kozyrev_local_eigenvalue(assign.p, spec.alpha, B.level, assign.m)
-    masses = _disc_masses(spec, assign, measure, tree_measure)
-    scale, escape = _kozyrev_shift(spec, assign, v, measure, masses, spec.cross_rates())
-    return scale * local - escape
+    _, scale, escape = _disc_shifts(spec, assign, measure, tree_measure)
+    iv = spec.labels.index(v)
+    return float(scale[iv] * local - escape[iv])
 
 
 # --- ultrametric wavelets -----------------------------------------------------------
@@ -255,7 +262,76 @@ def ultrametric_eigenvalue(
     return gamma
 
 
-# --- disc-constant block -----------------------------------------------------------
+# --- the closed-form spectrum of a cell domain ---------------------------------------
+
+
+@dataclass(frozen=True)
+class BallSpectrum:
+    """Pure ball a starts at cell ``starts[a]``, spans ``sizes[a]`` cells, has
+    level ``levels[a]``, measure ``mass[a]`` and density ``scale[a]``, and
+    level-d wavelet eigenvalue ``kozyrev[a, d - levels[a]]`` (NaN from level
+    n on); ``evals`` and ``vecs`` (orthonormal under ``mass``) do the rest."""
+
+    starts: np.ndarray
+    sizes: np.ndarray
+    levels: np.ndarray
+    mass: np.ndarray
+    scale: np.ndarray
+    kozyrev: np.ndarray
+    evals: np.ndarray
+    vecs: np.ndarray
+
+
+def ball_spectrum(
+    spec: KernelSpec,
+    dom: CellDomain,
+    measure: str = "haar",
+    tree_measure: TreeMeasure | None = None,
+) -> BallSpectrum:
+    """The closed-form spectrum on a discretisation (Haar or tree measure) or
+    a truncated domain (Haar), with no N x N array.  A disc's pure ball is
+    the whole disc; filler has the Haar measure and no escape."""
+    if dom.cut_level is not None and measure != "haar":
+        raise ValueError("truncated domains are discretised with the Haar measure")
+    p, n = dom.p, dom.level
+    starts, levels = dom.pure_balls()
+    leaf = _leaf_indices(spec, dom.assignment, dom)[starts]
+    block = dom.block_index[starts]
+    disc_block = np.empty(len(spec.labels), dtype=np.int64)
+    disc_block[leaf[leaf >= 0]] = block[leaf >= 0]
+    mass, scale, escape = _disc_shifts(spec, dom.assignment, measure, tree_measure, disc_block)
+    mass = np.where(leaf >= 0, np.append(mass, 0.0)[leaf], float(p) ** -levels)
+    scale, escape = np.append(scale, 1.0)[leaf], np.append(escape, 0.0)[leaf]
+
+    rates = _cross_rates(spec)[np.ix_(leaf, leaf)]
+    same = block[:, None] == block[None, :]
+    # common prefix of two balls of one block: n minus the number of
+    # base-p truncations under which their first cells' offsets differ
+    q = starts - np.searchsorted(dom.block_index, block)
+    j = np.full(rates.shape, n)
+    while q.any():
+        j -= q[:, None] != q[None, :]
+        q = q // p
+    rates[same] = ((float(p) ** -j) ** -spec.alpha)[same]
+    L = rates * mass[None, :]
+    np.fill_diagonal(L, 0.0)
+    np.fill_diagonal(L, -L.sum(axis=1))
+    evals, vecs, _ = weighted_symmetric_eig(L, mass)
+
+    block_level = np.array([ball.level for ball in dom.balls])[block]
+    local = np.full((len(starts), n - int(levels.min())), np.nan)
+    for b, d0 in sorted(set(zip(block_level.tolist(), levels.tolist()))):
+        rows = (block_level == b) & (levels == d0)
+        local[rows, :n - d0] = [kozyrev_local_eigenvalue(p, spec.alpha, d, b)
+                                for d in range(d0, n)]
+    kozyrev = scale[:, None] * local - escape[:, None]
+    return BallSpectrum(starts, p ** (n - levels), levels, mass, scale, kozyrev, evals, vecs)
+
+
+def _block_pairs(spectrum: BallSpectrum) -> list[EigenPair]:
+    lifted = np.repeat(spectrum.vecs, spectrum.sizes, axis=0)
+    return [EigenPair("block", "discs", k, float(lam), lifted[:, k])
+            for k, lam in enumerate(spectrum.evals)]
 
 
 def laplacian_block_modes(
@@ -265,22 +341,10 @@ def laplacian_block_modes(
     measure: str = "haar",
     tree_measure: TreeMeasure | None = None,
 ) -> list[EigenPair]:
-    """Eigenpairs of the vertex-level matrix k(v,w) * mass(U_w), lifted to
-    functions constant on each disc and normalised in the cell inner
+    """Eigenpairs of the vertex matrix k(v,w) * mass(U_w) (``ball_spectrum``),
+    lifted to functions constant on each disc, normalised in the cell inner
     product.  All eigenvalues are non-positive."""
-    labels = spec.labels
-    mass = np.array(list(_disc_masses(spec, assign, measure, tree_measure).values()))
-    rates = spec.cross_rates()
-    L = rates * mass[None, :]
-    np.fill_diagonal(L, 0.0)
-    np.fill_diagonal(L, -L.sum(axis=1))
-    evals, vecs, _ = weighted_symmetric_eig(L, mass)
-    leaf_idx = _leaf_indices(spec, assign, disc)
-    out = []
-    for k in range(len(labels)):
-        lifted = vecs[leaf_idx, k]
-        out.append(EigenPair("block", "discs", k, float(evals[k]), lifted))
-    return out
+    return _block_pairs(ball_spectrum(spec, disc, measure, tree_measure))
 
 
 _VERIFY_BLOCK = 256  # columns per matrix product in a batched check
@@ -320,15 +384,6 @@ def verify_eigenpair(A: GeneratorMatrix, psi: np.ndarray, lam):
 # --- full bases ----------------------------------------------------------------------
 
 
-def _balls_by_level(assign: DiscAssignment, disc: CellDomain, label):
-    """The balls of each level m..n-1 inside the labelled vertex disc, one
-    list per level."""
-    prefix = assign.discs[label].digits
-    for d in range(assign.m, disc.level):
-        suffixes = itertools.product(range(assign.p), repeat=d - assign.m)
-        yield [PAdicCell(assign.p, prefix + suffix) for suffix in suffixes]
-
-
 def full_basis(
     spec: KernelSpec,
     assign: DiscAssignment,
@@ -348,7 +403,7 @@ def full_basis(
     the basis keeps.
     """
     gen = generator(spec, assign, disc, measure, tree_measure)
-    p = assign.p
+    p, m, n = assign.p, assign.m, disc.level
     n_cells = len(disc)
     psi = np.zeros((n_cells, n_cells), dtype=complex)
     meta: list[tuple] = []  # (kind, support, index, lam) per column
@@ -358,19 +413,22 @@ def full_basis(
             psi[:, len(meta)] = vec
         meta.append((kind, support, index, lam))
 
-    masses = _disc_masses(spec, assign, measure, tree_measure)
-    rates = spec.cross_rates()
-    for label in assign.labels:
-        s_v, escape = _kozyrev_shift(spec, assign, label, measure, masses, rates)
-        for balls in _balls_by_level(assign, disc, label):
-            local = kozyrev_local_eigenvalue(p, spec.alpha, balls[0].level, assign.m)
-            lam = s_v * local - escape
-            for B in balls:
-                for j in range(1, p):
-                    vec = kozyrev_wavelet(assign, disc, B, j)
-                    if measure == "nu":
-                        vec = vec / math.sqrt(s_v)
-                    add("kozyrev", f"{label}:{B}", j, lam, vec)
+    spectrum = ball_spectrum(spec, disc, measure, tree_measure)
+    for k, label in enumerate(assign.labels):  # pure ball k is this disc
+        prefix = "".join(map(str, assign.discs[label].digits))
+        suffixes = [""]  # the digits below the disc of its level-d balls, in digit order
+        for d in range(m, n):
+            values = np.array([_wavelet_values(p, d, j) for j in range(1, p)])
+            if measure == "nu":
+                values = values / math.sqrt(spectrum.scale[k])
+            balls, size, col = len(suffixes), p ** (n - d), len(meta)
+            cells = psi[spectrum.starts[k]:, col:][:balls * size, :balls * (p - 1)]
+            r = np.arange(balls)  # ball r, digit a, index j: row a * size / p, column j - 1
+            cells.reshape(balls, p, size // p, balls, p - 1)[r, :, :, r] = values.T[:, None, :]
+            lam = float(spectrum.kozyrev[k, d - m])
+            meta += [("kozyrev", f"{label}:{prefix + s or '()'}", j, lam)
+                     for s in suffixes for j in range(1, p)]
+            suffixes = [s + str(a) for s in suffixes for a in range(p)]
 
     if measure == "nu" and spec.bullet is Bullet.ULTRAMETRIC:
         dend = assign.dendrogram
@@ -383,7 +441,7 @@ def full_basis(
                 add("ultrametric", support, k, gamma,
                     ultrametric_wavelet(dend, tree_measure, disc, node, k))
     else:
-        for pair in laplacian_block_modes(spec, assign, disc, measure, tree_measure):
+        for pair in _block_pairs(spectrum):
             add(pair.kind, pair.support, pair.index, pair.lam, pair.psi)
 
     if len(meta) != n_cells:

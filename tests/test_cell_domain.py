@@ -12,6 +12,7 @@ from ultraheat import (
     PAdicCell,
     discretize,
     embed,
+    full_basis,
     generator,
     kozyrev_wavelet,
     tree_measure,
@@ -133,6 +134,7 @@ def test_domains_and_generators_build_no_cell_objects(monkeypatch):
         for measure, tm in (("haar", None), ("nu", nu)):
             gen = generator(spec, assign, disc, measure, tm)
             assert gen.cells is disc.cells
+            full_basis(spec, assign, disc, measure, tm)
         for ell in range(1, dend.max_level + 1):
             generator(spec, assign, truncated_domain(assign, ell, n)[0])
     assert built == []

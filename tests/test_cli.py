@@ -1,10 +1,11 @@
 """End-to-end CLI behaviour: schemas, determinism, exit codes."""
 
 import json
+import math
 
 import pytest
 
-from ultraheat import heat
+from ultraheat import heat, spectra
 from ultraheat.cli import main
 from ultraheat.serialize import canonical_dumps
 
@@ -412,6 +413,7 @@ def test_converge_rejects_levels_before_any_eigensolve(tmp_path, capsys, monkeyp
         raise AssertionError("an eigensolve ran before the levels were checked")
 
     monkeypatch.setattr(heat, "weighted_symmetric_eig", unreachable)
+    monkeypatch.setattr(spectra, "weighted_symmetric_eig", unreachable)
     index = index_fixture(tmp_path)
     m = json.loads(index.read_text())["assignment"]["m"]
     for levels in (f"{m},{m + 1}", f"{m + 1},{m + 3}"):
@@ -555,3 +557,45 @@ def test_parser_is_built_once_and_parses_each_call_afresh(tmp_path, capsys):
     assert second["metrics"]["parallelism"] == 1  # the default, not the last value seen
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--bullet", "ultrametric", "--levels", "4,x", "--reference", "5"],
+    ["converge", "--bullet", "ultrametric", "--levels", "", "--reference", "5"],
+    ["decode", "--primes", "a,3"],
+], ids=["levels-not-int", "levels-empty", "primes-not-int"])
+def test_integer_lists_that_do_not_parse_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--input", str(tmp_path / "in.json"), "--output", str(out), *argv[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and ("--levels" if argv[0] == "converge" else "--primes") in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_subnormal_time_still_gets_a_grid(tmp_path, capsys):
+    index = index_fixture(tmp_path)
+    bounds = tmp_path / "bounds.json"
+    assert main(["bounds", "--input", str(index), "--output", str(bounds), "--level", "4",
+                 "--truncate", "1", "--t", "1e-320"]) == 0
+    assert json.loads(bounds.read_text())["theoretical_bound"] > 0.0
+    assert main(["converge", "--input", str(index), "--output", str(tmp_path / "c.tsv"),
+                 "--bullet", "ultrametric", "--levels", "4,5", "--reference", "5",
+                 "--tau", "1e-320"]) == 0
+    capsys.readouterr()
+
+
+def test_bounds_constants_sum_runs_left_to_right(tmp_path, capsys, monkeypatch):
+    """1 + 1e-16 + 1e-16 is 1.0 summed left to right, but 1 + 2^-52 under
+    math.fsum (and the builtin sum of Python >= 3.12)."""
+    constants = {("a", "b"): 1.0, ("a", "c"): 1e-16, ("b", "c"): 1e-16}
+    report = heat.BoundReport(0.0, 1.0, 1.0, constants, {})
+    monkeypatch.setattr(heat, "truncation_bound", lambda *args: report)
+    index = index_fixture(tmp_path)
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", "--input", str(index), "--output", str(out), "--level", "4",
+                 "--truncate", "1"]) == 0
+    assert json.loads(out.read_text())["constants_sum"] == 1.0 != math.fsum(constants.values())
+    capsys.readouterr()

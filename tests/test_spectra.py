@@ -117,6 +117,14 @@ def test_kozyrev_local_eigenvalue_frozen_value():
     assert kozyrev_local_eigenvalue(3, 1.0, 1, 0) == pytest.approx(-5.0 / 3.0)
 
 
+def test_kozyrev_local_eigenvalue_sums_its_shells_left_to_right():
+    """Frozen on a case where the left-to-right sum of the shells and
+    math.fsum (the builtin sum of Python >= 3.12) round apart."""
+    shells = [2.0 ** (k * (1.3 - 1.0)) for k in range(3)]
+    assert kozyrev_local_eigenvalue(2, 1.3, 3, 0) == -3.739496473001272
+    assert -(1 - 1 / 2) * math.fsum(shells) - 2.0 ** (3 * (1.3 - 1.0)) == -3.7394964730012723
+
+
 def test_kozyrev_eigenvalue_certifies_single_disc():
     dend, assign = single_leaf(p=3)
     spec = KernelSpec(Bullet.ULTRAMETRIC, 1.0, ("a",), np.zeros((1, 1)))
@@ -483,3 +491,24 @@ def test_full_basis_kozyrev_eigenvalues_equal_the_closed_form_bit_for_bit():
                 label, digits = pair.support.split(":")
                 B = PAdicCell(assign.p, tuple(int(d) for d in digits))
                 assert pair.lam == kozyrev_eigenvalue(spec, assign, B, label, measure, tm)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_full_basis_kozyrev_columns_equal_the_wavelets_bit_for_bit(p):
+    rng = np.random.default_rng(113 + p)
+    dend = random_dendrogram(rng, 4, max_children=p)
+    assign = embed(dend, p)
+    nu = tree_measure(dend)
+    disc = discretize(assign, assign.m + (3 if p == 2 else 2))
+    spec = ultra_spec(dend, alpha=1.5)
+    for measure, tm in (("haar", None), ("nu", nu)):
+        pairs = [pair for pair in full_basis(spec, assign, disc, measure, tm)
+                 if pair.kind == "kozyrev"]
+        assert len(pairs) == len(disc) - len(assign.labels)
+        for pair in pairs:
+            label, digits = pair.support.split(":")
+            B = PAdicCell(p, tuple(int(d) for d in digits))
+            expected = kozyrev_wavelet(assign, disc, B, pair.index)
+            if measure == "nu":
+                expected = expected / math.sqrt(float(nu.leaf_mass(label)) * float(p) ** assign.m)
+            assert np.array_equal(pair.psi, expected)
