@@ -141,6 +141,8 @@ def cmd_toposort(args) -> int:
     if args.index:
         assign, _ = serialize.index_from_obj(serialize.load_json(args.index))
         dend = assign.dendrogram
+        if set(dend.labels) != set(dag.vertices):
+            raise errors.ParseError("the index's vertices are not the DAG's vertices")
     else:
         if not weights:
             weights = {frozenset(e): 1.0 for e in dag.edges}
@@ -178,18 +180,11 @@ def _spec_from_index(args, assign, weights) -> operators.KernelSpec:
     return operators.KernelSpec(bullet, args.alpha, labels, base)
 
 
-def _measure_args(args, assign):
-    if args.measure == "nu":
-        return "nu", padic.tree_measure(assign.dendrogram)
-    return "haar", None
-
-
 def cmd_spectrum(args) -> int:
     assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
     spec = _spec_from_index(args, assign, weights)
     disc = padic.discretize(assign, args.level)
-    measure, tm = _measure_args(args, assign)
-    basis = spectra.full_basis(spec, assign, disc, measure, tm)
+    basis = spectra.full_basis(spec, disc, args.measure)
     digest = serialize.spectrum_export(args.output, basis)
     _summary("spectrum", [{"path": args.output, "sha256": digest}], {
         "cells": len(disc.cells),
@@ -205,8 +200,7 @@ def cmd_heat(args) -> int:
     assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
     spec = _spec_from_index(args, assign, weights)
     disc = padic.discretize(assign, args.level)
-    measure, tm = _measure_args(args, assign)
-    basis = spectra.full_basis(spec, assign, disc, measure, tm)
+    basis = spectra.full_basis(spec, disc, args.measure)
     table = heat.heat_kernel(basis, args.t)
     gen = basis.generator
     T = heat.semigroup(gen, args.t)
@@ -230,7 +224,7 @@ def cmd_bounds(args) -> int:
     if args.truncate is not None:
         spec = _spec_from_index(args, assign, weights)
         u = rng.uniform(-1, 1, len(disc.cells))
-        report = heat.truncation_bound(spec, assign, disc, args.truncate, args.t, u)
+        report = heat.truncation_bound(spec, disc, args.truncate, args.t, u)
         meta = {"mode": "truncate", "ell": args.truncate}
     else:
         name_a, name_b = args.swap
@@ -238,7 +232,7 @@ def cmd_bounds(args) -> int:
         args_b = argparse.Namespace(bullet=name_b, alpha=args.alpha)
         spec_a = _spec_from_index(args_a, assign, weights)
         spec_b = _spec_from_index(args_b, assign, weights)
-        report = heat.kernel_swap_bound(spec_a, spec_b, assign, disc, args.t)
+        report = heat.kernel_swap_bound(spec_a, spec_b, disc, args.t)
         meta = {"mode": "swap", "pair": [name_a, name_b]}
     obj = {
         "measured_sup_error": report.measured_sup_error,
@@ -262,10 +256,9 @@ def cmd_bounds(args) -> int:
 def cmd_converge(args) -> int:
     assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
     spec = _spec_from_index(args, assign, weights)
-    measure, tm = _measure_args(args, assign)
     rng = np.random.default_rng(args.seed)
     u0 = rng.uniform(-1, 1, padic.cell_count(assign, args.reference))
-    rows = heat.convergence_study(spec, assign, u0, args.levels, args.tau, measure, tm)
+    rows = heat.convergence_study(spec, assign, u0, args.levels, args.tau, args.measure)
     text = "n\tgap\n" + "".join(f"{n}\t{gap:.17g}\n" for n, gap in rows)
     Path(args.output).write_text(text, encoding="utf-8")
     digest = hashlib.sha256(text.encode()).hexdigest()

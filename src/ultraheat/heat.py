@@ -11,7 +11,10 @@ The certify routines (``truncation_bound``, ``convergence_study``) evolve
 without the N x N generator, through the closed-form pure-ball spectrum
 of ``spectra.ball_spectrum``, and evolve u to u itself at t = 0.  The
 dense ``semigroup`` stays the independent second route and the test
-oracle.  Every time must be finite and non-negative (``NegativeTime``).
+oracle.  Every routine over cells takes the ``CellDomain`` alone and reads
+the assignment and its tree measure from it; ``convergence_study`` builds
+its discretisations from the assignment it is given.  Every time must be
+finite and non-negative (``NegativeTime``).
 
 Certified bounds
 ----------------
@@ -55,7 +58,7 @@ from .errors import (
 )
 from .linalg import weighted_symmetric_eig
 from .operators import GeneratorMatrix, KernelSpec, generator, truncated_domain
-from .padic import CellDomain, DiscAssignment, TreeMeasure, discretize, padic_distance
+from .padic import CellDomain, DiscAssignment, discretize, padic_distance
 from .spectra import EigenBasis, ball_spectrum
 
 
@@ -109,7 +112,7 @@ class _Evolver:
     def __init__(self, A: GeneratorMatrix):
         self.measure = A.measure
         self.d = np.sqrt(A.measure)
-        evals, vecs, _ = weighted_symmetric_eig(A.matrix, A.measure)
+        evals, vecs = weighted_symmetric_eig(A.matrix, A.measure)
         self.evals = evals
         self.Q = vecs * self.d[:, None]  # orthonormal columns of the symmetrisation
 
@@ -128,9 +131,8 @@ class _BallEvolver:
     eigenpairs.
     """
 
-    def __init__(self, spec: KernelSpec, dom: CellDomain, measure: str = "haar",
-                 tree_measure: TreeMeasure | None = None):
-        spectrum = ball_spectrum(spec, dom, measure, tree_measure)
+    def __init__(self, spec: KernelSpec, dom: CellDomain, measure: str = "haar"):
+        spectrum = ball_spectrum(spec, dom, measure)
         self.p, self.level, self.groups, self.evals = dom.p, dom.level, [], spectrum.evals
         self.d = np.sqrt(spectrum.mass)
         self.Q = spectrum.vecs * self.d[:, None]
@@ -251,7 +253,6 @@ def _mean_value_constants(alpha: float, pairs, vol_disc: float) -> tuple[dict, f
 
 def truncation_bound(
     spec: KernelSpec,
-    assign: DiscAssignment,
     disc: CellDomain,
     ell: int,
     t_max: float,
@@ -271,6 +272,7 @@ def truncation_bound(
     u = np.asarray(u, dtype=float)
     if u.shape != (len(disc),):
         raise DimensionMismatch(f"u of shape {u.shape} over {len(disc)} cells")
+    assign = disc.assignment
     dom, cut = truncated_domain(assign, ell, disc.level, spec)
 
     # ordered pairs of distinct vertex discs inside one cut ball
@@ -323,7 +325,6 @@ def truncation_bound(
 def kernel_swap_bound(
     spec_a: KernelSpec,
     spec_b: KernelSpec,
-    assign: DiscAssignment,
     disc: CellDomain,
     t: float,
 ) -> BoundReport:
@@ -337,14 +338,14 @@ def kernel_swap_bound(
         raise ValueError("kernel specs must share alpha")
     alpha = spec_a.alpha
     idx = spec_a.label_index()
-    vol_disc = float(assign.p) ** -assign.m
+    vol_disc = float(disc.p) ** -disc.assignment.m
     constants, csum = _mean_value_constants(alpha, (
         ((w, v), float(spec_a.base[idx[w], idx[v]]), float(spec_b.base[idx[w], idx[v]]))
         for w in spec_a.labels for v in spec_a.labels if w != v
     ), vol_disc)
 
-    A = generator(spec_a, assign, disc, "haar")
-    B = generator(spec_b, assign, disc, "haar")
+    A = generator(spec_a, disc, "haar")
+    B = generator(spec_b, disc, "haar")
     Ta = semigroup(A, t).matrix
     Tb = semigroup(B, t).matrix
     measured = float(np.max(np.abs(Ta - Tb).sum(axis=1)))
@@ -409,7 +410,6 @@ def convergence_study(
     n_range,
     tau: float,
     measure: str = "haar",
-    tree_measure=None,
 ) -> list[tuple[int, float]]:
     """Sup-over-time gap between coarse evolutions and the reference.
 
@@ -433,7 +433,7 @@ def convergence_study(
     for n in levels:
         if not assign.m < n <= n_ref:
             raise InvalidLevel(f"level {n} outside ({assign.m}, {n_ref}]")
-    ev_ref = _BallEvolver(spec, disc_ref, measure, tree_measure)
+    ev_ref = _BallEvolver(spec, disc_ref, measure)
     grid = t_grid(tau)
     refs = ev_ref.over_grid(u0, grid)
 
@@ -443,7 +443,7 @@ def convergence_study(
             disc_n, ev_n = disc_ref, ev_ref
         else:
             disc_n = discretize(assign, n)
-            ev_n = _BallEvolver(spec, disc_n, measure, tree_measure)
+            ev_n = _BallEvolver(spec, disc_n, measure)
         un0 = project_pointwise(disc_ref, disc_n, u0)
         lifted = embed_piecewise(disc_n, disc_ref, ev_n.over_grid(un0, grid))
         rows.append((n, float(np.max(np.abs(lifted - refs)))))

@@ -7,17 +7,16 @@ import numpy as np
 from .errors import NotSelfAdjoint
 
 
-def weighted_symmetric_eig(L: np.ndarray, masses: np.ndarray, degenerate_gap: float = 1e-9):
+def weighted_symmetric_eig(L: np.ndarray, masses: np.ndarray):
     """Eigenpairs of an operator self-adjoint w.r.t. diag(masses).
 
-    Works on the symmetrisation S = D^(1/2) L D^(-1/2); eigenvectors are
-    mapped back so that columns are orthonormal in the weighted inner
-    product.  Eigenvalues closer than ``degenerate_gap`` are treated as
-    one multiplet and re-orthonormalised jointly; signs are fixed so the
+    Works on the symmetrisation S = D^(1/2) L D^(-1/2), whose ``eigh``
+    columns are orthonormal; eigenvectors are mapped back so that columns
+    are orthonormal in the weighted inner product.  Signs are fixed so the
     output is reproducible.
 
-    Returns (eigenvalues ascending, eigenvector columns, multiplicities).
-    Raises ``NotSelfAdjoint`` when the symmetrisation is not symmetric and
+    Returns (eigenvalues ascending, eigenvector columns).  Raises
+    ``NotSelfAdjoint`` when the symmetrisation is not symmetric and
     ``ValueError`` when a mass is not positive.
     """
     masses = np.asarray(masses, dtype=float)
@@ -32,19 +31,8 @@ def weighted_symmetric_eig(L: np.ndarray, masses: np.ndarray, degenerate_gap: fl
     S = 0.5 * (S + S.T)
     evals, Q = np.linalg.eigh(S)
 
-    # group numerically degenerate clusters and re-orthonormalise each
-    mults = np.ones(len(evals), dtype=int)
-    bounds = np.flatnonzero(~(np.diff(evals) < degenerate_gap)) + 1
-    starts = np.concatenate([[0], bounds])
-    stops = np.concatenate([bounds, [len(evals)]])
-    multi = stops - starts > 1
-    for start, stop in zip(starts[multi].tolist(), stops[multi].tolist()):
-        block, _ = np.linalg.qr(Q[:, start:stop])
-        Q[:, start:stop] = block
-        mults[start:stop] = stop - start
-
     # make each column's entry of largest magnitude positive (first one on ties)
     pivots = np.argmax(np.abs(Q), axis=0)
     Q[:, Q[pivots, np.arange(Q.shape[1])] < 0] *= -1.0
     vectors = Q / d[:, None]
-    return evals, vectors, mults
+    return evals, vectors

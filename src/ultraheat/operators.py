@@ -13,11 +13,13 @@ inside a cut node's ball by the Vladimirov rate, and widens the domain by
 the filler cells of the cut balls not covered by any vertex disc.
 
 Both domains are one ``padic.CellDomain``, with a block per vertex disc
-or per cut node.  A block's cells are numbered in digit order, so two of
-them share the block ball's level plus the common prefix of their offsets
-in the block: one Vladimirov table per ball level serves every block of
-that level.  A malformed kernel base, labels that differ from the
-assignment, or an unknown measure raise ``BadKernel`` (exit 25).
+or per cut node; the domain is the one handle on its assignment, and the
+tree measure is the assignment's own (``measure="nu"``).  A block's cells
+are numbered in digit order, so two of them share the block ball's level
+plus the common prefix of their offsets in the block: one Vladimirov
+table per ball level serves every block of that level.  A malformed
+kernel base, labels that differ from the assignment, or an unknown
+measure raise ``BadKernel`` (exit 25).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadAlpha, BadKernel, CellOutsideZ, InvalidLevel, TooManyCells
-from .padic import CellDomain, DiscAssignment, PAdicCell, TreeMeasure, padic_distance
+from .padic import CellDomain, DiscAssignment, PAdicCell, padic_distance
 
 
 class Bullet(str, Enum):
@@ -85,14 +87,14 @@ class KernelSpec:
         return {l: i for i, l in enumerate(self.labels)}
 
 
-def _leaf_indices(spec: KernelSpec, assign: DiscAssignment, disc: CellDomain) -> np.ndarray:
+def _leaf_indices(spec: KernelSpec, dom: CellDomain) -> np.ndarray:
     """Position in ``spec.labels`` of the vertex disc of every cell, -1 for
     filler."""
-    if set(spec.labels) != set(assign.labels):
+    if set(spec.labels) != set(dom.assignment.labels):
         raise BadKernel("kernel labels do not match the disc assignment")
     idx = spec.label_index()
-    per_leaf = [idx[label] for label in disc.assignment.labels]
-    return np.array(per_leaf + [-1])[disc.leaf_index]
+    per_leaf = [idx[label] for label in dom.assignment.labels]
+    return np.array(per_leaf + [-1])[dom.leaf_index]
 
 
 def _cross_rates(spec: KernelSpec) -> np.ndarray:
@@ -113,12 +115,12 @@ def _prefix_table(p: int, ball_level: int, level: int) -> np.ndarray:
     return j + ball_level
 
 
-def kernel_matrix(spec: KernelSpec, assign: DiscAssignment, disc: CellDomain) -> np.ndarray:
+def kernel_matrix(spec: KernelSpec, disc: CellDomain) -> np.ndarray:
     """k_p over all cell pairs: the cross rate between the discs of cells in
     different blocks (none from filler), overwritten inside every block (a
     vertex disc, or a cut ball of a truncated domain) by the Vladimirov
     rates of one prefix table per ball level; zero on the diagonal."""
-    leaf_idx = _leaf_indices(spec, assign, disc)
+    leaf_idx = _leaf_indices(spec, disc)
     K = _cross_rates(spec)[np.ix_(leaf_idx, leaf_idx)]
     tables: dict = {}
     for ball in disc.balls:
@@ -202,53 +204,39 @@ def _assemble(K, measure_vec, cells, leaf_labels, level, measure_kind, bullet, a
     )
 
 
-def generator(
-    spec: KernelSpec,
-    assign: DiscAssignment,
-    disc: CellDomain,
-    measure: str = "haar",
-    tree_measure: TreeMeasure | None = None,
-) -> GeneratorMatrix:
+def generator(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> GeneratorMatrix:
     """Exact matrix of the jump operator on level-n locally constant functions.
 
     ``disc`` is a discretisation or a truncated domain; the latter takes
-    the Haar measure only.  The cell count is checked against the dense
-    limit before any N x N array is allocated.
+    the Haar measure only, the former also its assignment's tree measure
+    ("nu").  The cell count is checked against the dense limit before any
+    N x N array is allocated.
     """
-    if disc.cut_level is not None and measure != "haar":
-        raise ValueError("truncated domains are discretised with the Haar measure")
     _check_dense(len(disc))
-    mvec = _measure_vector(disc, measure, tree_measure)
+    mvec = _measure_vector(disc, measure)
     return _assemble(
-        kernel_matrix(spec, assign, disc), mvec, disc.cells, disc.leaf_labels, disc.level,
+        kernel_matrix(spec, disc), mvec, disc.cells, disc.leaf_labels, disc.level,
         measure, spec.bullet, spec.alpha,
     )
 
 
-def _measure_vector(disc: CellDomain, measure: str, tree_measure: TreeMeasure | None):
+def _measure_vector(disc: CellDomain, measure: str):
     if measure == "haar":
         return disc.haar_volumes()
     if measure == "nu":
-        if tree_measure is None:
-            raise BadKernel("nu measure requires a TreeMeasure")
-        return disc.nu_volumes(tree_measure)
+        if disc.cut_level is not None:
+            raise ValueError("truncated domains are discretised with the Haar measure")
+        return disc.nu_volumes()
     raise BadKernel(f"unknown measure {measure!r}")
 
 
-def degree(
-    spec: KernelSpec,
-    assign: DiscAssignment,
-    disc: CellDomain,
-    x: PAdicCell,
-    measure: str = "haar",
-    tree_measure: TreeMeasure | None = None,
-) -> float:
+def degree(spec: KernelSpec, disc: CellDomain, x: PAdicCell, measure: str = "haar") -> float:
     """Total jump rate out of cell x (off-diagonal row sum of the generator):
     x's row of the cross rates, overwritten on x's block by its row of the
     block's prefix table."""
     i = disc.index_of(x)
-    mvec = _measure_vector(disc, measure, tree_measure)
-    leaf_idx = _leaf_indices(spec, assign, disc)
+    mvec = _measure_vector(disc, measure)
+    leaf_idx = _leaf_indices(spec, disc)
     rates = _cross_rates(spec)[leaf_idx[i], leaf_idx]
     ball = disc.balls[disc.block_index[i]]
     cells = disc.ball_range(ball)

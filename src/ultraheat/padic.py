@@ -9,7 +9,8 @@ so that the p-adic distance between two leaf discs determines the
 ultrametric distance through a single strictly increasing lookup table.
 
 The tree measure gives the root mass 1 and splits every node's mass
-equally among its children, kept in exact rationals.
+equally among its children, kept in exact rationals; an assignment builds
+it once, on first read (``DiscAssignment.nu``).
 
 The operators act on one cell domain (``CellDomain``): disjoint balls,
 each cut into its level-n cells, numbered ball by ball in digit order.
@@ -21,6 +22,7 @@ type of a single ball, built only when a cell is read.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -139,6 +141,11 @@ class DiscAssignment:
     def labels(self) -> tuple:
         return tuple(sorted(self.discs, key=str))
 
+    @functools.cached_property
+    def nu(self) -> "TreeMeasure":
+        """The tree measure of the dendrogram, built on first read."""
+        return tree_measure(self.dendrogram)
+
 
 def embed(dend: Dendrogram, p: int | None = None) -> DiscAssignment:
     """Embed a dendrogram as disjoint equal-radius discs in Z_p.
@@ -185,9 +192,6 @@ class TreeMeasure:
 
     def of(self, node: DendrogramNode) -> Fraction:
         return self.masses[id(node)]
-
-    def float_of(self, node: DendrogramNode) -> float:
-        return float(self.masses[id(node)])
 
     def leaf_mass(self, label) -> Fraction:
         return self.masses[id(self.dendrogram.leaves[label])]
@@ -325,10 +329,12 @@ class CellDomain:
     def haar_volumes(self) -> np.ndarray:
         return np.full(len(self), float(self.p) ** -self.level)
 
-    def nu_volumes(self, measure: TreeMeasure) -> np.ndarray:
-        """Leaf mass split equally over the leaf's level-n cells; filler has none."""
+    def nu_volumes(self) -> np.ndarray:
+        """The assignment's tree measure of each leaf, split equally over the
+        leaf's level-n cells; filler has none."""
         per_leaf = self.p ** (self.level - self.assignment.m)
-        masses = [float(measure.leaf_mass(label) / per_leaf) for label in self.assignment.labels]
+        nu = self.assignment.nu
+        masses = [float(nu.leaf_mass(label) / per_leaf) for label in self.assignment.labels]
         return np.array(masses + [0.0])[self.leaf_index]
 
     @property

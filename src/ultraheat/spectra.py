@@ -34,8 +34,10 @@ constant on the vertex discs:
 
 ``ball_spectrum`` builds both parts once per domain (over the pure balls of
 a truncated domain) for ``full_basis``, ``laplacian_block_modes`` and the
-certify evolver of ``heat``.  Float sums run left to right, as the builtin
-``sum`` does only before Python 3.12.
+certify evolver of ``heat``.  Every function that acts on cells takes the
+``CellDomain`` alone and reads the assignment, the dendrogram and the tree
+measure nu from it.  Float sums run left to right, as the builtin ``sum``
+does only before Python 3.12.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .errors import (
 from .linalg import weighted_symmetric_eig
 from .operators import Bullet, GeneratorMatrix, KernelSpec, _cross_rates, _leaf_indices, generator
 from .padic import CellDomain, DiscAssignment, PAdicCell, TreeMeasure
-from .ultraindex import Dendrogram, DendrogramNode
+from .ultraindex import DendrogramNode
 
 
 @dataclass(frozen=True)
@@ -124,15 +126,14 @@ def _wavelet_values(p: int, d: int, j: int) -> np.ndarray:
     return np.array([amp * np.exp(2j * math.pi * j * a / p) for a in range(p)])
 
 
-def kozyrev_wavelet(
-    assign: DiscAssignment, disc: CellDomain, B: PAdicCell, j: int
-) -> np.ndarray:
+def kozyrev_wavelet(disc: CellDomain, B: PAdicCell, j: int) -> np.ndarray:
     """Unit-Haar-norm Kozyrev wavelet supported in ball B, as a cell vector.
 
     On the child cell of B with branch digit a the value is
     |B|^(-1/2) exp(2 pi i j a / p); locally constant at level d+1.  B's
     cells are one range of the domain, so this writes one slice.
     """
+    assign = disc.assignment
     p = assign.p
     if not 1 <= j <= p - 1:
         raise BadJ(f"j must lie in 1..{p - 1}, got {j}")
@@ -165,7 +166,7 @@ def kozyrev_local_eigenvalue(p: int, alpha: float, d: int, m: int) -> float:
 
 
 def _disc_shifts(spec: KernelSpec, assign: DiscAssignment, measure: str,
-                 tree_measure: TreeMeasure | None, block: np.ndarray | None = None):
+                 block: np.ndarray | None = None):
     """Per disc in ``spec.labels`` order: its mass, its measure density s_v
     and its escape rate sum_w k(v,w) mass(U_w), summed left to right over
     the discs w outside v's block (``block``: one id per disc; default all)."""
@@ -173,9 +174,7 @@ def _disc_shifts(spec: KernelSpec, assign: DiscAssignment, measure: str,
         mass = np.full(len(spec.labels), float(assign.p) ** -assign.m)
         scale = np.ones(len(spec.labels))
     elif measure == "nu":
-        if tree_measure is None:
-            raise BadKernel("nu measure requires a TreeMeasure")
-        mass = np.array([float(tree_measure.leaf_mass(w)) for w in spec.labels])
+        mass = np.array([float(assign.nu.leaf_mass(w)) for w in spec.labels])
         scale = mass * float(assign.p) ** assign.m
     else:
         raise BadKernel(f"unknown measure {measure!r}")
@@ -191,11 +190,10 @@ def kozyrev_eigenvalue(
     B: PAdicCell,
     v,
     measure: str = "haar",
-    tree_measure: TreeMeasure | None = None,
 ) -> float:
     """Closed-form generator eigenvalue of the Kozyrev wavelet in B inside disc v."""
     local = kozyrev_local_eigenvalue(assign.p, spec.alpha, B.level, assign.m)
-    _, scale, escape = _disc_shifts(spec, assign, measure, tree_measure)
+    _, scale, escape = _disc_shifts(spec, assign, measure)
     iv = spec.labels.index(v)
     return float(scale[iv] * local - escape[iv])
 
@@ -203,16 +201,11 @@ def kozyrev_eigenvalue(
 # --- ultrametric wavelets -----------------------------------------------------------
 
 
-def ultrametric_wavelet(
-    dend: Dendrogram,
-    nu: TreeMeasure,
-    disc: CellDomain,
-    node: DendrogramNode,
-    k: int,
-) -> np.ndarray:
-    """Haar-like wavelet of a non-leaf node: nu(node)^(-1/2) times the k-th
-    character of the cyclic group on its children, constant per child:
-    one value per vertex disc, gathered onto the cells."""
+def ultrametric_wavelet(disc: CellDomain, node: DendrogramNode, k: int) -> np.ndarray:
+    """Haar-like wavelet of a non-leaf node of the domain's dendrogram:
+    nu(node)^(-1/2) times the k-th character of the cyclic group on its
+    children, constant per child: one value per vertex disc, gathered onto
+    the cells."""
     if node.is_leaf:
         raise LeafNode("ultrametric wavelets live on internal nodes")
     c = len(node.children)
@@ -220,7 +213,7 @@ def ultrametric_wavelet(
         raise TrivialCharacter("k=0 is the constant on the node, not a wavelet")
     if not 1 <= k <= c - 1:
         raise ValueError(f"character index k must lie in 1..{c - 1}, got {k}")
-    amp = float(nu.of(node)) ** -0.5
+    amp = float(disc.assignment.nu.of(node)) ** -0.5
     pos = {label: i for i, label in enumerate(disc.assignment.labels)}
     per_leaf = np.zeros(len(pos) + 1, dtype=complex)  # filler last
     for ic, child in enumerate(node.children):
@@ -229,7 +222,6 @@ def ultrametric_wavelet(
 
 
 def ultrametric_eigenvalue(
-    dend: Dendrogram,
     delta,
     nu: TreeMeasure,
     node: DendrogramNode,
@@ -282,12 +274,7 @@ class BallSpectrum:
     vecs: np.ndarray
 
 
-def ball_spectrum(
-    spec: KernelSpec,
-    dom: CellDomain,
-    measure: str = "haar",
-    tree_measure: TreeMeasure | None = None,
-) -> BallSpectrum:
+def ball_spectrum(spec: KernelSpec, dom: CellDomain, measure: str = "haar") -> BallSpectrum:
     """The closed-form spectrum on a discretisation (Haar or tree measure) or
     a truncated domain (Haar), with no N x N array.  A disc's pure ball is
     the whole disc; filler has the Haar measure and no escape."""
@@ -295,11 +282,11 @@ def ball_spectrum(
         raise ValueError("truncated domains are discretised with the Haar measure")
     p, n = dom.p, dom.level
     starts, levels = dom.pure_balls()
-    leaf = _leaf_indices(spec, dom.assignment, dom)[starts]
+    leaf = _leaf_indices(spec, dom)[starts]
     block = dom.block_index[starts]
     disc_block = np.empty(len(spec.labels), dtype=np.int64)
     disc_block[leaf[leaf >= 0]] = block[leaf >= 0]
-    mass, scale, escape = _disc_shifts(spec, dom.assignment, measure, tree_measure, disc_block)
+    mass, scale, escape = _disc_shifts(spec, dom.assignment, measure, disc_block)
     mass = np.where(leaf >= 0, np.append(mass, 0.0)[leaf], float(p) ** -levels)
     scale, escape = np.append(scale, 1.0)[leaf], np.append(escape, 0.0)[leaf]
 
@@ -316,7 +303,7 @@ def ball_spectrum(
     L = rates * mass[None, :]
     np.fill_diagonal(L, 0.0)
     np.fill_diagonal(L, -L.sum(axis=1))
-    evals, vecs, _ = weighted_symmetric_eig(L, mass)
+    evals, vecs = weighted_symmetric_eig(L, mass)
 
     block_level = np.array([ball.level for ball in dom.balls])[block]
     local = np.full((len(starts), n - int(levels.min())), np.nan)
@@ -334,17 +321,12 @@ def _block_pairs(spectrum: BallSpectrum) -> list[EigenPair]:
             for k, lam in enumerate(spectrum.evals)]
 
 
-def laplacian_block_modes(
-    spec: KernelSpec,
-    assign: DiscAssignment,
-    disc: CellDomain,
-    measure: str = "haar",
-    tree_measure: TreeMeasure | None = None,
-) -> list[EigenPair]:
+def laplacian_block_modes(spec: KernelSpec, disc: CellDomain,
+                          measure: str = "haar") -> list[EigenPair]:
     """Eigenpairs of the vertex matrix k(v,w) * mass(U_w) (``ball_spectrum``),
     lifted to functions constant on each disc, normalised in the cell inner
     product.  All eigenvalues are non-positive."""
-    return _block_pairs(ball_spectrum(spec, disc, measure, tree_measure))
+    return _block_pairs(ball_spectrum(spec, disc, measure))
 
 
 _VERIFY_BLOCK = 256  # columns per matrix product in a batched check
@@ -384,13 +366,7 @@ def verify_eigenpair(A: GeneratorMatrix, psi: np.ndarray, lam):
 # --- full bases ----------------------------------------------------------------------
 
 
-def full_basis(
-    spec: KernelSpec,
-    assign: DiscAssignment,
-    disc: CellDomain,
-    measure: str = "haar",
-    tree_measure: TreeMeasure | None = None,
-) -> EigenBasis:
+def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> EigenBasis:
     """Complete orthonormal eigenbasis of the level-n space.
 
     Haar measure: Kozyrev wavelets over every ball inside every disc plus
@@ -402,7 +378,8 @@ def full_basis(
     batched ``verify_eigenpair`` against the assembled generator, which
     the basis keeps.
     """
-    gen = generator(spec, assign, disc, measure, tree_measure)
+    gen = generator(spec, disc, measure)
+    assign = disc.assignment
     p, m, n = assign.p, assign.m, disc.level
     n_cells = len(disc)
     psi = np.zeros((n_cells, n_cells), dtype=complex)
@@ -413,7 +390,7 @@ def full_basis(
             psi[:, len(meta)] = vec
         meta.append((kind, support, index, lam))
 
-    spectrum = ball_spectrum(spec, disc, measure, tree_measure)
+    spectrum = ball_spectrum(spec, disc, measure)
     for k, label in enumerate(assign.labels):  # pure ball k is this disc
         prefix = "".join(map(str, assign.discs[label].digits))
         suffixes = [""]  # the digits below the disc of its level-d balls, in digit order
@@ -431,15 +408,12 @@ def full_basis(
             suffixes = [s + str(a) for s in suffixes for a in range(p)]
 
     if measure == "nu" and spec.bullet is Bullet.ULTRAMETRIC:
-        dend = assign.dendrogram
         add("constant", "domain", 0, 0.0, 1.0)
-        delta = dend.delta_matrix()
-        for node in dend.internal_nodes():
-            gamma = ultrametric_eigenvalue(dend, delta, tree_measure, node, spec.alpha)
+        for node in assign.dendrogram.internal_nodes():
+            gamma = ultrametric_eigenvalue(None, assign.nu, node, spec.alpha)
             support = ",".join(sorted(map(str, node.members)))
             for k in range(1, len(node.children)):
-                add("ultrametric", support, k, gamma,
-                    ultrametric_wavelet(dend, tree_measure, disc, node, k))
+                add("ultrametric", support, k, gamma, ultrametric_wavelet(disc, node, k))
     else:
         for pair in _block_pairs(spectrum):
             add(pair.kind, pair.support, pair.index, pair.lam, pair.psi)

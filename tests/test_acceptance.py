@@ -167,8 +167,8 @@ def test_criterion_04_kozyrev_spectrum():
                     specs.append(KernelSpec(Bullet.ADJACENCY, alpha, delta.labels, kappa))
                 disc = discretize(assign, assign.m + 2)
                 for spec in specs:
-                    gen = generator(spec, assign, disc, "haar")
-                    basis = full_basis(spec, assign, disc, "haar")
+                    gen = generator(spec, disc, "haar")
+                    basis = full_basis(spec, disc, "haar")
                     for pair in basis:
                         if pair.kind != "kozyrev":
                             continue
@@ -198,11 +198,11 @@ def test_criterion_05_ultrametric_wavelet_spectrum():
         delta = dend.delta_matrix()
         spec = KernelSpec(Bullet.ULTRAMETRIC, 1.0, delta.labels, delta.values)
         disc = discretize(assign, assign.m + 1)
-        gen = generator(spec, assign, disc, "nu", nu)
+        gen = generator(spec, disc, "nu")
         for node in dend.internal_nodes():
-            gamma = ultrametric_eigenvalue(dend, None, nu, node, spec.alpha)
+            gamma = ultrametric_eigenvalue(None, nu, node, spec.alpha)
             for k in range(1, len(node.children)):
-                psi = ultrametric_wavelet(dend, nu, disc, node, k)
+                psi = ultrametric_wavelet(disc, node, k)
                 res = verify_eigenpair(gen, psi, gamma)
                 assert res <= 1e-9, (node.members, k, res)
                 worst = max(worst, res)
@@ -225,12 +225,11 @@ def test_criterion_06_basis_completeness():
     for _ in range(10):
         dend = random_dendrogram(rng, int(rng.integers(2, 9)), max_children=3)
         assign = embed(dend)
-        nu = tree_measure(dend)
         delta = dend.delta_matrix()
         spec = KernelSpec(Bullet.ULTRAMETRIC, 1.0, delta.labels, delta.values)
         disc = discretize(assign, assign.m + 1)
-        for measure, tm in (("haar", None), ("nu", nu)):
-            basis = full_basis(spec, assign, disc, measure, tm)
+        for measure in ("haar", "nu"):
+            basis = full_basis(spec, disc, measure)
             eye = np.eye(len(basis))
             g = float(np.max(np.abs(basis.gram() - eye)))
             pr = float(np.max(np.abs(basis.projector_sum() - eye)))
@@ -251,12 +250,11 @@ def test_criterion_07_heat_two_routes():
         delta_spec = all_specs[2]
         dend = build_dendrogram(UltrametricMatrix(delta_spec.labels, delta_spec.base))
         assign = embed(dend)
-        nu = tree_measure(dend)
         disc = discretize(assign, assign.m + 1)
         for spec in all_specs:
-            for measure, tm in (("haar", None), ("nu", nu)):
-                basis = full_basis(spec, assign, disc, measure, tm)
-                gen = generator(spec, assign, disc, measure, tm)
+            for measure in ("haar", "nu"):
+                basis = full_basis(spec, disc, measure)
+                gen = generator(spec, disc, measure)
                 for t in (0.01, 0.1, 1.0, 10.0):
                     T = semigroup(gen, t)
                     assert T.row_sum_defect() <= 1e-10
@@ -290,7 +288,7 @@ def test_criterion_08_truncation_bound():
         bounds = []
         for level in range(1, dend.max_level + 1):
             u = rng.uniform(-1, 1, len(disc.cells))
-            rep = truncation_bound(spec, assign, disc, level, 1.0, u)
+            rep = truncation_bound(spec, disc, level, 1.0, u)
             assert rep.slack >= -1e-9
             if level == ell:
                 min_slack = min(min_slack, rep.slack)
@@ -325,7 +323,7 @@ def test_criterion_09_kernel_swap_bound():
             pairs += [(kappa_spec, de_spec), (kappa_spec, delta_spec)]
         for spec_a, spec_b in pairs:
             for t in (0.1, 1.0, 5.0):
-                rep = kernel_swap_bound(spec_a, spec_b, assign, disc, t)
+                rep = kernel_swap_bound(spec_a, spec_b, disc, t)
                 assert rep.slack >= -1e-9
                 min_slack = min(min_slack, rep.slack)
                 count += 1
@@ -345,7 +343,7 @@ def test_criterion_10_convergence():
     n0 = assign.m + 1
     ref_level = n0 + 4
     disc_ref = discretize(assign, ref_level)
-    basis_ref = full_basis(spec, assign, disc_ref, "haar")
+    basis_ref = full_basis(spec, disc_ref, "haar")
 
     def component_level(pair):
         if pair.kind != "kozyrev":

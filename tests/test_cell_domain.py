@@ -15,7 +15,6 @@ from ultraheat import (
     full_basis,
     generator,
     kozyrev_wavelet,
-    tree_measure,
     truncated_domain,
 )
 from ultraheat.operators import cut_nodes
@@ -113,7 +112,7 @@ def test_cell_domain_equals_the_per_cell_enumeration(p, seed, leaves, extra):
             for d in range(assign.m, n):
                 B = PAdicCell(p, prefix + tuple(rng.integers(0, p, d - assign.m).tolist()))
                 for j in range(1, p):
-                    assert np.array_equal(kozyrev_wavelet(assign, dom, B, j),
+                    assert np.array_equal(kozyrev_wavelet(dom, B, j),
                                           mask_wavelet(matrix, B, j, p))
 
 
@@ -121,7 +120,6 @@ def test_domains_and_generators_build_no_cell_objects(monkeypatch):
     rng = np.random.default_rng(5)
     dend = random_dendrogram(rng, 6, max_children=3)
     assign = embed(dend)
-    nu = tree_measure(dend)
     delta = dend.delta_matrix()
     spec = KernelSpec(Bullet.ULTRAMETRIC, 1.3, delta.labels, delta.values)
 
@@ -131,12 +129,39 @@ def test_domains_and_generators_build_no_cell_objects(monkeypatch):
                         lambda self: built.append(self) or original(self))
     for n in (assign.m + 1, assign.m + 2):
         disc = discretize(assign, n)
-        for measure, tm in (("haar", None), ("nu", nu)):
-            gen = generator(spec, assign, disc, measure, tm)
+        for measure in ("haar", "nu"):
+            gen = generator(spec, disc, measure)
             assert gen.cells is disc.cells
-            full_basis(spec, assign, disc, measure, tm)
+            full_basis(spec, disc, measure)
         for ell in range(1, dend.max_level + 1):
-            generator(spec, assign, truncated_domain(assign, ell, n)[0])
+            generator(spec, truncated_domain(assign, ell, n)[0])
     assert built == []
     disc.cells[0]  # a cell is built only when it is read
     assert len(built) == 1
+
+
+def test_nu_is_the_assignments_own_tree_measure_built_once(monkeypatch):
+    """Under "nu" the generator's masses are the domain's ``nu_volumes()``
+    and the leaf masses of ``tree_measure`` of the domain's own dendrogram,
+    bit for bit; the tree measure is built once per assignment."""
+    import ultraheat.padic as padic
+
+    rng = np.random.default_rng(29)
+    dend = random_dendrogram(rng, 7, max_children=3)
+    assign = embed(dend)
+    delta = dend.delta_matrix()
+    spec = KernelSpec(Bullet.ULTRAMETRIC, 1.2, delta.labels, delta.values)
+    built = []
+    original = padic.tree_measure
+    monkeypatch.setattr(padic, "tree_measure", lambda d: built.append(d) or original(d))
+    for n in (assign.m + 1, assign.m + 2):
+        disc = discretize(assign, n)
+        gen = generator(spec, disc, "nu")
+        full_basis(spec, disc, "nu")
+        nu = original(disc.assignment.dendrogram)
+        per_cell = assign.p ** (n - assign.m)
+        leaf_masses = [float(nu.leaf_mass(label) / per_cell) for label in disc.leaf_labels]
+        assert np.array_equal(gen.measure, disc.nu_volumes())
+        assert np.array_equal(gen.measure, np.array(leaf_masses))
+    assert built == [dend]
+    assert assign.nu is assign.nu

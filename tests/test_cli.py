@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ultraheat import heat, spectra
+from ultraheat import heat, spectra, toposort
 from ultraheat.cli import main
 from ultraheat.serialize import canonical_dumps
 
@@ -393,6 +393,29 @@ def test_toposort_unknown_seed_is_a_parse_error(tmp_path, capsys, seeds):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ParseError" and err["exit"] == 2
     assert "'zz'" in err["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dag_obj, seeds", [
+    # a seed the index does not hold
+    ({"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["c", "d"]]}, ["--seeds", "d"]),
+    # fewer vertices than the index: the sort would emit the index's extra ones
+    ({"vertices": ["a", "b"], "edges": [["a", "b"]]}, []),
+])
+def test_toposort_index_over_other_vertices_is_a_parse_error(tmp_path, capsys, monkeypatch,
+                                                             dag_obj, seeds):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sort ran before the index was checked")
+
+    monkeypatch.setattr(toposort, "parallel_toposort", unreachable)
+    index = index_fixture(tmp_path)  # vertices a, b, c
+    dag = tmp_path / "dag.json"
+    write(dag, dag_obj)
+    out = tmp_path / "order.txt"
+    argv = ["toposort", "--input", str(dag), "--output", str(out), "--index", str(index), *seeds]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ParseError" and err["exit"] == 2
     assert not out.exists()
 
 

@@ -27,7 +27,6 @@ from ultraheat import (
     semigroup,
     solve_cauchy,
     subdominant_ultrametric,
-    tree_measure,
     truncated_domain,
     truncation_bound,
 )
@@ -95,7 +94,7 @@ def test_semigroup_negative_time():
 def test_semigroup_law_and_stochasticity():
     dend, assign, spec = three_leaf_setup()
     disc = discretize(assign, assign.m + 1)
-    gen = generator(spec, assign, disc, "haar")
+    gen = generator(spec, disc, "haar")
     for s, t in ((0.1, 0.4), (0.5, 0.5), (1.0, 2.0)):
         Ts, Tt, Tst = (semigroup(gen, x).matrix for x in (s, t, s + t))
         assert np.max(np.abs(Ts @ Tt - Tst)) < 1e-9
@@ -118,12 +117,11 @@ def test_two_route_agreement_all_combinations():
 
     dend = build_dendrogram(UltrametricMatrix(delta_spec.labels, delta_spec.base))
     assign = embed(dend)
-    nu = tree_measure(dend)
     disc = discretize(assign, assign.m + 1)
     for spec in specs:
-        for measure, tm in (("haar", None), ("nu", nu)):
-            basis = full_basis(spec, assign, disc, measure, tm)
-            gen = generator(spec, assign, disc, measure, tm)
+        for measure in ("haar", "nu"):
+            basis = full_basis(spec, disc, measure)
+            gen = generator(spec, disc, measure)
             for t in (0.1, 1.0):
                 T = semigroup(gen, t)
                 table = heat_kernel(basis, t)
@@ -137,17 +135,16 @@ def test_two_route_agreement_all_combinations():
 def test_heat_kernel_t0_is_reproducing_kernel():
     dend, assign, spec = three_leaf_setup()
     disc = discretize(assign, assign.m + 1)
-    basis = full_basis(spec, assign, disc, "haar")
+    basis = full_basis(spec, disc, "haar")
     table = heat_kernel(basis, 0.0)
-    gen = generator(spec, assign, disc, "haar")
+    gen = generator(spec, disc, "haar")
     assert np.allclose(table.matrix * gen.measure[None, :], np.eye(len(disc.cells)), atol=1e-10)
 
 
 def test_heat_kernel_long_time_reaches_stationarity():
     dend, assign, spec = three_leaf_setup()
     disc = discretize(assign, assign.m + 1)
-    nu = tree_measure(dend)
-    basis = full_basis(spec, assign, disc, "nu", nu)
+    basis = full_basis(spec, disc, "nu")
     lams = sorted(basis.eigenvalues())
     gap = -max(l for l in lams if l < -1e-12)
     t = 40.0 / gap
@@ -160,8 +157,8 @@ def test_solve_cauchy_examples():
     dend, assign, spec = three_leaf_setup()
     disc = discretize(assign, assign.m + 1)
     nc = len(disc.cells)
-    basis = full_basis(spec, assign, disc, "haar")
-    gen = generator(spec, assign, disc, "haar")
+    basis = full_basis(spec, disc, "haar")
+    gen = generator(spec, disc, "haar")
     const = np.full(nc, 2.5)
     for t in (0.0, 1.0, 7.0):
         assert np.allclose(solve_cauchy(basis, const, t), const, atol=1e-10)
@@ -186,7 +183,7 @@ def test_truncation_bound_three_leaf():
     rng = np.random.default_rng(5)
     for _ in range(20):
         u = rng.uniform(-1, 1, len(disc.cells))
-        report = truncation_bound(spec, assign, disc, 1, 1.0, u)
+        report = truncation_bound(spec, disc, 1, 1.0, u)
         assert report.slack >= 0.0  # T(0) u is u itself, so no rounding residue at t = 0
         assert report.measured_sup_error <= report.theoretical_bound + 1e-9
 
@@ -195,7 +192,7 @@ def test_truncation_bound_no_op_at_max_level():
     dend, assign, spec = three_leaf_setup()
     disc = discretize(assign, assign.m + 1)
     u = np.linspace(-1, 1, len(disc.cells))
-    report = truncation_bound(spec, assign, disc, dend.max_level, 1.0, u)
+    report = truncation_bound(spec, disc, dend.max_level, 1.0, u)
     assert report.measured_sup_error < 1e-12
     assert report.theoretical_bound >= 0.0
 
@@ -211,7 +208,7 @@ def test_truncation_bound_nonincreasing_in_level():
         u = rng.uniform(-1, 1, len(disc.cells))
         bounds = []
         for ell in range(1, dend.max_level + 1):
-            report = truncation_bound(spec, assign, disc, ell, 1.0, u)
+            report = truncation_bound(spec, disc, ell, 1.0, u)
             assert report.slack >= 0.0
             bounds.append(report.theoretical_bound)
         assert all(a >= b - 1e-12 for a, b in zip(bounds, bounds[1:]))
@@ -220,7 +217,7 @@ def test_truncation_bound_nonincreasing_in_level():
 def test_swap_bound_self_comparison_is_zero():
     dend, assign, spec = three_leaf_setup()
     disc = discretize(assign, assign.m + 1)
-    report = kernel_swap_bound(spec, spec, assign, disc, 1.0)
+    report = kernel_swap_bound(spec, spec, disc, 1.0)
     assert report.measured_sup_error < 1e-12
     assert report.theoretical_bound == 0.0
 
@@ -240,7 +237,7 @@ def test_swap_bound_zero_when_graph_metric_is_ultrametric():
     disc = discretize(assign, assign.m + 1)
     spec_a = KernelSpec(Bullet.GRAPH_DISTANCE, 1.0, d_e.labels, d_e.values)
     spec_b = KernelSpec(Bullet.ULTRAMETRIC, 1.0, delta.labels, delta.values)
-    report = kernel_swap_bound(spec_a, spec_b, assign, disc, 1.0)
+    report = kernel_swap_bound(spec_a, spec_b, disc, 1.0)
     assert report.theoretical_bound == 0.0
     assert report.measured_sup_error < 1e-12
 
@@ -258,7 +255,7 @@ def test_swap_bound_random_graphs():
         assign = embed(dend)
         disc = discretize(assign, assign.m + 1)
         for t in (0.1, 1.0, 5.0):
-            report = kernel_swap_bound(de_spec, delta_spec, assign, disc, t)
+            report = kernel_swap_bound(de_spec, delta_spec, disc, t)
             assert report.slack >= -1e-9
 
 
@@ -281,7 +278,7 @@ def test_convergence_single_fine_component_resolved_at_its_level():
     n0 = assign.m + 1
     ref_level = n0 + 3
     disc_ref = discretize(assign, ref_level)
-    basis_ref = full_basis(spec, assign, disc_ref, "haar")
+    basis_ref = full_basis(spec, disc_ref, "haar")
     fine_level = n0 + 2
     target = next(
         p
@@ -300,7 +297,7 @@ def test_convergence_gap_nonincreasing_for_decaying_profiles():
     n0 = assign.m + 1
     ref_level = n0 + 3
     disc_ref = discretize(assign, ref_level)
-    basis_ref = full_basis(spec, assign, disc_ref, "haar")
+    basis_ref = full_basis(spec, disc_ref, "haar")
     rng = np.random.default_rng(17)
     u0 = np.zeros(len(disc_ref.cells))
     for p in basis_ref:
@@ -341,7 +338,7 @@ def test_projection_error_equals_discarded_tail_at_t0():
     ref_level = assign.m + 3
     n = assign.m + 1
     disc_ref = discretize(assign, ref_level)
-    basis = full_basis(spec, assign, disc_ref, "haar")
+    basis = full_basis(spec, disc_ref, "haar")
     rng = np.random.default_rng(19)
     psi = basis.psi_matrix()
     coeffs = psi.conj().T @ (basis.measure * rng.uniform(-1, 1, len(disc_ref.cells)))
@@ -470,16 +467,16 @@ def test_index_maps_refuse_mismatched_discretisations():
         project_pointwise(other, coarse, u)
 
 
-def loop_convergence(spec, assign, u0, levels, tau, measure, tree_measure):
+def loop_convergence(spec, assign, u0, levels, tau, measure):
     """The convergence study one time and one cell at a time, with a fresh
     evolver per level, each applied at a single time."""
     n_ref = assign.m + round(np.log(len(u0) // len(assign.labels)) / np.log(assign.p))
     disc_ref = discretize(assign, n_ref)
-    ev_ref = _BallEvolver(spec, disc_ref, measure, tree_measure)
+    ev_ref = _BallEvolver(spec, disc_ref, measure)
     rows = []
     for n in levels:
         disc_n = discretize(assign, n)
-        ev_n = _BallEvolver(spec, disc_n, measure, tree_measure)
+        ev_n = _BallEvolver(spec, disc_n, measure)
         un0 = loop_project(disc_ref, disc_n, u0)
         gap = 0.0
         for t in t_grid(tau):
@@ -496,12 +493,11 @@ def test_convergence_study_equals_the_per_time_per_cell_loop(measure):
     assign = embed(dend)
     delta = dend.delta_matrix()
     spec = KernelSpec(Bullet.ULTRAMETRIC, 1.2, delta.labels, delta.values)
-    tm = tree_measure(dend) if measure == "nu" else None
     n0 = assign.m + 1
     u0 = rng.uniform(-1, 1, len(discretize(assign, n0 + 2).cells))
     levels = [n0, n0 + 1, n0 + 2]
-    rows = convergence_study(spec, assign, u0, levels, 0.7, measure, tm)
-    assert rows == loop_convergence(spec, assign, u0, levels, 0.7, measure, tm)
+    rows = convergence_study(spec, assign, u0, levels, 0.7, measure)
+    assert rows == loop_convergence(spec, assign, u0, levels, 0.7, measure)
 
 
 def test_convergence_study_reuses_the_reference_eigensolve(monkeypatch):
@@ -525,7 +521,7 @@ def test_convergence_study_reuses_the_reference_eigensolve(monkeypatch):
 def test_evolver_grid_columns_equal_single_applications():
     dend, assign, spec = three_leaf_setup()
     disc = discretize(assign, assign.m + 2)
-    gen = generator(spec, assign, disc, "haar")
+    gen = generator(spec, disc, "haar")
     ev = _BallEvolver(spec, disc)
     u = np.random.default_rng(41).uniform(-1, 1, gen.n_cells)
     grid = t_grid(2.0)
@@ -566,26 +562,25 @@ def test_evolver_level_eigenvalues_equal_full_basis_bit_for_bit(measure, seed, l
     rng = np.random.default_rng(seed)
     dend = random_dendrogram(rng, leaves, max_children=3)
     assign = embed(dend)
-    nu = tree_measure(dend) if measure == "nu" else None
     delta = dend.delta_matrix()
     base = delta.values + np.where(~np.eye(leaves, dtype=bool), 0.3, 0.0)
     disc = discretize(assign, assign.m + 2)
     for spec in (KernelSpec(Bullet.ULTRAMETRIC, 1.5, delta.labels, delta.values),
                  KernelSpec(Bullet.GRAPH_DISTANCE, 1.2, delta.labels, base)):
-        basis = full_basis(spec, assign, disc, measure, nu)
+        basis = full_basis(spec, disc, measure)
         by_level = {}
         for pair in basis:
             if pair.kind == "kozyrev":
                 label, digits = pair.support.split(":")
                 by_level.setdefault((label, len(digits)), set()).add(pair.lam)
-        [(d0, members, _, lam)] = _BallEvolver(spec, disc, measure, nu).groups
+        [(d0, members, _, lam)] = _BallEvolver(spec, disc, measure).groups
         assert d0 == assign.m and members.tolist() == list(range(len(assign.labels)))
         for k, label in enumerate(assign.labels):
             for d in range(assign.m, disc.level):
                 assert by_level[(label, d)] == {lam[k, d - assign.m]}
         if not (measure == "nu" and spec.bullet is Bullet.ULTRAMETRIC):
             blocks = [pair.lam for pair in basis if pair.kind == "block"]
-            assert blocks == _BallEvolver(spec, disc, measure, nu).evals.tolist()
+            assert blocks == _BallEvolver(spec, disc, measure).evals.tolist()
 
 
 # --- the pure-ball evolver against the dense semigroup --------------------------------
@@ -610,22 +605,24 @@ def test_ball_evolver_matches_the_dense_semigroup(p, alpha, bullet, seed, leaves
     assign = embed(dend, p)
     base = dend.delta_matrix() if bullet is Bullet.ULTRAMETRIC else random_metric(rng, leaves)
     spec = KernelSpec(bullet, alpha, base.labels, base.values)
-    nu = tree_measure(dend)
     inputs = []
     for n in range(assign.m + 1, assign.m + 4):
         disc = discretize(assign, n)
-        inputs += [(disc, "haar", None), (disc, "nu", nu)]
+        inputs += [(disc, "haar"), (disc, "nu")]
         for ell in range(1, dend.max_level + 1):
             balls = [assign.cell_of(node) for node in cut_nodes(assign, ell)]
             if sum(p ** (n - ball.level) for ball in balls) <= MAX_ORACLE_CELLS:
-                inputs.append((truncated_domain(assign, ell, n)[0], "haar", None))
-    for dom, measure, tm in inputs:
-        gen = generator(spec, assign, dom, measure, tm)
+                inputs.append((truncated_domain(assign, ell, n)[0], "haar"))
+    for dom, measure in inputs:
+        gen = generator(spec, dom, measure)
         u = rng.uniform(-1, 1, len(dom))
         grid = t_grid(float(rng.uniform(0.1, 2.0)), points=4)
-        columns = _BallEvolver(spec, dom, measure, tm).over_grid(u, grid)
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(u))))
+        columns = _BallEvolver(spec, dom, measure).over_grid(u, grid)
+        # the dense eigh oracle's own error grows as eps * ||A||_inf * t
+        norm = float(np.max(np.abs(gen.matrix).sum(axis=1)))
+        sup_u = max(1.0, float(np.max(np.abs(u))))
         for k, t in enumerate(grid):
+            tol = max(1e-12, 4 * np.finfo(float).eps * norm * t) * sup_u
             assert np.max(np.abs(columns[:, k] - semigroup(gen, t).matrix @ u)) <= tol
 
 
@@ -665,12 +662,11 @@ def test_certify_routines_build_no_generator_and_no_kernel_matrix(monkeypatch):
     monkeypatch.setattr(heat, "generator", unreachable)
     monkeypatch.setattr(operators, "kernel_matrix", unreachable)
     rng = np.random.default_rng(43)
-    report = truncation_bound(spec, assign, disc, 1, 1.0, rng.uniform(-1, 1, len(disc)))
+    report = truncation_bound(spec, disc, 1, 1.0, rng.uniform(-1, 1, len(disc)))
     assert report.slack >= -1e-9
     assert report.volumes["max_cut_rate"] > 0.0
     u0 = rng.uniform(-1, 1, len(discretize(assign, m + 3)))
-    rows = convergence_study(spec, assign, u0, [m + 1, m + 2, m + 3], 1.0, "nu",
-                             tree_measure(dend))
+    rows = convergence_study(spec, assign, u0, [m + 1, m + 2, m + 3], 1.0, "nu")
     assert rows[-1] == (m + 3, 0.0)
 
 
@@ -683,7 +679,7 @@ def test_times_that_are_not_finite_and_non_negative_raise_before_any_domain(monk
 
     dend, assign, spec = three_leaf_setup()
     disc = discretize(assign, assign.m + 1)
-    basis = full_basis(spec, assign, disc, "haar")
+    basis = full_basis(spec, disc, "haar")
     u = np.zeros(len(disc))
 
     def unreachable(*args, **kwargs):
@@ -697,8 +693,8 @@ def test_times_that_are_not_finite_and_non_negative_raise_before_any_domain(monk
         "semigroup": lambda: semigroup(basis.generator, t),
         "heat_kernel": lambda: heat_kernel(basis, t),
         "solve_cauchy": lambda: solve_cauchy(basis, u, t),
-        "truncation_bound": lambda: truncation_bound(spec, assign, disc, 1, t, u),
-        "kernel_swap_bound": lambda: kernel_swap_bound(spec, spec, assign, disc, t),
+        "truncation_bound": lambda: truncation_bound(spec, disc, 1, t, u),
+        "kernel_swap_bound": lambda: kernel_swap_bound(spec, spec, disc, t),
         "convergence_study": lambda: convergence_study(spec, assign, u, [assign.m + 1], t),
     }
     for name, call in calls.items():
@@ -716,8 +712,8 @@ def test_bound_gates_refuse_a_nan_error(monkeypatch):
     u = np.zeros(len(disc))
     u[0] = np.nan
     with pytest.raises(BoundViolated, match="nan"):
-        truncation_bound(spec, assign, disc, 1, 1.0, u)
+        truncation_bound(spec, disc, 1, 1.0, u)
     monkeypatch.setattr(heat, "semigroup",
                         lambda A, t: SemigroupMatrix(t, np.full(A.matrix.shape, np.nan)))
     with pytest.raises(BoundViolated, match="nan"):
-        kernel_swap_bound(spec, spec, assign, disc, 1.0)
+        kernel_swap_bound(spec, spec, disc, 1.0)

@@ -18,7 +18,6 @@ from ultraheat import (
     embed,
     generator,
     kernel_value,
-    tree_measure,
     truncated_domain,
 )
 from ultraheat.errors import CellOutsideZ, InvalidLevel
@@ -82,7 +81,7 @@ def test_kernel_value_outside_domain():
 def test_kernel_symmetry():
     dend, assign, spec = simple_assignment()
     disc = discretize(assign, assign.m + 2)
-    K = kernel_matrix(spec, assign, disc)
+    K = kernel_matrix(spec, disc)
     assert np.array_equal(K, K.T)
     assert np.all(np.diag(K) == 0)
     assert np.all(K >= 0)
@@ -96,7 +95,7 @@ def test_generator_two_state_closed_form():
     delta = assign.dendrogram.delta_matrix()
     spec = KernelSpec(Bullet.ULTRAMETRIC, 1.0, delta.labels, delta.values)
     disc = discretize(assign, assign.m + 1)
-    gen = generator(spec, assign, disc, "haar")
+    gen = generator(spec, disc, "haar")
     # within-disc rate p^(m*alpha) towards the sibling cell, measure p^-n
     p, m, n = assign.p, assign.m, disc.level
     rate_in = float(p) ** (m * 1.0) * float(p) ** -n
@@ -112,10 +111,9 @@ def test_generator_two_state_closed_form():
 
 def test_generator_rows_sum_to_zero_and_annihilate_constants():
     dend, assign, spec = simple_assignment()
-    nu = tree_measure(dend)
-    for measure, tm in (("haar", None), ("nu", nu)):
+    for measure in ("haar", "nu"):
         disc = discretize(assign, assign.m + 2)
-        gen = generator(spec, assign, disc, measure, tm)
+        gen = generator(spec, disc, measure)
         assert gen.row_sum_defect() < 1e-12
         ones = np.ones(len(disc.cells))
         assert np.max(np.abs(gen.matrix @ ones)) < 1e-12
@@ -125,10 +123,9 @@ def test_generator_rows_sum_to_zero_and_annihilate_constants():
 
 def test_generator_self_adjoint_under_measure():
     dend, assign, spec = simple_assignment()
-    nu = tree_measure(dend)
     disc = discretize(assign, assign.m + 1)
-    for measure, tm in (("haar", None), ("nu", nu)):
-        gen = generator(spec, assign, disc, measure, tm)
+    for measure in ("haar", "nu"):
+        gen = generator(spec, disc, measure)
         weighted = gen.measure[:, None] * gen.matrix
         assert np.max(np.abs(weighted - weighted.T)) < 1e-14
 
@@ -158,7 +155,7 @@ def test_generator_matches_quadrature_oracle():
     dend, assign, spec = simple_assignment()
     disc = discretize(assign, assign.m + 1)
     fine = discretize(assign, assign.m + 3)
-    gen = generator(spec, assign, disc, "haar")
+    gen = generator(spec, disc, "haar")
     for _ in range(5):
         u = rng.uniform(-1, 1, len(disc.cells))
         direct = gen.matrix @ u
@@ -173,7 +170,7 @@ def test_degree_examples_and_monotonicity():
     for extra in (1, 2, 3):
         disc = discretize(assign, assign.m + extra)
         x = disc.cells[0]
-        degs.append(degree(spec, assign, disc, x))
+        degs.append(degree(spec, disc, x))
     assert degs[0] <= degs[1] <= degs[2]
     assert degs[0] < degs[2]  # unboundedness witness for alpha >= 1
 
@@ -185,19 +182,19 @@ def test_truncated_domain_no_op_at_max_level():
     disc = discretize(assign, n)
     assert set(c.digits for c in dom.cells) == set(c.digits for c in disc.cells)
     assert dom.vol_filler == 0.0
-    K_cut = kernel_matrix(spec, assign, dom)
-    K = kernel_matrix(spec, assign, disc)
+    K_cut = kernel_matrix(spec, dom)
+    K = kernel_matrix(spec, disc)
     reorder = [dom.index_of(c) for c in disc.cells]
     assert np.allclose(K_cut[np.ix_(reorder, reorder)], K, rtol=0, atol=0)
     with pytest.raises(ValueError, match="Haar measure"):
-        generator(spec, assign, dom, "nu", tree_measure(dend))
+        generator(spec, dom, "nu")
 
 
 def test_truncated_kernel_vladimirov_inside_cut_ball():
     dend, assign, spec = simple_assignment()
     n = assign.m + 1
     dom, _ = truncated_domain(assign, 1, n, spec)
-    K = kernel_matrix(spec, assign, dom)
+    K = kernel_matrix(spec, dom)
     digits = dom.digit_matrix()
     for i in range(len(dom.cells)):
         for j in range(len(dom.cells)):
@@ -228,7 +225,7 @@ def test_max_cut_rate_equals_the_kernel_maximum_between_discs_and_filler():
                     if len(dom) > 1500:
                         continue
                     z = dom.leaf_index >= 0
-                    K = kernel_matrix(spec, assign, dom)
+                    K = kernel_matrix(spec, dom)
                     expected = float(K[np.ix_(z, ~z)].max()) if not z.all() else 0.0
                     assert cut.max_rate_z_to_filler() == expected
                     checked += not z.all()
@@ -286,7 +283,7 @@ def test_isolated_vertex_degree_has_no_cross_component():
     x = disc.cells[disc.leaf_labels.index("c")]
     p, m, n = assign.p, assign.m, disc.level
     intra_only = (p - 1) * float(p) ** (m * spec.alpha) * float(p) ** -n
-    assert degree(spec, assign, disc, x) == pytest.approx(intra_only)
+    assert degree(spec, disc, x) == pytest.approx(intra_only)
 
 
 def test_generator_refuses_oversized_dense_matrices():
@@ -363,7 +360,7 @@ def test_generator_checks_dense_limit_before_allocating(monkeypatch):
         monkeypatch.setattr(operators, name, unreachable)
     for domain in (disc, dom):
         with pytest.raises(ValueError, match="dense-matrix limit"):
-            generator(spec, assign, domain, "haar")
+            generator(spec, domain, "haar")
 
 
 def test_degree_equals_generator_diagonal():
@@ -372,17 +369,16 @@ def test_degree_equals_generator_diagonal():
     rng = np.random.default_rng(83)
     dend = random_dendrogram(rng, 6, max_children=3)
     assign = embed(dend)
-    nu = tree_measure(dend)
     n = assign.m + 2
     disc = discretize(assign, n)
     # every cut level's truncated domain, whose blocks hold several discs and filler
     truncated = [truncated_domain(assign, ell, n)[0] for ell in range(1, dend.max_level + 1)]
     specs = specs_from_weights(rng, assign.labels, random_connected_weights(rng, assign.labels), 1.5)
     for spec in specs:
-        inputs = [(disc, "haar", None), (disc, "nu", nu)] + [(dom, "haar", None) for dom in truncated]
-        for dom, measure, tm in inputs:
-            diag = -np.diag(generator(spec, assign, dom, measure, tm).matrix)
-            degs = [degree(spec, assign, dom, x, measure, tm) for x in dom.cells]
+        inputs = [(disc, "haar"), (disc, "nu")] + [(dom, "haar") for dom in truncated]
+        for dom, measure in inputs:
+            diag = -np.diag(generator(spec, dom, measure).matrix)
+            degs = [degree(spec, dom, x, measure) for x in dom.cells]
             assert np.allclose(degs, diag, rtol=1e-12, atol=0)
 
 
@@ -427,8 +423,21 @@ def test_kernel_errors_are_typed_and_still_value_errors():
     disc = discretize(assign, assign.m + 1)
     other = KernelSpec(Bullet.ULTRAMETRIC, 1.0, ("x", "y", "z"), spec.base)
     with pytest.raises(BadKernel, match="do not match"):
-        _leaf_indices(other, assign, disc)
+        _leaf_indices(other, disc)
     with pytest.raises(BadKernel, match="unknown measure"):
-        generator(spec, assign, disc, "lebesgue")
-    with pytest.raises(BadKernel, match="requires a TreeMeasure"):
-        generator(spec, assign, disc, "nu")
+        generator(spec, disc, "lebesgue")
+
+
+def test_truncated_domains_refuse_nu_and_unknown_measures_alike():
+    """``generator`` and ``degree`` read one measure vector: on a truncated
+    domain "nu" is a ValueError and an unknown measure a BadKernel for both."""
+    from ultraheat.errors import BadKernel
+
+    dend, assign, spec = simple_assignment()
+    dom, _ = truncated_domain(assign, 1, assign.m + 1)
+    x = dom.cells[0]
+    for build in (lambda m: generator(spec, dom, m), lambda m: degree(spec, dom, x, m)):
+        with pytest.raises(ValueError, match="Haar measure"):
+            build("nu")
+        with pytest.raises(BadKernel, match="unknown measure"):
+            build("lebesgue")

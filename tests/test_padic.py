@@ -167,7 +167,7 @@ def test_discretize_nu_volumes_sum_per_leaf():
     assign = embed(dend)
     nu = tree_measure(dend)
     disc = discretize(assign, assign.m + 2)
-    vols = disc.nu_volumes(nu)
+    vols = disc.nu_volumes()
     assert vols.sum() == pytest.approx(1.0, abs=1e-15)
     for lab in assign.labels:
         mask = np.array([l == lab for l in disc.leaf_labels])

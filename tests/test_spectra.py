@@ -65,7 +65,7 @@ def test_kozyrev_p2_values():
     dend, assign = two_leaf()
     disc = discretize(assign, 2)
     B = assign.discs["a"]
-    psi = kozyrev_wavelet(assign, disc, B, 1)
+    psi = kozyrev_wavelet(disc, B, 1)
     support = psi[np.array([l == "a" for l in disc.leaf_labels])]
     amp = 2 ** (assign.m / 2)
     assert sorted(support.real) == pytest.approx([-amp, amp], abs=1e-12)
@@ -79,7 +79,7 @@ def test_kozyrev_unit_haar_norm_and_zero_mean():
     B = PAdicCell(5, (2,))
     haar = disc.haar_volumes()
     for j in range(1, 5):
-        psi = kozyrev_wavelet(assign, disc, B, j)
+        psi = kozyrev_wavelet(disc, B, j)
         assert np.vdot(psi, haar * psi).real == pytest.approx(1.0, abs=1e-12)
         assert abs(np.sum(psi * haar)) < 1e-12
 
@@ -87,8 +87,8 @@ def test_kozyrev_unit_haar_norm_and_zero_mean():
 def test_kozyrev_disjoint_supports_orthogonal():
     dend, assign = single_leaf(p=2)
     disc = discretize(assign, 3)
-    psi1 = kozyrev_wavelet(assign, disc, PAdicCell(2, (0,)), 1)
-    psi2 = kozyrev_wavelet(assign, disc, PAdicCell(2, (1,)), 1)
+    psi1 = kozyrev_wavelet(disc, PAdicCell(2, (0,)), 1)
+    psi2 = kozyrev_wavelet(disc, PAdicCell(2, (1,)), 1)
     haar = disc.haar_volumes()
     assert abs(np.vdot(psi1, haar * psi2)) == 0.0
 
@@ -98,8 +98,8 @@ def test_kozyrev_character_orthogonality_p3():
     disc = discretize(assign, 2)
     B = PAdicCell(3, ())
     haar = disc.haar_volumes()
-    psi1 = kozyrev_wavelet(assign, disc, B, 1)
-    psi2 = kozyrev_wavelet(assign, disc, B, 2)
+    psi1 = kozyrev_wavelet(disc, B, 1)
+    psi2 = kozyrev_wavelet(disc, B, 2)
     assert abs(np.vdot(psi1, haar * psi2)) < 1e-12
 
 
@@ -107,9 +107,9 @@ def test_kozyrev_errors():
     dend, assign = two_leaf()
     disc = discretize(assign, 2)
     with pytest.raises(BadJ):
-        kozyrev_wavelet(assign, disc, assign.discs["a"], 2)  # p = 2
+        kozyrev_wavelet(disc, assign.discs["a"], 2)  # p = 2
     with pytest.raises(BallOutsideZ):
-        kozyrev_wavelet(assign, disc, PAdicCell(2, ()), 1)  # contains both discs
+        kozyrev_wavelet(disc, PAdicCell(2, ()), 1)  # contains both discs
 
 
 def test_kozyrev_local_eigenvalue_frozen_value():
@@ -129,11 +129,11 @@ def test_kozyrev_eigenvalue_certifies_single_disc():
     dend, assign = single_leaf(p=3)
     spec = KernelSpec(Bullet.ULTRAMETRIC, 1.0, ("a",), np.zeros((1, 1)))
     disc = discretize(assign, 2)
-    gen = generator(spec, assign, disc, "haar")
+    gen = generator(spec, disc, "haar")
     B = PAdicCell(3, (0,))
     lam = kozyrev_eigenvalue(spec, assign, B, "a")
     assert lam == pytest.approx(-5.0 / 3.0)
-    psi = kozyrev_wavelet(assign, disc, B, 1)
+    psi = kozyrev_wavelet(disc, B, 1)
     assert verify_eigenpair(gen, psi, lam) < 1e-12
 
 
@@ -155,11 +155,11 @@ def test_kozyrev_eigenvalue_independent_of_j():
     dend, assign = single_leaf(p=5)
     spec = KernelSpec(Bullet.ULTRAMETRIC, 2.0, ("a",), np.zeros((1, 1)))
     disc = discretize(assign, 2)
-    gen = generator(spec, assign, disc, "haar")
+    gen = generator(spec, disc, "haar")
     B = PAdicCell(5, (3,))
     lam = kozyrev_eigenvalue(spec, assign, B, "a")
     for j in range(1, 5):
-        psi = kozyrev_wavelet(assign, disc, B, j)
+        psi = kozyrev_wavelet(disc, B, j)
         assert verify_eigenpair(gen, psi, lam) < 1e-12
 
 
@@ -187,9 +187,8 @@ def test_kozyrev_eigenvalue_nonpositive():
 
 def test_ultrametric_wavelet_two_children_values():
     dend, assign = two_leaf()
-    nu = tree_measure(dend)
     disc = discretize(assign, 2)
-    psi = ultrametric_wavelet(dend, nu, disc, dend.root, 1)
+    psi = ultrametric_wavelet(disc, dend.root, 1)
     vals = sorted(set(np.round(psi.real, 12)))
     assert vals == [-1.0, 1.0]  # nu(root)^(-1/2) = 1
 
@@ -199,31 +198,29 @@ def test_ultrametric_wavelet_zero_mean_unit_norm():
     for _ in range(10):
         dend = random_dendrogram(rng, int(rng.integers(3, 15)), max_children=4)
         assign = embed(dend)
-        nu = tree_measure(dend)
         disc = discretize(assign, assign.m + 1)
-        vols = disc.nu_volumes(nu)
+        vols = disc.nu_volumes()
         for node in dend.internal_nodes():
             for k in range(1, len(node.children)):
-                psi = ultrametric_wavelet(dend, nu, disc, node, k)
+                psi = ultrametric_wavelet(disc, node, k)
                 assert abs(np.sum(psi * vols)) < 1e-12
                 assert np.vdot(psi, vols * psi).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ultrametric_wavelet_errors():
     dend, assign = two_leaf()
-    nu = tree_measure(dend)
     disc = discretize(assign, 2)
     with pytest.raises(LeafNode):
-        ultrametric_wavelet(dend, nu, disc, dend.leaves["a"], 1)
+        ultrametric_wavelet(disc, dend.leaves["a"], 1)
     with pytest.raises(TrivialCharacter):
-        ultrametric_wavelet(dend, nu, disc, dend.root, 0)
+        ultrametric_wavelet(disc, dend.root, 0)
 
 
 def test_ultrametric_eigenvalue_root_frozen():
     # two children at distance r, each child mass 1/2: gamma = -1/r
     dend, assign = two_leaf(radius=2.0)
     nu = tree_measure(dend)
-    gamma = ultrametric_eigenvalue(dend, dend.delta_matrix(), nu, dend.root, 1.0)
+    gamma = ultrametric_eigenvalue(dend.delta_matrix(), nu, dend.root, 1.0)
     assert gamma == pytest.approx(-0.5)
 
 
@@ -236,11 +233,11 @@ def test_ultrametric_eigenvalue_certifies_on_matrix():
         delta = dend.delta_matrix()
         spec = ultra_spec(dend)
         disc = discretize(assign, assign.m + 1)
-        gen = generator(spec, assign, disc, "nu", nu)
+        gen = generator(spec, disc, "nu")
         for node in dend.internal_nodes():
-            gamma = ultrametric_eigenvalue(dend, delta, nu, node, 1.0)
+            gamma = ultrametric_eigenvalue(delta, nu, node, 1.0)
             for k in range(1, len(node.children)):
-                psi = ultrametric_wavelet(dend, nu, disc, node, k)
+                psi = ultrametric_wavelet(disc, node, k)
                 assert verify_eigenpair(gen, psi, gamma) < 1e-10
 
 
@@ -252,10 +249,10 @@ def test_ultrametric_eigenvalue_shared_across_characters():
     nu = tree_measure(dend)
     spec = ultra_spec(dend)
     disc = discretize(assign, assign.m + 1)
-    gen = generator(spec, assign, disc, "nu", nu)
-    gamma = ultrametric_eigenvalue(dend, None, nu, dend.root, 1.0)
+    gen = generator(spec, disc, "nu")
+    gamma = ultrametric_eigenvalue(None, nu, dend.root, 1.0)
     for k in (1, 2):
-        psi = ultrametric_wavelet(dend, nu, disc, dend.root, k)
+        psi = ultrametric_wavelet(disc, dend.root, k)
         assert verify_eigenpair(gen, psi, gamma) < 1e-10
 
 
@@ -266,7 +263,7 @@ def test_block_modes_single_vertex():
     dend, assign = single_leaf(p=2)
     spec = KernelSpec(Bullet.ULTRAMETRIC, 1.0, ("a",), np.zeros((1, 1)))
     disc = discretize(assign, 1)
-    modes = laplacian_block_modes(spec, assign, disc)
+    modes = laplacian_block_modes(spec, disc)
     assert len(modes) == 1
     assert modes[0].lam == pytest.approx(0.0, abs=1e-14)
 
@@ -275,7 +272,7 @@ def test_block_modes_two_vertices_closed_form():
     dend, assign = two_leaf(radius=2.0)
     spec = ultra_spec(dend)
     disc = discretize(assign, assign.m + 1)
-    modes = laplacian_block_modes(spec, assign, disc)
+    modes = laplacian_block_modes(spec, disc)
     rate = 2.0**-1.0  # delta(a,b)^-alpha
     vol = 2.0**-assign.m
     lams = sorted(m.lam for m in modes)
@@ -290,7 +287,7 @@ def test_block_modes_nonpositive():
         assign = embed(dend)
         spec = ultra_spec(dend)
         disc = discretize(assign, assign.m + 1)
-        for mode in laplacian_block_modes(spec, assign, disc):
+        for mode in laplacian_block_modes(spec, disc):
             assert mode.lam <= 1e-12
 
 
@@ -310,13 +307,12 @@ def test_root_of_unity_exchange_identity():
 
 def test_full_basis_counts():
     dend, assign = two_leaf()
-    nu = tree_measure(dend)
     spec = ultra_spec(dend)
     disc = discretize(assign, assign.m + 1)
-    haar_basis = full_basis(spec, assign, disc, "haar")
+    haar_basis = full_basis(spec, disc, "haar")
     kinds = sorted(p.kind for p in haar_basis)
     assert kinds == ["block", "block", "kozyrev", "kozyrev"]
-    nu_basis = full_basis(spec, assign, disc, "nu", nu)
+    nu_basis = full_basis(spec, disc, "nu")
     kinds = sorted(p.kind for p in nu_basis)
     assert kinds == ["constant", "kozyrev", "kozyrev", "ultrametric"]
 
@@ -326,11 +322,10 @@ def test_full_basis_gram_and_projector_identity():
     for _ in range(6):
         dend = random_dendrogram(rng, int(rng.integers(2, 7)), max_children=3)
         assign = embed(dend)
-        nu = tree_measure(dend)
         spec = ultra_spec(dend)
         disc = discretize(assign, assign.m + 1)
-        for measure, tm in (("haar", None), ("nu", nu)):
-            basis = full_basis(spec, assign, disc, measure, tm)
+        for measure in ("haar", "nu"):
+            basis = full_basis(spec, disc, measure)
             eye = np.eye(len(basis))
             assert np.max(np.abs(basis.gram() - eye)) < 1e-10
             assert np.max(np.abs(basis.projector_sum() - eye)) < 1e-10
@@ -341,12 +336,11 @@ def test_full_basis_other_bullets_under_nu():
     rng = np.random.default_rng(103)
     dend = random_dendrogram(rng, 5, max_children=3)
     assign = embed(dend)
-    nu = tree_measure(dend)
     delta = dend.delta_matrix()
     base = delta.values + np.where(~np.eye(5, dtype=bool), 0.3, 0.0)
     spec = KernelSpec(Bullet.GRAPH_DISTANCE, 1.0, delta.labels, base)
     disc = discretize(assign, assign.m + 1)
-    basis = full_basis(spec, assign, disc, "nu", nu)
+    basis = full_basis(spec, disc, "nu")
     assert max(p.residual for p in basis) < 1e-10
     assert np.max(np.abs(basis.gram() - np.eye(len(basis)))) < 1e-10
 
@@ -355,11 +349,10 @@ def test_full_basis_spectrum_sign():
     rng = np.random.default_rng(107)
     dend = random_dendrogram(rng, 6, max_children=3)
     assign = embed(dend)
-    nu = tree_measure(dend)
     spec = ultra_spec(dend, alpha=2.0)
     disc = discretize(assign, assign.m + 1)
-    for measure, tm in (("haar", None), ("nu", nu)):
-        basis = full_basis(spec, assign, disc, measure, tm)
+    for measure in ("haar", "nu"):
+        basis = full_basis(spec, disc, measure)
         assert all(p.lam <= 1e-12 for p in basis)
 
 
@@ -367,7 +360,7 @@ def test_verify_eigenpair_detects_wrong_lambda():
     dend, assign = two_leaf()
     spec = ultra_spec(dend)
     disc = discretize(assign, assign.m + 1)
-    gen = generator(spec, assign, disc, "haar")
+    gen = generator(spec, disc, "haar")
     ones = np.ones(len(disc.cells))
     assert verify_eigenpair(gen, ones, 0.0) == 0.0
     wrong = verify_eigenpair(gen, ones, 1.0)
@@ -380,7 +373,7 @@ def test_full_basis_incomplete_detection():
     dend, assign = two_leaf()
     spec = ultra_spec(dend)
     disc = discretize(assign, assign.m + 1)
-    basis = full_basis(spec, assign, disc, "haar")
+    basis = full_basis(spec, disc, "haar")
     from ultraheat.spectra import EigenBasis
     from ultraheat import heat_kernel
 
@@ -399,12 +392,11 @@ def random_bases(seed):
     rng = np.random.default_rng(seed)
     dend = random_dendrogram(rng, 7, max_children=3)
     assign = embed(dend)
-    nu = tree_measure(dend)
     disc = discretize(assign, assign.m + 2)
     _, gd_spec, _ = specs_from_weights(rng, assign.labels, random_connected_weights(rng, assign.labels))
     return (
-        full_basis(gd_spec, assign, disc, "haar"),
-        full_basis(ultra_spec(dend), assign, disc, "nu", nu),
+        full_basis(gd_spec, disc, "haar"),
+        full_basis(ultra_spec(dend), disc, "nu"),
     )
 
 
@@ -439,11 +431,10 @@ def test_full_basis_keeps_one_psi_matrix_and_its_generator():
     rng = np.random.default_rng(41)
     dend = random_dendrogram(rng, 6, max_children=3)
     assign = embed(dend)
-    nu = tree_measure(dend)
     spec = ultra_spec(dend)
     disc = discretize(assign, assign.m + 2)
-    basis = full_basis(spec, assign, disc, "nu", nu)
-    assert np.array_equal(basis.generator.matrix, generator(spec, assign, disc, "nu", nu).matrix)
+    basis = full_basis(spec, disc, "nu")
+    assert np.array_equal(basis.generator.matrix, generator(spec, disc, "nu").matrix)
     psi = basis.psi_matrix()
     assert psi is basis.psi_matrix()
     assert not psi.flags.writeable
@@ -471,26 +462,25 @@ def test_kozyrev_wavelet_matches_cell_loop():
                     if cell.digits[: B.level] == B.digits:
                         a = cell.digits[B.level]
                         expected[i] = amp * np.exp(2j * math.pi * j * a / p)
-                assert np.array_equal(kozyrev_wavelet(assign, disc, B, j), expected)
+                assert np.array_equal(kozyrev_wavelet(disc, B, j), expected)
 
 
 def test_full_basis_kozyrev_eigenvalues_equal_the_closed_form_bit_for_bit():
     rng = np.random.default_rng(109)
     dend = random_dendrogram(rng, 6, max_children=3)
     assign = embed(dend)
-    nu = tree_measure(dend)
     delta = dend.delta_matrix()
     base = delta.values + np.where(~np.eye(6, dtype=bool), 0.3, 0.0)
     disc = discretize(assign, assign.m + 2)
     for spec in (ultra_spec(dend, alpha=1.5),
                  KernelSpec(Bullet.GRAPH_DISTANCE, 1.0, delta.labels, base)):
-        for measure, tm in (("haar", None), ("nu", nu)):
-            pairs = [p for p in full_basis(spec, assign, disc, measure, tm) if p.kind == "kozyrev"]
+        for measure in ("haar", "nu"):
+            pairs = [p for p in full_basis(spec, disc, measure) if p.kind == "kozyrev"]
             assert len(pairs) == len(disc.cells) - len(assign.labels)
             for pair in pairs:
                 label, digits = pair.support.split(":")
                 B = PAdicCell(assign.p, tuple(int(d) for d in digits))
-                assert pair.lam == kozyrev_eigenvalue(spec, assign, B, label, measure, tm)
+                assert pair.lam == kozyrev_eigenvalue(spec, assign, B, label, measure)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -501,14 +491,14 @@ def test_full_basis_kozyrev_columns_equal_the_wavelets_bit_for_bit(p):
     nu = tree_measure(dend)
     disc = discretize(assign, assign.m + (3 if p == 2 else 2))
     spec = ultra_spec(dend, alpha=1.5)
-    for measure, tm in (("haar", None), ("nu", nu)):
-        pairs = [pair for pair in full_basis(spec, assign, disc, measure, tm)
+    for measure in ("haar", "nu"):
+        pairs = [pair for pair in full_basis(spec, disc, measure)
                  if pair.kind == "kozyrev"]
         assert len(pairs) == len(disc) - len(assign.labels)
         for pair in pairs:
             label, digits = pair.support.split(":")
             B = PAdicCell(p, tuple(int(d) for d in digits))
-            expected = kozyrev_wavelet(assign, disc, B, pair.index)
+            expected = kozyrev_wavelet(disc, B, pair.index)
             if measure == "nu":
                 expected = expected / math.sqrt(float(nu.leaf_mass(label)) * float(p) ** assign.m)
             assert np.array_equal(pair.psi, expected)
