@@ -61,6 +61,7 @@ from .ultraindex import (
     DistanceMatrix,
     UltrametricMatrix,
     build_dendrogram,
+    graph_components,
     graph_dendrogram,
     graph_distances,
     minimal_cluster,

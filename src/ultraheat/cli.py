@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import operator
 import sys
 from pathlib import Path
@@ -146,7 +147,7 @@ def cmd_toposort(args) -> int:
     else:
         if not weights:
             weights = {frozenset(e): 1.0 for e in dag.edges}
-        dend = ultraindex.graph_dendrogram(dag.vertices, weights)
+        dend = ultraindex.graph_dendrogram(dag.vertices, _join_components(dag.vertices, weights))
     order = toposort.parallel_toposort(dag, dend, seeds, parallelism=args.parallelism)
     pos = {v: i for i, v in enumerate(order)}
     valid = all(pos[u] < pos[v] for u, v in dag.edges)
@@ -159,6 +160,16 @@ def cmd_toposort(args) -> int:
         "parallelism": args.parallelism,
     })
     return 0 if valid else 1
+
+
+def _join_components(vertices, weights: dict) -> dict:
+    """The weights plus, when the graph falls apart, one edge from the
+    str-smallest vertex of every further component to that of the first,
+    all at one weight above every edge weight: the components become the
+    children of one root, and a connected graph keeps its weights."""
+    heads = [component[0] for component in ultraindex.graph_components(vertices, weights)]
+    join = math.nextafter(max(weights.values(), default=1.0), math.inf)
+    return {**weights, **{frozenset((heads[0], head)): join for head in heads[1:]}}
 
 
 def _spec_from_index(args, assign, weights) -> operators.KernelSpec:

@@ -3,9 +3,11 @@
 The semigroup exp(tA) of a dense generator self-adjoint under its measure
 is computed through the symmetrised eigendecomposition (scaling-and-squaring
 through scipy is the fallback for anything else).  The heat kernel is the
-spectral sum p(t,x,y) = sum_lambda e^(lambda t) psi(x) conj(psi(y)); the
-two routes agree after measure weighting and both are exercised by the
-tests.
+spectral sum p(t,x,y) = sum_lambda e^(lambda t) psi(x) conj(psi(y)), taken
+in the basis's disc blocks (``EigenBasis.cells_per_block``): the dense
+columns as one product, and each disc's Kozyrev columns on its own
+diagonal block, where alone they are non-zero.  The two routes agree after
+measure weighting and both are exercised by the tests.
 
 The certify routines (``truncation_bound``, ``convergence_study``) evolve
 without the N x N generator, through the closed-form pure-ball spectrum
@@ -197,13 +199,23 @@ def semigroup(A: GeneratorMatrix, t: float) -> SemigroupMatrix:
 
 
 def heat_kernel(basis: EigenBasis, t: float) -> HeatKernelTable:
-    """p(t,x,y) = sum_lambda e^(lambda t) psi(x) conj(psi(y))."""
+    """p(t,x,y) = sum_lambda e^(lambda t) psi(x) conj(psi(y)), summed in the
+    basis's layout (``EigenBasis.cells_per_block`` s): the dense last K
+    columns as (Psi_rest e^(Lambda t)) Psi_rest^H, plus on each diagonal
+    s x s block Psi_k e^(Lambda_k t) Psi_k^H of the block's own s - 1
+    columns, which vanish elsewhere.  For s = 1 the block part is empty."""
     check_time(t)
     if len(basis) != len(basis.cells):
         raise IncompleteBasis(f"{len(basis)} eigenpairs over {len(basis.cells)} cells")
-    psi = basis.psi_matrix()
+    n, s = len(basis.cells), basis.cells_per_block
+    w = n - n // s  # the block-diagonal columns
     weights = np.exp(t * basis.eigenvalues())
-    table = (psi * weights[None, :]) @ psi.conj().T
+    rest = basis.psi_matrix()[:, w:]
+    table = (rest * weights[None, w:]) @ rest.conj().T
+    blocks = basis.disc_blocks()  # K x s x (s - 1)
+    k = np.arange(len(blocks))
+    table.reshape(len(k), s, len(k), s)[k, :, k, :] += (
+        (blocks * weights[:w].reshape(len(k), 1, -1)) @ blocks.conj().transpose(0, 2, 1))
     imag = float(np.max(np.abs(table.imag)))
     if imag > 1e-10:
         raise ValueError(f"imaginary parts failed to cancel ({imag:g})")

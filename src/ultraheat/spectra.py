@@ -34,14 +34,21 @@ constant on the vertex discs:
 
 ``ball_spectrum`` builds both parts once per domain (over the pure balls of
 a truncated domain) for ``full_basis``, ``laplacian_block_modes`` and the
-certify evolver of ``heat``.  Every function that acts on cells takes the
-``CellDomain`` alone and reads the assignment, the dendrogram and the tree
-measure nu from it.  Float sums run left to right, as the builtin ``sum``
-does only before Python 3.12.
+certify evolver of ``heat``; its K x K eigensolve runs on first read only.
+``full_basis`` lays its columns out disc by disc
+(``EigenBasis.cells_per_block`` s = p^(n - m)): disc k's s - 1 Kozyrev
+columns vanish off its s cells, so each residual of theirs is the disc's
+N x s column slab of the assembled generator times the disc's block,
+still over all N rows, and ``heat.heat_kernel`` sums them on the diagonal
+blocks.  Every function that acts on cells takes the ``CellDomain`` alone
+and reads the assignment, the dendrogram and the tree measure nu from it.
+Float sums run left to right, as the builtin ``sum`` does only before
+Python 3.12.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -78,7 +85,13 @@ class EigenPair:
 class EigenBasis:
     """Eigenpairs over the cells, with their functions as the columns of one
     read-only matrix ``psi`` (stacked from the pairs when not given) and,
-    when known, the generator their residuals were certified against."""
+    when known, the generator their residuals were certified against.
+
+    ``cells_per_block`` s is the layout of ``psi``: with K = N / s blocks
+    of s consecutive cells, the first K (s - 1) columns are block-diagonal
+    (block k's s - 1 columns vanish off cells k s .. (k + 1) s - 1) and the
+    last K are dense.  The default s = 1 has no block part.
+    """
 
     pairs: tuple
     cells: Sequence  # the domain's cells, read lazily
@@ -86,12 +99,16 @@ class EigenBasis:
     measure_kind: str
     psi: np.ndarray | None = field(default=None, repr=False, compare=False)
     generator: GeneratorMatrix | None = field(default=None, repr=False, compare=False)
+    cells_per_block: int = 1
 
     def __post_init__(self):
         if self.psi is None:
             psi = np.column_stack([np.asarray(p.psi, dtype=complex) for p in self.pairs])
             psi.setflags(write=False)
             object.__setattr__(self, "psi", psi)
+        if len(self.cells) % self.cells_per_block:
+            raise ValueError(f"{len(self.cells)} cells do not split into blocks "
+                             f"of {self.cells_per_block}")
 
     def __len__(self):
         return len(self.pairs)
@@ -108,6 +125,11 @@ class EigenBasis:
     def eigenvalues(self) -> np.ndarray:
         return np.array([p.lam for p in self.pairs])
 
+    def disc_blocks(self) -> np.ndarray:
+        """The diagonal blocks of the leading block-diagonal columns, as a
+        K x s x (s - 1) array (K x 1 x 0 for s = 1)."""
+        return _diagonal_blocks(self.psi, self.cells_per_block)
+
     def gram(self) -> np.ndarray:
         psi = self.psi_matrix()
         return psi.conj().T @ (self.measure[:, None] * psi)
@@ -115,6 +137,15 @@ class EigenBasis:
     def projector_sum(self) -> np.ndarray:
         psi = self.psi_matrix()
         return psi @ (psi.conj().T * self.measure[None, :])
+
+
+def _diagonal_blocks(psi: np.ndarray, s: int) -> np.ndarray:
+    """Block k of the leading K (s - 1) columns of an N x N ``psi``: rows
+    k s .. (k + 1) s - 1 by columns k (s - 1) .. (k + 1)(s - 1) - 1."""
+    K, w = len(psi) // s, s - 1
+    rows = np.arange(K * s).reshape(K, s, 1)
+    cols = (np.arange(K) * w)[:, None, None] + np.arange(w)
+    return psi[rows, cols]
 
 
 # --- Kozyrev wavelets ------------------------------------------------------------
@@ -262,7 +293,9 @@ class BallSpectrum:
     """Pure ball a starts at cell ``starts[a]``, spans ``sizes[a]`` cells, has
     level ``levels[a]``, measure ``mass[a]`` and density ``scale[a]``, and
     level-d wavelet eigenvalue ``kozyrev[a, d - levels[a]]`` (NaN from level
-    n on); ``evals`` and ``vecs`` (orthonormal under ``mass``) do the rest."""
+    n on); the eigenpairs of the K x K matrix ``coarse`` on functions
+    constant on the pure balls, ``evals`` and ``vecs`` (orthonormal under
+    ``mass``), do the rest.  They are solved for on first read, once."""
 
     starts: np.ndarray
     sizes: np.ndarray
@@ -270,8 +303,19 @@ class BallSpectrum:
     mass: np.ndarray
     scale: np.ndarray
     kozyrev: np.ndarray
-    evals: np.ndarray
-    vecs: np.ndarray
+    coarse: np.ndarray
+
+    @functools.cached_property
+    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return weighted_symmetric_eig(self.coarse, self.mass)
+
+    @property
+    def evals(self) -> np.ndarray:
+        return self._eigenpairs[0]
+
+    @property
+    def vecs(self) -> np.ndarray:
+        return self._eigenpairs[1]
 
 
 def ball_spectrum(spec: KernelSpec, dom: CellDomain, measure: str = "haar") -> BallSpectrum:
@@ -303,7 +347,6 @@ def ball_spectrum(spec: KernelSpec, dom: CellDomain, measure: str = "haar") -> B
     L = rates * mass[None, :]
     np.fill_diagonal(L, 0.0)
     np.fill_diagonal(L, -L.sum(axis=1))
-    evals, vecs = weighted_symmetric_eig(L, mass)
 
     block_level = np.array([ball.level for ball in dom.balls])[block]
     local = np.full((len(starts), n - int(levels.min())), np.nan)
@@ -312,7 +355,7 @@ def ball_spectrum(spec: KernelSpec, dom: CellDomain, measure: str = "haar") -> B
         local[rows, :n - d0] = [kozyrev_local_eigenvalue(p, spec.alpha, d, b)
                                 for d in range(d0, n)]
     kozyrev = scale[:, None] * local - escape[:, None]
-    return BallSpectrum(starts, p ** (n - levels), levels, mass, scale, kozyrev, evals, vecs)
+    return BallSpectrum(starts, p ** (n - levels), levels, mass, scale, kozyrev, L)
 
 
 def _block_pairs(spectrum: BallSpectrum) -> list[EigenPair]:
@@ -363,6 +406,39 @@ def verify_eigenpair(A: GeneratorMatrix, psi: np.ndarray, lam):
     return out
 
 
+def _basis_residuals(A: GeneratorMatrix, psi: np.ndarray, lam, s: int) -> np.ndarray:
+    """``verify_eigenpair(A, psi, lam)`` of a basis laid out in blocks of s
+    cells (``EigenBasis.cells_per_block``): the same generator and the same
+    max|A psi - lam psi| / max(1, |lam|) over all N rows.  The last K
+    columns go through ``verify_eigenpair``.  Block k's s - 1 columns
+    vanish off its cells, so A psi is the N x s column slab of A over those
+    cells times the s x (s - 1) block, in batched products over several
+    blocks of at most ``_VERIFY_BLOCK`` columns in all, and lam psi is
+    subtracted on the block's rows only."""
+    n = A.n_cells
+    K, w = n // s, s - 1
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty(n)
+    out[K * w:] = verify_eigenpair(A, psi[:, K * w:], lam[K * w:])
+    blocks, lams = _diagonal_blocks(psi, s), lam[:K * w].reshape(K, w)
+    slabs = A.matrix.reshape(n, K, s).transpose(1, 0, 2)  # slab k: A's columns of block k
+    width = max(1, min(w, _VERIFY_BLOCK))  # columns of one block per product
+    per = _VERIFY_BLOCK // width  # blocks per product
+    for k0 in range(0, K, per):
+        k1 = min(k0 + per, K)
+        ks = np.arange(k0, k1)
+        for j0 in range(0, w, width):
+            x, lam_b = blocks[ks, :, j0:j0 + width], lams[ks, j0:j0 + width]
+            err = 0.0  # hypot(0, r) is |r|: the real part alone, then with the imaginary part
+            for part in (x.real, x.imag) if np.iscomplexobj(x) else (x,):
+                r = slabs[k0:k1] @ part  # (k1 - k0) x N x width
+                r.reshape(k1 - k0, K, s, -1)[ks - k0, ks] -= part * lam_b[:, None, :]
+                err = np.hypot(err, r)
+            out[:K * w].reshape(K, w)[ks, j0:j0 + width] = (
+                err.max(axis=1, initial=0.0) / np.maximum(1.0, np.abs(lam_b)))
+    return out
+
+
 # --- full bases ----------------------------------------------------------------------
 
 
@@ -374,9 +450,12 @@ def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Eig
     kernel: the constant, the ultrametric wavelets, and the Kozyrev
     wavelets (renormalised); other kernels replace the wavelet block by
     the measure-weighted block modes.  The functions are written once
-    into the columns of one matrix, and all residuals are stamped by one
-    batched ``verify_eigenpair`` against the assembled generator, which
-    the basis keeps.
+    into the columns of one matrix, disc by disc: with s = p^(n - m) cells
+    per disc, disc k's s - 1 Kozyrev columns vanish off its cells, and the
+    last K columns (block modes, or the constant and the ultrametric
+    wavelets) are dense (``EigenBasis.cells_per_block`` = s).  Every residual is taken against
+    the assembled generator, which the basis keeps, over all N rows, the
+    Kozyrev columns block by block (``_basis_residuals``).
     """
     gen = generator(spec, disc, measure)
     assign = disc.assignment
@@ -420,10 +499,11 @@ def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Eig
 
     if len(meta) != n_cells:
         raise IncompleteBasis(f"{len(meta)} basis functions for {n_cells} cells")
-    residuals = verify_eigenpair(gen, psi, [lam for *_, lam in meta])
+    s = p ** (n - m)
+    residuals = _basis_residuals(gen, psi, [lam for *_, lam in meta], s)
     psi.setflags(write=False)
     pairs = tuple(
         EigenPair(kind, support, index, lam, psi[:, k], float(residuals[k]))
         for k, (kind, support, index, lam) in enumerate(meta)
     )
-    return EigenBasis(pairs, disc.cells, gen.measure, measure, psi, gen)
+    return EigenBasis(pairs, disc.cells, gen.measure, measure, psi, gen, s)

@@ -374,6 +374,22 @@ def graph_dendrogram(graph, weights: Mapping | None = None) -> Dendrogram:
     return _dendrogram(labels, _single_linkage(len(labels), edges))
 
 
+def graph_components(graph, weights: Mapping | None = None) -> list[list]:
+    """The vertex lists of a graph's connected components, each sorted by
+    str and the lists ordered by their str-smallest vertex, from the same
+    union-find walk over the edges as ``graph_dendrogram``.  Takes the
+    graph as ``graph_distances`` does."""
+    labels, edges = _graph_edges(graph, weights)
+    root = list(range(len(labels)))
+    for _, keep, _, _, gone_members in _single_linkage(len(labels), edges):
+        for i in gone_members:
+            root[i] = keep
+    components: dict[int, list] = {}
+    for i, label in enumerate(labels):
+        components.setdefault(root[i], []).append(label)
+    return list(components.values())
+
+
 def minimal_cluster(dend: Dendrogram, x) -> frozenset:
     """Smallest non-singleton ball containing leaf x: the member set of its
     parent node.  A single-vertex tree degenerately returns {x}."""

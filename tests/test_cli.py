@@ -622,3 +622,39 @@ def test_bounds_constants_sum_runs_left_to_right(tmp_path, capsys, monkeypatch):
                  "--truncate", "1"]) == 0
     assert json.loads(out.read_text())["constants_sum"] == 1.0 != math.fsum(constants.values())
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("dag_obj, components", [
+    ({"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["c", "d"]]}, 2),
+    # three components, one of them an isolated vertex, and explicit weights
+    ({"vertices": ["e", "a", "b", "c", "d"], "edges": [["b", "a"], ["c", "d"]],
+      "weights": {"a|b": 0.5, "c|d": 2.0}}, 3),
+])
+def test_toposort_without_an_index_joins_the_components_under_one_root(
+        tmp_path, capsys, monkeypatch, dag_obj, components):
+    seen = []
+    original = toposort.parallel_toposort
+    monkeypatch.setattr(toposort, "parallel_toposort",
+                        lambda dag, dend, *args, **kw: seen.append(dend)
+                        or original(dag, dend, *args, **kw))
+    dag = tmp_path / "dag.json"
+    write(dag, dag_obj)
+    out = tmp_path / "order.txt"
+    assert main(["toposort", "--input", str(dag), "--output", str(out)]) == 0
+    order = out.read_text().split()
+    assert sorted(order) == sorted(dag_obj["vertices"])
+    assert all(order.index(u) < order.index(v) for u, v in dag_obj["edges"])
+    assert parse_summaries(capsys.readouterr().out)[-1]["metrics"]["valid_linear_extension"] is True
+    [dend] = seen
+    assert len(dend.root.children) == components
+    assert dend.root.radius > max(dag_obj.get("weights", {"": 1.0}).values())
+
+
+def test_index_of_a_disconnected_graph_still_exits_7(tmp_path, capsys):
+    fam, graph = tmp_path / "family.json", tmp_path / "graph.json"
+    write(fam, {"vertices": ["a", "b", "c", "d"],
+                "topologies": [{"edges": [["a", "b"], ["c", "d"]]}], "primes": [2]})
+    assert main(["encode", "--input", str(fam), "--output", str(graph)]) == 0
+    assert main(["index", "--input", str(graph), "--output", str(tmp_path / "index.json")]) == 7
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DisconnectedGraph"

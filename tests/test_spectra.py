@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultraheat import (
     Bullet,
@@ -21,6 +22,7 @@ from ultraheat import (
     embed,
     full_basis,
     generator,
+    heat_kernel,
     kozyrev_eigenvalue,
     kozyrev_local_eigenvalue,
     kozyrev_wavelet,
@@ -402,6 +404,7 @@ def random_bases(seed):
 
 def test_batched_verify_matches_per_column(monkeypatch):
     import ultraheat.spectra as spectra
+    from ultraheat.spectra import _basis_residuals
 
     monkeypatch.setattr(spectra, "_VERIFY_BLOCK", 7)  # several blocks and a ragged tail
     for basis in random_bases(97):
@@ -412,7 +415,9 @@ def test_batched_verify_matches_per_column(monkeypatch):
         batched = verify_eigenpair(gen, psi, lams)
         assert batched.shape == (len(lams),)
         assert np.max(np.abs(batched - per_column)) <= 1e-12
-        assert np.array_equal(batched, [p.residual for p in basis])
+        blockwise = _basis_residuals(gen, psi, lams, basis.cells_per_block)
+        assert np.array_equal(blockwise, [p.residual for p in basis])
+        assert np.all(np.abs(blockwise - batched) <= rounding_bound(gen, psi, lams))
         real = verify_eigenpair(gen, psi.real, lams)
         per_real = [verify_eigenpair(gen, np.array(psi[:, k].real), lams[k]) for k in range(len(lams))]
         assert np.max(np.abs(real - per_real)) <= 1e-12
@@ -502,3 +507,134 @@ def test_full_basis_kozyrev_columns_equal_the_wavelets_bit_for_bit(p):
             if measure == "nu":
                 expected = expected / math.sqrt(float(nu.leaf_mass(label)) * float(p) ** assign.m)
             assert np.array_equal(pair.psi, expected)
+
+
+# --- the disc-block layout of full bases -------------------------------------------
+
+MAX_LAYOUT_CELLS = 700
+
+
+def bullet_spec(bullet, dend, rng, alpha):
+    """The dendrogram's ultrametric kernel, or the adjacency or graph
+    distance kernel of a random connected graph on its leaves."""
+    from conftest import random_connected_weights, specs_from_weights
+
+    if bullet is Bullet.ULTRAMETRIC:
+        return ultra_spec(dend, alpha)
+    labels = tuple(sorted(dend.labels, key=str))
+    adjacency, graphdist, _ = specs_from_weights(
+        rng, labels, random_connected_weights(rng, labels), alpha)
+    return adjacency if bullet is Bullet.ADJACENCY else graphdist
+
+
+def rounding_bound(A, psi, lams):
+    """How far two evaluations of one residual may round apart, per column:
+    each entry of A psi - lam psi is a dot product of length N, whose
+    rounding error is below (N + 2) eps (sum_j |A_ij| |psi_j| + |lam psi_i|)
+    however its terms are grouped (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1), taken twice and relative like the residual.
+    A product over the disc block and the dense ``verify_eigenpair`` group
+    the terms differently, and so does ``verify_eigenpair`` itself on
+    column blocks of different widths."""
+    norm = np.max(np.abs(A.matrix).sum(axis=1))
+    return (2 * (len(psi) + 2) * np.finfo(float).eps * (norm + np.abs(lams))
+            * np.max(np.abs(psi), axis=0) / np.maximum(1.0, np.abs(lams)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    alpha=st.sampled_from([1.0, 1.5]),
+    bullet=st.sampled_from(list(Bullet)),
+    seed=st.integers(0, 2**32 - 1),
+    leaves=st.integers(2, 5),
+    t=st.sampled_from([0.0, 0.3, 2.0]),
+)
+def test_full_basis_disc_blocks_equal_the_dense_products(p, alpha, bullet, seed, leaves, t):
+    """At levels m+1..m+3 under Haar and nu: the Kozyrev columns are exactly
+    0 off their disc's cells, the blockwise residuals are the dense
+    ``verify_eigenpair`` of the whole basis, and the blockwise heat kernel
+    is the dense (Psi e^(Lambda t)) Psi^H."""
+    rng = np.random.default_rng(seed)
+    dend = random_dendrogram(rng, leaves, max_children=p)
+    assign = embed(dend, p)
+    spec = bullet_spec(bullet, dend, rng, alpha)
+    K = len(assign.labels)
+    for n in range(assign.m + 1, assign.m + 4):
+        s = p ** (n - assign.m)
+        if K * s > MAX_LAYOUT_CELLS:
+            break
+        disc = discretize(assign, n)
+        for measure in ("haar", "nu"):
+            basis = full_basis(spec, disc, measure)
+            psi, lams = basis.psi_matrix(), basis.eigenvalues()
+            assert basis.cells_per_block == s
+            off_block = np.ones((K * s, K * (s - 1)), dtype=bool)
+            for k in range(K):
+                off_block[k * s:(k + 1) * s, k * (s - 1):(k + 1) * (s - 1)] = False
+            assert np.all(psi[:, :K * (s - 1)][off_block] == 0)
+            assert all(pair.kind == "kozyrev" for pair in basis.pairs[:K * (s - 1)])
+            assert not any(pair.kind == "kozyrev" for pair in basis.pairs[K * (s - 1):])
+
+            dense = verify_eigenpair(basis.generator, psi, lams)
+            blockwise = np.array([pair.residual for pair in basis])
+            assert np.all(np.abs(blockwise - dense) <= rounding_bound(basis.generator, psi, lams))
+
+            table = heat_kernel(basis, t).matrix
+            expected = ((psi * np.exp(t * lams)[None, :]) @ psi.conj().T).real
+            assert np.max(np.abs(table - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_blockwise_residuals_catch_errors_outside_the_disc():
+    """A cross-disc entry added to the generator (zero row sums kept) and a
+    Kozyrev eigenvalue shifted by 1e-6 both show in the blockwise residual
+    of the affected column, though the first lies on no row of its disc."""
+    import dataclasses
+
+    from ultraheat.spectra import _basis_residuals
+
+    rng = np.random.default_rng(127)
+    dend = random_dendrogram(rng, 4, max_children=3)
+    assign = embed(dend, 3)
+    disc = discretize(assign, assign.m + 2)
+    basis = full_basis(ultra_spec(dend), disc, "haar")
+    gen, psi, lams = basis.generator, basis.psi_matrix(), basis.eigenvalues()
+    s = basis.cells_per_block
+    assert max(pair.residual for pair in basis) < 1e-12
+    col = s - 1  # disc 1's first Kozyrev column
+    j = s + int(np.argmax(np.abs(psi[s:2 * s, col])))  # a cell of disc 1 where it is not 0
+    i = 3 * s  # a cell of disc 3
+    matrix = gen.matrix.copy()
+    matrix[i, j] += 1e-3
+    matrix[i, i] -= 1e-3
+    assert np.max(np.abs(matrix.sum(axis=1))) < 1e-12
+    crossed = _basis_residuals(dataclasses.replace(gen, matrix=matrix), psi, lams, s)
+    assert crossed[col] > 1e-9
+    expected = 1e-3 * abs(psi[j, col]) / max(1.0, abs(lams[col]))
+    assert crossed[col] == pytest.approx(expected, rel=1e-6)
+
+    shifted = lams.copy()
+    shifted[col] += 1e-6
+    assert _basis_residuals(gen, psi, shifted, s)[col] > 1e-9
+
+
+def test_ball_spectrum_solves_its_coarse_matrix_on_first_read_only(monkeypatch):
+    import ultraheat.spectra as spectra
+    from ultraheat.spectra import ball_spectrum
+
+    solved = []
+    original = spectra.weighted_symmetric_eig
+    monkeypatch.setattr(spectra, "weighted_symmetric_eig",
+                        lambda L, mass: solved.append(len(L)) or original(L, mass))
+    rng = np.random.default_rng(131)
+    dend = random_dendrogram(rng, 5, max_children=3)
+    assign = embed(dend)
+    disc = discretize(assign, assign.m + 1)
+    spec = ultra_spec(dend)
+    full_basis(spec, disc, "nu")  # the ultrametric wavelets need no block modes
+    assert solved == []
+    full_basis(spec, disc, "haar")
+    assert solved == [5]
+    spectrum = ball_spectrum(spec, disc, "nu")
+    assert spectrum.evals is spectrum.evals and spectrum.vecs is spectrum.vecs
+    assert solved == [5, 5]

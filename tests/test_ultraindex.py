@@ -17,6 +17,7 @@ from ultraheat import (
     UltrametricMatrix,
     build_dendrogram,
     embed,
+    graph_components,
     graph_dendrogram,
     graph_distances,
     minimal_cluster,
@@ -369,3 +370,28 @@ def test_graph_dendrogram_rejects_a_disconnected_graph():
         graph_dendrogram(tuple("abcd"), w)
     single = graph_dendrogram(("a",), {})
     assert single.root.is_leaf and single.labels == ("a",)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+       density=st.sampled_from([0.0, 0.05, 0.2]))
+def test_graph_components_are_the_reachable_sets(seed, n, density):
+    rng = np.random.default_rng(seed)
+    labels = [f"v{i}" for i in range(n)]  # v10 sorts before v2 by str
+    weights = {frozenset((u, v)): 1.0 for u, v in itertools.combinations(labels, 2)
+               if rng.random() < density}
+    components = graph_components(labels, weights)
+    reach = {v: {v} for v in labels}
+    for _ in labels:  # grow every set to the vertices within |V| steps
+        for e in weights:
+            u, v = tuple(e)
+            reach[u] = reach[v] = reach[u] | reach[v]
+    assert sorted(map(frozenset, components), key=sorted) == sorted(
+        {frozenset(r) for r in reach.values()}, key=sorted)
+    assert all(c == sorted(c, key=str) for c in components)
+    assert [c[0] for c in components] == sorted((c[0] for c in components), key=str)
+    if len(components) == 1:
+        assert graph_dendrogram(labels, weights).labels == tuple(sorted(labels, key=str))
+    else:
+        with pytest.raises(DisconnectedGraph):
+            graph_dendrogram(labels, weights)
