@@ -281,7 +281,7 @@ def cut_nodes(assign: DiscAssignment, ell: int):
         for node in dend.nodes
         if node.level == ell or (node.is_leaf and node.level < ell)
     ]
-    chosen.sort(key=lambda n: min(map(str, n.members)))
+    chosen.sort(key=lambda n: str(dend.order[n.start]))  # str-smallest label, not preorder
     return chosen
 
 

@@ -7,10 +7,12 @@ discs share one radius exponent m.  Internal nodes are placed at the
 depth given by the rank of their merge radius among all distinct radii,
 so that the p-adic distance between two leaf discs determines the
 ultrametric distance through a single strictly increasing lookup table.
+A child's digits are its parent's, its branch digit and zero padding.
 
 The tree measure gives the root mass 1 and splits every node's mass
 equally among its children, kept in exact rationals; an assignment builds
-it once, on first read (``DiscAssignment.nu``).
+it once, on first read (``DiscAssignment.nu``).  Node cells and masses
+are tuples indexed by ``node.index``.
 
 The operators act on one cell domain (``CellDomain``): disjoint balls,
 each cut into its level-n cells, numbered ball by ball in digit order.
@@ -44,17 +46,15 @@ class PAdicCell:
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
-        for d in self.digits:
-            if not 0 <= d < self.p:
-                raise ValueError(f"digit {d} out of range for p={self.p}")
+        digits = tuple(map(int, self.digits))
+        object.__setattr__(self, "digits", digits)
+        if digits and not (min(digits) >= 0 and max(digits) < self.p):
+            bad = next(d for d in digits if not 0 <= d < self.p)
+            raise ValueError(f"digit {bad} out of range for p={self.p}")
 
     @property
     def level(self) -> int:
         return len(self.digits)
-
-    def child(self, digit: int) -> "PAdicCell":
-        return PAdicCell(self.p, self.digits + (digit,))
 
     def extended(self, level: int) -> "PAdicCell":
         """Zero-padded representative cell at a finer level."""
@@ -110,11 +110,11 @@ class DiscAssignment:
     p: int
     m: int
     discs: Mapping  # leaf label -> PAdicCell (level m)
-    node_cells: Mapping  # id(node) -> PAdicCell
+    node_cells: tuple  # PAdicCell per node, indexed by node.index
     rho: tuple  # ((p^-k, radius), ...) with distances decreasing
 
     def cell_of(self, node: DendrogramNode) -> PAdicCell:
-        return self.node_cells[id(node)]
+        return self.node_cells[self.dendrogram.index_of(node)]
 
     def rho_of(self, distance: float) -> float:
         for dist, radius in self.rho:
@@ -126,20 +126,15 @@ class DiscAssignment:
         """Leaf label whose disc contains the cell, or None."""
         if cell.level < self.m:
             return None
-        prefix = cell.digits[: self.m]
-        label = self._prefix_map().get(prefix)
-        return label
+        return self._prefix_map.get(cell.digits[: self.m])
 
+    @functools.cached_property
     def _prefix_map(self) -> dict:
-        cached = getattr(self, "_prefixes", None)
-        if cached is None:
-            cached = {self.discs[l].digits: l for l in self.discs}
-            object.__setattr__(self, "_prefixes", cached)
-        return cached
+        return {cell.digits: label for label, cell in self.discs.items()}
 
     @property
     def labels(self) -> tuple:
-        return tuple(sorted(self.discs, key=str))
+        return self.dendrogram.labels
 
     @functools.cached_property
     def nu(self) -> "TreeMeasure":
@@ -167,20 +162,15 @@ def embed(dend: Dendrogram, p: int | None = None) -> DiscAssignment:
     rank = {r: k for k, r in enumerate(radii)}
     m = len(radii)
 
-    node_cells = {id(dend.root): PAdicCell(p, ())}
-    discs: dict = {}
-    for node in dend.nodes:  # parents before children
-        cell = node_cells[id(node)]
-        if node.is_leaf:
-            discs[node.label] = cell
-            continue
-        assert cell.level == rank[node.radius]
+    node_cells = [PAdicCell(p, ())] * len(dend.nodes)
+    for node, cell in zip(dend.nodes, node_cells):  # parents before children
         for idx, child in enumerate(node.children):
-            child_depth = m if child.is_leaf else rank[child.radius]
-            node_cells[id(child)] = cell.child(idx).extended(child_depth)
+            pad = (m if child.is_leaf else rank[child.radius]) - cell.level - 1
+            node_cells[child.index] = PAdicCell(p, cell.digits + (idx,) + (0,) * pad)
+    discs = {label: node_cells[leaf.index] for label, leaf in dend.leaves.items()}
 
     rho = tuple((float(p) ** -k, radii[k]) for k in range(m))
-    return DiscAssignment(dend, p, m, discs, node_cells, rho)
+    return DiscAssignment(dend, p, m, discs, tuple(node_cells), rho)
 
 
 @dataclass(frozen=True)
@@ -188,24 +178,24 @@ class TreeMeasure:
     """Node masses of the equal-split measure, exact rationals, total 1."""
 
     dendrogram: Dendrogram
-    masses: Mapping  # id(node) -> Fraction
+    masses: tuple  # Fraction per node, indexed by node.index
 
     def of(self, node: DendrogramNode) -> Fraction:
-        return self.masses[id(node)]
+        return self.masses[self.dendrogram.index_of(node)]
 
     def leaf_mass(self, label) -> Fraction:
-        return self.masses[id(self.dendrogram.leaves[label])]
+        return self.masses[self.dendrogram.leaves[label].index]
 
 
 def tree_measure(dend: Dendrogram) -> TreeMeasure:
-    masses: dict[int, Fraction] = {id(dend.root): Fraction(1)}
-    for node in dend.nodes:
+    masses = [Fraction(1)] * len(dend.nodes)
+    for node in dend.nodes:  # parents before children
         if node.is_leaf:
             continue
-        share = masses[id(node)] / len(node.children)
+        share = masses[node.index] / len(node.children)
         for child in node.children:
-            masses[id(child)] = share
-    return TreeMeasure(dend, masses)
+            masses[child.index] = share
+    return TreeMeasure(dend, tuple(masses))
 
 
 class _Cells(Sequence):

@@ -246,9 +246,10 @@ def ultrametric_wavelet(disc: CellDomain, node: DendrogramNode, k: int) -> np.nd
         raise ValueError(f"character index k must lie in 1..{c - 1}, got {k}")
     amp = float(disc.assignment.nu.of(node)) ** -0.5
     pos = {label: i for i, label in enumerate(disc.assignment.labels)}
+    rows = [pos[label] for label in disc.assignment.dendrogram.order]  # per leaf-order slot
     per_leaf = np.zeros(len(pos) + 1, dtype=complex)  # filler last
     for ic, child in enumerate(node.children):
-        per_leaf[[pos[label] for label in child.members]] = amp * np.exp(2j * math.pi * k * ic / c)
+        per_leaf[rows[child.start:child.stop]] = amp * np.exp(2j * math.pi * k * ic / c)
     return per_leaf[disc.leaf_index]
 
 
@@ -490,7 +491,7 @@ def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Eig
         add("constant", "domain", 0, 0.0, 1.0)
         for node in assign.dendrogram.internal_nodes():
             gamma = ultrametric_eigenvalue(None, assign.nu, node, spec.alpha)
-            support = ",".join(sorted(map(str, node.members)))
+            support = ",".join(sorted(map(str, assign.dendrogram.order[node.start:node.stop])))
             for k in range(1, len(node.children)):
                 add("ultrametric", support, k, gamma, ultrametric_wavelet(disc, node, k))
     else:

@@ -8,14 +8,16 @@ the index structure used everywhere else in this package.  Of a graph,
 ``graph_dendrogram`` builds that tree from the graph's own edges; the
 dense routes (``subdominant_ultrametric``, ``build_dendrogram``) start
 from a full distance matrix.  Both walk one minimum spanning tree through
-one union-find.
+one union-find.  The tree keeps one leaf order, the labels in preorder:
+each node is a range of it, numbered by its preorder position.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -212,13 +214,26 @@ def subdominant_ultrametric(d: DistanceMatrix) -> UltrametricMatrix:
 # --- dendrogram ---------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class DendrogramNode:
-    members: frozenset
-    radius: float
-    children: tuple = ()
-    level: int = 0
-    parent: "DendrogramNode | None" = field(default=None, repr=False)
+    """A ball: built from its merge radius and two or more children, or, as a
+    leaf, from its label.  The last tree built over it sets ``index`` (in
+    ``nodes``), ``level``, ``parent`` and its range ``start:stop`` of ``order``."""
+
+    index = level = start = stop = 0
+    parent = _tree = _label = None
+    children, radius = (), 0.0
+
+    def __init__(self, radius: float, children):
+        self.radius, self.children = radius, tuple(children)
+        if len(self.children) < 2:
+            raise ValueError("internal nodes need at least two children")
+        self._key = min(c._key for c in self.children)  # str-smallest label below
+
+    @classmethod
+    def leaf(cls, label) -> "DendrogramNode":
+        node = cls.__new__(cls)
+        node._label, node._key = label, str(label)
+        return node
 
     @property
     def is_leaf(self) -> bool:
@@ -228,10 +243,12 @@ class DendrogramNode:
     def label(self):
         if not self.is_leaf:
             raise ValueError("only leaves carry a single label")
-        return next(iter(self.members))
+        return self._label
 
-    def sort_key(self):
-        return min(map(str, self.members))
+    @functools.cached_property
+    def members(self) -> frozenset:
+        """The leaf labels below the node, from its range, built on first read."""
+        return frozenset(self._tree.order[self.start:self.stop])
 
 
 class Dendrogram:
@@ -240,43 +257,45 @@ class Dendrogram:
     Leaves are singletons at radius 0; every internal node merges its
     children at its radius, and radii strictly decrease towards the
     leaves.  The root is at level 0.  Children are kept sorted by their
-    smallest member label so that traversals are reproducible.
+    str-smallest label so that traversals are reproducible; ``nodes`` and
+    ``order`` (the leaf labels) are in preorder, so a node is a range of it.
     """
 
     def __init__(self, root: DendrogramNode):
         self.root = root
         root.level, root.parent = 0, None
-        nodes = []
+        nodes, order = [], []
         stack = [root]
         while stack:  # preorder with an explicit stack: no depth limit
             node = stack.pop()
+            if node._tree is self:
+                raise ValueError("a node appears twice in the tree")
+            node._tree = self
+            node.index, node.start = len(nodes), len(order)
             nodes.append(node)
-            node.children = tuple(sorted(node.children, key=DendrogramNode.sort_key))
+            if node.is_leaf:
+                order.append(node.label)
+                continue
+            node.children = tuple(sorted(node.children, key=lambda c: c._key))
             for ch in node.children:
+                if not ch.radius < node.radius:
+                    raise ValueError("radii must strictly decrease towards the leaves")
                 ch.level, ch.parent = node.level + 1, node
             stack.extend(reversed(node.children))
+        for node in reversed(nodes):  # children before parents
+            node.stop = node.children[-1].stop if node.children else node.start + 1
         self.nodes: tuple = tuple(nodes)
+        self.order: tuple = tuple(order)
         self.leaves: dict = {node.label: node for node in nodes if node.is_leaf}
-        self.labels = tuple(sorted(self.leaves, key=str))
-        self._validate()
+        if len(self.leaves) != len(order):
+            raise ValueError("a label appears on two leaves")
+        self.labels = tuple(sorted(order, key=str))
 
-    def _validate(self):
-        for node in self.nodes:
-            if node.is_leaf:
-                if len(node.members) != 1:
-                    raise ValueError("leaves must be singletons")
-                continue
-            if len(node.children) < 2:
-                raise ValueError("internal nodes need at least two children")
-            union = frozenset().union(*(c.members for c in node.children))
-            if union != node.members:
-                raise ValueError("children must partition the member set")
-            total = sum(len(c.members) for c in node.children)
-            if total != len(node.members):
-                raise ValueError("children overlap")
-            for c in node.children:
-                if c.radius >= node.radius:
-                    raise ValueError("radii must strictly decrease towards the leaves")
+    def index_of(self, node: DendrogramNode) -> int:
+        """Position of a node of this tree in ``nodes``; KeyError otherwise."""
+        if node._tree is not self:
+            raise KeyError("the node is not in this dendrogram")
+        return node.index
 
     # -- queries ---------------------------------------------------------
 
@@ -287,31 +306,24 @@ class Dendrogram:
     def max_level(self) -> int:
         return max(n.level for n in self.nodes)
 
-    def lca(self, u, v) -> DendrogramNode:
-        a, b = self.leaves[u], self.leaves[v]
-        while a.level > b.level:
-            a = a.parent
-        while b.level > a.level:
-            b = b.parent
-        while a is not b:
-            a, b = a.parent, b.parent
-        return a
-
     def delta(self, u, v) -> float:
-        if u == v:
-            return 0.0
-        return self.lca(u, v).radius
+        """Radius of the smallest ball (range) above u's leaf holding v's."""
+        a, b = self.leaves[u], self.leaves[v].start
+        while not a.start <= b < a.stop:
+            a = a.parent
+        return a.radius
 
     def delta_matrix(self) -> UltrametricMatrix:
-        n = len(self.labels)
-        pos = {l: i for i, l in enumerate(self.labels)}
-        vals = np.zeros((n, n))
+        """In leaf order, each child's rows take its parent's radius on the
+        parent's range left and right of its own; then permuted to labels."""
+        vals = np.zeros((len(self.order), len(self.order)))
         for node in self.internal_nodes():
-            kids = [[pos[l] for l in c.members] for c in node.children]
-            for k, a in enumerate(kids):
-                others = [b for part in kids[:k] + kids[k + 1:] for b in part]
-                vals[np.ix_(a, others)] = node.radius
-        return UltrametricMatrix(self.labels, vals)
+            for c in node.children:
+                vals[c.start:c.stop, node.start:c.start] = node.radius
+                vals[c.start:c.stop, c.stop:node.stop] = node.radius
+        pos = {label: i for i, label in enumerate(self.order)}
+        perm = [pos[label] for label in self.labels]
+        return UltrametricMatrix(self.labels, vals[np.ix_(perm, perm)])
 
     def branching(self) -> int:
         internal = self.internal_nodes()
@@ -324,18 +336,17 @@ def _dendrogram(labels: tuple, merges) -> Dendrogram:
     Clusters merging at equal heights join a single polytomous node, so
     the nodes are exactly the distinct balls and merge radii strictly
     decrease root-to-leaf.  Raises DisconnectedGraph unless the merges
-    join every label.
+    join every label, which takes n - 1 of them.
     """
     if not labels:
         raise ValueError("no points to merge into a single root")
-    cluster = {i: DendrogramNode(frozenset([l]), 0.0) for i, l in enumerate(labels)}
+    cluster = {i: DendrogramNode.leaf(l) for i, l in enumerate(labels)}
     pending: dict[int, list[DendrogramNode]] = {}  # root -> children at `radius`
-    radius, root = None, 0
+    radius, root, count = None, 0, 0
 
     def flush():
         for r, group in pending.items():
-            members = frozenset().union(*(g.members for g in group))
-            cluster[r] = DendrogramNode(members, radius, tuple(group))
+            cluster[r] = DendrogramNode(radius, group)
         pending.clear()
 
     for height, keep, gone, _, _ in merges:
@@ -346,9 +357,9 @@ def _dendrogram(labels: tuple, merges) -> Dendrogram:
             radius = height
         group = pending.setdefault(keep, [cluster[keep]])
         group.extend(pending.pop(gone, [cluster[gone]]))
-        root = keep
+        root, count = keep, count + 1
     flush()
-    if len(cluster[root].members) != len(labels):
+    if count != len(labels) - 1:
         raise DisconnectedGraph("graph is not connected")
     return Dendrogram(cluster[root])
 
@@ -394,6 +405,4 @@ def minimal_cluster(dend: Dendrogram, x) -> frozenset:
     """Smallest non-singleton ball containing leaf x: the member set of its
     parent node.  A single-vertex tree degenerately returns {x}."""
     leaf = dend.leaves[x]
-    if leaf.parent is None:
-        return leaf.members
-    return leaf.parent.members
+    return (leaf.parent or leaf).members

@@ -61,7 +61,7 @@ def random_dendrogram(rng, n_leaves, max_children=4, label_prefix="v") -> Dendro
 
     def build(members, depth):
         if len(members) == 1:
-            return DendrogramNode(frozenset(members), 0.0), 0
+            return DendrogramNode.leaf(members[0]), 0
         k = int(rng.integers(2, min(max_children, len(members)) + 1))
         children = []
         height = 0
@@ -69,7 +69,7 @@ def random_dendrogram(rng, n_leaves, max_children=4, label_prefix="v") -> Dendro
             child, h = build(group, depth + 1)
             height = max(height, h)
             children.append(child)
-        return DendrogramNode(frozenset(members), -1.0, tuple(children)), height + 1
+        return DendrogramNode(-1.0, tuple(children)), height + 1
 
     root, depth = build(labels, 0)
     while True:

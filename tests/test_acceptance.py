@@ -135,12 +135,11 @@ def test_criterion_03_parallel_toposort():
 
 def _chain_dendrogram(n_leaves: int) -> Dendrogram:
     """Nested binary merges: n-1 distinct radii."""
-    nodes = [DendrogramNode(frozenset([f"v{i}"]), 0.0) for i in range(n_leaves)]
+    nodes = [DendrogramNode.leaf(f"v{i}") for i in range(n_leaves)]
     radius = 1.0
     current = nodes[0]
     for nxt in nodes[1:]:
-        members = current.members | nxt.members
-        current = DendrogramNode(members, radius, (current, nxt))
+        current = DendrogramNode(radius, (current, nxt))
         radius *= 2.0
     return Dendrogram(current)
 
@@ -333,9 +332,9 @@ def test_criterion_09_kernel_swap_bound():
 
 def test_criterion_10_convergence():
     rng = np.random.default_rng(1010)
-    la, lb, lc = (DendrogramNode(frozenset([x]), 0.0) for x in "abc")
-    inner = DendrogramNode(frozenset(["a", "b"]), 1.0, (la, lb))
-    root = DendrogramNode(frozenset(["a", "b", "c"]), 2.0, (inner, lc))
+    la, lb, lc = (DendrogramNode.leaf(x) for x in "abc")
+    inner = DendrogramNode(1.0, (la, lb))
+    root = DendrogramNode(2.0, (inner, lc))
     dend = Dendrogram(root)
     assign = embed(dend)
     delta = dend.delta_matrix()

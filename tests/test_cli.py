@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: schemas, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -538,6 +539,28 @@ def test_deep_chain_index_writes_and_reads_back(tmp_path, capsys):
     assert main(argv) == 0
     assert out.read_text().split() == labels
     capsys.readouterr()
+
+
+def test_path_index_and_toposort_artifacts_are_pinned(tmp_path, capsys):
+    """The index file and the default-seed toposort order of the
+    1500-vertex path, pinned by sha256: a dendrogram rewrite must leave
+    both byte for byte as they were."""
+    n = 1500
+    labels = [f"v{i:04d}" for i in range(n)]
+    graph, index, dag, out = (tmp_path / name for name in ("g.json", "i.json", "d.json", "o.txt"))
+    write(graph, {
+        "vertices": labels,
+        "edges": [{"ends": [labels[i], labels[i + 1]], "w": i + 2} for i in range(n - 1)],
+        "d": {l: [0] for l in labels},
+    })
+    write(dag, {"vertices": labels, "edges": [[labels[i], labels[i + 1]] for i in range(n - 1)]})
+    assert main(["index", "--input", str(graph), "--output", str(index)]) == 0
+    assert main(["toposort", "--input", str(dag), "--output", str(out), "--index", str(index)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(index.read_bytes()).hexdigest() == (
+        "a537c1fcf237611ad0be5e324c0a0a2be907a6392bed995f8756f4eacb283b4a")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8bece6694b1f36f7c7dd27c5de1ab21f9bdbe5c71d44901de9d7ca0da88b70cf")
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000], ids=["utf16_bom", "deep"])

@@ -43,9 +43,9 @@ from conftest import (
 
 
 def three_leaf_setup(alpha=1.0):
-    la, lb, lc = (DendrogramNode(frozenset([x]), 0.0) for x in "abc")
-    inner = DendrogramNode(frozenset(["a", "b"]), 1.0, (la, lb))
-    root = DendrogramNode(frozenset(["a", "b", "c"]), 2.0, (inner, lc))
+    la, lb, lc = (DendrogramNode.leaf(x) for x in "abc")
+    inner = DendrogramNode(1.0, (la, lb))
+    root = DendrogramNode(2.0, (inner, lc))
     dend = Dendrogram(root)
     assign = embed(dend)
     delta = dend.delta_matrix()
@@ -631,18 +631,17 @@ def three_spine_dendrogram(depth=7):
     the next node down to ``depth - 1``; one radius per depth, so m = depth
     and each root child's ball holds p^(m + 1 - 1) cells at level m + 1."""
     def leaf(label):
-        return DendrogramNode(frozenset([label]), 0.0)
+        return DendrogramNode.leaf(label)
 
     def spine(name, d):
         if d == depth - 1:
             kids = (leaf(f"{name}x"), leaf(f"{name}y"))
         else:
             kids = (leaf(f"{name}{d}"), spine(name, d + 1))
-        return DendrogramNode(kids[0].members | kids[1].members, float(depth + 1 - d), kids)
+        return DendrogramNode(float(depth + 1 - d), kids)
 
     kids = tuple(spine(name, 1) for name in "abc")
-    members = frozenset().union(*(kid.members for kid in kids))
-    return Dendrogram(DendrogramNode(members, float(depth + 1), kids))
+    return Dendrogram(DendrogramNode(float(depth + 1), kids))
 
 
 def test_certify_routines_build_no_generator_and_no_kernel_matrix(monkeypatch):

@@ -21,18 +21,18 @@ from ultraheat import (
     truncated_domain,
 )
 from ultraheat.errors import CellOutsideZ, InvalidLevel
-from ultraheat.operators import _prefix_table, kernel_matrix
+from ultraheat.operators import _prefix_table, cut_nodes, kernel_matrix
 from ultraheat.padic import padic_distance
 
 from conftest import random_dendrogram
 
 
 def simple_assignment():
-    la = DendrogramNode(frozenset(["a"]), 0.0)
-    lb = DendrogramNode(frozenset(["b"]), 0.0)
-    lc = DendrogramNode(frozenset(["c"]), 0.0)
-    inner = DendrogramNode(frozenset(["a", "b"]), 1.0, (la, lb))
-    root = DendrogramNode(frozenset(["a", "b", "c"]), 2.0, (inner, lc))
+    la = DendrogramNode.leaf("a")
+    lb = DendrogramNode.leaf("b")
+    lc = DendrogramNode.leaf("c")
+    inner = DendrogramNode(1.0, (la, lb))
+    root = DendrogramNode(2.0, (inner, lc))
     dend = Dendrogram(root)
     assign = embed(dend)
     delta = dend.delta_matrix()
@@ -89,8 +89,7 @@ def test_kernel_symmetry():
 
 def test_generator_two_state_closed_form():
     assign = embed(Dendrogram(DendrogramNode(
-        frozenset(["a", "b"]), 2.0,
-        (DendrogramNode(frozenset(["a"]), 0.0), DendrogramNode(frozenset(["b"]), 0.0)),
+        2.0, (DendrogramNode.leaf("a"), DendrogramNode.leaf("b")),
     )))
     delta = assign.dendrogram.delta_matrix()
     spec = KernelSpec(Bullet.ULTRAMETRIC, 1.0, delta.labels, delta.values)
@@ -249,6 +248,20 @@ def test_truncated_domain_volume_monotone():
         assert all(a >= b - 1e-15 for a, b in zip(fillers, fillers[1:]))
 
 
+def test_cut_nodes_follow_str_order_not_preorder():
+    """The root over {a, z} and the leaf m: preorder lists a, z, m, but the
+    cut nodes at level 2, and so the blocks of the truncated domain, run
+    a, m, z by their str-smallest label."""
+    a, z, m = (DendrogramNode.leaf(x) for x in "azm")
+    dend = Dendrogram(DendrogramNode(2.0, (DendrogramNode(1.0, (a, z)), m)))
+    assert dend.order == ("a", "z", "m")
+    assign = embed(dend)
+    assert cut_nodes(assign, 2) == [a, m, z]
+    dom, _ = truncated_domain(assign, 2)
+    assert dom.balls == tuple(assign.discs[x] for x in "amz")
+    assert dom.leaf_labels == tuple(x for x in "amz" for _ in range(assign.p))
+
+
 def test_truncated_domain_invalid_level():
     dend, assign, _ = simple_assignment()
     with pytest.raises(InvalidLevel):
@@ -307,10 +320,10 @@ def chain_dendrogram(n_leaves):
     so the tree has n_leaves - 1 levels and embeds over p = 2 with m =
     n_leaves - 1."""
     labels = [f"v{i:03d}" for i in range(n_leaves)]
-    node = DendrogramNode(frozenset([labels[-1]]), 0.0)
+    node = DendrogramNode.leaf(labels[-1])
     for k in range(n_leaves - 2, -1, -1):
-        leaf = DendrogramNode(frozenset([labels[k]]), 0.0)
-        node = DendrogramNode(leaf.members | node.members, float(n_leaves - k), (leaf, node))
+        leaf = DendrogramNode.leaf(labels[k])
+        node = DendrogramNode(float(n_leaves - k), (leaf, node))
     return Dendrogram(node)
 
 

@@ -23,8 +23,8 @@ from conftest import random_dendrogram
 
 
 def leaf_pair(radius=2.0, labels=("a", "b")):
-    kids = tuple(DendrogramNode(frozenset([l]), 0.0) for l in labels)
-    root = DendrogramNode(frozenset(labels), radius, kids)
+    kids = tuple(DendrogramNode.leaf(l) for l in labels)
+    root = DendrogramNode(radius, kids)
     return Dendrogram(root)
 
 
@@ -48,15 +48,15 @@ def test_embed_two_children_gives_p2():
 
 def test_embed_five_children_gives_p5():
     labels = tuple("abcde")
-    kids = tuple(DendrogramNode(frozenset([l]), 0.0) for l in labels)
-    dend = Dendrogram(DendrogramNode(frozenset(labels), 1.0, kids))
+    kids = tuple(DendrogramNode.leaf(l) for l in labels)
+    dend = Dendrogram(DendrogramNode(1.0, kids))
     assert embed(dend).p == 5
 
 
 def test_embed_rejects_small_prime():
     labels = tuple("abc")
-    kids = tuple(DendrogramNode(frozenset([l]), 0.0) for l in labels)
-    dend = Dendrogram(DendrogramNode(frozenset(labels), 1.0, kids))
+    kids = tuple(DendrogramNode.leaf(l) for l in labels)
+    dend = Dendrogram(DendrogramNode(1.0, kids))
     with pytest.raises(ValueError):
         embed(dend, p=2)
 
@@ -98,11 +98,11 @@ def test_rho_table_strictly_increasing():
 
 
 def test_tree_measure_examples():
-    la = DendrogramNode(frozenset(["a"]), 0.0)
-    lb = DendrogramNode(frozenset(["b"]), 0.0)
-    lc = DendrogramNode(frozenset(["c"]), 0.0)
-    inner = DendrogramNode(frozenset(["a", "b"]), 1.0, (la, lb))
-    root = DendrogramNode(frozenset(["a", "b", "c"]), 2.0, (inner, lc))
+    la = DendrogramNode.leaf("a")
+    lb = DendrogramNode.leaf("b")
+    lc = DendrogramNode.leaf("c")
+    inner = DendrogramNode(1.0, (la, lb))
+    root = DendrogramNode(2.0, (inner, lc))
     dend = Dendrogram(root)
     nu = tree_measure(dend)
     assert nu.of(dend.root) == Fraction(1)
@@ -111,7 +111,7 @@ def test_tree_measure_examples():
 
 
 def test_tree_measure_single_leaf():
-    dend = Dendrogram(DendrogramNode(frozenset(["x"]), 0.0))
+    dend = Dendrogram(DendrogramNode.leaf("x"))
     assert tree_measure(dend).leaf_mass("x") == Fraction(1)
 
 
@@ -120,11 +120,9 @@ def test_tree_measure_balanced_binary():
 
     def build(ls, r):
         if len(ls) == 1:
-            return DendrogramNode(frozenset(ls), 0.0)
+            return DendrogramNode.leaf(ls[0])
         mid = len(ls) // 2
-        return DendrogramNode(
-            frozenset(ls), r, (build(ls[:mid], r / 2), build(ls[mid:], r / 2))
-        )
+        return DendrogramNode(r, (build(ls[:mid], r / 2), build(ls[mid:], r / 2)))
 
     dend = Dendrogram(build(labels, 8.0))
     nu = tree_measure(dend)
@@ -153,8 +151,8 @@ def test_discretize_counting():
 
 def test_discretize_branching_count():
     labels = tuple("abc")
-    kids = tuple(DendrogramNode(frozenset([l]), 0.0) for l in labels)
-    dend = Dendrogram(DendrogramNode(frozenset(labels), 1.0, kids))
+    kids = tuple(DendrogramNode.leaf(l) for l in labels)
+    dend = Dendrogram(DendrogramNode(1.0, kids))
     assign = embed(dend)  # p = 3, m = 1
     disc = discretize(assign, 2)
     per_leaf = [sum(1 for l in disc.leaf_labels if l == lab) for lab in labels]

@@ -45,13 +45,13 @@ from conftest import random_dendrogram
 
 
 def single_leaf(p=3):
-    dend = Dendrogram(DendrogramNode(frozenset(["a"]), 0.0))
+    dend = Dendrogram(DendrogramNode.leaf("a"))
     return dend, embed(dend, p=p)
 
 
 def two_leaf(radius=2.0):
-    kids = (DendrogramNode(frozenset(["a"]), 0.0), DendrogramNode(frozenset(["b"]), 0.0))
-    dend = Dendrogram(DendrogramNode(frozenset(["a", "b"]), radius, kids))
+    kids = (DendrogramNode.leaf("a"), DendrogramNode.leaf("b"))
+    dend = Dendrogram(DendrogramNode(radius, kids))
     return dend, embed(dend)
 
 
@@ -245,8 +245,8 @@ def test_ultrametric_eigenvalue_certifies_on_matrix():
 
 def test_ultrametric_eigenvalue_shared_across_characters():
     labels = tuple("abc")
-    kids = tuple(DendrogramNode(frozenset([l]), 0.0) for l in labels)
-    dend = Dendrogram(DendrogramNode(frozenset(labels), 1.5, kids))
+    kids = tuple(DendrogramNode.leaf(l) for l in labels)
+    dend = Dendrogram(DendrogramNode(1.5, kids))
     assign = embed(dend)
     nu = tree_measure(dend)
     spec = ultra_spec(dend)

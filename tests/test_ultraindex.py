@@ -5,6 +5,7 @@ and, on tiny instances, by enumerating every simple path.
 """
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ultraheat import (
     Dendrogram,
     DendrogramNode,
     DistanceMatrix,
+    PAdicCell,
     UltrametricMatrix,
     build_dendrogram,
     embed,
@@ -167,7 +169,7 @@ def test_dendrogram_examples():
 def test_dendrogram_single_vertex():
     from ultraheat import DendrogramNode, Dendrogram
 
-    dend = Dendrogram(DendrogramNode(frozenset(["x"]), 0.0))
+    dend = Dendrogram(DendrogramNode.leaf("x"))
     assert dend.root.is_leaf
     assert minimal_cluster(dend, "x") == frozenset(["x"])
 
@@ -297,13 +299,13 @@ def test_deep_chain_needs_no_recursion():
     ultrametric matrix all run on explicit stacks or the node list."""
     n = 1500
     labels = tuple(f"v{i:04d}" for i in range(n))
-    node = DendrogramNode(frozenset(labels[:1]), 0.0)
+    node = DendrogramNode.leaf(labels[0])
     for i in range(1, n):
-        leaf = DendrogramNode(frozenset([labels[i]]), 0.0)
-        node = DendrogramNode(node.members | leaf.members, float(i), (node, leaf))
+        node = DendrogramNode(float(i), (node, DendrogramNode.leaf(labels[i])))
     dend = Dendrogram(node)
     assert dend.max_level == n - 1
     assert [x.level for x in dend.nodes[:4]] == [0, 1, 2, 3]
+    assert dend.order == labels
     assign = embed(dend)
     assert (assign.p, assign.m) == (2, n - 1)
     assert tree_measure(dend).leaf_mass(labels[0]) * 2 ** (n - 1) == 1
@@ -313,7 +315,82 @@ def test_deep_chain_needs_no_recursion():
     delta = dend.delta_matrix()
     assert np.array_equal(delta.values, chain)
     rebuilt = build_dendrogram(delta)
-    assert [x.members for x in rebuilt.nodes] == [x.members for x in dend.nodes]
+    assert rebuilt.order == dend.order
+    assert [(x.start, x.stop, x.radius) for x in rebuilt.nodes] == [
+        (x.start, x.stop, x.radius) for x in dend.nodes
+    ]
+
+
+def test_nodes_are_ranges_of_one_leaf_order():
+    """Preorder with children sorted by their str-smallest label: the root
+    over {a, z} and m lists a, z, m, and every node's members are its range."""
+    a, z, m = (DendrogramNode.leaf(x) for x in "azm")
+    inner = DendrogramNode(1.0, (z, a))
+    dend = Dendrogram(DendrogramNode(2.0, (m, inner)))
+    assert dend.order == ("a", "z", "m")
+    assert dend.labels == ("a", "m", "z")
+    assert dend.nodes == (dend.root, inner, a, z, m)
+    assert [x.index for x in dend.nodes] == [0, 1, 2, 3, 4]
+    assert [(x.start, x.stop) for x in dend.nodes] == [(0, 3), (0, 2), (0, 1), (1, 2), (2, 3)]
+    assert inner.members == frozenset("az") and inner.members is inner.members
+    assert dend.root.members == frozenset("azm")
+    with pytest.raises(ValueError, match="single label"):
+        inner.label
+
+
+def test_dendrogram_validation():
+    leaf = DendrogramNode.leaf
+    with pytest.raises(ValueError, match="at least two children"):
+        DendrogramNode(1.0, (leaf("a"),))
+    with pytest.raises(ValueError, match="strictly decrease"):
+        Dendrogram(DendrogramNode(1.0, (DendrogramNode(1.0, (leaf("a"), leaf("b"))), leaf("c"))))
+    shared = leaf("a")
+    with pytest.raises(ValueError, match="appears twice"):
+        Dendrogram(DendrogramNode(2.0, (
+            DendrogramNode(1.0, (shared, leaf("b"))),
+            DendrogramNode(1.0, (shared, leaf("c"))),
+        )))
+    with pytest.raises(ValueError, match="two leaves"):
+        Dendrogram(DendrogramNode(1.0, (leaf("a"), leaf("a"))))
+
+
+def test_a_node_of_another_tree_is_refused():
+    one = Dendrogram(DendrogramNode(1.0, (DendrogramNode.leaf("a"), DendrogramNode.leaf("b"))))
+    other = Dendrogram(DendrogramNode(1.0, (DendrogramNode.leaf("a"), DendrogramNode.leaf("b"))))
+    assign = embed(one)
+    assert assign.cell_of(one.root) == PAdicCell(2, ())
+    for node in other.nodes:
+        with pytest.raises(KeyError):
+            assign.cell_of(node)
+        with pytest.raises(KeyError):
+            assign.nu.of(node)
+
+
+def test_graph_dendrogram_scales_to_ten_thousand_vertices():
+    """10^4 vertices, 5 * 10^4 edges of distinct weights: the tree is
+    thousands of levels deep, and no node copies its members."""
+    rng = np.random.default_rng(2024)
+    n, m = 10_000, 50_000
+    labels = tuple(f"v{i:05d}" for i in range(n))
+    pairs = {(int(rng.integers(i)), i) for i in range(1, n)}  # a random spanning tree
+    while len(pairs) < m:
+        i, j = sorted(rng.integers(n, size=2).tolist())
+        if i != j:
+            pairs.add((i, j))
+    weights = {frozenset((labels[i], labels[j])): float(w)
+               for (i, j), w in zip(sorted(pairs), rng.permutation(m) + 1)}
+    start = time.perf_counter()
+    dend = graph_dendrogram(labels, weights)
+    assert time.perf_counter() - start < 5.0
+    assert sorted(dend.order) == list(labels) and dend.max_level > 100
+    for node in dend.nodes:
+        if node.is_leaf:
+            assert (node.stop - node.start, dend.order[node.start]) == (1, node.label)
+            continue
+        kids = node.children
+        assert kids[0].start == node.start and kids[-1].stop == node.stop
+        assert all(x.stop == y.start for x, y in zip(kids, kids[1:]))
+        assert all(x.radius < node.radius for x in kids)
 
 
 @settings(max_examples=120, deadline=None)
