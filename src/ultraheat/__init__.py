@@ -46,11 +46,8 @@ from .spectra import (
     verify_eigenpair,
 )
 from .toposort import (
-    ClusterRelation,
     Dag,
     SortedCluster,
-    cluster_sort,
-    compare_clusters,
     kahn_sort,
     merge_sorted_clusters,
     parallel_toposort,

@@ -47,6 +47,7 @@ EXIT_CODES = {
     errors.BadWeight: 23,
     errors.TooManyCells: 24,
     errors.BadKernel: 25,
+    errors.RateOverflow: 26,
 }
 
 

@@ -71,6 +71,11 @@ class TooManyCells(UltraheatError, ValueError):
     """A discretisation has more cells than the dense-matrix limit."""
 
 
+class RateOverflow(UltraheatError):
+    """A domain's largest jump rate or largest generator entry is not a
+    finite float."""
+
+
 class BadKernel(UltraheatError, ValueError):
     """A kernel base, its labels or its measure cannot define the operator,
     or a bound's mean-value constant meets a zero rate."""

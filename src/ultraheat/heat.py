@@ -57,6 +57,7 @@ from .errors import (
     InvalidLevel,
     NegativeTime,
     NotSelfAdjoint,
+    RateOverflow,
 )
 from .linalg import weighted_symmetric_eig
 from .operators import GeneratorMatrix, KernelSpec, generator, truncated_domain
@@ -253,12 +254,16 @@ def t_grid(t_max: float, points: int = 64) -> np.ndarray:
 
 def _mean_value_constants(alpha: float, pairs, vol_disc: float) -> tuple[dict, float]:
     """alpha |a - b| / min(a,b)^(alpha+1), the derivative bound for x^-alpha,
-    for each ((w, v), a, b) of ``pairs``, and vol_disc times their sum."""
+    for each ((w, v), a, b) of ``pairs``, and vol_disc times their sum.
+    A constant that is not a finite float raises RateOverflow."""
     constants, csum = {}, 0.0
     for key, a, b in pairs:
         if min(a, b) <= 0:
             raise BadKernel("mean-value constant needs positive rates on both sides")
-        constants[key] = c = alpha * abs(a - b) / min(a, b) ** (alpha + 1.0)
+        power = min(a, b) ** (alpha + 1.0)
+        constants[key] = c = alpha * abs(a - b) / power if power > 0 else math.inf
+        if not math.isfinite(c):
+            raise RateOverflow(f"the mean-value constant of {key} overflows a float")
         csum += c * vol_disc
     return constants, csum
 

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadAlpha, BadKernel, CellOutsideZ, InvalidLevel, TooManyCells
+from .errors import BadAlpha, BadKernel, CellOutsideZ, InvalidLevel, RateOverflow, TooManyCells
 from .padic import CellDomain, DiscAssignment, PAdicCell, padic_distance
 
 
@@ -95,6 +95,52 @@ def _leaf_indices(spec: KernelSpec, dom: CellDomain) -> np.ndarray:
     idx = spec.label_index()
     per_leaf = [idx[label] for label in dom.assignment.labels]
     return np.array(per_leaf + [-1])[dom.leaf_index]
+
+
+def _disc_shifts(spec: KernelSpec, assign: DiscAssignment, measure: str,
+                 block: np.ndarray | None = None):
+    """Per disc in ``spec.labels`` order: its mass, its measure density s_v
+    and its escape rate sum_w k(v,w) mass(U_w), summed left to right over
+    the discs w outside v's block (``block``: one id per disc; default all)."""
+    if measure == "haar":
+        mass = np.full(len(spec.labels), float(assign.p) ** -assign.m)
+        scale = np.ones(len(spec.labels))
+    elif measure == "nu":
+        mass = np.array([float(assign.nu.leaf_mass(w)) for w in spec.labels])
+        scale = mass * float(assign.p) ** assign.m
+    else:
+        raise BadKernel(f"unknown measure {measure!r}")
+    terms = spec.cross_rates() * mass[None, :]
+    if block is not None:
+        terms[block[:, None] == block[None, :]] = 0.0
+    return mass, scale, np.cumsum(terms, axis=1)[:, -1]
+
+
+def _disc_rates(spec: KernelSpec, dom: CellDomain, measure: str):
+    """``_disc_shifts`` with each disc's escape taken out of its block, and
+    the domain's largest generator entry, from p, alpha, n and the disc
+    masses, before any N x N array; RateOverflow unless that entry and the
+    largest rate p^((n - 1) alpha) (distinct level-n cells share at most
+    n - 1 digits) are finite.  The entry is the largest total rate out of a
+    cell: on disc v in a block of level b, s_v (1 - 1/p) sum_{j=b}^{n-1}
+    p^(j (alpha - 1)) over the shells of cells sharing j digits with it,
+    plus its escape rate; filler has less."""
+    p, n, alpha = dom.p, dom.level, spec.alpha
+    leaf = _leaf_indices(spec, dom)
+    block = np.full(len(spec.labels), -1, dtype=np.int64)
+    block[leaf[leaf >= 0]] = dom.block_index[leaf >= 0]
+    mass, scale, escape = _disc_shifts(spec, dom.assignment, measure, block)
+    levels = np.array([ball.level for ball in dom.balls], dtype=np.int64)[block]
+    with np.errstate(over="ignore"):
+        shells = (1 - 1 / p) * np.float64(p) ** (np.arange(n) * (alpha - 1))
+        tails = np.append(np.cumsum(shells[::-1])[::-1], 0.0)  # tails[b]: shells b .. n - 1
+        entry = np.max((scale * tails[levels] + escape)[block >= 0], initial=0.0)
+        if not np.isfinite(np.float64(p) ** ((n - 1) * alpha)):
+            raise RateOverflow(f"the jump rate {p}^({n - 1} * {alpha:g}) at level {n} overflows a "
+                               "float; choose a coarser level or a smaller alpha")
+    if not np.isfinite(entry):
+        raise RateOverflow(f"a generator entry at level {n} overflows a float")
+    return mass, scale, escape, float(entry)
 
 
 def _cross_rates(spec: KernelSpec) -> np.ndarray:
@@ -181,8 +227,9 @@ MAX_DENSE_CELLS = 10_000
 
 def _check_dense(n_cells: int) -> None:
     if n_cells > MAX_DENSE_CELLS:
+        count = f"{n_cells}" if n_cells < 10**15 else f"about 10^{math.log10(n_cells):.1f}"
         raise TooManyCells(
-            f"{n_cells} cells exceed the dense-matrix limit of {MAX_DENSE_CELLS}; "
+            f"{count} cells exceed the dense-matrix limit of {MAX_DENSE_CELLS}; "
             "choose a coarser level"
         )
 
@@ -214,6 +261,7 @@ def generator(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Gene
     """
     _check_dense(len(disc))
     mvec = _measure_vector(disc, measure)
+    _disc_rates(spec, disc, measure)  # checks the rates before the N x N arrays
     return _assemble(
         kernel_matrix(spec, disc), mvec, disc.cells, disc.leaf_labels, disc.level,
         measure, spec.bullet, spec.alpha,

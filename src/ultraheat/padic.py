@@ -6,12 +6,14 @@ node becomes a ball, children branch on distinct digits, and all leaf
 discs share one radius exponent m.  Internal nodes are placed at the
 depth given by the rank of their merge radius among all distinct radii,
 so that the p-adic distance between two leaf discs determines the
-ultrametric distance through a single strictly increasing lookup table.
-A child's digits are its parent's, its branch digit and zero padding.
+ultrametric distance through a single strictly increasing function.  An
+assignment keeps only that depth per node; a node's digits are its
+branch index below each ancestor, at the ancestor's depth, and 0 elsewhere,
+built when a cell is read.
 
 The tree measure gives the root mass 1 and splits every node's mass
 equally among its children, kept in exact rationals; an assignment builds
-it once, on first read (``DiscAssignment.nu``).  Node cells and masses
+it once, on first read (``DiscAssignment.nu``).  Node depths and masses
 are tuples indexed by ``node.index``.
 
 The operators act on one cell domain (``CellDomain``): disjoint balls,
@@ -29,7 +31,6 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
 
 import numpy as np
 
@@ -62,20 +63,8 @@ class PAdicCell:
             raise ValueError("cannot extend to a coarser level")
         return PAdicCell(self.p, self.digits + (0,) * (level - self.level))
 
-    def contains(self, other: "PAdicCell") -> bool:
-        return other.level >= self.level and other.digits[: self.level] == self.digits
-
     def __str__(self):
         return "".join(str(d) for d in self.digits) or "()"
-
-
-def common_prefix_length(x: PAdicCell, y: PAdicCell) -> int:
-    j = 0
-    for a, b in zip(x.digits, y.digits):
-        if a != b:
-            break
-        j += 1
-    return j
 
 
 def padic_distance(x: PAdicCell, y: PAdicCell) -> float:
@@ -86,7 +75,7 @@ def padic_distance(x: PAdicCell, y: PAdicCell) -> float:
         raise ValueError("cells must share a level")
     if x.digits == y.digits:
         return 0.0
-    return float(x.p) ** -common_prefix_length(x, y)
+    return float(x.p) ** -next(j for j, (a, b) in enumerate(zip(x.digits, y.digits)) if a != b)
 
 
 def smallest_prime_at_least(k: int) -> int:
@@ -98,29 +87,42 @@ def smallest_prime_at_least(k: int) -> int:
 
 @dataclass(frozen=True)
 class DiscAssignment:
-    """The p-adic disc of every dendrogram node, plus the radius lookup.
+    """The depth of every dendrogram node in Z_p, indexed by ``node.index``:
+    an internal node's is the rank of its radius (radii sorted decreasing),
+    a leaf's is m.  For points x, y in distinct leaf discs |x-y|_p = p^-k,
+    with k the depth of the leaves' lowest common ancestor, so |x-y|_p is
+    a strictly increasing function of that node's radius, the leaves'
+    ultrametric distance.
 
-    ``rho`` pairs each realised p-adic distance p^-k with the ultrametric
-    radius of the nodes placed at depth k, strictly increasing in both
-    coordinates, so that for points x, y in distinct leaf discs
-    rho(|x-y|_p) equals the ultrametric distance of the leaves.
+    Digits are built only when read: the leaf discs and the prefix map of
+    ``vertex_of`` on first read, a node's ball (``cell_of``) from them.
     """
 
     dendrogram: Dendrogram
     p: int
     m: int
-    discs: Mapping  # leaf label -> PAdicCell (level m)
-    node_cells: tuple  # PAdicCell per node, indexed by node.index
-    rho: tuple  # ((p^-k, radius), ...) with distances decreasing
+    depths: tuple  # int per node, indexed by node.index
+
+    @functools.cached_property
+    def discs(self) -> dict:
+        """Leaf label -> its disc (level m), built on first read in one walk
+        down the tree: a child's digits are its parent's, its branch index
+        at the parent's depth, and zeros up to its own depth."""
+        discs, stack = {}, [(self.dendrogram.root, ())]
+        while stack:
+            node, digits = stack.pop()
+            if node.is_leaf:
+                discs[node.label] = PAdicCell(self.p, digits)
+            for idx, child in enumerate(node.children):
+                pad = (0,) * (self.depths[child.index] - len(digits) - 1)
+                stack.append((child, digits + (idx,) + pad))
+        return discs
 
     def cell_of(self, node: DendrogramNode) -> PAdicCell:
-        return self.node_cells[self.dendrogram.index_of(node)]
-
-    def rho_of(self, distance: float) -> float:
-        for dist, radius in self.rho:
-            if dist == distance:
-                return radius
-        raise KeyError(f"p-adic distance {distance} not realised between vertex discs")
+        """The node's ball: the leading digits, to the node's depth, of the
+        disc of any leaf below it."""
+        depth = self.depths[self.dendrogram.index_of(node)]
+        return PAdicCell(self.p, self.discs[self.dendrogram.order[node.start]].digits[:depth])
 
     def vertex_of(self, cell: PAdicCell):
         """Leaf label whose disc contains the cell, or None."""
@@ -161,16 +163,7 @@ def embed(dend: Dendrogram, p: int | None = None) -> DiscAssignment:
     radii = sorted({n.radius for n in dend.internal_nodes()}, reverse=True)
     rank = {r: k for k, r in enumerate(radii)}
     m = len(radii)
-
-    node_cells = [PAdicCell(p, ())] * len(dend.nodes)
-    for node, cell in zip(dend.nodes, node_cells):  # parents before children
-        for idx, child in enumerate(node.children):
-            pad = (m if child.is_leaf else rank[child.radius]) - cell.level - 1
-            node_cells[child.index] = PAdicCell(p, cell.digits + (idx,) + (0,) * pad)
-    discs = {label: node_cells[leaf.index] for label, leaf in dend.leaves.items()}
-
-    rho = tuple((float(p) ** -k, radii[k]) for k in range(m))
-    return DiscAssignment(dend, p, m, discs, tuple(node_cells), rho)
+    return DiscAssignment(dend, p, m, tuple(m if n.is_leaf else rank[n.radius] for n in dend.nodes))
 
 
 @dataclass(frozen=True)
@@ -359,7 +352,7 @@ def cell_count(assign: DiscAssignment, n: int) -> int:
 
     if n <= assign.m:
         raise LevelTooCoarse(f"level {n} is not finer than the vertex discs (m={assign.m})")
-    count = len(assign.discs) * assign.p ** (n - assign.m)
+    count = len(assign.labels) * assign.p ** (n - assign.m)
     _check_dense(count)
     return count
 

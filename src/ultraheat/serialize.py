@@ -2,8 +2,9 @@
 
 All writers emit canonical JSON (sorted keys, fixed separators, sorted
 collections, trailing newline), so identical inputs produce identical
-bytes.  Index files are version 2: vertices, distance-weighted edges and
-the disc assignment; the dendrogram and every matrix are rebuilt on read.
+bytes.  Index files are version 3: vertices, distance-weighted edges, the
+prime p and the disc depth m; the dendrogram, its embedding and every
+matrix are rebuilt on read.
 """
 
 from __future__ import annotations
@@ -120,35 +121,29 @@ def dag_from_obj(obj) -> tuple[Dag, dict]:
 
 # --- index files ----------------------------------------------------------------------
 
-INDEX_VERSION = 2
-
-
-def assignment_to_obj(assign: DiscAssignment) -> dict:
-    return {
-        "p": assign.p,
-        "m": assign.m,
-        "discs": {str(l): str(assign.discs[l]) for l in assign.labels},
-        "rho": [[dist, radius] for dist, radius in assign.rho],
-    }
+INDEX_VERSION = 3
 
 
 def index_to_obj(assign: DiscAssignment, weights) -> dict:
-    """The index as its vertices, its distance-weighted edges and its disc
-    assignment; weights maps frozenset({u, v}) to the edge's distance
-    weight.  Floats are written by ``repr``, so they read back exactly."""
+    """The index as its vertices, its distance-weighted edges, its prime p
+    and, as a check, its disc depth m; weights maps frozenset({u, v}) to
+    the edge's distance weight.  Floats are written by ``repr``, so they
+    read back exactly."""
     return {
         "version": INDEX_VERSION,
         "vertices": list(map(str, assign.labels)),
         "edges": sorted([*sorted(map(str, e)), float(wt)] for e, wt in weights.items()),
-        "assignment": assignment_to_obj(assign),
+        "p": assign.p,
+        "m": assign.m,
     }
 
 
 def index_from_obj(obj):
     """Rebuild (assignment, distance weights) from an index file.
 
-    The dendrogram is rebuilt from the stored edges and re-embedded; a
-    stored assignment that differs from that embedding is a ParseError.
+    The dendrogram is rebuilt from the stored edges and embedded at the
+    stored p; a p that is not a prime at least the branching factor, or a
+    stored m that differs from the embedding's, is a ParseError.
     """
     if not isinstance(obj, dict) or obj.get("version") != INDEX_VERSION:
         raise ParseError(
@@ -157,13 +152,16 @@ def index_from_obj(obj):
     try:
         labels = tuple(obj["vertices"])
         weights = {frozenset((u, v)): float(wt) for u, v, wt in obj["edges"]}
-        assign = embed(graph_dendrogram(labels, weights), int(obj["assignment"]["p"]))
+        p, m = obj["p"], obj["m"]
+        if type(p) is not int or type(m) is not int:
+            raise ParseError(f"index p and m must be integers, got {p!r} and {m!r}")
+        assign = embed(graph_dendrogram(labels, weights), p)
     except (KeyError, TypeError, ValueError, DisconnectedGraph) as exc:
         raise ParseError(f"malformed index file: {exc}") from exc
     if labels != assign.labels:
         raise ParseError("index vertices are not distinct and sorted")
-    if obj["assignment"] != assignment_to_obj(assign):
-        raise ParseError("stored disc assignment differs from the dendrogram's embedding")
+    if m != assign.m:
+        raise ParseError(f"stored m={m} differs from the dendrogram's embedding (m={assign.m})")
     return assign, weights
 
 

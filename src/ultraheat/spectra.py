@@ -58,7 +58,6 @@ import numpy as np
 
 from .errors import (
     BadJ,
-    BadKernel,
     BallOutsideZ,
     DimensionMismatch,
     IncompleteBasis,
@@ -66,7 +65,8 @@ from .errors import (
     TrivialCharacter,
 )
 from .linalg import weighted_symmetric_eig
-from .operators import Bullet, GeneratorMatrix, KernelSpec, _cross_rates, _leaf_indices, generator
+from .operators import (Bullet, GeneratorMatrix, KernelSpec, _cross_rates, _disc_rates,
+                        _disc_shifts, _leaf_indices, generator)
 from .padic import CellDomain, DiscAssignment, PAdicCell, TreeMeasure
 from .ultraindex import DendrogramNode
 
@@ -196,25 +196,6 @@ def kozyrev_local_eigenvalue(p: int, alpha: float, d: int, m: int) -> float:
     return -(1.0 - 1.0 / p) * shells - float(p) ** (d * (alpha - 1.0))
 
 
-def _disc_shifts(spec: KernelSpec, assign: DiscAssignment, measure: str,
-                 block: np.ndarray | None = None):
-    """Per disc in ``spec.labels`` order: its mass, its measure density s_v
-    and its escape rate sum_w k(v,w) mass(U_w), summed left to right over
-    the discs w outside v's block (``block``: one id per disc; default all)."""
-    if measure == "haar":
-        mass = np.full(len(spec.labels), float(assign.p) ** -assign.m)
-        scale = np.ones(len(spec.labels))
-    elif measure == "nu":
-        mass = np.array([float(assign.nu.leaf_mass(w)) for w in spec.labels])
-        scale = mass * float(assign.p) ** assign.m
-    else:
-        raise BadKernel(f"unknown measure {measure!r}")
-    terms = spec.cross_rates() * mass[None, :]
-    if block is not None:
-        terms[block[:, None] == block[None, :]] = 0.0
-    return mass, scale, np.cumsum(terms, axis=1)[:, -1]
-
-
 def kozyrev_eigenvalue(
     spec: KernelSpec,
     assign: DiscAssignment,
@@ -325,13 +306,11 @@ def ball_spectrum(spec: KernelSpec, dom: CellDomain, measure: str = "haar") -> B
     the whole disc; filler has the Haar measure and no escape."""
     if dom.cut_level is not None and measure != "haar":
         raise ValueError("truncated domains are discretised with the Haar measure")
+    mass, scale, escape, _ = _disc_rates(spec, dom, measure)
     p, n = dom.p, dom.level
     starts, levels = dom.pure_balls()
     leaf = _leaf_indices(spec, dom)[starts]
     block = dom.block_index[starts]
-    disc_block = np.empty(len(spec.labels), dtype=np.int64)
-    disc_block[leaf[leaf >= 0]] = block[leaf >= 0]
-    mass, scale, escape = _disc_shifts(spec, dom.assignment, measure, disc_block)
     mass = np.where(leaf >= 0, np.append(mass, 0.0)[leaf], float(p) ** -levels)
     scale, escape = np.append(scale, 1.0)[leaf], np.append(escape, 0.0)[leaf]
 

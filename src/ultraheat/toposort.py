@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import CycleDetected
@@ -59,13 +58,6 @@ class SortedCluster:
         object.__setattr__(self, "order", tuple(self.order))
 
 
-class ClusterRelation(Enum):
-    DISJOINT = "disjoint"
-    LEFT_INSIDE_RIGHT = "left_inside_right"
-    RIGHT_INSIDE_LEFT = "right_inside_left"
-    EQUAL = "equal"
-
-
 def _kahn(vertices: Iterable, edges: Iterable[tuple]) -> tuple:
     """Kahn's algorithm; ties go to the smallest label under ``str``.
 
@@ -99,33 +91,6 @@ def kahn_sort(dag: Dag, members=None) -> tuple:
         return _kahn(dag.vertices, dag.edges)
     mset = frozenset(members)
     return _kahn(mset, dag.restricted_edges(mset))
-
-
-def cluster_sort(dend: Dendrogram, dag: Dag, x) -> SortedCluster:
-    """Sort the minimal cluster of x under the DAG's restriction."""
-    members = minimal_cluster(dend, x)
-    return SortedCluster(members, kahn_sort(dag, members))
-
-
-def compare_clusters(dend: Dendrogram, x, y) -> ClusterRelation:
-    """Relate the minimal clusters of two vertices by two membership tests.
-
-    Balls are nested or disjoint, so x in U(y) already implies
-    U(x) <= U(y); the four outcomes are exhaustive and exclusive.
-    """
-    if x == y:
-        raise ValueError("compare_clusters needs two distinct vertices")
-    ux = minimal_cluster(dend, x)
-    uy = minimal_cluster(dend, y)
-    x_in_uy = x in uy
-    y_in_ux = y in ux
-    if x_in_uy and y_in_ux:
-        return ClusterRelation.EQUAL
-    if x_in_uy:
-        return ClusterRelation.LEFT_INSIDE_RIGHT
-    if y_in_ux:
-        return ClusterRelation.RIGHT_INSIDE_LEFT
-    return ClusterRelation.DISJOINT
 
 
 def merge_sorted_clusters(dag: Dag, *clusters: SortedCluster) -> SortedCluster:

@@ -120,10 +120,10 @@ def test_unknown_prime_exit_code(tmp_path, capsys):
 def test_index_subcommand(tmp_path, capsys):
     index = index_fixture(tmp_path)
     obj = json.loads(index.read_text())
-    assert set(obj) == {"version", "vertices", "edges", "assignment"}
-    assert obj["version"] == 2
+    assert set(obj) == {"version", "vertices", "edges", "p", "m"}
+    assert obj["version"] == 3
     assert [e[:2] for e in obj["edges"]] == [["a", "b"], ["b", "c"]]
-    assert obj["assignment"]["p"] >= 2
+    assert (obj["p"], obj["m"]) == (2, 2)
     capsys.readouterr()
 
 
@@ -439,7 +439,7 @@ def test_converge_rejects_levels_before_any_eigensolve(tmp_path, capsys, monkeyp
     monkeypatch.setattr(heat, "weighted_symmetric_eig", unreachable)
     monkeypatch.setattr(spectra, "weighted_symmetric_eig", unreachable)
     index = index_fixture(tmp_path)
-    m = json.loads(index.read_text())["assignment"]["m"]
+    m = json.loads(index.read_text())["m"]
     for levels in (f"{m},{m + 1}", f"{m + 1},{m + 3}"):
         code = main([
             "converge", "--input", str(index), "--output", str(tmp_path / "c.tsv"),
@@ -486,35 +486,41 @@ def test_oversized_level_exits_24_before_enumerating_cells(tmp_path, capsys, sub
     assert "dense-matrix limit" in err["detail"]
 
 
-@pytest.mark.parametrize("edit", ["vertex", "disc", "m", "rho", "mst_weight", "v1"])
+@pytest.mark.parametrize("edit", ["vertex", "m", "no_m", "p", "mst_weight", "v1", "v2"])
 def test_hand_edited_index_is_a_parse_error(tmp_path, capsys, edit):
     index = index_fixture(tmp_path)
     obj = json.loads(index.read_text())
-    assignment = obj["assignment"]
+    level = obj["m"] + 1
     if edit == "vertex":
         obj["vertices"][0] = "z"
-    elif edit == "disc":
-        label = sorted(assignment["discs"])[0]
-        assignment["discs"][label] = assignment["discs"][label][::-1] + "1"
     elif edit == "m":
-        assignment["m"] += 1
-    elif edit == "rho":
-        assignment["rho"][0][1] *= 2
+        obj["m"] += 1
+    elif edit == "no_m":
+        del obj["m"]
+    elif edit == "p":
+        obj["p"] = 4
     elif edit == "mst_weight":
-        obj["edges"][0][2] /= 2  # the fixture graph is a path: every edge is in the tree
-    else:  # the shape of a version-1 file: no "version" key, a "delta" matrix
+        # the fixture graph is a path, so both edges are in the tree: tied,
+        # they merge all three vertices in one node, beyond p = 2 and m = 2
+        obj["edges"][0][2] = obj["edges"][1][2]
+    elif edit == "v1":  # the shape of a version-1 file: no "version" key, a "delta" matrix
         del obj["version"]
         obj["delta"] = [[0.0] * 3] * 3
+    else:  # the shape of a version-2 file: the stored disc assignment
+        obj["version"] = 2
+        obj["assignment"] = {"p": obj.pop("p"), "m": obj.pop("m"),
+                             "discs": {"a": "00", "b": "01", "c": "10"}, "rho": [[1.0, 2.0]]}
     write(index, obj)
     code = main([
         "spectrum", "--input", str(index), "--output", str(tmp_path / "s.tsv"),
-        "--bullet", "ultrametric", "--level", str(obj["assignment"]["m"] + 1),
+        "--bullet", "ultrametric", "--level", str(level),
     ])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ParseError" and err["exit"] == 2
-    if edit == "v1":
+    if edit in ("v1", "v2"):
         assert "re-run `ultraheat index`" in err["detail"]
+    assert not (tmp_path / "s.tsv").exists()
 
 
 def test_deep_chain_index_writes_and_reads_back(tmp_path, capsys):
@@ -541,8 +547,42 @@ def test_deep_chain_index_writes_and_reads_back(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rates_beyond_the_float_range_exit_26_without_an_artifact(tmp_path, capsys):
+    """On a 1000-vertex path whose weights fall along it (p = 2, m = 999),
+    level 1000 puts the Vladimirov rate 2^(999 alpha) above the float range
+    at alpha = 1.3: `spectrum`, `heat` and `converge` exit 26 and write
+    nothing, and a truncation bound whose mean-value constant overflows
+    too.  Cutting at level 500 asks for about 10^150 cells, which exits 24
+    with the count in a bounded form."""
+    n = 1000
+    labels = [f"v{i:04d}" for i in range(n)]
+    graph, index, out = tmp_path / "g.json", tmp_path / "i.json", tmp_path / "out"
+    write(graph, {
+        "vertices": labels,
+        "edges": [{"ends": [labels[i], labels[i + 1]], "w": i + 2} for i in range(n - 1)],
+        "d": {l: [0] for l in labels},
+    })
+    assert main(["index", "--input", str(graph), "--output", str(index)]) == 0
+    common = ["--input", str(index), "--output", str(out), "--alpha", "1.3"]
+    runs = [["spectrum", "--bullet", bullet, "--level", "1000"]
+            for bullet in ("ultrametric", "graphdist")]
+    runs += [["heat", "--bullet", "ultrametric", "--level", "1000", "--t", "0.5"],
+             ["converge", "--bullet", "ultrametric", "--levels", "1000", "--reference", "1000"],
+             ["bounds", "--level", "1000", "--truncate", "998"]]
+    capsys.readouterr()
+    for argv in runs:
+        assert main([argv[0], *common, *argv[1:]]) == 26, argv
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "RateOverflow" and err["exit"] == 26
+        assert not out.exists()
+    assert main(["bounds", *common, "--level", "1000", "--truncate", "500"]) == 24
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "TooManyCells"
+    assert err["detail"].startswith("about 10^150.5 cells exceed the dense-matrix limit")
+
+
 def test_path_index_and_toposort_artifacts_are_pinned(tmp_path, capsys):
-    """The index file and the default-seed toposort order of the
+    """The version-3 index file and the default-seed toposort order of the
     1500-vertex path, pinned by sha256: a dendrogram rewrite must leave
     both byte for byte as they were."""
     n = 1500
@@ -558,7 +598,7 @@ def test_path_index_and_toposort_artifacts_are_pinned(tmp_path, capsys):
     assert main(["toposort", "--input", str(dag), "--output", str(out), "--index", str(index)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(index.read_bytes()).hexdigest() == (
-        "a537c1fcf237611ad0be5e324c0a0a2be907a6392bed995f8756f4eacb283b4a")
+        "ba917e4de70bb91600a4edb73a21fe2b333f68e9e2e73a7d957e081735b33088")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "8bece6694b1f36f7c7dd27c5de1ab21f9bdbe5c71d44901de9d7ca0da88b70cf")
 
@@ -681,3 +721,41 @@ def test_index_of_a_disconnected_graph_still_exits_7(tmp_path, capsys):
     assert main(["index", "--input", str(graph), "--output", str(tmp_path / "index.json")]) == 7
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "DisconnectedGraph"
+
+
+def test_index_and_toposort_of_ten_thousand_vertices_are_fast(tmp_path, capsys):
+    """A seeded graph of 10^4 vertices and 5 * 10^4 edges of distinct
+    weights indexes to p = 2 and m = 9999, one tree level per merge: the
+    index file holds no digits, so `index` and `toposort --index` each
+    finish within 10 s and the file stays under 5 MB."""
+    import time
+
+    import numpy as np
+
+    rng = np.random.default_rng(2024)
+    n, m = 10_000, 50_000
+    labels = [f"v{i:05d}" for i in range(n)]
+    pairs = {(int(rng.integers(i)), i) for i in range(1, n)}  # a random spanning tree
+    while len(pairs) < m:
+        i, j = sorted(rng.integers(n, size=2).tolist())
+        if i != j:
+            pairs.add((i, j))
+    pairs = sorted(pairs)
+    graph, index, dag, out = (tmp_path / name for name in ("g.json", "i.json", "d.json", "o.txt"))
+    write(graph, {
+        "vertices": labels,
+        "edges": [{"ends": [labels[i], labels[j]], "w": int(w)}
+                  for (i, j), w in zip(pairs, rng.permutation(m) + 1)],
+        "d": {l: [0] for l in labels},
+    })
+    write(dag, {"vertices": labels, "edges": [[labels[i], labels[j]] for i, j in pairs[::5]]})
+    start = time.perf_counter()
+    assert main(["index", "--input", str(graph), "--output", str(index)]) == 0
+    assert time.perf_counter() - start < 10.0
+    metrics = parse_summaries(capsys.readouterr().out)[-1]["metrics"]
+    assert (metrics["p"], metrics["m"]) == (2, n - 1)
+    assert index.stat().st_size < 5_000_000
+    start = time.perf_counter()
+    assert main(["toposort", "--input", str(dag), "--output", str(out), "--index", str(index)]) == 0
+    assert time.perf_counter() - start < 10.0
+    assert parse_summaries(capsys.readouterr().out)[-1]["metrics"]["valid_linear_extension"] is True

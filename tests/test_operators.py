@@ -376,6 +376,77 @@ def test_generator_checks_dense_limit_before_allocating(monkeypatch):
             generator(spec, domain, "haar")
 
 
+def test_checked_largest_entry_is_the_generator_maximum():
+    """The rate check's closed-form largest entry, from p, alpha, n and the
+    disc masses, is the largest |entry| of the assembled generator."""
+    from conftest import random_connected_weights, specs_from_weights
+    from ultraheat.operators import _disc_rates
+
+    rng = np.random.default_rng(89)
+    for _ in range(4):
+        dend = random_dendrogram(rng, int(rng.integers(2, 8)), max_children=3)
+        assign = embed(dend)
+        n = assign.m + 2
+        disc = discretize(assign, n)
+        weights = random_connected_weights(rng, assign.labels)
+        inputs = [(disc, "haar"), (disc, "nu")] + [
+            (truncated_domain(assign, ell, n)[0], "haar") for ell in range(1, dend.max_level + 1)]
+        for spec in specs_from_weights(rng, assign.labels, weights, float(rng.uniform(1, 3))):
+            for dom, measure in inputs:
+                largest = np.abs(generator(spec, dom, measure).matrix).max()
+                assert _disc_rates(spec, dom, measure)[3] == pytest.approx(largest, rel=1e-12)
+
+
+def test_an_overflowing_rate_or_entry_raises_before_any_array(monkeypatch):
+    """A cross rate above the float range makes the largest generator entry
+    infinite, and a deep level the Vladimirov rate p^((n-1) alpha): both
+    raise RateOverflow before any N x N array, from the generator and from
+    the closed-form spectrum alike.  Inside one cut ball the cross rate is
+    replaced by the Vladimirov rate, so it cannot overflow there."""
+    import ultraheat.operators as operators
+    from ultraheat import graph_dendrogram
+    from ultraheat.errors import RateOverflow
+    from ultraheat.spectra import ball_spectrum
+
+    def unreachable(*args):
+        raise AssertionError("an N x N array was built before the rate check")
+
+    dend, assign, spec = simple_assignment()  # labels a, b, c; cut level 1 is {a, b}, {c}
+    n = assign.m + 2
+    disc, cut = discretize(assign, n), truncated_domain(assign, 1, n)[0]
+    for i, j in ((0, 2), (0, 1)):
+        tiny = spec.base.copy()
+        tiny[i, j] = tiny[j, i] = 1e-160  # rate 1e320 at alpha = 2
+        bad = KernelSpec(Bullet.ULTRAMETRIC, 2.0, spec.labels, tiny)
+        inputs = [(disc, "haar"), (disc, "nu"), (cut, "haar")]
+        if j == 1:  # a and b share a cut ball, where their cross rate is not used
+            inputs.pop()
+            with np.errstate(over="ignore"):
+                assert np.isfinite(generator(bad, cut).matrix).all()
+                ball_spectrum(bad, cut)
+        with np.errstate(over="ignore"), monkeypatch.context() as patch:
+            for name in ("kernel_matrix", "_prefix_table"):
+                patch.setattr(operators, name, unreachable)
+            for dom, measure in inputs:
+                for build in (generator, ball_spectrum):
+                    with pytest.raises(RateOverflow, match="generator entry"):
+                        build(bad, dom, measure)
+
+    # a 1000-vertex path whose weights fall along it: a chain, p = 2, m = 999
+    labels = [f"v{i:04d}" for i in range(1000)]
+    chain = embed(graph_dendrogram(labels, {frozenset(labels[i:i + 2]): 1.0 / (i + 2)
+                                            for i in range(999)}))
+    delta = chain.dendrogram.delta_matrix()
+    dom = discretize(chain, 1000)
+    for name in ("kernel_matrix", "_prefix_table"):
+        monkeypatch.setattr(operators, name, unreachable)
+    for alpha, measure in ((1.3, "haar"), (1.3, "nu"), (1.1, "haar")):
+        deep = KernelSpec(Bullet.ULTRAMETRIC, alpha, delta.labels, delta.values)
+        for build in (generator, ball_spectrum):
+            with pytest.raises(RateOverflow, match=r"jump rate 2\^\(999"):
+                build(deep, dom, measure)
+
+
 def test_degree_equals_generator_diagonal():
     from conftest import random_connected_weights, specs_from_weights
 

@@ -74,27 +74,58 @@ def test_embed_leaf_discs_disjoint_random():
                 assert padic_distance(discs[i], discs[j]) > 0
 
 
+def test_node_cells_extend_their_parents():
+    """A child's digits are its parent's, its branch index and zeros up to
+    its depth (m for a leaf); the root is the empty ball."""
+    rng = np.random.default_rng(61)
+    for _ in range(10):
+        dend = random_dendrogram(rng, int(rng.integers(1, 30)))
+        assign = embed(dend)
+        assert assign.cell_of(dend.root) == PAdicCell(assign.p, ())
+        for node in dend.nodes:
+            cell = assign.cell_of(node)
+            assert cell.level == (assign.m if node.is_leaf else assign.depths[node.index])
+            for idx, child in enumerate(node.children):
+                pad = (0,) * (assign.depths[child.index] - cell.level - 1)
+                assert assign.cell_of(child).digits == cell.digits + (idx,) + pad
+        assert assign.discs == {label: assign.cell_of(leaf) for label, leaf in dend.leaves.items()}
+
+
+def rho_of(assign) -> dict:
+    """The map rho from the p-adic distance of two leaf discs to the leaves'
+    ultrametric distance, over all leaf pairs; a distance that meets two
+    ultrametric distances fails here."""
+    rho = {}
+    for u in assign.labels:
+        for v in assign.labels:
+            if u != v:
+                dist = padic_distance(assign.discs[u], assign.discs[v])
+                assert rho.setdefault(dist, assign.dendrogram.delta(u, v)) == (
+                    assign.dendrogram.delta(u, v))
+    return rho
+
+
 def test_embed_rho_compatibility():
+    """rho(|x - y|_p) is the ultrametric distance of the leaves: one value per
+    p-adic distance, which is p^-k with k the depth of the leaves' lowest
+    common ancestor."""
     rng = np.random.default_rng(53)
     for _ in range(15):
         dend = random_dendrogram(rng, int(rng.integers(2, 25)))
         assign = embed(dend)
-        for u in assign.labels:
-            for v in assign.labels:
-                if u == v:
-                    continue
-                dist = padic_distance(assign.discs[u], assign.discs[v])
-                assert assign.rho_of(dist) == dend.delta(u, v)
+        rho = rho_of(assign)
+        for node in dend.internal_nodes():
+            assert rho[float(assign.p) ** -assign.depths[node.index]] == node.radius
 
 
 def test_rho_table_strictly_increasing():
+    """rho is strictly increasing, and it meets every internal radius."""
     rng = np.random.default_rng(59)
-    dend = random_dendrogram(rng, 20)
-    assign = embed(dend)
-    dists = [d for d, _ in assign.rho]
-    radii = [r for _, r in assign.rho]
-    assert dists == sorted(dists, reverse=True)
-    assert radii == sorted(radii, reverse=True)
+    for _ in range(15):
+        dend = random_dendrogram(rng, int(rng.integers(2, 25)))
+        rho = sorted(rho_of(embed(dend)).items())
+        assert all(a[1] < b[1] for a, b in zip(rho, rho[1:]))
+        assert [r for _, r in rho] == sorted({n.radius for n in dend.internal_nodes()})
 
 
 def test_tree_measure_examples():

@@ -10,12 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultraheat import (
-    ClusterRelation,
     Dag,
     SortedCluster,
     build_dendrogram,
-    cluster_sort,
-    compare_clusters,
     kahn_sort,
     merge_sorted_clusters,
     minimal_cluster,
@@ -63,41 +60,20 @@ def test_kahn_cycle():
         kahn_sort(Dag(("a", "b"), {("a", "b"), ("b", "a")}))
 
 
-def test_cluster_sort_examples():
+def test_minimal_cluster_members_and_their_sorts():
+    """The smallest non-singleton ball around a vertex, and the Kahn sort
+    that ``parallel_toposort`` takes of it."""
     dend = three_ball_dendrogram()
     dag = Dag(("a", "b", "c"), {("a", "b")})
-    sc = cluster_sort(dend, dag, "b")
-    assert sc.members == frozenset(("a", "b"))
-    assert sc.order == ("a", "b")
-    sc_c = cluster_sort(dend, dag, "c")
-    assert sc_c.members == frozenset(("a", "b", "c"))
-
-
-def test_cluster_sort_trivial_index_covers_everything():
+    assert minimal_cluster(dend, "b") == frozenset(("a", "b"))
+    assert kahn_sort(dag, minimal_cluster(dend, "b")) == ("a", "b")
+    assert minimal_cluster(dend, "c") == frozenset(("a", "b", "c"))
     vals = np.full((3, 3), 1.0)
     np.fill_diagonal(vals, 0.0)
-    dend = build_dendrogram(UltrametricMatrix(("a", "b", "c"), vals))
+    trivial = build_dendrogram(UltrametricMatrix(("a", "b", "c"), vals))
     dag = Dag(("a", "b", "c"), {("c", "a")})
-    sc = cluster_sort(dend, dag, "a")
-    assert sc.members == frozenset(("a", "b", "c"))
-    assert sc.order == kahn_sort(dag)
-
-
-def test_compare_clusters_all_relations():
-    dend = three_ball_dendrogram()
-    assert compare_clusters(dend, "a", "b") is ClusterRelation.EQUAL
-    assert compare_clusters(dend, "a", "c") is ClusterRelation.LEFT_INSIDE_RIGHT
-    assert compare_clusters(dend, "c", "a") is ClusterRelation.RIGHT_INSIDE_LEFT
-    vals = np.array(
-        [
-            [0.0, 1.0, 3.0, 3.0],
-            [1.0, 0.0, 3.0, 3.0],
-            [3.0, 3.0, 0.0, 1.0],
-            [3.0, 3.0, 1.0, 0.0],
-        ]
-    )
-    dend4 = build_dendrogram(UltrametricMatrix(("a", "b", "c", "d"), vals))
-    assert compare_clusters(dend4, "a", "c") is ClusterRelation.DISJOINT
+    assert minimal_cluster(trivial, "a") == frozenset(("a", "b", "c"))
+    assert kahn_sort(dag, minimal_cluster(trivial, "a")) == kahn_sort(dag)
 
 
 def test_merge_with_cross_edge():

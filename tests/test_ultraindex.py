@@ -27,7 +27,7 @@ from ultraheat import (
     tree_measure,
 )
 from ultraheat.errors import BadWeight, DisconnectedGraph
-from ultraheat.serialize import assignment_to_obj, index_from_obj, index_to_obj
+from ultraheat.serialize import canonical_dumps, index_from_obj, index_to_obj
 
 from conftest import random_connected_weights, random_dendrogram, random_metric
 
@@ -227,27 +227,35 @@ def test_graph_distance_metric_axioms():
     assert d.check_metric(tol=1e-12)
 
 
-def test_index_persistence_roundtrip_and_determinism():
-    """A version-2 index (vertices, distance-weighted edges, assignment)
-    reads back to the same tree, radii, assignment and weights, and writes
-    the same object again; the object survives a JSON text round trip."""
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_index_persistence_roundtrip_and_determinism(data):
+    """A version-3 index (vertices, distance-weighted edges, p and m) read
+    back from its canonical text is the same embedding of the same tree:
+    p, m, node depths, leaf discs, radii and delta; written again it is
+    the same object.  Graphs: random connected ones, and paths of
+    distinct weights falling along the path, one tree level per vertex."""
     import json
 
-    rng = np.random.default_rng(43)
-    labels = tuple(f"v{i:02d}" for i in range(12))
-    weights = random_connected_weights(rng, labels)
-    dend = graph_dendrogram(labels, weights)
-    assign = embed(dend)
+    n = data.draw(st.integers(1, 40), label="n")
+    labels = tuple(f"v{i:02d}" for i in range(n))
+    if data.draw(st.booleans(), label="deep chain"):
+        weights = {frozenset(labels[i:i + 2]): 1.0 / (i + 2) for i in range(n - 1)}
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+        weights = random_connected_weights(rng, labels)
+    assign = embed(graph_dendrogram(labels, weights))
     obj = index_to_obj(assign, weights)
-    assert set(obj) == {"version", "vertices", "edges", "assignment"}
-    assert obj["version"] == 2 and len(obj["edges"]) == len(weights)
-    again, read_weights = index_from_obj(json.loads(json.dumps(obj)))
+    assert set(obj) == {"version", "vertices", "edges", "p", "m"}
+    assert obj["version"] == 3 and len(obj["edges"]) == len(weights)
+    again, read_weights = index_from_obj(json.loads(canonical_dumps(obj)))
     assert read_weights == weights
-    assert assignment_to_obj(again) == assignment_to_obj(assign)
+    assert (again.p, again.m, again.depths) == (assign.p, assign.m, assign.depths)
+    assert again.discs == assign.discs
+    dend, back = assign.dendrogram, again.dendrogram
+    assert [x.radius for x in back.nodes] == [x.radius for x in dend.nodes]
+    assert np.array_equal(back.delta_matrix().values, dend.delta_matrix().values)
     assert index_to_obj(again, read_weights) == obj
-    for u in dend.labels:
-        for v in dend.labels:
-            assert dend.delta(u, v) == again.dendrogram.delta(u, v)
 
 
 def distinct_balls(delta: UltrametricMatrix) -> set:
