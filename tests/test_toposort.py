@@ -60,7 +60,7 @@ def test_kahn_cycle():
         kahn_sort(Dag(("a", "b"), {("a", "b"), ("b", "a")}))
 
 
-def test_minimal_cluster_members_and_their_sorts():
+def test_cluster_sort_examples():
     """The smallest non-singleton ball around a vertex, and the Kahn sort
     that ``parallel_toposort`` takes of it."""
     dend = three_ball_dendrogram()
@@ -68,6 +68,9 @@ def test_minimal_cluster_members_and_their_sorts():
     assert minimal_cluster(dend, "b") == frozenset(("a", "b"))
     assert kahn_sort(dag, minimal_cluster(dend, "b")) == ("a", "b")
     assert minimal_cluster(dend, "c") == frozenset(("a", "b", "c"))
+
+
+def test_cluster_sort_trivial_index_covers_everything():
     vals = np.full((3, 3), 1.0)
     np.fill_diagonal(vals, 0.0)
     trivial = build_dendrogram(UltrametricMatrix(("a", "b", "c"), vals))
