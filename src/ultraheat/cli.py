@@ -48,6 +48,7 @@ EXIT_CODES = {
     errors.TooManyCells: 24,
     errors.BadKernel: 25,
     errors.RateOverflow: 26,
+    errors.CertificateFailed: 27,
 }
 
 
@@ -201,8 +202,8 @@ def cmd_spectrum(args) -> int:
     _summary("spectrum", [{"path": args.output, "sha256": digest}], {
         "cells": len(disc.cells),
         "eigenpairs": len(basis),
-        "max_residual": _fmt(max(p.residual for p in basis)),
-        "min_eigenvalue": _fmt(min(p.lam for p in basis)),
+        "max_residual": _fmt(max(r.residual for r in basis.records)),
+        "min_eigenvalue": _fmt(min(r.lam for r in basis.records)),
     })
     return 0
 

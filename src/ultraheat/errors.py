@@ -123,6 +123,11 @@ class BoundViolated(UltraheatError):
     """A certified error bound was exceeded; carries both sides."""
 
 
+class CertificateFailed(UltraheatError, ValueError):
+    """A spectral result fails its own check: the imaginary parts of a heat
+    kernel or of a Cauchy solution do not cancel."""
+
+
 # --- cli / serialisation ---------------------------------------------------------------
 
 class ParseError(UltraheatError):

@@ -4,10 +4,12 @@ The semigroup exp(tA) of a dense generator self-adjoint under its measure
 is computed through the symmetrised eigendecomposition (scaling-and-squaring
 through scipy is the fallback for anything else).  The heat kernel is the
 spectral sum p(t,x,y) = sum_lambda e^(lambda t) psi(x) conj(psi(y)), taken
-in the basis's disc blocks (``EigenBasis.cells_per_block``): the dense
-columns as one product, and each disc's Kozyrev columns on its own
-diagonal block, where alone they are non-zero.  The two routes agree after
-measure weighting and both are exercised by the tests.
+over the basis's two parts (``spectra.EigenBasis``) with no N x N basis
+matrix: the K dense columns as one product, and each disc's block of
+Kozyrev functions on its own diagonal block, where alone they are
+non-zero.  An imaginary part that fails to cancel raises
+``CertificateFailed`` (exit 27).  The two routes agree after measure
+weighting and both are exercised by the tests.
 
 The certify routines (``truncation_bound``, ``convergence_study``) evolve
 without the N x N generator, through the closed-form pure-ball spectrum
@@ -52,6 +54,7 @@ import numpy as np
 from .errors import (
     BadKernel,
     BoundViolated,
+    CertificateFailed,
     DimensionMismatch,
     IncompleteBasis,
     InvalidLevel,
@@ -200,46 +203,45 @@ def semigroup(A: GeneratorMatrix, t: float) -> SemigroupMatrix:
 
 
 def heat_kernel(basis: EigenBasis, t: float) -> HeatKernelTable:
-    """p(t,x,y) = sum_lambda e^(lambda t) psi(x) conj(psi(y)), summed in the
-    basis's layout (``EigenBasis.cells_per_block`` s): the dense last K
-    columns as (Psi_rest e^(Lambda t)) Psi_rest^H, plus on each diagonal
-    s x s block Psi_k e^(Lambda_k t) Psi_k^H of the block's own s - 1
-    columns, which vanish elsewhere.  For s = 1 the block part is empty."""
+    """p(t,x,y) = sum_lambda e^(lambda t) psi(x) conj(psi(y)), summed over
+    the basis's two parts: (rest e^(Lambda t)) rest^H over its dense last K
+    columns, plus on each diagonal s x s block B_k e^(Lambda_k t) B_k^H of
+    disc k's block, whose columns vanish elsewhere.  Imaginary parts above
+    1e-10 raise CertificateFailed."""
     check_time(t)
     if len(basis) != len(basis.cells):
         raise IncompleteBasis(f"{len(basis)} eigenpairs over {len(basis.cells)} cells")
-    n, s = len(basis.cells), basis.cells_per_block
-    w = n - n // s  # the block-diagonal columns
+    blocks, rest = basis.blocks, basis.rest
+    K, s, w = blocks.shape
     weights = np.exp(t * basis.eigenvalues())
-    rest = basis.psi_matrix()[:, w:]
-    table = (rest * weights[None, w:]) @ rest.conj().T
-    blocks = basis.disc_blocks()  # K x s x (s - 1)
-    k = np.arange(len(blocks))
-    table.reshape(len(k), s, len(k), s)[k, :, k, :] += (
-        (blocks * weights[:w].reshape(len(k), 1, -1)) @ blocks.conj().transpose(0, 2, 1))
+    table = (rest * weights[None, K * w:]) @ rest.conj().T
+    k = np.arange(K)
+    table.reshape(K, s, K, s)[k, :, k, :] += (
+        (blocks * weights[:K * w].reshape(K, 1, -1)) @ blocks.conj().transpose(0, 2, 1))
     imag = float(np.max(np.abs(table.imag)))
     if imag > 1e-10:
-        raise ValueError(f"imaginary parts failed to cancel ({imag:g})")
-    return HeatKernelTable(t, table.real)
+        raise CertificateFailed(f"imaginary parts of the heat kernel failed to cancel ({imag:g})")
+    return HeatKernelTable(t, table.real.copy())  # a view would keep the complex sum alive
 
 
 def solve_cauchy(basis: EigenBasis, u0: np.ndarray, t: float) -> np.ndarray:
     """Expand u0 in the eigenbasis, scale coefficients by e^(lambda t),
-    reconstruct."""
+    reconstruct.  For a real u0, imaginary parts above 1e-9 relative raise
+    CertificateFailed."""
     check_time(t)
     if len(basis) != len(basis.cells):
         raise IncompleteBasis(f"{len(basis)} eigenpairs over {len(basis.cells)} cells")
     u0 = np.asarray(u0)
     if u0.shape != (len(basis.cells),):
         raise DimensionMismatch(f"u0 of shape {u0.shape} over {len(basis.cells)} cells")
-    psi = basis.psi_matrix()
+    psi = basis.psi
     coeff = psi.conj().T @ (basis.measure * u0)
     out = psi @ (np.exp(t * basis.eigenvalues()) * coeff)
     if np.iscomplexobj(u0):
         return out
     imag = float(np.max(np.abs(out.imag)))
     if imag > 1e-9 * max(1.0, float(np.max(np.abs(out.real)))):
-        raise ValueError(f"imaginary parts failed to cancel ({imag:g})")
+        raise CertificateFailed(f"imaginary parts of the solution failed to cancel ({imag:g})")
     return out.real
 
 

@@ -109,7 +109,9 @@ class TopologyFamily:
         object.__setattr__(self, "dags", tuple(frozenset(d) for d in self.dags))
         object.__setattr__(self, "primes", tuple(self.primes))
 
-    def validate(self) -> None:
+    def validate(self) -> list[dict]:
+        """Check the primes, the edges and acyclicity; return every DAG's
+        ``chain_lengths``, which the cycle check computes anyway."""
         if len(self.primes) != len(self.dags):
             raise ValueError("one prime per topology required")
         if len(set(self.primes)) != len(self.primes):
@@ -118,11 +120,13 @@ class TopologyFamily:
             if not is_prime(p):
                 raise NotPrime(f"{p} is not prime")
         vset = set(self.vertex_ids)
+        lengths = []
         for i, dag in enumerate(self.dags):
             for u, v in dag:
                 if u not in vset or v not in vset:
                     raise ValueError(f"edge ({u!r},{v!r}) of topology {i} leaves the vertex set")
-            chain_lengths(self.vertex_ids, dag)  # raises CyclicInput
+            lengths.append(chain_lengths(self.vertex_ids, dag))  # raises CyclicInput
+        return lengths
 
 
 @dataclass(frozen=True)
@@ -150,22 +154,17 @@ def encode(family: TopologyFamily) -> WeightedMultiGraph:
     the edge (undirected).  Dimensions are longest-chain edge counts, so
     minimal elements get 0, and vertices untouched by a DAG get 0 too.
     """
-    family.validate()
+    per_dag = family.validate()
     weights: dict = {}
     for prime, dag in zip(family.primes, family.dags):
         for u, v in dag:
             e = frozenset((u, v))
             weights[e] = weights.get(e, 1) * prime
-    dims = {v: [] for v in family.vertex_ids}
-    for dag in family.dags:
-        lengths = chain_lengths(family.vertex_ids, dag)
-        for v in family.vertex_ids:
-            dims[v].append(lengths[v])
     return WeightedMultiGraph(
         vertices=family.vertex_ids,
         edges=frozenset(weights),
         w=weights,
-        d={v: tuple(ds) for v, ds in dims.items()},
+        d={v: tuple(lengths[v] for lengths in per_dag) for v in family.vertex_ids},
     )
 
 

@@ -234,37 +234,31 @@ def _check_dense(n_cells: int) -> None:
         )
 
 
-def _assemble(K, measure_vec, cells, leaf_labels, level, measure_kind, bullet, alpha):
-    _check_dense(len(cells))
-    A = K * measure_vec[None, :]
-    np.fill_diagonal(A, 0.0)
-    np.fill_diagonal(A, -A.sum(axis=1))
-    return GeneratorMatrix(
-        level=level,
-        cells=cells,
-        leaf_labels=tuple(leaf_labels),
-        matrix=A,
-        measure=measure_vec,
-        measure_kind=measure_kind,
-        bullet=bullet,
-        alpha=alpha,
-    )
-
-
 def generator(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> GeneratorMatrix:
     """Exact matrix of the jump operator on level-n locally constant functions.
 
     ``disc`` is a discretisation or a truncated domain; the latter takes
     the Haar measure only, the former also its assignment's tree measure
-    ("nu").  The cell count is checked against the dense limit before any
-    N x N array is allocated.
+    ("nu").  The cell count and the rates are checked before any N x N
+    array is allocated, and the kernel matrix is scaled into the generator
+    in place, so one N x N array is held.
     """
     _check_dense(len(disc))
     mvec = _measure_vector(disc, measure)
-    _disc_rates(spec, disc, measure)  # checks the rates before the N x N arrays
-    return _assemble(
-        kernel_matrix(spec, disc), mvec, disc.cells, disc.leaf_labels, disc.level,
-        measure, spec.bullet, spec.alpha,
+    _disc_rates(spec, disc, measure)
+    A = kernel_matrix(spec, disc)
+    A *= mvec[None, :]
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -A.sum(axis=1))
+    return GeneratorMatrix(
+        level=disc.level,
+        cells=disc.cells,
+        leaf_labels=tuple(disc.leaf_labels),
+        matrix=A,
+        measure=mvec,
+        measure_kind=measure,
+        bullet=spec.bullet,
+        alpha=spec.alpha,
     )
 
 

@@ -189,11 +189,11 @@ def matrix_export(path, matrix: np.ndarray, header: dict) -> str:
 
 
 def spectrum_export(path, basis) -> str:
+    """One line per eigenpair record of the basis (its functions are not
+    read)."""
     lines = ["kind\tsupport\tindex\tlambda\tresidual"]
-    for pair in basis:
-        lines.append(
-            f"{pair.kind}\t{pair.support}\t{pair.index}\t{pair.lam:.17g}\t{pair.residual:.17g}"
-        )
+    for r in basis.records:
+        lines.append(f"{r.kind}\t{r.support}\t{r.index}\t{r.lam:.17g}\t{r.residual:.17g}")
     text = "\n".join(lines) + "\n"
     Path(path).write_text(text, encoding="utf-8")
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -35,15 +35,16 @@ constant on the vertex discs:
 ``ball_spectrum`` builds both parts once per domain (over the pure balls of
 a truncated domain) for ``full_basis``, ``laplacian_block_modes`` and the
 certify evolver of ``heat``; its K x K eigensolve runs on first read only.
-``full_basis`` lays its columns out disc by disc
-(``EigenBasis.cells_per_block`` s = p^(n - m)): disc k's s - 1 Kozyrev
-columns vanish off its s cells, so each residual of theirs is the disc's
-N x s column slab of the assembled generator times the disc's block,
-still over all N rows, and ``heat.heat_kernel`` sums them on the diagonal
-blocks.  Every function that acts on cells takes the ``CellDomain`` alone
-and reads the assignment, the dendrogram and the tree measure nu from it.
-Float sums run left to right, as the builtin ``sum`` does only before
-Python 3.12.
+``full_basis`` stores what is not a known zero of the basis matrix Psi:
+each disc's s - 1 Kozyrev functions on its own s = p^(n - m) cells
+(``EigenBasis.blocks``, K x s x (s - 1)) and the K dense columns
+(``EigenBasis.rest``).  Each Kozyrev residual is the disc's N x s column
+slab of the assembled generator times the disc's block, still over all N
+rows, and ``heat.heat_kernel`` sums the blocks on the diagonal; Psi is
+assembled only when read (``EigenBasis.psi``).  Every function that acts
+on cells takes the ``CellDomain`` alone and reads the assignment, the
+dendrogram and the tree measure nu from it.  Float sums run left to
+right, as the builtin ``sum`` does only before Python 3.12.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +73,14 @@ from .padic import CellDomain, DiscAssignment, PAdicCell, TreeMeasure
 from .ultraindex import DendrogramNode
 
 
+class EigenRecord(NamedTuple):
+    kind: str  # 'kozyrev' | 'ultrametric' | 'block' | 'constant'
+    support: str
+    index: int
+    lam: float
+    residual: float
+
+
 @dataclass(frozen=True)
 class EigenPair:
     kind: str  # 'kozyrev' | 'ultrametric' | 'block' | 'constant'
@@ -83,35 +93,27 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Eigenpairs over the cells, with their functions as the columns of one
-    read-only matrix ``psi`` (stacked from the pairs when not given) and,
-    when known, the generator their residuals were certified against.
+    """Eigenpairs over the N = K s cells of K discs of s cells each, stored
+    as the two parts of the basis matrix Psi that are not known zeros:
+    ``blocks[k]``, the s x (s - 1) values of disc k's Kozyrev functions on
+    its own cells (Psi's columns k (s - 1) .. (k + 1)(s - 1) - 1, zero off
+    cells k s .. (k + 1) s - 1), and ``rest``, Psi's last K columns, dense.
+    ``records`` holds (kind, support, index, lam, residual) per column, and
+    ``generator``, when known, the generator the residuals were certified
+    against.  Psi itself is assembled on first read of ``psi``, and so are
+    the pairs that indexing and iteration yield (each ``psi`` a column
+    view of it)."""
 
-    ``cells_per_block`` s is the layout of ``psi``: with K = N / s blocks
-    of s consecutive cells, the first K (s - 1) columns are block-diagonal
-    (block k's s - 1 columns vanish off cells k s .. (k + 1) s - 1) and the
-    last K are dense.  The default s = 1 has no block part.
-    """
-
-    pairs: tuple
+    blocks: np.ndarray = field(repr=False)
+    rest: np.ndarray = field(repr=False)
+    records: tuple
     cells: Sequence  # the domain's cells, read lazily
     measure: np.ndarray
     measure_kind: str
-    psi: np.ndarray | None = field(default=None, repr=False, compare=False)
     generator: GeneratorMatrix | None = field(default=None, repr=False, compare=False)
-    cells_per_block: int = 1
-
-    def __post_init__(self):
-        if self.psi is None:
-            psi = np.column_stack([np.asarray(p.psi, dtype=complex) for p in self.pairs])
-            psi.setflags(write=False)
-            object.__setattr__(self, "psi", psi)
-        if len(self.cells) % self.cells_per_block:
-            raise ValueError(f"{len(self.cells)} cells do not split into blocks "
-                             f"of {self.cells_per_block}")
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.records)
 
     def __iter__(self):
         return iter(self.pairs)
@@ -119,33 +121,30 @@ class EigenBasis:
     def __getitem__(self, i):
         return self.pairs[i]
 
-    def psi_matrix(self) -> np.ndarray:
-        return self.psi
+    @functools.cached_property
+    def psi(self) -> np.ndarray:
+        """The N x N read-only basis matrix, block-diagonal but for ``rest``."""
+        K, s, w = self.blocks.shape
+        psi = np.zeros((len(self.rest), K * w + self.rest.shape[1]), dtype=complex)
+        for k, block in enumerate(self.blocks):
+            psi[k * s:(k + 1) * s, k * w:(k + 1) * w] = block
+        psi[:, K * w:] = self.rest
+        psi.setflags(write=False)
+        return psi
+
+    @functools.cached_property
+    def pairs(self) -> tuple:
+        return tuple(EigenPair(r.kind, r.support, r.index, r.lam, self.psi[:, k], r.residual)
+                     for k, r in enumerate(self.records))
 
     def eigenvalues(self) -> np.ndarray:
-        return np.array([p.lam for p in self.pairs])
-
-    def disc_blocks(self) -> np.ndarray:
-        """The diagonal blocks of the leading block-diagonal columns, as a
-        K x s x (s - 1) array (K x 1 x 0 for s = 1)."""
-        return _diagonal_blocks(self.psi, self.cells_per_block)
+        return np.array([r.lam for r in self.records])
 
     def gram(self) -> np.ndarray:
-        psi = self.psi_matrix()
-        return psi.conj().T @ (self.measure[:, None] * psi)
+        return self.psi.conj().T @ (self.measure[:, None] * self.psi)
 
     def projector_sum(self) -> np.ndarray:
-        psi = self.psi_matrix()
-        return psi @ (psi.conj().T * self.measure[None, :])
-
-
-def _diagonal_blocks(psi: np.ndarray, s: int) -> np.ndarray:
-    """Block k of the leading K (s - 1) columns of an N x N ``psi``: rows
-    k s .. (k + 1) s - 1 by columns k (s - 1) .. (k + 1)(s - 1) - 1."""
-    K, w = len(psi) // s, s - 1
-    rows = np.arange(K * s).reshape(K, s, 1)
-    cols = (np.arange(K) * w)[:, None, None] + np.arange(w)
-    return psi[rows, cols]
+        return self.psi @ (self.psi.conj().T * self.measure[None, :])
 
 
 # --- Kozyrev wavelets ------------------------------------------------------------
@@ -338,18 +337,15 @@ def ball_spectrum(spec: KernelSpec, dom: CellDomain, measure: str = "haar") -> B
     return BallSpectrum(starts, p ** (n - levels), levels, mass, scale, kozyrev, L)
 
 
-def _block_pairs(spectrum: BallSpectrum) -> list[EigenPair]:
-    lifted = np.repeat(spectrum.vecs, spectrum.sizes, axis=0)
-    return [EigenPair("block", "discs", k, float(lam), lifted[:, k])
-            for k, lam in enumerate(spectrum.evals)]
-
-
 def laplacian_block_modes(spec: KernelSpec, disc: CellDomain,
                           measure: str = "haar") -> list[EigenPair]:
     """Eigenpairs of the vertex matrix k(v,w) * mass(U_w) (``ball_spectrum``),
     lifted to functions constant on each disc, normalised in the cell inner
     product.  All eigenvalues are non-positive."""
-    return _block_pairs(ball_spectrum(spec, disc, measure))
+    spectrum = ball_spectrum(spec, disc, measure)
+    lifted = np.repeat(spectrum.vecs, spectrum.sizes, axis=0)
+    return [EigenPair("block", "discs", k, float(lam), lifted[:, k])
+            for k, lam in enumerate(spectrum.evals)]
 
 
 _VERIFY_BLOCK = 256  # columns per matrix product in a batched check
@@ -386,36 +382,26 @@ def verify_eigenpair(A: GeneratorMatrix, psi: np.ndarray, lam):
     return out
 
 
-def _basis_residuals(A: GeneratorMatrix, psi: np.ndarray, lam, s: int) -> np.ndarray:
-    """``verify_eigenpair(A, psi, lam)`` of a basis laid out in blocks of s
-    cells (``EigenBasis.cells_per_block``): the same generator and the same
-    max|A psi - lam psi| / max(1, |lam|) over all N rows.  The last K
-    columns go through ``verify_eigenpair``.  Block k's s - 1 columns
-    vanish off its cells, so A psi is the N x s column slab of A over those
-    cells times the s x (s - 1) block, in batched products over several
-    blocks of at most ``_VERIFY_BLOCK`` columns in all, and lam psi is
-    subtracted on the block's rows only."""
-    n = A.n_cells
-    K, w = n // s, s - 1
+def _basis_residuals(A: GeneratorMatrix, blocks: np.ndarray, rest: np.ndarray, lam) -> np.ndarray:
+    """``verify_eigenpair(A, psi, lam)`` of the basis matrix of ``blocks``
+    and ``rest`` (``EigenBasis``), without the matrix: the same generator
+    and the same max|A psi - lam psi| / max(1, |lam|) over all N rows.  The
+    columns of ``rest`` go through ``verify_eigenpair``.  Disc k's columns
+    vanish off its s cells, so A psi is the N x s column slab of A over
+    those cells times the disc's block, and lam psi is taken off on the
+    disc's rows only."""
+    K, s, w = blocks.shape
     lam = np.asarray(lam, dtype=float)
-    out = np.empty(n)
-    out[K * w:] = verify_eigenpair(A, psi[:, K * w:], lam[K * w:])
-    blocks, lams = _diagonal_blocks(psi, s), lam[:K * w].reshape(K, w)
-    slabs = A.matrix.reshape(n, K, s).transpose(1, 0, 2)  # slab k: A's columns of block k
-    width = max(1, min(w, _VERIFY_BLOCK))  # columns of one block per product
-    per = _VERIFY_BLOCK // width  # blocks per product
-    for k0 in range(0, K, per):
-        k1 = min(k0 + per, K)
-        ks = np.arange(k0, k1)
-        for j0 in range(0, w, width):
-            x, lam_b = blocks[ks, :, j0:j0 + width], lams[ks, j0:j0 + width]
-            err = 0.0  # hypot(0, r) is |r|: the real part alone, then with the imaginary part
-            for part in (x.real, x.imag) if np.iscomplexobj(x) else (x,):
-                r = slabs[k0:k1] @ part  # (k1 - k0) x N x width
-                r.reshape(k1 - k0, K, s, -1)[ks - k0, ks] -= part * lam_b[:, None, :]
-                err = np.hypot(err, r)
-            out[:K * w].reshape(K, w)[ks, j0:j0 + width] = (
-                err.max(axis=1, initial=0.0) / np.maximum(1.0, np.abs(lam_b)))
+    out = np.empty(len(lam))
+    out[K * w:] = verify_eigenpair(A, rest, lam[K * w:])
+    for k, block in enumerate(blocks):
+        rows, lam_k = slice(k * s, (k + 1) * s), lam[k * w:(k + 1) * w]
+        err = 0.0  # hypot(0, r) is |r|: the real part alone, then with the imaginary part
+        for part in (block.real, block.imag):
+            r = A.matrix[:, rows] @ part
+            r[rows] -= part * lam_k
+            err = np.hypot(err, r)
+        out[k * w:(k + 1) * w] = err.max(axis=0, initial=0.0) / np.maximum(1.0, np.abs(lam_k))
     return out
 
 
@@ -429,25 +415,25 @@ def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Eig
     the disc-constant block modes.  Tree measure with the ultrametric
     kernel: the constant, the ultrametric wavelets, and the Kozyrev
     wavelets (renormalised); other kernels replace the wavelet block by
-    the measure-weighted block modes.  The functions are written once
-    into the columns of one matrix, disc by disc: with s = p^(n - m) cells
-    per disc, disc k's s - 1 Kozyrev columns vanish off its cells, and the
-    last K columns (block modes, or the constant and the ultrametric
-    wavelets) are dense (``EigenBasis.cells_per_block`` = s).  Every residual is taken against
-    the assembled generator, which the basis keeps, over all N rows, the
-    Kozyrev columns block by block (``_basis_residuals``).
+    the measure-weighted block modes.  The functions are written once,
+    disc by disc: with s = p^(n - m) cells per disc, disc k's s - 1
+    Kozyrev functions into its s x (s - 1) block, and the K block modes,
+    or the constant and the ultrametric wavelets, into the N x K ``rest``
+    (``EigenBasis``).  A domain of other than K s cells (a truncated domain
+    with filler) raises IncompleteBasis before the generator is built.
+    Every residual is taken against the assembled generator, which the
+    basis keeps, over all N rows, the Kozyrev columns disc by disc
+    (``_basis_residuals``).
     """
-    gen = generator(spec, disc, measure)
     assign = disc.assignment
     p, m, n = assign.p, assign.m, disc.level
-    n_cells = len(disc)
-    psi = np.zeros((n_cells, n_cells), dtype=complex)
+    K, s, n_cells = len(assign.labels), p ** (n - m), len(disc)
+    if n_cells != K * s:
+        raise IncompleteBasis(f"{K * s} basis functions for {n_cells} cells")
+    gen = generator(spec, disc, measure)
+    blocks = np.zeros((K, s, s - 1), dtype=complex)
+    rest = np.empty((n_cells, K), dtype=complex)
     meta: list[tuple] = []  # (kind, support, index, lam) per column
-
-    def add(kind, support, index, lam, vec):
-        if len(meta) < n_cells:
-            psi[:, len(meta)] = vec
-        meta.append((kind, support, index, lam))
 
     spectrum = ball_spectrum(spec, disc, measure)
     for k, label in enumerate(assign.labels):  # pure ball k is this disc
@@ -457,33 +443,31 @@ def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Eig
             values = np.array([_wavelet_values(p, d, j) for j in range(1, p)])
             if measure == "nu":
                 values = values / math.sqrt(spectrum.scale[k])
-            balls, size, col = len(suffixes), p ** (n - d), len(meta)
-            cells = psi[spectrum.starts[k]:, col:][:balls * size, :balls * (p - 1)]
+            balls, size = len(suffixes), p ** (n - d)
+            col = len(meta) - k * (s - 1)  # the disc's columns so far
+            cells = blocks[k, :, col:col + balls * (p - 1)]
             r = np.arange(balls)  # ball r, digit a, index j: row a * size / p, column j - 1
             cells.reshape(balls, p, size // p, balls, p - 1)[r, :, :, r] = values.T[:, None, :]
             lam = float(spectrum.kozyrev[k, d - m])
-            meta += [("kozyrev", f"{label}:{prefix + s or '()'}", j, lam)
-                     for s in suffixes for j in range(1, p)]
-            suffixes = [s + str(a) for s in suffixes for a in range(p)]
+            meta += [("kozyrev", f"{label}:{prefix + tail or '()'}", j, lam)
+                     for tail in suffixes for j in range(1, p)]
+            suffixes = [tail + str(a) for tail in suffixes for a in range(p)]
 
     if measure == "nu" and spec.bullet is Bullet.ULTRAMETRIC:
-        add("constant", "domain", 0, 0.0, 1.0)
+        rest[:, 0] = 1.0
+        meta.append(("constant", "domain", 0, 0.0))
         for node in assign.dendrogram.internal_nodes():
             gamma = ultrametric_eigenvalue(None, assign.nu, node, spec.alpha)
             support = ",".join(sorted(map(str, assign.dendrogram.order[node.start:node.stop])))
             for k in range(1, len(node.children)):
-                add("ultrametric", support, k, gamma, ultrametric_wavelet(disc, node, k))
+                rest[:, len(meta) - K * (s - 1)] = ultrametric_wavelet(disc, node, k)
+                meta.append(("ultrametric", support, k, gamma))
     else:
-        for pair in _block_pairs(spectrum):
-            add(pair.kind, pair.support, pair.index, pair.lam, pair.psi)
+        rest[:] = np.repeat(spectrum.vecs, spectrum.sizes, axis=0)
+        meta += [("block", "discs", k, float(lam)) for k, lam in enumerate(spectrum.evals)]
 
-    if len(meta) != n_cells:
-        raise IncompleteBasis(f"{len(meta)} basis functions for {n_cells} cells")
-    s = p ** (n - m)
-    residuals = _basis_residuals(gen, psi, [lam for *_, lam in meta], s)
-    psi.setflags(write=False)
-    pairs = tuple(
-        EigenPair(kind, support, index, lam, psi[:, k], float(residuals[k]))
-        for k, (kind, support, index, lam) in enumerate(meta)
-    )
-    return EigenBasis(pairs, disc.cells, gen.measure, measure, psi, gen, s)
+    residuals = _basis_residuals(gen, blocks, rest, [lam for *_, lam in meta])
+    blocks.setflags(write=False)
+    rest.setflags(write=False)
+    records = tuple(EigenRecord(*row, float(res)) for row, res in zip(meta, residuals))
+    return EigenBasis(blocks, rest, records, disc.cells, gen.measure, measure, gen)

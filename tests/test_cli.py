@@ -367,6 +367,19 @@ def test_heat_reuses_the_certified_generator(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_spectrum_and_heat_never_assemble_the_basis_matrix(tmp_path, capsys, monkeypatch):
+    """`spectrum` and `heat` read the basis's disc blocks, its dense columns
+    and its records: the N x N basis matrix is never read."""
+    monkeypatch.setattr(spectra.EigenBasis, "psi",
+                        property(lambda basis: pytest.fail("EigenBasis.psi was read")))
+    index = index_fixture(tmp_path)
+    for bullet, measure in (("ultrametric", "nu"), ("graphdist", "haar")):
+        common = ["--input", str(index), "--bullet", bullet, "--measure", measure, "--level", "4"]
+        assert main(["spectrum", *common, "--output", str(tmp_path / "s.tsv")]) == 0
+        assert main(["heat", *common, "--t", "0.5", "--output", str(tmp_path / "k.txt")]) == 0
+    capsys.readouterr()
+
+
 def test_bounds_requires_exactly_one_mode(tmp_path):
     index = index_fixture(tmp_path)
     with pytest.raises(SystemExit):
@@ -579,6 +592,30 @@ def test_rates_beyond_the_float_range_exit_26_without_an_artifact(tmp_path, caps
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "TooManyCells"
     assert err["detail"].startswith("about 10^150.5 cells exceed the dense-matrix limit")
+
+
+def test_a_heat_kernel_whose_imaginary_parts_fail_to_cancel_exits_27(tmp_path, capsys):
+    """On the 1000-vertex falling-weight path at level 1000 and alpha 1.0
+    the rates stay finite (2^999), but the spectral heat sum loses its
+    imaginary parts' cancellation: `heat` exits 27 for either bullet and
+    writes nothing."""
+    n = 1000
+    labels = [f"v{i:04d}" for i in range(n)]
+    graph, index, out = tmp_path / "g.json", tmp_path / "i.json", tmp_path / "out"
+    write(graph, {
+        "vertices": labels,
+        "edges": [{"ends": [labels[i], labels[i + 1]], "w": i + 2} for i in range(n - 1)],
+        "d": {l: [0] for l in labels},
+    })
+    assert main(["index", "--input", str(graph), "--output", str(index)]) == 0
+    capsys.readouterr()
+    for bullet in ("ultrametric", "graphdist"):
+        assert main(["heat", "--input", str(index), "--output", str(out), "--bullet", bullet,
+                     "--alpha", "1.0", "--level", "1000", "--t", "0.5"]) == 27
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "CertificateFailed" and err["exit"] == 27
+        assert "failed to cancel" in err["detail"]
+        assert not out.exists()
 
 
 def test_path_index_and_toposort_artifacts_are_pinned(tmp_path, capsys):

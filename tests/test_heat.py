@@ -340,7 +340,7 @@ def test_projection_error_equals_discarded_tail_at_t0():
     disc_ref = discretize(assign, ref_level)
     basis = full_basis(spec, disc_ref, "haar")
     rng = np.random.default_rng(19)
-    psi = basis.psi_matrix()
+    psi = basis.psi
     coeffs = psi.conj().T @ (basis.measure * rng.uniform(-1, 1, len(disc_ref.cells)))
 
     def level_of(pair):

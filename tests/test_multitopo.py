@@ -115,6 +115,23 @@ def test_roundtrip_property_random_families():
         assert recovered.primes == fam.primes
 
 
+def test_encode_computes_each_topologys_chain_lengths_once(monkeypatch):
+    """The cycle check of ``validate`` and the dimension vectors share one
+    ``chain_lengths`` per topology."""
+    import ultraheat.multitopo as multitopo
+
+    calls = []
+    original = multitopo.chain_lengths
+    monkeypatch.setattr(multitopo, "chain_lengths",
+                        lambda vertices, edges: calls.append(edges) or original(vertices, edges))
+    fam = random_family(np.random.default_rng(19))
+    g = encode(fam)
+    assert calls == list(fam.dags)
+    for i, dag in enumerate(fam.dags):
+        lengths = original(fam.vertex_ids, dag)
+        assert all(g.d[v][i] == lengths[v] for v in fam.vertex_ids)
+
+
 def test_weights_are_squarefree_products_of_assigned_primes():
     rng = np.random.default_rng(17)
     for _ in range(30):

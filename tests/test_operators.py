@@ -299,20 +299,21 @@ def test_isolated_vertex_degree_has_no_cross_component():
     assert degree(spec, disc, x) == pytest.approx(intra_only)
 
 
-def test_generator_refuses_oversized_dense_matrices():
-    from ultraheat.operators import _assemble
+def test_generator_refuses_oversized_dense_matrices(monkeypatch):
+    """A domain built directly, past ``discretize``'s own count, still
+    meets the dense limit in ``generator`` before the kernel matrix."""
+    import ultraheat.operators as operators
+    from ultraheat.errors import TooManyCells
+    from ultraheat.padic import CellDomain
 
-    with pytest.raises(ValueError, match="dense-matrix limit"):
-        _assemble(
-            np.zeros((2, 2)),
-            np.ones(2),
-            tuple(range(10_001)),
-            ("a",) * 10_001,
-            5,
-            "haar",
-            Bullet.ULTRAMETRIC,
-            1.0,
-        )
+    _, assign, spec = simple_assignment()
+    level = assign.m + 12
+    dom = CellDomain(assign, level, tuple(assign.discs[label] for label in assign.labels))
+    assert len(dom) == 3 * 2**12 > operators.MAX_DENSE_CELLS
+    monkeypatch.setattr(operators, "kernel_matrix",
+                        lambda *args: pytest.fail("kernel matrix built"))
+    with pytest.raises(TooManyCells, match="dense-matrix limit"):
+        operators.generator(spec, dom)
 
 
 def chain_dendrogram(n_leaves):

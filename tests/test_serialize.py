@@ -1,10 +1,51 @@
-"""Text artifacts: the heat-kernel matrix format."""
+"""File round trips (families, graphs) and text artifacts: the heat-kernel
+matrix format."""
 
 import hashlib
+import json
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from ultraheat.serialize import matrix_export
+from ultraheat import decode, encode
+from ultraheat.serialize import (canonical_dumps, family_from_obj, family_to_obj, graph_from_obj,
+                                 graph_to_obj, matrix_export)
+
+from conftest import random_family
+
+
+def reread(obj):
+    return json.loads(canonical_dumps(obj))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_family_file_round_trip(seed):
+    """A family written and read back is the same family, up to the order
+    of its vertices."""
+    family = random_family(np.random.default_rng(seed), max_vertices=30)
+    back = family_from_obj(reread(family_to_obj(family)))
+    assert sorted(back.vertex_ids) == sorted(family.vertex_ids)
+    assert back.dags == family.dags
+    assert back.primes == family.primes
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_graph_file_round_trip(seed):
+    """An encoded family's graph file reads back with the same vertices,
+    weights, dimension vectors and primes, and decodes to the family."""
+    family = random_family(np.random.default_rng(seed), max_vertices=30)
+    graph = encode(family)
+    back, primes = graph_from_obj(reread(graph_to_obj(graph, family.primes)))
+    assert sorted(back.vertices) == sorted(graph.vertices)
+    assert back.edges == graph.edges
+    assert dict(back.w) == dict(graph.w)
+    assert dict(back.d) == dict(graph.d)
+    assert primes == family.primes
+    decoded = decode(back, primes)
+    assert sorted(decoded.vertex_ids) == sorted(family.vertex_ids)
+    assert decoded.dags == family.dags and decoded.primes == family.primes
 
 
 def reference_text(matrix, header_line):

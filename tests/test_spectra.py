@@ -372,16 +372,38 @@ def test_verify_eigenpair_detects_wrong_lambda():
 
 
 def test_full_basis_incomplete_detection():
+    """A basis short of one dense column and its record is refused by the
+    heat kernel and by the Cauchy solver."""
+    import dataclasses
+
+    from ultraheat.heat import solve_cauchy
+
     dend, assign = two_leaf()
     spec = ultra_spec(dend)
     disc = discretize(assign, assign.m + 1)
     basis = full_basis(spec, disc, "haar")
-    from ultraheat.spectra import EigenBasis
-    from ultraheat import heat_kernel
-
-    broken = EigenBasis(basis.pairs[:-1], basis.cells, basis.measure, basis.measure_kind)
+    broken = dataclasses.replace(basis, rest=basis.rest[:, :-1], records=basis.records[:-1])
+    assert len(broken) == len(disc) - 1
     with pytest.raises(IncompleteBasis):
         heat_kernel(broken, 1.0)
+    with pytest.raises(IncompleteBasis):
+        solve_cauchy(broken, np.ones(len(disc)), 1.0)
+
+
+def test_full_basis_on_a_truncated_domain_raises_before_the_generator(monkeypatch):
+    """Filler cells have no basis functions: the count is refused before
+    the generator or any N x N array is built."""
+    import ultraheat.spectra as spectra
+    from ultraheat.operators import truncated_domain
+
+    monkeypatch.setattr(spectra, "generator", lambda *args: pytest.fail("generator was built"))
+    rng = np.random.default_rng(137)
+    dend = random_dendrogram(rng, 5, max_children=3)
+    assign = embed(dend, 3)
+    dom, _ = truncated_domain(assign, 1, assign.m + 1)
+    assert len(dom) > len(assign.labels) * 3  # the cut balls hold filler
+    with pytest.raises(IncompleteBasis):
+        full_basis(ultra_spec(dend), dom, "haar")
 
 
 # --- batched certification -------------------------------------------------------
@@ -408,14 +430,14 @@ def test_batched_verify_matches_per_column(monkeypatch):
 
     monkeypatch.setattr(spectra, "_VERIFY_BLOCK", 7)  # several blocks and a ragged tail
     for basis in random_bases(97):
-        gen, psi, lams = basis.generator, basis.psi_matrix(), basis.eigenvalues()
+        gen, psi, lams = basis.generator, basis.psi, basis.eigenvalues()
         per_column = np.array(
             [verify_eigenpair(gen, np.array(psi[:, k]), lams[k]) for k in range(len(lams))]
         )
         batched = verify_eigenpair(gen, psi, lams)
         assert batched.shape == (len(lams),)
         assert np.max(np.abs(batched - per_column)) <= 1e-12
-        blockwise = _basis_residuals(gen, psi, lams, basis.cells_per_block)
+        blockwise = _basis_residuals(gen, basis.blocks, basis.rest, lams)
         assert np.array_equal(blockwise, [p.residual for p in basis])
         assert np.all(np.abs(blockwise - batched) <= rounding_bound(gen, psi, lams))
         real = verify_eigenpair(gen, psi.real, lams)
@@ -425,7 +447,7 @@ def test_batched_verify_matches_per_column(monkeypatch):
 
 def test_batched_verify_shape_errors():
     haar, _ = random_bases(5)
-    gen, psi = haar.generator, haar.psi_matrix()
+    gen, psi = haar.generator, haar.psi
     with pytest.raises(DimensionMismatch):
         verify_eigenpair(gen, psi, haar.eigenvalues()[:-1])
     with pytest.raises(DimensionMismatch):
@@ -433,6 +455,9 @@ def test_batched_verify_shape_errors():
 
 
 def test_full_basis_keeps_one_psi_matrix_and_its_generator():
+    """The basis keeps its generator; Psi is assembled from the disc blocks
+    and the dense columns once, on first read, and every pair's function
+    is a column view of it with its record's fields."""
     rng = np.random.default_rng(41)
     dend = random_dendrogram(rng, 6, max_children=3)
     assign = embed(dend)
@@ -440,15 +465,25 @@ def test_full_basis_keeps_one_psi_matrix_and_its_generator():
     disc = discretize(assign, assign.m + 2)
     basis = full_basis(spec, disc, "nu")
     assert np.array_equal(basis.generator.matrix, generator(spec, disc, "nu").matrix)
-    psi = basis.psi_matrix()
-    assert psi is basis.psi_matrix()
+    assert "psi" not in vars(basis)
+    K, s, w = basis.blocks.shape
+    assert (K, s, w) == (len(assign.labels), assign.p ** 2, assign.p ** 2 - 1)
+    assert basis.rest.shape == (K * s, K)
+    psi = basis.psi
+    assert psi is basis.psi
     assert not psi.flags.writeable
+    expected = np.zeros((K * s, K * s), dtype=complex)
+    for k in range(K):
+        expected[k * s:(k + 1) * s, k * w:(k + 1) * w] = basis.blocks[k]
+    expected[:, K * w:] = basis.rest
+    assert np.array_equal(psi, expected)
+    assert len(basis) == len(basis.records) == K * s
     for k, pair in enumerate(basis):
         assert np.shares_memory(pair.psi, psi)
         assert np.array_equal(pair.psi, psi[:, k])
-    restacked = type(basis)(basis.pairs, basis.cells, basis.measure, basis.measure_kind)
-    assert np.array_equal(restacked.psi_matrix(), psi)
-    assert restacked.generator is None
+        assert basis[k] is pair
+        record = basis.records[k]
+        assert (pair.kind, pair.support, pair.index, pair.lam, pair.residual) == tuple(record)
 
 
 def test_kozyrev_wavelet_matches_cell_loop():
@@ -567,17 +602,17 @@ def test_full_basis_disc_blocks_equal_the_dense_products(p, alpha, bullet, seed,
         disc = discretize(assign, n)
         for measure in ("haar", "nu"):
             basis = full_basis(spec, disc, measure)
-            psi, lams = basis.psi_matrix(), basis.eigenvalues()
-            assert basis.cells_per_block == s
+            psi, lams = basis.psi, basis.eigenvalues()
+            assert basis.blocks.shape == (K, s, s - 1) and basis.rest.shape == (K * s, K)
             off_block = np.ones((K * s, K * (s - 1)), dtype=bool)
             for k in range(K):
                 off_block[k * s:(k + 1) * s, k * (s - 1):(k + 1) * (s - 1)] = False
             assert np.all(psi[:, :K * (s - 1)][off_block] == 0)
-            assert all(pair.kind == "kozyrev" for pair in basis.pairs[:K * (s - 1)])
-            assert not any(pair.kind == "kozyrev" for pair in basis.pairs[K * (s - 1):])
+            assert all(r.kind == "kozyrev" for r in basis.records[:K * (s - 1)])
+            assert not any(r.kind == "kozyrev" for r in basis.records[K * (s - 1):])
 
             dense = verify_eigenpair(basis.generator, psi, lams)
-            blockwise = np.array([pair.residual for pair in basis])
+            blockwise = np.array([r.residual for r in basis.records])
             assert np.all(np.abs(blockwise - dense) <= rounding_bound(basis.generator, psi, lams))
 
             table = heat_kernel(basis, t).matrix
@@ -598,9 +633,9 @@ def test_blockwise_residuals_catch_errors_outside_the_disc():
     assign = embed(dend, 3)
     disc = discretize(assign, assign.m + 2)
     basis = full_basis(ultra_spec(dend), disc, "haar")
-    gen, psi, lams = basis.generator, basis.psi_matrix(), basis.eigenvalues()
-    s = basis.cells_per_block
-    assert max(pair.residual for pair in basis) < 1e-12
+    gen, psi, lams = basis.generator, basis.psi, basis.eigenvalues()
+    s = basis.blocks.shape[1]
+    assert max(r.residual for r in basis.records) < 1e-12
     col = s - 1  # disc 1's first Kozyrev column
     j = s + int(np.argmax(np.abs(psi[s:2 * s, col])))  # a cell of disc 1 where it is not 0
     i = 3 * s  # a cell of disc 3
@@ -608,14 +643,15 @@ def test_blockwise_residuals_catch_errors_outside_the_disc():
     matrix[i, j] += 1e-3
     matrix[i, i] -= 1e-3
     assert np.max(np.abs(matrix.sum(axis=1))) < 1e-12
-    crossed = _basis_residuals(dataclasses.replace(gen, matrix=matrix), psi, lams, s)
+    crossed = _basis_residuals(dataclasses.replace(gen, matrix=matrix), basis.blocks, basis.rest,
+                               lams)
     assert crossed[col] > 1e-9
     expected = 1e-3 * abs(psi[j, col]) / max(1.0, abs(lams[col]))
     assert crossed[col] == pytest.approx(expected, rel=1e-6)
 
     shifted = lams.copy()
     shifted[col] += 1e-6
-    assert _basis_residuals(gen, psi, shifted, s)[col] > 1e-9
+    assert _basis_residuals(gen, basis.blocks, basis.rest, shifted)[col] > 1e-9
 
 
 def test_ball_spectrum_solves_its_coarse_matrix_on_first_read_only(monkeypatch):
