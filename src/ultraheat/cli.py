@@ -213,18 +213,21 @@ def cmd_heat(args) -> int:
     assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
     spec = _spec_from_index(args, assign, weights)
     disc = padic.discretize(assign, args.level)
-    basis = spectra.full_basis(spec, disc, args.measure)
-    table = heat.heat_kernel(basis, args.t)
-    gen = basis.generator
+    table = heat.heat_kernel(spec, disc, args.t, args.measure)
+    gen = operators.generator(spec, disc, args.measure)
     T = heat.semigroup(gen, args.t)
     agreement = float(np.max(np.abs(table.matrix * gen.measure[None, :] - T.matrix)))
+    defect = T.row_sum_defect()
+    if not math.isfinite(agreement + defect):  # both are >= 0, so only inf or NaN fails
+        raise errors.CertificateFailed(f"heat certificates not finite: two-route gap "
+                                       f"{agreement:g}, row-sum defect {defect:g}")
     digest = serialize.matrix_export(args.output, table.matrix, {
         "p": assign.p, "n": args.level, "bullet": args.bullet,
         "alpha": args.alpha, "measure": args.measure, "t": args.t,
     })
     _summary("heat", [{"path": args.output, "sha256": digest}], {
         "cells": len(disc.cells),
-        "row_sum_defect": _fmt(T.row_sum_defect()),
+        "row_sum_defect": _fmt(defect),
         "two_route_gap": _fmt(agreement),
     })
     return 0

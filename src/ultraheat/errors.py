@@ -124,8 +124,8 @@ class BoundViolated(UltraheatError):
 
 
 class CertificateFailed(UltraheatError, ValueError):
-    """A spectral result fails its own check: the imaginary parts of a heat
-    kernel or of a Cauchy solution do not cancel."""
+    """A result fails its own check: a certificate of the ``heat``
+    subcommand (two-route gap or row-sum defect) is not finite."""
 
 
 # --- cli / serialisation ---------------------------------------------------------------

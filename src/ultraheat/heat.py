@@ -1,24 +1,19 @@
 """Heat semigroups, spectral kernels, Cauchy solutions, and certified bounds.
 
-The semigroup exp(tA) of a dense generator self-adjoint under its measure
-is computed through the symmetrised eigendecomposition (scaling-and-squaring
-through scipy is the fallback for anything else).  The heat kernel is the
-spectral sum p(t,x,y) = sum_lambda e^(lambda t) psi(x) conj(psi(y)), taken
-over the basis's two parts (``spectra.EigenBasis``) with no N x N basis
-matrix: the K dense columns as one product, and each disc's block of
-Kozyrev functions on its own diagonal block, where alone they are
-non-zero.  An imaginary part that fails to cancel raises
-``CertificateFailed`` (exit 27).  The two routes agree after measure
-weighting and both are exercised by the tests.
-
-The certify routines (``truncation_bound``, ``convergence_study``) evolve
-without the N x N generator, through the closed-form pure-ball spectrum
-of ``spectra.ball_spectrum``, and evolve u to u itself at t = 0.  The
-dense ``semigroup`` stays the independent second route and the test
-oracle.  Every routine over cells takes the ``CellDomain`` alone and reads
-the assignment and its tree measure from it; ``convergence_study`` builds
-its discretisations from the assignment it is given.  Every time must be
-finite and non-negative (``NegativeTime``).
+``heat_kernel``, ``solve_cauchy``, ``truncation_bound``,
+``kernel_swap_bound`` and ``convergence_study`` evolve through one
+evolver, ``_BallEvolver``, on the closed-form pure-ball spectrum of
+``spectra.ball_spectrum``, with no generator: on each pure ball T(t) is
+the coarse K x K transition plus sum_d e^(lambda_d t) (E_{d+1} - E_d),
+with E_d the mean over the level-d balls, and T(0) is the identity.  The
+dense ``semigroup``, exp(tA) of an assembled generator through its
+symmetrised eigendecomposition, is the independent second route (the
+``heat`` subcommand's two-route gap) and the test oracle; a generator not
+self-adjoint under its measure raises ``NotSelfAdjoint``.  Every routine
+over cells takes the ``CellDomain`` alone and reads the assignment and its
+tree measure from it; ``convergence_study`` builds its discretisations
+from the assignment it is given.  Every time must be finite and
+non-negative (``NegativeTime``).
 
 Certified bounds
 ----------------
@@ -54,18 +49,16 @@ import numpy as np
 from .errors import (
     BadKernel,
     BoundViolated,
-    CertificateFailed,
     DimensionMismatch,
-    IncompleteBasis,
     InvalidLevel,
     NegativeTime,
-    NotSelfAdjoint,
     RateOverflow,
 )
 from .linalg import weighted_symmetric_eig
-from .operators import GeneratorMatrix, KernelSpec, generator, truncated_domain
+from .operators import (GeneratorMatrix, KernelSpec, _check_dense, _measure_vector,
+                        _prefix_table, truncated_domain)
 from .padic import CellDomain, DiscAssignment, discretize, padic_distance
-from .spectra import EigenBasis, ball_spectrum
+from .spectra import ball_spectrum
 
 
 @dataclass(frozen=True)
@@ -140,8 +133,9 @@ class _BallEvolver:
     def __init__(self, spec: KernelSpec, dom: CellDomain, measure: str = "haar"):
         spectrum = ball_spectrum(spec, dom, measure)
         self.p, self.level, self.groups, self.evals = dom.p, dom.level, [], spectrum.evals
+        self.vecs, self.mass, self.sizes = spectrum.vecs, spectrum.mass, spectrum.sizes
         self.d = np.sqrt(spectrum.mass)
-        self.Q = spectrum.vecs * self.d[:, None]
+        self.Q = self.vecs * self.d[:, None]
         for d0 in np.unique(spectrum.levels).tolist():  # pure balls of one level: one cell block
             members = np.flatnonzero(spectrum.levels == d0)
             cells = spectrum.starts[members, None] + np.arange(spectrum.sizes[members[0]])
@@ -182,6 +176,30 @@ class _BallEvolver:
         """T(t) u at a single time."""
         return self.over_grid(u, np.array([t], dtype=float))[:, 0]
 
+    def matrix(self, t: float) -> np.ndarray:
+        """T(t) as an N x N array, the identity itself at t = 0: the coarse
+        K x K transition V e^(Lambda t) V^T M (V orthonormal under the masses
+        M) lifted onto the cells and divided by the target pure ball's cell
+        count, plus on each pure ball of level d0 the sum over d0 <= d < n of
+        e^(lambda_d t) (P_{d+1} - P_d), with P_d(x, y) = [x and y share their
+        level-d ball] / p^(n - d) read off one prefix table per ball level."""
+        p, n = self.p, self.level
+        ball = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        _check_dense(len(ball))
+        if t == 0:
+            return np.eye(len(ball))
+        coarse = (self.vecs * np.exp(t * self.evals)[None, :]) @ self.vecs.T
+        coarse *= (self.mass / self.sizes)[None, :]
+        out = coarse[np.ix_(ball, ball)]
+        for d0, _, cells, lam in self.groups:
+            # steps[k, j]: P_{d0+k+1} - P_{d0+k} on two cells sharing d0 + j digits
+            k, j = np.arange(n - d0)[:, None], np.arange(n - d0 + 1)[None, :]
+            weight = float(p) ** (np.arange(d0, n + 1) - n)  # 1 / p^(n - d), d = d0 .. n
+            steps = np.where(j > k, weight[1:, None], 0) - np.where(j >= k, weight[:-1, None], 0)
+            by_prefix = np.exp(lam * t) @ steps
+            out[cells[:, :, None], cells[:, None, :]] += by_prefix[:, _prefix_table(p, d0, n) - d0]
+        return out
+
 
 def check_time(t: float, name: str = "t") -> None:
     """Raise NegativeTime unless t is a finite number >= 0."""
@@ -190,59 +208,34 @@ def check_time(t: float, name: str = "t") -> None:
 
 
 def semigroup(A: GeneratorMatrix, t: float) -> SemigroupMatrix:
-    """exp(tA) via the symmetrised eigendecomposition, falling back to
-    scaling-and-squaring only when the generator is not measure-symmetric."""
+    """exp(tA) via the symmetrised eigendecomposition.  Every generator the
+    library builds is self-adjoint under its measure; one that is not raises
+    NotSelfAdjoint."""
     check_time(t)
-    try:
-        mat = _Evolver(A).matrix(t)
-    except NotSelfAdjoint:
-        import scipy.linalg  # only this fallback needs scipy; it would double import time
-
-        mat = scipy.linalg.expm(t * A.matrix)
-    return SemigroupMatrix(t, mat)
+    return SemigroupMatrix(t, _Evolver(A).matrix(t))
 
 
-def heat_kernel(basis: EigenBasis, t: float) -> HeatKernelTable:
-    """p(t,x,y) = sum_lambda e^(lambda t) psi(x) conj(psi(y)), summed over
-    the basis's two parts: (rest e^(Lambda t)) rest^H over its dense last K
-    columns, plus on each diagonal s x s block B_k e^(Lambda_k t) B_k^H of
-    disc k's block, whose columns vanish elsewhere.  Imaginary parts above
-    1e-10 raise CertificateFailed."""
+def heat_kernel(spec: KernelSpec, dom: CellDomain, t: float,
+                measure: str = "haar") -> HeatKernelTable:
+    """p(t, x, y) = T(t)(x, y) / mu(y), with T(t) from the closed-form
+    pure-ball spectrum (``_BallEvolver.matrix``) and mu the cell measure."""
     check_time(t)
-    if len(basis) != len(basis.cells):
-        raise IncompleteBasis(f"{len(basis)} eigenpairs over {len(basis.cells)} cells")
-    blocks, rest = basis.blocks, basis.rest
-    K, s, w = blocks.shape
-    weights = np.exp(t * basis.eigenvalues())
-    table = (rest * weights[None, K * w:]) @ rest.conj().T
-    k = np.arange(K)
-    table.reshape(K, s, K, s)[k, :, k, :] += (
-        (blocks * weights[:K * w].reshape(K, 1, -1)) @ blocks.conj().transpose(0, 2, 1))
-    imag = float(np.max(np.abs(table.imag)))
-    if imag > 1e-10:
-        raise CertificateFailed(f"imaginary parts of the heat kernel failed to cancel ({imag:g})")
-    return HeatKernelTable(t, table.real.copy())  # a view would keep the complex sum alive
+    evolver = _BallEvolver(spec, dom, measure)
+    return HeatKernelTable(t, evolver.matrix(t) / _measure_vector(dom, measure)[None, :])
 
 
-def solve_cauchy(basis: EigenBasis, u0: np.ndarray, t: float) -> np.ndarray:
-    """Expand u0 in the eigenbasis, scale coefficients by e^(lambda t),
-    reconstruct.  For a real u0, imaginary parts above 1e-9 relative raise
-    CertificateFailed."""
+def solve_cauchy(spec: KernelSpec, dom: CellDomain, u0: np.ndarray, t: float,
+                 measure: str = "haar") -> np.ndarray:
+    """T(t) u0 through ``_BallEvolver`` (u0 itself at t = 0); a complex u0
+    evolves its real and imaginary parts separately."""
     check_time(t)
-    if len(basis) != len(basis.cells):
-        raise IncompleteBasis(f"{len(basis)} eigenpairs over {len(basis.cells)} cells")
     u0 = np.asarray(u0)
-    if u0.shape != (len(basis.cells),):
-        raise DimensionMismatch(f"u0 of shape {u0.shape} over {len(basis.cells)} cells")
-    psi = basis.psi
-    coeff = psi.conj().T @ (basis.measure * u0)
-    out = psi @ (np.exp(t * basis.eigenvalues()) * coeff)
+    if u0.shape != (len(dom),):
+        raise DimensionMismatch(f"u0 of shape {u0.shape} over {len(dom)} cells")
+    evolver = _BallEvolver(spec, dom, measure)
     if np.iscomplexobj(u0):
-        return out
-    imag = float(np.max(np.abs(out.imag)))
-    if imag > 1e-9 * max(1.0, float(np.max(np.abs(out.real)))):
-        raise CertificateFailed(f"imaginary parts of the solution failed to cancel ({imag:g})")
-    return out.real
+        return evolver.apply(u0.real, t) + 1j * evolver.apply(u0.imag, t)
+    return evolver.apply(u0, t)
 
 
 def t_grid(t_max: float, points: int = 64) -> np.ndarray:
@@ -349,7 +342,8 @@ def kernel_swap_bound(
 ) -> BoundReport:
     """Certify ||T_a(t) - T_b(t)||_inf <= 2 t sum C~_{w,v} Vol(U_v); the
     constants come first (a zero base rate raises BadKernel at once).
-    The two semigroups are dense; t must be a finite time >= 0."""
+    Both semigroups come from ``_BallEvolver.matrix``, with no generator;
+    t must be a finite time >= 0."""
     check_time(t)
     if spec_a.labels != spec_b.labels:
         raise ValueError("kernel specs must share the vertex labels")
@@ -363,10 +357,8 @@ def kernel_swap_bound(
         for w in spec_a.labels for v in spec_a.labels if w != v
     ), vol_disc)
 
-    A = generator(spec_a, disc, "haar")
-    B = generator(spec_b, disc, "haar")
-    Ta = semigroup(A, t).matrix
-    Tb = semigroup(B, t).matrix
+    Ta = _BallEvolver(spec_a, disc).matrix(t)
+    Tb = _BallEvolver(spec_b, disc).matrix(t)
     measured = float(np.max(np.abs(Ta - Tb).sum(axis=1)))
     bound = 2.0 * t * csum
     report = BoundReport(

@@ -165,13 +165,14 @@ def kernel_matrix(spec: KernelSpec, disc: CellDomain) -> np.ndarray:
     """k_p over all cell pairs: the cross rate between the discs of cells in
     different blocks (none from filler), overwritten inside every block (a
     vertex disc, or a cut ball of a truncated domain) by the Vladimirov
-    rates of one prefix table per ball level; zero on the diagonal."""
+    rates of one prefix table per ball level; zero on the diagonal, whose
+    prefix n is clipped to n - 1 first (p^(n alpha) may overflow a float)."""
     leaf_idx = _leaf_indices(spec, disc)
     K = _cross_rates(spec)[np.ix_(leaf_idx, leaf_idx)]
     tables: dict = {}
     for ball in disc.balls:
         if ball.level not in tables:
-            j = _prefix_table(disc.p, ball.level, disc.level)
+            j = np.minimum(_prefix_table(disc.p, ball.level, disc.level), disc.level - 1)
             tables[ball.level] = (float(disc.p) ** -j) ** -spec.alpha
         cells = disc.ball_range(ball)
         K[cells.start:cells.stop, cells.start:cells.stop] = tables[ball.level]
@@ -283,6 +284,7 @@ def degree(spec: KernelSpec, disc: CellDomain, x: PAdicCell, measure: str = "haa
     ball = disc.balls[disc.block_index[i]]
     cells = disc.ball_range(ball)
     j = _prefix_table(disc.p, ball.level, disc.level)[i - cells.start]
+    j = np.minimum(j, disc.level - 1)  # x with itself: no rate to raise (it is zeroed next)
     rates[cells.start:cells.stop] = (float(disc.p) ** -j) ** -spec.alpha
     rates[i] = 0.0
     return float(rates @ mvec)

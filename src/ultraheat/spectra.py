@@ -34,17 +34,16 @@ constant on the vertex discs:
 
 ``ball_spectrum`` builds both parts once per domain (over the pure balls of
 a truncated domain) for ``full_basis``, ``laplacian_block_modes`` and the
-certify evolver of ``heat``; its K x K eigensolve runs on first read only.
-``full_basis`` stores what is not a known zero of the basis matrix Psi:
-each disc's s - 1 Kozyrev functions on its own s = p^(n - m) cells
-(``EigenBasis.blocks``, K x s x (s - 1)) and the K dense columns
-(``EigenBasis.rest``).  Each Kozyrev residual is the disc's N x s column
-slab of the assembled generator times the disc's block, still over all N
-rows, and ``heat.heat_kernel`` sums the blocks on the diagonal; Psi is
-assembled only when read (``EigenBasis.psi``).  Every function that acts
-on cells takes the ``CellDomain`` alone and reads the assignment, the
-dendrogram and the tree measure nu from it.  Float sums run left to
-right, as the builtin ``sum`` does only before Python 3.12.
+one evolver of ``heat``; its K x K eigensolve runs on first read only.
+``full_basis`` (for ``spectrum`` and the tests) stores what is not a known
+zero of the basis matrix Psi: each disc's s - 1 Kozyrev functions on its
+own s = p^(n - m) cells (``EigenBasis.blocks``, K x s x (s - 1)) and the K
+dense columns (``EigenBasis.rest``).  Each Kozyrev residual is the disc's
+N x s column slab of the assembled generator times the disc's block,
+still over all N rows; Psi is assembled only when read (``EigenBasis.psi``).
+Every function that acts on cells takes the ``CellDomain`` alone and reads
+the assignment, the dendrogram and the tree measure nu from it.  Float sums
+run left to right, as the builtin ``sum`` does only before Python 3.12.
 """
 
 from __future__ import annotations
@@ -322,6 +321,7 @@ def ball_spectrum(spec: KernelSpec, dom: CellDomain, measure: str = "haar") -> B
     while q.any():
         j -= q[:, None] != q[None, :]
         q = q // p
+    j = np.minimum(j, n - 1)  # a ball with itself has no rate to raise (zeroed below)
     rates[same] = ((float(p) ** -j) ** -spec.alpha)[same]
     L = rates * mass[None, :]
     np.fill_diagonal(L, 0.0)

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from ultraheat import heat, spectra, toposort
@@ -215,7 +217,7 @@ def test_bounds_with_a_zero_adjacency_rate_exit_with_bad_kernel(tmp_path, capsys
                                                                   mode):
     # a-b and b-c are equally heavy, so {a, b, c} is one cut ball at level
     # 1; a and c are not adjacent, so their adjacency rate is 0 and no
-    # mean-value constant exists.  That is found before any generator.
+    # mean-value constant exists.  That is found before any evolver.
     fam, graph, index = (tmp_path / name for name in ("family.json", "graph.json", "index.json"))
     write(fam, {
         "vertices": ["a", "b", "c", "d"],
@@ -228,9 +230,9 @@ def test_bounds_with_a_zero_adjacency_rate_exit_with_bad_kernel(tmp_path, capsys
     capsys.readouterr()
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("a generator was built before the constants")
+        raise AssertionError("an evolver was built before the constants")
 
-    monkeypatch.setattr(heat, "generator", unreachable)
+    monkeypatch.setattr(heat, "_BallEvolver", unreachable)
     out = tmp_path / "bounds.json"
     code = main(["bounds", "--input", str(index), "--output", str(out), "--level", "3", *mode])
     assert code == 25
@@ -341,6 +343,8 @@ def test_exit_codes_are_distinct_per_error_type():
 
 
 def test_heat_reuses_the_certified_generator(tmp_path, capsys, monkeypatch):
+    """`heat` builds one dense generator, for its second route, and hands
+    that one to `semigroup`; it never calls `full_basis`."""
     from ultraheat import operators, spectra
 
     built = []
@@ -357,6 +361,7 @@ def test_heat_reuses_the_certified_generator(tmp_path, capsys, monkeypatch):
     seen = []
     original_semigroup = heat.semigroup
     monkeypatch.setattr(heat, "semigroup", lambda gen, t: seen.append(gen) or original_semigroup(gen, t))
+    monkeypatch.setattr(spectra, "full_basis", lambda *args: pytest.fail("full_basis was called"))
     index = index_fixture(tmp_path)
     code = main([
         "heat", "--input", str(index), "--output", str(tmp_path / "kernel.txt"),
@@ -594,11 +599,11 @@ def test_rates_beyond_the_float_range_exit_26_without_an_artifact(tmp_path, caps
     assert err["detail"].startswith("about 10^150.5 cells exceed the dense-matrix limit")
 
 
-def test_a_heat_kernel_whose_imaginary_parts_fail_to_cancel_exits_27(tmp_path, capsys):
+def test_a_deep_path_heat_kernel_at_alpha_one_certifies(tmp_path, capsys):
     """On the 1000-vertex falling-weight path at level 1000 and alpha 1.0
-    the rates stay finite (2^999), but the spectral heat sum loses its
-    imaginary parts' cancellation: `heat` exits 27 for either bullet and
-    writes nothing."""
+    the rates stay finite (2^999): `heat` evolves through the pure-ball
+    spectrum and exits 0 for either bullet, with a two-route gap and a
+    row-sum defect within 1e-9."""
     n = 1000
     labels = [f"v{i:04d}" for i in range(n)]
     graph, index, out = tmp_path / "g.json", tmp_path / "i.json", tmp_path / "out"
@@ -611,11 +616,45 @@ def test_a_heat_kernel_whose_imaginary_parts_fail_to_cancel_exits_27(tmp_path, c
     capsys.readouterr()
     for bullet in ("ultrametric", "graphdist"):
         assert main(["heat", "--input", str(index), "--output", str(out), "--bullet", bullet,
-                     "--alpha", "1.0", "--level", "1000", "--t", "0.5"]) == 27
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"] == "CertificateFailed" and err["exit"] == 27
-        assert "failed to cancel" in err["detail"]
-        assert not out.exists()
+                     "--alpha", "1.0", "--level", "1000", "--t", "0.5"]) == 0
+        metrics = parse_summaries(capsys.readouterr().out)[-1]["metrics"]
+        assert metrics["cells"] == 2000
+        assert float(metrics["two_route_gap"]) <= 1e-9
+        assert float(metrics["row_sum_defect"]) <= 1e-9
+
+
+def test_heat_whose_certificates_are_not_finite_exits_27_without_an_artifact(tmp_path, capsys):
+    """On the 3-vertex index (p = 2, m = 2) at alpha 400 and level 3 the
+    dense eigensolve of the second route finds spurious positive
+    eigenvalues near 1e224 and its exponential overflows, so the two-route
+    gap and the row-sum defect are NaN: `heat` exits 27 and writes
+    nothing."""
+    index = index_fixture(tmp_path)
+    out = tmp_path / "kernel.txt"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["heat", "--input", str(index), "--output", str(out), "--bullet", "graphdist",
+                     "--alpha", "400", "--level", "3", "--t", "0.5"])
+    assert code == 27
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "CertificateFailed" and err["exit"] == 27
+    assert "not finite" in err["detail"]
+    assert not out.exists()
+
+
+def test_no_rate_of_a_cell_paired_with_itself_is_raised_to_alpha(tmp_path, capsys):
+    """At alpha 400 and level 3 on the 3-vertex index, the rate 2^(3 * 400)
+    of a cell paired with itself would overflow, but no generator entry
+    needs it: `spectrum`, `bounds --truncate 1` and `converge` run with
+    every warning turned into an error."""
+    index = index_fixture(tmp_path)
+    common = ["--input", str(index), "--output", str(tmp_path / "out"), "--alpha", "400"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        main(["spectrum", *common, "--bullet", "ultrametric", "--measure", "nu", "--level", "3"])
+        assert main(["bounds", *common, "--level", "3", "--truncate", "1"]) == 0
+        assert main(["converge", *common, "--bullet", "ultrametric", "--levels", "3",
+                     "--reference", "3"]) == 0
+    capsys.readouterr()
 
 
 def test_path_index_and_toposort_artifacts_are_pinned(tmp_path, capsys):

@@ -120,11 +120,10 @@ def test_two_route_agreement_all_combinations():
     disc = discretize(assign, assign.m + 1)
     for spec in specs:
         for measure in ("haar", "nu"):
-            basis = full_basis(spec, disc, measure)
             gen = generator(spec, disc, measure)
             for t in (0.1, 1.0):
                 T = semigroup(gen, t)
-                table = heat_kernel(basis, t)
+                table = heat_kernel(spec, disc, t, measure)
                 transition = table.matrix * gen.measure[None, :]
                 assert np.max(np.abs(transition - T.matrix)) < 1e-9
                 # detailed balance of the transition matrix
@@ -135,8 +134,7 @@ def test_two_route_agreement_all_combinations():
 def test_heat_kernel_t0_is_reproducing_kernel():
     dend, assign, spec = three_leaf_setup()
     disc = discretize(assign, assign.m + 1)
-    basis = full_basis(spec, disc, "haar")
-    table = heat_kernel(basis, 0.0)
+    table = heat_kernel(spec, disc, 0.0)
     gen = generator(spec, disc, "haar")
     assert np.allclose(table.matrix * gen.measure[None, :], np.eye(len(disc.cells)), atol=1e-10)
 
@@ -148,7 +146,7 @@ def test_heat_kernel_long_time_reaches_stationarity():
     lams = sorted(basis.eigenvalues())
     gap = -max(l for l in lams if l < -1e-12)
     t = 40.0 / gap
-    table = heat_kernel(basis, t)
+    table = heat_kernel(spec, disc, t, "nu")
     # stationary density of the nu-generator is constant 1
     assert np.max(np.abs(table.matrix - 1.0)) < 1e-8
 
@@ -161,16 +159,16 @@ def test_solve_cauchy_examples():
     gen = generator(spec, disc, "haar")
     const = np.full(nc, 2.5)
     for t in (0.0, 1.0, 7.0):
-        assert np.allclose(solve_cauchy(basis, const, t), const, atol=1e-10)
+        assert np.allclose(solve_cauchy(spec, disc, const, t), const, atol=1e-10)
     pair = basis[0]
-    evolved = solve_cauchy(basis, pair.psi.real, 1.2)
+    evolved = solve_cauchy(spec, disc, pair.psi.real, 1.2)
     direct = np.exp(1.2 * pair.lam) * pair.psi.real
     assert np.allclose(evolved, direct, atol=1e-10)
     rng = np.random.default_rng(3)
     u0 = rng.uniform(-1, 1, nc)
     previous = np.inf
     for t in t_grid(5.0, points=16):
-        out = solve_cauchy(basis, u0, t)
+        out = solve_cauchy(spec, disc, u0, t)
         current = float(np.max(np.abs(out)))
         assert current <= previous + 1e-10
         previous = current
@@ -378,7 +376,9 @@ def test_project_and_embed_roundtrip():
 
 
 def test_semigroup_falls_back_only_for_non_self_adjoint_generators():
-    import scipy.linalg
+    """A generator that is not self-adjoint under its measure has no
+    fallback: it raises NotSelfAdjoint (exit 22)."""
+    from ultraheat.errors import NotSelfAdjoint
     from ultraheat.padic import PAdicCell
 
     cells = (PAdicCell(2, (0,)), PAdicCell(2, (1,)))
@@ -388,33 +388,50 @@ def test_semigroup_falls_back_only_for_non_self_adjoint_generators():
                                "haar", Bullet.ULTRAMETRIC, 1.0)
 
     skew = gen([[-1.0, 1.0], [2.0, -2.0]], [0.5, 0.5])  # not symmetric under its measure
-    T = semigroup(skew, 0.7)
-    assert np.max(np.abs(T.matrix - scipy.linalg.expm(0.7 * skew.matrix))) < 1e-12
+    with pytest.raises(NotSelfAdjoint):
+        semigroup(skew, 0.7)
     with pytest.raises(ValueError, match="masses must be positive"):
         semigroup(gen([[-1.0, 1.0], [1.0, -1.0]], [0.5, 0.0]), 0.7)
 
 
-def test_scipy_is_imported_only_by_the_expm_fallback():
+def test_scipy_is_imported_only_by_the_expm_fallback(tmp_path):
+    """No module of the package imports scipy, and no `ultraheat` command
+    loads it: scipy is a test dependency only (the tests' expm oracle)."""
+    import ast
     import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import ultraheat
+
+    for path in Path(ultraheat.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(name.split(".")[0] == "scipy" for name in names), path.name
 
     script = """
-import sys
-import numpy as np
-import ultraheat.cli
-from ultraheat import Bullet, semigroup
-from ultraheat.operators import GeneratorMatrix
-from ultraheat.padic import PAdicCell
+import json, sys
+from ultraheat.cli import main
+graph = {"vertices": ["a", "b", "c"], "d": {"a": [1, 2], "b": [0, 1], "c": [0, 0]},
+         "edges": [{"ends": ["a", "b"], "w": 6}, {"ends": ["b", "c"], "w": 3}]}
+json.dump(graph, open("graph.json", "w"))
+runs = [["index", "--input", "graph.json", "--output", "index.json"]]
+common = ["--input", "index.json", "--output", "out", "--level", "3"]
+runs += [["spectrum", *common, "--bullet", "ultrametric", "--measure", "nu"],
+         ["heat", *common, "--bullet", "graphdist", "--t", "0.5"],
+         ["bounds", *common, "--truncate", "1"],
+         ["bounds", *common, "--swap", "graphdist,ultrametric"]]
+for argv in runs:
+    assert main(argv) == 0, argv
+assert main(["converge", "--input", "index.json", "--output", "out", "--bullet", "ultrametric",
+             "--levels", "3,4", "--reference", "4"]) == 0
 assert "scipy" not in sys.modules
-cells = (PAdicCell(2, (0,)), PAdicCell(2, (1,)))
-skew = GeneratorMatrix(1, cells, ("a", "b"), np.array([[-1.0, 1.0], [2.0, -2.0]]),
-                       np.array([0.5, 0.5]), "haar", Bullet.ULTRAMETRIC, 1.0)
-semigroup(skew, 0.7)
-assert "scipy.linalg" in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    subprocess.run([sys.executable, "-c", script], check=True, env=env)
+    subprocess.run([sys.executable, "-c", script], check=True, env=env, cwd=tmp_path,
+                   stdout=subprocess.DEVNULL)
 
 
 # --- index maps, one coefficient per grid, shared eigensolves and cut kernels ---
@@ -626,6 +643,49 @@ def test_ball_evolver_matches_the_dense_semigroup(p, alpha, bullet, seed, leaves
             assert np.max(np.abs(columns[:, k] - semigroup(gen, t).matrix @ u)) <= tol
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    alpha=st.floats(1.0, 2.0),
+    t=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+    leaves=st.integers(2, 6),
+)
+def test_closed_form_kernel_and_swap_match_the_dense_semigroup(p, alpha, t, seed, leaves):
+    """At levels m+1 and m+2 under Haar and nu, the closed-form heat kernel
+    times the measure is the dense semigroup, T(0) is exactly I, and the
+    swap bound's measured error is the dense largest row sum of |T_a - T_b|,
+    each within the oracle tolerance max(1e-12, 4 eps ||A||_inf t)."""
+    rng = np.random.default_rng(seed)
+    dend = random_dendrogram(rng, leaves, max_children=p)
+    assign = embed(dend, p)
+    delta, metric = dend.delta_matrix(), random_metric(rng, leaves)
+    specs = (KernelSpec(Bullet.ULTRAMETRIC, alpha, delta.labels, delta.values),
+             KernelSpec(Bullet.GRAPH_DISTANCE, alpha, metric.labels, metric.values))
+
+    def tolerance(*gens):
+        norm = max(float(np.max(np.abs(gen.matrix).sum(axis=1))) for gen in gens)
+        return max(1e-12, 4 * np.finfo(float).eps * norm * t)
+
+    for n in (assign.m + 1, assign.m + 2):
+        disc = discretize(assign, n)
+        if len(disc) > MAX_ORACLE_CELLS:
+            break
+        for measure in ("haar", "nu"):
+            for spec in specs:
+                gen = generator(spec, disc, measure)
+                table = heat_kernel(spec, disc, t, measure).matrix
+                gap = np.max(np.abs(table * gen.measure[None, :] - semigroup(gen, t).matrix))
+                assert gap <= tolerance(gen)
+                identity = _BallEvolver(spec, disc, measure).matrix(0.0)
+                assert np.array_equal(identity, np.eye(len(disc)))
+        gens = [generator(spec, disc, "haar") for spec in specs]
+        Ta, Tb = (semigroup(gen, t).matrix for gen in gens)
+        dense = float(np.max(np.abs(Ta - Tb).sum(axis=1)))
+        measured = kernel_swap_bound(*specs, disc, t).measured_sup_error
+        assert abs(measured - dense) <= tolerance(*gens)
+
+
 def three_spine_dendrogram(depth=7):
     """Three spines under the root, each internal node holding one leaf and
     the next node down to ``depth - 1``; one radius per depth, so m = depth
@@ -645,12 +705,16 @@ def three_spine_dendrogram(depth=7):
 
 
 def test_certify_routines_build_no_generator_and_no_kernel_matrix(monkeypatch):
+    """`truncation_bound`, `convergence_study` and `kernel_swap_bound` build
+    no generator, no kernel matrix and no dense semigroup."""
     from ultraheat import heat, operators
 
     dend = three_spine_dendrogram()
     assign = embed(dend, 3)
     delta = dend.delta_matrix()
     spec = KernelSpec(Bullet.ULTRAMETRIC, 1.0, delta.labels, delta.values)
+    other = KernelSpec(Bullet.GRAPH_DISTANCE, 1.0, delta.labels,
+                       delta.values + np.where(np.eye(len(delta.labels)) > 0, 0.0, 0.3))
     m = assign.m
     disc = discretize(assign, m + 1)
     assert len(truncated_domain(assign, 1, m + 1)[0]) >= 5000
@@ -658,8 +722,9 @@ def test_certify_routines_build_no_generator_and_no_kernel_matrix(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a dense N x N operator was built")
 
-    monkeypatch.setattr(heat, "generator", unreachable)
+    monkeypatch.setattr(operators, "generator", unreachable)
     monkeypatch.setattr(operators, "kernel_matrix", unreachable)
+    monkeypatch.setattr(heat, "semigroup", unreachable)
     rng = np.random.default_rng(43)
     report = truncation_bound(spec, disc, 1, 1.0, rng.uniform(-1, 1, len(disc)))
     assert report.slack >= -1e-9
@@ -667,6 +732,8 @@ def test_certify_routines_build_no_generator_and_no_kernel_matrix(monkeypatch):
     u0 = rng.uniform(-1, 1, len(discretize(assign, m + 3)))
     rows = convergence_study(spec, assign, u0, [m + 1, m + 2, m + 3], 1.0, "nu")
     assert rows[-1] == (m + 3, 0.0)
+    report = kernel_swap_bound(spec, other, disc, 1.0)
+    assert report.slack >= -1e-9 and report.measured_sup_error > 0.0
 
 
 # --- times and gates ---------------------------------------------------------------
@@ -684,14 +751,15 @@ def test_times_that_are_not_finite_and_non_negative_raise_before_any_domain(monk
     def unreachable(*args, **kwargs):
         raise AssertionError("built before the time was checked")
 
-    for name in ("discretize", "truncated_domain", "generator", "weighted_symmetric_eig"):
+    for name in ("discretize", "truncated_domain", "weighted_symmetric_eig", "ball_spectrum"):
         monkeypatch.setattr(heat, name, unreachable)
-    monkeypatch.setattr(spectra, "weighted_symmetric_eig", unreachable)
+    for name in ("generator", "weighted_symmetric_eig"):
+        monkeypatch.setattr(spectra, name, unreachable)
     calls = {
         "t_grid": lambda: t_grid(t),
         "semigroup": lambda: semigroup(basis.generator, t),
-        "heat_kernel": lambda: heat_kernel(basis, t),
-        "solve_cauchy": lambda: solve_cauchy(basis, u, t),
+        "heat_kernel": lambda: heat_kernel(spec, disc, t),
+        "solve_cauchy": lambda: solve_cauchy(spec, disc, u, t),
         "truncation_bound": lambda: truncation_bound(spec, disc, 1, t, u),
         "kernel_swap_bound": lambda: kernel_swap_bound(spec, spec, disc, t),
         "convergence_study": lambda: convergence_study(spec, assign, u, [assign.m + 1], t),
@@ -704,7 +772,6 @@ def test_times_that_are_not_finite_and_non_negative_raise_before_any_domain(monk
 def test_bound_gates_refuse_a_nan_error(monkeypatch):
     from ultraheat import heat
     from ultraheat.errors import BoundViolated
-    from ultraheat.heat import SemigroupMatrix
 
     dend, assign, spec = three_leaf_setup()
     disc = discretize(assign, assign.m + 1)
@@ -712,7 +779,7 @@ def test_bound_gates_refuse_a_nan_error(monkeypatch):
     u[0] = np.nan
     with pytest.raises(BoundViolated, match="nan"):
         truncation_bound(spec, disc, 1, 1.0, u)
-    monkeypatch.setattr(heat, "semigroup",
-                        lambda A, t: SemigroupMatrix(t, np.full(A.matrix.shape, np.nan)))
+    monkeypatch.setattr(heat._BallEvolver, "matrix",
+                        lambda evolver, t: np.full((len(disc),) * 2, np.nan))
     with pytest.raises(BoundViolated, match="nan"):
         kernel_swap_bound(spec, spec, disc, 1.0)

@@ -372,22 +372,17 @@ def test_verify_eigenpair_detects_wrong_lambda():
 
 
 def test_full_basis_incomplete_detection():
-    """A basis short of one dense column and its record is refused by the
-    heat kernel and by the Cauchy solver."""
+    """A full basis has one eigenpair per cell; a basis short of one dense
+    column and its record counts one fewer."""
     import dataclasses
-
-    from ultraheat.heat import solve_cauchy
 
     dend, assign = two_leaf()
     spec = ultra_spec(dend)
     disc = discretize(assign, assign.m + 1)
     basis = full_basis(spec, disc, "haar")
+    assert len(basis) == len(disc)
     broken = dataclasses.replace(basis, rest=basis.rest[:, :-1], records=basis.records[:-1])
     assert len(broken) == len(disc) - 1
-    with pytest.raises(IncompleteBasis):
-        heat_kernel(broken, 1.0)
-    with pytest.raises(IncompleteBasis):
-        solve_cauchy(broken, np.ones(len(disc)), 1.0)
 
 
 def test_full_basis_on_a_truncated_domain_raises_before_the_generator(monkeypatch):
@@ -588,8 +583,8 @@ def rounding_bound(A, psi, lams):
 def test_full_basis_disc_blocks_equal_the_dense_products(p, alpha, bullet, seed, leaves, t):
     """At levels m+1..m+3 under Haar and nu: the Kozyrev columns are exactly
     0 off their disc's cells, the blockwise residuals are the dense
-    ``verify_eigenpair`` of the whole basis, and the blockwise heat kernel
-    is the dense (Psi e^(Lambda t)) Psi^H."""
+    ``verify_eigenpair`` of the whole basis, and the heat kernel of the
+    pure-ball spectrum is the dense (Psi e^(Lambda t)) Psi^H."""
     rng = np.random.default_rng(seed)
     dend = random_dendrogram(rng, leaves, max_children=p)
     assign = embed(dend, p)
@@ -615,7 +610,7 @@ def test_full_basis_disc_blocks_equal_the_dense_products(p, alpha, bullet, seed,
             blockwise = np.array([r.residual for r in basis.records])
             assert np.all(np.abs(blockwise - dense) <= rounding_bound(basis.generator, psi, lams))
 
-            table = heat_kernel(basis, t).matrix
+            table = heat_kernel(spec, disc, t, measure).matrix
             expected = ((psi * np.exp(t * lams)[None, :]) @ psi.conj().T).real
             assert np.max(np.abs(table - expected)) <= 1e-12 * np.max(np.abs(expected))
 
