@@ -140,7 +140,7 @@ def _int_list(text: str) -> list[int]:
 
 def cmd_toposort(args) -> int:
     dag, weights = serialize.dag_from_obj(serialize.load_json(args.input))
-    seeds = _resolve_seeds(dag, args.seeds) if args.seeds else [sorted(dag.vertices, key=str)[0]]
+    seeds = _resolve_seeds(dag, args.seeds) if args.seeds else [dag.str_order[0]]
     if args.index:
         assign, _ = serialize.index_from_obj(serialize.load_json(args.index))
         dend = assign.dendrogram
@@ -215,9 +215,10 @@ def cmd_heat(args) -> int:
     disc = padic.discretize(assign, args.level)
     table = heat.heat_kernel(spec, disc, args.t, args.measure)
     gen = operators.generator(spec, disc, args.measure)
-    T = heat.semigroup(gen, args.t)
-    agreement = float(np.max(np.abs(table.matrix * gen.measure[None, :] - T.matrix)))
-    defect = T.row_sum_defect()
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap is raised below
+        T = heat.semigroup(gen, args.t)
+        agreement = float(np.max(np.abs(table.matrix * gen.measure[None, :] - T.matrix)))
+        defect = T.row_sum_defect()
     if not math.isfinite(agreement + defect):  # both are >= 0, so only inf or NaN fails
         raise errors.CertificateFailed(f"heat certificates not finite: two-route gap "
                                        f"{agreement:g}, row-sum defect {defect:g}")

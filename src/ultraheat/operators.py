@@ -129,9 +129,9 @@ def _disc_rates(spec: KernelSpec, dom: CellDomain, measure: str):
     leaf = _leaf_indices(spec, dom)
     block = np.full(len(spec.labels), -1, dtype=np.int64)
     block[leaf[leaf >= 0]] = dom.block_index[leaf >= 0]
-    mass, scale, escape = _disc_shifts(spec, dom.assignment, measure, block)
     levels = np.array([ball.level for ball in dom.balls], dtype=np.int64)[block]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflow is raised as RateOverflow below
+        mass, scale, escape = _disc_shifts(spec, dom.assignment, measure, block)
         shells = (1 - 1 / p) * np.float64(p) ** (np.arange(n) * (alpha - 1))
         tails = np.append(np.cumsum(shells[::-1])[::-1], 0.0)  # tails[b]: shells b .. n - 1
         entry = np.max((scale * tails[levels] + escape)[block >= 0], initial=0.0)

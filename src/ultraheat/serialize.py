@@ -114,9 +114,12 @@ def dag_from_obj(obj) -> tuple[Dag, dict]:
         for key, val in (obj.get("weights") or {}).items():
             u, _, v = key.partition("|")
             weights[frozenset((u, v))] = float(val)
+        dag = Dag(vertices, edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed dag file: {exc}") from exc
-    return Dag(vertices, edges), weights
+    if not vertices:
+        raise ParseError("malformed dag file: it lists no vertex")
+    return dag, weights
 
 
 # --- index files ----------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Cluster-parallel topological sorting over a dendrogram index.
 
+A ``Dag`` numbers its vertices once, by rank in ``str`` order, and keeps
+each rank's successor ranks and indegree.  Every Kahn pass runs on these
+integers with a min-rank heap, so ties go to the smallest label under
+``str`` and no pass re-sorts or re-reads the labels.
+
 The minimal cluster of each seed (the smallest non-singleton ball of the
-index around it) is sorted on its own, then all cluster orders are merged
-in one Kahn pass over the DAG's edges plus the successive-pair chain of
-every cluster order.
+index around it) is sorted on its own, then the whole DAG is sorted in
+one Kahn pass over its edges plus the successive-pair chain of every
+cluster order.
 
 Locally valid cluster orders can still be jointly incompatible (the
 chains may close a cycle against edges through outside vertices); the
@@ -15,8 +20,9 @@ not enter the computation, so it cannot change the output.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import CycleDetected
 from .ultraindex import Dendrogram, minimal_cluster
@@ -24,28 +30,45 @@ from .ultraindex import Dendrogram, minimal_cluster
 
 @dataclass(frozen=True)
 class Dag:
+    """A directed graph on distinct vertices.  ``str_order`` lists the
+    vertices in ``str`` order (ties keep their order in ``vertices``) and
+    ``rank`` maps each to its position there; ``succ[i]`` holds the ranks
+    of rank i's successors and ``indegree[i]`` their count into rank i."""
+
     vertices: tuple
     edges: frozenset
-    adj: dict = field(default=None, repr=False, compare=False)
+    str_order: tuple = field(init=False, repr=False, compare=False)
+    rank: dict = field(init=False, repr=False, compare=False)
+    succ: tuple = field(init=False, repr=False, compare=False)
+    indegree: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        succ: dict = {v: [] for v in self.vertices}
+        str_order = tuple(sorted(self.vertices, key=str))
+        rank = {v: i for i, v in enumerate(str_order)}
+        if len(rank) != len(str_order):
+            repeated = next(v for v, k in Counter(self.vertices).items() if k > 1)
+            raise ValueError(f"vertex {repeated!r} is listed more than once")
+        succ: list[list[int]] = [[] for _ in str_order]
+        indegree = [0] * len(str_order)
         for u, v in self.edges:
-            if u not in succ or v not in succ:
+            if u not in rank or v not in rank:
                 raise ValueError(f"edge ({u!r},{v!r}) leaves the vertex set")
-            succ[u].append(v)
-        object.__setattr__(self, "adj", {u: tuple(sorted(vs, key=str)) for u, vs in succ.items()})
+            j = rank[v]
+            succ[rank[u]].append(j)
+            indegree[j] += 1
+        object.__setattr__(self, "str_order", str_order)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "succ", tuple(map(tuple, succ)))
+        object.__setattr__(self, "indegree", tuple(indegree))
 
-    def restricted_edges(self, members) -> list[tuple]:
-        mset = members if isinstance(members, (set, frozenset)) else set(members)
-        out = []
-        for u in mset:
-            for v in self.adj.get(u, ()):
-                if v in mset:
-                    out.append((u, v))
-        return out
+    def ranks(self, labels: Iterable) -> list[int]:
+        """The ranks of ``labels``; ValueError for one outside the vertex set."""
+        try:
+            return [self.rank[v] for v in labels]
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} is not a vertex of the DAG") from None
 
 
 @dataclass(frozen=True)
@@ -58,59 +81,63 @@ class SortedCluster:
         object.__setattr__(self, "order", tuple(self.order))
 
 
-def _kahn(vertices: Iterable, edges: Iterable[tuple]) -> tuple:
-    """Kahn's algorithm; ties go to the smallest label under ``str``.
-
-    The heap holds ranks in ``str`` order, so labels are never compared
-    with each other and mixed label types sort.
-    """
-    verts = sorted(vertices, key=str)
-    rank = {v: i for i, v in enumerate(verts)}
-    indeg = [0] * len(verts)
-    succ: list[list[int]] = [[] for _ in verts]
-    for u, v in edges:
-        succ[rank[u]].append(rank[v])
-        indeg[rank[v]] += 1
-    heap = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so a heap
+def _kahn(dag: Dag, succ: Sequence, indeg: list, ranks: Collection[int]) -> tuple:
+    """Kahn's algorithm over ``ranks``: pop the smallest rank of indegree
+    0, then decrement ``indeg`` (consumed) along ``succ``.  A successor
+    outside ``ranks`` must start below 0 so that it never reaches 0."""
+    heap = [i for i in ranks if indeg[i] == 0]
+    heapq.heapify(heap)
     out = []
     while heap:
         i = heapq.heappop(heap)
-        out.append(verts[i])
+        out.append(i)
         for j in succ[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
                 heapq.heappush(heap, j)
-    if len(out) != len(verts):
-        raise CycleDetected(f"{len(verts) - len(out)} vertices stuck on a cycle")
-    return tuple(out)
+    if len(out) != len(ranks):
+        raise CycleDetected(f"{len(ranks) - len(out)} vertices stuck on a cycle")
+    return tuple(map(dag.str_order.__getitem__, out))
 
 
 def kahn_sort(dag: Dag, members=None) -> tuple:
-    """Linear extension of the DAG (restricted to ``members`` if given)."""
+    """Linear extension of the DAG (restricted to ``members`` if given);
+    ties go to the smallest label under ``str``."""
     if members is None:
-        return _kahn(dag.vertices, dag.edges)
-    mset = frozenset(members)
-    return _kahn(mset, dag.restricted_edges(mset))
+        return _kahn(dag, dag.succ, list(dag.indegree), range(len(dag.str_order)))
+    ranks = set(dag.ranks(members))
+    indeg = [-1] * len(dag.str_order)
+    for i in ranks:
+        indeg[i] = 0
+    for i in ranks:
+        for j in dag.succ[i]:
+            if indeg[j] >= 0:
+                indeg[j] += 1
+    return _kahn(dag, dag.succ, indeg, ranks)
 
 
 def merge_sorted_clusters(dag: Dag, *clusters: SortedCluster) -> SortedCluster:
-    """Kahn sort of the clusters' union under the DAG's edges plus every
-    cluster's order chain (the successive-pair edges of its order).
+    """Kahn sort of the whole DAG under its edges plus every cluster's
+    order chain (the successive-pair edges of its order).  A vertex in no
+    cluster is bound by the DAG's edges alone.
 
     When the chains conflict with each other or with the DAG's edges the
     combined relation is cyclic and CycleDetected is raised; the orders
     were incompatible and the caller decides how to recover.
     """
-    union = frozenset().union(*(c.members for c in clusters))
-    combined = set(dag.restricted_edges(union))
+    succ = list(dag.succ)
+    indeg = list(dag.indegree)
     for cluster in clusters:
-        combined.update(zip(cluster.order, cluster.order[1:]))
-    return SortedCluster(union, _kahn(union, combined))
+        ranks = dag.ranks(cluster.order)
+        for i, j in zip(ranks, ranks[1:]):
+            succ[i] += (j,)
+            indeg[j] += 1
+    return SortedCluster(dag.vertices, _kahn(dag, succ, indeg, range(len(succ))))
 
 
 def parallel_toposort(dag: Dag, dend: Dendrogram, seeds: Sequence, parallelism: int = 1) -> tuple:
     """Sort the distinct minimal clusters of the seeds, then merge their
-    orders with every other vertex in one Kahn pass.
+    orders in one Kahn pass over the whole DAG.
 
     The output is a linear extension of the DAG and is identical for every
     ``parallelism`` (validated as >= 1; it changes no work).  When the
@@ -118,10 +145,12 @@ def parallel_toposort(dag: Dag, dend: Dendrogram, seeds: Sequence, parallelism: 
     keeps each of them as a subsequence; otherwise it is ``kahn_sort(dag)``,
     which raises CycleDetected if the DAG itself has a cycle.
 
-    The merge is a heuristic, and incompatible seed orders cost extra: such
-    a sort pays for the cluster sorts and a failed merge before the
-    fallback Kahn sort does the work again.  On a wide five-topology
-    family index (n = 200) that was 70 % of the sorts.
+    The merge is a heuristic, and incompatible seed orders cost a second
+    pass: such a sort pays for the cluster sorts and a failed merge before
+    the fallback Kahn sort.  On a wide five-topology family index
+    (n = 200) that was 70 % of the sorts.  Every pass runs on the ranks,
+    successor lists and indegrees the ``Dag`` built once, in O(e + n log n)
+    time; the merge adds the cluster chains and nothing is rebuilt.
     """
     if not seeds:
         raise ValueError("at least one seed vertex required")
@@ -129,9 +158,7 @@ def parallel_toposort(dag: Dag, dend: Dendrogram, seeds: Sequence, parallelism: 
         raise ValueError("parallelism must be >= 1")
     members = {minimal_cluster(dend, x) for x in seeds}
     clusters = [SortedCluster(m, kahn_sort(dag, m)) for m in members]
-    covered = frozenset().union(*members)
-    loose = [SortedCluster((v,), (v,)) for v in dag.vertices if v not in covered]
     try:
-        return merge_sorted_clusters(dag, *clusters, *loose).order
+        return merge_sorted_clusters(dag, *clusters).order
     except CycleDetected:
         return kahn_sort(dag)

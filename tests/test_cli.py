@@ -152,6 +152,27 @@ def test_toposort_cycle_exit_code(tmp_path, capsys):
     assert "CycleDetected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dag_obj, detail", [
+    ({"vertices": ["a", "b"], "edges": [["a", "c"]]}, "leaves the vertex set"),
+    ({"vertices": ["a", "a", "b"], "edges": [["a", "b"]]}, "listed more than once"),
+    ({"vertices": [], "edges": []}, "lists no vertex"),
+])
+def test_a_dag_file_over_other_vertices_is_a_parse_error(tmp_path, capsys, dag_obj, detail):
+    """An edge to a vertex the file does not list, a vertex listed twice or
+    no vertex at all is a malformed DAG file: exit 2 with one JSON error
+    line."""
+    dag = tmp_path / "dag.json"
+    write(dag, dag_obj)
+    out = tmp_path / "order.txt"
+    assert main(["toposort", "--input", str(dag), "--output", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])
+    assert err["error"] == "ParseError" and err["exit"] == 2
+    assert detail in err["detail"]
+    assert not out.exists()
+
+
 def test_spectrum_subcommand(tmp_path, capsys):
     index = index_fixture(tmp_path)
     out = tmp_path / "spectrum.tsv"
@@ -638,6 +659,26 @@ def test_heat_whose_certificates_are_not_finite_exits_27_without_an_artifact(tmp
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "CertificateFailed" and err["exit"] == 27
     assert "not finite" in err["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["heat", "--bullet", "graphdist", "--alpha", "400", "--level", "3", "--t", "0.5"], 27),
+    (["spectrum", "--bullet", "ultrametric", "--alpha", "2000", "--level", "3"], 26),
+])
+def test_a_non_finite_result_is_reported_without_a_numpy_warning(tmp_path, capsys, argv, code):
+    """The dense route of `heat` at alpha 400 and the rates of `spectrum`
+    at alpha 2000 overflow on the 3-vertex index; each run, with every
+    warning turned into an error, exits with its typed error and stderr is
+    that one JSON line."""
+    index = index_fixture(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([argv[0], "--input", str(index), "--output", str(out), *argv[1:]]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["exit"] == code
     assert not out.exists()
 
 

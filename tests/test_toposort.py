@@ -120,7 +120,8 @@ def test_merge_refines_both_input_orders():
         for sc in (sl, sr):
             for u, v in zip(sc.order, sc.order[1:]):
                 assert pos[u] < pos[v]
-        for u, v in dag.restricted_edges(merged.members):
+        assert merged.members == frozenset(dag.vertices)
+        for u, v in dag.edges:
             assert pos[u] < pos[v]
 
 
@@ -217,3 +218,83 @@ def test_parallel_contract(data):
         return
     for co in cluster_orders:
         assert is_subsequence(co, order)
+
+
+def reference_kahn(vertices, edges):
+    """Kahn's algorithm written plainly: repeatedly emit the smallest label
+    under ``str`` whose predecessors are all emitted; None on a cycle."""
+    preds = {v: set() for v in vertices}
+    for u, v in edges:
+        preds[v].add(u)
+    out, done = [], set()
+    while len(out) < len(preds):
+        ready = [v for v in preds if v not in done and preds[v] <= done]
+        if not ready:
+            return None
+        v = min(ready, key=str)
+        out.append(v)
+        done.add(v)
+    return tuple(out)
+
+
+def reference_toposort(dag: Dag, dend, seeds):
+    """Each seed cluster sorted under its restricted edges, then the whole
+    DAG under its edges plus every cluster chain; the DAG alone when that
+    is cyclic (None when the DAG itself is)."""
+    chains = set()
+    for members in {minimal_cluster(dend, x) for x in seeds}:
+        inside = [(u, v) for u, v in dag.edges if u in members and v in members]
+        order = reference_kahn(members, inside)
+        if order is None:
+            return None
+        chains.update(zip(order, order[1:]))
+    merged = reference_kahn(dag.vertices, dag.edges | chains)
+    return merged if merged is not None else reference_kahn(dag.vertices, dag.edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parallel_toposort_equals_the_reference_sort(data):
+    """Element for element, with and without a cycle in the DAG, and
+    unchanged by the passes run on the same Dag in between: a failing
+    merge, restricted sorts and full sorts."""
+    n = data.draw(st.integers(2, 40), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+    dend = random_dendrogram(rng, n)
+    dag = random_dag(rng, n, density=data.draw(st.floats(0.0, 0.4), label="density"))
+    if dag.edges and data.draw(st.booleans(), label="close a cycle"):
+        u, v = min(dag.edges)
+        dag = Dag(dag.vertices, dag.edges | {(v, u)})
+    picks = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True), label="seeds"
+    )
+    seeds = [dag.vertices[i] for i in picks]
+
+    expected = reference_toposort(dag, dend, seeds)
+    if expected is None:
+        with pytest.raises(CycleDetected):
+            parallel_toposort(dag, dend, seeds)
+        with pytest.raises(CycleDetected):
+            kahn_sort(dag)
+        return
+    order = parallel_toposort(dag, dend, seeds)
+    assert order == expected
+    full = kahn_sort(dag)
+    assert full == reference_kahn(dag.vertices, dag.edges)
+    members = minimal_cluster(dend, seeds[0])
+    part = kahn_sort(dag, members)
+    if dag.edges:
+        u, v = min(dag.edges)
+        with pytest.raises(CycleDetected):
+            merge_sorted_clusters(dag, SortedCluster((u, v), (v, u)))
+    assert parallel_toposort(dag, dend, seeds, parallelism=2) == order
+    assert kahn_sort(dag, members) == part
+    assert kahn_sort(dag) == full
+    assert parallel_toposort(dag, dend, seeds) == order
+
+
+def test_a_repeated_vertex_is_a_value_error():
+    with pytest.raises(ValueError, match="listed more than once"):
+        Dag(("a", "a", "b"), {("a", "b")})
+    with pytest.raises(ValueError, match="leaves the vertex set"):
+        Dag(("a", "b"), {("a", "c")})
