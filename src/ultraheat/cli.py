@@ -198,12 +198,18 @@ def cmd_spectrum(args) -> int:
     spec = _spec_from_index(args, assign, weights)
     disc = padic.discretize(assign, args.level)
     basis = spectra.full_basis(spec, disc, args.measure)
+    residuals = np.array([r.residual for r in basis.records])
+    lams = basis.eigenvalues()
+    bad = np.count_nonzero(~np.isfinite(residuals)), np.count_nonzero(~np.isfinite(lams))
+    if any(bad):  # every record: the builtin max and min pass over a NaN after the first item
+        raise errors.CertificateFailed(
+            f"spectrum certificates not finite: {bad[0]} residuals, {bad[1]} eigenvalues")
     digest = serialize.spectrum_export(args.output, basis)
     _summary("spectrum", [{"path": args.output, "sha256": digest}], {
         "cells": len(disc.cells),
         "eigenpairs": len(basis),
-        "max_residual": _fmt(max(r.residual for r in basis.records)),
-        "min_eigenvalue": _fmt(min(r.lam for r in basis.records)),
+        "max_residual": _fmt(residuals.max()),
+        "min_eigenvalue": _fmt(lams.min()),
     })
     return 0
 

@@ -105,21 +105,6 @@ class BoundReport:
         return self.theoretical_bound - self.measured_sup_error
 
 
-class _Evolver:
-    """One eigendecomposition of a dense generator, many times t."""
-
-    def __init__(self, A: GeneratorMatrix):
-        self.measure = A.measure
-        self.d = np.sqrt(A.measure)
-        evals, vecs = weighted_symmetric_eig(A.matrix, A.measure)
-        self.evals = evals
-        self.Q = vecs * self.d[:, None]  # orthonormal columns of the symmetrisation
-
-    def matrix(self, t: float) -> np.ndarray:
-        core = (self.Q * np.exp(t * self.evals)[None, :]) @ self.Q.T
-        return core * (self.d[None, :] / self.d[:, None])
-
-
 class _BallEvolver:
     """T(t) u on a cell domain from ``spectra.ball_spectrum``: on pure ball a,
 
@@ -127,15 +112,13 @@ class _BallEvolver:
 
     with E_d the mean over the level-d balls, lambda_d a's level-d Kozyrev
     eigenvalue and the coarse part the pure-ball means evolved by the K x K
-    eigenpairs.
+    transition V e^(Lambda t) V^T M (V orthonormal under the masses M).
     """
 
     def __init__(self, spec: KernelSpec, dom: CellDomain, measure: str = "haar"):
         spectrum = ball_spectrum(spec, dom, measure)
         self.p, self.level, self.groups, self.evals = dom.p, dom.level, [], spectrum.evals
         self.vecs, self.mass, self.sizes = spectrum.vecs, spectrum.mass, spectrum.sizes
-        self.d = np.sqrt(spectrum.mass)
-        self.Q = self.vecs * self.d[:, None]
         for d0 in np.unique(spectrum.levels).tolist():  # pure balls of one level: one cell block
             members = np.flatnonzero(spectrum.levels == d0)
             cells = spectrum.starts[members, None] + np.arange(spectrum.sizes[members[0]])
@@ -150,12 +133,12 @@ class _BallEvolver:
         times = np.asarray(times, dtype=float)
         p, n = self.p, self.level
         values = [u[cells] for _, _, cells, _ in self.groups]
-        means = np.empty(len(self.d))
+        means = np.empty(len(self.mass))
         for (_, members, _, _), x in zip(self.groups, values):
             means[members] = x.mean(axis=1)
-        coeff = self.Q.T @ (self.d * means)
+        coeff = self.vecs.T @ (self.mass * means)
         scaled = np.exp(np.outer(times, self.evals)) * coeff
-        coarse = (self.Q @ scaled[:, :, None])[:, :, 0].T / self.d[:, None]
+        coarse = (self.vecs @ scaled[:, :, None])[:, :, 0].T
 
         out = np.empty((len(u), len(times)))
         for (d0, members, cells, lam), x in zip(self.groups, values):
@@ -212,7 +195,11 @@ def semigroup(A: GeneratorMatrix, t: float) -> SemigroupMatrix:
     library builds is self-adjoint under its measure; one that is not raises
     NotSelfAdjoint."""
     check_time(t)
-    return SemigroupMatrix(t, _Evolver(A).matrix(t))
+    d = np.sqrt(A.measure)
+    evals, vecs = weighted_symmetric_eig(A.matrix, A.measure)
+    Q = vecs * d[:, None]  # orthonormal columns of the symmetrisation
+    core = (Q * np.exp(t * evals)[None, :]) @ Q.T
+    return SemigroupMatrix(t, core * (d[None, :] / d[:, None]))
 
 
 def heat_kernel(spec: KernelSpec, dom: CellDomain, t: float,

@@ -25,7 +25,6 @@ measure raise ``BadKernel`` (exit 25).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -198,14 +197,8 @@ def kernel_value(spec: KernelSpec, assign: DiscAssignment, x: PAdicCell, y: PAdi
 class GeneratorMatrix:
     """Finite generator: off-diagonal rate*measure, zero row sums."""
 
-    level: int
-    cells: Sequence  # the domain's cells, read lazily
-    leaf_labels: tuple
     matrix: np.ndarray
     measure: np.ndarray  # per-cell masses
-    measure_kind: str  # 'haar' | 'nu'
-    bullet: Bullet
-    alpha: float
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -217,7 +210,7 @@ class GeneratorMatrix:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return self.matrix.shape[0]
 
     def row_sum_defect(self) -> float:
         return float(np.max(np.abs(self.matrix.sum(axis=1))))
@@ -251,16 +244,7 @@ def generator(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Gene
     A *= mvec[None, :]
     np.fill_diagonal(A, 0.0)
     np.fill_diagonal(A, -A.sum(axis=1))
-    return GeneratorMatrix(
-        level=disc.level,
-        cells=disc.cells,
-        leaf_labels=tuple(disc.leaf_labels),
-        matrix=A,
-        measure=mvec,
-        measure_kind=measure,
-        bullet=spec.bullet,
-        alpha=spec.alpha,
-    )
+    return GeneratorMatrix(A, mvec)
 
 
 def _measure_vector(disc: CellDomain, measure: str):

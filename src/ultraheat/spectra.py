@@ -35,12 +35,13 @@ constant on the vertex discs:
 ``ball_spectrum`` builds both parts once per domain (over the pure balls of
 a truncated domain) for ``full_basis``, ``laplacian_block_modes`` and the
 one evolver of ``heat``; its K x K eigensolve runs on first read only.
-``full_basis`` (for ``spectrum`` and the tests) stores what is not a known
-zero of the basis matrix Psi: each disc's s - 1 Kozyrev functions on its
-own s = p^(n - m) cells (``EigenBasis.blocks``, K x s x (s - 1)) and the K
-dense columns (``EigenBasis.rest``).  Each Kozyrev residual is the disc's
-N x s column slab of the assembled generator times the disc's block,
-still over all N rows; Psi is assembled only when read (``EigenBasis.psi``).
+``full_basis`` (for ``spectrum`` and the tests) stores Psi as its factors:
+the s x (s - 1) Kozyrev table that every disc of s = p^(n - m) cells shares
+(``EigenBasis.kozyrev``), each disc's root density sqrt(s_v) (``root``, 1
+under Haar), and the K x K values of the disc-constant columns on the
+discs (``coarse``).  Each Kozyrev residual is the disc's N x s column slab
+of the assembled generator times the disc's block, still over all N rows;
+Psi is assembled only when read (``EigenBasis.psi``).
 Every function that acts on cells takes the ``CellDomain`` alone and reads
 the assignment, the dendrogram and the tree measure nu from it.  Float sums
 run left to right, as the builtin ``sum`` does only before Python 3.12.
@@ -51,7 +52,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -93,22 +93,23 @@ class EigenPair:
 @dataclass(frozen=True)
 class EigenBasis:
     """Eigenpairs over the N = K s cells of K discs of s cells each, stored
-    as the two parts of the basis matrix Psi that are not known zeros:
-    ``blocks[k]``, the s x (s - 1) values of disc k's Kozyrev functions on
-    its own cells (Psi's columns k (s - 1) .. (k + 1)(s - 1) - 1, zero off
-    cells k s .. (k + 1) s - 1), and ``rest``, Psi's last K columns, dense.
+    as the factors of the basis matrix Psi: disc k's Kozyrev functions are
+    ``kozyrev / root[k]`` on its own cells (Psi's columns k (s - 1) ..
+    (k + 1)(s - 1) - 1, zero off cells k s .. (k + 1) s - 1), with
+    ``kozyrev`` the s x (s - 1) table every disc shares and ``root`` the
+    square roots of the disc densities; Psi's last K columns are constant
+    on each disc, with disc k's values in row k of the K x K ``coarse``.
     ``records`` holds (kind, support, index, lam, residual) per column, and
     ``generator``, when known, the generator the residuals were certified
     against.  Psi itself is assembled on first read of ``psi``, and so are
     the pairs that indexing and iteration yield (each ``psi`` a column
     view of it)."""
 
-    blocks: np.ndarray = field(repr=False)
-    rest: np.ndarray = field(repr=False)
+    kozyrev: np.ndarray = field(repr=False)
+    root: np.ndarray = field(repr=False)
+    coarse: np.ndarray = field(repr=False)
     records: tuple
-    cells: Sequence  # the domain's cells, read lazily
     measure: np.ndarray
-    measure_kind: str
     generator: GeneratorMatrix | None = field(default=None, repr=False, compare=False)
 
     def __len__(self):
@@ -122,12 +123,13 @@ class EigenBasis:
 
     @functools.cached_property
     def psi(self) -> np.ndarray:
-        """The N x N read-only basis matrix, block-diagonal but for ``rest``."""
-        K, s, w = self.blocks.shape
-        psi = np.zeros((len(self.rest), K * w + self.rest.shape[1]), dtype=complex)
-        for k, block in enumerate(self.blocks):
-            psi[k * s:(k + 1) * s, k * w:(k + 1) * w] = block
-        psi[:, K * w:] = self.rest
+        """The N x N read-only basis matrix, block-diagonal but for its last
+        K columns."""
+        (s, w), K = self.kozyrev.shape, len(self.root)
+        psi = np.zeros((K * s, K * w + K), dtype=complex)
+        for k, root in enumerate(self.root):
+            psi[k * s:(k + 1) * s, k * w:(k + 1) * w] = self.kozyrev / root
+        psi[:, K * w:] = np.repeat(self.coarse, s, axis=0)
         psi.setflags(write=False)
         return psi
 
@@ -382,19 +384,21 @@ def verify_eigenpair(A: GeneratorMatrix, psi: np.ndarray, lam):
     return out
 
 
-def _basis_residuals(A: GeneratorMatrix, blocks: np.ndarray, rest: np.ndarray, lam) -> np.ndarray:
-    """``verify_eigenpair(A, psi, lam)`` of the basis matrix of ``blocks``
-    and ``rest`` (``EigenBasis``), without the matrix: the same generator
-    and the same max|A psi - lam psi| / max(1, |lam|) over all N rows.  The
-    columns of ``rest`` go through ``verify_eigenpair``.  Disc k's columns
-    vanish off its s cells, so A psi is the N x s column slab of A over
-    those cells times the disc's block, and lam psi is taken off on the
-    disc's rows only."""
-    K, s, w = blocks.shape
+def _basis_residuals(A: GeneratorMatrix, kozyrev: np.ndarray, root: np.ndarray,
+                     coarse: np.ndarray, lam) -> np.ndarray:
+    """``verify_eigenpair(A, psi, lam)`` of the basis matrix of ``kozyrev``,
+    ``root`` and ``coarse`` (``EigenBasis``), without the matrix: the same
+    generator and the same max|A psi - lam psi| / max(1, |lam|) over all N
+    rows.  The last K columns, lifted onto the cells, go through
+    ``verify_eigenpair``.  Disc k's columns vanish off its s cells, so A psi
+    is the N x s column slab of A over those cells times the disc's block
+    ``kozyrev / root[k]``, and lam psi is taken off on the disc's rows only."""
+    (s, w), K = kozyrev.shape, len(root)
     lam = np.asarray(lam, dtype=float)
     out = np.empty(len(lam))
-    out[K * w:] = verify_eigenpair(A, rest, lam[K * w:])
-    for k, block in enumerate(blocks):
+    out[K * w:] = verify_eigenpair(A, np.repeat(coarse, s, axis=0), lam[K * w:])
+    for k, root_k in enumerate(root):
+        block = kozyrev / root_k
         rows, lam_k = slice(k * s, (k + 1) * s), lam[k * w:(k + 1) * w]
         err = 0.0  # hypot(0, r) is |r|: the real part alone, then with the imaginary part
         for part in (block.real, block.imag):
@@ -415,15 +419,15 @@ def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Eig
     the disc-constant block modes.  Tree measure with the ultrametric
     kernel: the constant, the ultrametric wavelets, and the Kozyrev
     wavelets (renormalised); other kernels replace the wavelet block by
-    the measure-weighted block modes.  The functions are written once,
-    disc by disc: with s = p^(n - m) cells per disc, disc k's s - 1
-    Kozyrev functions into its s x (s - 1) block, and the K block modes,
-    or the constant and the ultrametric wavelets, into the N x K ``rest``
-    (``EigenBasis``).  A domain of other than K s cells (a truncated domain
-    with filler) raises IncompleteBasis before the generator is built.
-    Every residual is taken against the assembled generator, which the
-    basis keeps, over all N rows, the Kozyrev columns disc by disc
-    (``_basis_residuals``).
+    the measure-weighted block modes.  With s = p^(n - m) cells per disc,
+    the s - 1 Kozyrev functions of a disc are written once, into the
+    s x (s - 1) table every disc shares, and the K block modes, or the
+    constant and the ultrametric wavelets, into the K x K ``coarse`` table
+    of their values on the discs (``EigenBasis``).  A domain of other than
+    K s cells (a truncated domain with filler) raises IncompleteBasis
+    before the generator is built.  Every residual is taken against the
+    assembled generator, which the basis keeps, over all N rows, the
+    Kozyrev columns disc by disc (``_basis_residuals``).
     """
     assign = disc.assignment
     p, m, n = assign.p, assign.m, disc.level
@@ -431,43 +435,44 @@ def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Eig
     if n_cells != K * s:
         raise IncompleteBasis(f"{K * s} basis functions for {n_cells} cells")
     gen = generator(spec, disc, measure)
-    blocks = np.zeros((K, s, s - 1), dtype=complex)
-    rest = np.empty((n_cells, K), dtype=complex)
-    meta: list[tuple] = []  # (kind, support, index, lam) per column
+    kozyrev = np.zeros((s, s - 1), dtype=complex)
+    coarse = np.empty((K, K), dtype=complex)
+    columns: list[tuple] = []  # (d, digits below the disc, j) per Kozyrev column of a disc
+
+    suffixes = [""]  # the digits below the disc of its level-d balls, in digit order
+    for d in range(m, n):
+        values = np.array([_wavelet_values(p, d, j) for j in range(1, p)])
+        balls, size = len(suffixes), p ** (n - d)
+        cells = kozyrev[:, len(columns):len(columns) + balls * (p - 1)]
+        r = np.arange(balls)  # ball r, digit a, index j: row a * size / p, column j - 1
+        cells.reshape(balls, p, size // p, balls, p - 1)[r, :, :, r] = values.T[:, None, :]
+        columns += [(d, tail, j) for tail in suffixes for j in range(1, p)]
+        suffixes = [tail + str(a) for tail in suffixes for a in range(p)]
 
     spectrum = ball_spectrum(spec, disc, measure)
+    meta: list[tuple] = []  # (kind, support, index, lam) per column
     for k, label in enumerate(assign.labels):  # pure ball k is this disc
         prefix = "".join(map(str, assign.discs[label].digits))
-        suffixes = [""]  # the digits below the disc of its level-d balls, in digit order
-        for d in range(m, n):
-            values = np.array([_wavelet_values(p, d, j) for j in range(1, p)])
-            if measure == "nu":
-                values = values / math.sqrt(spectrum.scale[k])
-            balls, size = len(suffixes), p ** (n - d)
-            col = len(meta) - k * (s - 1)  # the disc's columns so far
-            cells = blocks[k, :, col:col + balls * (p - 1)]
-            r = np.arange(balls)  # ball r, digit a, index j: row a * size / p, column j - 1
-            cells.reshape(balls, p, size // p, balls, p - 1)[r, :, :, r] = values.T[:, None, :]
-            lam = float(spectrum.kozyrev[k, d - m])
-            meta += [("kozyrev", f"{label}:{prefix + tail or '()'}", j, lam)
-                     for tail in suffixes for j in range(1, p)]
-            suffixes = [tail + str(a) for tail in suffixes for a in range(p)]
+        meta += [("kozyrev", f"{label}:{prefix + tail or '()'}", j,
+                  float(spectrum.kozyrev[k, d - m])) for d, tail, j in columns]
 
     if measure == "nu" and spec.bullet is Bullet.ULTRAMETRIC:
-        rest[:, 0] = 1.0
+        coarse[:, 0] = 1.0
         meta.append(("constant", "domain", 0, 0.0))
         for node in assign.dendrogram.internal_nodes():
             gamma = ultrametric_eigenvalue(None, assign.nu, node, spec.alpha)
             support = ",".join(sorted(map(str, assign.dendrogram.order[node.start:node.stop])))
             for k in range(1, len(node.children)):
-                rest[:, len(meta) - K * (s - 1)] = ultrametric_wavelet(disc, node, k)
+                wavelet = ultrametric_wavelet(disc, node, k)
+                coarse[:, len(meta) - K * (s - 1)] = wavelet[disc.leaf_start]
                 meta.append(("ultrametric", support, k, gamma))
     else:
-        rest[:] = np.repeat(spectrum.vecs, spectrum.sizes, axis=0)
+        coarse[:] = spectrum.vecs
         meta += [("block", "discs", k, float(lam)) for k, lam in enumerate(spectrum.evals)]
 
-    residuals = _basis_residuals(gen, blocks, rest, [lam for *_, lam in meta])
-    blocks.setflags(write=False)
-    rest.setflags(write=False)
+    root = np.sqrt(spectrum.scale)
+    residuals = _basis_residuals(gen, kozyrev, root, coarse, [lam for *_, lam in meta])
+    for arr in (kozyrev, root, coarse):
+        arr.setflags(write=False)
     records = tuple(EigenRecord(*row, float(res)) for row, res in zip(meta, residuals))
-    return EigenBasis(blocks, rest, records, disc.cells, gen.measure, measure, gen)
+    return EigenBasis(kozyrev, root, coarse, records, gen.measure, gen)

@@ -662,6 +662,33 @@ def test_heat_whose_certificates_are_not_finite_exits_27_without_an_artifact(tmp
     assert not out.exists()
 
 
+def test_spectrum_with_a_residual_that_is_not_finite_exits_27_without_an_artifact(
+        tmp_path, capsys, monkeypatch):
+    """A NaN residual in a later column, which the builtin max of the
+    records would pass over, fails the spectrum: exit 27, one JSON error
+    line and no table."""
+    original = spectra._basis_residuals
+
+    def with_a_nan(*args):
+        out = original(*args)
+        out[-2] = math.nan
+        return out
+
+    monkeypatch.setattr(spectra, "_basis_residuals", with_a_nan)
+    index = index_fixture(tmp_path)
+    out = tmp_path / "spectrum.tsv"
+    capsys.readouterr()
+    code = main(["spectrum", "--input", str(index), "--output", str(out), "--bullet", "graphdist",
+                 "--measure", "haar", "--level", "3"])
+    assert code == 27
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])
+    assert err["error"] == "CertificateFailed" and err["exit"] == 27
+    assert "not finite" in err["detail"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, code", [
     (["heat", "--bullet", "graphdist", "--alpha", "400", "--level", "3", "--t", "0.5"], 27),
     (["spectrum", "--bullet", "ultrametric", "--alpha", "2000", "--level", "3"], 26),

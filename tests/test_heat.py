@@ -31,7 +31,7 @@ from ultraheat import (
     truncation_bound,
 )
 from ultraheat.errors import NegativeTime
-from ultraheat.heat import _BallEvolver, _Evolver, embed_piecewise, project_pointwise, t_grid
+from ultraheat.heat import _BallEvolver, embed_piecewise, project_pointwise, t_grid
 from ultraheat.operators import GeneratorMatrix, cut_nodes
 
 from conftest import (
@@ -55,19 +55,7 @@ def three_leaf_setup(alpha=1.0):
 
 def two_state_generator(rate=1.5, vol=0.5):
     matrix = np.array([[-rate * vol, rate * vol], [rate * vol, -rate * vol]])
-    from ultraheat.padic import PAdicCell
-
-    cells = (PAdicCell(2, (0,)), PAdicCell(2, (1,)))
-    return GeneratorMatrix(
-        level=1,
-        cells=cells,
-        leaf_labels=("a", "b"),
-        matrix=matrix,
-        measure=np.array([vol, vol]),
-        measure_kind="haar",
-        bullet=Bullet.ULTRAMETRIC,
-        alpha=1.0,
-    )
+    return GeneratorMatrix(matrix, np.array([vol, vol]))
 
 
 def test_semigroup_identity_at_zero():
@@ -359,7 +347,7 @@ def test_evolver_matches_expm_fallback():
 
     gen = two_state_generator(2.0, 0.25)
     for t in (0.0, 0.3, 2.0):
-        eig_route = _Evolver(gen).matrix(t)
+        eig_route = semigroup(gen, t).matrix
         pade_route = scipy.linalg.expm(t * gen.matrix)
         assert np.max(np.abs(eig_route - pade_route)) < 1e-12
 
@@ -379,13 +367,9 @@ def test_semigroup_falls_back_only_for_non_self_adjoint_generators():
     """A generator that is not self-adjoint under its measure has no
     fallback: it raises NotSelfAdjoint (exit 22)."""
     from ultraheat.errors import NotSelfAdjoint
-    from ultraheat.padic import PAdicCell
-
-    cells = (PAdicCell(2, (0,)), PAdicCell(2, (1,)))
 
     def gen(matrix, measure):
-        return GeneratorMatrix(1, cells, ("a", "b"), np.array(matrix), np.array(measure),
-                               "haar", Bullet.ULTRAMETRIC, 1.0)
+        return GeneratorMatrix(np.array(matrix), np.array(measure))
 
     skew = gen([[-1.0, 1.0], [2.0, -2.0]], [0.5, 0.5])  # not symmetric under its measure
     with pytest.raises(NotSelfAdjoint):

@@ -381,7 +381,7 @@ def test_full_basis_incomplete_detection():
     disc = discretize(assign, assign.m + 1)
     basis = full_basis(spec, disc, "haar")
     assert len(basis) == len(disc)
-    broken = dataclasses.replace(basis, rest=basis.rest[:, :-1], records=basis.records[:-1])
+    broken = dataclasses.replace(basis, coarse=basis.coarse[:, :-1], records=basis.records[:-1])
     assert len(broken) == len(disc) - 1
 
 
@@ -432,7 +432,7 @@ def test_batched_verify_matches_per_column(monkeypatch):
         batched = verify_eigenpair(gen, psi, lams)
         assert batched.shape == (len(lams),)
         assert np.max(np.abs(batched - per_column)) <= 1e-12
-        blockwise = _basis_residuals(gen, basis.blocks, basis.rest, lams)
+        blockwise = _basis_residuals(gen, basis.kozyrev, basis.root, basis.coarse, lams)
         assert np.array_equal(blockwise, [p.residual for p in basis])
         assert np.all(np.abs(blockwise - batched) <= rounding_bound(gen, psi, lams))
         real = verify_eigenpair(gen, psi.real, lams)
@@ -450,35 +450,60 @@ def test_batched_verify_shape_errors():
 
 
 def test_full_basis_keeps_one_psi_matrix_and_its_generator():
-    """The basis keeps its generator; Psi is assembled from the disc blocks
-    and the dense columns once, on first read, and every pair's function
+    """The basis keeps its generator and Psi's factors: one s x (s - 1)
+    Kozyrev table, the K root densities (1 under Haar) and the K x K
+    values of the disc-constant columns on the discs.  Psi is assembled
+    from them once, on first read, bit for bit disc k's block ``kozyrev /
+    root[k]`` and the last K columns the coarse table repeated onto the
+    cells, for the block modes and for the constant and the ultrametric
+    wavelets (under nu with the ultrametric kernel); every pair's function
     is a column view of it with its record's fields."""
-    rng = np.random.default_rng(41)
-    dend = random_dendrogram(rng, 6, max_children=3)
-    assign = embed(dend)
-    spec = ultra_spec(dend)
-    disc = discretize(assign, assign.m + 2)
-    basis = full_basis(spec, disc, "nu")
-    assert np.array_equal(basis.generator.matrix, generator(spec, disc, "nu").matrix)
-    assert "psi" not in vars(basis)
-    K, s, w = basis.blocks.shape
-    assert (K, s, w) == (len(assign.labels), assign.p ** 2, assign.p ** 2 - 1)
-    assert basis.rest.shape == (K * s, K)
-    psi = basis.psi
-    assert psi is basis.psi
-    assert not psi.flags.writeable
-    expected = np.zeros((K * s, K * s), dtype=complex)
-    for k in range(K):
-        expected[k * s:(k + 1) * s, k * w:(k + 1) * w] = basis.blocks[k]
-    expected[:, K * w:] = basis.rest
-    assert np.array_equal(psi, expected)
-    assert len(basis) == len(basis.records) == K * s
-    for k, pair in enumerate(basis):
-        assert np.shares_memory(pair.psi, psi)
-        assert np.array_equal(pair.psi, psi[:, k])
-        assert basis[k] is pair
-        record = basis.records[k]
-        assert (pair.kind, pair.support, pair.index, pair.lam, pair.residual) == tuple(record)
+    for p in (2, 3, 5):
+        rng = np.random.default_rng(41 + p)
+        dend = random_dendrogram(rng, 5, max_children=p)
+        assign = embed(dend, p)
+        disc = discretize(assign, assign.m + 2)
+        K, s = len(assign.labels), p ** 2
+        for spec in (ultra_spec(dend), bullet_spec(Bullet.GRAPH_DISTANCE, dend, rng, 1.0)):
+            for measure in ("haar", "nu"):
+                basis = full_basis(spec, disc, measure)
+                assert np.array_equal(basis.generator.matrix, generator(spec, disc, measure).matrix)
+                assert "psi" not in vars(basis)
+                assert basis.kozyrev.shape == (s, s - 1)
+                assert basis.coarse.shape == (K, K)
+                assert basis.root.shape == (K,)
+                if measure == "haar":
+                    assert np.all(basis.root == 1.0)
+                psi = basis.psi
+                assert psi is basis.psi
+                assert not psi.flags.writeable
+                assert psi.shape == (K * s, K * s)
+                w = s - 1
+                for k in range(K):
+                    block = psi[k * s:(k + 1) * s, k * w:(k + 1) * w]
+                    assert block.tobytes() == (basis.kozyrev / basis.root[k]).tobytes()
+                    off = np.delete(psi[:, k * w:(k + 1) * w], np.s_[k * s:(k + 1) * s], axis=0)
+                    assert np.all(off == 0)
+                lifted = np.ascontiguousarray(psi[:, K * w:])
+                assert lifted.tobytes() == np.repeat(basis.coarse, s, axis=0).tobytes()
+                kinds = [r.kind for r in basis.records[K * w:]]
+                if measure == "nu" and spec.bullet is Bullet.ULTRAMETRIC:
+                    assert kinds[0] == "constant" and set(kinds[1:]) == {"ultrametric"}
+                    wavelets = [np.ones(K * s)] + [
+                        ultrametric_wavelet(disc, node, k)
+                        for node in assign.dendrogram.internal_nodes()
+                        for k in range(1, len(node.children))]
+                    assert np.array_equal(lifted, np.column_stack(wavelets))
+                else:
+                    assert set(kinds) == {"block"}
+                assert len(basis) == len(basis.records) == K * s
+                for k, pair in enumerate(basis):
+                    assert np.shares_memory(pair.psi, psi)
+                    assert np.array_equal(pair.psi, psi[:, k])
+                    assert basis[k] is pair
+                    record = basis.records[k]
+                    assert (pair.kind, pair.support, pair.index, pair.lam,
+                            pair.residual) == tuple(record)
 
 
 def test_kozyrev_wavelet_matches_cell_loop():
@@ -598,7 +623,7 @@ def test_full_basis_disc_blocks_equal_the_dense_products(p, alpha, bullet, seed,
         for measure in ("haar", "nu"):
             basis = full_basis(spec, disc, measure)
             psi, lams = basis.psi, basis.eigenvalues()
-            assert basis.blocks.shape == (K, s, s - 1) and basis.rest.shape == (K * s, K)
+            assert basis.kozyrev.shape == (s, s - 1) and basis.coarse.shape == (K, K)
             off_block = np.ones((K * s, K * (s - 1)), dtype=bool)
             for k in range(K):
                 off_block[k * s:(k + 1) * s, k * (s - 1):(k + 1) * (s - 1)] = False
@@ -629,7 +654,7 @@ def test_blockwise_residuals_catch_errors_outside_the_disc():
     disc = discretize(assign, assign.m + 2)
     basis = full_basis(ultra_spec(dend), disc, "haar")
     gen, psi, lams = basis.generator, basis.psi, basis.eigenvalues()
-    s = basis.blocks.shape[1]
+    s = basis.kozyrev.shape[0]
     assert max(r.residual for r in basis.records) < 1e-12
     col = s - 1  # disc 1's first Kozyrev column
     j = s + int(np.argmax(np.abs(psi[s:2 * s, col])))  # a cell of disc 1 where it is not 0
@@ -638,15 +663,15 @@ def test_blockwise_residuals_catch_errors_outside_the_disc():
     matrix[i, j] += 1e-3
     matrix[i, i] -= 1e-3
     assert np.max(np.abs(matrix.sum(axis=1))) < 1e-12
-    crossed = _basis_residuals(dataclasses.replace(gen, matrix=matrix), basis.blocks, basis.rest,
-                               lams)
+    factors = basis.kozyrev, basis.root, basis.coarse
+    crossed = _basis_residuals(dataclasses.replace(gen, matrix=matrix), *factors, lams)
     assert crossed[col] > 1e-9
     expected = 1e-3 * abs(psi[j, col]) / max(1.0, abs(lams[col]))
     assert crossed[col] == pytest.approx(expected, rel=1e-6)
 
     shifted = lams.copy()
     shifted[col] += 1e-6
-    assert _basis_residuals(gen, basis.blocks, basis.rest, shifted)[col] > 1e-9
+    assert _basis_residuals(gen, *factors, shifted)[col] > 1e-9
 
 
 def test_ball_spectrum_solves_its_coarse_matrix_on_first_read_only(monkeypatch):
