@@ -195,15 +195,15 @@ def _spec_from_index(args, assign, weights) -> operators.KernelSpec:
 
 def cmd_spectrum(args) -> int:
     assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
+    disc = padic.discretize(assign, args.level)  # the cell count first, then the base matrix
     spec = _spec_from_index(args, assign, weights)
-    disc = padic.discretize(assign, args.level)
     basis = spectra.full_basis(spec, disc, args.measure)
     residuals = np.array([r.residual for r in basis.records])
     lams = basis.eigenvalues()
-    bad = np.count_nonzero(~np.isfinite(residuals)), np.count_nonzero(~np.isfinite(lams))
+    bad = np.count_nonzero(~(residuals <= 1e-9)), np.count_nonzero(~np.isfinite(lams))
     if any(bad):  # every record: the builtin max and min pass over a NaN after the first item
-        raise errors.CertificateFailed(
-            f"spectrum certificates not finite: {bad[0]} residuals, {bad[1]} eigenvalues")
+        raise errors.CertificateFailed(f"spectrum certificates failed: {bad[0]} residuals above "
+            f"1e-9 or not finite (largest {np.max(residuals):g}), {bad[1]} eigenvalues not finite")
     digest = serialize.spectrum_export(args.output, basis)
     _summary("spectrum", [{"path": args.output, "sha256": digest}], {
         "cells": len(disc.cells),
@@ -217,8 +217,8 @@ def cmd_spectrum(args) -> int:
 def cmd_heat(args) -> int:
     heat.check_time(args.t)
     assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
-    spec = _spec_from_index(args, assign, weights)
     disc = padic.discretize(assign, args.level)
+    spec = _spec_from_index(args, assign, weights)
     table = heat.heat_kernel(spec, disc, args.t, args.measure)
     gen = operators.generator(spec, disc, args.measure)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap is raised below
@@ -278,9 +278,9 @@ def cmd_bounds(args) -> int:
 
 def cmd_converge(args) -> int:
     assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
-    spec = _spec_from_index(args, assign, weights)
     rng = np.random.default_rng(args.seed)
     u0 = rng.uniform(-1, 1, padic.cell_count(assign, args.reference))
+    spec = _spec_from_index(args, assign, weights)
     rows = heat.convergence_study(spec, assign, u0, args.levels, args.tau, args.measure)
     text = "n\tgap\n" + "".join(f"{n}\t{gap:.17g}\n" for n, gap in rows)
     Path(args.output).write_text(text, encoding="utf-8")

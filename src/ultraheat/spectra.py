@@ -29,8 +29,8 @@ constant on the vertex discs:
 
   i.e. the sibling exchange term plus the total escape rate towards the
   rest of the tree; both pieces are independent of which child carries
-  the evaluation point.  ``verify_eigenpair`` certifies every closed form
-  against the assembled generator and is the authority on all of them.
+  the evaluation point.  ``verify_eigenpair`` checks a closed form against
+  an assembled generator, the dense oracle of the tests.
 
 ``ball_spectrum`` builds both parts once per domain (over the pure balls of
 a truncated domain) for ``full_basis``, ``laplacian_block_modes`` and the
@@ -39,9 +39,9 @@ one evolver of ``heat``; its K x K eigensolve runs on first read only.
 the s x (s - 1) Kozyrev table that every disc of s = p^(n - m) cells shares
 (``EigenBasis.kozyrev``), each disc's root density sqrt(s_v) (``root``, 1
 under Haar), and the K x K values of the disc-constant columns on the
-discs (``coarse``).  Each Kozyrev residual is the disc's N x s column slab
-of the assembled generator times the disc's block, still over all N rows;
-Psi is assembled only when read (``EigenBasis.psi``).
+discs (``coarse``).  It certifies them over all N rows through the K x K
+generator of ``ball_spectrum`` and one s x s Vladimirov table that every
+disc shares, with no N x N array; Psi is assembled only when read.
 Every function that acts on cells takes the ``CellDomain`` alone and reads
 the assignment, the dendrogram and the tree measure nu from it.  Float sums
 run left to right, as the builtin ``sum`` does only before Python 3.12.
@@ -66,8 +66,8 @@ from .errors import (
     TrivialCharacter,
 )
 from .linalg import weighted_symmetric_eig
-from .operators import (Bullet, GeneratorMatrix, KernelSpec, _cross_rates, _disc_rates,
-                        _disc_shifts, _leaf_indices, generator)
+from .operators import (Bullet, KernelSpec, _check_dense, _cross_rates, _disc_rates,
+                        _disc_shifts, _leaf_indices, _measure_vector, _prefix_table)
 from .padic import CellDomain, DiscAssignment, PAdicCell, TreeMeasure
 from .ultraindex import DendrogramNode
 
@@ -99,18 +99,16 @@ class EigenBasis:
     ``kozyrev`` the s x (s - 1) table every disc shares and ``root`` the
     square roots of the disc densities; Psi's last K columns are constant
     on each disc, with disc k's values in row k of the K x K ``coarse``.
-    ``records`` holds (kind, support, index, lam, residual) per column, and
-    ``generator``, when known, the generator the residuals were certified
-    against.  Psi itself is assembled on first read of ``psi``, and so are
-    the pairs that indexing and iteration yield (each ``psi`` a column
-    view of it)."""
+    ``records`` holds (kind, support, index, lam, residual) per column and
+    ``measure`` the cell masses.  Psi itself is assembled on first read of
+    ``psi``, and so are the pairs that indexing and iteration yield (each
+    ``psi`` a column view of it)."""
 
     kozyrev: np.ndarray = field(repr=False)
     root: np.ndarray = field(repr=False)
     coarse: np.ndarray = field(repr=False)
     records: tuple
     measure: np.ndarray
-    generator: GeneratorMatrix | None = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.records)
@@ -350,17 +348,14 @@ def laplacian_block_modes(spec: KernelSpec, disc: CellDomain,
             for k, lam in enumerate(spectrum.evals)]
 
 
-_VERIFY_BLOCK = 256  # columns per matrix product in a batched check
-
-
-def verify_eigenpair(A: GeneratorMatrix, psi: np.ndarray, lam):
-    """Relative residual ||A psi - lam psi||_inf / max(1, |lam|): the
-    universal oracle for every closed-form eigenvalue.
+def verify_eigenpair(A, psi: np.ndarray, lam):
+    """Relative residual ||A psi - lam psi||_inf / max(1, |lam|) against an
+    assembled ``GeneratorMatrix``: the dense oracle of the closed forms in
+    the tests.
 
     ``psi`` is one vector with a scalar ``lam`` (returns a float), or an
-    N x k column block with k eigenvalues (returns the k residuals).  A
-    block is checked with real matrix products on the real and imaginary
-    parts, ``_VERIFY_BLOCK`` columns at a time.
+    N x k column block with k eigenvalues (returns the k residuals), checked
+    with one real matrix product on each of its real and imaginary parts.
     """
     psi = np.asarray(psi)
     if psi.ndim == 1:
@@ -373,40 +368,38 @@ def verify_eigenpair(A: GeneratorMatrix, psi: np.ndarray, lam):
         raise DimensionMismatch(
             f"block of shape {psi.shape} with {lam.shape} eigenvalues against {A.n_cells} cells"
         )
-    out = np.empty(len(lam))
-    for lo in range(0, len(lam), _VERIFY_BLOCK):
-        cols = slice(lo, lo + _VERIFY_BLOCK)
-        block, lam_b = psi[:, cols], lam[cols]
-        err = np.abs(A.matrix @ block.real - block.real * lam_b)
-        if np.iscomplexobj(block):
-            err = np.hypot(err, A.matrix @ block.imag - block.imag * lam_b)
-        out[cols] = err.max(axis=0, initial=0.0) / np.maximum(1.0, np.abs(lam_b))
-    return out
+    err = np.abs(A.matrix @ psi.real - psi.real * lam)
+    if np.iscomplexobj(psi):
+        err = np.hypot(err, A.matrix @ psi.imag - psi.imag * lam)
+    return err.max(axis=0, initial=0.0) / np.maximum(1.0, np.abs(lam))
 
 
-def _basis_residuals(A: GeneratorMatrix, kozyrev: np.ndarray, root: np.ndarray,
-                     coarse: np.ndarray, lam) -> np.ndarray:
-    """``verify_eigenpair(A, psi, lam)`` of the basis matrix of ``kozyrev``,
-    ``root`` and ``coarse`` (``EigenBasis``), without the matrix: the same
-    generator and the same max|A psi - lam psi| / max(1, |lam|) over all N
-    rows.  The last K columns, lifted onto the cells, go through
-    ``verify_eigenpair``.  Disc k's columns vanish off its s cells, so A psi
-    is the N x s column slab of A over those cells times the disc's block
-    ``kozyrev / root[k]``, and lam psi is taken off on the disc's rows only."""
-    (s, w), K = kozyrev.shape, len(root)
+def _basis_residuals(spec: KernelSpec, disc: CellDomain, rates: np.ndarray,
+                     kozyrev: np.ndarray, root: np.ndarray, coarse: np.ndarray,
+                     lam) -> np.ndarray:
+    """max|A psi - lam psi| / max(1, |lam|) over all N rows per column of the
+    basis of ``kozyrev``, ``root`` and ``coarse`` (``EigenBasis``), with A psi
+    from the factors and ``rates``, the K x K generator on the disc-constant
+    functions (``BallSpectrum.coarse``): A psi is ``rates @ coarse`` on the
+    last K columns.  On disc k's cells its Kozyrev block ``kozyrev / root[k]``
+    meets one s x s Vladimirov table (prefix rates times p^-n, zero row sums)
+    scaled by the density root[k]^2, less the escape rate -rates[k, k]; on
+    disc w's cells, rates[w, k] times the column's mean, 0 up to rounding."""
+    p, n, w, K = disc.p, disc.level, kozyrev.shape[1], len(root)
     lam = np.asarray(lam, dtype=float)
-    out = np.empty(len(lam))
-    out[K * w:] = verify_eigenpair(A, np.repeat(coarse, s, axis=0), lam[K * w:])
+    err = np.empty(len(lam))
+    err[K * w:] = np.abs(rates @ coarse - coarse * lam[K * w:]).max(axis=0, initial=0.0)
+    j = np.minimum(_prefix_table(p, disc.assignment.m, n), n - 1)  # a cell with itself: zeroed
+    table = (float(p) ** -j) ** -spec.alpha * float(p) ** -n
+    np.fill_diagonal(table, 0.0)
+    np.fill_diagonal(table, -table.sum(axis=1))
+    local, mean = table @ kozyrev, np.abs(kozyrev.mean(axis=0))  # shared by every disc
     for k, root_k in enumerate(root):
-        block = kozyrev / root_k
-        rows, lam_k = slice(k * s, (k + 1) * s), lam[k * w:(k + 1) * w]
-        err = 0.0  # hypot(0, r) is |r|: the real part alone, then with the imaginary part
-        for part in (block.real, block.imag):
-            r = A.matrix[:, rows] @ part
-            r[rows] -= part * lam_k
-            err = np.hypot(err, r)
-        out[k * w:(k + 1) * w] = err.max(axis=0, initial=0.0) / np.maximum(1.0, np.abs(lam_k))
-    return out
+        block, cols = kozyrev / root_k, slice(k * w, (k + 1) * w)
+        on_disc = np.abs(local * root_k + block * rates[k, k] - block * lam[cols]).max(axis=0)
+        cross = rates[:, k].max(initial=0.0)  # the largest off the diagonal: rates[k, k] <= 0
+        err[cols] = np.maximum(on_disc, cross * (mean / root_k))
+    return err / np.maximum(1.0, np.abs(lam))
 
 
 # --- full bases ----------------------------------------------------------------------
@@ -424,17 +417,17 @@ def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Eig
     s x (s - 1) table every disc shares, and the K block modes, or the
     constant and the ultrametric wavelets, into the K x K ``coarse`` table
     of their values on the discs (``EigenBasis``).  A domain of other than
-    K s cells (a truncated domain with filler) raises IncompleteBasis
-    before the generator is built.  Every residual is taken against the
-    assembled generator, which the basis keeps, over all N rows, the
-    Kozyrev columns disc by disc (``_basis_residuals``).
+    K s cells (a truncated domain with filler) raises IncompleteBasis, one
+    of over MAX_DENSE_CELLS TooManyCells.  Every residual is taken over all
+    N rows from the factors, with no N x N array (``_basis_residuals``).
     """
     assign = disc.assignment
     p, m, n = assign.p, assign.m, disc.level
     K, s, n_cells = len(assign.labels), p ** (n - m), len(disc)
     if n_cells != K * s:
         raise IncompleteBasis(f"{K * s} basis functions for {n_cells} cells")
-    gen = generator(spec, disc, measure)
+    _check_dense(n_cells)
+    spectrum = ball_spectrum(spec, disc, measure)
     kozyrev = np.zeros((s, s - 1), dtype=complex)
     coarse = np.empty((K, K), dtype=complex)
     columns: list[tuple] = []  # (d, digits below the disc, j) per Kozyrev column of a disc
@@ -449,7 +442,6 @@ def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Eig
         columns += [(d, tail, j) for tail in suffixes for j in range(1, p)]
         suffixes = [tail + str(a) for tail in suffixes for a in range(p)]
 
-    spectrum = ball_spectrum(spec, disc, measure)
     meta: list[tuple] = []  # (kind, support, index, lam) per column
     for k, label in enumerate(assign.labels):  # pure ball k is this disc
         prefix = "".join(map(str, assign.discs[label].digits))
@@ -471,8 +463,9 @@ def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Eig
         meta += [("block", "discs", k, float(lam)) for k, lam in enumerate(spectrum.evals)]
 
     root = np.sqrt(spectrum.scale)
-    residuals = _basis_residuals(gen, kozyrev, root, coarse, [lam for *_, lam in meta])
+    residuals = _basis_residuals(spec, disc, spectrum.coarse, kozyrev, root, coarse,
+                                 [lam for *_, lam in meta])
     for arr in (kozyrev, root, coarse):
         arr.setflags(write=False)
     records = tuple(EigenRecord(*row, float(res)) for row, res in zip(meta, residuals))
-    return EigenBasis(kozyrev, root, coarse, records, gen.measure, gen)
+    return EigenBasis(kozyrev, root, coarse, records, _measure_vector(disc, measure))

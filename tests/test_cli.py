@@ -378,7 +378,6 @@ def test_heat_reuses_the_certified_generator(tmp_path, capsys, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(operators, "generator", counting(operators.generator))
-    monkeypatch.setattr(spectra, "generator", counting(spectra.generator))
     seen = []
     original_semigroup = heat.semigroup
     monkeypatch.setattr(heat, "semigroup", lambda gen, t: seen.append(gen) or original_semigroup(gen, t))
@@ -686,6 +685,95 @@ def test_spectrum_with_a_residual_that_is_not_finite_exits_27_without_an_artifac
     err = json.loads(err[0])
     assert err["error"] == "CertificateFailed" and err["exit"] == 27
     assert "not finite" in err["detail"]
+    assert not out.exists()
+
+
+def test_spectrum_never_builds_a_generator(tmp_path, capsys, monkeypatch):
+    """`spectrum` certifies its basis from the factors: it calls neither
+    `operators.generator` nor `operators.kernel_matrix`, for any bullet or
+    measure."""
+    from ultraheat import operators
+
+    for name in ("generator", "kernel_matrix"):
+        monkeypatch.setattr(operators, name,
+                            lambda *args, name=name: pytest.fail(f"{name} was called"))
+    index = index_fixture(tmp_path)
+    for bullet in ("ultrametric", "graphdist", "adjacency"):
+        for measure in ("haar", "nu"):
+            assert main(["spectrum", "--input", str(index), "--output", str(tmp_path / "s.tsv"),
+                         "--bullet", bullet, "--measure", measure, "--level", "4"]) == 0
+            metrics = parse_summaries(capsys.readouterr().out)[-1]["metrics"]
+            assert metrics["eigenpairs"] == metrics["cells"] == 12
+            assert float(metrics["max_residual"]) <= 1e-9
+
+
+def assert_spectrum_fails_its_gate(argv, out, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 27
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])
+    assert err["error"] == "CertificateFailed" and err["exit"] == 27
+    assert "above 1e-9" in err["detail"]
+    assert not out.exists()
+
+
+def test_spectrum_whose_residuals_exceed_1e9_exits_27_without_an_artifact(tmp_path, capsys):
+    """At alpha 20 and level 6 on the 3-vertex index the Vladimirov rates
+    reach 2^100, and the rounding of a disc's sum of them is as large as the
+    eigenvalue of its coarsest wavelets: their residual is about 2, finite
+    and above 1e-9, so `spectrum` exits 27 and writes nothing."""
+    index = index_fixture(tmp_path)
+    out = tmp_path / "spectrum.tsv"
+    capsys.readouterr()
+    assert_spectrum_fails_its_gate(
+        ["spectrum", "--input", str(index), "--output", str(out), "--bullet", "ultrametric",
+         "--measure", "nu", "--alpha", "20", "--level", "6"], out, capsys)
+
+
+def test_a_deep_path_spectrum_at_alpha_one_fails_its_gate(tmp_path, capsys):
+    """On the 1000-vertex falling-weight path at level 1000 and alpha 1.0
+    the rates are finite (2^999), but the Kozyrev columns reach 2^499.5,
+    and the rounding of A psi against them puts the residual near 1e134,
+    since the pinned formula does not divide by max|psi|: `spectrum` exits
+    27 and writes nothing, for either bullet, under Haar and under nu."""
+    n = 1000
+    labels = [f"v{i:04d}" for i in range(n)]
+    graph, index, out = tmp_path / "g.json", tmp_path / "i.json", tmp_path / "s.tsv"
+    write(graph, {
+        "vertices": labels,
+        "edges": [{"ends": [labels[i], labels[i + 1]], "w": i + 2} for i in range(n - 1)],
+        "d": {l: [0] for l in labels},
+    })
+    assert main(["index", "--input", str(graph), "--output", str(index)]) == 0
+    capsys.readouterr()
+    for bullet, measure in (("ultrametric", "haar"), ("graphdist", "nu")):
+        assert_spectrum_fails_its_gate(
+            ["spectrum", "--input", str(index), "--output", str(out), "--bullet", bullet,
+             "--measure", measure, "--alpha", "1.0", "--level", "1000"], out, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--level", "40"],
+    ["heat", "--level", "40", "--t", "0.5"],
+    ["bounds", "--level", "40", "--truncate", "1"],
+    ["converge", "--levels", "40", "--reference", "40"],
+])
+def test_cells_are_counted_before_the_base_matrix(tmp_path, capsys, monkeypatch, argv):
+    """A level whose cells exceed the dense limit exits 24 before the
+    kernel's base matrix is built: the graph distances are never computed."""
+    from ultraheat import ultraindex
+
+    index = index_fixture(tmp_path)
+    monkeypatch.setattr(ultraindex, "graph_distances",
+                        lambda *args: pytest.fail("graph distances were computed"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([argv[0], "--input", str(index), "--output", str(out),
+                 "--bullet", "graphdist", *argv[1:]]) == 24
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "TooManyCells" and err["exit"] == 24
     assert not out.exists()
 
 

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ultraheat import (
     Bullet,
@@ -635,11 +635,15 @@ def test_ball_evolver_matches_the_dense_semigroup(p, alpha, bullet, seed, leaves
     seed=st.integers(0, 2**32 - 1),
     leaves=st.integers(2, 6),
 )
+@example(p=5, alpha=2.0, t=6.0, seed=121, leaves=5)
 def test_closed_form_kernel_and_swap_match_the_dense_semigroup(p, alpha, t, seed, leaves):
     """At levels m+1 and m+2 under Haar and nu, the closed-form heat kernel
-    times the measure is the dense semigroup, T(0) is exactly I, and the
-    swap bound's measured error is the dense largest row sum of |T_a - T_b|,
-    each within the oracle tolerance max(1e-12, 4 eps ||A||_inf t)."""
+    times the measure is the dense semigroup entrywise, within the oracle
+    tolerance max(1e-12, 4 eps ||A||_inf t), and T(0) is exactly I.  The
+    swap bound's measured error is the largest row sum of |T_a - T_b| of
+    the two closed-form semigroups: a sum of N entries, each within that
+    tolerance of the dense one, so it is compared with the closed forms
+    it is made of, not with the dense row sum."""
     rng = np.random.default_rng(seed)
     dend = random_dendrogram(rng, leaves, max_children=p)
     assign = embed(dend, p)
@@ -647,8 +651,8 @@ def test_closed_form_kernel_and_swap_match_the_dense_semigroup(p, alpha, t, seed
     specs = (KernelSpec(Bullet.ULTRAMETRIC, alpha, delta.labels, delta.values),
              KernelSpec(Bullet.GRAPH_DISTANCE, alpha, metric.labels, metric.values))
 
-    def tolerance(*gens):
-        norm = max(float(np.max(np.abs(gen.matrix).sum(axis=1))) for gen in gens)
+    def tolerance(gen):
+        norm = float(np.max(np.abs(gen.matrix).sum(axis=1)))
         return max(1e-12, 4 * np.finfo(float).eps * norm * t)
 
     for n in (assign.m + 1, assign.m + 2):
@@ -663,11 +667,9 @@ def test_closed_form_kernel_and_swap_match_the_dense_semigroup(p, alpha, t, seed
                 assert gap <= tolerance(gen)
                 identity = _BallEvolver(spec, disc, measure).matrix(0.0)
                 assert np.array_equal(identity, np.eye(len(disc)))
-        gens = [generator(spec, disc, "haar") for spec in specs]
-        Ta, Tb = (semigroup(gen, t).matrix for gen in gens)
-        dense = float(np.max(np.abs(Ta - Tb).sum(axis=1)))
+        Ta, Tb = (_BallEvolver(spec, disc).matrix(t) for spec in specs)
         measured = kernel_swap_bound(*specs, disc, t).measured_sup_error
-        assert abs(measured - dense) <= tolerance(*gens)
+        assert measured == float(np.max(np.abs(Ta - Tb).sum(axis=1)))
 
 
 def three_spine_dendrogram(depth=7):
@@ -729,7 +731,7 @@ def test_times_that_are_not_finite_and_non_negative_raise_before_any_domain(monk
 
     dend, assign, spec = three_leaf_setup()
     disc = discretize(assign, assign.m + 1)
-    basis = full_basis(spec, disc, "haar")
+    gen = generator(spec, disc, "haar")
     u = np.zeros(len(disc))
 
     def unreachable(*args, **kwargs):
@@ -737,11 +739,10 @@ def test_times_that_are_not_finite_and_non_negative_raise_before_any_domain(monk
 
     for name in ("discretize", "truncated_domain", "weighted_symmetric_eig", "ball_spectrum"):
         monkeypatch.setattr(heat, name, unreachable)
-    for name in ("generator", "weighted_symmetric_eig"):
-        monkeypatch.setattr(spectra, name, unreachable)
+    monkeypatch.setattr(spectra, "weighted_symmetric_eig", unreachable)
     calls = {
         "t_grid": lambda: t_grid(t),
-        "semigroup": lambda: semigroup(basis.generator, t),
+        "semigroup": lambda: semigroup(gen, t),
         "heat_kernel": lambda: heat_kernel(spec, disc, t),
         "solve_cauchy": lambda: solve_cauchy(spec, disc, u, t),
         "truncation_bound": lambda: truncation_bound(spec, disc, 1, t, u),

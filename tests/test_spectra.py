@@ -387,11 +387,13 @@ def test_full_basis_incomplete_detection():
 
 def test_full_basis_on_a_truncated_domain_raises_before_the_generator(monkeypatch):
     """Filler cells have no basis functions: the count is refused before
-    the generator or any N x N array is built."""
+    the spectrum, any table or any generator is built."""
+    import ultraheat.operators as operators
     import ultraheat.spectra as spectra
     from ultraheat.operators import truncated_domain
 
-    monkeypatch.setattr(spectra, "generator", lambda *args: pytest.fail("generator was built"))
+    monkeypatch.setattr(operators, "generator", lambda *args: pytest.fail("generator was built"))
+    monkeypatch.setattr(spectra, "ball_spectrum", lambda *args: pytest.fail("spectrum was built"))
     rng = np.random.default_rng(137)
     dend = random_dendrogram(rng, 5, max_children=3)
     assign = embed(dend, 3)
@@ -405,7 +407,8 @@ def test_full_basis_on_a_truncated_domain_raises_before_the_generator(monkeypatc
 
 
 def random_bases(seed):
-    """A Haar basis (graph distance kernel) and a nu basis (ultrametric kernel)."""
+    """A Haar basis (graph distance kernel) and a nu basis (ultrametric
+    kernel), each with its assembled generator."""
     from conftest import random_connected_weights, specs_from_weights
 
     rng = np.random.default_rng(seed)
@@ -413,46 +416,39 @@ def random_bases(seed):
     assign = embed(dend)
     disc = discretize(assign, assign.m + 2)
     _, gd_spec, _ = specs_from_weights(rng, assign.labels, random_connected_weights(rng, assign.labels))
-    return (
-        full_basis(gd_spec, disc, "haar"),
-        full_basis(ultra_spec(dend), disc, "nu"),
-    )
+    return [(full_basis(spec, disc, measure), generator(spec, disc, measure))
+            for spec, measure in ((gd_spec, "haar"), (ultra_spec(dend), "nu"))]
 
 
-def test_batched_verify_matches_per_column(monkeypatch):
-    import ultraheat.spectra as spectra
-    from ultraheat.spectra import _basis_residuals
-
-    monkeypatch.setattr(spectra, "_VERIFY_BLOCK", 7)  # several blocks and a ragged tail
-    for basis in random_bases(97):
-        gen, psi, lams = basis.generator, basis.psi, basis.eigenvalues()
+def test_batched_verify_matches_per_column():
+    for basis, gen in random_bases(97):
+        psi, lams = basis.psi, basis.eigenvalues()
         per_column = np.array(
             [verify_eigenpair(gen, np.array(psi[:, k]), lams[k]) for k in range(len(lams))]
         )
         batched = verify_eigenpair(gen, psi, lams)
         assert batched.shape == (len(lams),)
         assert np.max(np.abs(batched - per_column)) <= 1e-12
-        blockwise = _basis_residuals(gen, basis.kozyrev, basis.root, basis.coarse, lams)
-        assert np.array_equal(blockwise, [p.residual for p in basis])
-        assert np.all(np.abs(blockwise - batched) <= rounding_bound(gen, psi, lams))
+        factored = np.array([p.residual for p in basis])
+        assert np.all(np.abs(factored - batched) <= rounding_bound(gen, psi, lams))
         real = verify_eigenpair(gen, psi.real, lams)
         per_real = [verify_eigenpair(gen, np.array(psi[:, k].real), lams[k]) for k in range(len(lams))]
         assert np.max(np.abs(real - per_real)) <= 1e-12
 
 
 def test_batched_verify_shape_errors():
-    haar, _ = random_bases(5)
-    gen, psi = haar.generator, haar.psi
+    (haar, gen), _ = random_bases(5)
+    psi = haar.psi
     with pytest.raises(DimensionMismatch):
         verify_eigenpair(gen, psi, haar.eigenvalues()[:-1])
     with pytest.raises(DimensionMismatch):
         verify_eigenpair(gen, psi[:-1], haar.eigenvalues())
 
 
-def test_full_basis_keeps_one_psi_matrix_and_its_generator():
-    """The basis keeps its generator and Psi's factors: one s x (s - 1)
-    Kozyrev table, the K root densities (1 under Haar) and the K x K
-    values of the disc-constant columns on the discs.  Psi is assembled
+def test_full_basis_keeps_one_psi_matrix_and_its_factors():
+    """The basis keeps Psi's factors and the cell masses, and no generator:
+    one s x (s - 1) Kozyrev table, the K root densities (1 under Haar) and
+    the K x K values of the disc-constant columns on the discs.  Psi is assembled
     from them once, on first read, bit for bit disc k's block ``kozyrev /
     root[k]`` and the last K columns the coarse table repeated onto the
     cells, for the block modes and for the constant and the ultrametric
@@ -467,7 +463,8 @@ def test_full_basis_keeps_one_psi_matrix_and_its_generator():
         for spec in (ultra_spec(dend), bullet_spec(Bullet.GRAPH_DISTANCE, dend, rng, 1.0)):
             for measure in ("haar", "nu"):
                 basis = full_basis(spec, disc, measure)
-                assert np.array_equal(basis.generator.matrix, generator(spec, disc, measure).matrix)
+                assert not hasattr(basis, "generator")
+                assert np.array_equal(basis.measure, generator(spec, disc, measure).measure)
                 assert "psi" not in vars(basis)
                 assert basis.kozyrev.shape == (s, s - 1)
                 assert basis.coarse.shape == (K, K)
@@ -588,9 +585,9 @@ def rounding_bound(A, psi, lams):
     rounding error is below (N + 2) eps (sum_j |A_ij| |psi_j| + |lam psi_i|)
     however its terms are grouped (Higham, Accuracy and Stability of
     Numerical Algorithms, 3.1), taken twice and relative like the residual.
-    A product over the disc block and the dense ``verify_eigenpair`` group
-    the terms differently, and so does ``verify_eigenpair`` itself on
-    column blocks of different widths."""
+    The residuals from the basis's factors and the dense
+    ``verify_eigenpair`` group the terms differently, and so do
+    ``verify_eigenpair`` on one column and on a block."""
     norm = np.max(np.abs(A.matrix).sum(axis=1))
     return (2 * (len(psi) + 2) * np.finfo(float).eps * (norm + np.abs(lams))
             * np.max(np.abs(psi), axis=0) / np.maximum(1.0, np.abs(lams)))
@@ -607,7 +604,7 @@ def rounding_bound(A, psi, lams):
 )
 def test_full_basis_disc_blocks_equal_the_dense_products(p, alpha, bullet, seed, leaves, t):
     """At levels m+1..m+3 under Haar and nu: the Kozyrev columns are exactly
-    0 off their disc's cells, the blockwise residuals are the dense
+    0 off their disc's cells, the residuals from the factors are the dense
     ``verify_eigenpair`` of the whole basis, and the heat kernel of the
     pure-ball spectrum is the dense (Psi e^(Lambda t)) Psi^H."""
     rng = np.random.default_rng(seed)
@@ -631,9 +628,10 @@ def test_full_basis_disc_blocks_equal_the_dense_products(p, alpha, bullet, seed,
             assert all(r.kind == "kozyrev" for r in basis.records[:K * (s - 1)])
             assert not any(r.kind == "kozyrev" for r in basis.records[K * (s - 1):])
 
-            dense = verify_eigenpair(basis.generator, psi, lams)
-            blockwise = np.array([r.residual for r in basis.records])
-            assert np.all(np.abs(blockwise - dense) <= rounding_bound(basis.generator, psi, lams))
+            gen = generator(spec, disc, measure)
+            dense = verify_eigenpair(gen, psi, lams)
+            factored = np.array([r.residual for r in basis.records])
+            assert np.all(np.abs(factored - dense) <= rounding_bound(gen, psi, lams))
 
             table = heat_kernel(spec, disc, t, measure).matrix
             expected = ((psi * np.exp(t * lams)[None, :]) @ psi.conj().T).real
@@ -641,37 +639,64 @@ def test_full_basis_disc_blocks_equal_the_dense_products(p, alpha, bullet, seed,
 
 
 def test_blockwise_residuals_catch_errors_outside_the_disc():
-    """A cross-disc entry added to the generator (zero row sums kept) and a
-    Kozyrev eigenvalue shifted by 1e-6 both show in the blockwise residual
-    of the affected column, though the first lies on no row of its disc."""
+    """A perturbed entry of the shared Kozyrev table (the column is no
+    longer an eigenvector, and its mean on the disc is no longer 0) and a
+    Kozyrev eigenvalue shifted by 1e-6 both show in the residual from the
+    factors of the affected column.  The first also shows on the rows off
+    the disc, where the residual from the factors is the dense one."""
     import dataclasses
 
-    from ultraheat.spectra import _basis_residuals
+    from ultraheat.spectra import _basis_residuals, ball_spectrum
 
     rng = np.random.default_rng(127)
     dend = random_dendrogram(rng, 4, max_children=3)
     assign = embed(dend, 3)
     disc = discretize(assign, assign.m + 2)
-    basis = full_basis(ultra_spec(dend), disc, "haar")
-    gen, psi, lams = basis.generator, basis.psi, basis.eigenvalues()
+    spec = ultra_spec(dend)
+    basis = full_basis(spec, disc, "nu")
+    gen, lams = generator(spec, disc, "nu"), basis.eigenvalues()
+    rates = ball_spectrum(spec, disc, "nu").coarse
     s = basis.kozyrev.shape[0]
     assert max(r.residual for r in basis.records) < 1e-12
-    col = s - 1  # disc 1's first Kozyrev column
-    j = s + int(np.argmax(np.abs(psi[s:2 * s, col])))  # a cell of disc 1 where it is not 0
-    i = 3 * s  # a cell of disc 3
-    matrix = gen.matrix.copy()
-    matrix[i, j] += 1e-3
-    matrix[i, i] -= 1e-3
-    assert np.max(np.abs(matrix.sum(axis=1))) < 1e-12
-    factors = basis.kozyrev, basis.root, basis.coarse
-    crossed = _basis_residuals(dataclasses.replace(gen, matrix=matrix), *factors, lams)
-    assert crossed[col] > 1e-9
-    expected = 1e-3 * abs(psi[j, col]) / max(1.0, abs(lams[col]))
-    assert crossed[col] == pytest.approx(expected, rel=1e-6)
+    col = s - 1  # disc 1's first Kozyrev column, the shared table's column 0
+    kozyrev = basis.kozyrev.copy()
+    kozyrev[0, 0] += 1e-3
+    assert abs(kozyrev[:, 0].mean()) > 1e-5
+    perturbed = dataclasses.replace(basis, kozyrev=kozyrev)
+    psi = perturbed.psi
+    factored = _basis_residuals(spec, disc, rates, kozyrev, basis.root, basis.coarse, lams)
+    dense = verify_eigenpair(gen, psi, lams)
+    assert factored[col] > 1e-9
+    assert np.all(np.abs(factored - dense) <= rounding_bound(gen, psi, lams))
+    r = gen.matrix @ psi[:, col] - lams[col] * psi[:, col]
+    outside = np.max(np.abs(np.delete(r, np.s_[s:2 * s]))) / max(1.0, abs(lams[col]))
+    assert 1e-9 < outside <= factored[col]
 
     shifted = lams.copy()
     shifted[col] += 1e-6
-    assert _basis_residuals(gen, *factors, shifted)[col] > 1e-9
+    factors = basis.kozyrev, basis.root, basis.coarse
+    assert _basis_residuals(spec, disc, rates, *factors, shifted)[col] > 1e-9
+
+
+def test_full_basis_builds_no_n_by_n_array():
+    """On K = 60 discs of s = 9 cells the basis and its residuals come from
+    the factors: nothing near one N x N float array (N = 540) is held."""
+    import tracemalloc
+
+    rng = np.random.default_rng(139)
+    dend = random_dendrogram(rng, 60, max_children=3)
+    assign = embed(dend, 3)
+    disc = discretize(assign, assign.m + 2)
+    N = len(disc)
+    tracemalloc.start()
+    try:
+        basis = full_basis(ultra_spec(dend, 1.3), disc, "nu")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == N == 540
+    assert peak < N * N * 8 / 4
+    assert max(r.residual for r in basis.records) <= 1e-9
 
 
 def test_ball_spectrum_solves_its_coarse_matrix_on_first_read_only(monkeypatch):
