@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import operator
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -154,8 +152,7 @@ def cmd_toposort(args) -> int:
     pos = {v: i for i, v in enumerate(order)}
     valid = all(pos[u] < pos[v] for u, v in dag.edges)
     lines = "\n".join(map(str, order)) + "\n"
-    Path(args.output).write_text(lines, encoding="utf-8")
-    digest = hashlib.sha256(lines.encode()).hexdigest()
+    digest = serialize.write_text(args.output, lines)
     _summary("toposort", [{"path": args.output, "sha256": digest}], {
         "vertices": len(order),
         "valid_linear_extension": valid,
@@ -283,8 +280,7 @@ def cmd_converge(args) -> int:
     spec = _spec_from_index(args, assign, weights)
     rows = heat.convergence_study(spec, assign, u0, args.levels, args.tau, args.measure)
     text = "n\tgap\n" + "".join(f"{n}\t{gap:.17g}\n" for n, gap in rows)
-    Path(args.output).write_text(text, encoding="utf-8")
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = serialize.write_text(args.output, text)
     _summary("converge", [{"path": args.output, "sha256": digest}], {
         "levels": args.levels,
         "final_gap": _fmt(rows[-1][1]),

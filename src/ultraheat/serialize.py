@@ -10,6 +10,7 @@ matrix are rebuilt on read.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -27,9 +28,24 @@ def canonical_dumps(obj) -> str:
 
 
 def write_canonical(path, obj) -> str:
-    text = canonical_dumps(obj)
-    Path(path).write_text(text, encoding="utf-8")
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return write_text(path, canonical_dumps(obj))
+
+
+def write_text(path, text: str) -> str:
+    """Write the text as UTF-8 bytes, with no newline translation, and
+    return the sha256 of the bytes written."""
+    return _write_hashed(path, [text.encode("utf-8")])
+
+
+def _write_hashed(path, chunks) -> str:
+    """Write the byte chunks in order and return the sha256 of the file:
+    every artifact is written and hashed here, from the same bytes."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as out:
+        for chunk in chunks:
+            out.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def load_json(path):
@@ -172,23 +188,44 @@ def index_from_obj(obj):
 
 
 def matrix_export(path, matrix: np.ndarray, header: dict) -> str:
-    """Write a header line and the matrix rows, each entry as ``%.17g``.
+    """Write the line ``# {header}`` (its JSON with sorted keys), then one
+    line per matrix row, its entries as ``%.17g`` separated by one space;
+    return the sha256 of the file's bytes.
 
-    Heat kernels repeat few values, so each distinct bit pattern is
-    formatted once, and every row gathers its texts by a sorted lookup
-    (row by row, so no index array the size of the matrix is kept).
+    A heat kernel is made of runs: the cells of one pure ball share every
+    entry outside it.  So each run of equal bit patterns within a row is
+    one code (value, run length, whether it ends its row), each distinct
+    code is formatted once, and the file is written and hashed row by row,
+    with no text the size of the whole table held at once.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {matrix.shape}")
-    bits = matrix.view(np.int64)
-    distinct = np.unique(bits)
-    texts = np.array(["%.17g" % x for x in distinct.view(np.float64).tolist()], dtype=object)
-    lines = ["# " + json.dumps(header, sort_keys=True)]
-    lines.extend(" ".join(texts[np.searchsorted(distinct, row)].tolist()) for row in bits)
-    text = "\n".join(lines) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    head = ("# " + json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
+    return _write_hashed(path, itertools.chain([head], _row_lines(matrix.view(np.int64))))
+
+
+def _row_lines(bits: np.ndarray):
+    """The text lines of a matrix given as its int64 bit patterns."""
+    rows, cols = bits.shape
+    if cols == 0:
+        return [b"\n"] * rows
+    run_start = np.ones((rows, cols), dtype=bool)  # column 0 starts a run, so no run spans two rows
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=run_start[:, 1:])
+    starts = np.flatnonzero(run_start)
+    lengths = np.diff(starts, append=bits.size)
+    ends = (starts + lengths) % cols == 0
+    values, value_of = np.unique(bits.ravel()[starts], return_inverse=True)
+    # one integer per (value, run length, ends its row), as np.unique sorts integers fastest
+    codes, code_of = np.unique((value_of * (cols + 1) + lengths) * 2 + ends, return_inverse=True)
+    value, length = np.divmod(codes // 2, cols + 1)
+    texts = ["%.17g" % x for x in values.view(np.float64).tolist()]
+    pieces = np.array([
+        (" ".join([texts[v]] * n) + ("\n" if end else " ")).encode("utf-8")
+        for v, n, end in zip(value.tolist(), length.tolist(), (codes % 2).tolist())
+    ], dtype=object)
+    cuts = np.flatnonzero(ends)[:-1] + 1
+    return (b"".join(pieces[row].tolist()) for row in np.split(code_of, cuts))
 
 
 def spectrum_export(path, basis) -> str:
@@ -197,6 +234,4 @@ def spectrum_export(path, basis) -> str:
     lines = ["kind\tsupport\tindex\tlambda\tresidual"]
     for r in basis.records:
         lines.append(f"{r.kind}\t{r.support}\t{r.index}\t{r.lam:.17g}\t{r.residual:.17g}")
-    text = "\n".join(lines) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return write_text(path, "\n".join(lines) + "\n")

@@ -24,6 +24,20 @@ from ultraheat import (
 )
 from ultraheat.multitopo import first_primes
 
+# The family file of the benchmark generator's
+# low_branching_family(3, 12, 3), written out so that the tests do not
+# depend on the generator: its index has p = 3 and m = 3, and level m + 2
+# has 108 cells.
+LOW_BRANCHING_FAMILY = {
+    "vertices": [f"v{i:02d}" for i in range(12)],
+    "topologies": [
+        {"edges": [["v03", "v06"], ["v06", "v11"]]},
+        {"edges": [["v00", "v01"], ["v01", "v06"], ["v02", "v11"], ["v03", "v05"], ["v03", "v08"]]},
+        {"edges": [["v00", "v10"], ["v01", "v04"], ["v06", "v09"], ["v07", "v11"]]},
+    ],
+    "primes": [2, 3, 5],
+}
+
 
 def random_partition(rng, items, k, balanced=False):
     """Split items into k non-empty groups, order-randomised.

@@ -12,6 +12,8 @@ from ultraheat import heat, spectra, toposort
 from ultraheat.cli import main
 from ultraheat.serialize import canonical_dumps
 
+from conftest import LOW_BRANCHING_FAMILY
+
 
 FAMILY = {
     "vertices": ["a", "b", "c"],
@@ -833,6 +835,30 @@ def test_path_index_and_toposort_artifacts_are_pinned(tmp_path, capsys):
         "ba917e4de70bb91600a4edb73a21fe2b333f68e9e2e73a7d957e081735b33088")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "8bece6694b1f36f7c7dd27c5de1ab21f9bdbe5c71d44901de9d7ca0da88b70cf")
+
+
+@pytest.mark.parametrize("bullet, measure, t, digest", [
+    ("graphdist", "haar", "0.5", "69d2f6a572a6dd2efa2966eec19265103943131b6eae2fdf32f942a0a1035c55"),
+    ("graphdist", "haar", "0", "aed567147590870468b64462c4d788cd9a32ae02a156caf9c3f7b223a2cc26ce"),
+    ("ultrametric", "nu", "0.5", "fb4213e3c52786a4f49a57dc713edae19cdd0efb7673ed8369361c8c9aa83779"),
+    ("ultrametric", "nu", "0", "35b5ce8f1e44f27eb6e420fb2750be82fe37c524b6489d751bb2c260dbec5741"),
+])
+def test_heat_tables_are_pinned(tmp_path, capsys, bullet, measure, t, digest):
+    """The `heat` tables of a low-branching index (p = 3, m = 3) at level
+    m + 2 (108 cells), pinned by sha256: a rewrite of the table writer must
+    leave them byte for byte as they were, and the reported sha256 is that
+    of the file's bytes."""
+    family, graph, index, table = (tmp_path / name for name in ("f.json", "g.json", "i.json", "k.txt"))
+    write(family, LOW_BRANCHING_FAMILY)
+    assert main(["encode", "--input", str(family), "--output", str(graph)]) == 0
+    assert main(["index", "--input", str(graph), "--output", str(index)]) == 0
+    capsys.readouterr()
+    assert main(["heat", "--input", str(index), "--output", str(table), "--bullet", bullet,
+                 "--measure", measure, "--level", "5", "--t", t]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["metrics"]["cells"] == 108
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
+    assert summary["artifacts"][0]["sha256"] == digest
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000], ids=["utf16_bom", "deep"])

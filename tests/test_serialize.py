@@ -3,15 +3,18 @@ matrix format."""
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ultraheat import decode, encode
+from ultraheat import Bullet, KernelSpec, decode, discretize, embed, encode, graph_dendrogram
+from ultraheat.heat import heat_kernel
 from ultraheat.serialize import (canonical_dumps, family_from_obj, family_to_obj, graph_from_obj,
                                  graph_to_obj, matrix_export)
+from ultraheat.ultraindex import default_distance_weights, graph_distances
 
-from conftest import random_family
+from conftest import LOW_BRANCHING_FAMILY, random_family
 
 
 def reread(obj):
@@ -90,3 +93,65 @@ def test_matrix_export_formats_repeated_values_like_the_row_formatter(tmp_path):
     # integer matrices are written as their float values
     matrix_export(path, np.arange(6).reshape(2, 3), {})
     assert path.read_text(encoding="utf-8") == "# {}\n0 1 2\n3 4 5\n"
+
+
+POOL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1 / 3, 2.5])
+
+
+@st.composite
+def export_inputs(draw):
+    """A matrix of entries from a few pool values (so that runs, runs that
+    end a row and one-entry rows occur), as float64, float32, int or a
+    transposed view, and the float64 matrix it stands for."""
+    rows, cols = draw(st.one_of(
+        st.sampled_from([(0, 0), (0, 4), (4, 0), (1, 1), (1, 6), (6, 1)]),
+        st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    ))
+    kind = draw(st.sampled_from(["float64", "float32", "int", "transposed"]))
+    if kind == "int":
+        values = np.array(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)))
+    else:
+        values = POOL[draw(st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=4))]
+    picks = draw(st.lists(st.integers(0, len(values) - 1), min_size=rows * cols,
+                          max_size=rows * cols))
+    matrix = values[np.array(picks, dtype=int)].reshape(rows, cols)
+    if kind == "float32":
+        matrix = matrix.astype(np.float32)
+    if kind == "transposed":
+        matrix = np.ascontiguousarray(matrix.T).T
+    return matrix, matrix.astype(np.float64)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=export_inputs())
+def test_matrix_export_writes_the_row_formatter_bytes(tmp_path, inputs):
+    """Written by runs or not, the file holds the bytes of the row
+    formatter applied to the matrix's float64 values, whatever its shape,
+    dtype or memory order, and the returned digest is that of the file."""
+    matrix, values = inputs
+    path = tmp_path / "kernel.txt"
+    digest = matrix_export(path, matrix, {"n": 1})
+    data = path.read_bytes()
+    assert data == row_format_text(values, '# {"n": 1}').encode("utf-8")
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
+def test_matrix_export_holds_less_than_the_text(tmp_path):
+    """Writing a 324-cell heat table allocates, at its peak, less than the
+    bytes it writes: the text is written row by row, never held whole."""
+    graph = encode(family_from_obj(LOW_BRANCHING_FAMILY))
+    weights = default_distance_weights(graph)
+    assign = embed(graph_dendrogram(graph, weights))
+    disc = discretize(assign, assign.m + 3)
+    spec = KernelSpec(Bullet.GRAPH_DISTANCE, 1.0, assign.labels,
+                      graph_distances(assign.labels, weights).values)
+    table = heat_kernel(spec, disc, 0.5).matrix
+    assert table.shape == (324, 324)
+    path = tmp_path / "kernel.txt"
+    tracemalloc.start()
+    try:
+        matrix_export(path, table, {"t": 0.5})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
