@@ -47,6 +47,7 @@ EXIT_CODES = {
     errors.BadKernel: 25,
     errors.RateOverflow: 26,
     errors.CertificateFailed: 27,
+    errors.OutputError: 28,
 }
 
 

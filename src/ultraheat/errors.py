@@ -132,3 +132,7 @@ class CertificateFailed(UltraheatError, ValueError):
 
 class ParseError(UltraheatError):
     """An input file does not match its documented schema."""
+
+
+class OutputError(UltraheatError):
+    """An output file cannot be opened or written."""

@@ -12,11 +12,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import re
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DisconnectedGraph, ParseError
+from .errors import DisconnectedGraph, OutputError, ParseError
 from .multitopo import TopologyFamily, WeightedMultiGraph
 from .padic import DiscAssignment, embed
 from .toposort import Dag
@@ -24,7 +26,105 @@ from .ultraindex import graph_dendrogram
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The canonical text of a JSON value: exactly
+    ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``.
+
+    With an indent, json leaves its C encoder for a pure-Python one, so
+    the text is written here instead, in one pass into one list of pieces.
+    Leaves are formatted as json formats them; a value json cannot write
+    (a set, bytes, np.int64, a dict key that is no str, int, float, bool
+    or None) raises TypeError, as json does.  A container that holds
+    itself raises RecursionError, where json raises ValueError.
+    """
+    pieces = []
+    _put(obj, "\n", pieces.append)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+_INFINITY = float("inf")
+
+
+def _float_text(x) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_LEAF_TEXT = {  # a leaf's formatter, by its exact type
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _leaf_text(obj):
+    """The text of a leaf, also of a subclass of str, int or float (such
+    as np.float64 or an IntEnum), or None when obj is no leaf."""
+    text_of = _LEAF_TEXT.get(type(obj))
+    if text_of is not None:
+        return text_of(obj)
+    for base in (str, int, float):
+        if isinstance(obj, base):
+            return _LEAF_TEXT[base](obj)
+    return None
+
+
+def _key_text(key) -> str:
+    """The str json writes for a dict key: the key itself, or the text of
+    an int, float, bool or None."""
+    text = key if isinstance(key, str) else _leaf_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return text
+
+
+def _put(obj, newline: str, append, leaf_of=_LEAF_TEXT.get) -> None:
+    """Append the pieces of obj's text; newline is a line break and the
+    indent of the line obj starts on.  Items whose exact type is a leaf
+    type are written in the loop, everything else through a call."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            append("[]")
+            return
+        inner = newline + "  "
+        put, sep = "[" + inner, "," + inner
+        for item in obj:
+            text_of = leaf_of(type(item))
+            if text_of is not None:
+                append(put + text_of(item))
+            else:
+                append(put)
+                _put(item, inner, append)
+            put = sep
+        append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            append("{}")
+            return
+        inner = newline + "  "
+        put, sep = "{" + inner, "," + inner
+        for key, item in sorted(obj.items()):
+            head = put + encode_basestring(key if type(key) is str else _key_text(key)) + ": "
+            text_of = leaf_of(type(item))
+            if text_of is not None:
+                append(head + text_of(item))
+            else:
+                append(head)
+                _put(item, inner, append)
+            put = sep
+        append(newline + "}")
+    else:  # no type is both a container and a leaf, so the order of the checks is free
+        text = _leaf_text(obj)
+        if text is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        append(text)
 
 
 def write_canonical(path, obj) -> str:
@@ -41,18 +141,50 @@ def _write_hashed(path, chunks) -> str:
     """Write the byte chunks in order and return the sha256 of the file:
     every artifact is written and hashed here, from the same bytes."""
     digest = hashlib.sha256()
-    with open(path, "wb") as out:
-        for chunk in chunks:
-            out.write(chunk)
-            digest.update(chunk)
+    try:
+        with open(path, "wb") as out:
+            for chunk in chunks:
+                out.write(chunk)
+                digest.update(chunk)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
     return digest.hexdigest()
 
 
 def load_json(path):
+    """The JSON value of a UTF-8 file.  A string that holds a lone
+    surrogate (an unpaired ``\\ud800``-``\\udfff`` escape) is a ParseError
+    here, as no output could encode it as UTF-8."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        obj = json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    bad = _lone_surrogate(obj) if "\\" in text else None  # only an escape makes one
+    if bad is not None:
+        raise ParseError(f"cannot read {path}: the string {bad!r} holds a lone surrogate")
+    return obj
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _lone_surrogate(obj):
+    """The first string of a decoded JSON value, key or item, that holds a
+    surrogate, or None; the decoder joins every escaped pair, so any
+    surrogate left is a lone one."""
+    stack = [obj]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            if _SURROGATE.search(item):
+                return item
+        elif isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item)
+            stack.extend(item.values())
+    return None
 
 
 # --- topology families ------------------------------------------------------

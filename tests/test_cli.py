@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ultraheat import heat, spectra, toposort
+from ultraheat import heat, multitopo, spectra, toposort
 from ultraheat.cli import main
 from ultraheat.serialize import canonical_dumps
 
@@ -835,6 +835,86 @@ def test_path_index_and_toposort_artifacts_are_pinned(tmp_path, capsys):
         "ba917e4de70bb91600a4edb73a21fe2b333f68e9e2e73a7d957e081735b33088")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "8bece6694b1f36f7c7dd27c5de1ab21f9bdbe5c71d44901de9d7ca0da88b70cf")
+
+
+def test_encode_and_decode_artifacts_are_pinned(tmp_path, capsys):
+    """The `encode` and `decode` files of the low-branching family, pinned
+    by sha256: a rewrite of the JSON writer must leave them byte for byte as
+    they were, and the reported sha256 is that of the file's bytes."""
+    family, graph, back = (tmp_path / name for name in ("f.json", "g.json", "b.json"))
+    write(family, LOW_BRANCHING_FAMILY)
+    assert main(["encode", "--input", str(family), "--output", str(graph)]) == 0
+    assert main(["decode", "--input", str(graph), "--output", str(back)]) == 0
+    digests = [doc["artifacts"][0]["sha256"] for doc in parse_summaries(capsys.readouterr().out)]
+    assert digests == [hashlib.sha256(path.read_bytes()).hexdigest() for path in (graph, back)]
+    assert digests == ["6818505c4c743cb312c06cdf7d3c6c0268140813d6f6c7e63b350b951ec8f853",
+                       "6c5a2b72c1208fd7e255627b1829db06cc57d1a3815ab1a60799f4f4622dfea3"]
+
+
+@pytest.mark.parametrize("subcommand, obj", [
+    ("encode", {"vertices": ["a", "\ud800"], "topologies": [{"edges": [["a", "\ud800"]]}],
+                "primes": [2]}),
+    ("toposort", {"vertices": ["a", "b\udc00"], "edges": [["a", "b\udc00"]]}),
+    ("toposort", {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"a|\udbff": 1.0}}),
+], ids=["encode", "toposort", "toposort_key"])
+def test_a_lone_surrogate_is_a_parse_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           subcommand, obj):
+    """A label or key with an unpaired surrogate escape cannot be written
+    as UTF-8, so reading it is a ParseError (exit 2, one JSON error line):
+    nothing is encoded or sorted and no output is written."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the work ran before the input was checked")
+
+    monkeypatch.setattr(multitopo, "encode", unreachable)
+    monkeypatch.setattr(toposort, "parallel_toposort", unreachable)
+    path, out = tmp_path / "in.json", tmp_path / "out"
+    path.write_text(json.dumps(obj), encoding="utf-8")  # ASCII, with the surrogate escaped
+    assert main([subcommand, "--input", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])
+    assert err["error"] == "ParseError" and err["exit"] == 2
+    assert "lone surrogate" in err["detail"]
+    assert not out.exists()
+
+
+def test_escaped_pairs_and_backslashes_are_not_lone_surrogates(tmp_path, capsys):
+    """An escaped surrogate pair is one astral character, and an escaped
+    backslash before "ud800" is no escape: such labels encode, and decode
+    back to the same labels."""
+    labels = ["\U0001f600", "\\ud800", "a"]
+    family, graph, back = (tmp_path / name for name in ("f.json", "g.json", "b.json"))
+    family.write_text(json.dumps({"vertices": labels, "topologies": [{"edges": [labels[:2]]}],
+                                  "primes": [2]}), encoding="utf-8")
+    assert "\\ud83d\\ude00" in family.read_text(encoding="utf-8")
+    assert main(["encode", "--input", str(family), "--output", str(graph)]) == 0
+    assert main(["decode", "--input", str(graph), "--output", str(back)]) == 0
+    assert json.loads(back.read_text(encoding="utf-8"))["vertices"] == sorted(labels)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--input", "{family}", "--output", "{tmp}/missing/graph.json"],
+    ["toposort", "--input", "{dag}", "--output", "{tmp}"],
+    ["heat", "--input", "{index}", "--output", "{tmp}/missing/kernel.txt", "--bullet",
+     "graphdist", "--level", "3", "--t", "0.5"],
+], ids=["missing_dir", "a_directory", "heat_table"])
+def test_an_output_that_cannot_be_opened_exits_28(tmp_path, capsys, argv):
+    """An --output in a directory that does not exist, or that is itself a
+    directory, is an OutputError: exit 28, one JSON error line, and no file
+    or directory made."""
+    index = index_fixture(tmp_path)
+    dag = tmp_path / "dag.json"
+    write(dag, THREE_LEAF_DAG)
+    capsys.readouterr()
+    names = {"family": tmp_path / "family.json", "dag": dag, "index": index, "tmp": tmp_path}
+    before = sorted(tmp_path.rglob("*"))
+    assert main([arg.format(**names) for arg in argv]) == 28
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])
+    assert err["error"] == "OutputError" and err["exit"] == 28
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("bullet, measure, t, digest", [

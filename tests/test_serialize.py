@@ -1,11 +1,14 @@
 """File round trips (families, graphs) and text artifacts: the heat-kernel
 matrix format."""
 
+import enum
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ultraheat import Bullet, KernelSpec, decode, discretize, embed, encode, graph_dendrogram
@@ -49,6 +52,67 @@ def test_graph_file_round_trip(seed):
     decoded = decode(back, primes)
     assert sorted(decoded.vertex_ids) == sorted(family.vertex_ids)
     assert decoded.dags == family.dags and decoded.primes == family.primes
+
+
+def json_text(obj) -> str:
+    """The canonical text as the standard library writes it."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+# quote, backslash, control, DEL, line and paragraph separators, non-ASCII
+# and astral characters, and whatever else hypothesis draws
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\n\t\x7f\u2028\u2029é€😀'),
+                         st.characters()), max_size=6)
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**63, 2**200).flatmap(lambda k: st.sampled_from([k, -k])),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, 0.1]),
+    st.floats().map(np.float64),
+    st.sampled_from(Level),
+    TEXT,
+)
+# one key type per dict: numbers and bools compare with each other, not with str or None
+NUMBER_KEYS = st.one_of(st.integers(), st.floats(), st.booleans(), st.sampled_from(Level))
+JSON_VALUES = st.recursive(LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(TEXT, children, max_size=4),
+    st.dictionaries(NUMBER_KEYS, children, max_size=4),
+    st.dictionaries(st.none(), children, max_size=1),
+), max_leaves=24)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(value=JSON_VALUES)
+def test_canonical_dumps_writes_the_text_of_json_dumps(value):
+    """The canonical writer gives json.dumps's indent-2 text, with sorted
+    keys and no ASCII escapes, for nested lists, tuples and dicts of every
+    leaf json writes: NaN and the infinities, -0.0 and subnormals, big
+    ints, bools, np.float64 and IntEnum, keys that are numbers, bools or
+    None, and strings with characters json escapes or keeps."""
+    assert canonical_dumps(value) == json_text(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, b"bytes", np.int64(3), np.bool_(True), [1, {2}], {"k": [b"x"]}, ({"k": np.int64(1)},),
+    {(1, 2): 0}, {1: 0, "a": 1},
+], ids=["set", "bytes", "int64", "bool_", "nested_set", "nested_bytes", "nested_int64",
+        "tuple_key", "mixed_keys"])
+def test_canonical_dumps_raises_type_error_where_json_does(value):
+    """A set, bytes, np.int64 or np.bool_ anywhere in the value, a tuple key,
+    or keys that do not sort together raise TypeError, in json and here."""
+    with pytest.raises(TypeError):
+        json_text(value)
+    with pytest.raises(TypeError):
+        canonical_dumps(value)
 
 
 def reference_text(matrix, header_line):
