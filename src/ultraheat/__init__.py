@@ -7,6 +7,7 @@ from .heat import (
     HeatKernelTable,
     SemigroupMatrix,
     convergence_study,
+    disc_semigroup,
     heat_kernel,
     kernel_swap_bound,
     semigroup,

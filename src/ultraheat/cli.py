@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import operator
+import os
 import sys
 
 import numpy as np
@@ -55,6 +56,23 @@ def _summary(subcommand: str, artifacts: list[dict], metrics: dict) -> None:
     print(serialize.canonical_dumps(
         {"subcommand": subcommand, "artifacts": artifacts, "metrics": metrics}
     ), end="")
+
+
+def _check_output(path: str) -> None:
+    """Raise OutputError, before any input is read, for an --output that
+    cannot be written: a name that is not UTF-8 (undecodable bytes reach
+    Python as lone surrogates, which no summary could print as UTF-8
+    JSON), an existing directory, or a path whose directory does not
+    exist."""
+    try:
+        path.encode("utf-8")
+    except UnicodeEncodeError:
+        raise errors.OutputError(f"the output name {ascii(path)} is not UTF-8") from None
+    if os.path.isdir(path):
+        raise errors.OutputError(f"cannot write {path}: it is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise errors.OutputError(f"cannot write {path}: {parent} is not a directory")
 
 
 def _fmt(x: float) -> str:
@@ -220,8 +238,10 @@ def cmd_heat(args) -> int:
     table = heat.heat_kernel(spec, disc, args.t, args.measure)
     gen = operators.generator(spec, disc, args.measure)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap is raised below
-        T = heat.semigroup(gen, args.t)
-        agreement = float(np.max(np.abs(table.matrix * gen.measure[None, :] - T.matrix)))
+        T, bound = heat.disc_semigroup(gen, disc, args.t)
+        gap = table.matrix * gen.measure[None, :]
+        gap -= T.matrix
+        agreement = float(np.max(np.abs(gap, out=gap))) + bound
         defect = T.row_sum_defect()
     if not math.isfinite(agreement + defect):  # both are >= 0, so only inf or NaN fails
         raise errors.CertificateFailed(f"heat certificates not finite: two-route gap "
@@ -376,6 +396,7 @@ def main(argv=None) -> int:
     if args.subcommand == "bounds" and (args.truncate is None) == (not args.swap):
         parser.error("bounds needs exactly one of --truncate or --swap")
     try:
+        _check_output(args.output)
         return globals()[f"cmd_{args.subcommand}"](args)
     except errors.UltraheatError as exc:
         code = EXIT_CODES.get(type(exc), 30)

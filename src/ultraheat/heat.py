@@ -5,11 +5,14 @@
 evolver, ``_BallEvolver``, on the closed-form pure-ball spectrum of
 ``spectra.ball_spectrum``, with no generator: on each pure ball T(t) is
 the coarse K x K transition plus sum_d e^(lambda_d t) (E_{d+1} - E_d),
-with E_d the mean over the level-d balls, and T(0) is the identity.  The
-dense ``semigroup``, exp(tA) of an assembled generator through its
-symmetrised eigendecomposition, is the independent second route (the
-``heat`` subcommand's two-route gap) and the test oracle; a generator not
-self-adjoint under its measure raises ``NotSelfAdjoint``.  Every routine
+with E_d the mean over the level-d balls, and T(0) is the identity.
+``disc_semigroup`` is the independent second route (the ``heat``
+subcommand's two-route gap): exp(tA) of the generator assembled on a
+discretisation, through one K x K and K s x s eigensolves of its disc
+blocks, with a certified bound on what lumping the blocks leaves out.
+The dense ``semigroup``, exp(tA) through one N x N symmetrised
+eigendecomposition, is the test oracle.  Both raise ``NotSelfAdjoint``
+for a generator not self-adjoint under its measure.  Every routine
 over cells takes the ``CellDomain`` alone and reads the assignment and its
 tree measure from it; ``convergence_study`` builds its discretisations
 from the assignment it is given.  Every time must be finite and
@@ -54,7 +57,7 @@ from .errors import (
     NegativeTime,
     RateOverflow,
 )
-from .linalg import weighted_symmetric_eig
+from .linalg import symmetrised, weighted_symmetric_eig
 from .operators import (GeneratorMatrix, KernelSpec, _check_dense, _measure_vector,
                         _prefix_table, truncated_domain)
 from .padic import CellDomain, DiscAssignment, discretize, padic_distance
@@ -191,15 +194,75 @@ def check_time(t: float, name: str = "t") -> None:
 
 
 def semigroup(A: GeneratorMatrix, t: float) -> SemigroupMatrix:
-    """exp(tA) via the symmetrised eigendecomposition.  Every generator the
-    library builds is self-adjoint under its measure; one that is not raises
-    NotSelfAdjoint."""
+    """exp(tA) via one N x N symmetrised eigendecomposition: the tests'
+    oracle for ``disc_semigroup`` and the closed-form routes.  Every
+    generator the library builds is self-adjoint under its measure; one
+    that is not raises NotSelfAdjoint."""
     check_time(t)
     d = np.sqrt(A.measure)
     evals, vecs = weighted_symmetric_eig(A.matrix, A.measure)
     Q = vecs * d[:, None]  # orthonormal columns of the symmetrisation
     core = (Q * np.exp(t * evals)[None, :]) @ Q.T
     return SemigroupMatrix(t, core * (d[None, :] / d[:, None]))
+
+
+def disc_semigroup(A: GeneratorMatrix, dom: CellDomain, t: float) -> tuple[SemigroupMatrix, float]:
+    """exp(tA) of a generator assembled on a discretisation, through its K
+    disc blocks of s = p^(n - m) cells, and a bound on its entrywise error.
+
+    The symmetrisation S = D A D^-1 (D = diag(sqrt(mu)), checked by
+    ``linalg.symmetrised``) becomes S^ when each cross block is replaced by
+    its mean c_kl and the diagonal of each diagonal block B_k is shifted by
+    -(r_i - r_k), r_i the row sums of B_k and r_k their mean.  S^ is
+    strongly lumpable over the discs (Kemeny & Snell, Finite Markov Chains,
+    6.3), so with J the s x s ones matrix
+
+        e^(tS^) = lift(e^(tC)) / s + blockdiag(e^(tB^_k) - e^(t r_k) J / s),
+
+    C_kl = s c_kl (k != l) and C_kk = r_k: one K x K and one batched
+    (K, s, s) eigh, and T2 = D^-1 e^(tS^) D.  Every generator the library
+    assembles on a discretisation is lumpable, so S - S^ is rounding.  Its
+    largest absolute row sum delta is at least its 2-norm (it is
+    symmetric), and Duhamel's formula with Weyl's inequality bound
+
+        max |e^(tA) - T2| <= t delta e^(t max(0, lambda_max(S^) + delta)) max d / min d,
+
+    the bound returned with T2 (inf or NaN when it overflows).  Raises
+    NegativeTime for a t that is not a finite time >= 0 and ValueError for
+    a truncated domain, before any N x N work.
+    """
+    check_time(t)
+    if dom.cut_level is not None:
+        raise ValueError("a truncated domain is not a discretisation")
+    K = len(dom.balls)
+    s = len(dom) // K
+    S, d = symmetrised(A.matrix, A.measure)
+    blocks = S.reshape(K, s, K, s)  # a view: S is overwritten with T2 below
+    disc, cell = np.arange(K), np.arange(s)
+    B = blocks[disc, :, disc, :]  # (K, s, s), a copy
+    rows = B.sum(axis=2)
+    r = rows.mean(axis=1)
+    shift = rows - r[:, None]
+    B[:, cell, cell] -= shift
+    c = blocks.mean(axis=(1, 3))
+    C = 0.5 * s * (c + c.T)  # one mean per pair of discs, so that S^ is symmetric
+    C[disc, disc] = r
+
+    blocks -= C[:, None, :, None] / s  # S - S^ off the diagonal blocks
+    np.abs(blocks, out=blocks)
+    blocks[disc, :, disc, :] = 0.0
+    delta = np.max(blocks.sum(axis=(2, 3)) + np.abs(shift))
+
+    w, V = np.linalg.eigh(C)
+    wb, Vb = np.linalg.eigh(B)
+    blocks[...] = ((V * np.exp(t * w)) @ V.T / s)[:, None, :, None]
+    local = (Vb * np.exp(t * wb)[:, None, :]) @ Vb.transpose(0, 2, 1)
+    blocks[disc, :, disc, :] += local - (np.exp(t * r) / s)[:, None, None]
+    S *= d[None, :]
+    S /= d[:, None]
+    lam_max = np.max(np.concatenate([w, wb.ravel()]))
+    bound = t * delta * np.exp(t * np.maximum(0.0, lam_max + delta)) * (d.max() / d.min())
+    return SemigroupMatrix(t, S), float(bound)
 
 
 def heat_kernel(spec: KernelSpec, dom: CellDomain, t: float,

@@ -367,7 +367,8 @@ def test_exit_codes_are_distinct_per_error_type():
 
 def test_heat_reuses_the_certified_generator(tmp_path, capsys, monkeypatch):
     """`heat` builds one dense generator, for its second route, and hands
-    that one to `semigroup`; it never calls `full_basis`."""
+    that one to `disc_semigroup`, never to the dense `semigroup`; it never
+    calls `full_basis`."""
     from ultraheat import operators, spectra
 
     built = []
@@ -381,8 +382,10 @@ def test_heat_reuses_the_certified_generator(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(operators, "generator", counting(operators.generator))
     seen = []
-    original_semigroup = heat.semigroup
-    monkeypatch.setattr(heat, "semigroup", lambda gen, t: seen.append(gen) or original_semigroup(gen, t))
+    original_route = heat.disc_semigroup
+    monkeypatch.setattr(heat, "disc_semigroup",
+                        lambda gen, dom, t: seen.append(gen) or original_route(gen, dom, t))
+    monkeypatch.setattr(heat, "semigroup", lambda *args: pytest.fail("semigroup was called"))
     monkeypatch.setattr(spectra, "full_basis", lambda *args: pytest.fail("full_basis was called"))
     index = index_fixture(tmp_path)
     code = main([
@@ -647,10 +650,10 @@ def test_a_deep_path_heat_kernel_at_alpha_one_certifies(tmp_path, capsys):
 
 def test_heat_whose_certificates_are_not_finite_exits_27_without_an_artifact(tmp_path, capsys):
     """On the 3-vertex index (p = 2, m = 2) at alpha 400 and level 3 the
-    dense eigensolve of the second route finds spurious positive
-    eigenvalues near 1e224 and its exponential overflows, so the two-route
-    gap and the row-sum defect are NaN: `heat` exits 27 and writes
-    nothing."""
+    generator's entries reach 1e240, the disc-block eigensolves of the
+    second route find spurious positive eigenvalues of their rounding and
+    the exponentials overflow, so the two-route gap and the row-sum defect
+    are not finite: `heat` exits 27 and writes nothing."""
     index = index_fixture(tmp_path)
     out = tmp_path / "kernel.txt"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -915,6 +918,70 @@ def test_an_output_that_cannot_be_opened_exits_28(tmp_path, capsys, argv):
     err = json.loads(err[0])
     assert err["error"] == "OutputError" and err["exit"] == 28
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["toposort", "--input", "{dag}", "--output", "{tmp}/missing/order.txt"],
+    ["toposort", "--input", "{dag}", "--output", "{tmp}"],
+    ["heat", "--input", "{index}", "--output", "{tmp}/missing/kernel.txt", "--bullet",
+     "graphdist", "--level", "3", "--t", "0.5"],
+], ids=["toposort_missing_dir", "toposort_a_directory", "heat_missing_dir"])
+def test_an_unwritable_output_exits_28_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    """The --output is checked before the input is read: neither the sort
+    nor the heat kernel runs when the file could not be written."""
+    from ultraheat import serialize
+
+    index = index_fixture(tmp_path)
+    dag = tmp_path / "dag.json"
+    write(dag, THREE_LEAF_DAG)
+    capsys.readouterr()
+    for module, name in ((heat, "heat_kernel"), (toposort, "parallel_toposort"),
+                         (serialize, "load_json")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: pytest.fail(
+            f"{name} ran before the output was checked"))
+    names = {"dag": dag, "index": index, "tmp": tmp_path}
+    assert main([arg.format(**names) for arg in argv]) == 28
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "OutputError"
+
+
+def test_an_output_name_that_is_not_utf8_exits_28(tmp_path, capsys):
+    """An --output name from bytes that are not UTF-8 (a lone surrogate
+    under surrogateescape) is an OutputError before any work: exit 28, one
+    JSON error line on stderr, and no file written."""
+    family = tmp_path / "family.json"
+    write(family, FAMILY)
+    before = sorted(tmp_path.iterdir())
+    assert main(["encode", "--input", str(family), "--output", str(tmp_path / "g\udcff.json")]) == 28
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])
+    assert err["error"] == "OutputError" and err["exit"] == 28
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_heat_runs_no_eigensolve_larger_than_a_disc_or_the_disc_count(tmp_path, capsys, monkeypatch):
+    """On 108 cells (K = 12 discs of s = 9 cells) every eigensolve that
+    `heat` runs is at most max(K, s) = 12 wide: its second route works on
+    the disc blocks, not on the N x N generator."""
+    family, graph, index = (tmp_path / name for name in ("f.json", "g.json", "i.json"))
+    write(family, LOW_BRANCHING_FAMILY)
+    assert main(["encode", "--input", str(family), "--output", str(graph)]) == 0
+    assert main(["index", "--input", str(graph), "--output", str(index)]) == 0
+    capsys.readouterr()
+    sizes = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, original=original, **kwargs:
+                            sizes.append(np.shape(a)[-1]) or original(a, *args, **kwargs))
+    for bullet, measure in (("graphdist", "haar"), ("ultrametric", "nu"), ("adjacency", "haar")):
+        assert main(["heat", "--input", str(index), "--output", str(tmp_path / "k.txt"),
+                     "--bullet", bullet, "--measure", measure, "--level", "5", "--t", "0.5"]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert metrics["cells"] == 108 and float(metrics["two_route_gap"]) <= 1e-9
+    assert sizes and max(sizes) == 12
 
 
 @pytest.mark.parametrize("bullet, measure, t, digest", [

@@ -17,6 +17,7 @@ from ultraheat import (
     DendrogramNode,
     KernelSpec,
     convergence_study,
+    disc_semigroup,
     discretize,
     embed,
     full_basis,
@@ -672,6 +673,101 @@ def test_closed_form_kernel_and_swap_match_the_dense_semigroup(p, alpha, t, seed
         assert measured == float(np.max(np.abs(Ta - Tb).sum(axis=1)))
 
 
+def _oracle_tolerance(gen, t):
+    """max(1e-12, 4 eps ||A||_inf t): the dense eigh oracle's own error."""
+    norm = float(np.max(np.abs(gen.matrix).sum(axis=1)))
+    return max(1e-12, 4 * np.finfo(float).eps * norm * t)
+
+
+def _disc_cases(p, alpha, seed, leaves):
+    """The three bullets' specs of a random graph on a random dendrogram's
+    labels, embedded at p, and its discretisations at levels m+1 and m+2
+    of at most MAX_ORACLE_CELLS cells."""
+    rng = np.random.default_rng(seed)
+    dend = random_dendrogram(rng, leaves, max_children=p)
+    assign = embed(dend, p)
+    specs = specs_from_weights(rng, dend.labels, random_connected_weights(rng, dend.labels), alpha)
+    discs = [discretize(assign, n) for n in (assign.m + 1, assign.m + 2)]
+    return rng, specs, [disc for disc in discs if len(disc) <= MAX_ORACLE_CELLS]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    alpha=st.floats(1.0, 2.0),
+    t=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    seed=st.integers(0, 2**32 - 1),
+    leaves=st.integers(2, 6),
+)
+def test_disc_semigroup_matches_the_dense_semigroup(p, alpha, t, seed, leaves):
+    """For every bullet and both measures, exp(tA) through the disc blocks
+    is the dense semigroup entrywise within the oracle tolerance, and so is
+    its lumping bound: the library's generators are lumpable over the
+    discs, so S - S^ is rounding alone."""
+    _, specs, discs = _disc_cases(p, alpha, seed, leaves)
+    for disc in discs:
+        for measure in ("haar", "nu"):
+            for spec in specs:
+                gen = generator(spec, disc, measure)
+                T, bound = disc_semigroup(gen, disc, t)
+                tol = _oracle_tolerance(gen, t)
+                assert np.max(np.abs(T.matrix - semigroup(gen, t).matrix)) <= tol
+                assert 0.0 <= bound <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    alpha=st.floats(1.0, 2.0),
+    t=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+    leaves=st.integers(2, 6),
+    size=st.sampled_from([1e-9, 1e-6, 1e-3, 0.5]),
+    cross=st.booleans(),
+    zero_rows=st.booleans(),
+    measure=st.sampled_from(["haar", "nu"]),
+)
+@example(p=3, alpha=1.3, t=0.5, seed=7, leaves=4, size=1e-6, cross=True, zero_rows=True,
+         measure="nu")
+@example(p=3, alpha=1.3, t=0.5, seed=7, leaves=4, size=1e-6, cross=False, zero_rows=False,
+         measure="nu")
+def test_disc_semigroup_bound_covers_a_generator_that_is_not_lumpable(
+        p, alpha, t, seed, leaves, size, cross, zero_rows, measure):
+    """One off-diagonal rate of an assembled generator changed by a
+    relative `size`, inside a disc or across two, with its mirror entry
+    mu_i A_ij / mu_j (still self-adjoint) and, when `zero_rows`, the two
+    diagonal entries following (still a generator): the disc-block route
+    then differs from the dense semigroup of the changed matrix by no more
+    than its reported bound, within the oracle tolerance."""
+    rng, specs, discs = _disc_cases(p, alpha, seed, leaves)
+    disc = discs[0]
+    gen = generator(specs[int(rng.integers(len(specs)))], disc, measure)
+    s = len(disc) // len(disc.balls)
+    i = int(rng.integers(len(disc)))
+    if cross:
+        j = int(rng.choice(np.flatnonzero(np.arange(len(disc)) // s != i // s)))
+    else:
+        j = i // s * s + (i % s + 1 + int(rng.integers(s - 1))) % s
+    A, mu = gen.matrix.copy(), gen.measure
+    change = A[i, j] * size if A[i, j] else 1.0  # an adjacency non-edge gets a rate
+    A[i, j] += change
+    A[j, i] += change * mu[i] / mu[j]
+    if zero_rows:
+        A[i, i] -= change
+        A[j, j] -= change * mu[i] / mu[j]
+    changed = GeneratorMatrix(A, mu)
+    T, bound = disc_semigroup(changed, disc, t)
+    dense = semigroup(changed, t).matrix
+    assert np.max(np.abs(T.matrix - dense)) <= bound + _oracle_tolerance(changed, t)
+
+
+def test_disc_semigroup_refuses_a_truncated_domain():
+    dend, assign, spec = three_leaf_setup()
+    dom = truncated_domain(assign, 1, assign.m + 1)[0]
+    with pytest.raises(ValueError, match="not a discretisation"):
+        disc_semigroup(generator(spec, dom), dom, 0.5)
+
+
 def three_spine_dendrogram(depth=7):
     """Three spines under the root, each internal node holding one leaf and
     the next node down to ``depth - 1``; one radius per depth, so m = depth
@@ -743,6 +839,7 @@ def test_times_that_are_not_finite_and_non_negative_raise_before_any_domain(monk
     calls = {
         "t_grid": lambda: t_grid(t),
         "semigroup": lambda: semigroup(gen, t),
+        "disc_semigroup": lambda: disc_semigroup(gen, disc, t),
         "heat_kernel": lambda: heat_kernel(spec, disc, t),
         "solve_cauchy": lambda: solve_cauchy(spec, disc, u, t),
         "truncation_bound": lambda: truncation_bound(spec, disc, 1, t, u),
