@@ -4,8 +4,6 @@ topological sorting, and exact finite p-adic heat operators."""
 from . import errors
 from .heat import (
     BoundReport,
-    HeatKernelTable,
-    SemigroupMatrix,
     convergence_study,
     disc_semigroup,
     heat_kernel,
@@ -48,7 +46,6 @@ from .spectra import (
 )
 from .toposort import (
     Dag,
-    SortedCluster,
     kahn_sort,
     merge_sorted_clusters,
     parallel_toposort,

@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import sys
 
@@ -98,6 +97,10 @@ def cmd_decode(args) -> int:
     primes = args.primes or stored_primes
     if not primes:
         raise errors.ParseError("no primes stored in the file and none given")
+    lengths = {len(vec) for vec in graph.d.values()}  # at most one, as graph_from_obj checks
+    if lengths - {len(primes)}:
+        raise errors.ParseError(f"{len(primes)} primes for dimension vectors of length "
+                                f"{lengths.pop()}")
     family = multitopo.decode(graph, primes)
     digest = serialize.write_canonical(args.output, serialize.family_to_obj(family))
     _summary("decode", [{"path": args.output, "sha256": digest}], {
@@ -109,6 +112,8 @@ def cmd_decode(args) -> int:
 
 def cmd_index(args) -> int:
     graph, _ = serialize.graph_from_obj(serialize.load_json(args.input))
+    if not graph.vertices:
+        raise errors.ParseError("the graph file lists no vertex to index")
     weights = ultraindex.default_distance_weights(graph)
     assign = padic.embed(ultraindex.graph_dendrogram(graph, weights))
     digest = serialize.write_canonical(args.output, serialize.index_to_obj(assign, weights))
@@ -190,12 +195,12 @@ def _join_components(vertices, weights: dict) -> dict:
     return {**weights, **{frozenset((heads[0], head)): join for head in heads[1:]}}
 
 
-def _spec_from_index(args, assign, weights) -> operators.KernelSpec:
+def _spec_from_index(bullet: str, alpha: float, assign, weights) -> operators.KernelSpec:
     """The kernel of one bullet, with only that bullet's base matrix built:
     the tree's ultrametric, the graph distances or the weighted adjacency."""
     dend = assign.dendrogram
     labels = dend.labels
-    bullet = operators.Bullet(args.bullet)
+    bullet = operators.Bullet(bullet)
     if bullet is operators.Bullet.ULTRAMETRIC:
         base = dend.delta_matrix().values
     elif bullet is operators.Bullet.GRAPH_DISTANCE:
@@ -206,13 +211,13 @@ def _spec_from_index(args, assign, weights) -> operators.KernelSpec:
         for e, wt in weights.items():
             u, v = tuple(e)
             base[pos[u], pos[v]] = base[pos[v], pos[u]] = wt
-    return operators.KernelSpec(bullet, args.alpha, labels, base)
+    return operators.KernelSpec(bullet, alpha, labels, base)
 
 
 def cmd_spectrum(args) -> int:
     assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
     disc = padic.discretize(assign, args.level)  # the cell count first, then the base matrix
-    spec = _spec_from_index(args, assign, weights)
+    spec = _spec_from_index(args.bullet, args.alpha, assign, weights)
     basis = spectra.full_basis(spec, disc, args.measure)
     residuals = np.array([r.residual for r in basis.records])
     lams = basis.eigenvalues()
@@ -234,19 +239,19 @@ def cmd_heat(args) -> int:
     heat.check_time(args.t)
     assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
     disc = padic.discretize(assign, args.level)
-    spec = _spec_from_index(args, assign, weights)
+    spec = _spec_from_index(args.bullet, args.alpha, assign, weights)
     table = heat.heat_kernel(spec, disc, args.t, args.measure)
     gen = operators.generator(spec, disc, args.measure)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap is raised below
         T, bound = heat.disc_semigroup(gen, disc, args.t)
-        gap = table.matrix * gen.measure[None, :]
-        gap -= T.matrix
+        gap = table * gen.measure[None, :]
+        gap -= T
         agreement = float(np.max(np.abs(gap, out=gap))) + bound
-        defect = T.row_sum_defect()
+        defect = float(np.max(np.abs(T.sum(axis=1) - 1.0)))
     if not math.isfinite(agreement + defect):  # both are >= 0, so only inf or NaN fails
         raise errors.CertificateFailed(f"heat certificates not finite: two-route gap "
                                        f"{agreement:g}, row-sum defect {defect:g}")
-    digest = serialize.matrix_export(args.output, table.matrix, {
+    digest = serialize.matrix_export(args.output, table, {
         "p": assign.p, "n": args.level, "bullet": args.bullet,
         "alpha": args.alpha, "measure": args.measure, "t": args.t,
     })
@@ -263,26 +268,21 @@ def cmd_bounds(args) -> int:
     disc = padic.discretize(assign, args.level)
     rng = np.random.default_rng(args.seed)
     if args.truncate is not None:
-        spec = _spec_from_index(args, assign, weights)
+        spec = _spec_from_index(args.bullet, args.alpha, assign, weights)
         u = rng.uniform(-1, 1, len(disc.cells))
         report = heat.truncation_bound(spec, disc, args.truncate, args.t, u)
         meta = {"mode": "truncate", "ell": args.truncate}
     else:
-        name_a, name_b = args.swap
-        args_a = argparse.Namespace(bullet=name_a, alpha=args.alpha)
-        args_b = argparse.Namespace(bullet=name_b, alpha=args.alpha)
-        spec_a = _spec_from_index(args_a, assign, weights)
-        spec_b = _spec_from_index(args_b, assign, weights)
+        spec_a, spec_b = (_spec_from_index(name, args.alpha, assign, weights) for name in args.swap)
         report = heat.kernel_swap_bound(spec_a, spec_b, disc, args.t)
-        meta = {"mode": "swap", "pair": [name_a, name_b]}
+        meta = {"mode": "swap", "pair": list(args.swap)}
     obj = {
         "measured_sup_error": report.measured_sup_error,
         "theoretical_bound": report.theoretical_bound,
         "tight_bound": report.tight_bound,
         "slack": report.slack,
         "volumes": report.volumes,
-        # left to right, which the builtin sum of Python >= 3.12 is not
-        "constants_sum": functools.reduce(operator.add, report.constants.values(), 0),
+        "constants_sum": report.constants_sum,
         **meta,
     }
     digest = serialize.write_canonical(args.output, obj)
@@ -298,7 +298,7 @@ def cmd_converge(args) -> int:
     assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
     rng = np.random.default_rng(args.seed)
     u0 = rng.uniform(-1, 1, padic.cell_count(assign, args.reference))
-    spec = _spec_from_index(args, assign, weights)
+    spec = _spec_from_index(args.bullet, args.alpha, assign, weights)
     rows = heat.convergence_study(spec, assign, u0, args.levels, args.tau, args.measure)
     text = "n\tgap\n" + "".join(f"{n}\t{gap:.17g}\n" for n, gap in rows)
     digest = serialize.write_text(args.output, text)

@@ -16,7 +16,8 @@ for a generator not self-adjoint under its measure.  Every routine
 over cells takes the ``CellDomain`` alone and reads the assignment and its
 tree measure from it; ``convergence_study`` builds its discretisations
 from the assignment it is given.  Every time must be finite and
-non-negative (``NegativeTime``).
+non-negative (``NegativeTime``).  ``heat_kernel`` and ``semigroup``
+return the N x N array, and ``disc_semigroup`` the pair (T2, bound).
 
 Certified bounds
 ----------------
@@ -45,7 +46,7 @@ constants or in the assembly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,39 +66,14 @@ from .spectra import ball_spectrum
 
 
 @dataclass(frozen=True)
-class SemigroupMatrix:
-    """T(t) = exp(t A): stochastic, contractive in sup-norm."""
-
-    t: float
-    matrix: np.ndarray
-
-    def row_sum_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix.sum(axis=1) - 1.0)))
-
-    def min_entry(self) -> float:
-        return float(self.matrix.min())
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
-
-
-@dataclass(frozen=True)
-class HeatKernelTable:
-    """Spectral heat kernel density p(t,x,y); symmetric, and p * measure is
-    the transition matrix."""
-
-    t: float
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class BoundReport:
+    """A certified bound, with the fields that ``bounds`` writes."""
+
     measured_sup_error: float
     theoretical_bound: float
     tight_bound: float
-    constants: dict
+    constants_sum: float
     volumes: dict
-    meta: dict = field(default_factory=dict)
     per_t_slack: float | None = None
 
     @property
@@ -193,7 +169,7 @@ def check_time(t: float, name: str = "t") -> None:
         raise NegativeTime(f"{name}={t} is not a finite time >= 0")
 
 
-def semigroup(A: GeneratorMatrix, t: float) -> SemigroupMatrix:
+def semigroup(A: GeneratorMatrix, t: float) -> np.ndarray:
     """exp(tA) via one N x N symmetrised eigendecomposition: the tests'
     oracle for ``disc_semigroup`` and the closed-form routes.  Every
     generator the library builds is self-adjoint under its measure; one
@@ -203,10 +179,10 @@ def semigroup(A: GeneratorMatrix, t: float) -> SemigroupMatrix:
     evals, vecs = weighted_symmetric_eig(A.matrix, A.measure)
     Q = vecs * d[:, None]  # orthonormal columns of the symmetrisation
     core = (Q * np.exp(t * evals)[None, :]) @ Q.T
-    return SemigroupMatrix(t, core * (d[None, :] / d[:, None]))
+    return core * (d[None, :] / d[:, None])
 
 
-def disc_semigroup(A: GeneratorMatrix, dom: CellDomain, t: float) -> tuple[SemigroupMatrix, float]:
+def disc_semigroup(A: GeneratorMatrix, dom: CellDomain, t: float) -> tuple[np.ndarray, float]:
     """exp(tA) of a generator assembled on a discretisation, through its K
     disc blocks of s = p^(n - m) cells, and a bound on its entrywise error.
 
@@ -262,16 +238,17 @@ def disc_semigroup(A: GeneratorMatrix, dom: CellDomain, t: float) -> tuple[Semig
     S /= d[:, None]
     lam_max = np.max(np.concatenate([w, wb.ravel()]))
     bound = t * delta * np.exp(t * np.maximum(0.0, lam_max + delta)) * (d.max() / d.min())
-    return SemigroupMatrix(t, S), float(bound)
+    return S, float(bound)
 
 
 def heat_kernel(spec: KernelSpec, dom: CellDomain, t: float,
-                measure: str = "haar") -> HeatKernelTable:
-    """p(t, x, y) = T(t)(x, y) / mu(y), with T(t) from the closed-form
-    pure-ball spectrum (``_BallEvolver.matrix``) and mu the cell measure."""
+                measure: str = "haar") -> np.ndarray:
+    """The N x N array p(t, x, y) = T(t)(x, y) / mu(y), with T(t) from the
+    closed-form pure-ball spectrum (``_BallEvolver.matrix``) and mu the
+    cell measure."""
     check_time(t)
     evolver = _BallEvolver(spec, dom, measure)
-    return HeatKernelTable(t, evolver.matrix(t) / _measure_vector(dom, measure)[None, :])
+    return evolver.matrix(t) / _measure_vector(dom, measure)[None, :]
 
 
 def solve_cauchy(spec: KernelSpec, dom: CellDomain, u0: np.ndarray, t: float,
@@ -297,20 +274,25 @@ def t_grid(t_max: float, points: int = 64) -> np.ndarray:
     return np.unique(np.concatenate([[0.0, t_max], interior]))
 
 
-def _mean_value_constants(alpha: float, pairs, vol_disc: float) -> tuple[dict, float]:
-    """alpha |a - b| / min(a,b)^(alpha+1), the derivative bound for x^-alpha,
-    for each ((w, v), a, b) of ``pairs``, and vol_disc times their sum.
-    A constant that is not a finite float raises RateOverflow."""
-    constants, csum = {}, 0.0
+def _mean_value_constants(alpha: float, pairs, vol_disc: float) -> tuple[float, float]:
+    """Sum alpha |a - b| / min(a,b)^(alpha+1), the derivative bound for
+    x^-alpha, over each ((w, v), a, b) of ``pairs`` from int 0, and vol_disc
+    times each from 0.0, both left to right (unlike Python 3.12's sum).  A
+    power beyond the float range is inf; a constant not finite raises RateOverflow."""
+    total, csum = 0, 0.0
     for key, a, b in pairs:
         if min(a, b) <= 0:
             raise BadKernel("mean-value constant needs positive rates on both sides")
-        power = min(a, b) ** (alpha + 1.0)
-        constants[key] = c = alpha * abs(a - b) / power if power > 0 else math.inf
+        try:
+            power = min(a, b) ** (alpha + 1.0)
+        except OverflowError:
+            power = math.inf
+        c = alpha * abs(a - b) / power if power > 0 else math.inf
         if not math.isfinite(c):
             raise RateOverflow(f"the mean-value constant of {key} overflows a float")
+        total += c
         csum += c * vol_disc
-    return constants, csum
+    return total, csum
 
 
 def truncation_bound(
@@ -341,7 +323,7 @@ def truncation_bound(
     vol_disc = float(assign.p) ** -assign.m
     labels, idx = assign.labels, spec.label_index()
     node_of = dict(zip(labels, dom.block_index[dom.leaf_start].tolist()))
-    constants, csum = _mean_value_constants(spec.alpha, (
+    constants_sum, csum = _mean_value_constants(spec.alpha, (
         ((w, v), padic_distance(assign.discs[w], assign.discs[v]), float(spec.base[idx[w], idx[v]]))
         for w in labels for v in labels if w != v and node_of[w] == node_of[v]
     ), vol_disc)
@@ -366,14 +348,13 @@ def truncation_bound(
         measured_sup_error=measured,
         theoretical_bound=proof_bound,
         tight_bound=tight_bound,
-        constants=constants,
+        constants_sum=constants_sum,
         volumes={
             "vol_z": dom.vol_z,
             "vol_filler": dom.vol_filler,
             "vol_disc": vol_disc,
             "max_cut_rate": max_cut_rate,
         },
-        meta={"ell": ell, "t_max": t_max, "bullet": spec.bullet.value, "alpha": spec.alpha},
         per_t_slack=per_t_slack,
     )
     if not report.slack >= -1e-9:
@@ -402,27 +383,21 @@ def kernel_swap_bound(
     alpha = spec_a.alpha
     idx = spec_a.label_index()
     vol_disc = float(disc.p) ** -disc.assignment.m
-    constants, csum = _mean_value_constants(alpha, (
+    constants_sum, csum = _mean_value_constants(alpha, (
         ((w, v), float(spec_a.base[idx[w], idx[v]]), float(spec_b.base[idx[w], idx[v]]))
         for w in spec_a.labels for v in spec_a.labels if w != v
     ), vol_disc)
 
     Ta = _BallEvolver(spec_a, disc).matrix(t)
-    Tb = _BallEvolver(spec_b, disc).matrix(t)
-    measured = float(np.max(np.abs(Ta - Tb).sum(axis=1)))
+    Ta -= _BallEvolver(spec_b, disc).matrix(t)
+    measured = float(np.max(np.abs(Ta, out=Ta).sum(axis=1)))
     bound = 2.0 * t * csum
     report = BoundReport(
         measured_sup_error=measured,
         theoretical_bound=bound,
         tight_bound=bound,
-        constants=constants,
+        constants_sum=constants_sum,
         volumes={"vol_disc": vol_disc},
-        meta={
-            "t": t,
-            "bullet_a": spec_a.bullet.value,
-            "bullet_b": spec_b.bullet.value,
-            "alpha": alpha,
-        },
     )
     if not report.slack >= -1e-9:
         raise BoundViolated(

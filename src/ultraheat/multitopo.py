@@ -46,6 +46,15 @@ def is_prime(k: int) -> bool:
     return True
 
 
+def _check_primes(primes: tuple) -> None:
+    """Raise DuplicatePrime or NotPrime unless the primes are distinct primes."""
+    if len(set(primes)) != len(primes):
+        raise DuplicatePrime(f"primes collide: {primes}")
+    for p in primes:
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+
+
 def first_primes(n: int) -> tuple[int, ...]:
     """The first n primes 2, 3, 5, ... (used for default assignments)."""
     out: list[int] = []
@@ -114,11 +123,7 @@ class TopologyFamily:
         ``chain_lengths``, which the cycle check computes anyway."""
         if len(self.primes) != len(self.dags):
             raise ValueError("one prime per topology required")
-        if len(set(self.primes)) != len(self.primes):
-            raise DuplicatePrime(f"primes collide: {self.primes}")
-        for p in self.primes:
-            if not is_prime(p):
-                raise NotPrime(f"{p} is not prime")
+        _check_primes(self.primes)
         vset = set(self.vertex_ids)
         lengths = []
         for i, dag in enumerate(self.dags):
@@ -171,14 +176,14 @@ def encode(family: TopologyFamily) -> WeightedMultiGraph:
 def decode(g: WeightedMultiGraph, primes: Sequence[int]) -> TopologyFamily:
     """Recover the exact original family from its weighted-graph encoding.
 
-    Each edge weight is divided once by every listed prime; any residue
-    signals a factor outside the alphabet.  Orientation of edge e in
+    The primes must be distinct primes (DuplicatePrime, NotPrime).  Each
+    edge weight is divided once by every listed prime; any residue signals
+    a factor outside the alphabet.  Orientation of edge e in
     topology i points from the endpoint with the larger dimension d_i to
     the smaller; equal dimensions cannot arise from a valid encoding.
     """
     primes = tuple(primes)
-    if len(set(primes)) != len(primes):
-        raise DuplicatePrime(f"primes collide: {primes}")
+    _check_primes(primes)
     dags: list[set] = [set() for _ in primes]
     for e in sorted(g.edges, key=lambda e: tuple(sorted(map(str, e)))):
         u, v = sorted(e, key=str)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DisconnectedGraph, OutputError, ParseError
-from .multitopo import TopologyFamily, WeightedMultiGraph
+from .multitopo import TopologyFamily, WeightedMultiGraph, first_primes
 from .padic import DiscAssignment, embed
 from .toposort import Dag
 from .ultraindex import graph_dendrogram
@@ -201,20 +201,40 @@ def family_to_obj(family: TopologyFamily) -> dict:
 
 
 def family_from_obj(obj) -> TopologyFamily:
+    """Read a family file, checked before any encode work: a ParseError
+    unless the vertices are JSON keys (str, number, bool or null) distinct
+    both as values and as text (the graph file names a vertex by its
+    ``str``), every edge is a list of two listed vertices, and the primes,
+    if given, are one int per topology."""
     try:
-        vertices = tuple(obj["vertices"])
-        topologies = obj["topologies"]
-        dags = tuple(
-            frozenset(tuple(edge) for edge in topo["edges"]) for topo in topologies
-        )
-        primes = tuple(obj.get("primes") or ())
+        vertices, topologies, primes = obj["vertices"], obj["topologies"], obj.get("primes") or []
+        if type(topologies) is not list:
+            raise TypeError("topologies must be a list")
+        edge_lists = [topo["edges"] for topo in topologies]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed family file: {exc}") from exc
-    if not primes:
-        from .multitopo import first_primes
-
-        primes = first_primes(len(dags))
-    return TopologyFamily(vertices, dags, primes)
+    if not all(type(x) is list for x in (vertices, primes, *edge_lists)):
+        raise ParseError("malformed family file: vertices, edges and primes must be lists")
+    for v in vertices:
+        if type(v) not in _LEAF_TEXT:
+            raise ParseError(f"malformed family file: the vertex {v!r} is not a JSON key")
+    type_of = {v: type(v) for v in vertices}  # an edge end is a vertex of the same type
+    if not len(type_of) == len(set(map(str, vertices))) == len(vertices):
+        raise ParseError("malformed family file: a vertex is listed twice, as a value or as text")
+    for i, edges in enumerate(edge_lists):
+        for edge in edges:
+            if not (type(edge) is list and len(edge) == 2
+                    and type(edge[0]) in _LEAF_TEXT and type_of.get(edge[0]) is type(edge[0])
+                    and type(edge[1]) in _LEAF_TEXT and type_of.get(edge[1]) is type(edge[1])):
+                raise ParseError(f"malformed family file: the edge {edge!r} of topology {i} "
+                                 "is not a pair of listed vertices")
+    if primes and len(primes) != len(edge_lists):
+        raise ParseError(f"malformed family file: {len(primes)} primes for "
+                         f"{len(edge_lists)} topologies")
+    if any(type(p) is not int for p in primes):
+        raise ParseError(f"malformed family file: the primes {primes!r} are not all integers")
+    dags = [frozenset(map(tuple, edges)) for edges in edge_lists]
+    return TopologyFamily(vertices, dags, primes or first_primes(len(dags)))
 
 
 # --- weighted graphs -----------------------------------------------------------
@@ -237,18 +257,42 @@ def graph_to_obj(g: WeightedMultiGraph, primes=None) -> dict:
 
 
 def graph_from_obj(obj) -> tuple[WeightedMultiGraph, tuple]:
+    """Read a graph file and its stored primes (empty when it stores
+    none): a ParseError unless the vertices are distinct and each has a
+    dimension vector of ints in ``d``, every edge joins two distinct
+    listed vertices with an int weight of at least 1, and the vectors
+    share one length, that of the primes when the file stores any."""
     try:
-        vertices = tuple(obj["vertices"])
+        vertices, records, dims = obj["vertices"], obj["edges"], obj["d"]
+        primes = obj.get("primes") or []
+        if not (type(vertices) is type(records) is type(primes) is list and type(dims) is dict):
+            raise TypeError("vertices, edges and primes must be lists and d an object")
+        d = {v: dims[v] for v in vertices}  # d's keys are strings, so the vertices are too
         w = {}
-        for rec in obj["edges"]:
-            u, v = rec["ends"]
-            w[frozenset((u, v))] = int(rec["w"])
-        d = {v: tuple(obj["d"][v]) for v in vertices}
-        primes = tuple(obj.get("primes") or ())
-    except (KeyError, TypeError, ValueError) as exc:
+        for rec in records:
+            ends, weight = rec["ends"], rec["w"]
+            if not (type(ends) is list and len(ends) == 2 and type(ends[0]) is str
+                    and type(ends[1]) is str and ends[0] != ends[1]
+                    and ends[0] in d and ends[1] in d):
+                raise ParseError(f"malformed graph file: the ends {ends!r} are not two "
+                                 "distinct listed vertices")
+            if type(weight) is not int or weight < 1:
+                raise ParseError(f"malformed graph file: the weight {weight!r} of {ends!r} "
+                                 "is not an integer at least 1")
+            w[frozenset(ends)] = weight
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed graph file: {exc}") from exc
-    g = WeightedMultiGraph(vertices, frozenset(w), w, d)
-    return g, primes
+    if len(d) != len(vertices):
+        raise ParseError("malformed graph file: a vertex is listed twice")
+    if any(type(p) is not int for p in primes):
+        raise ParseError(f"malformed graph file: the primes {primes!r} are not all integers")
+    if not all(type(vec) is list and set(map(type, vec)) <= {int} for vec in d.values()):
+        raise ParseError("malformed graph file: a dimension vector is not a list of integers")
+    if len({len(vec) for vec in d.values()} | ({len(primes)} if primes else set())) > 1:
+        raise ParseError("malformed graph file: the dimension vectors and the primes "
+                         "differ in length")
+    dims = {v: tuple(vec) for v, vec in d.items()}
+    return WeightedMultiGraph(tuple(vertices), frozenset(w), w, dims), tuple(primes)
 
 
 # --- DAG files -------------------------------------------------------------------

@@ -8,7 +8,8 @@ integers with a min-rank heap, so ties go to the smallest label under
 The minimal cluster of each seed (the smallest non-singleton ball of the
 index around it) is sorted on its own, then the whole DAG is sorted in
 one Kahn pass over its edges plus the successive-pair chain of every
-cluster order.
+cluster order.  Every sort and merge returns its order as a plain tuple
+of labels.
 
 Locally valid cluster orders can still be jointly incompatible (the
 chains may close a cycle against edges through outside vertices); the
@@ -71,16 +72,6 @@ class Dag:
             raise ValueError(f"{exc.args[0]!r} is not a vertex of the DAG") from None
 
 
-@dataclass(frozen=True)
-class SortedCluster:
-    members: frozenset
-    order: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        object.__setattr__(self, "order", tuple(self.order))
-
-
 def _kahn(dag: Dag, succ: Sequence, indeg: list, ranks: Collection[int]) -> tuple:
     """Kahn's algorithm over ``ranks``: pop the smallest rank of indegree
     0, then decrement ``indeg`` (consumed) along ``succ``.  A successor
@@ -116,10 +107,11 @@ def kahn_sort(dag: Dag, members=None) -> tuple:
     return _kahn(dag, dag.succ, indeg, ranks)
 
 
-def merge_sorted_clusters(dag: Dag, *clusters: SortedCluster) -> SortedCluster:
-    """Kahn sort of the whole DAG under its edges plus every cluster's
-    order chain (the successive-pair edges of its order).  A vertex in no
-    cluster is bound by the DAG's edges alone.
+def merge_sorted_clusters(dag: Dag, *orders: Sequence) -> tuple:
+    """Kahn sort of the whole DAG under its edges plus the chain of every
+    cluster order (the successive-pair edges of the order), returned as
+    one tuple of labels.  A vertex in no cluster is bound by the DAG's
+    edges alone.
 
     When the chains conflict with each other or with the DAG's edges the
     combined relation is cyclic and CycleDetected is raised; the orders
@@ -127,12 +119,12 @@ def merge_sorted_clusters(dag: Dag, *clusters: SortedCluster) -> SortedCluster:
     """
     succ = list(dag.succ)
     indeg = list(dag.indegree)
-    for cluster in clusters:
-        ranks = dag.ranks(cluster.order)
+    for order in orders:
+        ranks = dag.ranks(order)
         for i, j in zip(ranks, ranks[1:]):
             succ[i] += (j,)
             indeg[j] += 1
-    return SortedCluster(dag.vertices, _kahn(dag, succ, indeg, range(len(succ))))
+    return _kahn(dag, succ, indeg, range(len(succ)))
 
 
 def parallel_toposort(dag: Dag, dend: Dendrogram, seeds: Sequence, parallelism: int = 1) -> tuple:
@@ -157,8 +149,8 @@ def parallel_toposort(dag: Dag, dend: Dendrogram, seeds: Sequence, parallelism: 
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     members = {minimal_cluster(dend, x) for x in seeds}
-    clusters = [SortedCluster(m, kahn_sort(dag, m)) for m in members]
+    orders = [kahn_sort(dag, m) for m in members]
     try:
-        return merge_sorted_clusters(dag, *clusters).order
+        return merge_sorted_clusters(dag, *orders)
     except CycleDetected:
         return kahn_sort(dag)

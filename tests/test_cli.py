@@ -7,9 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ultraheat import heat, multitopo, spectra, toposort
-from ultraheat.cli import main
+from ultraheat.cli import EXIT_CODES, main
 from ultraheat.serialize import canonical_dumps
 
 from conftest import LOW_BRANCHING_FAMILY
@@ -21,6 +22,13 @@ FAMILY = {
         {"edges": [["a", "b"]]},
         {"edges": [["a", "b"], ["b", "c"]]},
     ],
+    "primes": [2, 3],
+}
+
+GRAPH = {  # FAMILY encoded, with its primes
+    "vertices": ["a", "b", "c"],
+    "edges": [{"ends": ["a", "b"], "w": 6}, {"ends": ["b", "c"], "w": 3}],
+    "d": {"a": [1, 2], "b": [0, 1], "c": [0, 0]},
     "primes": [2, 3],
 }
 
@@ -173,6 +181,136 @@ def test_a_dag_file_over_other_vertices_is_a_parse_error(tmp_path, capsys, dag_o
     assert err["error"] == "ParseError" and err["exit"] == 2
     assert detail in err["detail"]
     assert not out.exists()
+
+
+def assert_one_error_line(capsys, code):
+    """The run printed exactly one JSON error line, with its exit code."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])
+    assert err["exit"] == code
+    return err
+
+
+@pytest.mark.parametrize("argv, obj, detail", [
+    (["encode"], {**FAMILY, "vertices": ["a", "b", "a", "c"]}, "listed twice"),
+    (["encode"], {**FAMILY, "vertices": ["a", "b", "c", 1, "1"]}, "listed twice"),
+    (["encode"], {**FAMILY, "vertices": ["a", "b", ["c"]]}, "is not a JSON key"),
+    (["encode"], {**FAMILY, "topologies": [{"edges": [["a"]]}, {"edges": []}]},
+     "['a'] of topology 0 is not a pair of listed vertices"),
+    (["encode"], {**FAMILY, "topologies": [{"edges": []}, {"edges": [["a", "z"]]}]},
+     "['a', 'z'] of topology 1 is not a pair of listed vertices"),
+    (["encode"], {**FAMILY, "primes": [2]}, "1 primes for 2 topologies"),
+    (["encode"], {**FAMILY, "primes": [2, "x"]}, "are not all integers"),
+    (["encode"], {**FAMILY, "primes": [2, 2.5]}, "are not all integers"),
+    (["index"], {**GRAPH, "vertices": ["a", "b", "c", "a"]}, "a vertex is listed twice"),
+    (["decode"], {**GRAPH, "edges": [{"ends": ["a", "z"], "w": 6}]},
+     "are not two distinct listed vertices"),
+    (["index"], {**GRAPH, "edges": [{"ends": ["a", "z"], "w": 6}]},
+     "are not two distinct listed vertices"),
+    (["index"], {**GRAPH, "edges": [{"ends": ["a", "a"], "w": 6}]},
+     "are not two distinct listed vertices"),
+    (["index"], {**GRAPH, "edges": [{"ends": ["a", "b"], "w": 0}]}, "not an integer at least 1"),
+    (["decode", "--primes", "2,3"], {**GRAPH, "d": {"a": [1], "b": [0], "c": [0]}, "primes": []},
+     "2 primes for dimension vectors of length 1"),
+    (["decode"], {**GRAPH, "d": {"a": [1, 2], "b": [0], "c": [0, 0]}}, "differ in length"),
+    (["decode"], {**GRAPH, "d": {"a": [1, 2], "b": [0, "1"], "c": [0, 0]}},
+     "is not a list of integers"),
+    (["index"], {"vertices": [], "edges": [], "d": {}}, "lists no vertex"),
+])
+def test_a_malformed_family_or_graph_file_is_a_parse_error(tmp_path, capsys, argv, obj, detail):
+    """A family or graph file that breaks its schema exits 2 before any
+    encode, decode or index work: one JSON error line and no output file."""
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    write(path, obj)
+    assert main([argv[0], "--input", str(path), "--output", str(out), *argv[1:]]) == 2
+    err = assert_one_error_line(capsys, 2)
+    assert err["error"] == "ParseError" and detail in err["detail"]
+    assert not out.exists()
+
+
+def test_decode_refuses_a_prime_that_is_not_prime(tmp_path, capsys):
+    """`decode --primes 2,0` exits 4 (NotPrime), where `residue % 0` was a
+    ZeroDivisionError traceback."""
+    path, out = tmp_path / "graph.json", tmp_path / "out.json"
+    write(path, GRAPH)
+    assert main(["decode", "--input", str(path), "--output", str(out), "--primes", "2,0"]) == 4
+    assert assert_one_error_line(capsys, 4)["error"] == "NotPrime"
+    assert not out.exists()
+
+
+def _json_paths(obj, path=()):
+    """The path of every value inside a JSON value, its own () included."""
+    yield path
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = enumerate(obj) if isinstance(obj, list) else ()
+    for key, item in items:
+        yield from _json_paths(item, (*path, key))
+
+
+# one value of each JSON type; a path's wrong values are those of another type
+# than its own, and never a falsy one for "primes", whose absence is valid
+WRONG_TYPES = [None, True, 7, 2.5, "x", [["x"]], {"x": 1}]
+
+
+@st.composite
+def broken_file(draw):
+    """A family or graph file broken in one place, and the subcommands
+    that must refuse it."""
+    kind = draw(st.sampled_from(["family", "graph"]))
+    obj = json.loads(json.dumps(draw(st.sampled_from(
+        [FAMILY, LOW_BRANCHING_FAMILY] if kind == "family" else [GRAPH]))))
+    if kind == "family":
+        commands, edges = ["encode"], [e for t in obj["topologies"] for e in t["edges"]]
+    else:
+        commands, edges = ["decode", "index"], [rec["ends"] for rec in obj["edges"]]
+    breakage = draw(st.sampled_from(["repeated vertex", "unknown end", "bad prime", "wrong type"]
+                                    + (["short vector", "bad weight"] if kind == "graph" else [])))
+    if breakage == "repeated vertex":
+        obj["vertices"].append(draw(st.sampled_from(obj["vertices"])))
+    elif breakage == "unknown end":
+        draw(st.sampled_from(edges))[draw(st.integers(0, 1))] = "zz"
+    elif breakage == "bad prime":
+        i = draw(st.integers(0, len(obj["primes"]) - 1))  # every base holds two primes or more
+        obj["primes"][i] = draw(st.sampled_from([0, 1, -3, 4, 2.5, "x", None, True,
+                                                 obj["primes"][i - 1]]))
+        if kind == "graph":
+            commands = ["decode"]  # index reads no prime
+    elif breakage == "short vector":
+        obj["d"][draw(st.sampled_from(obj["vertices"]))].pop()
+    elif breakage == "bad weight":
+        draw(st.sampled_from(obj["edges"]))["w"] = draw(st.sampled_from(
+            [0, -1, 2.5, "6", None, True, [6]]))
+    else:
+        root = {"file": obj}  # a holder, so that the file itself has a parent
+        *keys, last = ("file", *draw(st.sampled_from(list(_json_paths(obj)))))
+        parent = root
+        for key in keys:
+            parent = parent[key]
+        wrong = [v for v in WRONG_TYPES if type(v) is not type(parent[last])
+                 and not (last == "primes" and not v)]
+        parent[last] = draw(st.sampled_from(wrong))
+        obj = root["file"]
+    return obj, commands
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=broken_file())
+def test_a_broken_family_or_graph_file_exits_with_a_listed_code(tmp_path, capsys, case):
+    """Every family or graph file broken in one place makes `encode`,
+    `decode` and `index` return a code of EXIT_CODES with one JSON error
+    line and no output file: no exception escapes main."""
+    obj, commands = case
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    for command in commands:
+        code = main([command, "--input", str(path), "--output", str(out)])
+        assert code in EXIT_CODES.values(), (command, obj)
+        assert_one_error_line(capsys, code)
+        assert not out.exists()
 
 
 def test_spectrum_subcommand(tmp_path, capsys):
@@ -1075,20 +1213,6 @@ def test_a_subnormal_time_still_gets_a_grid(tmp_path, capsys):
     assert main(["converge", "--input", str(index), "--output", str(tmp_path / "c.tsv"),
                  "--bullet", "ultrametric", "--levels", "4,5", "--reference", "5",
                  "--tau", "1e-320"]) == 0
-    capsys.readouterr()
-
-
-def test_bounds_constants_sum_runs_left_to_right(tmp_path, capsys, monkeypatch):
-    """1 + 1e-16 + 1e-16 is 1.0 summed left to right, but 1 + 2^-52 under
-    math.fsum (and the builtin sum of Python >= 3.12)."""
-    constants = {("a", "b"): 1.0, ("a", "c"): 1e-16, ("b", "c"): 1e-16}
-    report = heat.BoundReport(0.0, 1.0, 1.0, constants, {})
-    monkeypatch.setattr(heat, "truncation_bound", lambda *args: report)
-    index = index_fixture(tmp_path)
-    out = tmp_path / "bounds.json"
-    assert main(["bounds", "--input", str(index), "--output", str(out), "--level", "4",
-                 "--truncate", "1"]) == 0
-    assert json.loads(out.read_text())["constants_sum"] == 1.0 != math.fsum(constants.values())
     capsys.readouterr()
 
 

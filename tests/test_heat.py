@@ -6,6 +6,7 @@ tail summation against projection errors.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from ultraheat import (
     truncation_bound,
 )
 from ultraheat.errors import NegativeTime
-from ultraheat.heat import _BallEvolver, embed_piecewise, project_pointwise, t_grid
+from ultraheat.heat import (_BallEvolver, _mean_value_constants, embed_piecewise,
+                            project_pointwise, t_grid)
 from ultraheat.operators import GeneratorMatrix, cut_nodes
 
 from conftest import (
@@ -62,7 +64,7 @@ def two_state_generator(rate=1.5, vol=0.5):
 def test_semigroup_identity_at_zero():
     gen = two_state_generator()
     T = semigroup(gen, 0.0)
-    assert np.allclose(T.matrix, np.eye(2), atol=1e-14)
+    assert np.allclose(T, np.eye(2), atol=1e-14)
 
 
 def test_semigroup_two_state_closed_form():
@@ -71,8 +73,8 @@ def test_semigroup_two_state_closed_form():
     for t in (0.1, 1.0, 3.0):
         T = semigroup(gen, t)
         off = (1.0 - np.exp(-2 * rate * vol * t)) / 2.0
-        assert T.matrix[0, 1] == pytest.approx(off, abs=1e-12)
-        assert T.matrix[1, 0] == pytest.approx(off, abs=1e-12)
+        assert T[0, 1] == pytest.approx(off, abs=1e-12)
+        assert T[1, 0] == pytest.approx(off, abs=1e-12)
 
 
 def test_semigroup_negative_time():
@@ -85,14 +87,14 @@ def test_semigroup_law_and_stochasticity():
     disc = discretize(assign, assign.m + 1)
     gen = generator(spec, disc, "haar")
     for s, t in ((0.1, 0.4), (0.5, 0.5), (1.0, 2.0)):
-        Ts, Tt, Tst = (semigroup(gen, x).matrix for x in (s, t, s + t))
+        Ts, Tt, Tst = (semigroup(gen, x) for x in (s, t, s + t))
         assert np.max(np.abs(Ts @ Tt - Tst)) < 1e-9
     for t in (0.01, 0.1, 1.0, 10.0):
         T = semigroup(gen, t)
-        assert T.row_sum_defect() < 1e-10
-        assert T.min_entry() > -1e-12
+        assert np.max(np.abs(T.sum(axis=1) - 1.0)) < 1e-10
+        assert T.min() > -1e-12
         u = np.linspace(-1, 1, len(disc.cells))
-        assert np.max(np.abs(T.apply(u))) <= np.max(np.abs(u)) + 1e-10
+        assert np.max(np.abs(T @ u)) <= np.max(np.abs(u)) + 1e-10
 
 
 def test_two_route_agreement_all_combinations():
@@ -113,10 +115,10 @@ def test_two_route_agreement_all_combinations():
             for t in (0.1, 1.0):
                 T = semigroup(gen, t)
                 table = heat_kernel(spec, disc, t, measure)
-                transition = table.matrix * gen.measure[None, :]
-                assert np.max(np.abs(transition - T.matrix)) < 1e-9
+                transition = table * gen.measure[None, :]
+                assert np.max(np.abs(transition - T)) < 1e-9
                 # detailed balance of the transition matrix
-                weighted = gen.measure[:, None] * T.matrix
+                weighted = gen.measure[:, None] * T
                 assert np.max(np.abs(weighted - weighted.T)) < 1e-12
 
 
@@ -125,7 +127,7 @@ def test_heat_kernel_t0_is_reproducing_kernel():
     disc = discretize(assign, assign.m + 1)
     table = heat_kernel(spec, disc, 0.0)
     gen = generator(spec, disc, "haar")
-    assert np.allclose(table.matrix * gen.measure[None, :], np.eye(len(disc.cells)), atol=1e-10)
+    assert np.allclose(table * gen.measure[None, :], np.eye(len(disc.cells)), atol=1e-10)
 
 
 def test_heat_kernel_long_time_reaches_stationarity():
@@ -137,7 +139,7 @@ def test_heat_kernel_long_time_reaches_stationarity():
     t = 40.0 / gap
     table = heat_kernel(spec, disc, t, "nu")
     # stationary density of the nu-generator is constant 1
-    assert np.max(np.abs(table.matrix - 1.0)) < 1e-8
+    assert np.max(np.abs(table - 1.0)) < 1e-8
 
 
 def test_solve_cauchy_examples():
@@ -161,7 +163,7 @@ def test_solve_cauchy_examples():
         current = float(np.max(np.abs(out)))
         assert current <= previous + 1e-10
         previous = current
-        assert np.allclose(out, semigroup(gen, t).matrix @ u0, atol=1e-9)
+        assert np.allclose(out, semigroup(gen, t) @ u0, atol=1e-9)
 
 
 def test_truncation_bound_three_leaf():
@@ -244,6 +246,24 @@ def test_swap_bound_random_graphs():
         for t in (0.1, 1.0, 5.0):
             report = kernel_swap_bound(de_spec, delta_spec, disc, t)
             assert report.slack >= -1e-9
+
+
+def test_bounds_constants_sum_runs_left_to_right():
+    """1 + 1e-16 + 1e-16 is 1.0 summed left to right, but 1 + 2^-52 under
+    math.fsum (and the builtin sum of Python >= 3.12).  At alpha = 1 the
+    pairs' constants are |a - b| / min(a, b)^2: 1.0, 1e-16 and 1e-16."""
+    pairs = [(("a", "b"), 1.0, 2.0), (("a", "c"), 1e8, 1e8 + 1), (("b", "c"), 1e8, 1e8 + 1)]
+    constants_sum, csum = _mean_value_constants(1.0, pairs, 1.0)
+    assert constants_sum == csum == 1.0 != math.fsum([1.0, 1e-16, 1e-16])
+    empty = _mean_value_constants(1.0, [], 0.5)
+    assert empty == (0, 0.0) and type(empty[0]) is int
+
+
+def test_mean_value_constant_of_an_overflowing_power_is_zero():
+    """min(a, b)^(alpha + 1) = 2^2001 is beyond the float range, where
+    Python's float power raises OverflowError: the power is inf and the
+    constant 0.0."""
+    assert _mean_value_constants(2000.0, [(("a", "b"), 2.0, 3.0)], 1.0) == (0.0, 0.0)
 
 
 def test_convergence_exact_once_u0_locally_constant():
@@ -348,7 +368,7 @@ def test_evolver_matches_expm_fallback():
 
     gen = two_state_generator(2.0, 0.25)
     for t in (0.0, 0.3, 2.0):
-        eig_route = semigroup(gen, t).matrix
+        eig_route = semigroup(gen, t)
         pade_route = scipy.linalg.expm(t * gen.matrix)
         assert np.max(np.abs(eig_route - pade_route)) < 1e-12
 
@@ -532,7 +552,7 @@ def test_evolver_grid_columns_equal_single_applications():
     for k, t in enumerate(grid):
         single = ev.apply(u, t)
         assert np.array_equal(columns[:, k], single)
-        assert np.allclose(single, semigroup(gen, t).matrix @ u, atol=1e-12)
+        assert np.allclose(single, semigroup(gen, t) @ u, atol=1e-12)
 
 
 def test_evolver_at_time_zero_returns_u_itself():
@@ -625,7 +645,7 @@ def test_ball_evolver_matches_the_dense_semigroup(p, alpha, bullet, seed, leaves
         sup_u = max(1.0, float(np.max(np.abs(u))))
         for k, t in enumerate(grid):
             tol = max(1e-12, 4 * np.finfo(float).eps * norm * t) * sup_u
-            assert np.max(np.abs(columns[:, k] - semigroup(gen, t).matrix @ u)) <= tol
+            assert np.max(np.abs(columns[:, k] - semigroup(gen, t) @ u)) <= tol
 
 
 @settings(max_examples=15, deadline=None)
@@ -663,8 +683,8 @@ def test_closed_form_kernel_and_swap_match_the_dense_semigroup(p, alpha, t, seed
         for measure in ("haar", "nu"):
             for spec in specs:
                 gen = generator(spec, disc, measure)
-                table = heat_kernel(spec, disc, t, measure).matrix
-                gap = np.max(np.abs(table * gen.measure[None, :] - semigroup(gen, t).matrix))
+                table = heat_kernel(spec, disc, t, measure)
+                gap = np.max(np.abs(table * gen.measure[None, :] - semigroup(gen, t)))
                 assert gap <= tolerance(gen)
                 identity = _BallEvolver(spec, disc, measure).matrix(0.0)
                 assert np.array_equal(identity, np.eye(len(disc)))
@@ -711,7 +731,7 @@ def test_disc_semigroup_matches_the_dense_semigroup(p, alpha, t, seed, leaves):
                 gen = generator(spec, disc, measure)
                 T, bound = disc_semigroup(gen, disc, t)
                 tol = _oracle_tolerance(gen, t)
-                assert np.max(np.abs(T.matrix - semigroup(gen, t).matrix)) <= tol
+                assert np.max(np.abs(T - semigroup(gen, t))) <= tol
                 assert 0.0 <= bound <= tol
 
 
@@ -757,8 +777,8 @@ def test_disc_semigroup_bound_covers_a_generator_that_is_not_lumpable(
         A[j, j] -= change * mu[i] / mu[j]
     changed = GeneratorMatrix(A, mu)
     T, bound = disc_semigroup(changed, disc, t)
-    dense = semigroup(changed, t).matrix
-    assert np.max(np.abs(T.matrix - dense)) <= bound + _oracle_tolerance(changed, t)
+    dense = semigroup(changed, t)
+    assert np.max(np.abs(T - dense)) <= bound + _oracle_tolerance(changed, t)
 
 
 def test_disc_semigroup_refuses_a_truncated_domain():

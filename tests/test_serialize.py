@@ -209,7 +209,7 @@ def test_matrix_export_holds_less_than_the_text(tmp_path):
     disc = discretize(assign, assign.m + 3)
     spec = KernelSpec(Bullet.GRAPH_DISTANCE, 1.0, assign.labels,
                       graph_distances(assign.labels, weights).values)
-    table = heat_kernel(spec, disc, 0.5).matrix
+    table = heat_kernel(spec, disc, 0.5)
     assert table.shape == (324, 324)
     path = tmp_path / "kernel.txt"
     tracemalloc.start()

@@ -633,7 +633,7 @@ def test_full_basis_disc_blocks_equal_the_dense_products(p, alpha, bullet, seed,
             factored = np.array([r.residual for r in basis.records])
             assert np.all(np.abs(factored - dense) <= rounding_bound(gen, psi, lams))
 
-            table = heat_kernel(spec, disc, t, measure).matrix
+            table = heat_kernel(spec, disc, t, measure)
             expected = ((psi * np.exp(t * lams)[None, :]) @ psi.conj().T).real
             assert np.max(np.abs(table - expected)) <= 1e-12 * np.max(np.abs(expected))
 

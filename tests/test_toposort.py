@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from ultraheat import (
     Dag,
-    SortedCluster,
     build_dendrogram,
     kahn_sort,
     merge_sorted_clusters,
@@ -81,24 +80,24 @@ def test_cluster_sort_trivial_index_covers_everything():
 
 def test_merge_with_cross_edge():
     dag = Dag(("a", "b", "c"), {("c", "a")})
-    left = SortedCluster(frozenset(("a", "b")), ("a", "b"))
-    right = SortedCluster(frozenset(("c",)), ("c",))
+    left = ("a", "b")
+    right = ("c",)
     merged = merge_sorted_clusters(dag, left, right)
-    assert merged.order == ("c", "a", "b")
+    assert merged == ("c", "a", "b")
 
 
 def test_merge_disjoint_no_cross_edges_interleaves_by_label():
     dag = Dag(("a", "b", "c", "d"), frozenset())
-    left = SortedCluster(frozenset(("b", "d")), ("b", "d"))
-    right = SortedCluster(frozenset(("a", "c")), ("a", "c"))
+    left = ("b", "d")
+    right = ("a", "c")
     merged = merge_sorted_clusters(dag, left, right)
-    assert merged.order == ("a", "b", "c", "d")
+    assert merged == ("a", "b", "c", "d")
 
 
 def test_merge_conflicting_chains_raises():
     dag = Dag(("a", "b", "c"), {("b", "c")})
-    left = SortedCluster(frozenset(("a", "c")), ("c", "a"))
-    right = SortedCluster(frozenset(("a", "b")), ("a", "b"))
+    left = ("c", "a")
+    right = ("a", "b")
     with pytest.raises(CycleDetected):
         merge_sorted_clusters(dag, left, right)
 
@@ -110,17 +109,17 @@ def test_merge_refines_both_input_orders():
         verts = sorted(dag.vertices)
         left = frozenset(verts[:6])
         right = frozenset(verts[6:])
-        sl = SortedCluster(left, kahn_sort(dag, left))
-        sr = SortedCluster(right, kahn_sort(dag, right))
+        sl = kahn_sort(dag, left)
+        sr = kahn_sort(dag, right)
         try:
             merged = merge_sorted_clusters(dag, sl, sr)
         except CycleDetected:
             continue
-        pos = {v: i for i, v in enumerate(merged.order)}
+        pos = {v: i for i, v in enumerate(merged)}
         for sc in (sl, sr):
-            for u, v in zip(sc.order, sc.order[1:]):
+            for u, v in zip(sc, sc[1:]):
                 assert pos[u] < pos[v]
-        assert merged.members == frozenset(dag.vertices)
+        assert frozenset(merged) == frozenset(dag.vertices)
         for u, v in dag.edges:
             assert pos[u] < pos[v]
 
@@ -286,7 +285,7 @@ def test_parallel_toposort_equals_the_reference_sort(data):
     if dag.edges:
         u, v = min(dag.edges)
         with pytest.raises(CycleDetected):
-            merge_sorted_clusters(dag, SortedCluster((u, v), (v, u)))
+            merge_sorted_clusters(dag, (v, u))
     assert parallel_toposort(dag, dend, seeds, parallelism=2) == order
     assert kahn_sort(dag, members) == part
     assert kahn_sort(dag) == full
