@@ -34,12 +34,10 @@ from .padic import (
 )
 from .spectra import (
     EigenBasis,
-    EigenPair,
     full_basis,
     kozyrev_eigenvalue,
     kozyrev_local_eigenvalue,
     kozyrev_wavelet,
-    laplacian_block_modes,
     ultrametric_eigenvalue,
     ultrametric_wavelet,
     verify_eigenpair,

@@ -227,7 +227,7 @@ def cmd_spectrum(args) -> int:
             f"1e-9 or not finite (largest {np.max(residuals):g}), {bad[1]} eigenvalues not finite")
     digest = serialize.spectrum_export(args.output, basis)
     _summary("spectrum", [{"path": args.output, "sha256": digest}], {
-        "cells": len(disc.cells),
+        "cells": len(disc),
         "eigenpairs": len(basis),
         "max_residual": _fmt(residuals.max()),
         "min_eigenvalue": _fmt(lams.min()),
@@ -256,7 +256,7 @@ def cmd_heat(args) -> int:
         "alpha": args.alpha, "measure": args.measure, "t": args.t,
     })
     _summary("heat", [{"path": args.output, "sha256": digest}], {
-        "cells": len(disc.cells),
+        "cells": len(disc),
         "row_sum_defect": _fmt(defect),
         "two_route_gap": _fmt(agreement),
     })
@@ -269,7 +269,7 @@ def cmd_bounds(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.truncate is not None:
         spec = _spec_from_index(args.bullet, args.alpha, assign, weights)
-        u = rng.uniform(-1, 1, len(disc.cells))
+        u = rng.uniform(-1, 1, len(disc))
         report = heat.truncation_bound(spec, disc, args.truncate, args.t, u)
         meta = {"mode": "truncate", "ell": args.truncate}
     else:
@@ -326,47 +326,37 @@ def build_parser() -> argparse.ArgumentParser:
     holds no function that a caller might later replace."""
     parser = argparse.ArgumentParser(prog="ultraheat", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--input", required=True)
+    files.add_argument("--output", required=True)
+    kernel = argparse.ArgumentParser(add_help=False)
+    kernel.add_argument("--bullet", choices=[b.value for b in operators.Bullet], required=True)
+    kernel.add_argument("--measure", choices=["haar", "nu"], default="haar")
+    kernel.add_argument("--alpha", type=float, default=1.0)
 
-    p = sub.add_parser("encode", help="pack a family of DAG topologies into one graph")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    sub.add_parser("encode", parents=[files],
+                   help="pack a family of DAG topologies into one graph")
 
-    p = sub.add_parser("decode", help="recover the family from a weighted graph")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    p = sub.add_parser("decode", parents=[files], help="recover the family from a weighted graph")
     p.add_argument("--primes", type=_int_list, default=[])
 
-    p = sub.add_parser("index", help="dendrogram from the graph's spanning tree, and its discs")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    sub.add_parser("index", parents=[files],
+                   help="dendrogram from the graph's spanning tree, and its discs")
 
-    p = sub.add_parser("toposort", help="cluster-parallel topological sort")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    p = sub.add_parser("toposort", parents=[files], help="cluster-parallel topological sort")
     p.add_argument("--seeds", default="")
     p.add_argument("--parallelism", type=_positive_int, default=1)
     p.add_argument("--index", default="")
 
-    p = sub.add_parser("spectrum", help="full eigenbasis with certified residuals")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--bullet", choices=[b.value for b in operators.Bullet], required=True)
-    p.add_argument("--measure", choices=["haar", "nu"], default="haar")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p = sub.add_parser("spectrum", parents=[files, kernel],
+                       help="full eigenbasis with certified residuals")
     p.add_argument("--level", type=int, required=True)
 
-    p = sub.add_parser("heat", help="heat kernel table at time t")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--bullet", choices=[b.value for b in operators.Bullet], required=True)
-    p.add_argument("--measure", choices=["haar", "nu"], default="haar")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p = sub.add_parser("heat", parents=[files, kernel], help="heat kernel table at time t")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
 
-    p = sub.add_parser("bounds", help="certify truncation or kernel-swap bounds")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    p = sub.add_parser("bounds", parents=[files], help="certify truncation or kernel-swap bounds")
     p.add_argument("--bullet", choices=[b.value for b in operators.Bullet],
                    default="ultrametric")
     p.add_argument("--alpha", type=float, default=1.0)
@@ -376,12 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--swap", type=_bullet_pair, default=None)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("converge", help="level-refinement convergence study")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--bullet", choices=[b.value for b in operators.Bullet], required=True)
-    p.add_argument("--measure", choices=["haar", "nu"], default="haar")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p = sub.add_parser("converge", parents=[files, kernel],
+                       help="level-refinement convergence study")
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--levels", type=_int_list, required=True)
     p.add_argument("--reference", type=int, required=True)

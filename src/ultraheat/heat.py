@@ -67,21 +67,16 @@ from .spectra import ball_spectrum
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A certified bound, with the fields that ``bounds`` writes."""
+    """A certified bound, with the fields that ``bounds`` writes; ``slack``
+    is the worst per-time slack of a truncation bound on its time grid, or
+    the endpoint slack bound - measured of a kernel swap."""
 
     measured_sup_error: float
     theoretical_bound: float
     tight_bound: float
     constants_sum: float
     volumes: dict
-    per_t_slack: float | None = None
-
-    @property
-    def slack(self) -> float:
-        """Worst slack: per-time when certified on a grid, else endpoint."""
-        if self.per_t_slack is not None:
-            return self.per_t_slack
-        return self.theoretical_bound - self.measured_sup_error
+    slack: float
 
 
 class _BallEvolver:
@@ -133,10 +128,6 @@ class _BallEvolver:
             out[cells.ravel()] = acc.reshape(-1, len(times))
         out[:, times == 0] = u[:, None]
         return out
-
-    def apply(self, u: np.ndarray, t: float) -> np.ndarray:
-        """T(t) u at a single time."""
-        return self.over_grid(u, np.array([t], dtype=float))[:, 0]
 
     def matrix(self, t: float) -> np.ndarray:
         """T(t) as an N x N array, the identity itself at t = 0: the coarse
@@ -261,8 +252,8 @@ def solve_cauchy(spec: KernelSpec, dom: CellDomain, u0: np.ndarray, t: float,
         raise DimensionMismatch(f"u0 of shape {u0.shape} over {len(dom)} cells")
     evolver = _BallEvolver(spec, dom, measure)
     if np.iscomplexobj(u0):
-        return evolver.apply(u0.real, t) + 1j * evolver.apply(u0.imag, t)
-    return evolver.apply(u0, t)
+        return evolver.over_grid(u0.real, [t])[:, 0] + 1j * evolver.over_grid(u0.imag, [t])[:, 0]
+    return evolver.over_grid(u0, [t])[:, 0]
 
 
 def t_grid(t_max: float, points: int = 64) -> np.ndarray:
@@ -343,7 +334,6 @@ def truncation_bound(
     factor = sup_u * (2.0 * csum + dom.vol_filler * max_cut_rate)
     proof_bound = t_max * factor
     tight_bound = t_max * sup_u * (csum + dom.vol_filler * max_cut_rate)
-    per_t_slack = float(np.min(grid * factor - gaps))
     report = BoundReport(
         measured_sup_error=measured,
         theoretical_bound=proof_bound,
@@ -355,7 +345,7 @@ def truncation_bound(
             "vol_disc": vol_disc,
             "max_cut_rate": max_cut_rate,
         },
-        per_t_slack=per_t_slack,
+        slack=float(np.min(grid * factor - gaps)),
     )
     if not report.slack >= -1e-9:
         raise BoundViolated(
@@ -398,45 +388,13 @@ def kernel_swap_bound(
         tight_bound=bound,
         constants_sum=constants_sum,
         volumes={"vol_disc": vol_disc},
+        slack=bound - measured,
     )
     if not report.slack >= -1e-9:
         raise BoundViolated(
             f"swap bound violated: measured {measured:.17g} > bound {bound:.17g}"
         )
     return report
-
-
-def _level_gap(disc_coarse: CellDomain, disc_fine: CellDomain) -> int:
-    """How many levels the fine discretisation lies below the coarse one.
-
-    Both must be full discretisations of one assignment (``cut_level``
-    None, as ``discretize`` makes them), so that their cells line up leaf
-    by leaf in digit order.
-    """
-    if disc_fine.assignment is not disc_coarse.assignment:
-        raise ValueError("discretisations of different disc assignments")
-    gap = disc_fine.level - disc_coarse.level
-    if gap < 0:
-        raise ValueError(f"level {disc_fine.level} is coarser than level {disc_coarse.level}")
-    if disc_coarse.cut_level is not None or disc_fine.cut_level is not None:
-        raise ValueError("a truncated domain is not a discretisation")
-    return gap
-
-
-def project_pointwise(disc_fine: CellDomain, disc_coarse: CellDomain, u: np.ndarray):
-    """Evaluate a fine-level function at the zero-padded representative of
-    every coarse cell: fine cell i * p^gap for coarse cell i.  ``u`` may
-    carry further axes after the cell axis."""
-    step = disc_fine.p ** _level_gap(disc_coarse, disc_fine)
-    return np.asarray(u)[np.arange(len(disc_coarse)) * step]
-
-
-def embed_piecewise(disc_coarse: CellDomain, disc_fine: CellDomain, u: np.ndarray):
-    """Extend a coarse-level function to the fine level, constant per cell:
-    fine cell i lies in coarse cell i // p^gap.  ``u`` may carry further
-    axes after the cell axis."""
-    step = disc_fine.p ** _level_gap(disc_coarse, disc_fine)
-    return np.asarray(u)[np.arange(len(disc_fine)) // step]
 
 
 def convergence_study(
@@ -450,8 +408,9 @@ def convergence_study(
     """Sup-over-time gap between coarse evolutions and the reference.
 
     u0 lives on a fine reference level (inferred from its length); for
-    every n it is sampled down, evolved at level n over the whole t-grid,
-    extended back, and compared against the reference evolution.  Every
+    every n it is sampled at the first reference cell of each level-n cell,
+    evolved at level n over the whole t-grid, extended back constant per
+    cell, and compared against the reference evolution.  Every
     level evolves through ``_BallEvolver`` (no N x N array), and the
     reference level reuses the reference evolver.  tau must be a finite
     time >= 0 (NegativeTime, raised before any domain).
@@ -480,7 +439,8 @@ def convergence_study(
         else:
             disc_n = discretize(assign, n)
             ev_n = _BallEvolver(spec, disc_n, measure)
-        un0 = project_pointwise(disc_ref, disc_n, u0)
-        lifted = embed_piecewise(disc_n, disc_ref, ev_n.over_grid(un0, grid))
+        step = assign.p ** (n_ref - n)  # level-n cell i is cells i * step .. (i + 1) * step - 1
+        un0 = u0[np.arange(len(disc_n)) * step]
+        lifted = ev_n.over_grid(un0, grid)[np.arange(len(disc_ref)) // step]
         rows.append((n, float(np.max(np.abs(lifted - refs)))))
     return rows

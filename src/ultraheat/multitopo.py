@@ -33,25 +33,50 @@ from .errors import (
 Edge = tuple  # ordered pair (origin, target)
 
 
+# Miller-Rabin to the bases 2 .. 41 is exact below PRIME_BOUND, the least
+# composite that is a strong probable prime to all of them (Sorenson and
+# Webster, Math. Comp. 86 (2017)); to the bases 2 .. 37 alone it would
+# pass 318665857834031151167461 = 399165290221 * 798330580441.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(k: int) -> bool:
+    """Deterministic Miller-Rabin test; ValueError for k >= PRIME_BOUND."""
+    if k >= PRIME_BOUND:
+        raise ValueError(f"{k} is at least {PRIME_BOUND}, beyond the exact primality test")
     if k < 2:
         return False
-    if k % 2 == 0:
-        return k == 2
-    f = 3
-    while f * f <= k:
-        if k % f == 0:
+    for b in _BASES:
+        if k % b == 0:
+            return k == b
+    d, r = k - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _BASES:
+        x = pow(b, d, k)
+        if x == 1 or x == k - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % k
+            if x == k - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 def _check_primes(primes: tuple) -> None:
-    """Raise DuplicatePrime or NotPrime unless the primes are distinct primes."""
+    """Raise DuplicatePrime or NotPrime unless the primes are distinct
+    primes, each below PRIME_BOUND."""
     if len(set(primes)) != len(primes):
         raise DuplicatePrime(f"primes collide: {primes}")
     for p in primes:
-        if not is_prime(p):
+        try:
+            prime = is_prime(p)
+        except ValueError as exc:
+            raise NotPrime(str(exc)) from None
+        if not prime:
             raise NotPrime(f"{p} is not prime")
 
 
@@ -147,9 +172,6 @@ class WeightedMultiGraph:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", frozenset(frozenset(e) for e in self.edges))
-
-    def dimension(self, v, i: int) -> int:
-        return self.d[v][i]
 
 
 def encode(family: TopologyFamily) -> WeightedMultiGraph:

@@ -260,8 +260,9 @@ def graph_from_obj(obj) -> tuple[WeightedMultiGraph, tuple]:
     """Read a graph file and its stored primes (empty when it stores
     none): a ParseError unless the vertices are distinct and each has a
     dimension vector of ints in ``d``, every edge joins two distinct
-    listed vertices with an int weight of at least 1, and the vectors
-    share one length, that of the primes when the file stores any."""
+    listed vertices with an int weight of at least 1 and is listed once,
+    in either orientation, and the vectors share one length, that of the
+    primes when the file stores any."""
     try:
         vertices, records, dims = obj["vertices"], obj["edges"], obj["d"]
         primes = obj.get("primes") or []
@@ -284,6 +285,8 @@ def graph_from_obj(obj) -> tuple[WeightedMultiGraph, tuple]:
         raise ParseError(f"malformed graph file: {exc}") from exc
     if len(d) != len(vertices):
         raise ParseError("malformed graph file: a vertex is listed twice")
+    if len(w) != len(records):
+        raise ParseError("malformed graph file: an edge is listed twice")
     if any(type(p) is not int for p in primes):
         raise ParseError(f"malformed graph file: the primes {primes!r} are not all integers")
     if not all(type(vec) is list and set(map(type, vec)) <= {int} for vec in d.values()):
@@ -299,14 +302,25 @@ def graph_from_obj(obj) -> tuple[WeightedMultiGraph, tuple]:
 
 
 def dag_from_obj(obj) -> tuple[Dag, dict]:
+    """Read a DAG file and its edge weights: a ParseError unless it lists
+    a vertex and ``Dag`` accepts its vertices and edges, and every weight
+    key "u|v" names two distinct vertices of it, once in either order.
+    The values are read as floats; their range is checked where they are
+    used (BadWeight)."""
     try:
         vertices = tuple(obj["vertices"])
         edges = frozenset(tuple(e) for e in obj["edges"])
+        dag = Dag(vertices, edges)
         weights = {}
         for key, val in (obj.get("weights") or {}).items():
             u, _, v = key.partition("|")
-            weights[frozenset((u, v))] = float(val)
-        dag = Dag(vertices, edges)
+            e = frozenset((u, v))
+            if u == v or u not in dag.rank or v not in dag.rank:
+                raise ParseError(f"malformed dag file: the weight key {key!r} does not name "
+                                 "two distinct vertices")
+            if e in weights:
+                raise ParseError(f"malformed dag file: the weight key {key!r} names an edge twice")
+            weights[e] = float(val)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed dag file: {exc}") from exc
     if not vertices:

@@ -33,8 +33,8 @@ constant on the vertex discs:
   an assembled generator, the dense oracle of the tests.
 
 ``ball_spectrum`` builds both parts once per domain (over the pure balls of
-a truncated domain) for ``full_basis``, ``laplacian_block_modes`` and the
-one evolver of ``heat``; its K x K eigensolve runs on first read only.
+a truncated domain) for ``full_basis`` and the one evolver of ``heat``;
+its K x K eigensolve runs on first read only.
 ``full_basis`` (for ``spectrum`` and the tests) stores Psi as its factors:
 the s x (s - 1) Kozyrev table that every disc of s = p^(n - m) cells shares
 (``EigenBasis.kozyrev``), each disc's root density sqrt(s_v) (``root``, 1
@@ -50,7 +50,6 @@ run left to right, as the builtin ``sum`` does only before Python 3.12.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -81,16 +80,6 @@ class EigenRecord(NamedTuple):
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    kind: str  # 'kozyrev' | 'ultrametric' | 'block' | 'constant'
-    support: str
-    index: int
-    lam: float
-    psi: np.ndarray
-    residual: float = float("nan")
-
-
-@dataclass(frozen=True)
 class EigenBasis:
     """Eigenpairs over the N = K s cells of K discs of s cells each, stored
     as the factors of the basis matrix Psi: disc k's Kozyrev functions are
@@ -100,9 +89,8 @@ class EigenBasis:
     square roots of the disc densities; Psi's last K columns are constant
     on each disc, with disc k's values in row k of the K x K ``coarse``.
     ``records`` holds (kind, support, index, lam, residual) per column and
-    ``measure`` the cell masses.  Psi itself is assembled on first read of
-    ``psi``, and so are the pairs that indexing and iteration yield (each
-    ``psi`` a column view of it)."""
+    ``measure`` the cell masses: column k of ``psi`` is the eigenfunction of
+    ``records[k]``.  Psi itself is assembled on first read of ``psi``."""
 
     kozyrev: np.ndarray = field(repr=False)
     root: np.ndarray = field(repr=False)
@@ -112,12 +100,6 @@ class EigenBasis:
 
     def __len__(self):
         return len(self.records)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __getitem__(self, i):
-        return self.pairs[i]
 
     @functools.cached_property
     def psi(self) -> np.ndarray:
@@ -130,11 +112,6 @@ class EigenBasis:
         psi[:, K * w:] = np.repeat(self.coarse, s, axis=0)
         psi.setflags(write=False)
         return psi
-
-    @functools.cached_property
-    def pairs(self) -> tuple:
-        return tuple(EigenPair(r.kind, r.support, r.index, r.lam, self.psi[:, k], r.residual)
-                     for k, r in enumerate(self.records))
 
     def eigenvalues(self) -> np.ndarray:
         return np.array([r.lam for r in self.records])
@@ -232,12 +209,7 @@ def ultrametric_wavelet(disc: CellDomain, node: DendrogramNode, k: int) -> np.nd
     return per_leaf[disc.leaf_index]
 
 
-def ultrametric_eigenvalue(
-    delta,
-    nu: TreeMeasure,
-    node: DendrogramNode,
-    alpha: float,
-) -> float:
+def ultrametric_eigenvalue(nu: TreeMeasure, node: DendrogramNode, alpha: float) -> float:
     """Generator eigenvalue of an ultrametric wavelet (ultrametric kernel,
     tree measure): sibling exchange within the node plus the escape rate
     towards every ancestor's remainder.  Independent of the child node
@@ -245,15 +217,6 @@ def ultrametric_eigenvalue(
     by ``verify_eigenpair`` in the test suite."""
     if node.is_leaf:
         raise LeafNode("ultrametric wavelets live on internal nodes")
-    if delta is not None:
-        diam = max(
-            delta.of(u, v)
-            for a, b in itertools.combinations(node.children, 2)
-            for u in a.members
-            for v in b.members
-        )
-        if not math.isclose(diam, node.radius, rel_tol=1e-12):
-            raise ValueError("ultrametric matrix disagrees with the dendrogram radius")
     c = len(node.children)
     child_mass = float(nu.of(node)) / c
     gamma = -(node.radius**-alpha) * c * child_mass
@@ -335,17 +298,6 @@ def ball_spectrum(spec: KernelSpec, dom: CellDomain, measure: str = "haar") -> B
                                 for d in range(d0, n)]
     kozyrev = scale[:, None] * local - escape[:, None]
     return BallSpectrum(starts, p ** (n - levels), levels, mass, scale, kozyrev, L)
-
-
-def laplacian_block_modes(spec: KernelSpec, disc: CellDomain,
-                          measure: str = "haar") -> list[EigenPair]:
-    """Eigenpairs of the vertex matrix k(v,w) * mass(U_w) (``ball_spectrum``),
-    lifted to functions constant on each disc, normalised in the cell inner
-    product.  All eigenvalues are non-positive."""
-    spectrum = ball_spectrum(spec, disc, measure)
-    lifted = np.repeat(spectrum.vecs, spectrum.sizes, axis=0)
-    return [EigenPair("block", "discs", k, float(lam), lifted[:, k])
-            for k, lam in enumerate(spectrum.evals)]
 
 
 def verify_eigenpair(A, psi: np.ndarray, lam):
@@ -452,7 +404,7 @@ def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Eig
         coarse[:, 0] = 1.0
         meta.append(("constant", "domain", 0, 0.0))
         for node in assign.dendrogram.internal_nodes():
-            gamma = ultrametric_eigenvalue(None, assign.nu, node, spec.alpha)
+            gamma = ultrametric_eigenvalue(assign.nu, node, spec.alpha)
             support = ",".join(sorted(map(str, assign.dendrogram.order[node.start:node.stop])))
             for k in range(1, len(node.children)):
                 wavelet = ultrametric_wavelet(disc, node, k)

@@ -168,12 +168,13 @@ def test_criterion_04_kozyrev_spectrum():
                 for spec in specs:
                     gen = generator(spec, disc, "haar")
                     basis = full_basis(spec, disc, "haar")
-                    for pair in basis:
-                        if pair.kind != "kozyrev":
+                    for record in basis.records:
+                        if record.kind != "kozyrev":
                             continue
-                        assert pair.residual <= 1e-9, (p, alpha, pair.support, pair.residual)
-                        assert pair.lam <= 0.0
-                        worst = max(worst, pair.residual)
+                        assert record.residual <= 1e-9, (p, alpha, record.support,
+                                                         record.residual)
+                        assert record.lam <= 0.0
+                        worst = max(worst, record.residual)
                         checked += 1
                 # strict decrease of the local eigenvalue over d = m..m+5
                 vals = [
@@ -199,7 +200,7 @@ def test_criterion_05_ultrametric_wavelet_spectrum():
         disc = discretize(assign, assign.m + 1)
         gen = generator(spec, disc, "nu")
         for node in dend.internal_nodes():
-            gamma = ultrametric_eigenvalue(None, nu, node, spec.alpha)
+            gamma = ultrametric_eigenvalue(nu, node, spec.alpha)
             for k in range(1, len(node.children)):
                 psi = ultrametric_wavelet(disc, node, k)
                 res = verify_eigenpair(gen, psi, gamma)
@@ -343,19 +344,19 @@ def test_criterion_10_convergence():
     disc_ref = discretize(assign, ref_level)
     basis_ref = full_basis(spec, disc_ref, "haar")
 
-    def component_level(pair):
-        if pair.kind != "kozyrev":
+    def component_level(record):
+        if record.kind != "kozyrev":
             return 0
-        return len(pair.support.split(":")[1]) + 1
+        return len(record.support.split(":")[1]) + 1
 
     for _ in range(20):
         support_level = int(rng.integers(n0 + 1, n0 + 3))
         u0 = np.zeros(len(disc_ref.cells))
-        for pair in basis_ref:
-            lvl = component_level(pair)
+        for record, psi in zip(basis_ref.records, basis_ref.psi.T):
+            lvl = component_level(record)
             if lvl > support_level:
                 continue
-            u0 = u0 + float(rng.uniform(-1, 1)) * 4.0**-lvl * pair.psi.real
+            u0 = u0 + float(rng.uniform(-1, 1)) * 4.0**-lvl * psi.real
         rows = convergence_study(spec, assign, u0, range(n0, ref_level + 1), 1.0)
         gaps = dict(rows)
         seq = [gaps[n] for n in range(n0, ref_level + 1)]

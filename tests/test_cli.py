@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -166,11 +167,19 @@ def test_toposort_cycle_exit_code(tmp_path, capsys):
     ({"vertices": ["a", "b"], "edges": [["a", "c"]]}, "leaves the vertex set"),
     ({"vertices": ["a", "a", "b"], "edges": [["a", "b"]]}, "listed more than once"),
     ({"vertices": [], "edges": []}, "lists no vertex"),
+    ({**THREE_LEAF_DAG, "weights": {"a|zz": 1.0}}, "'a|zz' does not name two distinct vertices"),
+    ({**THREE_LEAF_DAG, "weights": {"a|a": 1.0}}, "'a|a' does not name two distinct vertices"),
+    ({**THREE_LEAF_DAG, "weights": {"ab": 1.0}}, "'ab' does not name two distinct vertices"),
+    ({"vertices": [1, 2], "edges": [[1, 2]], "weights": {"1|2": 1.0}},
+     "'1|2' does not name two distinct vertices"),
+    ({**THREE_LEAF_DAG, "weights": {"a|b": 1.0, "b|a": 2.0}}, "'b|a' names an edge twice"),
 ])
 def test_a_dag_file_over_other_vertices_is_a_parse_error(tmp_path, capsys, dag_obj, detail):
-    """An edge to a vertex the file does not list, a vertex listed twice or
-    no vertex at all is a malformed DAG file: exit 2 with one JSON error
-    line."""
+    """An edge to a vertex the file does not list, a vertex listed twice, no
+    vertex at all, or a weight key "u|v" that does not name two distinct
+    vertices, or names an edge named before, is a malformed DAG file: exit
+    2 with one JSON error line, before any sort (with or without an
+    index)."""
     dag = tmp_path / "dag.json"
     write(dag, dag_obj)
     out = tmp_path / "order.txt"
@@ -181,6 +190,13 @@ def test_a_dag_file_over_other_vertices_is_a_parse_error(tmp_path, capsys, dag_o
     assert err["error"] == "ParseError" and err["exit"] == 2
     assert detail in err["detail"]
     assert not out.exists()
+    if "weights" in dag_obj:
+        index = index_fixture(tmp_path)  # over the vertices a, b and c
+        capsys.readouterr()
+        argv = ["toposort", "--input", str(dag), "--output", str(out), "--index", str(index)]
+        assert main(argv) == 2
+        assert detail in assert_one_error_line(capsys, 2)["detail"]
+        assert not out.exists()
 
 
 def assert_one_error_line(capsys, code):
@@ -217,6 +233,10 @@ def assert_one_error_line(capsys, code):
     (["decode"], {**GRAPH, "d": {"a": [1, 2], "b": [0, "1"], "c": [0, 0]}},
      "is not a list of integers"),
     (["index"], {"vertices": [], "edges": [], "d": {}}, "lists no vertex"),
+    (["decode"], {**GRAPH, "edges": [{"ends": ["a", "b"], "w": 2}, {"ends": ["b", "a"], "w": 6}]},
+     "an edge is listed twice"),
+    (["index"], {**GRAPH, "edges": [*GRAPH["edges"], {"ends": ["b", "c"], "w": 3}]},
+     "an edge is listed twice"),
 ])
 def test_a_malformed_family_or_graph_file_is_a_parse_error(tmp_path, capsys, argv, obj, detail):
     """A family or graph file that breaks its schema exits 2 before any
@@ -237,6 +257,33 @@ def test_decode_refuses_a_prime_that_is_not_prime(tmp_path, capsys):
     assert main(["decode", "--input", str(path), "--output", str(out), "--primes", "2,0"]) == 4
     assert assert_one_error_line(capsys, 4)["error"] == "NotPrime"
     assert not out.exists()
+
+
+def test_a_large_prime_is_checked_at_once_and_one_beyond_the_bound_exits_4(tmp_path, capsys):
+    """Primality is decided exactly below multitopo.PRIME_BOUND (about
+    3.3e24): `encode` of a family with the prime 2^61 - 1 exits 0 at once
+    (trial division did not finish), and a prime at or above the bound,
+    such as 2^89 - 1, exits 4 (NotPrime) in `encode` and `decode`, with one
+    JSON error line and no file."""
+    family, graph, out = tmp_path / "family.json", tmp_path / "graph.json", tmp_path / "out.json"
+    write(family, {"vertices": ["a", "b"], "topologies": [{"edges": [["a", "b"]]}],
+                   "primes": [2**61 - 1]})
+    start = time.perf_counter()
+    assert main(["encode", "--input", str(family), "--output", str(graph)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(graph.read_text())["edges"] == [{"ends": ["a", "b"], "w": 2**61 - 1}]
+    capsys.readouterr()
+    assert main(["decode", "--input", str(graph), "--output", str(out)]) == 0
+    capsys.readouterr()
+    out.unlink()
+    write(family, {"vertices": ["a", "b"], "topologies": [{"edges": [["a", "b"]]}],
+                   "primes": [2**89 - 1]})
+    for argv in (["encode", "--input", str(family)],
+                 ["decode", "--input", str(graph), "--primes", str(2**89 - 1)]):
+        assert main([*argv, "--output", str(out)]) == 4
+        err = assert_one_error_line(capsys, 4)
+        assert err["error"] == "NotPrime" and "beyond the exact primality test" in err["detail"]
+        assert not out.exists()
 
 
 def _json_paths(obj, path=()):
@@ -267,7 +314,8 @@ def broken_file(draw):
     else:
         commands, edges = ["decode", "index"], [rec["ends"] for rec in obj["edges"]]
     breakage = draw(st.sampled_from(["repeated vertex", "unknown end", "bad prime", "wrong type"]
-                                    + (["short vector", "bad weight"] if kind == "graph" else [])))
+                                    + (["short vector", "bad weight", "repeated edge"]
+                                       if kind == "graph" else [])))
     if breakage == "repeated vertex":
         obj["vertices"].append(draw(st.sampled_from(obj["vertices"])))
     elif breakage == "unknown end":
@@ -280,6 +328,10 @@ def broken_file(draw):
             commands = ["decode"]  # index reads no prime
     elif breakage == "short vector":
         obj["d"][draw(st.sampled_from(obj["vertices"]))].pop()
+    elif breakage == "repeated edge":
+        rec = draw(st.sampled_from(obj["edges"]))
+        obj["edges"].append({"ends": rec["ends"][::draw(st.sampled_from([1, -1]))],
+                             "w": draw(st.sampled_from([rec["w"], 1]))})
     elif breakage == "bad weight":
         draw(st.sampled_from(obj["edges"]))["w"] = draw(st.sampled_from(
             [0, -1, 2.5, "6", None, True, [6]]))
@@ -667,7 +719,8 @@ def test_oversized_level_exits_24_before_enumerating_cells(tmp_path, capsys, sub
     assert "dense-matrix limit" in err["detail"]
 
 
-@pytest.mark.parametrize("edit", ["vertex", "m", "no_m", "p", "mst_weight", "v1", "v2"])
+@pytest.mark.parametrize("edit", ["vertex", "m", "no_m", "p", "mst_weight", "v1", "v2",
+                                  "huge_p"])
 def test_hand_edited_index_is_a_parse_error(tmp_path, capsys, edit):
     index = index_fixture(tmp_path)
     obj = json.loads(index.read_text())
@@ -680,6 +733,8 @@ def test_hand_edited_index_is_a_parse_error(tmp_path, capsys, edit):
         del obj["m"]
     elif edit == "p":
         obj["p"] = 4
+    elif edit == "huge_p":  # beyond the exact primality test
+        obj["p"] = 2**89 - 1
     elif edit == "mst_weight":
         # the fixture graph is a path, so both edges are in the tree: tied,
         # they merge all three vertices in one node, beyond p = 2 and m = 2

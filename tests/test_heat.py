@@ -33,8 +33,7 @@ from ultraheat import (
     truncation_bound,
 )
 from ultraheat.errors import NegativeTime
-from ultraheat.heat import (_BallEvolver, _mean_value_constants, embed_piecewise,
-                            project_pointwise, t_grid)
+from ultraheat.heat import _BallEvolver, _mean_value_constants, t_grid
 from ultraheat.operators import GeneratorMatrix, cut_nodes
 
 from conftest import (
@@ -151,9 +150,9 @@ def test_solve_cauchy_examples():
     const = np.full(nc, 2.5)
     for t in (0.0, 1.0, 7.0):
         assert np.allclose(solve_cauchy(spec, disc, const, t), const, atol=1e-10)
-    pair = basis[0]
-    evolved = solve_cauchy(spec, disc, pair.psi.real, 1.2)
-    direct = np.exp(1.2 * pair.lam) * pair.psi.real
+    psi = basis.psi[:, 0].real
+    evolved = solve_cauchy(spec, disc, psi, 1.2)
+    direct = np.exp(1.2 * basis.records[0].lam) * psi
     assert np.allclose(evolved, direct, atol=1e-10)
     rng = np.random.default_rng(3)
     u0 = rng.uniform(-1, 1, nc)
@@ -274,7 +273,7 @@ def test_convergence_exact_once_u0_locally_constant():
     disc_ref = discretize(assign, ref_level)
     rng = np.random.default_rng(13)
     coarse = rng.uniform(-1, 1, len(disc_n0.cells))
-    u0 = embed_piecewise(disc_n0, disc_ref, coarse)
+    u0 = loop_embed(disc_n0, disc_ref, coarse)
     rows = convergence_study(spec, assign, u0, range(n0, ref_level + 1), 1.0)
     for n, gap in rows:
         assert gap < 1e-10
@@ -288,11 +287,11 @@ def test_convergence_single_fine_component_resolved_at_its_level():
     basis_ref = full_basis(spec, disc_ref, "haar")
     fine_level = n0 + 2
     target = next(
-        p
-        for p in basis_ref
-        if p.kind == "kozyrev" and len(p.support.split(":")[1]) == fine_level - 1
+        basis_ref.psi[:, k].real
+        for k, r in enumerate(basis_ref.records)
+        if r.kind == "kozyrev" and len(r.support.split(":")[1]) == fine_level - 1
     )
-    u0 = target.psi.real / np.max(np.abs(target.psi.real))
+    u0 = target / np.max(np.abs(target))
     rows = dict(convergence_study(spec, assign, u0, range(n0, ref_level + 1), 0.5))
     assert rows[fine_level] < 1e-10
     assert rows[ref_level] < 1e-10
@@ -307,12 +306,12 @@ def test_convergence_gap_nonincreasing_for_decaying_profiles():
     basis_ref = full_basis(spec, disc_ref, "haar")
     rng = np.random.default_rng(17)
     u0 = np.zeros(len(disc_ref.cells))
-    for p in basis_ref:
-        if p.kind == "block":
-            u0 = u0 + rng.uniform(-1, 1) * p.psi.real
+    for r, psi in zip(basis_ref.records, basis_ref.psi.T):
+        if r.kind == "block":
+            u0 = u0 + rng.uniform(-1, 1) * psi.real
         else:
-            d = len(p.support.split(":")[1])
-            u0 = u0 + rng.uniform(-1, 1) * 4.0 ** -(d + 1) * p.psi.real
+            d = len(r.support.split(":")[1])
+            u0 = u0 + rng.uniform(-1, 1) * 4.0 ** -(d + 1) * psi.real
     rows = convergence_study(spec, assign, u0, range(n0, ref_level + 1), 1.0)
     gaps = [g for _, g in rows]
     assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
@@ -350,12 +349,12 @@ def test_projection_error_equals_discarded_tail_at_t0():
     psi = basis.psi
     coeffs = psi.conj().T @ (basis.measure * rng.uniform(-1, 1, len(disc_ref.cells)))
 
-    def level_of(pair):
-        if pair.kind != "kozyrev":
+    def level_of(record):
+        if record.kind != "kozyrev":
             return 0
-        return len(pair.support.split(":")[1]) + 1
+        return len(record.support.split(":")[1]) + 1
 
-    keep = np.array([level_of(p) <= n for p in basis])
+    keep = np.array([level_of(r) <= n for r in basis.records])
     truncated = (psi[:, keep] @ coeffs[keep]).real
     full = (psi @ coeffs).real
     tail = (psi[:, ~keep] @ coeffs[~keep]).real
@@ -371,17 +370,6 @@ def test_evolver_matches_expm_fallback():
         eig_route = semigroup(gen, t)
         pade_route = scipy.linalg.expm(t * gen.matrix)
         assert np.max(np.abs(eig_route - pade_route)) < 1e-12
-
-
-def test_project_and_embed_roundtrip():
-    dend, assign, spec = three_leaf_setup()
-    coarse = discretize(assign, assign.m + 1)
-    fine = discretize(assign, assign.m + 2)
-    rng = np.random.default_rng(23)
-    u = rng.uniform(-1, 1, len(coarse.cells))
-    lifted = embed_piecewise(coarse, fine, u)
-    back = project_pointwise(fine, coarse, lifted)
-    assert np.array_equal(back, u)
 
 
 def test_semigroup_falls_back_only_for_non_self_adjoint_generators():
@@ -459,34 +447,25 @@ def loop_embed(disc_coarse, disc_fine, u):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_index_maps_match_the_per_cell_lookups(p):
+    """The index maps of ``convergence_study``: with step = p^gap, coarse
+    cell i's zero-padded representative is fine cell i * step and fine cell
+    i lies in coarse cell i // step, because ``discretize`` lays the cells
+    of each coarse cell out contiguously in digit order."""
     rng = np.random.default_rng(29 + p)
     dend = random_dendrogram(rng, 4, max_children=2)
     assign = embed(dend, p)
     coarse = discretize(assign, assign.m + 1)
     for gap in (0, 1, 2, 3):
         fine = discretize(assign, assign.m + 1 + gap)
+        project, lift = np.arange(len(coarse)) * p**gap, np.arange(len(fine)) // p**gap
         u_fine = rng.uniform(-1, 1, len(fine.cells))
         u_coarse = rng.uniform(-1, 1, len(coarse.cells))
-        assert np.array_equal(project_pointwise(fine, coarse, u_fine),
-                              loop_project(fine, coarse, u_fine))
-        assert np.array_equal(embed_piecewise(coarse, fine, u_coarse),
-                              loop_embed(coarse, fine, u_coarse))
+        assert np.array_equal(u_fine[project], loop_project(fine, coarse, u_fine))
+        assert np.array_equal(u_coarse[lift], loop_embed(coarse, fine, u_coarse))
         # a trailing axis (one column per time) is carried along
         grid = rng.uniform(-1, 1, (len(coarse.cells), 4))
-        assert np.array_equal(embed_piecewise(coarse, fine, grid),
+        assert np.array_equal(grid[lift],
                               np.stack([loop_embed(coarse, fine, g) for g in grid.T], axis=1))
-
-
-def test_index_maps_refuse_mismatched_discretisations():
-    dend, assign, spec = three_leaf_setup()
-    coarse = discretize(assign, assign.m + 1)
-    fine = discretize(assign, assign.m + 2)
-    other = discretize(embed(dend), assign.m + 2)
-    u = np.zeros(len(fine.cells))
-    with pytest.raises(ValueError, match="coarser"):
-        embed_piecewise(fine, coarse, u)
-    with pytest.raises(ValueError, match="different disc assignments"):
-        project_pointwise(other, coarse, u)
 
 
 def loop_convergence(spec, assign, u0, levels, tau, measure):
@@ -502,8 +481,8 @@ def loop_convergence(spec, assign, u0, levels, tau, measure):
         un0 = loop_project(disc_ref, disc_n, u0)
         gap = 0.0
         for t in t_grid(tau):
-            lifted = loop_embed(disc_n, disc_ref, ev_n.apply(un0, t))
-            gap = max(gap, float(np.max(np.abs(lifted - ev_ref.apply(u0, t)))))
+            lifted = loop_embed(disc_n, disc_ref, ev_n.over_grid(un0, [t])[:, 0])
+            gap = max(gap, float(np.max(np.abs(lifted - ev_ref.over_grid(u0, [t])[:, 0]))))
         rows.append((n, gap))
     return rows
 
@@ -550,7 +529,7 @@ def test_evolver_grid_columns_equal_single_applications():
     columns = ev.over_grid(u, grid)
     assert columns.shape == (gen.n_cells, len(grid))
     for k, t in enumerate(grid):
-        single = ev.apply(u, t)
+        single = ev.over_grid(u, [t])[:, 0]
         assert np.array_equal(columns[:, k], single)
         assert np.allclose(single, semigroup(gen, t) @ u, atol=1e-12)
 
@@ -591,17 +570,17 @@ def test_evolver_level_eigenvalues_equal_full_basis_bit_for_bit(measure, seed, l
                  KernelSpec(Bullet.GRAPH_DISTANCE, 1.2, delta.labels, base)):
         basis = full_basis(spec, disc, measure)
         by_level = {}
-        for pair in basis:
-            if pair.kind == "kozyrev":
-                label, digits = pair.support.split(":")
-                by_level.setdefault((label, len(digits)), set()).add(pair.lam)
+        for r in basis.records:
+            if r.kind == "kozyrev":
+                label, digits = r.support.split(":")
+                by_level.setdefault((label, len(digits)), set()).add(r.lam)
         [(d0, members, _, lam)] = _BallEvolver(spec, disc, measure).groups
         assert d0 == assign.m and members.tolist() == list(range(len(assign.labels)))
         for k, label in enumerate(assign.labels):
             for d in range(assign.m, disc.level):
                 assert by_level[(label, d)] == {lam[k, d - assign.m]}
         if not (measure == "nu" and spec.bullet is Bullet.ULTRAMETRIC):
-            blocks = [pair.lam for pair in basis if pair.kind == "block"]
+            blocks = [r.lam for r in basis.records if r.kind == "block"]
             assert blocks == _BallEvolver(spec, disc, measure).evals.tolist()
 
 

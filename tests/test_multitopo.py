@@ -3,6 +3,9 @@
 Oracle for dimensions: exhaustive enumeration of all directed paths.
 """
 
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from ultraheat.errors import (
     NotPrime,
     UnknownPrimeFactor,
 )
-from ultraheat.multitopo import chain_lengths, first_primes
+from ultraheat.multitopo import PRIME_BOUND, chain_lengths, first_primes, is_prime
 
 from conftest import random_family
 
@@ -165,3 +168,50 @@ def test_dimension_matches_path_enumeration():
 
 def test_first_primes():
     assert first_primes(6) == (2, 3, 5, 7, 11, 13)
+
+
+def test_is_prime_agrees_with_a_sieve_below_two_hundred_thousand():
+    n = 200_000
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for k in range(2, int(n**0.5) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = False
+    assert [is_prime(k) for k in range(n)] == sieve.tolist()
+    assert not any(is_prime(k) for k in (-7, -2, -1, 0, 1))
+
+
+# the least strong pseudoprimes to the first 1, 2, ..., 12 prime bases (the
+# last passes every base 2 .. 37), with their factors
+STRONG_PSEUDOPRIMES = [
+    (2047, (23, 89)),
+    (1373653, (829, 1657)),
+    (25326001, (2251, 11251)),
+    (3215031751, (151, 751, 28351)),
+    (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (318665857834031151167461, (399165290221, 798330580441)),
+]
+
+
+@pytest.mark.parametrize("k, factors", STRONG_PSEUDOPRIMES)
+def test_strong_pseudoprimes_are_composite(k, factors):
+    assert math.prod(factors) == k and all(is_prime(f) for f in factors)
+    assert not is_prime(k)
+
+
+def test_is_prime_decides_large_primes_fast_and_refuses_beyond_its_bound():
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59) and is_prime(2**31 - 1)
+    assert not is_prime((2**61 - 1) * 1_000_003) and not is_prime(2**64 - 1)
+    assert not is_prime(PRIME_BOUND - 1)
+    assert time.perf_counter() - start < 1.0
+    # the bound is the least composite that passes every base 2 .. 41
+    assert PRIME_BOUND == 1287836182261 * 2575672364521
+    for k in (PRIME_BOUND, 2**89 - 1):
+        with pytest.raises(ValueError, match="beyond the exact primality test"):
+            is_prime(k)
+    with pytest.raises(NotPrime, match="beyond the exact primality test"):
+        encode(TopologyFamily(("a", "b"), [{("a", "b")}], (2**89 - 1,)))

@@ -6,6 +6,7 @@ that generator directly (e.g. the single-disc wavelet at p=3, alpha=1,
 d=1, m=0 has eigenvalue -5/3).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -26,12 +27,12 @@ from ultraheat import (
     kozyrev_eigenvalue,
     kozyrev_local_eigenvalue,
     kozyrev_wavelet,
-    laplacian_block_modes,
     tree_measure,
     ultrametric_eigenvalue,
     ultrametric_wavelet,
     verify_eigenpair,
 )
+from ultraheat.spectra import ball_spectrum
 from ultraheat.errors import (
     BadJ,
     BallOutsideZ,
@@ -222,7 +223,7 @@ def test_ultrametric_eigenvalue_root_frozen():
     # two children at distance r, each child mass 1/2: gamma = -1/r
     dend, assign = two_leaf(radius=2.0)
     nu = tree_measure(dend)
-    gamma = ultrametric_eigenvalue(dend.delta_matrix(), nu, dend.root, 1.0)
+    gamma = ultrametric_eigenvalue(nu, dend.root, 1.0)
     assert gamma == pytest.approx(-0.5)
 
 
@@ -237,7 +238,11 @@ def test_ultrametric_eigenvalue_certifies_on_matrix():
         disc = discretize(assign, assign.m + 1)
         gen = generator(spec, disc, "nu")
         for node in dend.internal_nodes():
-            gamma = ultrametric_eigenvalue(delta, nu, node, 1.0)
+            # the radius the closed form reads is the children's largest distance
+            diam = max(delta.of(u, v) for a, b in itertools.combinations(node.children, 2)
+                       for u in a.members for v in b.members)
+            assert math.isclose(diam, node.radius, rel_tol=1e-12)
+            gamma = ultrametric_eigenvalue(nu, node, 1.0)
             for k in range(1, len(node.children)):
                 psi = ultrametric_wavelet(disc, node, k)
                 assert verify_eigenpair(gen, psi, gamma) < 1e-10
@@ -252,7 +257,7 @@ def test_ultrametric_eigenvalue_shared_across_characters():
     spec = ultra_spec(dend)
     disc = discretize(assign, assign.m + 1)
     gen = generator(spec, disc, "nu")
-    gamma = ultrametric_eigenvalue(None, nu, dend.root, 1.0)
+    gamma = ultrametric_eigenvalue(nu, dend.root, 1.0)
     for k in (1, 2):
         psi = ultrametric_wavelet(disc, dend.root, k)
         assert verify_eigenpair(gen, psi, gamma) < 1e-10
@@ -265,19 +270,18 @@ def test_block_modes_single_vertex():
     dend, assign = single_leaf(p=2)
     spec = KernelSpec(Bullet.ULTRAMETRIC, 1.0, ("a",), np.zeros((1, 1)))
     disc = discretize(assign, 1)
-    modes = laplacian_block_modes(spec, disc)
-    assert len(modes) == 1
-    assert modes[0].lam == pytest.approx(0.0, abs=1e-14)
+    lams = ball_spectrum(spec, disc).evals
+    assert len(lams) == 1
+    assert lams[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_block_modes_two_vertices_closed_form():
     dend, assign = two_leaf(radius=2.0)
     spec = ultra_spec(dend)
     disc = discretize(assign, assign.m + 1)
-    modes = laplacian_block_modes(spec, disc)
     rate = 2.0**-1.0  # delta(a,b)^-alpha
     vol = 2.0**-assign.m
-    lams = sorted(m.lam for m in modes)
+    lams = sorted(ball_spectrum(spec, disc).evals)
     assert lams[1] == pytest.approx(0.0, abs=1e-14)
     assert lams[0] == pytest.approx(-2 * rate * vol)
 
@@ -289,8 +293,7 @@ def test_block_modes_nonpositive():
         assign = embed(dend)
         spec = ultra_spec(dend)
         disc = discretize(assign, assign.m + 1)
-        for mode in laplacian_block_modes(spec, disc):
-            assert mode.lam <= 1e-12
+        assert np.all(ball_spectrum(spec, disc).evals <= 1e-12)
 
 
 # --- root-of-unity identity ----------------------------------------------------------
@@ -312,10 +315,10 @@ def test_full_basis_counts():
     spec = ultra_spec(dend)
     disc = discretize(assign, assign.m + 1)
     haar_basis = full_basis(spec, disc, "haar")
-    kinds = sorted(p.kind for p in haar_basis)
+    kinds = sorted(r.kind for r in haar_basis.records)
     assert kinds == ["block", "block", "kozyrev", "kozyrev"]
     nu_basis = full_basis(spec, disc, "nu")
-    kinds = sorted(p.kind for p in nu_basis)
+    kinds = sorted(r.kind for r in nu_basis.records)
     assert kinds == ["constant", "kozyrev", "kozyrev", "ultrametric"]
 
 
@@ -331,7 +334,7 @@ def test_full_basis_gram_and_projector_identity():
             eye = np.eye(len(basis))
             assert np.max(np.abs(basis.gram() - eye)) < 1e-10
             assert np.max(np.abs(basis.projector_sum() - eye)) < 1e-10
-            assert max(p.residual for p in basis) < 1e-10
+            assert max(r.residual for r in basis.records) < 1e-10
 
 
 def test_full_basis_other_bullets_under_nu():
@@ -343,7 +346,7 @@ def test_full_basis_other_bullets_under_nu():
     spec = KernelSpec(Bullet.GRAPH_DISTANCE, 1.0, delta.labels, base)
     disc = discretize(assign, assign.m + 1)
     basis = full_basis(spec, disc, "nu")
-    assert max(p.residual for p in basis) < 1e-10
+    assert max(r.residual for r in basis.records) < 1e-10
     assert np.max(np.abs(basis.gram() - np.eye(len(basis)))) < 1e-10
 
 
@@ -355,7 +358,7 @@ def test_full_basis_spectrum_sign():
     disc = discretize(assign, assign.m + 1)
     for measure in ("haar", "nu"):
         basis = full_basis(spec, disc, measure)
-        assert all(p.lam <= 1e-12 for p in basis)
+        assert all(r.lam <= 1e-12 for r in basis.records)
 
 
 def test_verify_eigenpair_detects_wrong_lambda():
@@ -429,7 +432,7 @@ def test_batched_verify_matches_per_column():
         batched = verify_eigenpair(gen, psi, lams)
         assert batched.shape == (len(lams),)
         assert np.max(np.abs(batched - per_column)) <= 1e-12
-        factored = np.array([p.residual for p in basis])
+        factored = np.array([r.residual for r in basis.records])
         assert np.all(np.abs(factored - batched) <= rounding_bound(gen, psi, lams))
         real = verify_eigenpair(gen, psi.real, lams)
         per_real = [verify_eigenpair(gen, np.array(psi[:, k].real), lams[k]) for k in range(len(lams))]
@@ -452,8 +455,7 @@ def test_full_basis_keeps_one_psi_matrix_and_its_factors():
     from them once, on first read, bit for bit disc k's block ``kozyrev /
     root[k]`` and the last K columns the coarse table repeated onto the
     cells, for the block modes and for the constant and the ultrametric
-    wavelets (under nu with the ultrametric kernel); every pair's function
-    is a column view of it with its record's fields."""
+    wavelets (under nu with the ultrametric kernel)."""
     for p in (2, 3, 5):
         rng = np.random.default_rng(41 + p)
         dend = random_dendrogram(rng, 5, max_children=p)
@@ -494,13 +496,6 @@ def test_full_basis_keeps_one_psi_matrix_and_its_factors():
                 else:
                     assert set(kinds) == {"block"}
                 assert len(basis) == len(basis.records) == K * s
-                for k, pair in enumerate(basis):
-                    assert np.shares_memory(pair.psi, psi)
-                    assert np.array_equal(pair.psi, psi[:, k])
-                    assert basis[k] is pair
-                    record = basis.records[k]
-                    assert (pair.kind, pair.support, pair.index, pair.lam,
-                            pair.residual) == tuple(record)
 
 
 def test_kozyrev_wavelet_matches_cell_loop():
@@ -532,12 +527,12 @@ def test_full_basis_kozyrev_eigenvalues_equal_the_closed_form_bit_for_bit():
     for spec in (ultra_spec(dend, alpha=1.5),
                  KernelSpec(Bullet.GRAPH_DISTANCE, 1.0, delta.labels, base)):
         for measure in ("haar", "nu"):
-            pairs = [p for p in full_basis(spec, disc, measure) if p.kind == "kozyrev"]
-            assert len(pairs) == len(disc.cells) - len(assign.labels)
-            for pair in pairs:
-                label, digits = pair.support.split(":")
+            records = [r for r in full_basis(spec, disc, measure).records if r.kind == "kozyrev"]
+            assert len(records) == len(disc.cells) - len(assign.labels)
+            for r in records:
+                label, digits = r.support.split(":")
                 B = PAdicCell(assign.p, tuple(int(d) for d in digits))
-                assert pair.lam == kozyrev_eigenvalue(spec, assign, B, label, measure)
+                assert r.lam == kozyrev_eigenvalue(spec, assign, B, label, measure)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -549,16 +544,17 @@ def test_full_basis_kozyrev_columns_equal_the_wavelets_bit_for_bit(p):
     disc = discretize(assign, assign.m + (3 if p == 2 else 2))
     spec = ultra_spec(dend, alpha=1.5)
     for measure in ("haar", "nu"):
-        pairs = [pair for pair in full_basis(spec, disc, measure)
-                 if pair.kind == "kozyrev"]
-        assert len(pairs) == len(disc) - len(assign.labels)
-        for pair in pairs:
-            label, digits = pair.support.split(":")
+        basis = full_basis(spec, disc, measure)
+        columns = [k for k, r in enumerate(basis.records) if r.kind == "kozyrev"]
+        assert len(columns) == len(disc) - len(assign.labels)
+        for k in columns:
+            r = basis.records[k]
+            label, digits = r.support.split(":")
             B = PAdicCell(p, tuple(int(d) for d in digits))
-            expected = kozyrev_wavelet(disc, B, pair.index)
+            expected = kozyrev_wavelet(disc, B, r.index)
             if measure == "nu":
                 expected = expected / math.sqrt(float(nu.leaf_mass(label)) * float(p) ** assign.m)
-            assert np.array_equal(pair.psi, expected)
+            assert np.array_equal(basis.psi[:, k], expected)
 
 
 # --- the disc-block layout of full bases -------------------------------------------
