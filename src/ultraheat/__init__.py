@@ -12,7 +12,7 @@ from .heat import (
     solve_cauchy,
     truncation_bound,
 )
-from .multitopo import TopologyFamily, WeightedMultiGraph, decode, encode, first_primes
+from .multitopo import Dag, TopologyFamily, WeightedMultiGraph, decode, encode, first_primes
 from .operators import (
     Bullet,
     GeneratorMatrix,
@@ -42,12 +42,7 @@ from .spectra import (
     ultrametric_wavelet,
     verify_eigenpair,
 )
-from .toposort import (
-    Dag,
-    kahn_sort,
-    merge_sorted_clusters,
-    parallel_toposort,
-)
+from .toposort import kahn_sort, merge_sorted_clusters, parallel_toposort
 from .ultraindex import (
     Dendrogram,
     DendrogramNode,

@@ -15,15 +15,21 @@ Factoring an edge weight recovers which topologies the edge belongs to,
 and comparing endpoint dimensions recovers its orientation in each one:
 along any directed edge the origin's chain length strictly exceeds the
 target's.  Hence ``decode(encode(family)) == family`` exactly.
+
+Each topology is checked and measured as a ``Dag``, the DAG type that
+``toposort`` sorts too, through one Kahn walk (``_kahn``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+import heapq
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import (
     AmbiguousOrientation,
+    CycleDetected,
     CyclicInput,
     DuplicatePrime,
     NotPrime,
@@ -91,43 +97,88 @@ def first_primes(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def chain_lengths(vertices: Iterable, edges: Iterable[Edge]) -> dict:
-    """Longest directed chain length (edge count) starting at each vertex.
+@dataclass(frozen=True)
+class Dag:
+    """A directed graph on distinct vertices.  ``str_order`` lists the
+    vertices in ``str`` order (ties keep their order in ``vertices``) and
+    ``rank`` maps each to its position there; ``succ[i]`` holds the ranks
+    of rank i's successors and ``indegree[i]`` their count into rank i."""
 
-    Raises CyclicInput if the edge set has a directed cycle.  Iterative
-    three-colour DFS with memoisation.
-    """
-    succ: dict = {v: [] for v in vertices}
-    for u, v in edges:
-        succ[u].append(v)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    colour = {v: WHITE for v in succ}
-    length = {v: 0 for v in succ}
-    for start in succ:
-        if colour[start] != WHITE:
-            continue
-        stack = [(start, iter(succ[start]))]
-        colour[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if colour[nxt] == GRAY:
-                    raise CyclicInput(f"directed cycle through {nxt!r}")
-                if colour[nxt] == WHITE:
-                    colour[nxt] = GRAY
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                length[node] = max(length[node], 1 + length[nxt])
-            if not advanced and stack and stack[-1][0] == node:
-                # all successors done
-                stack.pop()
-                colour[node] = BLACK
-                if stack:
-                    parent = stack[-1][0]
-                    length[parent] = max(length[parent], 1 + length[node])
-    return length
+    vertices: tuple
+    edges: frozenset
+    str_order: tuple = field(init=False, repr=False, compare=False)
+    rank: dict = field(init=False, repr=False, compare=False)
+    succ: tuple = field(init=False, repr=False, compare=False)
+    indegree: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
+        str_order = tuple(sorted(self.vertices, key=str))
+        rank = {v: i for i, v in enumerate(str_order)}
+        if len(rank) != len(str_order):
+            repeated = next(v for v, k in Counter(self.vertices).items() if k > 1)
+            raise ValueError(f"vertex {repeated!r} is listed more than once")
+        succ: list[list[int]] = [[] for _ in str_order]
+        indegree = [0] * len(str_order)
+        for u, v in self.edges:
+            if u not in rank or v not in rank:
+                raise ValueError(f"edge ({u!r},{v!r}) leaves the vertex set")
+            j = rank[v]
+            succ[rank[u]].append(j)
+            indegree[j] += 1
+        object.__setattr__(self, "str_order", str_order)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "succ", tuple(map(tuple, succ)))
+        object.__setattr__(self, "indegree", tuple(indegree))
+
+    def ranks(self, labels: Iterable) -> list[int]:
+        """The ranks of ``labels``; ValueError for one outside the vertex set."""
+        try:
+            return [self.rank[v] for v in labels]
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} is not a vertex of the DAG") from None
+
+
+def _kahn(dag: Dag, succ: Sequence, indeg: list, ranks: Collection[int]) -> tuple:
+    """Kahn's algorithm over ``ranks``: pop the smallest rank of indegree
+    0, then decrement ``indeg`` (consumed) along ``succ``.  A successor
+    outside ``ranks`` must start below 0 so that it never reaches 0."""
+    heap = [i for i in ranks if indeg[i] == 0]
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        i = heapq.heappop(heap)
+        out.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, j)
+    if len(out) != len(ranks):
+        raise CycleDetected(f"{len(ranks) - len(out)} vertices stuck on a cycle")
+    return tuple(map(dag.str_order.__getitem__, out))
+
+
+def chain_lengths(vertices: Iterable, edges: Iterable[Edge]) -> dict:
+    """Longest directed chain length (edge count) starting at each vertex,
+    from one Kahn order of the ``Dag`` read backwards.  Raises CyclicInput
+    if the edge set has a directed cycle, and ValueError where ``Dag``
+    does."""
+    dag = Dag(vertices, edges)
+    try:
+        order = _kahn(dag, dag.succ, list(dag.indegree), range(len(dag.str_order)))
+    except CycleDetected as exc:
+        raise CyclicInput(str(exc)) from None
+    succ, rank = dag.succ, dag.rank
+    length = [0] * len(order)
+    for v in reversed(order):
+        i = rank[v]
+        best = 0
+        for j in succ[i]:
+            if length[j] >= best:
+                best = length[j] + 1
+        length[i] = best
+    return dict(zip(dag.str_order, length))
 
 
 @dataclass(frozen=True)
@@ -144,19 +195,13 @@ class TopologyFamily:
         object.__setattr__(self, "primes", tuple(self.primes))
 
     def validate(self) -> list[dict]:
-        """Check the primes, the edges and acyclicity; return every DAG's
+        """Check the primes, and each topology's vertices, edges and
+        acyclicity through its ``Dag``; return every DAG's
         ``chain_lengths``, which the cycle check computes anyway."""
         if len(self.primes) != len(self.dags):
             raise ValueError("one prime per topology required")
         _check_primes(self.primes)
-        vset = set(self.vertex_ids)
-        lengths = []
-        for i, dag in enumerate(self.dags):
-            for u, v in dag:
-                if u not in vset or v not in vset:
-                    raise ValueError(f"edge ({u!r},{v!r}) of topology {i} leaves the vertex set")
-            lengths.append(chain_lengths(self.vertex_ids, dag))  # raises CyclicInput
-        return lengths
+        return [chain_lengths(self.vertex_ids, dag) for dag in self.dags]
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DisconnectedGraph, OutputError, ParseError
-from .multitopo import TopologyFamily, WeightedMultiGraph, first_primes
+from .multitopo import Dag, TopologyFamily, WeightedMultiGraph, first_primes
 from .padic import DiscAssignment, embed
-from .toposort import Dag
 from .ultraindex import graph_dendrogram
 
 
@@ -202,10 +201,8 @@ def family_to_obj(family: TopologyFamily) -> dict:
 
 def family_from_obj(obj) -> TopologyFamily:
     """Read a family file, checked before any encode work: a ParseError
-    unless the vertices are JSON keys (str, number, bool or null) distinct
-    both as values and as text (the graph file names a vertex by its
-    ``str``), every edge is a list of two listed vertices, and the primes,
-    if given, are one int per topology."""
+    unless its vertices and edges pass ``_check_vertices_and_edges`` and
+    the primes, if given, are one int per topology."""
     try:
         vertices, topologies, primes = obj["vertices"], obj["topologies"], obj.get("primes") or []
         if type(topologies) is not list:
@@ -213,21 +210,10 @@ def family_from_obj(obj) -> TopologyFamily:
         edge_lists = [topo["edges"] for topo in topologies]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed family file: {exc}") from exc
-    if not all(type(x) is list for x in (vertices, primes, *edge_lists)):
-        raise ParseError("malformed family file: vertices, edges and primes must be lists")
-    for v in vertices:
-        if type(v) not in _LEAF_TEXT:
-            raise ParseError(f"malformed family file: the vertex {v!r} is not a JSON key")
-    type_of = {v: type(v) for v in vertices}  # an edge end is a vertex of the same type
-    if not len(type_of) == len(set(map(str, vertices))) == len(vertices):
-        raise ParseError("malformed family file: a vertex is listed twice, as a value or as text")
-    for i, edges in enumerate(edge_lists):
-        for edge in edges:
-            if not (type(edge) is list and len(edge) == 2
-                    and type(edge[0]) in _LEAF_TEXT and type_of.get(edge[0]) is type(edge[0])
-                    and type(edge[1]) in _LEAF_TEXT and type_of.get(edge[1]) is type(edge[1])):
-                raise ParseError(f"malformed family file: the edge {edge!r} of topology {i} "
-                                 "is not a pair of listed vertices")
+    if type(primes) is not list:
+        raise ParseError("malformed family file: primes must be a list")
+    _check_vertices_and_edges("family", vertices, [(f" of topology {i}", edges)
+                                                   for i, edges in enumerate(edge_lists)])
     if primes and len(primes) != len(edge_lists):
         raise ParseError(f"malformed family file: {len(primes)} primes for "
                          f"{len(edge_lists)} topologies")
@@ -235,6 +221,28 @@ def family_from_obj(obj) -> TopologyFamily:
         raise ParseError(f"malformed family file: the primes {primes!r} are not all integers")
     dags = [frozenset(map(tuple, edges)) for edges in edge_lists]
     return TopologyFamily(vertices, dags, primes or first_primes(len(dags)))
+
+
+def _check_vertices_and_edges(kind: str, vertices, edge_lists) -> None:
+    """A ParseError unless the vertices are a list of JSON keys (str,
+    number, bool or null) distinct both as values and as text (the graph
+    and order files name a vertex by its ``str``), and every edge of each
+    (place, edges) pair is a list of two listed vertices."""
+    if not all(type(x) is list for x in (vertices, *(edges for _, edges in edge_lists))):
+        raise ParseError(f"malformed {kind} file: vertices and edges must be lists")
+    for v in vertices:
+        if type(v) not in _LEAF_TEXT:
+            raise ParseError(f"malformed {kind} file: the vertex {v!r} is not a JSON key")
+    type_of = {v: type(v) for v in vertices}  # an edge end is a vertex of the same type
+    if not len(type_of) == len(set(map(str, vertices))) == len(vertices):
+        raise ParseError(f"malformed {kind} file: a vertex is listed twice, as a value or as text")
+    for place, edges in edge_lists:
+        for edge in edges:
+            if not (type(edge) is list and len(edge) == 2
+                    and type(edge[0]) in _LEAF_TEXT and type_of.get(edge[0]) is type(edge[0])
+                    and type(edge[1]) in _LEAF_TEXT and type_of.get(edge[1]) is type(edge[1])):
+                raise ParseError(f"malformed {kind} file: the edge {edge!r}{place} "
+                                 "is not a pair of listed vertices")
 
 
 # --- weighted graphs -----------------------------------------------------------
@@ -303,16 +311,19 @@ def graph_from_obj(obj) -> tuple[WeightedMultiGraph, tuple]:
 
 def dag_from_obj(obj) -> tuple[Dag, dict]:
     """Read a DAG file and its edge weights: a ParseError unless it lists
-    a vertex and ``Dag`` accepts its vertices and edges, and every weight
-    key "u|v" names two distinct vertices of it, once in either order.
-    The values are read as floats; their range is checked where they are
-    used (BadWeight)."""
+    a vertex, ``Dag`` and then ``_check_vertices_and_edges`` accept its
+    vertices and edges, and every weight is a JSON number under a key
+    "u|v" that names two distinct vertices of it, as strings, once in
+    either order.  The weights are read as floats; their range is checked
+    where they are used (BadWeight)."""
     try:
-        vertices = tuple(obj["vertices"])
-        edges = frozenset(tuple(e) for e in obj["edges"])
-        dag = Dag(vertices, edges)
+        dag = Dag(obj["vertices"], obj["edges"])
+        _check_vertices_and_edges("dag", obj["vertices"], [("", obj["edges"])])
+        weight_obj = obj.get("weights") or {}
+        if type(weight_obj) is not dict:
+            raise TypeError("weights must be an object")
         weights = {}
-        for key, val in (obj.get("weights") or {}).items():
+        for key, val in weight_obj.items():
             u, _, v = key.partition("|")
             e = frozenset((u, v))
             if u == v or u not in dag.rank or v not in dag.rank:
@@ -320,10 +331,13 @@ def dag_from_obj(obj) -> tuple[Dag, dict]:
                                  "two distinct vertices")
             if e in weights:
                 raise ParseError(f"malformed dag file: the weight key {key!r} names an edge twice")
+            if type(val) not in (int, float):
+                raise ParseError(f"malformed dag file: the weight {val!r} of {key!r} "
+                                 "is not a JSON number")
             weights[e] = float(val)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed dag file: {exc}") from exc
-    if not vertices:
+    if not dag.vertices:
         raise ParseError("malformed dag file: it lists no vertex")
     return dag, weights
 
@@ -359,11 +373,21 @@ def index_from_obj(obj):
             f"index file is not version {INDEX_VERSION}: re-run `ultraheat index` on its graph"
         )
     try:
-        labels = tuple(obj["vertices"])
-        weights = {frozenset((u, v)): float(wt) for u, v, wt in obj["edges"]}
-        p, m = obj["p"], obj["m"]
+        vertices, edges, p, m = obj["vertices"], obj["edges"], obj["p"], obj["m"]
+        if not (type(vertices) is list and all(type(v) is str for v in vertices)):
+            raise ParseError("index vertices must be a list of strings")
+        if type(edges) is not list:
+            raise ParseError("index edges must be a list")
+        weights = {}
+        for u, v, wt in edges:
+            if type(wt) not in (int, float):
+                raise ParseError(f"index weight {wt!r} of the edge {u!r}-{v!r} is not a JSON number")
+            weights[frozenset((u, v))] = float(wt)
+        if len(weights) != len(edges):
+            raise ParseError("index edges name an edge twice")
         if type(p) is not int or type(m) is not int:
             raise ParseError(f"index p and m must be integers, got {p!r} and {m!r}")
+        labels = tuple(vertices)
         assign = embed(graph_dendrogram(labels, weights), p)
     except (KeyError, TypeError, ValueError, DisconnectedGraph) as exc:
         raise ParseError(f"malformed index file: {exc}") from exc

@@ -1,9 +1,10 @@
 """Cluster-parallel topological sorting over a dendrogram index.
 
-A ``Dag`` numbers its vertices once, by rank in ``str`` order, and keeps
-each rank's successor ranks and indegree.  Every Kahn pass runs on these
-integers with a min-rank heap, so ties go to the smallest label under
-``str`` and no pass re-sorts or re-reads the labels.
+A ``Dag`` (from ``multitopo``) numbers its vertices once, by rank in
+``str`` order, and keeps each rank's successor ranks and indegree.  Every
+Kahn pass is ``multitopo._kahn`` on these integers with a min-rank heap,
+so ties go to the smallest label under ``str`` and no pass re-sorts or
+re-reads the labels.
 
 The minimal cluster of each seed (the smallest non-singleton ball of the
 index around it) is sorted on its own, then the whole DAG is sorted in
@@ -20,75 +21,11 @@ not enter the computation, so it cannot change the output.
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Collection, Iterable, Sequence
+from typing import Sequence
 
 from .errors import CycleDetected
+from .multitopo import Dag, _kahn
 from .ultraindex import Dendrogram, minimal_cluster
-
-
-@dataclass(frozen=True)
-class Dag:
-    """A directed graph on distinct vertices.  ``str_order`` lists the
-    vertices in ``str`` order (ties keep their order in ``vertices``) and
-    ``rank`` maps each to its position there; ``succ[i]`` holds the ranks
-    of rank i's successors and ``indegree[i]`` their count into rank i."""
-
-    vertices: tuple
-    edges: frozenset
-    str_order: tuple = field(init=False, repr=False, compare=False)
-    rank: dict = field(init=False, repr=False, compare=False)
-    succ: tuple = field(init=False, repr=False, compare=False)
-    indegree: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        str_order = tuple(sorted(self.vertices, key=str))
-        rank = {v: i for i, v in enumerate(str_order)}
-        if len(rank) != len(str_order):
-            repeated = next(v for v, k in Counter(self.vertices).items() if k > 1)
-            raise ValueError(f"vertex {repeated!r} is listed more than once")
-        succ: list[list[int]] = [[] for _ in str_order]
-        indegree = [0] * len(str_order)
-        for u, v in self.edges:
-            if u not in rank or v not in rank:
-                raise ValueError(f"edge ({u!r},{v!r}) leaves the vertex set")
-            j = rank[v]
-            succ[rank[u]].append(j)
-            indegree[j] += 1
-        object.__setattr__(self, "str_order", str_order)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "succ", tuple(map(tuple, succ)))
-        object.__setattr__(self, "indegree", tuple(indegree))
-
-    def ranks(self, labels: Iterable) -> list[int]:
-        """The ranks of ``labels``; ValueError for one outside the vertex set."""
-        try:
-            return [self.rank[v] for v in labels]
-        except KeyError as exc:
-            raise ValueError(f"{exc.args[0]!r} is not a vertex of the DAG") from None
-
-
-def _kahn(dag: Dag, succ: Sequence, indeg: list, ranks: Collection[int]) -> tuple:
-    """Kahn's algorithm over ``ranks``: pop the smallest rank of indegree
-    0, then decrement ``indeg`` (consumed) along ``succ``.  A successor
-    outside ``ranks`` must start below 0 so that it never reaches 0."""
-    heap = [i for i in ranks if indeg[i] == 0]
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        i = heapq.heappop(heap)
-        out.append(i)
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(heap, j)
-    if len(out) != len(ranks):
-        raise CycleDetected(f"{len(ranks) - len(out)} vertices stuck on a cycle")
-    return tuple(map(dag.str_order.__getitem__, out))
 
 
 def kahn_sort(dag: Dag, members=None) -> tuple:

@@ -33,6 +33,14 @@ GRAPH = {  # FAMILY encoded, with its primes
     "primes": [2, 3],
 }
 
+INDEX = {  # GRAPH indexed
+    "version": 3,
+    "vertices": ["a", "b", "c"],
+    "edges": [["a", "b", 0.5138983423697507], ["b", "c", 0.7213475204444817]],
+    "p": 2,
+    "m": 2,
+}
+
 THREE_LEAF_DAG = {
     "vertices": ["a", "b", "c"],
     "edges": [["a", "b"], ["b", "c"]],
@@ -173,13 +181,19 @@ def test_toposort_cycle_exit_code(tmp_path, capsys):
     ({"vertices": [1, 2], "edges": [[1, 2]], "weights": {"1|2": 1.0}},
      "'1|2' does not name two distinct vertices"),
     ({**THREE_LEAF_DAG, "weights": {"a|b": 1.0, "b|a": 2.0}}, "'b|a' names an edge twice"),
+    ({**THREE_LEAF_DAG, "weights": {"a|b": "0.5"}}, "the weight '0.5' of 'a|b' is not a JSON number"),
+    ({**THREE_LEAF_DAG, "weights": {"a|b": True}}, "the weight True of 'a|b' is not a JSON number"),
+    ({"vertices": "ab", "edges": [["a", "b"]]}, "vertices and edges must be lists"),
+    ({"vertices": ["a", "b"], "edges": ["ab"]}, "the edge 'ab' is not a pair of listed vertices"),
+    ({"vertices": [1, "1"], "edges": []}, "a vertex is listed twice, as a value or as text"),
 ])
 def test_a_dag_file_over_other_vertices_is_a_parse_error(tmp_path, capsys, dag_obj, detail):
-    """An edge to a vertex the file does not list, a vertex listed twice, no
-    vertex at all, or a weight key "u|v" that does not name two distinct
-    vertices, or names an edge named before, is a malformed DAG file: exit
-    2 with one JSON error line, before any sort (with or without an
-    index)."""
+    """An edge to a vertex the file does not list, a vertex listed twice (as
+    a value or as text), no vertex at all, vertices or an edge that is no
+    list, a weight that is no JSON number, or a weight key "u|v" that does
+    not name two distinct vertices, or names an edge named before, is a
+    malformed DAG file: exit 2 with one JSON error line, before any sort
+    (with or without an index)."""
     dag = tmp_path / "dag.json"
     write(dag, dag_obj)
     out = tmp_path / "order.txt"
@@ -298,43 +312,69 @@ def _json_paths(obj, path=()):
 
 
 # one value of each JSON type; a path's wrong values are those of another type
-# than its own, and never a falsy one for "primes", whose absence is valid
+# than its own, never an int where a float is (both are JSON numbers), and
+# never a falsy one for "primes" or "weights", whose absence is valid
 WRONG_TYPES = [None, True, 7, 2.5, "x", [["x"]], {"x": 1}]
+
+# each kind of file: its valid bases, the command lines that read it, and
+# the breakages it can have besides a repeated vertex, an unknown edge end
+# and a value of the wrong type
+BROKEN_FILE_KINDS = {
+    "family": ([FAMILY, LOW_BRANCHING_FAMILY], [["encode"]], ["bad prime"]),
+    "graph": ([GRAPH], [["decode"], ["index"]],
+              ["bad prime", "short vector", "bad weight", "repeated edge"]),
+    "dag": ([THREE_LEAF_DAG], [["toposort"]], ["bad weight", "repeated edge"]),
+    "index": ([INDEX], [["spectrum", "--bullet", "ultrametric", "--level", "3"]],
+              ["bad prime", "bad weight", "repeated edge"]),
+}
 
 
 @st.composite
 def broken_file(draw):
-    """A family or graph file broken in one place, and the subcommands
-    that must refuse it."""
-    kind = draw(st.sampled_from(["family", "graph"]))
-    obj = json.loads(json.dumps(draw(st.sampled_from(
-        [FAMILY, LOW_BRANCHING_FAMILY] if kind == "family" else [GRAPH]))))
+    """A family, graph, DAG or index file broken in one place, and the
+    command lines that must refuse it."""
+    kind = draw(st.sampled_from(list(BROKEN_FILE_KINDS)))
+    bases, commands, breakages = BROKEN_FILE_KINDS[kind]
+    obj = json.loads(json.dumps(draw(st.sampled_from(bases))))
     if kind == "family":
-        commands, edges = ["encode"], [e for t in obj["topologies"] for e in t["edges"]]
+        edges = [e for t in obj["topologies"] for e in t["edges"]]
     else:
-        commands, edges = ["decode", "index"], [rec["ends"] for rec in obj["edges"]]
-    breakage = draw(st.sampled_from(["repeated vertex", "unknown end", "bad prime", "wrong type"]
-                                    + (["short vector", "bad weight", "repeated edge"]
-                                       if kind == "graph" else [])))
+        edges = [rec["ends"] for rec in obj["edges"]] if kind == "graph" else obj["edges"]
+    breakage = draw(st.sampled_from(["repeated vertex", "unknown end", "wrong type", *breakages]))
     if breakage == "repeated vertex":
         obj["vertices"].append(draw(st.sampled_from(obj["vertices"])))
     elif breakage == "unknown end":
         draw(st.sampled_from(edges))[draw(st.integers(0, 1))] = "zz"
+    elif breakage == "bad prime" and kind == "index":
+        obj["p"] = draw(st.sampled_from([0, 1, -3, 4, 2.5, "x", None, True]))
     elif breakage == "bad prime":
         i = draw(st.integers(0, len(obj["primes"]) - 1))  # every base holds two primes or more
         obj["primes"][i] = draw(st.sampled_from([0, 1, -3, 4, 2.5, "x", None, True,
                                                  obj["primes"][i - 1]]))
         if kind == "graph":
-            commands = ["decode"]  # index reads no prime
+            commands = [["decode"]]  # index reads no prime
     elif breakage == "short vector":
         obj["d"][draw(st.sampled_from(obj["vertices"]))].pop()
-    elif breakage == "repeated edge":
+    elif breakage == "repeated edge" and kind == "graph":
         rec = draw(st.sampled_from(obj["edges"]))
         obj["edges"].append({"ends": rec["ends"][::draw(st.sampled_from([1, -1]))],
                              "w": draw(st.sampled_from([rec["w"], 1]))})
+    elif breakage == "repeated edge" and kind == "dag":  # a weight key, repeated reversed
+        u, v = draw(st.sampled_from(sorted(obj["weights"]))).split("|")
+        obj["weights"][f"{v}|{u}"] = draw(st.sampled_from([obj["weights"][f"{u}|{v}"], 1.0]))
+    elif breakage == "repeated edge":
+        u, v, wt = draw(st.sampled_from(obj["edges"]))
+        obj["edges"].append([*(u, v)[::draw(st.sampled_from([1, -1]))],
+                             draw(st.sampled_from([wt, 1.0]))])
     elif breakage == "bad weight":
-        draw(st.sampled_from(obj["edges"]))["w"] = draw(st.sampled_from(
-            [0, -1, 2.5, "6", None, True, [6]]))
+        bad = draw(st.sampled_from([0, -1, "6", None, True, [6]]
+                                   + ([2.5] if kind == "graph" else [])))  # graph weights are ints
+        if kind == "graph":
+            draw(st.sampled_from(obj["edges"]))["w"] = bad
+        elif kind == "dag":
+            obj["weights"][draw(st.sampled_from(sorted(obj["weights"])))] = bad
+        else:
+            draw(st.sampled_from(obj["edges"]))[2] = bad
     else:
         root = {"file": obj}  # a holder, so that the file itself has a parent
         *keys, last = ("file", *draw(st.sampled_from(list(_json_paths(obj)))))
@@ -342,24 +382,26 @@ def broken_file(draw):
         for key in keys:
             parent = parent[key]
         wrong = [v for v in WRONG_TYPES if type(v) is not type(parent[last])
-                 and not (last == "primes" and not v)]
+                 and not (type(v) is int and type(parent[last]) is float)
+                 and not (last in ("primes", "weights") and not v)]
         parent[last] = draw(st.sampled_from(wrong))
         obj = root["file"]
     return obj, commands
 
 
-@settings(max_examples=120, deadline=None,
+@settings(max_examples=240, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=broken_file())
 def test_a_broken_family_or_graph_file_exits_with_a_listed_code(tmp_path, capsys, case):
-    """Every family or graph file broken in one place makes `encode`,
-    `decode` and `index` return a code of EXIT_CODES with one JSON error
-    line and no output file: no exception escapes main."""
+    """Every family, graph, DAG or index file broken in one place makes
+    `encode`, `decode`, `index`, `toposort` and `spectrum` return a code
+    of EXIT_CODES with one JSON error line and no output file: no
+    exception escapes main."""
     obj, commands = case
     path, out = tmp_path / "in.json", tmp_path / "out.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
-    for command in commands:
-        code = main([command, "--input", str(path), "--output", str(out)])
+    for command, *args in commands:
+        code = main([command, "--input", str(path), "--output", str(out), *args])
         assert code in EXIT_CODES.values(), (command, obj)
         assert_one_error_line(capsys, code)
         assert not out.exists()
@@ -720,7 +762,8 @@ def test_oversized_level_exits_24_before_enumerating_cells(tmp_path, capsys, sub
 
 
 @pytest.mark.parametrize("edit", ["vertex", "m", "no_m", "p", "mst_weight", "v1", "v2",
-                                  "huge_p"])
+                                  "huge_p", "weight_text", "weight_bool", "edge_twice",
+                                  "vertices_text"])
 def test_hand_edited_index_is_a_parse_error(tmp_path, capsys, edit):
     index = index_fixture(tmp_path)
     obj = json.loads(index.read_text())
@@ -739,6 +782,14 @@ def test_hand_edited_index_is_a_parse_error(tmp_path, capsys, edit):
         # the fixture graph is a path, so both edges are in the tree: tied,
         # they merge all three vertices in one node, beyond p = 2 and m = 2
         obj["edges"][0][2] = obj["edges"][1][2]
+    elif edit == "weight_text":
+        obj["edges"][0][2] = "0.5"
+    elif edit == "weight_bool":
+        obj["edges"][0][2] = True
+    elif edit == "edge_twice":  # the edge a-b again, reversed: its last weight won
+        obj["edges"].append(["b", "a", 0.7])
+    elif edit == "vertices_text":  # was read as the vertices a, b and c
+        obj["vertices"] = "abc"
     elif edit == "v1":  # the shape of a version-1 file: no "version" key, a "delta" matrix
         del obj["version"]
         obj["delta"] = [[0.0] * 3] * 3

@@ -3,6 +3,7 @@
 Oracle for dimensions: exhaustive enumeration of all directed paths.
 """
 
+import json
 import math
 import time
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from ultraheat import TopologyFamily, WeightedMultiGraph, decode, encode
+from ultraheat.cli import main
 from ultraheat.errors import (
     AmbiguousOrientation,
     CyclicInput,
@@ -65,6 +67,28 @@ def test_encode_rejects_two_cycle():
     fam = TopologyFamily(("a", "b"), (frozenset({("a", "b"), ("b", "a")}),), (2,))
     with pytest.raises(CyclicInput):
         encode(fam)
+
+
+@pytest.mark.parametrize("edges", [
+    {("a", "a")},
+    {("s", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("s", "t")},
+    {("a", "b"), ("b", "a"), ("c", "d"), ("d", "e"), ("e", "c"), ("f", "a")},
+], ids=["self-loop", "cycle below a source", "two disjoint cycles"])
+def test_chain_lengths_refuses_every_cycle_and_encode_exits_3(tmp_path, capsys, edges):
+    """A self-loop, a cycle reached only from a source, and two disjoint
+    cycles each leave vertices that the Kahn walk never frees:
+    ``chain_lengths`` raises CyclicInput, and `encode` exits 3 with one
+    JSON error line and no graph."""
+    vertices = sorted({v for edge in edges for v in edge})
+    with pytest.raises(CyclicInput):
+        chain_lengths(vertices, edges)
+    family, graph = tmp_path / "family.json", tmp_path / "graph.json"
+    family.write_text(json.dumps({"vertices": vertices,
+                                  "topologies": [{"edges": sorted(map(list, edges))}]}))
+    assert main(["encode", "--input", str(family), "--output", str(graph)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "CyclicInput"
+    assert not graph.exists()
 
 
 def test_encode_rejects_duplicate_primes():
