@@ -17,7 +17,9 @@ along any directed edge the origin's chain length strictly exceeds the
 target's.  Hence ``decode(encode(family)) == family`` exactly.
 
 Each topology is checked and measured as a ``Dag``, the DAG type that
-``toposort`` sorts too, through one Kahn walk (``_kahn``).
+``toposort`` sorts too.  A ``Dag`` computes its chain lengths once, on
+first read (``Dag.heights``), from one Kahn walk (``_kahn``); the same
+lengths order every seed cluster in ``toposort``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AmbiguousOrientation,
@@ -139,12 +142,28 @@ class Dag:
         except KeyError as exc:
             raise ValueError(f"{exc.args[0]!r} is not a vertex of the DAG") from None
 
+    @cached_property
+    def heights(self) -> tuple:
+        """Longest directed chain length (edge count) starting at each rank,
+        from one Kahn order read backwards; along every edge u -> v the
+        height of u exceeds that of v.  Computed on first read; raises
+        CycleDetected, and caches nothing, if the edges have a cycle."""
+        succ, rank = self.succ, self.rank
+        height = [0] * len(succ)
+        for v in reversed(_kahn(self, succ, list(self.indegree))):
+            i = rank[v]
+            best = 0
+            for j in succ[i]:
+                if height[j] >= best:
+                    best = height[j] + 1
+            height[i] = best
+        return tuple(height)
 
-def _kahn(dag: Dag, succ: Sequence, indeg: list, ranks: Collection[int]) -> tuple:
-    """Kahn's algorithm over ``ranks``: pop the smallest rank of indegree
-    0, then decrement ``indeg`` (consumed) along ``succ``.  A successor
-    outside ``ranks`` must start below 0 so that it never reaches 0."""
-    heap = [i for i in ranks if indeg[i] == 0]
+
+def _kahn(dag: Dag, succ: Sequence, indeg: list) -> tuple:
+    """Kahn's algorithm over every rank: pop the smallest rank of indegree
+    0, then decrement ``indeg`` (consumed) along ``succ``."""
+    heap = [i for i, k in enumerate(indeg) if k == 0]
     heapq.heapify(heap)
     out = []
     while heap:
@@ -154,31 +173,20 @@ def _kahn(dag: Dag, succ: Sequence, indeg: list, ranks: Collection[int]) -> tupl
             indeg[j] -= 1
             if indeg[j] == 0:
                 heapq.heappush(heap, j)
-    if len(out) != len(ranks):
-        raise CycleDetected(f"{len(ranks) - len(out)} vertices stuck on a cycle")
+    if len(out) != len(indeg):
+        raise CycleDetected(f"{len(indeg) - len(out)} vertices stuck on a cycle")
     return tuple(map(dag.str_order.__getitem__, out))
 
 
 def chain_lengths(vertices: Iterable, edges: Iterable[Edge]) -> dict:
-    """Longest directed chain length (edge count) starting at each vertex,
-    from one Kahn order of the ``Dag`` read backwards.  Raises CyclicInput
-    if the edge set has a directed cycle, and ValueError where ``Dag``
-    does."""
+    """Longest directed chain length (edge count) starting at each vertex:
+    the ``Dag``'s ``heights`` by label.  Raises CyclicInput if the edge
+    set has a directed cycle, and ValueError where ``Dag`` does."""
     dag = Dag(vertices, edges)
     try:
-        order = _kahn(dag, dag.succ, list(dag.indegree), range(len(dag.str_order)))
+        return dict(zip(dag.str_order, dag.heights))
     except CycleDetected as exc:
         raise CyclicInput(str(exc)) from None
-    succ, rank = dag.succ, dag.rank
-    length = [0] * len(order)
-    for v in reversed(order):
-        i = rank[v]
-        best = 0
-        for j in succ[i]:
-            if length[j] >= best:
-                best = length[j] + 1
-        length[i] = best
-    return dict(zip(dag.str_order, length))
 
 
 @dataclass(frozen=True)

@@ -365,8 +365,11 @@ def index_from_obj(obj):
     """Rebuild (assignment, distance weights) from an index file.
 
     The dendrogram is rebuilt from the stored edges and embedded at the
-    stored p; a p that is not a prime at least the branching factor, or a
-    stored m that differs from the embedding's, is a ParseError.
+    stored p.  A ParseError unless the vertices are distinct strings and
+    every edge is a list [u, v, weight] of two distinct listed vertices
+    and a JSON number, listed once; a p that is not a prime at least the
+    branching factor, or a stored m that differs from the embedding's, is
+    one too.
     """
     if not isinstance(obj, dict) or obj.get("version") != INDEX_VERSION:
         raise ParseError(
@@ -376,10 +379,19 @@ def index_from_obj(obj):
         vertices, edges, p, m = obj["vertices"], obj["edges"], obj["p"], obj["m"]
         if not (type(vertices) is list and all(type(v) is str for v in vertices)):
             raise ParseError("index vertices must be a list of strings")
+        listed = set(vertices)
+        if len(listed) != len(vertices):
+            raise ParseError("index vertices list a vertex twice")
         if type(edges) is not list:
             raise ParseError("index edges must be a list")
         weights = {}
-        for u, v, wt in edges:
+        for edge in edges:
+            if not (type(edge) is list and len(edge) == 3 and edge[0] != edge[1]
+                    and type(edge[0]) is type(edge[1]) is str
+                    and edge[0] in listed and edge[1] in listed):
+                raise ParseError(f"index edge {edge!r} is not [u, v, weight] with u and v "
+                                 "two distinct listed vertices")
+            u, v, wt = edge
             if type(wt) not in (int, float):
                 raise ParseError(f"index weight {wt!r} of the edge {u!r}-{v!r} is not a JSON number")
             weights[frozenset((u, v))] = float(wt)

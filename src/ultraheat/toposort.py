@@ -7,41 +7,30 @@ so ties go to the smallest label under ``str`` and no pass re-sorts or
 re-reads the labels.
 
 The minimal cluster of each seed (the smallest non-singleton ball of the
-index around it) is sorted on its own, then the whole DAG is sorted in
-one Kahn pass over its edges plus the successive-pair chain of every
+index around it) is sorted by longest chain to a sink, the critical-path
+priority of list scheduling (T. C. Hu, Oper. Res. 9 (1961)): by
+decreasing ``Dag.heights``, ties by rank.  Then the whole DAG is sorted
+in one Kahn pass over its edges plus the successive-pair chain of every
 cluster order.  Every sort and merge returns its order as a plain tuple
 of labels.
 
-Locally valid cluster orders can still be jointly incompatible (the
-chains may close a cycle against edges through outside vertices); the
-merge surfaces that as CycleDetected, and the full pipeline then falls
-back to one Kahn sort of the whole DAG.  The physical parallelism does
-not enter the computation, so it cannot change the output.
+Every cluster order is the restriction of one linear extension, the
+DAG's (-height, rank) order, so the chains never close a cycle and the
+merge keeps every cluster order.  The physical parallelism does not
+enter the computation, so it cannot change the output.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import CycleDetected
 from .multitopo import Dag, _kahn
 from .ultraindex import Dendrogram, minimal_cluster
 
 
-def kahn_sort(dag: Dag, members=None) -> tuple:
-    """Linear extension of the DAG (restricted to ``members`` if given);
-    ties go to the smallest label under ``str``."""
-    if members is None:
-        return _kahn(dag, dag.succ, list(dag.indegree), range(len(dag.str_order)))
-    ranks = set(dag.ranks(members))
-    indeg = [-1] * len(dag.str_order)
-    for i in ranks:
-        indeg[i] = 0
-    for i in ranks:
-        for j in dag.succ[i]:
-            if indeg[j] >= 0:
-                indeg[j] += 1
-    return _kahn(dag, dag.succ, indeg, ranks)
+def kahn_sort(dag: Dag) -> tuple:
+    """Linear extension of the DAG; ties go to the smallest label under ``str``."""
+    return _kahn(dag, dag.succ, list(dag.indegree))
 
 
 def merge_sorted_clusters(dag: Dag, *orders: Sequence) -> tuple:
@@ -51,8 +40,7 @@ def merge_sorted_clusters(dag: Dag, *orders: Sequence) -> tuple:
     edges alone.
 
     When the chains conflict with each other or with the DAG's edges the
-    combined relation is cyclic and CycleDetected is raised; the orders
-    were incompatible and the caller decides how to recover.
+    combined relation is cyclic and CycleDetected is raised.
     """
     succ = list(dag.succ)
     indeg = list(dag.indegree)
@@ -61,33 +49,26 @@ def merge_sorted_clusters(dag: Dag, *orders: Sequence) -> tuple:
         for i, j in zip(ranks, ranks[1:]):
             succ[i] += (j,)
             indeg[j] += 1
-    return _kahn(dag, succ, indeg, range(len(succ)))
+    return _kahn(dag, succ, indeg)
 
 
 def parallel_toposort(dag: Dag, dend: Dendrogram, seeds: Sequence, parallelism: int = 1) -> tuple:
-    """Sort the distinct minimal clusters of the seeds, then merge their
-    orders in one Kahn pass over the whole DAG.
+    """Sort the distinct minimal clusters of the seeds by (-height, rank),
+    then merge their orders in one Kahn pass over the whole DAG.
 
-    The output is a linear extension of the DAG and is identical for every
-    ``parallelism`` (validated as >= 1; it changes no work).  When the
-    seed clusters' orders are jointly compatible with the DAG the output
-    keeps each of them as a subsequence; otherwise it is ``kahn_sort(dag)``,
-    which raises CycleDetected if the DAG itself has a cycle.
-
-    The merge is a heuristic, and incompatible seed orders cost a second
-    pass: such a sort pays for the cluster sorts and a failed merge before
-    the fallback Kahn sort.  On a wide five-topology family index
-    (n = 200) that was 70 % of the sorts.  Every pass runs on the ranks,
-    successor lists and indegrees the ``Dag`` built once, in O(e + n log n)
-    time; the merge adds the cluster chains and nothing is rebuilt.
+    The output is a linear extension of the DAG that keeps every seed
+    cluster's order as a subsequence, and is identical for every
+    ``parallelism`` (validated as >= 1; it changes no work).  A cyclic DAG
+    raises CycleDetected.  The heights are computed once per ``Dag``, so a
+    sort costs the cluster sorts and one O(e + n log n) merge on the ranks,
+    successor lists and indegrees the ``Dag`` built once.
     """
     if not seeds:
         raise ValueError("at least one seed vertex required")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     members = {minimal_cluster(dend, x) for x in seeds}
-    orders = [kahn_sort(dag, m) for m in members]
-    try:
-        return merge_sorted_clusters(dag, *orders)
-    except CycleDetected:
-        return kahn_sort(dag)
+    heights, label = dag.heights, dag.str_order
+    orders = [[label[i] for i in sorted(dag.ranks(m), key=lambda i: (-heights[i], i))]
+              for m in members]
+    return merge_sorted_clusters(dag, *orders)

@@ -761,9 +761,21 @@ def test_oversized_level_exits_24_before_enumerating_cells(tmp_path, capsys, sub
     assert "dense-matrix limit" in err["detail"]
 
 
+# the detail each edit must name, where a test pins it
+INDEX_EDIT_DETAIL = {
+    "v1": "re-run `ultraheat index`",
+    "v2": "re-run `ultraheat index`",
+    "vertex_twice": "list a vertex twice",
+    "self_loop": "['a', 'a', 0.7] is not [u, v, weight] with u and v two distinct listed",
+    "edge_pair": "['a', 'b'] is not [u, v, weight]",
+    "edge_unlisted": "['c', 'z', 0.7] is not [u, v, weight] with u and v two distinct listed",
+}
+
+
 @pytest.mark.parametrize("edit", ["vertex", "m", "no_m", "p", "mst_weight", "v1", "v2",
                                   "huge_p", "weight_text", "weight_bool", "edge_twice",
-                                  "vertices_text"])
+                                  "vertices_text", "vertex_twice", "self_loop", "edge_pair",
+                                  "edge_unlisted"])
 def test_hand_edited_index_is_a_parse_error(tmp_path, capsys, edit):
     index = index_fixture(tmp_path)
     obj = json.loads(index.read_text())
@@ -790,6 +802,14 @@ def test_hand_edited_index_is_a_parse_error(tmp_path, capsys, edit):
         obj["edges"].append(["b", "a", 0.7])
     elif edit == "vertices_text":  # was read as the vertices a, b and c
         obj["vertices"] = "abc"
+    elif edit == "vertex_twice":  # was reported as a graph that is not connected
+        obj["vertices"].append("a")
+    elif edit == "self_loop":
+        obj["edges"].append(["a", "a", 0.7])
+    elif edit == "edge_pair":  # no weight
+        obj["edges"][0] = obj["edges"][0][:2]
+    elif edit == "edge_unlisted":
+        obj["edges"].append(["c", "z", 0.7])
     elif edit == "v1":  # the shape of a version-1 file: no "version" key, a "delta" matrix
         del obj["version"]
         obj["delta"] = [[0.0] * 3] * 3
@@ -805,8 +825,7 @@ def test_hand_edited_index_is_a_parse_error(tmp_path, capsys, edit):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ParseError" and err["exit"] == 2
-    if edit in ("v1", "v2"):
-        assert "re-run `ultraheat index`" in err["detail"]
+    assert INDEX_EDIT_DETAIL.get(edit, "") in err["detail"]
     assert not (tmp_path / "s.tsv").exists()
 
 
@@ -1082,6 +1101,24 @@ def test_path_index_and_toposort_artifacts_are_pinned(tmp_path, capsys):
         "ba917e4de70bb91600a4edb73a21fe2b333f68e9e2e73a7d957e081735b33088")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "8bece6694b1f36f7c7dd27c5de1ab21f9bdbe5c71d44901de9d7ca0da88b70cf")
+
+
+def test_toposort_keeps_each_seed_clusters_height_order(tmp_path, capsys):
+    """a -> c and d -> a over the index ((a, b), (c, d)): the clusters of
+    the seeds a and c sort as a b and d c, and the order keeps both."""
+    graph, index, dag, out = (tmp_path / name for name in ("g.json", "i.json", "d.json", "o.txt"))
+    write(graph, {
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [{"ends": ["a", "b"], "w": 6}, {"ends": ["c", "d"], "w": 6},
+                  {"ends": ["b", "c"], "w": 2}],
+        "d": {v: [0] for v in "abcd"},
+    })
+    write(dag, {"vertices": ["a", "b", "c", "d"], "edges": [["a", "c"], ["d", "a"]]})
+    assert main(["index", "--input", str(graph), "--output", str(index)]) == 0
+    assert main(["toposort", "--input", str(dag), "--output", str(out), "--index", str(index),
+                 "--seeds", "a,c"]) == 0
+    capsys.readouterr()
+    assert out.read_text() == "d\na\nb\nc\n"
 
 
 def test_encode_and_decode_artifacts_are_pinned(tmp_path, capsys):

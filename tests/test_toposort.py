@@ -3,8 +3,6 @@
 Validity oracle: every DAG edge must point forward in the output.
 """
 
-from graphlib import CycleError, TopologicalSorter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +16,7 @@ from ultraheat import (
     parallel_toposort,
     UltrametricMatrix,
 )
+from ultraheat import multitopo, toposort
 from ultraheat.errors import CycleDetected
 
 from conftest import random_dag, random_dendrogram
@@ -60,12 +59,13 @@ def test_kahn_cycle():
 
 
 def test_cluster_sort_examples():
-    """The smallest non-singleton ball around a vertex, and the Kahn sort
-    that ``parallel_toposort`` takes of it."""
+    """The smallest non-singleton ball around a vertex, and the
+    (-height, rank) order that ``parallel_toposort`` takes of it."""
     dend = three_ball_dendrogram()
-    dag = Dag(("a", "b", "c"), {("a", "b")})
+    dag = Dag(("a", "b", "c"), {("b", "a")})
     assert minimal_cluster(dend, "b") == frozenset(("a", "b"))
-    assert kahn_sort(dag, minimal_cluster(dend, "b")) == ("a", "b")
+    assert dag.heights == (0, 1, 0)
+    assert parallel_toposort(dag, dend, ["b"]) == ("b", "a", "c")
     assert minimal_cluster(dend, "c") == frozenset(("a", "b", "c"))
 
 
@@ -75,7 +75,8 @@ def test_cluster_sort_trivial_index_covers_everything():
     trivial = build_dendrogram(UltrametricMatrix(("a", "b", "c"), vals))
     dag = Dag(("a", "b", "c"), {("c", "a")})
     assert minimal_cluster(trivial, "a") == frozenset(("a", "b", "c"))
-    assert kahn_sort(dag, minimal_cluster(trivial, "a")) == kahn_sort(dag)
+    assert kahn_sort(dag) == ("b", "c", "a")
+    assert parallel_toposort(dag, trivial, ["a"]) == ("c", "a", "b")
 
 
 def test_merge_with_cross_edge():
@@ -102,15 +103,18 @@ def test_merge_conflicting_chains_raises():
         merge_sorted_clusters(dag, left, right)
 
 
+def sub_dag(dag: Dag, members) -> Dag:
+    """The DAG induced on ``members``."""
+    members = set(members)
+    return Dag(tuple(members), {(u, v) for u, v in dag.edges if u in members and v in members})
+
+
 def test_merge_refines_both_input_orders():
     rng = np.random.default_rng(3)
     for _ in range(20):
         dag = random_dag(rng, 12, density=0.25)
         verts = sorted(dag.vertices)
-        left = frozenset(verts[:6])
-        right = frozenset(verts[6:])
-        sl = kahn_sort(dag, left)
-        sr = kahn_sort(dag, right)
+        sl, sr = (kahn_sort(sub_dag(dag, half)) for half in (verts[:6], verts[6:]))
         try:
             merged = merge_sorted_clusters(dag, sl, sr)
         except CycleDetected:
@@ -149,6 +153,22 @@ def test_parallel_validity_random():
         assert is_linear_extension(dag, order)
 
 
+def test_parallel_makes_one_merge_and_no_kahn_sort(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("kahn_sort called")
+
+    merges, merge = [], toposort.merge_sorted_clusters
+    monkeypatch.setattr(toposort, "kahn_sort", unreachable)
+    monkeypatch.setattr(toposort, "merge_sorted_clusters",
+                        lambda *args: merges.append(args) or merge(*args))
+    rng = np.random.default_rng(29)
+    for k in range(1, 21):
+        dag = random_dag(rng, 30, density=0.3)
+        seeds = list(rng.choice(dag.vertices, size=5, replace=False))
+        assert is_linear_extension(dag, parallel_toposort(dag, random_dendrogram(rng, 30), seeds))
+        assert len(merges) == k
+
+
 def test_parallel_deterministic_across_parallelism():
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -160,7 +180,9 @@ def test_parallel_deterministic_across_parallelism():
         assert runs[1] == runs[4] == runs[16]
 
 
-def test_parallel_trivial_index_equals_kahn():
+def test_parallel_trivial_index_gives_the_height_order():
+    """One cluster holds every vertex, so the output is the DAG's global
+    (-height, rank) order."""
     rng = np.random.default_rng(19)
     for _ in range(10):
         n = int(rng.integers(4, 20))
@@ -169,7 +191,59 @@ def test_parallel_trivial_index_equals_kahn():
         np.fill_diagonal(vals, 0.0)
         dend = build_dendrogram(UltrametricMatrix(dag.vertices, vals))
         seeds = [dag.vertices[0]]
-        assert parallel_toposort(dag, dend, seeds) == kahn_sort(dag)
+        by_height = sorted(dag.vertices, key=lambda v: (-dag.heights[dag.rank[v]], v))
+        assert parallel_toposort(dag, dend, seeds) == tuple(by_height)
+
+
+def test_seed_clusters_keep_their_order_where_kahn_ties_would_conflict():
+    """a -> c and d -> a over the index ((a, b), (c, d)): sorted by rank,
+    the clusters' orders a b and c d close a cycle through d -> a; sorted
+    by (-height, rank) they are a b and d c, and the merge keeps both."""
+    vals = np.array([[0.0, 1.0, 2.0, 2.0], [1.0, 0.0, 2.0, 2.0],
+                     [2.0, 2.0, 0.0, 1.0], [2.0, 2.0, 1.0, 0.0]])
+    dend = build_dendrogram(UltrametricMatrix(("a", "b", "c", "d"), vals))
+    dag = Dag(("a", "b", "c", "d"), {("a", "c"), ("d", "a")})
+    assert dag.heights == (1, 0, 0, 2)
+    assert parallel_toposort(dag, dend, ["a", "c"]) == ("d", "a", "b", "c")
+
+
+def reference_heights(dag: Dag):
+    """Longest directed chain (edge count) from each vertex, by relaxing
+    every edge until nothing changes; None when n rounds do not settle
+    (a cycle)."""
+    height = {v: 0 for v in dag.vertices}
+    for _ in range(len(height) + 1):
+        changed = False
+        for u, v in dag.edges:
+            if height[u] < height[v] + 1:
+                height[u], changed = height[v] + 1, True
+        if not changed:
+            return height
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_heights_are_the_longest_chains_and_computed_once(data):
+    n = data.draw(st.integers(1, 30), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+    dag = random_dag(rng, n, density=data.draw(st.floats(0.0, 0.5), label="density"))
+    if dag.edges and data.draw(st.booleans(), label="close a cycle"):
+        u, v = min(dag.edges)
+        dag = Dag(dag.vertices, dag.edges | {(v, u)})
+    walks, walk = [], multitopo._kahn
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(multitopo, "_kahn", lambda *args: walks.append(args) or walk(*args))
+        expected = reference_heights(dag)
+        if expected is None:
+            for _ in range(2):  # a failed walk is not cached
+                with pytest.raises(CycleDetected):
+                    dag.heights
+            assert len(walks) == 2
+            return
+        assert dag.heights == tuple(expected[v] for v in dag.str_order)
+        assert dag.heights is dag.heights
+    assert len(walks) == 1
 
 
 def test_parallel_propagates_cycles():
@@ -203,20 +277,10 @@ def test_parallel_contract(data):
     assert is_linear_extension(dag, order)
     assert parallel_toposort(dag, dend, seeds, parallelism=4) == order
 
-    cluster_orders = [kahn_sort(dag, minimal_cluster(dend, x)) for x in seeds]
-    relation = TopologicalSorter({v: () for v in dag.vertices})
-    for u, v in dag.edges:
-        relation.add(v, u)
-    for co in cluster_orders:
-        for u, v in zip(co, co[1:]):
-            relation.add(v, u)
-    try:
-        relation.prepare()
-    except CycleError:
-        assert order == kahn_sort(dag)
-        return
-    for co in cluster_orders:
-        assert is_subsequence(co, order)
+    height = reference_heights(dag)
+    for x in seeds:
+        cluster = sorted(minimal_cluster(dend, x), key=lambda v: (-height[v], v))
+        assert is_subsequence(cluster, order)
 
 
 def reference_kahn(vertices, edges):
@@ -237,18 +301,17 @@ def reference_kahn(vertices, edges):
 
 
 def reference_toposort(dag: Dag, dend, seeds):
-    """Each seed cluster sorted under its restricted edges, then the whole
-    DAG under its edges plus every cluster chain; the DAG alone when that
-    is cyclic (None when the DAG itself is)."""
+    """Each seed cluster sorted by decreasing longest chain, ties by label,
+    then the whole DAG under its edges plus every cluster chain (None
+    when the DAG has a cycle)."""
+    height = reference_heights(dag)
+    if height is None:
+        return None
     chains = set()
     for members in {minimal_cluster(dend, x) for x in seeds}:
-        inside = [(u, v) for u, v in dag.edges if u in members and v in members]
-        order = reference_kahn(members, inside)
-        if order is None:
-            return None
+        order = sorted(members, key=lambda v: (-height[v], v))
         chains.update(zip(order, order[1:]))
-    merged = reference_kahn(dag.vertices, dag.edges | chains)
-    return merged if merged is not None else reference_kahn(dag.vertices, dag.edges)
+    return reference_kahn(dag.vertices, dag.edges | chains)
 
 
 @settings(max_examples=150, deadline=None)
@@ -256,7 +319,7 @@ def reference_toposort(dag: Dag, dend, seeds):
 def test_parallel_toposort_equals_the_reference_sort(data):
     """Element for element, with and without a cycle in the DAG, and
     unchanged by the passes run on the same Dag in between: a failing
-    merge, restricted sorts and full sorts."""
+    merge and full sorts."""
     n = data.draw(st.integers(2, 40), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
     dend = random_dendrogram(rng, n)
@@ -280,14 +343,11 @@ def test_parallel_toposort_equals_the_reference_sort(data):
     assert order == expected
     full = kahn_sort(dag)
     assert full == reference_kahn(dag.vertices, dag.edges)
-    members = minimal_cluster(dend, seeds[0])
-    part = kahn_sort(dag, members)
     if dag.edges:
         u, v = min(dag.edges)
         with pytest.raises(CycleDetected):
             merge_sorted_clusters(dag, (v, u))
     assert parallel_toposort(dag, dend, seeds, parallelism=2) == order
-    assert kahn_sort(dag, members) == part
     assert kahn_sort(dag) == full
     assert parallel_toposort(dag, dend, seeds) == order
 
