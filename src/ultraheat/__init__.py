@@ -49,7 +49,6 @@ from .ultraindex import (
     DistanceMatrix,
     UltrametricMatrix,
     build_dendrogram,
-    graph_components,
     graph_dendrogram,
     graph_distances,
     minimal_cluster,

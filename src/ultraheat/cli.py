@@ -86,7 +86,7 @@ def cmd_encode(args) -> int:
     )
     _summary("encode", [{"path": args.output, "sha256": digest}], {
         "vertices": len(graph.vertices),
-        "edges": len(graph.edges),
+        "edges": len(graph.w),
         "topologies": len(family.dags),
     })
     return 0
@@ -127,19 +127,14 @@ def cmd_index(args) -> int:
 
 
 def _resolve_seeds(dag: toposort.Dag, text: str) -> list:
-    """The DAG labels named by a comma-separated seed list, matched by str,
-    so that seeds reach integer labels too."""
-    by_text: dict = {}
-    for v in dag.vertices:
-        by_text.setdefault(str(v), []).append(v)
-    seeds = []
-    for name in text.split(","):
-        found = by_text.get(name, [])
-        if len(found) != 1:
-            problem = "names no vertex" if not found else "names several vertices"
-            raise errors.ParseError(f"seed {name!r} {problem} of the DAG")
-        seeds.append(found[0])
-    return seeds
+    """The DAG labels named by a comma-separated seed list, matched by str
+    as the DAG file's weight keys are, so that seeds reach integer labels
+    too; a DAG file's vertices are distinct as text."""
+    by_text = {str(v): v for v in dag.vertices}
+    try:
+        return [by_text[name] for name in text.split(",")]
+    except KeyError as exc:
+        raise errors.ParseError(f"seed {exc.args[0]!r} names no vertex of the DAG") from None
 
 
 def _positive_int(text: str) -> int:
@@ -171,7 +166,7 @@ def cmd_toposort(args) -> int:
     else:
         if not weights:
             weights = {frozenset(e): 1.0 for e in dag.edges}
-        dend = ultraindex.graph_dendrogram(dag.vertices, _join_components(dag.vertices, weights))
+        dend = ultraindex.graph_dendrogram(dag.vertices, _join_components(dag.str_order, weights))
     order = toposort.parallel_toposort(dag, dend, seeds, parallelism=args.parallelism)
     pos = {v: i for i, v in enumerate(order)}
     valid = all(pos[u] < pos[v] for u, v in dag.edges)
@@ -185,14 +180,17 @@ def cmd_toposort(args) -> int:
     return 0 if valid else 1
 
 
-def _join_components(vertices, weights: dict) -> dict:
-    """The weights plus, when the graph falls apart, one edge from the
-    str-smallest vertex of every further component to that of the first,
-    all at one weight above every edge weight: the components become the
-    children of one root, and a connected graph keeps its weights."""
-    heads = [component[0] for component in ultraindex.graph_components(vertices, weights)]
+def _join_components(str_order: tuple, weights: dict) -> dict:
+    """The weights plus an edge from the str-smallest vertex to every other
+    one that no weight joins it to, all at one weight above every edge
+    weight.  Single linkage merges these last, at one height: the graph's
+    connected components become the children of one root, and a connected
+    graph keeps its tree."""
     join = math.nextafter(max(weights.values(), default=1.0), math.inf)
-    return {**weights, **{frozenset((heads[0], head)): join for head in heads[1:]}}
+    joined = dict(weights)  # the given weights first, so a bad one is reported first
+    for v in str_order[1:]:
+        joined.setdefault(frozenset((str_order[0], v)), join)
+    return joined
 
 
 def _spec_from_index(bullet: str, alpha: float, assign, weights) -> operators.KernelSpec:

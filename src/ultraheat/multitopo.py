@@ -218,13 +218,11 @@ class WeightedMultiGraph:
     weights and per-vertex dimension vectors."""
 
     vertices: tuple
-    edges: frozenset  # of frozenset({u, v})
-    w: Mapping  # frozenset({u, v}) -> positive squarefree int
+    w: Mapping  # frozenset({u, v}) -> positive squarefree int, one key per edge
     d: Mapping  # vertex -> tuple of N ints
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", frozenset(frozenset(e) for e in self.edges))
 
 
 def encode(family: TopologyFamily) -> WeightedMultiGraph:
@@ -242,7 +240,6 @@ def encode(family: TopologyFamily) -> WeightedMultiGraph:
             weights[e] = weights.get(e, 1) * prime
     return WeightedMultiGraph(
         vertices=family.vertex_ids,
-        edges=frozenset(weights),
         w=weights,
         d={v: tuple(lengths[v] for lengths in per_dag) for v in family.vertex_ids},
     )
@@ -260,9 +257,8 @@ def decode(g: WeightedMultiGraph, primes: Sequence[int]) -> TopologyFamily:
     primes = tuple(primes)
     _check_primes(primes)
     dags: list[set] = [set() for _ in primes]
-    for e in sorted(g.edges, key=lambda e: tuple(sorted(map(str, e)))):
+    for e, weight in sorted(g.w.items(), key=lambda item: tuple(sorted(map(str, item[0])))):
         u, v = sorted(e, key=str)
-        weight = g.w[e]
         residue = weight
         members = []
         for i, p in enumerate(primes):

@@ -18,9 +18,11 @@ are tuples indexed by ``node.index``.
 
 The operators act on one cell domain (``CellDomain``): disjoint balls,
 each cut into its level-n cells, numbered ball by ball in digit order.
-Every ball inside one of them is a contiguous range of cells, so its
-lookups are arithmetic on integer arrays; ``PAdicCell`` is the value
-type of a single ball, built only when a cell is read.
+Every ball inside one of them is a contiguous range of cells, so a
+domain keeps per-cell integer arrays, its lookups are arithmetic on them
+and on its block balls, and it builds no level-n cell.  ``PAdicCell`` is
+the value type of a single ball, which the lookups (``index_of``,
+``ball_range``) take.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -56,12 +57,6 @@ class PAdicCell:
     @property
     def level(self) -> int:
         return len(self.digits)
-
-    def extended(self, level: int) -> "PAdicCell":
-        """Zero-padded representative cell at a finer level."""
-        if level < self.level:
-            raise ValueError("cannot extend to a coarser level")
-        return PAdicCell(self.p, self.digits + (0,) * (level - self.level))
 
     def __str__(self):
         return "".join(str(d) for d in self.digits) or "()"
@@ -191,19 +186,6 @@ def tree_measure(dend: Dendrogram) -> TreeMeasure:
     return TreeMeasure(dend, tuple(masses))
 
 
-class _Cells(Sequence):
-    """A domain's cells, read-only: a ``PAdicCell`` is built per element read."""
-
-    def __init__(self, domain: "CellDomain"):
-        self._domain = domain
-
-    def __len__(self) -> int:
-        return len(self._domain)
-
-    def __getitem__(self, i: int) -> PAdicCell:
-        return PAdicCell(self._domain.p, tuple(self._domain.digit_matrix()[i].tolist()))
-
-
 @dataclass(frozen=True)
 class CellDomain:
     """The level-n cells of disjoint balls of level <= m (the blocks), block
@@ -225,7 +207,6 @@ class CellDomain:
     leaf_index: np.ndarray = field(init=False, repr=False, compare=False)
     block_index: np.ndarray = field(init=False, repr=False, compare=False)
     leaf_start: np.ndarray = field(init=False, repr=False, compare=False)
-    cells: Sequence = field(init=False, repr=False, compare=False)
     _offsets: tuple = field(init=False, repr=False, compare=False)
     _sorted_balls: tuple = field(init=False, repr=False, compare=False)
     _digits: np.ndarray = field(default=None, init=False, repr=False, compare=False)
@@ -247,7 +228,6 @@ class CellDomain:
         for name, arr in (("leaf_index", leaf), ("block_index", block), ("leaf_start", starts)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "cells", _Cells(self))
 
     def __len__(self) -> int:
         return self._offsets[-1]
@@ -302,12 +282,6 @@ class CellDomain:
                     step = size // p
                     stack.extend((start + a * step, d + 1) for a in reversed(range(p)))
         return np.array(starts, dtype=np.int64), np.array(levels, dtype=np.int64)
-
-    @property
-    def leaf_labels(self) -> tuple:
-        """Label of the vertex disc holding each cell, None for filler."""
-        labels = (*self.assignment.labels, None)
-        return tuple(map(labels.__getitem__, self.leaf_index.tolist()))
 
     def haar_volumes(self) -> np.ndarray:
         return np.full(len(self), float(self.p) ** -self.level)

@@ -250,9 +250,9 @@ def _check_vertices_and_edges(kind: str, vertices, edge_lists) -> None:
 
 def graph_to_obj(g: WeightedMultiGraph, primes=None) -> dict:
     edges = []
-    for e in g.edges:
+    for e, wt in g.w.items():
         u, v = sorted(e, key=str)
-        edges.append({"ends": [str(u), str(v)], "w": int(g.w[e])})
+        edges.append({"ends": [str(u), str(v)], "w": int(wt)})
     edges.sort(key=lambda rec: rec["ends"])
     obj = {
         "vertices": sorted(map(str, g.vertices)),
@@ -303,7 +303,7 @@ def graph_from_obj(obj) -> tuple[WeightedMultiGraph, tuple]:
         raise ParseError("malformed graph file: the dimension vectors and the primes "
                          "differ in length")
     dims = {v: tuple(vec) for v, vec in d.items()}
-    return WeightedMultiGraph(tuple(vertices), frozenset(w), w, dims), tuple(primes)
+    return WeightedMultiGraph(tuple(vertices), w, dims), tuple(primes)
 
 
 # --- DAG files -------------------------------------------------------------------
@@ -313,7 +313,7 @@ def dag_from_obj(obj) -> tuple[Dag, dict]:
     """Read a DAG file and its edge weights: a ParseError unless it lists
     a vertex, ``Dag`` and then ``_check_vertices_and_edges`` accept its
     vertices and edges, and every weight is a JSON number under a key
-    "u|v" that names two distinct vertices of it, as strings, once in
+    "u|v" that names two distinct vertices of it by their ``str``, once in
     either order.  The weights are read as floats; their range is checked
     where they are used (BadWeight)."""
     try:
@@ -322,13 +322,14 @@ def dag_from_obj(obj) -> tuple[Dag, dict]:
         weight_obj = obj.get("weights") or {}
         if type(weight_obj) is not dict:
             raise TypeError("weights must be an object")
+        by_text = {str(v): v for v in dag.vertices}  # one vertex per text, as checked
         weights = {}
         for key, val in weight_obj.items():
             u, _, v = key.partition("|")
-            e = frozenset((u, v))
-            if u == v or u not in dag.rank or v not in dag.rank:
+            if u == v or u not in by_text or v not in by_text:
                 raise ParseError(f"malformed dag file: the weight key {key!r} does not name "
                                  "two distinct vertices")
+            e = frozenset((by_text[u], by_text[v]))
             if e in weights:
                 raise ParseError(f"malformed dag file: the weight key {key!r} names an edge twice")
             if type(val) not in (int, float):
@@ -404,7 +405,7 @@ def index_from_obj(obj):
     except (KeyError, TypeError, ValueError, DisconnectedGraph) as exc:
         raise ParseError(f"malformed index file: {exc}") from exc
     if labels != assign.labels:
-        raise ParseError("index vertices are not distinct and sorted")
+        raise ParseError("index vertices are not sorted by str")
     if m != assign.m:
         raise ParseError(f"stored m={m} differs from the dendrogram's embedding (m={assign.m})")
     return assign, weights

@@ -8,8 +8,10 @@ the index structure used everywhere else in this package.  Of a graph,
 ``graph_dendrogram`` builds that tree from the graph's own edges; the
 dense routes (``subdominant_ultrametric``, ``build_dendrogram``) start
 from a full distance matrix.  Both walk one minimum spanning tree through
-one union-find.  The tree keeps one leaf order, the labels in preorder:
-each node is a range of it, numbered by its preorder position.
+one union-find, which yields only the merges: the tree's nodes, or the
+dense ultrametric's one array of root labels, are the clusters.  The tree
+keeps one leaf order, the labels in preorder: each node is a range of it,
+numbered by its preorder position.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class UltrametricMatrix(DistanceMatrix):
 def default_distance_weights(g: WeightedMultiGraph) -> dict:
     """Distance weight 1/log(w(e)+1): edges shared by more topologies are
     shorter, so strongly co-connected vertices cluster together."""
-    return {e: 1.0 / math.log(g.w[e] + 1.0) for e in g.edges}
+    return {e: 1.0 / math.log(w + 1.0) for e, w in g.w.items()}
 
 
 def _graph_edges(graph, weights: Mapping | None) -> tuple[tuple, list]:
@@ -171,12 +173,12 @@ def _single_linkage(n: int, edges: list):
     Kruskal's walk: the edges sorted by (height, i, j) go through one
     union-find, and every edge that joins two clusters is a merge; on a
     minimum spanning tree every edge is one (Gower & Ross 1969).  Yields
-    (height, keep, gone, a, b) before each merge: the clusters rooted at
-    keep and gone, with member indices a and b, join at height, and keep
-    stays the root.
+    (height, keep, gone) per merge: the clusters rooted at keep and gone
+    join at height, and keep stays the root.  Only the cluster sizes are
+    kept, to root the larger cluster (i's on a tie); no member list.
     """
     parent = list(range(n))
-    members: list[list[int]] = [[i] for i in range(n)]
+    size = [1] * n
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -188,11 +190,10 @@ def _single_linkage(n: int, edges: list):
         keep, gone = find(i), find(j)
         if keep == gone:
             continue
-        if len(members[keep]) < len(members[gone]):
+        if size[keep] < size[gone]:
             keep, gone = gone, keep
-        yield height, keep, gone, members[keep], members[gone]
-        members[keep].extend(members[gone])
-        members[gone] = []
+        yield height, keep, gone
+        size[keep] += size[gone]
         parent[gone] = keep
 
 
@@ -202,12 +203,16 @@ def subdominant_ultrametric(d: DistanceMatrix) -> UltrametricMatrix:
     Single-linkage agglomeration: two clusters merge at height d(i,j), and
     the merge height becomes the ultrametric value for every cross pair.
     Equivalently the minimax path distance in the complete graph weighted
-    by d, read off its minimum spanning tree.
+    by d, read off its minimum spanning tree.  Each point's cluster is read
+    off one array of root labels.
     """
     delta = np.zeros((d.n, d.n))
-    for height, _, _, a, b in _single_linkage(d.n, _prim_edges(d.values)):
+    root = np.arange(d.n)
+    for height, keep, gone in _single_linkage(d.n, _prim_edges(d.values)):
+        a, b = root == keep, root == gone
         delta[np.ix_(a, b)] = height
         delta[np.ix_(b, a)] = height
+        root[b] = keep
     return UltrametricMatrix(d.labels, delta)
 
 
@@ -349,7 +354,7 @@ def _dendrogram(labels: tuple, merges) -> Dendrogram:
             cluster[r] = DendrogramNode(radius, group)
         pending.clear()
 
-    for height, keep, gone, _, _ in merges:
+    for height, keep, gone in merges:
         if height <= 0:
             raise ValueError("distinct points at ultrametric distance 0")
         if height != radius:
@@ -383,22 +388,6 @@ def graph_dendrogram(graph, weights: Mapping | None = None) -> Dendrogram:
     """
     labels, edges = _graph_edges(graph, weights)
     return _dendrogram(labels, _single_linkage(len(labels), edges))
-
-
-def graph_components(graph, weights: Mapping | None = None) -> list[list]:
-    """The vertex lists of a graph's connected components, each sorted by
-    str and the lists ordered by their str-smallest vertex, from the same
-    union-find walk over the edges as ``graph_dendrogram``.  Takes the
-    graph as ``graph_distances`` does."""
-    labels, edges = _graph_edges(graph, weights)
-    root = list(range(len(labels)))
-    for _, keep, _, _, gone_members in _single_linkage(len(labels), edges):
-        for i in gone_members:
-            root[i] = keep
-    components: dict[int, list] = {}
-    for i, label in enumerate(labels):
-        components.setdefault(root[i], []).append(label)
-    return list(components.values())
 
 
 def minimal_cluster(dend: Dendrogram, x) -> frozenset:

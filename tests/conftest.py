@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from ultraheat import (
     DendrogramNode,
     KernelSpec,
     Bullet,
+    PAdicCell,
     TopologyFamily,
     graph_distances,
     subdominant_ultrametric,
@@ -37,6 +39,28 @@ LOW_BRANCHING_FAMILY = {
     ],
     "primes": [2, 3, 5],
 }
+
+
+def enumerate_cells(assign, balls, n):
+    """Every level-n cell of the balls, ball by ball in digit order, with its
+    vertex label (None for filler) and ball ordinal: one PAdicCell each,
+    built from the balls' digits alone, as an oracle for ``CellDomain``."""
+    p = assign.p
+    cells, labels, blocks = [], [], []
+    for k, ball in enumerate(balls):
+        for suffix in itertools.product(range(p), repeat=n - ball.level):
+            cell = PAdicCell(p, ball.digits + suffix)
+            cells.append(cell)
+            labels.append(assign.vertex_of(cell))
+            blocks.append(k)
+    return cells, labels, blocks
+
+
+def domain_cells(dom):
+    """The cells of a domain's blocks and their vertex labels, by
+    ``enumerate_cells``."""
+    cells, labels, _ = enumerate_cells(dom.assignment, dom.balls, dom.level)
+    return cells, labels
 
 
 def random_partition(rng, items, k, balanced=False):

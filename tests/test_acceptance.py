@@ -279,14 +279,14 @@ def test_criterion_08_truncation_bound():
             continue
         assign = embed(dend)
         disc = discretize(assign, assign.m + 1)
-        if len(disc.cells) > 40:
+        if len(disc) > 40:
             continue
         delta = dend.delta_matrix()
         spec = KernelSpec(Bullet.ULTRAMETRIC, 1.0, delta.labels, delta.values)
         ell = int(rng.integers(1, dend.max_level + 1))
         bounds = []
         for level in range(1, dend.max_level + 1):
-            u = rng.uniform(-1, 1, len(disc.cells))
+            u = rng.uniform(-1, 1, len(disc))
             rep = truncation_bound(spec, disc, level, 1.0, u)
             assert rep.slack >= -1e-9
             if level == ell:
@@ -351,7 +351,7 @@ def test_criterion_10_convergence():
 
     for _ in range(20):
         support_level = int(rng.integers(n0 + 1, n0 + 3))
-        u0 = np.zeros(len(disc_ref.cells))
+        u0 = np.zeros(len(disc_ref))
         for record, psi in zip(basis_ref.records, basis_ref.psi.T):
             lvl = component_level(record)
             if lvl > support_level:

@@ -1,6 +1,5 @@
 """The array-backed cell domain against the per-cell enumeration it replaced."""
 
-import itertools
 import math
 
 import numpy as np
@@ -19,23 +18,9 @@ from ultraheat import (
 )
 from ultraheat.operators import cut_nodes
 
-from conftest import random_dendrogram
+from conftest import domain_cells, enumerate_cells, random_dendrogram
 
 MAX_ORACLE_CELLS = 1500
-
-
-def enumerate_cells(assign, balls, n):
-    """Every level-n cell of the balls, ball by ball in digit order, with its
-    vertex label (None for filler) and ball ordinal: one PAdicCell each."""
-    p = assign.p
-    digits, labels, blocks = [], [], []
-    for k, ball in enumerate(balls):
-        for suffix in itertools.product(range(p), repeat=n - ball.level):
-            cell = PAdicCell(p, ball.digits + suffix)
-            digits.append(cell.digits)
-            labels.append(assign.vertex_of(cell))
-            blocks.append(k)
-    return digits, labels, blocks
 
 
 def mask_wavelet(digits, B, j, p):
@@ -73,10 +58,9 @@ def test_cell_domain_equals_the_per_cell_enumeration(p, seed, leaves, extra):
     n = assign.m + extra
     disc = discretize(assign, n)
     for dom, balls in domains(assign, n):
-        digits, labels, blocks = enumerate_cells(assign, balls, n)
+        cells, labels, blocks = enumerate_cells(assign, balls, n)
+        digits = [c.digits for c in cells]
         assert dom.digit_matrix().tolist() == [list(d) for d in digits]
-        assert [c.digits for c in dom.cells] == digits
-        assert dom.leaf_labels == tuple(labels)
         assert dom.block_index.tolist() == blocks
         assert dom.leaf_index.tolist() == [
             -1 if label is None else assign.labels.index(label) for label in labels
@@ -84,8 +68,6 @@ def test_cell_domain_equals_the_per_cell_enumeration(p, seed, leaves, extra):
         index = {d: i for i, d in enumerate(digits)}
         for i, d in enumerate(digits):
             assert dom.index_of(PAdicCell(p, d)) == i
-            assert dom.cells[i].digits == d
-        assert dom.cells[-1].digits == digits[-1]
         # the pure balls: the largest ball inside the block around each cell
         # whose cells all carry one label
         seen: dict = {}  # (block, digit prefix) -> (labels, first cell)
@@ -103,8 +85,8 @@ def test_cell_domain_equals_the_per_cell_enumeration(p, seed, leaves, extra):
         if dom.cut_level is None:
             assert levels.tolist() == [assign.m] * len(assign.labels)
         # the zero extension of a discretisation into the domain
-        disc_digits = enumerate_cells(assign, [assign.discs[l] for l in assign.labels], n)[0]
-        assert disc.positions_in(dom).tolist() == [index[d] for d in disc_digits]
+        disc_cells = enumerate_cells(assign, [assign.discs[l] for l in assign.labels], n)[0]
+        assert disc.positions_in(dom).tolist() == [index[c.digits] for c in disc_cells]
         # Kozyrev wavelets on balls at every level inside every disc
         matrix = np.array(digits, dtype=np.int64)
         for label in assign.labels:
@@ -137,9 +119,6 @@ def test_domains_and_generators_build_no_cell_objects(monkeypatch):
     # the only cells built are the block balls (vertex discs, cut nodes),
     # digits on demand from the node depths, none of level n
     assert built and all(cell.level <= assign.m for cell in built)
-    built.clear()
-    disc.cells[0]  # a cell is built only when it is read
-    assert len(built) == 1
 
 
 def test_nu_is_the_assignments_own_tree_measure_built_once(monkeypatch):
@@ -162,7 +141,7 @@ def test_nu_is_the_assignments_own_tree_measure_built_once(monkeypatch):
         full_basis(spec, disc, "nu")
         nu = original(disc.assignment.dendrogram)
         per_cell = assign.p ** (n - assign.m)
-        leaf_masses = [float(nu.leaf_mass(label) / per_cell) for label in disc.leaf_labels]
+        leaf_masses = [float(nu.leaf_mass(label) / per_cell) for label in domain_cells(disc)[1]]
         assert np.array_equal(gen.measure, disc.nu_volumes())
         assert np.array_equal(gen.measure, np.array(leaf_masses))
     assert built == [dend]

@@ -47,6 +47,8 @@ THREE_LEAF_DAG = {
     "weights": {"a|b": 0.5, "b|c": 2.0, "a|c": 2.0},
 }
 
+INTEGER_DAG = {"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3]], "weights": {"1|2": 0.5}}
+
 
 def write(path, obj):
     path.write_text(canonical_dumps(obj), encoding="utf-8")
@@ -178,8 +180,7 @@ def test_toposort_cycle_exit_code(tmp_path, capsys):
     ({**THREE_LEAF_DAG, "weights": {"a|zz": 1.0}}, "'a|zz' does not name two distinct vertices"),
     ({**THREE_LEAF_DAG, "weights": {"a|a": 1.0}}, "'a|a' does not name two distinct vertices"),
     ({**THREE_LEAF_DAG, "weights": {"ab": 1.0}}, "'ab' does not name two distinct vertices"),
-    ({"vertices": [1, 2], "edges": [[1, 2]], "weights": {"1|2": 1.0}},
-     "'1|2' does not name two distinct vertices"),
+    ({**INTEGER_DAG, "weights": {"1|4": 1.0}}, "'1|4' does not name two distinct vertices"),
     ({**THREE_LEAF_DAG, "weights": {"a|b": 1.0, "b|a": 2.0}}, "'b|a' names an edge twice"),
     ({**THREE_LEAF_DAG, "weights": {"a|b": "0.5"}}, "the weight '0.5' of 'a|b' is not a JSON number"),
     ({**THREE_LEAF_DAG, "weights": {"a|b": True}}, "the weight True of 'a|b' is not a JSON number"),
@@ -659,6 +660,33 @@ def test_toposort_seeds_match_integer_labels(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_weight_key_names_integer_vertices_by_text(tmp_path, capsys):
+    """A weight key "u|v" names its vertices by their str, as the seeds do:
+    the weight "1|2" weights the edge between the integers 1 and 2."""
+    dag = tmp_path / "dag.json"
+    write(dag, INTEGER_DAG)
+    out = tmp_path / "order.txt"
+    assert main(["toposort", "--input", str(dag), "--output", str(out), "--seeds", "2"]) == 0
+    assert out.read_text() == "1\n2\n3\n"
+    capsys.readouterr()
+
+
+def test_an_integer_vertex_weight_reaches_the_dendrogram():
+    """The DAG reader keys the weight "1|2" by the vertices 1 and 2, and the
+    index the sort builds without --index merges them at that weight, below
+    the join of the vertex 3 that no weight reaches."""
+    from ultraheat.cli import _join_components
+    from ultraheat.serialize import dag_from_obj
+    from ultraheat.ultraindex import graph_dendrogram, minimal_cluster
+
+    dag, weights = dag_from_obj(INTEGER_DAG)
+    assert weights == {frozenset((1, 2)): 0.5}
+    dend = graph_dendrogram(dag.vertices, _join_components(dag.str_order, weights))
+    assert minimal_cluster(dend, 1) == minimal_cluster(dend, 2) == frozenset((1, 2))
+    assert dend.leaves[1].parent.radius == 0.5
+    assert dend.root.radius == math.nextafter(0.5, math.inf)
+
+
 @pytest.mark.parametrize("seeds", ["zz", "a,zz"])
 def test_toposort_unknown_seed_is_a_parse_error(tmp_path, capsys, seeds):
     dag = tmp_path / "dag.json"
@@ -769,13 +797,14 @@ INDEX_EDIT_DETAIL = {
     "self_loop": "['a', 'a', 0.7] is not [u, v, weight] with u and v two distinct listed",
     "edge_pair": "['a', 'b'] is not [u, v, weight]",
     "edge_unlisted": "['c', 'z', 0.7] is not [u, v, weight] with u and v two distinct listed",
+    "unsorted": "index vertices are not sorted by str",
 }
 
 
 @pytest.mark.parametrize("edit", ["vertex", "m", "no_m", "p", "mst_weight", "v1", "v2",
                                   "huge_p", "weight_text", "weight_bool", "edge_twice",
                                   "vertices_text", "vertex_twice", "self_loop", "edge_pair",
-                                  "edge_unlisted"])
+                                  "edge_unlisted", "unsorted"])
 def test_hand_edited_index_is_a_parse_error(tmp_path, capsys, edit):
     index = index_fixture(tmp_path)
     obj = json.loads(index.read_text())
@@ -810,6 +839,8 @@ def test_hand_edited_index_is_a_parse_error(tmp_path, capsys, edit):
         obj["edges"][0] = obj["edges"][0][:2]
     elif edit == "edge_unlisted":
         obj["edges"].append(["c", "z", 0.7])
+    elif edit == "unsorted":  # distinct, but b before a
+        obj["vertices"][:2] = ["b", "a"]
     elif edit == "v1":  # the shape of a version-1 file: no "version" key, a "delta" matrix
         del obj["version"]
         obj["delta"] = [[0.0] * 3] * 3

@@ -37,6 +37,7 @@ from ultraheat.heat import _BallEvolver, _mean_value_constants, t_grid
 from ultraheat.operators import GeneratorMatrix, cut_nodes
 
 from conftest import (
+    domain_cells,
     random_connected_weights,
     random_dendrogram,
     random_metric,
@@ -92,7 +93,7 @@ def test_semigroup_law_and_stochasticity():
         T = semigroup(gen, t)
         assert np.max(np.abs(T.sum(axis=1) - 1.0)) < 1e-10
         assert T.min() > -1e-12
-        u = np.linspace(-1, 1, len(disc.cells))
+        u = np.linspace(-1, 1, len(disc))
         assert np.max(np.abs(T @ u)) <= np.max(np.abs(u)) + 1e-10
 
 
@@ -126,7 +127,7 @@ def test_heat_kernel_t0_is_reproducing_kernel():
     disc = discretize(assign, assign.m + 1)
     table = heat_kernel(spec, disc, 0.0)
     gen = generator(spec, disc, "haar")
-    assert np.allclose(table * gen.measure[None, :], np.eye(len(disc.cells)), atol=1e-10)
+    assert np.allclose(table * gen.measure[None, :], np.eye(len(disc)), atol=1e-10)
 
 
 def test_heat_kernel_long_time_reaches_stationarity():
@@ -144,7 +145,7 @@ def test_heat_kernel_long_time_reaches_stationarity():
 def test_solve_cauchy_examples():
     dend, assign, spec = three_leaf_setup()
     disc = discretize(assign, assign.m + 1)
-    nc = len(disc.cells)
+    nc = len(disc)
     basis = full_basis(spec, disc, "haar")
     gen = generator(spec, disc, "haar")
     const = np.full(nc, 2.5)
@@ -170,7 +171,7 @@ def test_truncation_bound_three_leaf():
     disc = discretize(assign, assign.m + 1)
     rng = np.random.default_rng(5)
     for _ in range(20):
-        u = rng.uniform(-1, 1, len(disc.cells))
+        u = rng.uniform(-1, 1, len(disc))
         report = truncation_bound(spec, disc, 1, 1.0, u)
         assert report.slack >= 0.0  # T(0) u is u itself, so no rounding residue at t = 0
         assert report.measured_sup_error <= report.theoretical_bound + 1e-9
@@ -179,7 +180,7 @@ def test_truncation_bound_three_leaf():
 def test_truncation_bound_no_op_at_max_level():
     dend, assign, spec = three_leaf_setup()
     disc = discretize(assign, assign.m + 1)
-    u = np.linspace(-1, 1, len(disc.cells))
+    u = np.linspace(-1, 1, len(disc))
     report = truncation_bound(spec, disc, dend.max_level, 1.0, u)
     assert report.measured_sup_error < 1e-12
     assert report.theoretical_bound >= 0.0
@@ -193,7 +194,7 @@ def test_truncation_bound_nonincreasing_in_level():
         delta = dend.delta_matrix()
         spec = KernelSpec(Bullet.ULTRAMETRIC, 1.0, delta.labels, delta.values)
         disc = discretize(assign, assign.m + 1)
-        u = rng.uniform(-1, 1, len(disc.cells))
+        u = rng.uniform(-1, 1, len(disc))
         bounds = []
         for ell in range(1, dend.max_level + 1):
             report = truncation_bound(spec, disc, ell, 1.0, u)
@@ -272,7 +273,7 @@ def test_convergence_exact_once_u0_locally_constant():
     disc_n0 = discretize(assign, n0)
     disc_ref = discretize(assign, ref_level)
     rng = np.random.default_rng(13)
-    coarse = rng.uniform(-1, 1, len(disc_n0.cells))
+    coarse = rng.uniform(-1, 1, len(disc_n0))
     u0 = loop_embed(disc_n0, disc_ref, coarse)
     rows = convergence_study(spec, assign, u0, range(n0, ref_level + 1), 1.0)
     for n, gap in rows:
@@ -305,7 +306,7 @@ def test_convergence_gap_nonincreasing_for_decaying_profiles():
     disc_ref = discretize(assign, ref_level)
     basis_ref = full_basis(spec, disc_ref, "haar")
     rng = np.random.default_rng(17)
-    u0 = np.zeros(len(disc_ref.cells))
+    u0 = np.zeros(len(disc_ref))
     for r, psi in zip(basis_ref.records, basis_ref.psi.T):
         if r.kind == "block":
             u0 = u0 + rng.uniform(-1, 1) * psi.real
@@ -347,7 +348,7 @@ def test_projection_error_equals_discarded_tail_at_t0():
     basis = full_basis(spec, disc_ref, "haar")
     rng = np.random.default_rng(19)
     psi = basis.psi
-    coeffs = psi.conj().T @ (basis.measure * rng.uniform(-1, 1, len(disc_ref.cells)))
+    coeffs = psi.conj().T @ (basis.measure * rng.uniform(-1, 1, len(disc_ref)))
 
     def level_of(record):
         if record.kind != "kozyrev":
@@ -432,7 +433,11 @@ assert "scipy" not in sys.modules
 
 def loop_project(disc_fine, disc_coarse, u):
     """Per-cell lookup of every coarse cell's zero-padded representative."""
-    return np.array([u[disc_fine.index_of(c.extended(disc_fine.level))] for c in disc_coarse.cells])
+    from ultraheat.padic import PAdicCell
+
+    pad = (0,) * (disc_fine.level - disc_coarse.level)
+    return np.array([u[disc_fine.index_of(PAdicCell(c.p, c.digits + pad))]
+                     for c in domain_cells(disc_coarse)[0]])
 
 
 def loop_embed(disc_coarse, disc_fine, u):
@@ -441,7 +446,7 @@ def loop_embed(disc_coarse, disc_fine, u):
 
     return np.array([
         u[disc_coarse.index_of(PAdicCell(c.p, c.digits[: disc_coarse.level]))]
-        for c in disc_fine.cells
+        for c in domain_cells(disc_fine)[0]
     ])
 
 
@@ -458,12 +463,12 @@ def test_index_maps_match_the_per_cell_lookups(p):
     for gap in (0, 1, 2, 3):
         fine = discretize(assign, assign.m + 1 + gap)
         project, lift = np.arange(len(coarse)) * p**gap, np.arange(len(fine)) // p**gap
-        u_fine = rng.uniform(-1, 1, len(fine.cells))
-        u_coarse = rng.uniform(-1, 1, len(coarse.cells))
+        u_fine = rng.uniform(-1, 1, len(fine))
+        u_coarse = rng.uniform(-1, 1, len(coarse))
         assert np.array_equal(u_fine[project], loop_project(fine, coarse, u_fine))
         assert np.array_equal(u_coarse[lift], loop_embed(coarse, fine, u_coarse))
         # a trailing axis (one column per time) is carried along
-        grid = rng.uniform(-1, 1, (len(coarse.cells), 4))
+        grid = rng.uniform(-1, 1, (len(coarse), 4))
         assert np.array_equal(grid[lift],
                               np.stack([loop_embed(coarse, fine, g) for g in grid.T], axis=1))
 
@@ -495,7 +500,7 @@ def test_convergence_study_equals_the_per_time_per_cell_loop(measure):
     delta = dend.delta_matrix()
     spec = KernelSpec(Bullet.ULTRAMETRIC, 1.2, delta.labels, delta.values)
     n0 = assign.m + 1
-    u0 = rng.uniform(-1, 1, len(discretize(assign, n0 + 2).cells))
+    u0 = rng.uniform(-1, 1, len(discretize(assign, n0 + 2)))
     levels = [n0, n0 + 1, n0 + 2]
     rows = convergence_study(spec, assign, u0, levels, 0.7, measure)
     assert rows == loop_convergence(spec, assign, u0, levels, 0.7, measure)
@@ -510,7 +515,7 @@ def test_convergence_study_reuses_the_reference_eigensolve(monkeypatch):
                         lambda *args: solves.append(len(args[1])) or original(*args))
     dend, assign, spec = three_leaf_setup()
     n0 = assign.m + 1
-    u0 = np.random.default_rng(37).uniform(-1, 1, len(discretize(assign, n0 + 2).cells))
+    u0 = np.random.default_rng(37).uniform(-1, 1, len(discretize(assign, n0 + 2)))
     rows = convergence_study(spec, assign, u0, [n0, n0 + 1, n0 + 2], 1.0)
     assert rows[-1] == (n0 + 2, 0.0)
     assert len(solves) == 3  # reference, n0, n0 + 1; the reference level reuses the first

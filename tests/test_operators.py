@@ -24,7 +24,7 @@ from ultraheat.errors import CellOutsideZ, InvalidLevel
 from ultraheat.operators import _prefix_table, cut_nodes, kernel_matrix
 from ultraheat.padic import padic_distance
 
-from conftest import random_dendrogram
+from conftest import domain_cells, random_dendrogram
 
 
 def simple_assignment():
@@ -43,7 +43,7 @@ def simple_assignment():
 def test_kernel_value_same_disc_vladimirov():
     dend, assign, spec = simple_assignment()
     disc = discretize(assign, assign.m + 2)
-    cells = [c for c, l in zip(disc.cells, disc.leaf_labels) if l == "a"]
+    cells = [c for c, l in zip(*domain_cells(disc)) if l == "a"]
     x, y = cells[0], cells[1]
     expected = padic_distance(x, y) ** -1.0
     assert kernel_value(spec, assign, x, y) == pytest.approx(expected)
@@ -53,8 +53,8 @@ def test_kernel_value_cross_disc_and_power():
     dend, assign, spec2 = simple_assignment()
     spec = KernelSpec(Bullet.ULTRAMETRIC, 2.0, spec2.labels, spec2.base)
     disc = discretize(assign, assign.m + 1)
-    xa = disc.cells[disc.leaf_labels.index("a")]
-    xc = disc.cells[disc.leaf_labels.index("c")]
+    cells, labels = domain_cells(disc)
+    xa, xc = cells[labels.index("a")], cells[labels.index("c")]
     assert kernel_value(spec, assign, xa, xc) == pytest.approx(2.0**-2.0)  # delta = 2
 
 
@@ -64,8 +64,8 @@ def test_kernel_value_nonadjacent_is_zero():
     kappa[0, 1] = kappa[1, 0] = 0.5  # only a-b adjacent
     spec = KernelSpec(Bullet.ADJACENCY, 1.0, ("a", "b", "c"), kappa)
     disc = discretize(assign, assign.m + 1)
-    xa = disc.cells[disc.leaf_labels.index("a")]
-    xc = disc.cells[disc.leaf_labels.index("c")]
+    cells, labels = domain_cells(disc)
+    xa, xc = cells[labels.index("a")], cells[labels.index("c")]
     assert kernel_value(spec, assign, xa, xc) == 0.0
 
 
@@ -73,7 +73,8 @@ def test_kernel_value_outside_domain():
     dend, assign, spec = simple_assignment()
     disc = discretize(assign, assign.m + 1)
     outside = PAdicCell(assign.p, (1, 1) + (0,) * (disc.level - 2))
-    xa = disc.cells[disc.leaf_labels.index("a")]
+    cells, labels = domain_cells(disc)
+    xa = cells[labels.index("a")]
     with pytest.raises(CellOutsideZ):
         kernel_value(spec, assign, xa, outside)
 
@@ -98,13 +99,11 @@ def test_generator_two_state_closed_form():
     # within-disc rate p^(m*alpha) towards the sibling cell, measure p^-n
     p, m, n = assign.p, assign.m, disc.level
     rate_in = float(p) ** (m * 1.0) * float(p) ** -n
-    for i, (cell, lab) in enumerate(zip(disc.cells, disc.leaf_labels)):
+    labels = domain_cells(disc)[1]
+    for i, lab in enumerate(labels):
         row = gen.matrix[i]
         assert row.sum() == pytest.approx(0.0, abs=1e-12)
-        sibling = [
-            j for j, (c2, l2) in enumerate(zip(disc.cells, disc.leaf_labels))
-            if l2 == lab and j != i
-        ]
+        sibling = [j for j, l2 in enumerate(labels) if l2 == lab and j != i]
         assert row[sibling[0]] == pytest.approx(rate_in)
 
 
@@ -114,9 +113,9 @@ def test_generator_rows_sum_to_zero_and_annihilate_constants():
         disc = discretize(assign, assign.m + 2)
         gen = generator(spec, disc, measure)
         assert gen.row_sum_defect() < 1e-12
-        ones = np.ones(len(disc.cells))
+        ones = np.ones(len(disc))
         assert np.max(np.abs(gen.matrix @ ones)) < 1e-12
-        off = gen.matrix[~np.eye(len(disc.cells), dtype=bool)]
+        off = gen.matrix[~np.eye(len(disc), dtype=bool)]
         assert np.all(off >= 0)
 
 
@@ -131,17 +130,18 @@ def test_generator_self_adjoint_under_measure():
 
 def quadrature_action(spec, assign, disc_coarse, disc_fine, u):
     """Independent oracle: double sum over fine cells of rate * measure."""
+    fine_cells, coarse_cells = domain_cells(disc_fine)[0], domain_cells(disc_coarse)[0]
     fine_of = {}
-    for idx, cell in enumerate(disc_fine.cells):
+    for idx, cell in enumerate(fine_cells):
         fine_of.setdefault(cell.digits[: disc_coarse.level], []).append(idx)
     fine_measure = float(assign.p) ** -disc_fine.level
-    out = np.zeros(len(disc_coarse.cells))
-    for i, cell in enumerate(disc_coarse.cells):
-        x = disc_fine.cells[fine_of[cell.digits][0]]
+    out = np.zeros(len(disc_coarse))
+    for i, cell in enumerate(coarse_cells):
+        x = fine_cells[fine_of[cell.digits][0]]
         acc = 0.0
-        for j, coarse_y in enumerate(disc_coarse.cells):
+        for j, coarse_y in enumerate(coarse_cells):
             for jf in fine_of[coarse_y.digits]:
-                y = disc_fine.cells[jf]
+                y = fine_cells[jf]
                 if y.digits == x.digits:
                     continue
                 acc += kernel_value(spec, assign, x, y) * (u[j] - u[i]) * fine_measure
@@ -156,7 +156,7 @@ def test_generator_matches_quadrature_oracle():
     fine = discretize(assign, assign.m + 3)
     gen = generator(spec, disc, "haar")
     for _ in range(5):
-        u = rng.uniform(-1, 1, len(disc.cells))
+        u = rng.uniform(-1, 1, len(disc))
         direct = gen.matrix @ u
         oracle = quadrature_action(spec, assign, disc, fine, u)
         scale = max(1.0, float(np.max(np.abs(direct))))
@@ -168,7 +168,7 @@ def test_degree_examples_and_monotonicity():
     degs = []
     for extra in (1, 2, 3):
         disc = discretize(assign, assign.m + extra)
-        x = disc.cells[0]
+        x = domain_cells(disc)[0][0]
         degs.append(degree(spec, disc, x))
     assert degs[0] <= degs[1] <= degs[2]
     assert degs[0] < degs[2]  # unboundedness witness for alpha >= 1
@@ -179,11 +179,11 @@ def test_truncated_domain_no_op_at_max_level():
     n = assign.m + 1
     dom, cut = truncated_domain(assign, dend.max_level, n, spec)
     disc = discretize(assign, n)
-    assert set(c.digits for c in dom.cells) == set(c.digits for c in disc.cells)
+    assert sorted(dom.digit_matrix().tolist()) == sorted(disc.digit_matrix().tolist())
     assert dom.vol_filler == 0.0
     K_cut = kernel_matrix(spec, dom)
     K = kernel_matrix(spec, disc)
-    reorder = [dom.index_of(c) for c in disc.cells]
+    reorder = [dom.index_of(c) for c in domain_cells(disc)[0]]
     assert np.allclose(K_cut[np.ix_(reorder, reorder)], K, rtol=0, atol=0)
     with pytest.raises(ValueError, match="Haar measure"):
         generator(spec, dom, "nu")
@@ -195,8 +195,8 @@ def test_truncated_kernel_vladimirov_inside_cut_ball():
     dom, _ = truncated_domain(assign, 1, n, spec)
     K = kernel_matrix(spec, dom)
     digits = dom.digit_matrix()
-    for i in range(len(dom.cells)):
-        for j in range(len(dom.cells)):
+    for i in range(len(dom)):
+        for j in range(len(dom)):
             if i == j:
                 continue
             if dom.block_index[i] == dom.block_index[j]:
@@ -259,7 +259,7 @@ def test_cut_nodes_follow_str_order_not_preorder():
     assert cut_nodes(assign, 2) == [a, m, z]
     dom, _ = truncated_domain(assign, 2)
     assert dom.balls == tuple(assign.discs[x] for x in "amz")
-    assert dom.leaf_labels == tuple(x for x in "amz" for _ in range(assign.p))
+    assert dom.leaf_index.tolist() == [assign.labels.index(x) for x in "amz" for _ in range(assign.p)]
 
 
 def test_truncated_domain_invalid_level():
@@ -293,7 +293,8 @@ def test_isolated_vertex_degree_has_no_cross_component():
     kappa[0, 1] = kappa[1, 0] = 0.5  # only a-b adjacent
     spec = KernelSpec(Bullet.ADJACENCY, 1.0, ("a", "b", "c"), kappa)
     disc = discretize(assign, assign.m + 1)
-    x = disc.cells[disc.leaf_labels.index("c")]
+    cells, labels = domain_cells(disc)
+    x = cells[labels.index("c")]
     p, m, n = assign.p, assign.m, disc.level
     intra_only = (p - 1) * float(p) ** (m * spec.alpha) * float(p) ** -n
     assert degree(spec, disc, x) == pytest.approx(intra_only)
@@ -463,7 +464,7 @@ def test_degree_equals_generator_diagonal():
         inputs = [(disc, "haar"), (disc, "nu")] + [(dom, "haar") for dom in truncated]
         for dom, measure in inputs:
             diag = -np.diag(generator(spec, dom, measure).matrix)
-            degs = [degree(spec, dom, x, measure) for x in dom.cells]
+            degs = [degree(spec, dom, x, measure) for x in domain_cells(dom)[0]]
             assert np.allclose(degs, diag, rtol=1e-12, atol=0)
 
 
@@ -520,7 +521,7 @@ def test_truncated_domains_refuse_nu_and_unknown_measures_alike():
 
     dend, assign, spec = simple_assignment()
     dom, _ = truncated_domain(assign, 1, assign.m + 1)
-    x = dom.cells[0]
+    x = domain_cells(dom)[0][0]
     for build in (lambda m: generator(spec, dom, m), lambda m: degree(spec, dom, x, m)):
         with pytest.raises(ValueError, match="Haar measure"):
             build("nu")

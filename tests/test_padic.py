@@ -176,7 +176,7 @@ def test_tree_measure_children_equal_and_additive():
 def test_discretize_counting():
     assign = embed(leaf_pair())
     disc = discretize(assign, 2)
-    assert len(disc.cells) == 4
+    assert len(disc) == 4
     assert np.all(disc.haar_volumes() == 0.25)
 
 
@@ -186,8 +186,7 @@ def test_discretize_branching_count():
     dend = Dendrogram(DendrogramNode(1.0, kids))
     assign = embed(dend)  # p = 3, m = 1
     disc = discretize(assign, 2)
-    per_leaf = [sum(1 for l in disc.leaf_labels if l == lab) for lab in labels]
-    assert per_leaf == [3, 3, 3]
+    assert disc.leaf_index.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
 
 def test_discretize_nu_volumes_sum_per_leaf():
@@ -198,8 +197,8 @@ def test_discretize_nu_volumes_sum_per_leaf():
     disc = discretize(assign, assign.m + 2)
     vols = disc.nu_volumes()
     assert vols.sum() == pytest.approx(1.0, abs=1e-15)
-    for lab in assign.labels:
-        mask = np.array([l == lab for l in disc.leaf_labels])
+    for k, lab in enumerate(assign.labels):
+        mask = disc.leaf_index == k
         assert vols[mask].sum() == pytest.approx(float(nu.leaf_mass(lab)), abs=1e-15)
 
 

@@ -42,7 +42,7 @@ from ultraheat.errors import (
     TrivialCharacter,
 )
 
-from conftest import random_dendrogram
+from conftest import domain_cells, random_dendrogram
 
 
 def single_leaf(p=3):
@@ -69,11 +69,12 @@ def test_kozyrev_p2_values():
     disc = discretize(assign, 2)
     B = assign.discs["a"]
     psi = kozyrev_wavelet(disc, B, 1)
-    support = psi[np.array([l == "a" for l in disc.leaf_labels])]
+    labels = np.array(domain_cells(disc)[1])
+    support = psi[labels == "a"]
     amp = 2 ** (assign.m / 2)
     assert sorted(support.real) == pytest.approx([-amp, amp], abs=1e-12)
     assert np.max(np.abs(support.imag)) < 1e-12
-    assert np.all(psi[np.array([l == "b" for l in disc.leaf_labels])] == 0)
+    assert np.all(psi[labels == "b"] == 0)
 
 
 def test_kozyrev_unit_haar_norm_and_zero_mean():
@@ -366,7 +367,7 @@ def test_verify_eigenpair_detects_wrong_lambda():
     spec = ultra_spec(dend)
     disc = discretize(assign, assign.m + 1)
     gen = generator(spec, disc, "haar")
-    ones = np.ones(len(disc.cells))
+    ones = np.ones(len(disc))
     assert verify_eigenpair(gen, ones, 0.0) == 0.0
     wrong = verify_eigenpair(gen, ones, 1.0)
     assert wrong >= 0.5 / max(1.0, 1.0)
@@ -509,8 +510,8 @@ def test_kozyrev_wavelet_matches_cell_loop():
         for B in (PAdicCell(p, prefix), PAdicCell(p, prefix + (p - 1,))):
             for j in range(1, p):
                 amp = float(p) ** (B.level / 2.0)
-                expected = np.zeros(len(disc.cells), dtype=complex)
-                for i, cell in enumerate(disc.cells):
+                expected = np.zeros(len(disc), dtype=complex)
+                for i, cell in enumerate(domain_cells(disc)[0]):
                     if cell.digits[: B.level] == B.digits:
                         a = cell.digits[B.level]
                         expected[i] = amp * np.exp(2j * math.pi * j * a / p)
@@ -528,7 +529,7 @@ def test_full_basis_kozyrev_eigenvalues_equal_the_closed_form_bit_for_bit():
                  KernelSpec(Bullet.GRAPH_DISTANCE, 1.0, delta.labels, base)):
         for measure in ("haar", "nu"):
             records = [r for r in full_basis(spec, disc, measure).records if r.kind == "kozyrev"]
-            assert len(records) == len(disc.cells) - len(assign.labels)
+            assert len(records) == len(disc) - len(assign.labels)
             for r in records:
                 label, digits = r.support.split(":")
                 B = PAdicCell(assign.p, tuple(int(d) for d in digits))

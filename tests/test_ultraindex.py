@@ -5,6 +5,7 @@ and, on tiny instances, by enumerating every simple path.
 """
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -19,7 +20,6 @@ from ultraheat import (
     UltrametricMatrix,
     build_dendrogram,
     embed,
-    graph_components,
     graph_dendrogram,
     graph_distances,
     minimal_cluster,
@@ -28,6 +28,7 @@ from ultraheat import (
 )
 from ultraheat.errors import BadWeight, DisconnectedGraph
 from ultraheat.serialize import canonical_dumps, index_from_obj, index_to_obj
+from ultraheat.ultraindex import _single_linkage
 
 from conftest import random_connected_weights, random_dendrogram, random_metric
 
@@ -459,24 +460,40 @@ def test_graph_dendrogram_rejects_a_disconnected_graph():
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
-       density=st.sampled_from([0.0, 0.05, 0.2]))
-def test_graph_components_are_the_reachable_sets(seed, n, density):
+       density=st.sampled_from([0.0, 0.05, 0.2, 0.5]))
+def test_joined_tree_has_the_reachable_sets_as_root_children(seed, n, density):
+    """The index ``toposort`` builds without --index: the weights joined by
+    ``cli._join_components``.  A graph that falls apart gets its reachable
+    sets as the root's children; a connected graph keeps the tree of its
+    own weights, node for node."""
+    from ultraheat.cli import _join_components
+
     rng = np.random.default_rng(seed)
     labels = [f"v{i}" for i in range(n)]  # v10 sorts before v2 by str
-    weights = {frozenset((u, v)): 1.0 for u, v in itertools.combinations(labels, 2)
-               if rng.random() < density}
-    components = graph_components(labels, weights)
+    weights = {frozenset((u, v)): float(rng.integers(1, 4))  # ties: polytomous merges
+               for u, v in itertools.combinations(labels, 2) if rng.random() < density}
+    dend = graph_dendrogram(labels, _join_components(tuple(sorted(labels, key=str)), weights))
     reach = {v: {v} for v in labels}
     for _ in labels:  # grow every set to the vertices within |V| steps
         for e in weights:
             u, v = tuple(e)
             reach[u] = reach[v] = reach[u] | reach[v]
-    assert sorted(map(frozenset, components), key=sorted) == sorted(
-        {frozenset(r) for r in reach.values()}, key=sorted)
-    assert all(c == sorted(c, key=str) for c in components)
-    assert [c[0] for c in components] == sorted((c[0] for c in components), key=str)
+    components = {frozenset(r) for r in reach.values()}
     if len(components) == 1:
-        assert graph_dendrogram(labels, weights).labels == tuple(sorted(labels, key=str))
+        alone = graph_dendrogram(labels, weights)
+        assert dend.order == alone.order
+        assert [(x.start, x.stop, x.radius) for x in dend.nodes] == [
+            (x.start, x.stop, x.radius) for x in alone.nodes]
     else:
+        assert {child.members for child in dend.root.children} == components
+        assert dend.root.radius == math.nextafter(max(weights.values(), default=1.0), math.inf)
         with pytest.raises(DisconnectedGraph):
             graph_dendrogram(labels, weights)
+
+
+def test_single_linkage_yields_the_merges_only():
+    """One (height, keep, gone) triple per merge: the larger cluster's root
+    is kept, the first end's on a tie, and an edge inside one cluster
+    yields nothing."""
+    edges = [(1.0, 0, 1), (2.0, 1, 2), (2.0, 0, 2), (3.0, 3, 2)]
+    assert list(_single_linkage(4, edges)) == [(1.0, 0, 1), (2.0, 0, 2), (3.0, 0, 3)]
