@@ -183,10 +183,12 @@ def cmd_toposort(args) -> int:
 def _join_components(str_order: tuple, weights: dict) -> dict:
     """The weights plus an edge from the str-smallest vertex to every other
     one that no weight joins it to, all at one weight above every edge
-    weight.  Single linkage merges these last, at one height: the graph's
-    connected components become the children of one root, and a connected
-    graph keeps its tree."""
-    join = math.nextafter(max(weights.values(), default=1.0), math.inf)
+    weight, or at the largest one when that is the largest float.  Single
+    linkage merges these last, at one height: the graph's connected
+    components become the children of one root, and a connected graph,
+    whose clusters all merge by its largest weight, keeps its tree."""
+    top = max(weights.values(), default=1.0)
+    join = top if top == sys.float_info.max else math.nextafter(top, math.inf)
     joined = dict(weights)  # the given weights first, so a bad one is reported first
     for v in str_order[1:]:
         joined.setdefault(frozenset((str_order[0], v)), join)
@@ -238,25 +240,20 @@ def cmd_heat(args) -> int:
     assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
     disc = padic.discretize(assign, args.level)
     spec = _spec_from_index(args.bullet, args.alpha, assign, weights)
-    table = heat.heat_kernel(spec, disc, args.t, args.measure)
-    gen = operators.generator(spec, disc, args.measure)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap is raised below
-        T, bound = heat.disc_semigroup(gen, disc, args.t)
-        gap = table * gen.measure[None, :]
-        gap -= T
-        agreement = float(np.max(np.abs(gap, out=gap))) + bound
-        defect = float(np.max(np.abs(T.sum(axis=1) - 1.0)))
-    if not math.isfinite(agreement + defect):  # both are >= 0, so only inf or NaN fails
+    rows, certificates = heat.heat_table(spec, disc, args.t, args.measure)
+    gap, defect = certificates["two_route_gap"], certificates["row_sum_defect"]
+    if not math.isfinite(gap + defect):  # both are >= 0, so only inf or NaN fails
         raise errors.CertificateFailed(f"heat certificates not finite: two-route gap "
-                                       f"{agreement:g}, row-sum defect {defect:g}")
-    digest = serialize.matrix_export(args.output, table, {
+                                       f"{gap:g}, row-sum defect {defect:g}")
+    digest = serialize.matrix_export(args.output, rows, {
         "p": assign.p, "n": args.level, "bullet": args.bullet,
         "alpha": args.alpha, "measure": args.measure, "t": args.t,
     })
     _summary("heat", [{"path": args.output, "sha256": digest}], {
         "cells": len(disc),
+        "gap_scale": _fmt(certificates["gap_scale"]),
         "row_sum_defect": _fmt(defect),
-        "two_route_gap": _fmt(agreement),
+        "two_route_gap": _fmt(gap),
     })
     return 0
 

@@ -18,6 +18,12 @@ tree measure from it; ``convergence_study`` builds its discretisations
 from the assignment it is given.  Every time must be finite and
 non-negative (``NegativeTime``).  ``heat_kernel`` and ``semigroup``
 return the N x N array, and ``disc_semigroup`` the pair (T2, bound).
+``heat_table``, what the ``heat`` subcommand runs, holds no N x N array:
+both routes split by vertex disc, so it certifies them from their K x K
+and (K, s, s) block forms, reading the generator in row blocks of whole
+discs (``operators.generator_rows``), and yields the table in those row
+blocks.  ``heat_kernel``, ``disc_semigroup`` and ``_BallEvolver.matrix``
+are the same arithmetic on one block of every row.
 
 Certified bounds
 ----------------
@@ -58,9 +64,10 @@ from .errors import (
     NegativeTime,
     RateOverflow,
 )
-from .linalg import symmetrised, weighted_symmetric_eig
+from .linalg import (check_symmetric, positive_roots, symmetrised_rows, symmetry_defect,
+                     weighted_symmetric_eig)
 from .operators import (GeneratorMatrix, KernelSpec, _check_dense, _measure_vector,
-                        _prefix_table, truncated_domain)
+                        _prefix_table, generator_rows, truncated_domain)
 from .padic import CellDomain, DiscAssignment, discretize, padic_distance
 from .spectra import ball_spectrum
 
@@ -97,6 +104,7 @@ class _BallEvolver:
             members = np.flatnonzero(spectrum.levels == d0)
             cells = spectrum.starts[members, None] + np.arange(spectrum.sizes[members[0]])
             self.groups.append((d0, members, cells, spectrum.kozyrev[members, :dom.level - d0]))
+        self.ball = np.repeat(np.arange(len(self.sizes)), self.sizes)  # the pure ball of each cell
 
     def over_grid(self, u: np.ndarray, times: np.ndarray) -> np.ndarray:
         """T(t) u for every t of the grid (u itself at t = 0) as the columns
@@ -129,29 +137,59 @@ class _BallEvolver:
         out[:, times == 0] = u[:, None]
         return out
 
-    def matrix(self, t: float) -> np.ndarray:
-        """T(t) as an N x N array, the identity itself at t = 0: the coarse
-        K x K transition V e^(Lambda t) V^T M (V orthonormal under the masses
-        M) lifted onto the cells and divided by the target pure ball's cell
-        count, plus on each pure ball of level d0 the sum over d0 <= d < n of
+    def factors(self, t: float):
+        """T(t) in block form: the coarse K x K transition V e^(Lambda t) V^T M
+        (V orthonormal under the masses M) divided by the target pure ball's
+        cell count, which T(t) is between two distinct pure balls, and per
+        group of pure balls of one level d0 the (members, s, s) stack of T(t)
+        on each: its coarse entry plus the sum over d0 <= d < n of
         e^(lambda_d t) (P_{d+1} - P_d), with P_d(x, y) = [x and y share their
-        level-d ball] / p^(n - d) read off one prefix table per ball level."""
+        level-d ball] / p^(n - d) read off one prefix table per ball level.
+        At t = 0 the coarse part is 0 and every stack the identity."""
         p, n = self.p, self.level
-        ball = np.repeat(np.arange(len(self.sizes)), self.sizes)
-        _check_dense(len(ball))
         if t == 0:
-            return np.eye(len(ball))
+            return (np.zeros((len(self.sizes),) * 2),
+                    [np.broadcast_to(np.eye(cells.shape[1]), (*cells.shape, cells.shape[1]))
+                     for _, _, cells, _ in self.groups])
         coarse = (self.vecs * np.exp(t * self.evals)[None, :]) @ self.vecs.T
         coarse *= (self.mass / self.sizes)[None, :]
-        out = coarse[np.ix_(ball, ball)]
-        for d0, _, cells, lam in self.groups:
+        stacks = []
+        for d0, members, _, lam in self.groups:
             # steps[k, j]: P_{d0+k+1} - P_{d0+k} on two cells sharing d0 + j digits
             k, j = np.arange(n - d0)[:, None], np.arange(n - d0 + 1)[None, :]
             weight = float(p) ** (np.arange(d0, n + 1) - n)  # 1 / p^(n - d), d = d0 .. n
             steps = np.where(j > k, weight[1:, None], 0) - np.where(j >= k, weight[:-1, None], 0)
             by_prefix = np.exp(lam * t) @ steps
-            out[cells[:, :, None], cells[:, None, :]] += by_prefix[:, _prefix_table(p, d0, n) - d0]
-        return out
+            stacks.append(coarse[members, members][:, None, None]
+                          + by_prefix[:, _prefix_table(p, d0, n) - d0])
+        return coarse, stacks
+
+    def rows(self, factors, cells: range) -> np.ndarray:
+        """The rows of T(t) over a range of whole pure balls, from
+        ``factors(t)``."""
+        coarse, stacks = factors
+        where = [cells_of_group for _, _, cells_of_group, _ in self.groups]
+        return _lift(coarse, self.ball, list(zip(where, stacks)), cells)
+
+    def matrix(self, t: float) -> np.ndarray:
+        """T(t) as an N x N array, all its rows at once: the identity itself at
+        t = 0."""
+        _check_dense(len(self.ball))
+        return self.rows(self.factors(t), range(len(self.ball)))
+
+
+def _lift(coarse: np.ndarray, ball: np.ndarray, stacks, cells: range) -> np.ndarray:
+    """Rows ``cells`` (a range of whole pure balls) of the N x N matrix that
+    is coarse[a, b] between cells of distinct pure balls a and b (``ball``
+    numbers the pure ball of every cell) and the given block on each pure
+    ball: ``stacks`` pairs the (members, s) cells of pure balls of one size
+    with their (members, s, s) blocks."""
+    out = coarse[ball[cells.start:cells.stop]].take(ball, axis=1)
+    for where, blocks in stacks:
+        inside = (where[:, 0] >= cells.start) & (where[:, -1] < cells.stop)
+        at = where[inside]
+        out[at[:, :, None] - cells.start, at[:, None, :]] = blocks[inside]
+    return out
 
 
 def check_time(t: float, name: str = "t") -> None:
@@ -173,16 +211,96 @@ def semigroup(A: GeneratorMatrix, t: float) -> np.ndarray:
     return core * (d[None, :] / d[:, None])
 
 
+BLOCK_ENTRIES = 1 << 15  # 256 kB of float64 per row block
+
+
+def _disc_blocks(dom: CellDomain) -> list[range]:
+    """The rows of a discretisation in blocks of whole discs, in order: one
+    disc per block once a disc's s x N entries reach BLOCK_ENTRIES, else as
+    many discs as stay within it, so that numpy's cost per call stays small
+    next to the work of a call on small domains and no block is N x N on
+    large ones."""
+    K = len(dom.balls)
+    s = len(dom) // K
+    per = max(1, BLOCK_ENTRIES // (s * len(dom)))
+    return [range(k * s, min(k + per, K) * s) for k in range(0, K, per)]
+
+
+def _lumped(blocks, measure: np.ndarray, dom: CellDomain, t: float):
+    """e^(tS^) of ``disc_semigroup`` in block form, its bound and ||A||_inf,
+    from the generator's row blocks: ``blocks()`` returns a fresh iterator
+    of (cells, A[cells, :], A[:, cells].T) over runs of whole discs that
+    cover the domain in order, and is read twice; the blocks are
+    overwritten.
+
+    The first pass takes from each block's rows of S the discs' rows of
+    block means (for C), their diagonal blocks B_k and the symmetry defect;
+    the second, with C known, their shares of delta.  Returns (lift,
+    stacks, bound, norm): e^(tS^) is lift[k, l] = (V e^(tw) V^T)_kl / s
+    between discs k != l and stacks[k] on disc k, and norm is 2 max |A_ii|,
+    the largest absolute row sum of a generator."""
+    if dom.cut_level is not None:
+        raise ValueError("a truncated domain is not a discretisation")
+    K = len(dom.balls)
+    s = len(dom) // K
+    d = positive_roots(measure)
+    disc, cell = np.arange(K), np.arange(s)
+    c, B = np.empty((K, K)), np.empty((K, s, s))
+    asym, largest, diagonal = [], [], []
+    for cells, rows, cols in blocks():
+        diagonal.append(np.max(np.abs(rows[np.arange(len(cells)), cells])))
+        S, St = symmetrised_rows(rows, cols, d[cells.start:cells.stop], d)
+        defect, top = symmetry_defect(S, St)
+        S += St
+        S *= 0.5
+        own = np.arange(cells.start // s, cells.stop // s)  # the block's discs
+        by_disc = S.reshape(len(own), s, K, s)
+        c[own] = by_disc.mean(axis=(1, 3))
+        B[own] = by_disc[own - own[0], :, own, :]
+        asym.append(defect)
+        largest.append(top)
+    check_symmetric(np.max(asym), np.max(largest))
+    sums = B.sum(axis=2)
+    r = sums.mean(axis=1)
+    shift = sums - r[:, None]
+    B[:, cell, cell] -= shift
+    C = 0.5 * s * (c + c.T)  # one mean per pair of discs, so that S^ is symmetric
+    C[disc, disc] = r
+
+    delta = []
+    for cells, rows, cols in blocks():
+        own = np.arange(cells.start // s, cells.stop // s)
+        S, St = symmetrised_rows(rows, cols, d[cells.start:cells.stop], d)
+        S += St
+        S *= 0.5
+        by_disc = S.reshape(len(own), s, K, s)
+        by_disc -= C[own, None, :, None] / s  # S - S^ off the diagonal blocks
+        np.abs(by_disc, out=by_disc)
+        by_disc[own - own[0], :, own, :] = 0.0
+        delta.append(np.max(by_disc.sum(axis=(2, 3)) + np.abs(shift[own])))
+    delta = np.max(delta)
+
+    w, V = np.linalg.eigh(C)
+    wb, Vb = np.linalg.eigh(B)
+    lift = (V * np.exp(t * w)) @ V.T / s
+    stacks = (Vb * np.exp(t * wb)[:, None, :]) @ Vb.transpose(0, 2, 1)
+    stacks -= (np.exp(t * r) / s)[:, None, None]
+    stacks += lift[disc, disc][:, None, None]
+    lam_max = np.max(np.concatenate([w, wb.ravel()]))
+    bound = t * delta * np.exp(t * np.maximum(0.0, lam_max + delta)) * (d.max() / d.min())
+    return lift, stacks, float(bound), 2.0 * float(np.max(diagonal))
+
+
 def disc_semigroup(A: GeneratorMatrix, dom: CellDomain, t: float) -> tuple[np.ndarray, float]:
     """exp(tA) of a generator assembled on a discretisation, through its K
     disc blocks of s = p^(n - m) cells, and a bound on its entrywise error.
 
-    The symmetrisation S = D A D^-1 (D = diag(sqrt(mu)), checked by
-    ``linalg.symmetrised``) becomes S^ when each cross block is replaced by
-    its mean c_kl and the diagonal of each diagonal block B_k is shifted by
-    -(r_i - r_k), r_i the row sums of B_k and r_k their mean.  S^ is
-    strongly lumpable over the discs (Kemeny & Snell, Finite Markov Chains,
-    6.3), so with J the s x s ones matrix
+    The symmetrisation S = D A D^-1 (D = diag(sqrt(mu)), checked as
+    ``linalg.symmetrised`` does) becomes S^ when each cross block is
+    replaced by its mean c_kl and the diagonal of each diagonal block B_k is
+    shifted by -(r_i - r_k), r_i the row sums of B_k and r_k their mean.
+    S^ is strongly lumpable over the discs (Kemeny & Snell, Finite Markov
+    Chains, 6.3), so with J the s x s ones matrix
 
         e^(tS^) = lift(e^(tC)) / s + blockdiag(e^(tB^_k) - e^(t r_k) J / s),
 
@@ -194,42 +312,24 @@ def disc_semigroup(A: GeneratorMatrix, dom: CellDomain, t: float) -> tuple[np.nd
 
         max |e^(tA) - T2| <= t delta e^(t max(0, lambda_max(S^) + delta)) max d / min d,
 
-    the bound returned with T2 (inf or NaN when it overflows).  Raises
+    the bound returned with T2 (inf or NaN when it overflows).  A is read
+    as one row block by the route that ``heat_table`` runs on the row
+    blocks of the generator it assembles, and T2 is that route's block
+    form lifted onto the cells.  Raises
     NegativeTime for a t that is not a finite time >= 0 and ValueError for
     a truncated domain, before any N x N work.
     """
     check_time(t)
-    if dom.cut_level is not None:
-        raise ValueError("a truncated domain is not a discretisation")
-    K = len(dom.balls)
-    s = len(dom) // K
-    S, d = symmetrised(A.matrix, A.measure)
-    blocks = S.reshape(K, s, K, s)  # a view: S is overwritten with T2 below
-    disc, cell = np.arange(K), np.arange(s)
-    B = blocks[disc, :, disc, :]  # (K, s, s), a copy
-    rows = B.sum(axis=2)
-    r = rows.mean(axis=1)
-    shift = rows - r[:, None]
-    B[:, cell, cell] -= shift
-    c = blocks.mean(axis=(1, 3))
-    C = 0.5 * s * (c + c.T)  # one mean per pair of discs, so that S^ is symmetric
-    C[disc, disc] = r
-
-    blocks -= C[:, None, :, None] / s  # S - S^ off the diagonal blocks
-    np.abs(blocks, out=blocks)
-    blocks[disc, :, disc, :] = 0.0
-    delta = np.max(blocks.sum(axis=(2, 3)) + np.abs(shift))
-
-    w, V = np.linalg.eigh(C)
-    wb, Vb = np.linalg.eigh(B)
-    blocks[...] = ((V * np.exp(t * w)) @ V.T / s)[:, None, :, None]
-    local = (Vb * np.exp(t * wb)[:, None, :]) @ Vb.transpose(0, 2, 1)
-    blocks[disc, :, disc, :] += local - (np.exp(t * r) / s)[:, None, None]
-    S *= d[None, :]
-    S /= d[:, None]
-    lam_max = np.max(np.concatenate([w, wb.ravel()]))
-    bound = t * delta * np.exp(t * np.maximum(0.0, lam_max + delta)) * (d.max() / d.min())
-    return S, float(bound)
+    every_row = range(len(dom))
+    lift, stacks, bound, _ = _lumped(lambda: [(every_row, A.matrix.copy(), A.matrix.T.copy())],
+                                     A.measure, dom, t)
+    cells = np.arange(len(dom))
+    K, s = stacks.shape[:2]
+    T = _lift(lift, cells // s, [(cells.reshape(K, s), stacks)], range(len(dom)))
+    d = np.sqrt(A.measure)
+    T *= d[None, :]
+    T /= d[:, None]
+    return T, bound
 
 
 def heat_kernel(spec: KernelSpec, dom: CellDomain, t: float,
@@ -240,6 +340,51 @@ def heat_kernel(spec: KernelSpec, dom: CellDomain, t: float,
     check_time(t)
     evolver = _BallEvolver(spec, dom, measure)
     return evolver.matrix(t) / _measure_vector(dom, measure)[None, :]
+
+
+def heat_table(spec: KernelSpec, disc: CellDomain, t: float, measure: str = "haar"):
+    """The heat kernel p(t) of ``heat_kernel`` on a discretisation, as an
+    iterator of row blocks of whole vertex discs (``_disc_blocks``), and
+    the certificates of its two routes, with no N x N array.
+
+    T1 is the closed-form route (``_BallEvolver``), T2 the lumped route of
+    ``disc_semigroup`` on the generator's row blocks (``generator_rows``,
+    read twice), which never reads ``ball_spectrum``.  The measure is
+    constant on each disc, so between two discs p(t) mu and T2 are each
+    one value per pair of discs: the gap and T2's row sums are taken on
+    K x K values there and on the (K, s, s) diagonal blocks.  Returns the
+    row blocks and {"two_route_gap": max |p(t) mu - T2| plus T2's bound,
+    "row_sum_defect": max |T2 1 - 1|, "gap_scale": max(1e-12, 4 eps
+    ||A||_inf t)}; the values may be inf or NaN where a route overflows.
+    """
+    check_time(t)
+    evolver = _BallEvolver(spec, disc, measure)
+    factors = evolver.factors(t)
+    coarse, (closed,) = factors  # on a discretisation the pure balls are the K discs, of level m
+    mu = _measure_vector(disc, measure)
+    blocks = _disc_blocks(disc)
+    generator_blocks = generator_rows(spec, disc, measure, blocks)
+    K, s = closed.shape[:2]
+    mu_disc, mu_cell = mu[::s], mu.reshape(K, 1, s)
+    d_disc, d_cell = np.sqrt(mu_disc), np.sqrt(mu_cell)
+    off = ~np.eye(K, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite certificate is reported
+        lift, stacks, bound, norm = _lumped(generator_blocks, mu, disc, t)
+        cross = np.where(off, lift * d_disc[None, :] / d_disc[:, None], 0.0)  # T2 between discs
+        own = stacks * d_cell / d_cell.transpose(0, 2, 1)  # T2 on each disc
+        gap = np.maximum(np.max(np.abs(coarse / mu_disc * mu_disc - cross)[off], initial=0.0),
+                         np.max(np.abs(closed / mu_cell * mu_cell - own))) + bound
+        defect = np.max(np.abs(s * cross.sum(axis=1)[:, None] + own.sum(axis=2) - 1.0))
+    scale = max(1e-12, 4 * np.finfo(float).eps * norm * t)
+
+    def rows():
+        for cells in blocks:
+            block = evolver.rows(factors, cells)
+            block /= mu[None, :]
+            yield block
+
+    return rows(), {"two_route_gap": float(gap), "row_sum_defect": float(defect),
+                    "gap_scale": scale}
 
 
 def solve_cauchy(spec: KernelSpec, dom: CellDomain, u0: np.ndarray, t: float,

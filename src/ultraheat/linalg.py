@@ -7,6 +7,39 @@ import numpy as np
 from .errors import NotSelfAdjoint
 
 
+def symmetrised_rows(rows: np.ndarray, cols: np.ndarray, d_rows: np.ndarray, d: np.ndarray):
+    """Some rows of S = D L D^(-1) (D = diag(d)) and the same rows of S^T,
+    scaled in place from those rows of L and L's matching columns
+    transposed (``cols``), with their entries ``d_rows`` of d.
+    (S + S^T) / 2 is S made exactly symmetric."""
+    rows *= d_rows[:, None]
+    rows /= d[None, :]
+    cols *= d[None, :]
+    cols /= d_rows[:, None]
+    return rows, cols
+
+
+def symmetry_defect(S: np.ndarray, St: np.ndarray) -> tuple[float, float]:
+    """The largest |S - S^T| and the largest |S| over the rows of
+    ``symmetrised_rows``; a NaN in S makes both NaN."""
+    return float(np.max(np.abs(S - St))), max(float(S.max()), float(-S.min()))
+
+
+def check_symmetric(asym: float, largest: float) -> None:
+    """NotSelfAdjoint when the defect of S exceeds 1e-8 of max(1, max|S|),
+    that is when L is not self-adjoint w.r.t. diag(d^2); a NaN passes."""
+    if asym > 1e-8 * max(1.0, largest):
+        raise NotSelfAdjoint(f"operator is not symmetric under the given measure (defect {asym:g})")
+
+
+def positive_roots(masses: np.ndarray) -> np.ndarray:
+    """The square roots of the masses; ValueError unless every mass is positive."""
+    masses = np.asarray(masses, dtype=float)
+    if np.any(masses <= 0):
+        raise ValueError("masses must be positive")
+    return np.sqrt(masses)
+
+
 def symmetrised(L: np.ndarray, masses: np.ndarray):
     """S = D L D^(-1) with D = diag(sqrt(masses)), made exactly symmetric,
     and the diagonal of D.
@@ -15,19 +48,12 @@ def symmetrised(L: np.ndarray, masses: np.ndarray):
     ``NotSelfAdjoint`` when S is not symmetric to 1e-8 of max(1, max|S|),
     that is when L is not self-adjoint w.r.t. diag(masses).
     """
-    masses = np.asarray(masses, dtype=float)
-    if np.any(masses <= 0):
-        raise ValueError("masses must be positive")
-    d = np.sqrt(masses)
-    S = L * d[:, None] / d[None, :]
-    out = np.subtract(S, S.T)  # one buffer for the defect, then for the result
-    asym = np.max(np.abs(out, out=out))
-    scale = max(1.0, float(S.max()), float(-S.min()))
-    if asym > 1e-8 * scale:
-        raise NotSelfAdjoint(f"operator is not symmetric under the given measure (defect {asym:g})")
-    out = np.add(S, S.T, out=out)
-    out *= 0.5
-    return out, d
+    d = positive_roots(masses)
+    S, St = symmetrised_rows(np.array(L, dtype=float), np.array(L.T, dtype=float), d, d)
+    check_symmetric(*symmetry_defect(S, St))
+    S += St
+    S *= 0.5
+    return S, d
 
 
 def weighted_symmetric_eig(L: np.ndarray, masses: np.ndarray):

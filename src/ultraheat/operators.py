@@ -160,23 +160,35 @@ def _prefix_table(p: int, ball_level: int, level: int) -> np.ndarray:
     return j + ball_level
 
 
-def kernel_matrix(spec: KernelSpec, disc: CellDomain) -> np.ndarray:
-    """k_p over all cell pairs: the cross rate between the discs of cells in
-    different blocks (none from filler), overwritten inside every block (a
-    vertex disc, or a cut ball of a truncated domain) by the Vladimirov
-    rates of one prefix table per ball level; zero on the diagonal, whose
-    prefix n is clipped to n - 1 first (p^(n alpha) may overflow a float)."""
+def kernel_rows(spec: KernelSpec, disc: CellDomain, blocks):
+    """Yield (cells, k_p[cells, :]) for each range ``cells`` of ``blocks``,
+    each a run of whole domain blocks (vertex discs, or the cut balls of a
+    truncated domain): the cross rate between the discs of its cells and
+    every other cell's (none from filler), overwritten on each block's own
+    cells by the Vladimirov rates of one prefix table per ball level; zero
+    on the diagonal, whose prefix n is clipped to n - 1 first (p^(n alpha)
+    may overflow a float).  k_p is symmetric: the base is checked
+    symmetric, and so is every prefix table."""
     leaf_idx = _leaf_indices(spec, disc)
-    K = _cross_rates(spec)[np.ix_(leaf_idx, leaf_idx)]
+    cross = _cross_rates(spec)
+    starts = np.flatnonzero(np.diff(disc.block_index, prepend=-1)).tolist() + [len(disc)]
     tables: dict = {}
-    for ball in disc.balls:
-        if ball.level not in tables:
-            j = np.minimum(_prefix_table(disc.p, ball.level, disc.level), disc.level - 1)
-            tables[ball.level] = (float(disc.p) ** -j) ** -spec.alpha
-        cells = disc.ball_range(ball)
-        K[cells.start:cells.stop, cells.start:cells.stop] = tables[ball.level]
-    np.fill_diagonal(K, 0.0)
-    return K
+    for cells in blocks:
+        rows = cross[leaf_idx[cells.start:cells.stop]].take(leaf_idx, axis=1)
+        for b in range(disc.block_index[cells.start], disc.block_index[cells.stop - 1] + 1):
+            level = disc.balls[b].level
+            if level not in tables:
+                j = np.minimum(_prefix_table(disc.p, level, disc.level), disc.level - 1)
+                tables[level] = (float(disc.p) ** -j) ** -spec.alpha
+            start, stop = starts[b], starts[b + 1]
+            rows[start - cells.start:stop - cells.start, start:stop] = tables[level]
+        rows[np.arange(len(cells)), cells] = 0.0
+        yield cells, rows
+
+
+def kernel_matrix(spec: KernelSpec, disc: CellDomain) -> np.ndarray:
+    """k_p over all cell pairs: ``kernel_rows`` of one block of every row."""
+    return next(kernel_rows(spec, disc, [range(len(disc))]))[1]
 
 
 def kernel_value(spec: KernelSpec, assign: DiscAssignment, x: PAdicCell, y: PAdicCell) -> float:
@@ -228,23 +240,42 @@ def _check_dense(n_cells: int) -> None:
         )
 
 
+def generator_rows(spec: KernelSpec, disc: CellDomain, measure: str, blocks):
+    """Check the rates, then return a function that yields, afresh at each
+    call, (cells, A[cells, :], A[:, cells].T) for each range ``cells`` of
+    ``blocks`` (runs of whole domain blocks, as ``kernel_rows`` takes), with
+    A the exact matrix of the jump operator on level-n locally constant
+    functions: off-diagonal rate * measure, zero row sums.  As k_p is
+    symmetric, A's column block is its kernel row block scaled by the
+    block's own cell masses, with the row block's diagonal: two
+    len(cells) x N arrays per block."""
+    mvec = _measure_vector(disc, measure)
+    _disc_rates(spec, disc, measure)
+
+    def rows():
+        for cells, block in kernel_rows(spec, disc, blocks):
+            diag = (np.arange(len(cells)), cells)
+            cols = block * mvec[cells.start:cells.stop, None]
+            block *= mvec[None, :]
+            block[diag] = 0.0
+            block[diag] = cols[diag] = -block.sum(axis=1)
+            yield cells, block, cols
+
+    return rows
+
+
 def generator(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> GeneratorMatrix:
-    """Exact matrix of the jump operator on level-n locally constant functions.
+    """Exact matrix of the jump operator on level-n locally constant functions:
+    ``generator_rows`` of one block of every row.
 
     ``disc`` is a discretisation or a truncated domain; the latter takes
     the Haar measure only, the former also its assignment's tree measure
     ("nu").  The cell count and the rates are checked before any N x N
-    array is allocated, and the kernel matrix is scaled into the generator
-    in place, so one N x N array is held.
+    array is allocated.
     """
     _check_dense(len(disc))
-    mvec = _measure_vector(disc, measure)
-    _disc_rates(spec, disc, measure)
-    A = kernel_matrix(spec, disc)
-    A *= mvec[None, :]
-    np.fill_diagonal(A, 0.0)
-    np.fill_diagonal(A, -A.sum(axis=1))
-    return GeneratorMatrix(A, mvec)
+    _, A, _ = next(generator_rows(spec, disc, measure, [range(len(disc))])())
+    return GeneratorMatrix(A, _measure_vector(disc, measure))
 
 
 def _measure_vector(disc: CellDomain, measure: str):

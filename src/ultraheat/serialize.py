@@ -138,10 +138,12 @@ def write_text(path, text: str) -> str:
 
 def _write_hashed(path, chunks) -> str:
     """Write the byte chunks in order and return the sha256 of the file:
-    every artifact is written and hashed here, from the same bytes."""
+    every artifact is written and hashed here, from the same bytes.  The
+    64 kB buffer gathers a heat table's rows (one chunk each, about 11 kB
+    at 540 cells) into fewer writes."""
     digest = hashlib.sha256()
     try:
-        with open(path, "wb") as out:
+        with open(path, "wb", buffering=1 << 16) as out:
             for chunk in chunks:
                 out.write(chunk)
                 digest.update(chunk)
@@ -414,26 +416,30 @@ def index_from_obj(obj):
 # --- text matrices ---------------------------------------------------------------------
 
 
-def matrix_export(path, matrix: np.ndarray, header: dict) -> str:
+def matrix_export(path, blocks, header: dict) -> str:
     """Write the line ``# {header}`` (its JSON with sorted keys), then one
-    line per matrix row, its entries as ``%.17g`` separated by one space;
-    return the sha256 of the file's bytes.
+    line per row of each 2-d row block of ``blocks`` in turn, its entries as
+    ``%.17g`` separated by one space; return the sha256 of the file's bytes.
 
     A heat kernel is made of runs: the cells of one pure ball share every
     entry outside it.  So each run of equal bit patterns within a row is
     one code (value, run length, whether it ends its row), each distinct
-    code is formatted once, and the file is written and hashed row by row,
-    with no text the size of the whole table held at once.
+    code of a block is formatted once, and the file is written and hashed
+    row by row as the blocks arrive, with no text the size of the whole
+    table held at once, nor the whole table when its blocks are made one at
+    a time.
     """
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {matrix.shape}")
     head = ("# " + json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
-    return _write_hashed(path, itertools.chain([head], _row_lines(matrix.view(np.int64))))
+    lines = itertools.chain.from_iterable(map(_row_lines, blocks))
+    return _write_hashed(path, itertools.chain([head], lines))
 
 
-def _row_lines(bits: np.ndarray):
-    """The text lines of a matrix given as its int64 bit patterns."""
+def _row_lines(block):
+    """The text lines of a 2-d row block, from its float64 bit patterns."""
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    if block.ndim != 2:
+        raise ValueError(f"expected a 2-d row block, got shape {block.shape}")
+    bits = block.view(np.int64)
     rows, cols = bits.shape
     if cols == 0:
         return [b"\n"] * rows
@@ -451,8 +457,9 @@ def _row_lines(bits: np.ndarray):
         (" ".join([texts[v]] * n) + ("\n" if end else " ")).encode("utf-8")
         for v, n, end in zip(value.tolist(), length.tolist(), (codes % 2).tolist())
     ], dtype=object)
-    cuts = np.flatnonzero(ends)[:-1] + 1
-    return (b"".join(pieces[row].tolist()) for row in np.split(code_of, cuts))
+    runs = pieces[code_of].tolist()
+    cuts = (np.flatnonzero(ends) + 1).tolist()
+    return (b"".join(runs[a:b]) for a, b in zip([0, *cuts], cuts))
 
 
 def spectrum_export(path, basis) -> str:

@@ -96,7 +96,8 @@ def _graph_edges(graph, weights: Mapping | None) -> tuple[tuple, list]:
             raise ValueError("explicit weights required for a plain vertex list")
     for e, wt in weights.items():
         if not (math.isfinite(wt) and wt > 0):
-            raise BadWeight(f"edge weight must be finite and positive, got {wt} on {set(e)}")
+            ends = ", ".join(map(repr, sorted(e, key=str)))  # str order, not the hash order
+            raise BadWeight(f"edge weight must be finite and positive, got {wt} on {{{ends}}}")
     labels = tuple(sorted(vertices, key=str))
     pos = {v: i for i, v in enumerate(labels)}
     edges = []

@@ -3,8 +3,12 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,6 +529,48 @@ def test_toposort_mixed_label_types(tmp_path, capsys):
     assert out.read_text().split() == ["1", "a", "2"]
 
 
+def run_python(args, **env):
+    """A fresh interpreter with the package of this checkout on its path and
+    the given environment variables."""
+    src = str(Path(heat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def run_cli(argv, **env):
+    return run_python(["-m", "ultraheat.cli", *argv], **env)
+
+
+def test_a_bad_weight_names_its_edge_alike_under_every_hash_seed(tmp_path):
+    """The BadWeight detail names the two ends of the edge in str order, not
+    in the order of a set of strings, which follows the hash seed."""
+    labels = [f"v{i}" for i in range(10)]
+    dag = tmp_path / "dag.json"
+    write(dag, {"vertices": labels, "edges": [list(pair) for pair in zip(labels, labels[1:])],
+                "weights": {"v9|v0": -1.0}})
+    errs = {run_cli(["toposort", "--input", str(dag), "--output", str(tmp_path / "order.txt")],
+                    PYTHONHASHSEED=str(seed)).stderr for seed in (1, 2, 3, 4)}
+    assert len(errs) == 1
+    assert json.loads(errs.pop()) == {
+        "error": "BadWeight",
+        "detail": "edge weight must be finite and positive, got -1.0 on {'v0', 'v9'}",
+        "exit": 23,
+    }
+
+
+def test_a_connected_dag_whose_largest_weight_is_the_largest_float_sorts(tmp_path, capsys):
+    """No weight lies above the largest float, so the edges that join the
+    components share its height; the graph is connected, so its tree, and
+    the order, are those of its own weights."""
+    dag, out = tmp_path / "dag.json", tmp_path / "order.txt"
+    dag.write_text('{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]], '
+                   '"weights": {"a|b": 1.7976931348623157e308, "b|c": 1.0}}', encoding="utf-8")
+    assert main(["toposort", "--input", str(dag), "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "a\nb\nc\n"
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("wt", ["NaN", "Infinity", "-1"])
 def test_toposort_bad_weight_exit_code(tmp_path, capsys, wt):
     dag = tmp_path / "dag.json"
@@ -598,36 +644,47 @@ def test_exit_codes_are_distinct_per_error_type():
     assert 30 not in EXIT_CODES.values()  # reserved for unmapped library errors
 
 
-def test_heat_reuses_the_certified_generator(tmp_path, capsys, monkeypatch):
-    """`heat` builds one dense generator, for its second route, and hands
-    that one to `disc_semigroup`, never to the dense `semigroup`; it never
-    calls `full_basis`."""
-    from ultraheat import operators, spectra
+def test_heat_reads_the_generator_only_in_row_blocks(tmp_path, capsys, monkeypatch):
+    """`heat` builds no N x N generator or kernel matrix and never calls the
+    dense `semigroup`, `disc_semigroup` or `full_basis`: it reads the
+    generator in row blocks of whole discs, each fewer rows than cells,
+    over every row in order, twice (the lumping bound needs C first)."""
+    from ultraheat import operators
 
-    built = []
+    for module, name in ((operators, "generator"), (operators, "kernel_matrix"),
+                         (heat, "semigroup"), (heat, "disc_semigroup"), (spectra, "full_basis")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name: pytest.fail(f"{name} was called"))
+    read = []
+    original = heat.generator_rows
 
-    def counting(original):
-        def wrapper(*args, **kwargs):
-            gen = original(*args, **kwargs)
-            built.append(gen)
-            return gen
-        return wrapper
+    def recording(spec, disc, measure, blocks):
+        rows = original(spec, disc, measure, blocks)
 
-    monkeypatch.setattr(operators, "generator", counting(operators.generator))
-    seen = []
-    original_route = heat.disc_semigroup
-    monkeypatch.setattr(heat, "disc_semigroup",
-                        lambda gen, dom, t: seen.append(gen) or original_route(gen, dom, t))
-    monkeypatch.setattr(heat, "semigroup", lambda *args: pytest.fail("semigroup was called"))
-    monkeypatch.setattr(spectra, "full_basis", lambda *args: pytest.fail("full_basis was called"))
+        def recorded():
+            for cells, block, cols in rows():
+                read.append((cells, block.shape, cols.shape))
+                yield cells, block, cols
+        return recorded
+
+    monkeypatch.setattr(heat, "generator_rows", recording)
     index = index_fixture(tmp_path)
+    capsys.readouterr()
     code = main([
         "heat", "--input", str(index), "--output", str(tmp_path / "kernel.txt"),
-        "--bullet", "graphdist", "--level", "4", "--t", "0.5",
+        "--bullet", "graphdist", "--level", "8", "--t", "0.5",
     ])
     assert code == 0
-    assert len(built) == 1 and seen == built
-    capsys.readouterr()
+    cells = json.loads(capsys.readouterr().out)["metrics"]["cells"]
+    s = cells // 3  # three vertex discs
+    assert cells == 192 and len(read) % 2 == 0 and len(read) > 2
+    for cells_read, block, cols in read:
+        assert cells_read.start % s == 0 and len(cells_read) % s == 0 and len(cells_read) < cells
+        assert block == cols == (len(cells_read), cells)
+    passes = [[r for r, _, _ in read[i:i + len(read) // 2]] for i in (0, len(read) // 2)]
+    for ranges in passes:
+        assert [r.start for r in ranges] == [0] + [r.stop for r in ranges[:-1]]
+        assert ranges[-1].stop == cells
 
 
 def test_spectrum_and_heat_never_assemble_the_basis_matrix(tmp_path, capsys, monkeypatch):
@@ -989,11 +1046,11 @@ def test_spectrum_with_a_residual_that_is_not_finite_exits_27_without_an_artifac
 
 def test_spectrum_never_builds_a_generator(tmp_path, capsys, monkeypatch):
     """`spectrum` certifies its basis from the factors: it calls neither
-    `operators.generator` nor `operators.kernel_matrix`, for any bullet or
-    measure."""
+    `operators.generator` nor `operators.kernel_matrix`, nor their row
+    blocks, for any bullet or measure."""
     from ultraheat import operators
 
-    for name in ("generator", "kernel_matrix"):
+    for name in ("generator", "kernel_matrix", "generator_rows", "kernel_rows"):
         monkeypatch.setattr(operators, name,
                             lambda *args, name=name: pytest.fail(f"{name} was called"))
     index = index_fixture(tmp_path)
@@ -1318,6 +1375,52 @@ def test_heat_tables_are_pinned(tmp_path, capsys, bullet, measure, t, digest):
     assert summary["metrics"]["cells"] == 108
     assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
     assert summary["artifacts"][0]["sha256"] == digest
+
+
+LARGER_FAMILY = Path(__file__).with_name("low_branching_31_60_7.json")  # p = 3, m = 7
+
+
+@pytest.fixture(scope="module")
+def larger_index(tmp_path_factory):
+    """The index of the benchmark generator's low_branching_family(31, 60, 7),
+    whose family file is committed beside the tests."""
+    graph, index = (tmp_path_factory.mktemp("larger") / name for name in ("g.json", "i.json"))
+    assert run_cli(["encode", "--input", str(LARGER_FAMILY), "--output", str(graph)]).returncode == 0
+    assert run_cli(["index", "--input", str(graph), "--output", str(index)]).returncode == 0
+    return index
+
+
+@pytest.mark.parametrize("level, measure, digest", [
+    (10, "haar", "7cbefc254e492b4ded22e374093700d58b254c534bfff012db2cf29497709f9c"),
+    (10, "nu", "90ec400fe5787506ee2422f6177eace710253b80c56c39fa54cb4e333eb56439"),
+    (11, "haar", "19c355ec998ef4cb5c1e68c6fc3a42681043f2f525cba6ad6fd4ea92a77475c9"),
+    (11, "nu", "029593bd9259845ccd5c02716ca2e2d7752c2254a32fe5d01916f8e5504e3787"),
+])
+def test_larger_heat_tables_are_pinned(larger_index, capsys, level, measure, digest):
+    """The graphdist `heat --t 0.5` tables of low_branching_family(31, 60, 7)
+    at levels 10 (1,620 cells) and 11 (4,860 cells), pinned by the sha256
+    that `heat` reports of the bytes it writes, here to the null device
+    (the level-11 table is 482 MB)."""
+    assert main(["heat", "--input", str(larger_index), "--output", os.devnull, "--bullet",
+                 "graphdist", "--measure", measure, "--level", str(level), "--t", "0.5"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["metrics"]["cells"] == 60 * 3 ** (level - 7)
+    assert summary["artifacts"][0]["sha256"] == digest
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_heat_at_4860_cells_holds_no_n_by_n_array(larger_index):
+    """`heat` at level 11 (4,860 cells: one N x N float array is 189 MB)
+    peaks under 150 MB in a fresh interpreter.  The interpreter reads its
+    own high-water mark, VmHWM: its ru_maxrss would keep the resident size
+    of this test process at the fork."""
+    code = ("import re, sys\nfrom ultraheat.cli import main\nrc = main(sys.argv[1:])\n"
+            "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1], "
+            "file=sys.stderr)\nsys.exit(rc)")
+    proc = run_python(["-c", code, "heat", "--input", str(larger_index), "--output", os.devnull,
+                       "--bullet", "graphdist", "--level", "11", "--t", "0.5"])
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr.split()[-1]) < 150 * 1024
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000], ids=["utf16_bom", "deep"])

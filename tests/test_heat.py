@@ -33,7 +33,7 @@ from ultraheat import (
     truncation_bound,
 )
 from ultraheat.errors import NegativeTime
-from ultraheat.heat import _BallEvolver, _mean_value_constants, t_grid
+from ultraheat.heat import _BallEvolver, _mean_value_constants, heat_table, t_grid
 from ultraheat.operators import GeneratorMatrix, cut_nodes
 
 from conftest import (
@@ -765,6 +765,42 @@ def test_disc_semigroup_bound_covers_a_generator_that_is_not_lumpable(
     assert np.max(np.abs(T - dense)) <= bound + _oracle_tolerance(changed, t)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    alpha=st.floats(1.0, 2.0),
+    t=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    seed=st.integers(0, 2**32 - 1),
+    leaves=st.integers(2, 6),
+    entries=st.sampled_from([1, 200, 1 << 14]),
+)
+def test_heat_table_is_the_two_dense_routes_by_row_blocks(p, alpha, t, seed, leaves, entries):
+    """Whatever the size of its row blocks (one disc each at ``entries`` =
+    1), `heat_table` yields the rows of `heat_kernel` bit for bit, and its
+    certificates are those of the stacked routes: the gap against
+    `disc_semigroup` plus its bound and the row-sum defect within the
+    oracle tolerance, and gap_scale is max(1e-12, 4 eps ||A||_inf t)."""
+    from ultraheat import heat
+
+    _, specs, discs = _disc_cases(p, alpha, seed, leaves)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heat, "BLOCK_ENTRIES", entries)
+        for disc in discs:
+            for measure in ("haar", "nu"):
+                for spec in specs:
+                    rows, certificates = heat_table(spec, disc, t, measure)
+                    table = np.concatenate(list(rows))
+                    assert np.array_equal(table, heat_kernel(spec, disc, t, measure))
+                    gen = generator(spec, disc, measure)
+                    T, bound = disc_semigroup(gen, disc, t)
+                    tol = _oracle_tolerance(gen, t)
+                    gap = np.max(np.abs(table * gen.measure[None, :] - T)) + bound
+                    assert certificates["two_route_gap"] == pytest.approx(gap, rel=0, abs=tol)
+                    defect = np.max(np.abs(T.sum(axis=1) - 1.0))
+                    assert certificates["row_sum_defect"] == pytest.approx(defect, rel=0, abs=tol)
+                    assert certificates["gap_scale"] == pytest.approx(tol, rel=1e-12)
+
+
 def test_disc_semigroup_refuses_a_truncated_domain():
     dend, assign, spec = three_leaf_setup()
     dom = truncated_domain(assign, 1, assign.m + 1)[0]
@@ -808,8 +844,9 @@ def test_certify_routines_build_no_generator_and_no_kernel_matrix(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a dense N x N operator was built")
 
-    monkeypatch.setattr(operators, "generator", unreachable)
-    monkeypatch.setattr(operators, "kernel_matrix", unreachable)
+    for name in ("generator", "kernel_matrix", "generator_rows", "kernel_rows"):
+        monkeypatch.setattr(operators, name, unreachable)
+    monkeypatch.setattr(heat, "generator_rows", unreachable)
     monkeypatch.setattr(heat, "semigroup", unreachable)
     rng = np.random.default_rng(43)
     report = truncation_bound(spec, disc, 1, 1.0, rng.uniform(-1, 1, len(disc)))

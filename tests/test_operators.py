@@ -311,8 +311,8 @@ def test_generator_refuses_oversized_dense_matrices(monkeypatch):
     level = assign.m + 12
     dom = CellDomain(assign, level, tuple(assign.discs[label] for label in assign.labels))
     assert len(dom) == 3 * 2**12 > operators.MAX_DENSE_CELLS
-    monkeypatch.setattr(operators, "kernel_matrix",
-                        lambda *args: pytest.fail("kernel matrix built"))
+    for name in ("kernel_matrix", "kernel_rows"):
+        monkeypatch.setattr(operators, name, lambda *args: pytest.fail("kernel matrix built"))
     with pytest.raises(TooManyCells, match="dense-matrix limit"):
         operators.generator(spec, dom)
 
@@ -371,7 +371,7 @@ def test_generator_checks_dense_limit_before_allocating(monkeypatch):
     disc = discretize(assign, assign.m + 2)
     dom, _ = truncated_domain(assign, 1, assign.m + 2)
     monkeypatch.setattr(operators, "MAX_DENSE_CELLS", 4)
-    for name in ("kernel_matrix", "_prefix_table"):
+    for name in ("kernel_matrix", "kernel_rows", "_prefix_table"):
         monkeypatch.setattr(operators, name, unreachable)
     for domain in (disc, dom):
         with pytest.raises(ValueError, match="dense-matrix limit"):
@@ -427,7 +427,7 @@ def test_an_overflowing_rate_or_entry_raises_before_any_array(monkeypatch):
                 assert np.isfinite(generator(bad, cut).matrix).all()
                 ball_spectrum(bad, cut)
         with np.errstate(over="ignore"), monkeypatch.context() as patch:
-            for name in ("kernel_matrix", "_prefix_table"):
+            for name in ("kernel_matrix", "kernel_rows", "_prefix_table"):
                 patch.setattr(operators, name, unreachable)
             for dom, measure in inputs:
                 for build in (generator, ball_spectrum):
@@ -440,7 +440,7 @@ def test_an_overflowing_rate_or_entry_raises_before_any_array(monkeypatch):
                                             for i in range(999)}))
     delta = chain.dendrogram.delta_matrix()
     dom = discretize(chain, 1000)
-    for name in ("kernel_matrix", "_prefix_table"):
+    for name in ("kernel_matrix", "kernel_rows", "_prefix_table"):
         monkeypatch.setattr(operators, name, unreachable)
     for alpha, measure in ((1.3, "haar"), (1.3, "nu"), (1.1, "haar")):
         deep = KernelSpec(Bullet.ULTRAMETRIC, alpha, delta.labels, delta.values)

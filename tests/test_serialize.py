@@ -128,7 +128,7 @@ def test_matrix_export_matches_elementwise_formatting(tmp_path):
     rng = np.random.default_rng(11)
     matrix = np.concatenate([np.array(special), rng.standard_normal(15) * 1e3]).reshape(6, 5)
     path = tmp_path / "kernel.txt"
-    digest = matrix_export(path, matrix, {"t": 0.5, "p": 3})
+    digest = matrix_export(path, [matrix], {"t": 0.5, "p": 3})
     text = path.read_text(encoding="utf-8")
     assert text == reference_text(matrix, '# {"p": 3, "t": 0.5}')
     assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -147,14 +147,14 @@ def test_matrix_export_formats_repeated_values_like_the_row_formatter(tmp_path):
     # few distinct values, repeated in random places, as in a heat kernel
     matrix = specials[rng.integers(0, len(specials), size=(40, 30))]
     path = tmp_path / "kernel.txt"
-    digest = matrix_export(path, matrix, {"n": 4})
+    digest = matrix_export(path, [matrix], {"n": 4})
     text = path.read_text(encoding="utf-8")
     assert text == row_format_text(matrix, '# {"n": 4}')
     assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
     tokens = set(" ".join(text.splitlines()[1:]).split())
     assert {"-0", "0", "nan", "inf", "-inf"} <= tokens
     # integer matrices are written as their float values
-    matrix_export(path, np.arange(6).reshape(2, 3), {})
+    matrix_export(path, [np.arange(6).reshape(2, 3)], {})
     assert path.read_text(encoding="utf-8") == "# {}\n0 1 2\n3 4 5\n"
 
 
@@ -182,7 +182,8 @@ def export_inputs(draw):
         matrix = matrix.astype(np.float32)
     if kind == "transposed":
         matrix = np.ascontiguousarray(matrix.T).T
-    return matrix, matrix.astype(np.float64)
+    cuts = sorted(draw(st.lists(st.integers(0, rows), max_size=3)))
+    return matrix, matrix.astype(np.float64), cuts
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -190,13 +191,16 @@ def export_inputs(draw):
 def test_matrix_export_writes_the_row_formatter_bytes(tmp_path, inputs):
     """Written by runs or not, the file holds the bytes of the row
     formatter applied to the matrix's float64 values, whatever its shape,
-    dtype or memory order, and the returned digest is that of the file."""
-    matrix, values = inputs
+    dtype or memory order, and the returned digest is that of the file;
+    so does the matrix cut into row blocks anywhere, empty ones too."""
+    matrix, values, cuts = inputs
     path = tmp_path / "kernel.txt"
-    digest = matrix_export(path, matrix, {"n": 1})
+    digest = matrix_export(path, [matrix], {"n": 1})
     data = path.read_bytes()
     assert data == row_format_text(values, '# {"n": 1}').encode("utf-8")
     assert digest == hashlib.sha256(data).hexdigest()
+    assert matrix_export(path, np.split(matrix, cuts), {"n": 1}) == digest
+    assert path.read_bytes() == data
 
 
 def test_matrix_export_holds_less_than_the_text(tmp_path):
@@ -213,7 +217,7 @@ def test_matrix_export_holds_less_than_the_text(tmp_path):
     path = tmp_path / "kernel.txt"
     tracemalloc.start()
     try:
-        matrix_export(path, table, {"t": 0.5})
+        matrix_export(path, [table], {"t": 0.5})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
