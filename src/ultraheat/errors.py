@@ -34,7 +34,9 @@ class DisconnectedGraph(UltraheatError):
 
 
 class BadWeight(UltraheatError, ValueError):
-    """An edge weight is not a finite positive number."""
+    """An edge weight is not a finite positive number, its key does not
+    name two listed vertices, or a graph distance summed from the weights
+    overflows the largest float."""
 
 
 # --- toposort -----------------------------------------------------------------

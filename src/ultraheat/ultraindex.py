@@ -17,7 +17,6 @@ numbered by its preorder position.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -85,7 +84,8 @@ def default_distance_weights(g: WeightedMultiGraph) -> dict:
 def _graph_edges(graph, weights: Mapping | None) -> tuple[tuple, list]:
     """Vertex labels sorted by str and the edges as (weight, i, j), i < j,
     of a graph given as ``graph_distances`` takes it.  Raises BadWeight for
-    a weight that is not finite and positive."""
+    a weight that is not finite and positive and for a key that does not
+    name two listed vertices."""
     if isinstance(graph, WeightedMultiGraph):
         vertices = graph.vertices
         if weights is None:
@@ -96,16 +96,45 @@ def _graph_edges(graph, weights: Mapping | None) -> tuple[tuple, list]:
             raise ValueError("explicit weights required for a plain vertex list")
     for e, wt in weights.items():
         if not (math.isfinite(wt) and wt > 0):
-            ends = ", ".join(map(repr, sorted(e, key=str)))  # str order, not the hash order
-            raise BadWeight(f"edge weight must be finite and positive, got {wt} on {{{ends}}}")
+            raise BadWeight(f"edge weight must be finite and positive, got {wt} on {_key_text(e)}")
     labels = tuple(sorted(vertices, key=str))
     pos = {v: i for i, v in enumerate(labels)}
     edges = []
     for e, wt in weights.items():
-        u, v = tuple(e)
-        i, j = sorted((pos[u], pos[v]))
-        edges.append((float(wt), i, j))
+        try:
+            u, v = e
+            i, j = pos[u], pos[v]
+        except (KeyError, ValueError):
+            raise BadWeight("edge weight key must name two listed vertices, "
+                            f"got {_key_text(e)}") from None
+        edges.append((float(wt), i, j) if i < j else (float(wt), j, i))
     return labels, edges
+
+
+def _key_text(e) -> str:
+    """A weight key's vertices in str order, not the hash order."""
+    return "{" + ", ".join(map(repr, sorted(e, key=str))) + "}"
+
+
+# Candidate relaxations per slice of the frontier: one relaxation step
+# holds a few arrays of this length, whatever n and |E|.  On an 800-vertex
+# graph of 15,780 edges, 2^10 to 2^14 traced the same peak within 2 % and
+# 2^15 6 % more; 2^10 took twice as long as 2^13.
+RELAX_SLICE = 1 << 13
+
+
+def _frontier_slices(frontier: np.ndarray, degree: np.ndarray, n: int):
+    """The frontier's flat (source, vertex) indices in consecutive slices
+    of at most RELAX_SLICE pairs (unless the graph has no edge), whose arcs
+    exceed RELAX_SLICE by less than one vertex's degree."""
+    if frontier.size * int(degree.max(initial=0)) <= RELAX_SLICE:  # one slice, no cut to find
+        yield frontier
+        return
+    for lo in range(0, frontier.size, RELAX_SLICE):
+        part = frontier[lo:lo + RELAX_SLICE]
+        ends = np.cumsum(degree[part % n])
+        yield from np.split(part, np.searchsorted(
+            ends, np.arange(RELAX_SLICE, ends[-1], RELAX_SLICE), side="right"))
 
 
 def graph_distances(graph, weights: Mapping | None = None) -> DistanceMatrix:
@@ -114,30 +143,50 @@ def graph_distances(graph, weights: Mapping | None = None) -> DistanceMatrix:
     ``graph`` is either a WeightedMultiGraph (weights default to the
     1/log(w+1) map unless given) or an iterable of vertex labels with an
     explicit ``weights`` mapping frozenset({u,v}) -> positive float.
-    Raises BadWeight for a weight that is not finite and positive, and
-    DisconnectedGraph if any pair is unreachable.
+    Raises BadWeight for a weight that is not finite and positive, a key
+    that does not name two listed vertices, or a distance that overflows
+    the largest float, and DisconnectedGraph if any pair is unreachable.
+
+    All sources relax at once, frontier by frontier: each round relaxes
+    every arc u -> v out of each (source, u) pair whose distance fell in
+    the round before, by d(s, u) + w(u, v), until no distance falls.
+    Float addition is monotone and the weights positive, so this fixed
+    point, like a Dijkstra run from each source, is for each pair the
+    minimum over walks of the left-to-right float sum: the same bits.
     """
     labels, edges = _graph_edges(graph, weights)
-    adj: list[list[tuple[int, float]]] = [[] for _ in labels]
-    for wt, i, j in edges:
-        adj[i].append((j, wt))
-        adj[j].append((i, wt))
     n = len(labels)
+    wt, i, j = np.array(edges, dtype=float).reshape(-1, 3).T
+    tail, head = np.concatenate([i, j]).astype(np.intp), np.concatenate([j, i]).astype(np.intp)
+    order = np.argsort(tail, kind="stable")  # the arcs as CSR rows, one row per tail
+    head, wt = head[order], np.concatenate([wt, wt])[order]
+    degree = np.bincount(tail, minlength=n)
+    start = np.cumsum(degree) - degree
     out = np.full((n, n), np.inf)
-    for s in range(n):
-        dist = out[s]
-        dist[s] = 0.0
-        heap = [(0.0, s)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > dist[u]:
-                continue
-            for v, wt in adj[u]:
-                alt = du + wt
-                if alt < dist[v]:
-                    dist[v] = alt
-                    heapq.heappush(heap, (alt, v))
-    if np.any(np.isinf(out)):
+    np.fill_diagonal(out, 0.0)
+    flat = out.reshape(-1)
+    fell = np.zeros(n * n, dtype=bool)
+    frontier = np.arange(n) * (n + 1)  # flat indices of the (source, vertex) pairs
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, refused below
+        while frontier.size:
+            for part in _frontier_slices(frontier, degree, n):
+                s, u = np.divmod(part, n)
+                count = degree[u]
+                first = start[u] - (np.cumsum(count) - count)  # arc index less slot index
+                arc = np.arange(count.sum()) + np.repeat(first, count)
+                target = np.repeat(s * n, count) + head[arc]
+                alt = np.repeat(flat[part], count) + wt[arc]
+                less = alt < flat[target]
+                target = target[less]
+                np.minimum.at(flat, target, alt[less])
+                fell[target] = True
+            frontier = np.flatnonzero(fell)
+            fell[frontier] = False
+    if np.isinf(flat).any():
+        if sum(1 for _ in _single_linkage(n, edges)) == n - 1:
+            a, b = sorted(divmod(int(np.argmax(np.isinf(flat))), n))
+            raise BadWeight(f"graph distance from {labels[a]!r} to {labels[b]!r} "
+                            "overflows the largest float")
         raise DisconnectedGraph("graph is not connected")
     out = np.minimum(out, out.T)  # symmetrise against fp asymmetry
     return DistanceMatrix(labels, out)
@@ -385,7 +434,8 @@ def graph_dendrogram(graph, weights: Mapping | None = None) -> Dendrogram:
     graph_distances(graph, weights)))``, bit for bit, with no all-pairs
     distances: on a minimum spanning tree edge the shortest path is the
     edge itself.  Takes the graph as ``graph_distances`` does and raises
-    the same BadWeight and DisconnectedGraph.
+    the same BadWeight for a weight or key and DisconnectedGraph; it sums
+    no weights, so no distance overflows.
     """
     labels, edges = _graph_edges(graph, weights)
     return _dendrogram(labels, _single_linkage(len(labels), edges))

@@ -1408,6 +1408,47 @@ def test_larger_heat_tables_are_pinned(larger_index, capsys, level, measure, dig
     assert summary["artifacts"][0]["sha256"] == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["spectrum", "--level", "8"],
+     "b29b3022e86c0d62db39370dcf8f4c6441d9f7c235f53c222149cea75786bfed"),
+    (["heat", "--level", "8", "--t", "0.5"],
+     "9670a678f889045149157dd4d529022a92e42b905d6c59c21ccbff4d6f5125c4"),
+    (["bounds", "--level", "8", "--swap", "graphdist,ultrametric"],
+     "7bc83d7c703d4be52b96cdbc890dd1277c3cf3763248f12ccb41d071ad9feb02"),
+    (["converge", "--levels", "8,9", "--reference", "9"],
+     "dc6c8aa49d700244c4042e777e96feeb6b9397b0b4f5e0f93a6afb807edaf61c"),
+], ids=["spectrum", "heat", "bounds", "converge"])
+def test_graphdist_artifacts_are_pinned(larger_index, tmp_path, capsys, argv, digest):
+    """The artifacts of every subcommand that builds graph distances, on the
+    index of low_branching_family(31, 60, 7) (180 cells at level 8), pinned
+    by sha256: `bounds --swap` builds them for its graphdist side, and the
+    others run under `--bullet graphdist`."""
+    out = tmp_path / "artifact"
+    bullet = [] if argv[0] == "bounds" else ["--bullet", "graphdist"]
+    assert main([*argv, *bullet, "--input", str(larger_index), "--output", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["artifacts"][0]["sha256"] == digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_a_graph_distance_that_overflows_exits_23_not_7(tmp_path, capsys):
+    """d(a, c) = 1e308 + 1.5e308 is not a finite float: the graphdist kernel
+    is refused as a BadWeight naming the pair, while the ultrametric one,
+    built from the tree's radii, runs; the graph is connected."""
+    index = tmp_path / "index.json"
+    index.write_text('{"version": 3, "vertices": ["a", "b", "c"], '
+                     '"edges": [["a", "b", 1e308], ["b", "c", 1.5e308]], "p": 2, "m": 2}',
+                     encoding="utf-8")
+    argv = ["spectrum", "--input", str(index), "--output", str(tmp_path / "s.tsv"), "--level", "3"]
+    assert main([*argv, "--bullet", "ultrametric"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--bullet", "graphdist"]) == 23
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {
+        "error": "BadWeight",
+        "detail": "graph distance from 'a' to 'c' overflows the largest float",
+        "exit": 23,
+    }
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_heat_at_4860_cells_holds_no_n_by_n_array(larger_index):
     """`heat` at level 11 (4,860 cells: one N x N float array is 189 MB)

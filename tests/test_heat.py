@@ -735,6 +735,8 @@ def test_disc_semigroup_matches_the_dense_semigroup(p, alpha, t, seed, leaves):
          measure="nu")
 @example(p=3, alpha=1.3, t=0.5, seed=7, leaves=4, size=1e-6, cross=False, zero_rows=False,
          measure="nu")
+@example(p=2, alpha=2.0, t=2.0, seed=2, leaves=5, size=0.5, cross=False, zero_rows=False,
+         measure="nu")
 def test_disc_semigroup_bound_covers_a_generator_that_is_not_lumpable(
         p, alpha, t, seed, leaves, size, cross, zero_rows, measure):
     """One off-diagonal rate of an assembled generator changed by a
@@ -742,7 +744,8 @@ def test_disc_semigroup_bound_covers_a_generator_that_is_not_lumpable(
     mu_i A_ij / mu_j (still self-adjoint) and, when `zero_rows`, the two
     diagonal entries following (still a generator): the disc-block route
     then differs from the dense semigroup of the changed matrix by no more
-    than its reported bound, within the oracle tolerance."""
+    than its reported bound, within the oracle tolerance scaled by the
+    largest entry of the dense semigroup when that exceeds 1."""
     rng, specs, discs = _disc_cases(p, alpha, seed, leaves)
     disc = discs[0]
     gen = generator(specs[int(rng.integers(len(specs)))], disc, measure)
@@ -762,7 +765,10 @@ def test_disc_semigroup_bound_covers_a_generator_that_is_not_lumpable(
     changed = GeneratorMatrix(A, mu)
     T, bound = disc_semigroup(changed, disc, t)
     dense = semigroup(changed, t)
-    assert np.max(np.abs(T - dense)) <= bound + _oracle_tolerance(changed, t)
+    # Without zero_rows the matrix is no generator, exp(tA) grows past 1 (to
+    # 640 in the last example) and the dense oracle's rounding with it.
+    tol = _oracle_tolerance(changed, t) * max(1.0, float(np.max(np.abs(dense))))
+    assert np.max(np.abs(T - dense)) <= bound + tol
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,12 +1,18 @@
 """Distances, subdominant ultrametric, dendrogram.
 
-Oracles: minimax path distance by the all-intermediates dynamic program
-and, on tiny instances, by enumerating every simple path.
+Oracles: a heap Dijkstra from every source for the graph distances;
+minimax path distance by the all-intermediates dynamic program and, on
+tiny instances, by enumerating every simple path.
 """
 
+import heapq
 import itertools
+import json
 import math
+import re
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +32,10 @@ from ultraheat import (
     subdominant_ultrametric,
     tree_measure,
 )
+from ultraheat import ultraindex
 from ultraheat.errors import BadWeight, DisconnectedGraph
-from ultraheat.serialize import canonical_dumps, index_from_obj, index_to_obj
+from ultraheat.multitopo import TopologyFamily, encode, first_primes
+from ultraheat.serialize import canonical_dumps, family_from_obj, index_from_obj, index_to_obj
 from ultraheat.ultraindex import _single_linkage
 
 from conftest import random_connected_weights, random_dendrogram, random_metric
@@ -62,6 +70,113 @@ def minimax_paths_brute(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def dijkstra_oracle(labels, weights) -> np.ndarray:
+    """All-pairs distances by a heap Dijkstra from every source over the
+    labels sorted by str, symmetrised by the elementwise minimum."""
+    labels = sorted(labels, key=str)
+    pos = {v: i for i, v in enumerate(labels)}
+    adj = [[] for _ in labels]
+    for e, wt in weights.items():
+        u, v = (pos[x] for x in e)
+        adj[u].append((v, wt))
+        adj[v].append((u, wt))
+    out = np.full((len(labels), len(labels)), np.inf)
+    for s, dist in enumerate(out):
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du <= dist[u]:
+                for v, wt in adj[u]:
+                    if du + wt < dist[v]:
+                        dist[v] = du + wt
+                        heapq.heappush(heap, (du + wt, v))
+    return np.minimum(out, out.T)
+
+
+def family_graph(seed, n, topologies=5, density=0.02):
+    """The distance weights of the encoded graph of ``topologies`` random
+    DAGs over n vertices, each pair drawn with probability ``density``; the
+    first DAG also holds a path through its order, so the graph is connected."""
+    rng = np.random.default_rng(seed)
+    labels = tuple(f"v{i:03d}" for i in range(n))
+    dags = []
+    for k in range(topologies):
+        order = rng.permutation(n)
+        mask = np.triu(rng.random((n, n)) < density, k=1)
+        if k == 0:
+            mask[np.arange(n - 1), np.arange(1, n)] = True
+        dags.append(frozenset((labels[order[i]], labels[order[j]]) for i, j in np.argwhere(mask)))
+    g = encode(TopologyFamily(labels, tuple(dags), first_primes(topologies)))
+    return labels, ultraindex.default_distance_weights(g)
+
+
+# Weights over about 1e-300 to 1e300: a graph draws its edge weights from a
+# few of them, so ties are common and a path mixing magnitudes meets sums
+# fl(a + w) = a; no path of these graphs reaches the largest float.
+SPREAD_WEIGHTS = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99), st.integers(-300, 300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(["tree", "dense", "path"]), n=st.integers(1, 16),
+       relax_slice=st.sampled_from([1, 5, ultraindex.RELAX_SLICE]))
+def test_graph_distances_are_the_heap_dijkstra_bit_for_bit(data, shape, n, relax_slice):
+    """The frontier relaxation gives the oracle's bits on trees, complete
+    graphs and paths, whatever the weights' magnitudes, ties and absorbed
+    sums, and whatever the slices (at 1 and 5 candidates, a vertex's arcs
+    overrun a slice): both are the minimum over walks of the
+    left-to-right float sum."""
+    labels = [f"v{i}" for i in range(n)]  # v10 sorts before v2
+    pool = data.draw(st.lists(SPREAD_WEIGHTS, min_size=1, max_size=5))
+    if shape == "tree":
+        pairs = [(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    elif shape == "dense":
+        pairs = list(itertools.combinations(range(n), 2))
+    else:
+        pairs = list(zip(range(n), range(1, n)))
+    weights = {frozenset((labels[i], labels[j])): data.draw(st.sampled_from(pool))
+               for i, j in pairs}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ultraindex, "RELAX_SLICE", relax_slice)
+        got = graph_distances(labels, weights).values
+    assert np.array_equal(got.view(np.int64), dijkstra_oracle(labels, weights).view(np.int64))
+
+
+def low_branching_graph():
+    """The distance weights of the committed low_branching_family(31, 60, 7)
+    file's graph: a 60-vertex tree."""
+    obj = json.loads(Path(__file__).with_name("low_branching_31_60_7.json").read_text("utf-8"))
+    g = encode(family_from_obj(obj))
+    return g.vertices, ultraindex.default_distance_weights(g)
+
+
+@pytest.mark.parametrize("graph", [lambda: family_graph(1, 200), low_branching_graph],
+                         ids=["family_200", "low_branching_60"])
+def test_graph_distances_of_family_graphs_are_the_heap_dijkstra_bit_for_bit(graph):
+    labels, weights = graph()
+    got = graph_distances(labels, weights).values
+    assert np.array_equal(got.view(np.int64), dijkstra_oracle(labels, weights).view(np.int64))
+
+
+def test_graph_distances_holds_no_array_of_n_times_e_entries():
+    """On a 200-vertex family graph of 2,157 edges, the traced peak inside
+    `graph_distances` stays within four n x n float arrays (the distances,
+    the frontier's flat indices, the symmetrised copy, and room for the
+    edge lists) and sixteen slice arrays: 2.3 MB, where one array of
+    n * 2|E| candidates is 6.9 MB."""
+    labels, weights = family_graph(1, 200)
+    n, arcs = len(labels), 2 * len(weights)
+    bound = 4 * n * n * 8 + 16 * ultraindex.RELAX_SLICE * 8
+    assert n * arcs * 8 > 2.5 * bound
+    tracemalloc.start()
+    try:
+        graph_distances(labels, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 def test_graph_distances_path():
     d = graph_distances(
         ("a", "b", "c"), {frozenset(("a", "b")): 1.0, frozenset(("b", "c")): 2.0}
@@ -87,6 +202,31 @@ def test_graph_distances_triangle():
 def test_graph_distances_disconnected():
     with pytest.raises(DisconnectedGraph):
         graph_distances(("a", "b"), {})
+
+
+def test_an_overflowing_distance_is_not_a_disconnected_graph():
+    """d(a, c) = 1e308 + 1.5e308 rounds to inf: BadWeight naming the pair,
+    while a graph that is also disconnected stays DisconnectedGraph."""
+    w = {frozenset(("a", "b")): 1e308, frozenset(("b", "c")): 1.5e308}
+    with pytest.raises(BadWeight, match="from 'a' to 'c' overflows the largest float"):
+        graph_distances(("c", "b", "a"), w)
+    with pytest.raises(DisconnectedGraph):
+        graph_distances(("a", "b", "c", "d"), w)
+    assert graph_dendrogram(("a", "b", "c"), w).root.radius == 1.5e308
+
+
+@pytest.mark.parametrize("build", [graph_distances, graph_dendrogram])
+@pytest.mark.parametrize("key, named", [
+    (frozenset(("c", "a")), "{'a', 'c'}"),
+    (frozenset(("a",)), "{'a'}"),
+    (frozenset(("a", "b", "c")), "{'a', 'b', 'c'}"),
+])
+def test_a_weight_key_that_names_no_edge_is_a_bad_weight(build, key, named):
+    """A key naming an unlisted vertex, or not two vertices, is refused with
+    its vertices in str order, not a bare KeyError or ValueError."""
+    w = {frozenset(("a", "b")): 1.0, key: 2.0}
+    with pytest.raises(BadWeight, match=re.escape(f"got {named}")):
+        build(("a", "b"), w)
 
 
 @pytest.mark.parametrize("wt", [float("nan"), float("inf"), 0.0, -1.0])
