@@ -240,12 +240,12 @@ def cmd_heat(args) -> int:
     assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
     disc = padic.discretize(assign, args.level)
     spec = _spec_from_index(args.bullet, args.alpha, assign, weights)
-    rows, certificates = heat.heat_table(spec, disc, args.t, args.measure)
+    (cross, own), certificates = heat.heat_table(spec, disc, args.t, args.measure)
     gap, defect = certificates["two_route_gap"], certificates["row_sum_defect"]
     if not math.isfinite(gap + defect):  # both are >= 0, so only inf or NaN fails
         raise errors.CertificateFailed(f"heat certificates not finite: two-route gap "
                                        f"{gap:g}, row-sum defect {defect:g}")
-    digest = serialize.matrix_export(args.output, rows, {
+    digest = serialize.matrix_export(args.output, cross, own, {
         "p": assign.p, "n": args.level, "bullet": args.bullet,
         "alpha": args.alpha, "measure": args.measure, "t": args.t,
     })

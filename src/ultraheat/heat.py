@@ -21,9 +21,11 @@ return the N x N array, and ``disc_semigroup`` the pair (T2, bound).
 ``heat_table``, what the ``heat`` subcommand runs, holds no N x N array:
 both routes split by vertex disc, so it certifies them from their K x K
 and (K, s, s) block forms, reading the generator in row blocks of whole
-discs (``operators.generator_rows``), and yields the table in those row
-blocks.  ``heat_kernel``, ``disc_semigroup`` and ``_BallEvolver.matrix``
-are the same arithmetic on one block of every row.
+discs (``operators.generator_rows``), and returns the table in its block
+form, one value per pair of distinct discs and one s x s block per disc,
+which ``serialize.matrix_export`` writes.  ``heat_kernel``,
+``disc_semigroup`` and ``_BallEvolver.matrix`` lift the same block forms
+onto the cells.
 
 Certified bounds
 ----------------
@@ -164,31 +166,23 @@ class _BallEvolver:
                           + by_prefix[:, _prefix_table(p, d0, n) - d0])
         return coarse, stacks
 
-    def rows(self, factors, cells: range) -> np.ndarray:
-        """The rows of T(t) over a range of whole pure balls, from
-        ``factors(t)``."""
-        coarse, stacks = factors
-        where = [cells_of_group for _, _, cells_of_group, _ in self.groups]
-        return _lift(coarse, self.ball, list(zip(where, stacks)), cells)
-
     def matrix(self, t: float) -> np.ndarray:
-        """T(t) as an N x N array, all its rows at once: the identity itself at
-        t = 0."""
+        """T(t) as an N x N array, lifted from ``factors(t)``: the identity
+        itself at t = 0."""
         _check_dense(len(self.ball))
-        return self.rows(self.factors(t), range(len(self.ball)))
+        coarse, stacks = self.factors(t)
+        return _lift(coarse, self.ball, [(cells, stack) for (_, _, cells, _), stack
+                                         in zip(self.groups, stacks)])
 
 
-def _lift(coarse: np.ndarray, ball: np.ndarray, stacks, cells: range) -> np.ndarray:
-    """Rows ``cells`` (a range of whole pure balls) of the N x N matrix that
-    is coarse[a, b] between cells of distinct pure balls a and b (``ball``
-    numbers the pure ball of every cell) and the given block on each pure
-    ball: ``stacks`` pairs the (members, s) cells of pure balls of one size
-    with their (members, s, s) blocks."""
-    out = coarse[ball[cells.start:cells.stop]].take(ball, axis=1)
+def _lift(coarse: np.ndarray, ball: np.ndarray, stacks) -> np.ndarray:
+    """The N x N matrix that is coarse[a, b] between cells of distinct pure
+    balls a and b (``ball`` numbers the pure ball of every cell) and the
+    given block on each pure ball: ``stacks`` pairs the (members, s) cells
+    of pure balls of one size with their (members, s, s) blocks."""
+    out = coarse[ball].take(ball, axis=1)
     for where, blocks in stacks:
-        inside = (where[:, 0] >= cells.start) & (where[:, -1] < cells.stop)
-        at = where[inside]
-        out[at[:, :, None] - cells.start, at[:, None, :]] = blocks[inside]
+        out[where[:, :, None], where[:, None, :]] = blocks
     return out
 
 
@@ -325,7 +319,7 @@ def disc_semigroup(A: GeneratorMatrix, dom: CellDomain, t: float) -> tuple[np.nd
                                      A.measure, dom, t)
     cells = np.arange(len(dom))
     K, s = stacks.shape[:2]
-    T = _lift(lift, cells // s, [(cells.reshape(K, s), stacks)], range(len(dom)))
+    T = _lift(lift, cells // s, [(cells.reshape(K, s), stacks)])
     d = np.sqrt(A.measure)
     T *= d[None, :]
     T /= d[:, None]
@@ -343,48 +337,43 @@ def heat_kernel(spec: KernelSpec, dom: CellDomain, t: float,
 
 
 def heat_table(spec: KernelSpec, disc: CellDomain, t: float, measure: str = "haar"):
-    """The heat kernel p(t) of ``heat_kernel`` on a discretisation, as an
-    iterator of row blocks of whole vertex discs (``_disc_blocks``), and
-    the certificates of its two routes, with no N x N array.
+    """The heat kernel p(t) of ``heat_kernel`` on a discretisation in its
+    block form, and the certificates of its two routes, with no N x N
+    array.
 
-    T1 is the closed-form route (``_BallEvolver``), T2 the lumped route of
-    ``disc_semigroup`` on the generator's row blocks (``generator_rows``,
-    read twice), which never reads ``ball_spectrum``.  The measure is
-    constant on each disc, so between two discs p(t) mu and T2 are each
-    one value per pair of discs: the gap and T2's row sums are taken on
-    K x K values there and on the (K, s, s) diagonal blocks.  Returns the
-    row blocks and {"two_route_gap": max |p(t) mu - T2| plus T2's bound,
-    "row_sum_defect": max |T2 1 - 1|, "gap_scale": max(1e-12, 4 eps
-    ||A||_inf t)}; the values may be inf or NaN where a route overflows.
+    The pure balls of a discretisation are its K vertex discs of s cells,
+    and the measure is constant on each, so p(t) = T1(t) / mu is one value
+    per pair of distinct discs: cross[a, b] = coarse[a, b] / mu(b), a K x K
+    array whose diagonal is unused, and own[a] = closed[a] / mu on disc a's
+    s x s diagonal block, from ``_BallEvolver.factors``.  T2 is the lumped
+    route of ``disc_semigroup`` on the generator's row blocks
+    (``generator_rows``, read twice), which never reads ``ball_spectrum``;
+    the gap and T2's row sums are taken on those K x K values and on the
+    (K, s, s) diagonal blocks.  Returns ((cross, own), {"two_route_gap":
+    max |p(t) mu - T2| plus T2's bound, "row_sum_defect": max |T2 1 - 1|,
+    "gap_scale": max(1e-12, 4 eps ||A||_inf t)}); the values may be inf or
+    NaN where a route overflows.
     """
     check_time(t)
-    evolver = _BallEvolver(spec, disc, measure)
-    factors = evolver.factors(t)
-    coarse, (closed,) = factors  # on a discretisation the pure balls are the K discs, of level m
+    coarse, (closed,) = _BallEvolver(spec, disc, measure).factors(t)  # one group: the K discs
     mu = _measure_vector(disc, measure)
-    blocks = _disc_blocks(disc)
-    generator_blocks = generator_rows(spec, disc, measure, blocks)
+    generator_blocks = generator_rows(spec, disc, measure, _disc_blocks(disc))
     K, s = closed.shape[:2]
     mu_disc, mu_cell = mu[::s], mu.reshape(K, 1, s)
     d_disc, d_cell = np.sqrt(mu_disc), np.sqrt(mu_cell)
     off = ~np.eye(K, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite certificate is reported
-        lift, stacks, bound, norm = _lumped(generator_blocks, mu, disc, t)
-        cross = np.where(off, lift * d_disc[None, :] / d_disc[:, None], 0.0)  # T2 between discs
-        own = stacks * d_cell / d_cell.transpose(0, 2, 1)  # T2 on each disc
-        gap = np.maximum(np.max(np.abs(coarse / mu_disc * mu_disc - cross)[off], initial=0.0),
-                         np.max(np.abs(closed / mu_cell * mu_cell - own))) + bound
-        defect = np.max(np.abs(s * cross.sum(axis=1)[:, None] + own.sum(axis=2) - 1.0))
+        lift, own2, bound, norm = _lumped(generator_blocks, mu, disc, t)
+        cross2 = np.where(off, lift * d_disc[None, :] / d_disc[:, None], 0.0)  # T2 between discs
+        own2 *= d_cell
+        own2 /= d_cell.transpose(0, 2, 1)  # T2 on each disc
+        cross, own = coarse / mu_disc, closed / mu_cell
+        gap = np.maximum(np.max(np.abs(cross * mu_disc - cross2)[off], initial=0.0),
+                         np.max(np.abs(own * mu_cell - own2))) + bound
+        defect = np.max(np.abs(s * cross2.sum(axis=1)[:, None] + own2.sum(axis=2) - 1.0))
     scale = max(1e-12, 4 * np.finfo(float).eps * norm * t)
-
-    def rows():
-        for cells in blocks:
-            block = evolver.rows(factors, cells)
-            block /= mu[None, :]
-            yield block
-
-    return rows(), {"two_route_gap": float(gap), "row_sum_defect": float(defect),
-                    "gap_scale": scale}
+    return (cross, own), {"two_route_gap": float(gap), "row_sum_defect": float(defect),
+                          "gap_scale": scale}
 
 
 def solve_cauchy(spec: KernelSpec, dom: CellDomain, u0: np.ndarray, t: float,

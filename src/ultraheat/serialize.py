@@ -416,56 +416,57 @@ def index_from_obj(obj):
 # --- text matrices ---------------------------------------------------------------------
 
 
-def matrix_export(path, blocks, header: dict) -> str:
+def matrix_export(path, cross, own, header: dict) -> str:
     """Write the line ``# {header}`` (its JSON with sorted keys), then one
-    line per row of each 2-d row block of ``blocks`` in turn, its entries as
+    line per row of a table given in disc block form, its entries as
     ``%.17g`` separated by one space; return the sha256 of the file's bytes.
 
-    A heat kernel is made of runs: the cells of one pure ball share every
-    entry outside it.  So each run of equal bit patterns within a row is
-    one code (value, run length, whether it ends its row), each distinct
-    code of a block is formatted once, and the file is written and hashed
-    row by row as the blocks arrive, with no text the size of the whole
-    table held at once, nor the whole table when its blocks are made one at
-    a time.
+    The table has K discs of r rows and c columns each: between two
+    distinct discs a and b every entry is cross[a, b] (a K x K array whose
+    diagonal is not read), and own[a] (a (K, r, c) array) is disc a's
+    diagonal block.  A dense matrix is the case K = 1.  The file is written
+    one disc at a time: its K cross values and its own block are formatted
+    once per distinct bit pattern, and each of its rows is the text of the
+    discs before it, the row of its own block and the text of the discs
+    after it, so no text larger than a disc's rows is held at once.
     """
+    cross = np.asarray(cross, dtype=np.float64)
+    own = np.asarray(own, dtype=np.float64)
+    if own.ndim != 3 or cross.shape != (len(own),) * 2:
+        raise ValueError(f"expected a K x K cross array and a (K, r, c) own array, "
+                         f"got shapes {cross.shape} and {own.shape}")
     head = ("# " + json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
-    lines = itertools.chain.from_iterable(map(_row_lines, blocks))
-    return _write_hashed(path, itertools.chain([head], lines))
+    return _write_hashed(path, itertools.chain([head], _disc_lines(cross, own)))
 
 
-def _row_lines(block):
-    """The text lines of a 2-d row block, from its float64 bit patterns."""
-    block = np.ascontiguousarray(block, dtype=np.float64)
-    if block.ndim != 2:
-        raise ValueError(f"expected a 2-d row block, got shape {block.shape}")
-    bits = block.view(np.int64)
-    rows, cols = bits.shape
-    if cols == 0:
-        return [b"\n"] * rows
-    run_start = np.ones((rows, cols), dtype=bool)  # column 0 starts a run, so no run spans two rows
-    np.not_equal(bits[:, 1:], bits[:, :-1], out=run_start[:, 1:])
-    starts = np.flatnonzero(run_start)
-    lengths = np.diff(starts, append=bits.size)
-    ends = (starts + lengths) % cols == 0
-    values, value_of = np.unique(bits.ravel()[starts], return_inverse=True)
-    # one integer per (value, run length, ends its row), as np.unique sorts integers fastest
-    codes, code_of = np.unique((value_of * (cols + 1) + lengths) * 2 + ends, return_inverse=True)
-    value, length = np.divmod(codes // 2, cols + 1)
-    texts = ["%.17g" % x for x in values.view(np.float64).tolist()]
-    pieces = np.array([
-        (" ".join([texts[v]] * n) + ("\n" if end else " ")).encode("utf-8")
-        for v, n, end in zip(value.tolist(), length.tolist(), (codes % 2).tolist())
-    ], dtype=object)
-    runs = pieces[code_of].tolist()
-    cuts = (np.flatnonzero(ends) + 1).tolist()
-    return (b"".join(runs[a:b]) for a, b in zip([0, *cuts], cuts))
+def _disc_lines(cross: np.ndarray, own: np.ndarray):
+    """The text lines of ``matrix_export``'s table, disc by disc."""
+    K, rows, cols = own.shape
+    for a in range(K):
+        texts = _float_texts(np.concatenate([cross[a], own[a].ravel()]), b"%.17g")
+        by_disc = texts[:K].tolist()
+        left = b"".join([(x + b" ") * cols for x in by_disc[:a]])
+        right = b"".join([(b" " + x) * cols for x in by_disc[a + 1:]]) + b"\n"
+        for row in texts[K:].reshape(rows, cols).tolist():
+            yield left + b" ".join(row) + right
+
+
+def _float_texts(values, form):
+    """``form % x`` of each float64 x of a 1-d sequence, as an object array,
+    formatted once per distinct bit pattern."""
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    texts = np.array([form % x for x in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse]
 
 
 def spectrum_export(path, basis) -> str:
     """One line per eigenpair record of the basis (its functions are not
     read)."""
+    records = basis.records
+    lams = _float_texts([r.lam for r in records], "%.17g").tolist()
+    residuals = _float_texts([r.residual for r in records], "%.17g").tolist()
     lines = ["kind\tsupport\tindex\tlambda\tresidual"]
-    for r in basis.records:
-        lines.append(f"{r.kind}\t{r.support}\t{r.index}\t{r.lam:.17g}\t{r.residual:.17g}")
+    lines += [f"{r.kind}\t{r.support}\t{r.index}\t{lam}\t{residual}"
+              for r, lam, residual in zip(records, lams, residuals)]
     return write_text(path, "\n".join(lines) + "\n")

@@ -170,12 +170,14 @@ def graph_distances(graph, weights: Mapping | None = None) -> DistanceMatrix:
     with np.errstate(over="ignore"):  # an overflowing sum is inf, refused below
         while frontier.size:
             for part in _frontier_slices(frontier, degree, n):
-                s, u = np.divmod(part, n)
+                u = part % n
                 count = degree[u]
+                slot = np.repeat(np.arange(part.size), count)  # the pair of each arc relaxed
+                pair = part[slot]
                 first = start[u] - (np.cumsum(count) - count)  # arc index less slot index
-                arc = np.arange(count.sum()) + np.repeat(first, count)
-                target = np.repeat(s * n, count) + head[arc]
-                alt = np.repeat(flat[part], count) + wt[arc]
+                arc = np.arange(slot.size) + first[slot]
+                target = pair - u[slot] + head[arc]
+                alt = flat[pair] + wt[arc]
                 less = alt < flat[target]
                 target = target[less]
                 np.minimum.at(flat, target, alt[less])

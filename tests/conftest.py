@@ -63,6 +63,16 @@ def domain_cells(dom):
     return cells, labels
 
 
+def dense_table(cross, own):
+    """The dense table of a disc block table: cross[a, b] between discs
+    a != b, own[a] on disc a."""
+    K, rows, cols = np.shape(own)
+    table = np.repeat(np.repeat(np.asarray(cross, dtype=np.float64), rows, axis=0), cols, axis=1)
+    for a in range(K):
+        table[a * rows:(a + 1) * rows, a * cols:(a + 1) * cols] = own[a]
+    return table
+
+
 def random_partition(rng, items, k, balanced=False):
     """Split items into k non-empty groups, order-randomised.
 

@@ -1408,6 +1408,24 @@ def test_larger_heat_tables_are_pinned(larger_index, capsys, level, measure, dig
     assert summary["artifacts"][0]["sha256"] == digest
 
 
+@pytest.mark.parametrize("bullet, measure, t, digest", [
+    ("ultrametric", "haar", "0.5", "e1c9cdca53166a62fc6bccf7dd263112962e6be1d50beee0291134e250ea6f70"),
+    ("adjacency", "haar", "0.5", "568ac5c9bc8666e483a109364dacbcfead545485c6d4ea854959ce1f542292b0"),
+    ("graphdist", "nu", "0", "8c132b50df248bd672b1640f29aff0a0c3478c6e77ee53493161021857390846"),
+])
+def test_level_10_heat_tables_of_every_bullet_are_pinned(larger_index, capsys, bullet, measure,
+                                                         t, digest):
+    """The level-10 `heat` tables (1,620 cells: 60 discs of 27) of
+    low_branching_family(31, 60, 7) under the ultrametric and adjacency
+    kernels, and the t = 0 table (the identity over nu), pinned by the
+    sha256 that `heat` reports of the bytes it writes."""
+    assert main(["heat", "--input", str(larger_index), "--output", os.devnull, "--bullet", bullet,
+                 "--measure", measure, "--level", "10", "--t", t]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["metrics"]["cells"] == 1620
+    assert summary["artifacts"][0]["sha256"] == digest
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["spectrum", "--level", "8"],
      "b29b3022e86c0d62db39370dcf8f4c6441d9f7c235f53c222149cea75786bfed"),

@@ -37,6 +37,7 @@ from ultraheat.heat import _BallEvolver, _mean_value_constants, heat_table, t_gr
 from ultraheat.operators import GeneratorMatrix, cut_nodes
 
 from conftest import (
+    dense_table,
     domain_cells,
     random_connected_weights,
     random_dendrogram,
@@ -781,21 +782,24 @@ def test_disc_semigroup_bound_covers_a_generator_that_is_not_lumpable(
     entries=st.sampled_from([1, 200, 1 << 14]),
 )
 def test_heat_table_is_the_two_dense_routes_by_row_blocks(p, alpha, t, seed, leaves, entries):
-    """Whatever the size of its row blocks (one disc each at ``entries`` =
-    1), `heat_table` yields the rows of `heat_kernel` bit for bit, and its
-    certificates are those of the stacked routes: the gap against
-    `disc_semigroup` plus its bound and the row-sum defect within the
-    oracle tolerance, and gap_scale is max(1e-12, 4 eps ||A||_inf t)."""
+    """Whatever the size of the generator's row blocks (one disc each at
+    ``entries`` = 1), `heat_table`'s block form is `heat_kernel` bit for
+    bit: cross[a, b] on every entry between discs a != b and own[a] on
+    disc a.  Its certificates are those of the stacked routes: the gap
+    against `disc_semigroup` plus its bound and the row-sum defect within
+    the oracle tolerance, and gap_scale is max(1e-12, 4 eps ||A||_inf t)."""
     from ultraheat import heat
 
     _, specs, discs = _disc_cases(p, alpha, seed, leaves)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(heat, "BLOCK_ENTRIES", entries)
         for disc in discs:
+            K, s = len(disc.balls), len(disc) // len(disc.balls)
             for measure in ("haar", "nu"):
                 for spec in specs:
-                    rows, certificates = heat_table(spec, disc, t, measure)
-                    table = np.concatenate(list(rows))
+                    (cross, own), certificates = heat_table(spec, disc, t, measure)
+                    assert cross.shape == (K, K) and own.shape == (K, s, s)
+                    table = dense_table(cross, own)
                     assert np.array_equal(table, heat_kernel(spec, disc, t, measure))
                     gen = generator(spec, disc, measure)
                     T, bound = disc_semigroup(gen, disc, t)

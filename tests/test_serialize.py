@@ -6,18 +6,20 @@ import hashlib
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ultraheat import Bullet, KernelSpec, decode, discretize, embed, encode, graph_dendrogram
-from ultraheat.heat import heat_kernel
+from ultraheat.heat import heat_kernel, heat_table
 from ultraheat.serialize import (canonical_dumps, family_from_obj, family_to_obj, graph_from_obj,
-                                 graph_to_obj, matrix_export)
+                                 graph_to_obj, matrix_export, spectrum_export)
+from ultraheat.spectra import EigenRecord
 from ultraheat.ultraindex import default_distance_weights, graph_distances
 
-from conftest import LOW_BRANCHING_FAMILY, random_family
+from conftest import LOW_BRANCHING_FAMILY, dense_table, random_family
 
 
 def reread(obj):
@@ -122,17 +124,26 @@ def reference_text(matrix, header_line):
     return "\n".join(lines) + "\n"
 
 
+def export_dense(path, matrix, header):
+    """A dense matrix written as the block table of one disc."""
+    return matrix_export(path, np.zeros((1, 1)), np.asarray(matrix)[None], header)
+
+
 def test_matrix_export_matches_elementwise_formatting(tmp_path):
     special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, np.nan, np.inf, -np.inf,
                0.1, 1 / 3, 2.0**-1074 * 3, 1e-310, 123456789.0, 0.5]
     rng = np.random.default_rng(11)
     matrix = np.concatenate([np.array(special), rng.standard_normal(15) * 1e3]).reshape(6, 5)
     path = tmp_path / "kernel.txt"
-    digest = matrix_export(path, [matrix], {"t": 0.5, "p": 3})
+    digest = export_dense(path, matrix, {"t": 0.5, "p": 3})
     text = path.read_text(encoding="utf-8")
     assert text == reference_text(matrix, '# {"p": 3, "t": 0.5}')
     assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert text.splitlines()[1].split(" ")[:3] == ["-0", "0", "4.9406564584124654e-324"]
+    # three discs of two cells: the same text as the dense table they stand for
+    cross, own = matrix.ravel()[:9].reshape(3, 3), matrix.ravel()[9:21].reshape(3, 2, 2)
+    matrix_export(path, cross, own, {})
+    assert path.read_text(encoding="utf-8") == reference_text(dense_table(cross, own), "# {}")
 
 
 def row_format_text(matrix, header_line):
@@ -147,78 +158,107 @@ def test_matrix_export_formats_repeated_values_like_the_row_formatter(tmp_path):
     # few distinct values, repeated in random places, as in a heat kernel
     matrix = specials[rng.integers(0, len(specials), size=(40, 30))]
     path = tmp_path / "kernel.txt"
-    digest = matrix_export(path, [matrix], {"n": 4})
+    digest = export_dense(path, matrix, {"n": 4})
     text = path.read_text(encoding="utf-8")
     assert text == row_format_text(matrix, '# {"n": 4}')
     assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
     tokens = set(" ".join(text.splitlines()[1:]).split())
     assert {"-0", "0", "nan", "inf", "-inf"} <= tokens
     # integer matrices are written as their float values
-    matrix_export(path, [np.arange(6).reshape(2, 3)], {})
+    export_dense(path, np.arange(6).reshape(2, 3), {})
     assert path.read_text(encoding="utf-8") == "# {}\n0 1 2\n3 4 5\n"
 
 
-POOL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1 / 3, 2.5])
+NAN_PAYLOAD = np.array([0x7FF8_0000_0000_0001, -0x0007_FFFF_FFFF_FFFF], dtype=np.int64).view(np.float64)
+POOL = np.array([0.0, -0.0, np.nan, -np.nan, *NAN_PAYLOAD, np.inf, -np.inf, 5e-324, -1e-310,
+                 1 / 3, 2.5])
 
 
 @st.composite
 def export_inputs(draw):
-    """A matrix of entries from a few pool values (so that runs, runs that
-    end a row and one-entry rows occur), as float64, float32, int or a
-    transposed view, and the float64 matrix it stands for."""
-    rows, cols = draw(st.one_of(
-        st.sampled_from([(0, 0), (0, 4), (4, 0), (1, 1), (1, 6), (6, 1)]),
-        st.tuples(st.integers(1, 8), st.integers(1, 8)),
-    ))
+    """A block table of K discs of r x c entries from a few pool values
+    (so that repeats, runs that cross a disc's edge and one-entry rows
+    occur), as float64, float32, int or transposed views, and the float64
+    dense table it stands for: any dense matrix at K = 1, blocks of two
+    cells or more above it."""
+    K = draw(st.integers(1, 4))
+    if K == 1:
+        rows, cols = draw(st.one_of(
+            st.sampled_from([(0, 0), (0, 4), (4, 0), (1, 1), (1, 6), (6, 1)]),
+            st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        ))
+    else:
+        rows, cols = draw(st.tuples(st.integers(2, 4), st.integers(2, 4)))
     kind = draw(st.sampled_from(["float64", "float32", "int", "transposed"]))
     if kind == "int":
         values = np.array(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)))
     else:
         values = POOL[draw(st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=4))]
-    picks = draw(st.lists(st.integers(0, len(values) - 1), min_size=rows * cols,
-                          max_size=rows * cols))
-    matrix = values[np.array(picks, dtype=int)].reshape(rows, cols)
+    picks = draw(st.lists(st.integers(0, len(values) - 1), min_size=K * K + K * rows * cols,
+                          max_size=K * K + K * rows * cols))
+    picked = values[np.array(picks, dtype=int)]
+    cross, own = picked[:K * K].reshape(K, K), picked[K * K:].reshape(K, rows, cols)
     if kind == "float32":
-        matrix = matrix.astype(np.float32)
+        cross, own = cross.astype(np.float32), own.astype(np.float32)
     if kind == "transposed":
-        matrix = np.ascontiguousarray(matrix.T).T
-    cuts = sorted(draw(st.lists(st.integers(0, rows), max_size=3)))
-    return matrix, matrix.astype(np.float64), cuts
+        cross = np.ascontiguousarray(cross.T).T
+        own = np.ascontiguousarray(own.transpose(2, 1, 0)).transpose(2, 1, 0)
+    return cross, own, dense_table(cross.astype(np.float64), own.astype(np.float64))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(inputs=export_inputs())
 def test_matrix_export_writes_the_row_formatter_bytes(tmp_path, inputs):
-    """Written by runs or not, the file holds the bytes of the row
-    formatter applied to the matrix's float64 values, whatever its shape,
-    dtype or memory order, and the returned digest is that of the file;
-    so does the matrix cut into row blocks anywhere, empty ones too."""
-    matrix, values, cuts = inputs
+    """Whatever its shape, dtype or memory order, a block table is written
+    as the bytes of the row formatter applied to the float64 dense table it
+    stands for, whose diagonal cross values are not read, and the returned
+    digest is that of the file."""
+    cross, own, table = inputs
     path = tmp_path / "kernel.txt"
-    digest = matrix_export(path, [matrix], {"n": 1})
+    digest = matrix_export(path, cross, own, {"n": 1})
     data = path.read_bytes()
-    assert data == row_format_text(values, '# {"n": 1}').encode("utf-8")
+    assert data == row_format_text(table, '# {"n": 1}').encode("utf-8")
     assert digest == hashlib.sha256(data).hexdigest()
-    assert matrix_export(path, np.split(matrix, cuts), {"n": 1}) == digest
-    assert path.read_bytes() == data
 
 
 def test_matrix_export_holds_less_than_the_text(tmp_path):
-    """Writing a 324-cell heat table allocates, at its peak, less than the
-    bytes it writes: the text is written row by row, never held whole."""
+    """Writing a 324-cell heat table (12 discs of 27 cells) from the block
+    form `heat_table` returns allocates, at its peak, less than the bytes
+    of one disc's rows: the text is written row by row and disc by disc,
+    never held whole.  The bytes are the row formatter's over `heat_kernel`."""
     graph = encode(family_from_obj(LOW_BRANCHING_FAMILY))
     weights = default_distance_weights(graph)
     assign = embed(graph_dendrogram(graph, weights))
     disc = discretize(assign, assign.m + 3)
     spec = KernelSpec(Bullet.GRAPH_DISTANCE, 1.0, assign.labels,
                       graph_distances(assign.labels, weights).values)
-    table = heat_kernel(spec, disc, 0.5)
-    assert table.shape == (324, 324)
+    (cross, own), _ = heat_table(spec, disc, 0.5)
+    assert own.shape == (12, 27, 27)
     path = tmp_path / "kernel.txt"
     tracemalloc.start()
     try:
-        matrix_export(path, [table], {"t": 0.5})
+        matrix_export(path, cross, own, {"t": 0.5})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < path.stat().st_size
+    assert path.read_bytes() == row_format_text(heat_kernel(spec, disc, 0.5),
+                                                '# {"t": 0.5}').encode("utf-8")
+    assert peak < path.stat().st_size / 12
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(picks=st.lists(st.tuples(st.integers(0, len(POOL) - 1), st.integers(0, len(POOL) - 1),
+                                st.booleans()), max_size=12))
+def test_spectrum_export_writes_each_record_by_its_f_string(tmp_path, picks):
+    """Each eigenvalue and residual is written as f"{x:.17g}" of the
+    record's own value, Python float or np.float64, however often the
+    value repeats: -0, NaN payloads, the infinities and subnormals too."""
+    records = [EigenRecord("kozyrev", f"v{i}", i, POOL[a] if wrap else float(POOL[a]), float(POOL[b]))
+               for i, (a, b, wrap) in enumerate(picks)]
+    path = tmp_path / "spectrum.tsv"
+    digest = spectrum_export(path, SimpleNamespace(records=records))
+    expected = "".join([f"{r.kind}\t{r.support}\t{r.index}\t{r.lam:.17g}\t{r.residual:.17g}\n"
+                        for r in records])
+    data = path.read_bytes()
+    assert data == ("kind\tsupport\tindex\tlambda\tresidual\n" + expected).encode("utf-8")
+    assert digest == hashlib.sha256(data).hexdigest()
