@@ -81,9 +81,7 @@ def _fmt(x: float) -> str:
 def cmd_encode(args) -> int:
     family = serialize.family_from_obj(serialize.load_json(args.input))
     graph = multitopo.encode(family)
-    digest = serialize.write_canonical(
-        args.output, serialize.graph_to_obj(graph, primes=family.primes)
-    )
+    digest = serialize.write_text(args.output, serialize.graph_text(graph, primes=family.primes))
     _summary("encode", [{"path": args.output, "sha256": digest}], {
         "vertices": len(graph.vertices),
         "edges": len(graph.w),
@@ -102,7 +100,7 @@ def cmd_decode(args) -> int:
         raise errors.ParseError(f"{len(primes)} primes for dimension vectors of length "
                                 f"{lengths.pop()}")
     family = multitopo.decode(graph, primes)
-    digest = serialize.write_canonical(args.output, serialize.family_to_obj(family))
+    digest = serialize.write_text(args.output, serialize.family_text(family))
     _summary("decode", [{"path": args.output, "sha256": digest}], {
         "vertices": len(family.vertex_ids),
         "topologies": len(family.dags),
@@ -116,7 +114,7 @@ def cmd_index(args) -> int:
         raise errors.ParseError("the graph file lists no vertex to index")
     weights = ultraindex.default_distance_weights(graph)
     assign = padic.embed(ultraindex.graph_dendrogram(graph, weights))
-    digest = serialize.write_canonical(args.output, serialize.index_to_obj(assign, weights))
+    digest = serialize.write_text(args.output, serialize.index_text(assign, weights))
     _summary("index", [{"path": args.output, "sha256": digest}], {
         "vertices": len(assign.labels),
         "p": assign.p,

@@ -252,13 +252,16 @@ def decode(g: WeightedMultiGraph, primes: Sequence[int]) -> TopologyFamily:
     edge weight is divided once by every listed prime; any residue signals
     a factor outside the alphabet.  Orientation of edge e in
     topology i points from the endpoint with the larger dimension d_i to
-    the smaller; equal dimensions cannot arise from a valid encoding.
+    the smaller; equal dimensions cannot arise from a valid encoding.  The
+    edges are read in one pass, in any order; of the edges that fail, the
+    one whose (str, str) ends sort first raises, under every hash seed.
     """
     primes = tuple(primes)
     _check_primes(primes)
     dags: list[set] = [set() for _ in primes]
-    for e, weight in sorted(g.w.items(), key=lambda item: tuple(sorted(map(str, item[0])))):
-        u, v = sorted(e, key=str)
+    failures = {}  # (str u, str v) of a failing edge -> its exception
+    for e, weight in g.w.items():
+        u, v = e
         residue = weight
         members = []
         for i, p in enumerate(primes):
@@ -266,16 +269,22 @@ def decode(g: WeightedMultiGraph, primes: Sequence[int]) -> TopologyFamily:
                 members.append(i)
                 residue //= p
         if residue != 1:
-            raise UnknownPrimeFactor(
+            u, v = sorted(e, key=str)
+            failures[str(u), str(v)] = UnknownPrimeFactor(
                 f"edge {{{u!r},{v!r}}} has weight {weight} with factor {residue} outside {primes}"
             )
+            continue
         for i in members:
             du, dv = g.d[u][i], g.d[v][i]
             if du == dv:
-                raise AmbiguousOrientation(
+                u, v = sorted(e, key=str)
+                failures[str(u), str(v)] = AmbiguousOrientation(
                     f"edge {{{u!r},{v!r}}} in topology {i}: both endpoints have dimension {du}"
                 )
+                break
             dags[i].add((u, v) if du > dv else (v, u))
+    if failures:
+        raise failures[min(failures)]
     return TopologyFamily(
         vertex_ids=g.vertices,
         dags=tuple(frozenset(d) for d in dags),

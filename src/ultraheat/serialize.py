@@ -1,10 +1,24 @@
 """File schemas: topology families, weighted graphs, DAGs, and index files.
 
-All writers emit canonical JSON (sorted keys, fixed separators, sorted
+All JSON writers emit canonical JSON (sorted keys, fixed separators, sorted
 collections, trailing newline), so identical inputs produce identical
 bytes.  Index files are version 3: vertices, distance-weighted edges, the
 prime p and the disc depth m; the dendrogram, its embedding and every
 matrix are rebuilt on read.
+
+Which writer writes which file:
+
+* ``graph_text`` the graph file of ``encode``, ``family_text`` the family
+  file of ``decode`` and ``index_text`` the index file of ``index``: each
+  straight from its edges, sorted by the ``str`` ranks of their ends, with
+  no JSON object per edge.  ``graph_to_obj``, ``family_to_obj`` and
+  ``index_to_obj`` are their schemas as JSON values; the tests check that
+  each writer's text is ``canonical_dumps`` of its schema's value.
+* ``canonical_dumps`` (through ``write_canonical``) the ``bounds`` file and
+  every JSON summary.
+* ``matrix_export`` the heat table and ``spectrum_export`` the spectrum
+  table.  ``write_text`` writes the three edge files' texts, the sort's
+  order and the convergence table.
 """
 
 from __future__ import annotations
@@ -126,6 +140,41 @@ def _put(obj, newline: str, append, leaf_of=_LEAF_TEXT.get) -> None:
         append(text)
 
 
+def _json_list(item_texts: list, depth: int, brackets: str = "[]") -> str:
+    """The text ``canonical_dumps`` writes for a list whose items have these
+    texts (a nested item's text already indented for its depth), when the
+    list starts at indent 2·depth: ``[]`` when it has no item.  With the
+    brackets "{}" and items of the form ``"key": value`` in key order, the
+    text of an object."""
+    if not item_texts:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(item_texts) + inner[:-2] + brackets[1]
+
+
+def _ranked(vertices) -> tuple[dict, list]:
+    """Each vertex's rank in ``str`` order (the dict lists them in that
+    order), and the JSON text of each rank's ``str``; the edge writers need
+    the vertices distinct as text, as every reader checks them to be."""
+    order = sorted(vertices, key=str)
+    return {v: i for i, v in enumerate(order)}, [encode_basestring(str(v)) for v in order]
+
+
+def _sorted_ends(rank: dict, names: list, edges, directed: bool) -> tuple[np.ndarray, list, list]:
+    """The edges (pairs of vertices) sorted by their rank pairs: the
+    position of each sorted edge in the edges' iteration order, and the
+    texts (``names`` by rank) of the first and of the second ends of the
+    sorted edges.  An undirected edge is ranked (lo, hi).  Only the ranks
+    are copied into an array; the texts are picked out as references."""
+    ends = np.fromiter(map(rank.__getitem__, itertools.chain.from_iterable(edges)),
+                       dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
+    if not directed:
+        ends.sort(axis=1)
+    order = np.lexsort((ends[:, 1], ends[:, 0]))
+    first, second = np.array(names, dtype=object)[ends[order]].T.tolist()
+    return order, first, second
+
+
 def write_canonical(path, obj) -> str:
     return write_text(path, canonical_dumps(obj))
 
@@ -192,6 +241,7 @@ def _lone_surrogate(obj):
 
 
 def family_to_obj(family: TopologyFamily) -> dict:
+    """The family file as a JSON value: the schema ``family_text`` writes."""
     return {
         "vertices": sorted(map(str, family.vertex_ids)),
         "topologies": [
@@ -199,6 +249,21 @@ def family_to_obj(family: TopologyFamily) -> dict:
         ],
         "primes": list(family.primes),
     }
+
+
+def family_text(family: TopologyFamily) -> str:
+    """``canonical_dumps(family_to_obj(family))``, written from the edges'
+    rank pairs with no object per edge."""
+    rank, names = _ranked(family.vertex_ids)
+    record = _json_list(["%s", "%s"], 4)
+    topologies = []
+    for dag in family.dags:
+        _, first, second = _sorted_ends(rank, names, dag, directed=True)
+        edges = _json_list([record % pair for pair in zip(first, second)], 3)
+        topologies.append(_json_list(['"edges": ' + edges], 2, "{}"))
+    return _json_list(['"primes": ' + _json_list([*map(int.__repr__, family.primes)], 1),
+                       '"topologies": ' + _json_list(topologies, 1),
+                       '"vertices": ' + _json_list(names, 1)], 0, "{}") + "\n"
 
 
 def family_from_obj(obj) -> TopologyFamily:
@@ -251,6 +316,7 @@ def _check_vertices_and_edges(kind: str, vertices, edge_lists) -> None:
 
 
 def graph_to_obj(g: WeightedMultiGraph, primes=None) -> dict:
+    """The graph file as a JSON value: the schema ``graph_text`` writes."""
     edges = []
     for e, wt in g.w.items():
         u, v = sorted(e, key=str)
@@ -264,6 +330,25 @@ def graph_to_obj(g: WeightedMultiGraph, primes=None) -> dict:
     if primes is not None:
         obj["primes"] = list(primes)
     return obj
+
+
+def graph_text(g: WeightedMultiGraph, primes=None) -> str:
+    """``canonical_dumps(graph_to_obj(g, primes))``, written from the edges'
+    rank pairs with no object per edge.  The weights stay Python ints: a
+    product of large primes passes 2^63."""
+    rank, names = _ranked(g.vertices)
+    dims = [name + ": " + _json_list([*map(int.__repr__, g.d[v])], 2)
+            for v, name in zip(rank, names)]
+    order, lo, hi = _sorted_ends(rank, names, g.w, directed=False)
+    weights = list(g.w.values())
+    record = _json_list(['"ends": ' + _json_list(["%s", "%s"], 3), '"w": %d'], 2, "{}")
+    fields = ['"d": ' + _json_list(dims, 1, "{}"),
+              '"edges": ' + _json_list([record % (a, b, weights[k])
+                                        for k, a, b in zip(order.tolist(), lo, hi)], 1)]
+    if primes is not None:
+        fields.append('"primes": ' + _json_list([*map(int.__repr__, primes)], 1))
+    fields.append('"vertices": ' + _json_list(names, 1))
+    return _json_list(fields, 0, "{}") + "\n"
 
 
 def graph_from_obj(obj) -> tuple[WeightedMultiGraph, tuple]:
@@ -353,8 +438,8 @@ INDEX_VERSION = 3
 def index_to_obj(assign: DiscAssignment, weights) -> dict:
     """The index as its vertices, its distance-weighted edges, its prime p
     and, as a check, its disc depth m; weights maps frozenset({u, v}) to
-    the edge's distance weight.  Floats are written by ``repr``, so they
-    read back exactly."""
+    the edge's distance weight.  This is the schema ``index_text`` writes,
+    floats by ``repr``, so they read back exactly."""
     return {
         "version": INDEX_VERSION,
         "vertices": list(map(str, assign.labels)),
@@ -362,6 +447,21 @@ def index_to_obj(assign: DiscAssignment, weights) -> dict:
         "p": assign.p,
         "m": assign.m,
     }
+
+
+def index_text(assign: DiscAssignment, weights) -> str:
+    """``canonical_dumps(index_to_obj(assign, weights))``, written from the
+    edges' rank pairs with no list per edge."""
+    rank, names = _ranked(assign.labels)
+    order, lo, hi = _sorted_ends(rank, names, weights, directed=False)
+    values = list(weights.values())
+    record = _json_list(["%s", "%s", "%s"], 2)
+    return _json_list(['"edges": ' + _json_list([record % (a, b, _float_text(float(values[k])))
+                                                 for k, a, b in zip(order.tolist(), lo, hi)], 1),
+                       '"m": ' + int.__repr__(assign.m),
+                       '"p": ' + int.__repr__(assign.p),
+                       f'"version": {INDEX_VERSION}',
+                       '"vertices": ' + _json_list(names, 1)], 0, "{}") + "\n"
 
 
 def index_from_obj(obj):

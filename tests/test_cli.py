@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -1221,6 +1222,57 @@ def test_encode_and_decode_artifacts_are_pinned(tmp_path, capsys):
     assert digests == [hashlib.sha256(path.read_bytes()).hexdigest() for path in (graph, back)]
     assert digests == ["6818505c4c743cb312c06cdf7d3c6c0268140813d6f6c7e63b350b951ec8f853",
                        "6c5a2b72c1208fd7e255627b1829db06cc57d1a3815ab1a60799f4f4622dfea3"]
+
+
+# labels json writes with escapes (quote, backslash, control characters) or
+# keeps as they are (DEL, the line and paragraph separators, non-ASCII and
+# astral characters, a slash), and labels that sort before and between them
+ESCAPED_LABELS = ['q"uote', "back\\slash", "tab\tstop", "nul\x00", "unit\x1f", "del\x7f",
+                  "line\u2028sep", "para\u2029", "café", "ß", "€uro", "😀", "𝔘nicode", "a/b", "",
+                  *(f"w{i:02d}" for i in range(21))]
+# 2^61 - 1 and four more primes above 2^29, so that an edge in two or more
+# topologies weighs more than 2^63
+LARGE_PRIMES = [2305843009213693951, 4294967291, 2147483647, 1000000007, 998244353]
+
+
+def escaped_family(seed=11, density=0.08):
+    """A five-topology family over ESCAPED_LABELS with LARGE_PRIMES.  Each
+    topology orients the pairs drawn with probability ``density`` along its
+    own random order of the labels, and the first one also holds the path
+    along its order, so the graph is connected.  Only ``random.random`` is
+    drawn, whose sequence from a seed Python keeps across versions."""
+    rng = random.Random(seed)
+    n = len(ESCAPED_LABELS)
+    topologies = []
+    for t in range(len(LARGE_PRIMES)):
+        order = sorted(ESCAPED_LABELS, key=lambda _: rng.random())
+        edges = [[order[i], order[j]] for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < density or (t == 0 and j == i + 1)]
+        topologies.append({"edges": sorted(edges)})
+    return {"vertices": ESCAPED_LABELS, "topologies": topologies, "primes": LARGE_PRIMES}
+
+
+def test_escaped_family_artifacts_are_pinned(tmp_path, capsys):
+    """The `encode`, `decode` and `index` files of a five-topology family
+    whose labels json escapes and whose weights pass 2^63, pinned by
+    sha256: the edge writers must leave them byte for byte as they were.
+    The reported sha256 is that of the file's bytes, and the decoded
+    family is the family with its vertices sorted."""
+    family, graph, back, index = (tmp_path / name for name in ("f.json", "g.json", "b.json",
+                                                               "i.json"))
+    obj = escaped_family()
+    write(family, obj)
+    assert main(["encode", "--input", str(family), "--output", str(graph)]) == 0
+    assert main(["decode", "--input", str(graph), "--output", str(back)]) == 0
+    assert main(["index", "--input", str(graph), "--output", str(index)]) == 0
+    digests = [doc["artifacts"][0]["sha256"] for doc in parse_summaries(capsys.readouterr().out)]
+    assert digests == [hashlib.sha256(path.read_bytes()).hexdigest()
+                       for path in (graph, back, index)]
+    assert json.loads(back.read_text(encoding="utf-8")) == {**obj, "vertices": sorted(obj["vertices"])}
+    assert max(rec["w"] for rec in json.loads(graph.read_text(encoding="utf-8"))["edges"]) > 2**63
+    assert digests == ["b720cce0bf5e604874e8a345e2e7de64d28f530f1eeab16a2acb636462089281",
+                       "35f5b8f8cb3da7352d2cc26efa3ed81befc8ce97aaf67cf514990e0afc009d6a",
+                       "a1442094f22c496ec084e341667e8d1448b17b2a99379ff3b834b720c286ffbe"]
 
 
 @pytest.mark.parametrize("subcommand, obj", [

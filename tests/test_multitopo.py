@@ -130,6 +130,31 @@ def test_decode_ambiguous_orientation():
         decode(g, (2,))
 
 
+@pytest.mark.parametrize("unknown, ambiguous, expected", [
+    (("a", "b"), ("b", "c"), UnknownPrimeFactor),
+    (("b", "c"), ("a", "b"), AmbiguousOrientation),
+], ids=["unknown_first", "ambiguous_first"])
+def test_decode_raises_for_the_smallest_failing_edge_in_every_insertion_order(unknown, ambiguous,
+                                                                              expected):
+    """One edge has a factor outside the primes and another equal
+    dimensions at both ends: decode raises the exception of the edge whose
+    (str, str) ends sort first, with the same message whichever edge the
+    graph lists first."""
+    d = {"a": (0,), "b": (1,), "c": (1,)} if ambiguous == ("b", "c") else \
+        {"a": (1,), "b": (1,), "c": (0,)}
+    failures = {frozenset(unknown): 5, frozenset(ambiguous): 2}
+    raised = []
+    for edges in (list(failures), list(failures)[::-1]):
+        g = WeightedMultiGraph(("a", "b", "c"), {e: failures[e] for e in edges}, d)
+        with pytest.raises((UnknownPrimeFactor, AmbiguousOrientation)) as info:
+            decode(g, (2,))
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][0] is expected
+    u, v = min(unknown, ambiguous)
+    assert raised[0][1].startswith(f"edge {{{u!r},{v!r}}}")
+
+
 def test_roundtrip_property_random_families():
     rng = np.random.default_rng(101)
     for _ in range(100):

@@ -3,6 +3,7 @@ matrix format."""
 
 import enum
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -10,12 +11,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ultraheat import Bullet, KernelSpec, decode, discretize, embed, encode, graph_dendrogram
+from ultraheat import (Bullet, KernelSpec, TopologyFamily, decode, discretize, embed, encode,
+                       graph_dendrogram)
 from ultraheat.heat import heat_kernel, heat_table
-from ultraheat.serialize import (canonical_dumps, family_from_obj, family_to_obj, graph_from_obj,
-                                 graph_to_obj, matrix_export, spectrum_export)
+from ultraheat.multitopo import first_primes, is_prime
+from ultraheat.serialize import (canonical_dumps, family_from_obj, family_text, family_to_obj,
+                                 graph_from_obj, graph_text, graph_to_obj, index_text,
+                                 index_to_obj, matrix_export, spectrum_export)
 from ultraheat.spectra import EigenRecord
 from ultraheat.ultraindex import default_distance_weights, graph_distances
 
@@ -114,6 +118,58 @@ def test_canonical_dumps_raises_type_error_where_json_does(value):
         json_text(value)
     with pytest.raises(TypeError):
         canonical_dumps(value)
+
+
+# the 20 largest primes below 2^62: an edge in two or more topologies
+# weighs more than 2^63
+LARGE_PRIMES = tuple(itertools.islice(filter(is_prime, range(2**62 - 1, 0, -2)), 20))
+
+
+@st.composite
+def families(draw):
+    """A family over up to 8 labels, ints or strings from TEXT, distinct as
+    text; one to three topologies with the first primes, or 20 with
+    LARGE_PRIMES.  Each topology orients its pairs from the earlier label
+    to the later one, or all the other way, so it is acyclic."""
+    labels = draw(st.lists(st.one_of(st.integers(), TEXT), min_size=1, max_size=8, unique_by=str))
+    primes = draw(st.one_of(st.integers(1, 3).map(first_primes), st.just(LARGE_PRIMES)))
+    n = len(labels)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda ij: ij[0] < ij[1])
+    dags = []
+    for _ in primes:
+        edges = draw(st.lists(pairs, max_size=10)) if n > 1 else []
+        step = draw(st.sampled_from([1, -1]))
+        dags.append(frozenset((labels[i], labels[j])[::step] for i, j in edges))
+    return TopologyFamily(labels, dags, primes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=families(), star=st.floats(5e-324, 1e300))
+@example(family=TopologyFamily(("only",), (frozenset(),), (2,)), star=1.0)
+@example(family=TopologyFamily((3, 1, 2), (frozenset({(3, 1), (1, 2)}), frozenset()), (2, 3)),
+         star=0.1)
+@example(family=TopologyFamily(("b", "a"), (frozenset({("a", "b")}),) * 20, LARGE_PRIMES),
+         star=1.0)
+def test_edge_writers_write_the_text_of_their_oracles(family, star):
+    """graph_text, family_text and index_text write exactly the canonical
+    text of graph_to_obj, family_to_obj and index_to_obj, which is the text
+    of json.dumps: for int labels, labels json escapes or keeps (quote,
+    backslash, control characters, U+2028, non-ASCII and astral), a
+    topology with no edge, one vertex, weights past 2^63, and a graph with
+    no primes.  The index joins the str-first vertex to every other one at
+    the weight ``star`` where the graph has no edge, so that it is
+    connected."""
+    graph = encode(family)
+    cases = [(family_text(family), family_to_obj(family)),
+             (graph_text(graph, family.primes), graph_to_obj(graph, family.primes)),
+             (graph_text(graph), graph_to_obj(graph))]
+    first, *others = sorted(family.vertex_ids, key=str)
+    weights = {frozenset((first, v)): star for v in others}
+    weights.update((e, 1.0 / math.log(w + 1)) for e, w in graph.w.items())  # w may pass 2^1024
+    assign = embed(graph_dendrogram(family.vertex_ids, weights))
+    cases.append((index_text(assign, weights), index_to_obj(assign, weights)))
+    for text, obj in cases:
+        assert text == canonical_dumps(obj) == json_text(obj)
 
 
 def reference_text(matrix, header_line):
