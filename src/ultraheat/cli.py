@@ -240,16 +240,19 @@ def cmd_heat(args) -> int:
     spec = _spec_from_index(args.bullet, args.alpha, assign, weights)
     (cross, own), certificates = heat.heat_table(spec, disc, args.t, args.measure)
     gap, defect = certificates["two_route_gap"], certificates["row_sum_defect"]
+    scale = certificates["gap_scale"]
     if not math.isfinite(gap + defect):  # both are >= 0, so only inf or NaN fails
         raise errors.CertificateFailed(f"heat certificates not finite: two-route gap "
                                        f"{gap:g}, row-sum defect {defect:g}")
+    if gap > scale:
+        raise errors.CertificateFailed(f"heat two-route gap {gap:g} above its scale {scale:g}")
     digest = serialize.matrix_export(args.output, cross, own, {
         "p": assign.p, "n": args.level, "bullet": args.bullet,
         "alpha": args.alpha, "measure": args.measure, "t": args.t,
     })
     _summary("heat", [{"path": args.output, "sha256": digest}], {
         "cells": len(disc),
-        "gap_scale": _fmt(certificates["gap_scale"]),
+        "gap_scale": _fmt(scale),
         "row_sum_defect": _fmt(defect),
         "two_route_gap": _fmt(gap),
     })

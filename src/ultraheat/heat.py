@@ -20,10 +20,10 @@ non-negative (``NegativeTime``).  ``heat_kernel`` and ``semigroup``
 return the N x N array, and ``disc_semigroup`` the pair (T2, bound).
 ``heat_table``, what the ``heat`` subcommand runs, holds no N x N array:
 both routes split by vertex disc, so it certifies them from their K x K
-and (K, s, s) block forms, reading the generator in row blocks of whole
-discs (``operators.generator_rows``), and returns the table in its block
-form, one value per pair of distinct discs and one s x s block per disc,
-which ``serialize.matrix_export`` writes.  ``heat_kernel``,
+and (K, s, s) block forms, reading the generator once, in row blocks of
+whole discs (``operators.generator_rows``), and returns the table in its
+block form, one value per pair of distinct discs and one s x s block per
+disc, which ``serialize.matrix_export`` writes.  ``heat_kernel``,
 ``disc_semigroup`` and ``_BallEvolver.matrix`` lift the same block forms
 onto the cells.
 
@@ -68,8 +68,8 @@ from .errors import (
 )
 from .linalg import (check_symmetric, positive_roots, symmetrised_rows, symmetry_defect,
                      weighted_symmetric_eig)
-from .operators import (GeneratorMatrix, KernelSpec, _check_dense, _measure_vector,
-                        _prefix_table, generator_rows, truncated_domain)
+from .operators import (BLOCK_ENTRIES, GeneratorMatrix, KernelSpec, _check_dense,
+                        _measure_vector, _prefix_table, generator_rows, truncated_domain)
 from .padic import CellDomain, DiscAssignment, discretize, padic_distance
 from .spectra import ball_spectrum
 
@@ -205,9 +205,6 @@ def semigroup(A: GeneratorMatrix, t: float) -> np.ndarray:
     return core * (d[None, :] / d[:, None])
 
 
-BLOCK_ENTRIES = 1 << 15  # 256 kB of float64 per row block
-
-
 def _disc_blocks(dom: CellDomain) -> list[range]:
     """The rows of a discretisation in blocks of whole discs, in order: one
     disc per block once a disc's s x N entries reach BLOCK_ENTRIES, else as
@@ -222,14 +219,16 @@ def _disc_blocks(dom: CellDomain) -> list[range]:
 
 def _lumped(blocks, measure: np.ndarray, dom: CellDomain, t: float):
     """e^(tS^) of ``disc_semigroup`` in block form, its bound and ||A||_inf,
-    from the generator's row blocks: ``blocks()`` returns a fresh iterator
-    of (cells, A[cells, :], A[:, cells].T) over runs of whole discs that
-    cover the domain in order, and is read twice; the blocks are
-    overwritten.
+    from the generator's row blocks, read once: ``blocks`` yields (cells,
+    A[cells, :], A[:, cells].T) over runs of whole discs that cover the
+    domain in order, and the blocks are overwritten.
 
-    The first pass takes from each block's rows of S the discs' rows of
-    block means (for C), their diagonal blocks B_k and the symmetry defect;
-    the second, with C known, their shares of delta.  Returns (lift,
+    (S + S^T) / 2 adds the same two floats in either order, so block (l, k)
+    of S holds the numbers of block (k, l): C_kl = C_lk = s c_kl is taken
+    from the rows of the pair's lower-numbered disc k as they are read, and
+    with them k's diagonal block B_k, r_k and B_k's shift.  C[k, :] is then
+    complete, so each block's share of delta is taken at once; the symmetry
+    defect is checked after the pass, before any eigensolve.  Returns (lift,
     stacks, bound, norm): e^(tS^) is lift[k, l] = (V e^(tw) V^T)_kl / s
     between discs k != l and stacks[k] on disc k, and norm is 2 max |A_ii|,
     the largest absolute row sum of a generator."""
@@ -239,39 +238,34 @@ def _lumped(blocks, measure: np.ndarray, dom: CellDomain, t: float):
     s = len(dom) // K
     d = positive_roots(measure)
     disc, cell = np.arange(K), np.arange(s)
-    c, B = np.empty((K, K)), np.empty((K, s, s))
-    asym, largest, diagonal = [], [], []
-    for cells, rows, cols in blocks():
+    C, B, r = np.empty((K, K)), np.empty((K, s, s)), np.empty(K)
+    asym, largest, diagonal, delta = [], [], [], []
+    for cells, rows, cols in blocks:
         diagonal.append(np.max(np.abs(rows[np.arange(len(cells)), cells])))
         S, St = symmetrised_rows(rows, cols, d[cells.start:cells.stop], d)
         defect, top = symmetry_defect(S, St)
-        S += St
-        S *= 0.5
-        own = np.arange(cells.start // s, cells.stop // s)  # the block's discs
-        by_disc = S.reshape(len(own), s, K, s)
-        c[own] = by_disc.mean(axis=(1, 3))
-        B[own] = by_disc[own - own[0], :, own, :]
         asym.append(defect)
         largest.append(top)
-    check_symmetric(np.max(asym), np.max(largest))
-    sums = B.sum(axis=2)
-    r = sums.mean(axis=1)
-    shift = sums - r[:, None]
-    B[:, cell, cell] -= shift
-    C = 0.5 * s * (c + c.T)  # one mean per pair of discs, so that S^ is symmetric
-    C[disc, disc] = r
-
-    delta = []
-    for cells, rows, cols in blocks():
-        own = np.arange(cells.start // s, cells.stop // s)
-        S, St = symmetrised_rows(rows, cols, d[cells.start:cells.stop], d)
         S += St
         S *= 0.5
-        by_disc = S.reshape(len(own), s, K, s)
-        by_disc -= C[own, None, :, None] / s  # S - S^ off the diagonal blocks
+        lo, hi = cells.start // s, cells.stop // s  # the block's discs
+        own = disc[lo:hi]
+        by_disc = S.reshape(hi - lo, s, K, s)
+        B[lo:hi] = by_disc[own - lo, :, own, :]
+        sums = B[lo:hi].sum(axis=2)
+        r[lo:hi] = sums.mean(axis=1)
+        shift = sums - r[lo:hi, None]
+        B[lo:hi, cell, cell] -= shift
+        later = disc[None, :] > own[:, None]  # the pairs whose lower-numbered disc is the row's
+        pair = s * by_disc.mean(axis=(1, 3))
+        C[lo:hi] = np.where(later, pair, C[lo:hi])
+        C[:, lo:hi] = np.where(later.T, pair.T, C[:, lo:hi])
+        C[own, own] = r[lo:hi]
+        by_disc -= C[lo:hi, None, :, None] / s  # S - S^ off the diagonal blocks
         np.abs(by_disc, out=by_disc)
-        by_disc[own - own[0], :, own, :] = 0.0
-        delta.append(np.max(by_disc.sum(axis=(2, 3)) + np.abs(shift[own])))
+        by_disc[own - lo, :, own, :] = 0.0
+        delta.append(np.max(by_disc.sum(axis=(2, 3)) + np.abs(shift)))
+    check_symmetric(np.max(asym), np.max(largest))
     delta = np.max(delta)
 
     w, V = np.linalg.eigh(C)
@@ -314,8 +308,7 @@ def disc_semigroup(A: GeneratorMatrix, dom: CellDomain, t: float) -> tuple[np.nd
     a truncated domain, before any N x N work.
     """
     check_time(t)
-    every_row = range(len(dom))
-    lift, stacks, bound, _ = _lumped(lambda: [(every_row, A.matrix.copy(), A.matrix.T.copy())],
+    lift, stacks, bound, _ = _lumped([(range(len(dom)), A.matrix.copy(), A.matrix.T.copy())],
                                      A.measure, dom, t)
     cells = np.arange(len(dom))
     K, s = stacks.shape[:2]
@@ -347,7 +340,7 @@ def heat_table(spec: KernelSpec, disc: CellDomain, t: float, measure: str = "haa
     array whose diagonal is unused, and own[a] = closed[a] / mu on disc a's
     s x s diagonal block, from ``_BallEvolver.factors``.  T2 is the lumped
     route of ``disc_semigroup`` on the generator's row blocks
-    (``generator_rows``, read twice), which never reads ``ball_spectrum``;
+    (``generator_rows``, read once, in order), which never reads ``ball_spectrum``;
     the gap and T2's row sums are taken on those K x K values and on the
     (K, s, s) diagonal blocks.  Returns ((cross, own), {"two_route_gap":
     max |p(t) mu - T2| plus T2's bound, "row_sum_defect": max |T2 1 - 1|,
@@ -363,7 +356,7 @@ def heat_table(spec: KernelSpec, disc: CellDomain, t: float, measure: str = "haa
     d_disc, d_cell = np.sqrt(mu_disc), np.sqrt(mu_cell)
     off = ~np.eye(K, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite certificate is reported
-        lift, own2, bound, norm = _lumped(generator_blocks, mu, disc, t)
+        lift, own2, bound, norm = _lumped(generator_blocks(), mu, disc, t)
         cross2 = np.where(off, lift * d_disc[None, :] / d_disc[:, None], 0.0)  # T2 between discs
         own2 *= d_cell
         own2 /= d_cell.transpose(0, 2, 1)  # T2 on each disc

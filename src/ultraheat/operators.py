@@ -229,6 +229,7 @@ class GeneratorMatrix:
 
 
 MAX_DENSE_CELLS = 10_000
+BLOCK_ENTRIES = 1 << 15  # 256 kB of float64: the size of a block of rows, or of discs' work
 
 
 def _check_dense(n_cells: int) -> None:

@@ -65,8 +65,9 @@ from .errors import (
     TrivialCharacter,
 )
 from .linalg import weighted_symmetric_eig
-from .operators import (Bullet, KernelSpec, _check_dense, _cross_rates, _disc_rates,
-                        _disc_shifts, _leaf_indices, _measure_vector, _prefix_table)
+from .operators import (BLOCK_ENTRIES, Bullet, KernelSpec, _check_dense, _cross_rates,
+                        _disc_rates, _disc_shifts, _leaf_indices, _measure_vector,
+                        _prefix_table)
 from .padic import CellDomain, DiscAssignment, PAdicCell, TreeMeasure
 from .ultraindex import DendrogramNode
 
@@ -336,8 +337,12 @@ def _basis_residuals(spec: KernelSpec, disc: CellDomain, rates: np.ndarray,
     last K columns.  On disc k's cells its Kozyrev block ``kozyrev / root[k]``
     meets one s x s Vladimirov table (prefix rates times p^-n, zero row sums)
     scaled by the density root[k]^2, less the escape rate -rates[k, k]; on
-    disc w's cells, rates[w, k] times the column's mean, 0 up to rounding."""
-    p, n, w, K = disc.p, disc.level, kozyrev.shape[1], len(root)
+    disc w's cells, rates[w, k] times the column's mean, 0 up to rounding.
+    The discs go through one (discs, s, w) broadcast per chunk of whole
+    discs, of at most BLOCK_ENTRIES entries (one disc where s w is larger):
+    each entry meets the operations of a disc-by-disc loop in its order,
+    so the residuals keep its bits, and a large-s basis its memory."""
+    p, n, (s, w), K = disc.p, disc.level, kozyrev.shape, len(root)
     lam = np.asarray(lam, dtype=float)
     err = np.empty(len(lam))
     err[K * w:] = np.abs(rates @ coarse - coarse * lam[K * w:]).max(axis=0, initial=0.0)
@@ -346,11 +351,16 @@ def _basis_residuals(spec: KernelSpec, disc: CellDomain, rates: np.ndarray,
     np.fill_diagonal(table, 0.0)
     np.fill_diagonal(table, -table.sum(axis=1))
     local, mean = table @ kozyrev, np.abs(kozyrev.mean(axis=0))  # shared by every disc
-    for k, root_k in enumerate(root):
-        block, cols = kozyrev / root_k, slice(k * w, (k + 1) * w)
-        on_disc = np.abs(local * root_k + block * rates[k, k] - block * lam[cols]).max(axis=0)
-        cross = rates[:, k].max(initial=0.0)  # the largest off the diagonal: rates[k, k] <= 0
-        err[cols] = np.maximum(on_disc, cross * (mean / root_k))
+    cross = rates.max(axis=0, initial=0.0)  # the largest off the diagonal: rates[k, k] <= 0
+    per = max(1, BLOCK_ENTRIES // (s * w))  # whole discs per chunk
+    for lo in range(0, K, per):
+        hi = min(lo + per, K)
+        root_k, own = root[lo:hi, None, None], np.diagonal(rates)[lo:hi, None, None]
+        block = kozyrev / root_k  # (discs, s, w)
+        lam_k = lam[lo * w:hi * w].reshape(hi - lo, 1, w)
+        on_disc = np.abs(local * root_k + block * own - block * lam_k).max(axis=1)
+        off_disc = cross[lo:hi, None] * (mean / root_k[:, 0])
+        err[lo * w:hi * w] = np.maximum(on_disc, off_disc).ravel()
     return err / np.maximum(1.0, np.abs(lam))
 
 
@@ -381,7 +391,7 @@ def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Eig
     _check_dense(n_cells)
     spectrum = ball_spectrum(spec, disc, measure)
     kozyrev = np.zeros((s, s - 1), dtype=complex)
-    coarse = np.empty((K, K), dtype=complex)
+    coarse = np.zeros((K, K), dtype=complex)
     columns: list[tuple] = []  # (d, digits below the disc, j) per Kozyrev column of a disc
 
     suffixes = [""]  # the digits below the disc of its level-d balls, in digit order
@@ -401,14 +411,19 @@ def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Eig
                   float(spectrum.kozyrev[k, d - m])) for d, tail, j in columns]
 
     if measure == "nu" and spec.bullet is Bullet.ULTRAMETRIC:
+        # ultrametric_wavelet(disc, node, k) on the discs, one child's leaf range at a time
+        pos = {label: i for i, label in enumerate(assign.labels)}
+        rows = np.array([pos[label] for label in assign.dendrogram.order])  # per leaf-order slot
         coarse[:, 0] = 1.0
         meta.append(("constant", "domain", 0, 0.0))
         for node in assign.dendrogram.internal_nodes():
             gamma = ultrametric_eigenvalue(assign.nu, node, spec.alpha)
             support = ",".join(sorted(map(str, assign.dendrogram.order[node.start:node.stop])))
-            for k in range(1, len(node.children)):
-                wavelet = ultrametric_wavelet(disc, node, k)
-                coarse[:, len(meta) - K * (s - 1)] = wavelet[disc.leaf_start]
+            amp, c = float(assign.nu.of(node)) ** -0.5, len(node.children)
+            for k in range(1, c):
+                column = coarse[:, len(meta) - K * (s - 1)]
+                for ic, child in enumerate(node.children):
+                    column[rows[child.start:child.stop]] = amp * np.exp(2j * math.pi * k * ic / c)
                 meta.append(("ultrametric", support, k, gamma))
     else:
         coarse[:] = spectrum.vecs

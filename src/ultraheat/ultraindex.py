@@ -75,10 +75,20 @@ class UltrametricMatrix(DistanceMatrix):
         return True
 
 
+def _log1(w: int) -> float:
+    """log(w + 1) in float arithmetic, or of the int where w is past the
+    float range (about 1.8e308), so that a product of many large primes
+    still has a finite weight."""
+    try:
+        return math.log(w + 1.0)
+    except OverflowError:
+        return math.log(w + 1)
+
+
 def default_distance_weights(g: WeightedMultiGraph) -> dict:
     """Distance weight 1/log(w(e)+1): edges shared by more topologies are
     shorter, so strongly co-connected vertices cluster together."""
-    return {e: 1.0 / math.log(w + 1.0) for e, w in g.w.items()}
+    return {e: 1.0 / _log1(w) for e, w in g.w.items()}
 
 
 def _graph_edges(graph, weights: Mapping | None) -> tuple[tuple, list]:

@@ -649,20 +649,22 @@ def test_heat_reads_the_generator_only_in_row_blocks(tmp_path, capsys, monkeypat
     """`heat` builds no N x N generator or kernel matrix and never calls the
     dense `semigroup`, `disc_semigroup` or `full_basis`: it reads the
     generator in row blocks of whole discs, each fewer rows than cells,
-    over every row in order, twice (the lumping bound needs C first)."""
+    over every row in order, once: the lumping bound takes C and its share
+    of delta from each block as it is read."""
     from ultraheat import operators
 
     for module, name in ((operators, "generator"), (operators, "kernel_matrix"),
                          (heat, "semigroup"), (heat, "disc_semigroup"), (spectra, "full_basis")):
         monkeypatch.setattr(module, name,
                             lambda *args, name=name: pytest.fail(f"{name} was called"))
-    read = []
+    read, passes = [], []
     original = heat.generator_rows
 
     def recording(spec, disc, measure, blocks):
         rows = original(spec, disc, measure, blocks)
 
         def recorded():
+            passes.append(len(read))
             for cells, block, cols in rows():
                 read.append((cells, block.shape, cols.shape))
                 yield cells, block, cols
@@ -678,14 +680,13 @@ def test_heat_reads_the_generator_only_in_row_blocks(tmp_path, capsys, monkeypat
     assert code == 0
     cells = json.loads(capsys.readouterr().out)["metrics"]["cells"]
     s = cells // 3  # three vertex discs
-    assert cells == 192 and len(read) % 2 == 0 and len(read) > 2
+    assert cells == 192 and passes == [0] and len(read) > 1
     for cells_read, block, cols in read:
         assert cells_read.start % s == 0 and len(cells_read) % s == 0 and len(cells_read) < cells
         assert block == cols == (len(cells_read), cells)
-    passes = [[r for r, _, _ in read[i:i + len(read) // 2]] for i in (0, len(read) // 2)]
-    for ranges in passes:
-        assert [r.start for r in ranges] == [0] + [r.stop for r in ranges[:-1]]
-        assert ranges[-1].stop == cells
+    ranges = [r for r, _, _ in read]
+    assert [r.start for r in ranges] == [0] + [r.stop for r in ranges[:-1]]
+    assert ranges[-1].stop == cells
 
 
 def test_spectrum_and_heat_never_assemble_the_basis_matrix(tmp_path, capsys, monkeypatch):
@@ -1018,6 +1019,25 @@ def test_heat_whose_certificates_are_not_finite_exits_27_without_an_artifact(tmp
     assert not out.exists()
 
 
+def test_heat_whose_gap_exceeds_its_scale_exits_27_without_an_artifact(tmp_path, capsys):
+    """On the 3-vertex index (p = 2, m = 2) at alpha 20 and level 4 under
+    nu, the second route's lumping bound is finite but above the rounding
+    scale gap_scale = max(1e-12, 4 eps ||A||_inf t) (two-route gap 213,
+    scale 128): `heat` exits 27 with one stderr line that names both, and
+    writes nothing."""
+    index = index_fixture(tmp_path)
+    out = tmp_path / "kernel.txt"
+    code = main(["heat", "--input", str(index), "--output", str(out), "--bullet", "graphdist",
+                 "--measure", "nu", "--alpha", "20", "--level", "4", "--t", "0.5"])
+    assert code == 27
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CertificateFailed" and err["exit"] == 27
+    assert "above its scale" in err["detail"]
+    assert not out.exists()
+
+
 def test_spectrum_with_a_residual_that_is_not_finite_exits_27_without_an_artifact(
         tmp_path, capsys, monkeypatch):
     """A NaN residual in a later column, which the builtin max of the
@@ -1275,6 +1295,27 @@ def test_escaped_family_artifacts_are_pinned(tmp_path, capsys):
                        "a1442094f22c496ec084e341667e8d1448b17b2a99379ff3b834b720c286ffbe"]
 
 
+def test_an_edge_weight_past_the_float_range_indexes_with_a_finite_weight(tmp_path, capsys):
+    """One edge in 20 topologies with the 20 largest primes below 2^62
+    weighs about 2^1240, past the float range: its distance weight is
+    1 / log(w + 1) taken of the int, finite, and `index` exits 0."""
+    primes, k = [], 2**62 - 1
+    while len(primes) < 20:
+        if multitopo.is_prime(k):
+            primes.append(k)
+        k -= 2
+    family, graph, index = (tmp_path / name for name in ("f.json", "g.json", "i.json"))
+    write(family, {"vertices": ["a", "b"], "topologies": [{"edges": [["a", "b"]]}] * 20,
+                   "primes": primes})
+    assert main(["encode", "--input", str(family), "--output", str(graph)]) == 0
+    assert main(["index", "--input", str(graph), "--output", str(index)]) == 0
+    capsys.readouterr()
+    w = math.prod(primes)
+    assert w > 2**1024
+    (edge,) = json.loads(index.read_text(encoding="utf-8"))["edges"]
+    assert edge[:2] == ["a", "b"] and edge[2] == 1.0 / math.log(w + 1) and math.isfinite(edge[2])
+
+
 @pytest.mark.parametrize("subcommand, obj", [
     ("encode", {"vertices": ["a", "\ud800"], "topologies": [{"edges": [["a", "\ud800"]]}],
                 "primes": [2]}),
@@ -1476,6 +1517,25 @@ def test_level_10_heat_tables_of_every_bullet_are_pinned(larger_index, capsys, b
     summary = json.loads(capsys.readouterr().out)
     assert summary["metrics"]["cells"] == 1620
     assert summary["artifacts"][0]["sha256"] == digest
+
+
+@pytest.mark.parametrize("bullet, measure, digest", [
+    ("ultrametric", "nu", "9c1bd9b392b063ad364527491780ad073fa4d7608af3b5ca97a67b290bfb9518"),
+    ("graphdist", "haar", "79cf33bd242b0b06ff3c256ddd9b112fdc258aa9d36f7a9900a70b6984442f3e"),
+])
+def test_level_9_spectra_are_pinned(larger_index, tmp_path, capsys, bullet, measure, digest):
+    """The two `spectrum` calls of the benchmark's spectral-heat round, at
+    level 9 (540 cells: 60 discs of 9) of low_branching_family(31, 60, 7),
+    pinned by sha256: the table carries every eigenvalue and residual, so
+    a rewrite of the residuals or of the coarse columns must leave their
+    bits as they were."""
+    out = tmp_path / "spectrum.tsv"
+    assert main(["spectrum", "--input", str(larger_index), "--output", str(out), "--bullet", bullet,
+                 "--measure", measure, "--level", "9"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["metrics"]["cells"] == summary["metrics"]["eigenpairs"] == 540
+    assert summary["artifacts"][0]["sha256"] == digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -696,6 +696,88 @@ def test_full_basis_builds_no_n_by_n_array():
     assert max(r.residual for r in basis.records) <= 1e-9
 
 
+@pytest.mark.parametrize("p, leaves, max_children", [(2, 9, 2), (3, 12, 3), (5, 7, 5)])
+def test_nu_coarse_columns_equal_the_ultrametric_wavelets_bit_for_bit(p, leaves, max_children):
+    """Under nu with the ultrametric kernel, the coarse column of each
+    (internal node, k) is `ultrametric_wavelet(disc, node, k)` on the
+    discs' first cells, bit for bit, in the order of the records."""
+    rng = np.random.default_rng(149 + p)
+    dend = random_dendrogram(rng, leaves, max_children=max_children)
+    assign = embed(dend, p)
+    disc = discretize(assign, assign.m + 1)
+    basis = full_basis(ultra_spec(dend, 1.3), disc, "nu")
+    first = len(disc) - len(assign.labels)  # the first coarse column's record
+    assert basis.records[first].kind == "constant" and np.all(basis.coarse[:, 0] == 1.0)
+    column = 1
+    for node in dend.internal_nodes():
+        for k in range(1, len(node.children)):
+            record = basis.records[first + column]
+            assert (record.kind, record.index) == ("ultrametric", k)
+            expected = ultrametric_wavelet(disc, node, k)[disc.leaf_start]
+            assert basis.coarse[:, column].tobytes() == expected.tobytes()
+            column += 1
+    assert column == len(assign.labels)
+
+
+def _per_disc_residuals(spec, disc, rates, kozyrev, root, coarse, lam):
+    """`_basis_residuals` as one loop over the discs: the oracle of its
+    chunked broadcast, bit for bit and in traced memory."""
+    from ultraheat.operators import _prefix_table
+
+    p, n, w, K = disc.p, disc.level, kozyrev.shape[1], len(root)
+    lam = np.asarray(lam, dtype=float)
+    err = np.empty(len(lam))
+    err[K * w:] = np.abs(rates @ coarse - coarse * lam[K * w:]).max(axis=0, initial=0.0)
+    j = np.minimum(_prefix_table(p, disc.assignment.m, n), n - 1)
+    table = (float(p) ** -j) ** -spec.alpha * float(p) ** -n
+    np.fill_diagonal(table, 0.0)
+    np.fill_diagonal(table, -table.sum(axis=1))
+    local, mean = table @ kozyrev, np.abs(kozyrev.mean(axis=0))
+    for k, root_k in enumerate(root):
+        block, cols = kozyrev / root_k, slice(k * w, (k + 1) * w)
+        on_disc = np.abs(local * root_k + block * rates[k, k] - block * lam[cols]).max(axis=0)
+        cross = rates[:, k].max(initial=0.0)
+        err[cols] = np.maximum(on_disc, cross * (mean / root_k))
+    return err / np.maximum(1.0, np.abs(lam))
+
+
+@pytest.mark.parametrize("p, leaves, extra", [(2, 3, 9), (3, 4, 5), (2, 40, 5), (3, 25, 3)])
+def test_chunked_residuals_are_the_per_disc_loop(p, leaves, extra):
+    """`_basis_residuals` checks whole discs in chunks of at most
+    BLOCK_ENTRIES Kozyrev entries (one disc where s (s - 1) is larger):
+    under Haar and nu its residuals are those of the per-disc loop bit for
+    bit, and where a chunk is one disc (s = 512 and 243 cells) its traced
+    peak is the loop's within 1 %: one more array of a disc's s (s - 1)
+    complex entries would add about a fifth."""
+    import tracemalloc
+
+    from ultraheat.operators import BLOCK_ENTRIES
+    from ultraheat.spectra import _basis_residuals
+
+    rng = np.random.default_rng(151 + leaves)
+    dend = random_dendrogram(rng, leaves, max_children=p)
+    assign = embed(dend, p)
+    disc = discretize(assign, assign.m + extra)
+    s, spec = p ** extra, ultra_spec(dend, 1.3)
+    for measure in ("haar", "nu"):
+        basis = full_basis(spec, disc, measure)
+        args = (spec, disc, ball_spectrum(spec, disc, measure).coarse, basis.kozyrev, basis.root,
+                basis.coarse, basis.eigenvalues())
+        results, peaks = [], []
+        for residuals in (_per_disc_residuals, _basis_residuals):
+            tracemalloc.start()
+            try:
+                results.append(residuals(*args))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        expected, err = results
+        assert err.tobytes() == expected.tobytes()
+        assert np.all(err == np.array([r.residual for r in basis.records]))
+        if s * (s - 1) > BLOCK_ENTRIES:
+            assert peaks[1] <= 1.01 * peaks[0], peaks
+
+
 def test_ball_spectrum_solves_its_coarse_matrix_on_first_read_only(monkeypatch):
     import ultraheat.spectra as spectra
     from ultraheat.spectra import ball_spectrum
