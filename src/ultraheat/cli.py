@@ -195,7 +195,8 @@ def _join_components(str_order: tuple, weights: dict) -> dict:
 
 def _spec_from_index(bullet: str, alpha: float, assign, weights) -> operators.KernelSpec:
     """The kernel of one bullet, with only that bullet's base matrix built:
-    the tree's ultrametric, the graph distances or the weighted adjacency."""
+    the tree's ultrametric, the graph distances or the weighted adjacency.
+    The weights are the index's edge columns, over the tree's labels."""
     dend = assign.dendrogram
     labels = dend.labels
     bullet = operators.Bullet(bullet)
@@ -204,11 +205,8 @@ def _spec_from_index(bullet: str, alpha: float, assign, weights) -> operators.Ke
     elif bullet is operators.Bullet.GRAPH_DISTANCE:
         base = ultraindex.graph_distances(labels, weights).values
     else:
-        pos = {l: i for i, l in enumerate(labels)}
         base = np.zeros((len(labels), len(labels)))
-        for e, wt in weights.items():
-            u, v = tuple(e)
-            base[pos[u], pos[v]] = base[pos[v], pos[u]] = wt
+        base[weights.lo, weights.hi] = base[weights.hi, weights.lo] = weights.weights
     return operators.KernelSpec(bullet, alpha, labels, base)
 
 

@@ -20,15 +20,23 @@ Each topology is checked and measured as a ``Dag``, the DAG type that
 ``toposort`` sorts too.  A ``Dag`` computes its chain lengths once, on
 first read (``Dag.heights``), from one Kahn walk (``_kahn``); the same
 lengths order every seed cluster in ``toposort``.
+
+The graph holds its edges as ``EdgeColumns``: the str ranks of their two
+ends and their weights, column by column.  ``encode`` builds them from the
+topologies' rank pairs, and ``decode`` factors each distinct weight once
+and orients each topology's edges with one array comparison.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     AmbiguousOrientation,
@@ -212,17 +220,74 @@ class TopologyFamily:
         return [chain_lengths(self.vertex_ids, dag) for dag in self.dags]
 
 
+class EdgeColumns(Mapping):
+    """A graph's edges as rank columns.  ``labels`` lists the vertices in
+    ``str`` order; edge k joins labels[lo[k]] and labels[hi[k]] (intp
+    arrays, lo < hi, no pair twice) and weighs weights[k].  The weights are
+    a tuple of Python ints for the graph's prime products, which pass
+    2^63, and float64 for distance weights.  The edges keep the order in
+    which they were read or built.
+
+    As a Mapping it is {frozenset({u, v}): weight} in that order, for
+    tests and oracles; the dict behind it is built on first lookup."""
+
+    def __init__(self, labels, lo: np.ndarray, hi: np.ndarray, weights):
+        self.labels, self.lo, self.hi, self.weights = tuple(labels), lo, hi, weights
+
+    @classmethod
+    def from_mapping(cls, labels, weights: Mapping) -> "EdgeColumns":
+        """The columns of a {frozenset({u, v}): weight} map over ``labels``
+        (in str order), its values kept as a tuple, or the weights
+        themselves when they are columns over these labels; KeyError(key)
+        for the first key that does not name two of the labels."""
+        if isinstance(weights, EdgeColumns) and weights.labels == tuple(labels):
+            return weights
+        rank = {v: i for i, v in enumerate(labels)}
+        ends = []
+        for e in weights:
+            try:
+                u, v = e
+                ends.append((rank[u], rank[v]))
+            except (KeyError, ValueError):
+                raise KeyError(e) from None
+        ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+        return cls(labels, ends.min(axis=1), ends.max(axis=1), tuple(weights.values()))
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def __iter__(self):
+        labels = self.labels
+        return (frozenset((labels[i], labels[j]))
+                for i, j in zip(self.lo.tolist(), self.hi.tolist()))
+
+    def __getitem__(self, key):
+        return self._by_key[key]
+
+    @cached_property
+    def _by_key(self) -> dict:
+        weights = self.weights
+        return dict(zip(self, weights.tolist() if isinstance(weights, np.ndarray) else weights))
+
+    def __repr__(self) -> str:
+        return f"EdgeColumns({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class WeightedMultiGraph:
     """The lossless encoding: simple undirected graph with prime-product edge
-    weights and per-vertex dimension vectors."""
+    weights and per-vertex dimension vectors.  A {frozenset({u, v}):
+    weight} map given for ``w`` is turned into ``EdgeColumns``."""
 
     vertices: tuple
-    w: Mapping  # frozenset({u, v}) -> positive squarefree int, one key per edge
+    w: EdgeColumns  # positive squarefree ints, over the vertices in str order
     d: Mapping  # vertex -> tuple of N ints
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
+        if not isinstance(self.w, EdgeColumns):
+            labels = tuple(sorted(self.vertices, key=str))
+            object.__setattr__(self, "w", EdgeColumns.from_mapping(labels, self.w))
 
 
 def encode(family: TopologyFamily) -> WeightedMultiGraph:
@@ -231,62 +296,92 @@ def encode(family: TopologyFamily) -> WeightedMultiGraph:
     Edge weights are products of the primes of the topologies containing
     the edge (undirected).  Dimensions are longest-chain edge counts, so
     minimal elements get 0, and vertices untouched by a DAG get 0 too.
+    Each edge is a (lo, hi) pair of str ranks; the topologies' rank pairs
+    are sorted together, and each edge's primes multiplied as Python ints,
+    which pass 2^63.
     """
     per_dag = family.validate()
-    weights: dict = {}
-    for prime, dag in zip(family.primes, family.dags):
-        for u, v in dag:
-            e = frozenset((u, v))
-            weights[e] = weights.get(e, 1) * prime
+    labels = tuple(sorted(family.vertex_ids, key=str))
+    rank = {v: i for i, v in enumerate(labels)}
+    n = len(labels)
+    keys = [np.empty(0, dtype=np.intp)]  # lo * n + hi of each edge, topology by topology
+    for dag in family.dags:
+        ends = np.fromiter(map(rank.__getitem__, itertools.chain.from_iterable(dag)),
+                           dtype=np.intp, count=2 * len(dag)).reshape(-1, 2)
+        keys.append(ends.min(axis=1) * n + ends.max(axis=1))
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    pairs = keys[order]
+    starts = np.flatnonzero(np.diff(pairs, prepend=-1))  # the first of each edge's topologies
+    primes = np.array(family.primes, dtype=object)[
+        np.repeat(np.arange(len(family.dags)), [*map(len, family.dags)])]
+    weights = np.multiply.reduceat(primes[order], starts).tolist() if len(starts) else []
+    lo, hi = np.divmod(pairs[starts], n)
     return WeightedMultiGraph(
         vertices=family.vertex_ids,
-        w=weights,
+        w=EdgeColumns(labels, lo, hi, tuple(weights)),
         d={v: tuple(lengths[v] for lengths in per_dag) for v in family.vertex_ids},
     )
+
+
+def _dims_by_rank(g: WeightedMultiGraph) -> np.ndarray:
+    """The dimension vectors of g's vertices in str order as the rows of an
+    int64 array, or of Python ints where one is past int64."""
+    rows = [g.d[v] for v in g.w.labels]
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), -1)
 
 
 def decode(g: WeightedMultiGraph, primes: Sequence[int]) -> TopologyFamily:
     """Recover the exact original family from its weighted-graph encoding.
 
     The primes must be distinct primes (DuplicatePrime, NotPrime).  Each
-    edge weight is divided once by every listed prime; any residue signals
-    a factor outside the alphabet.  Orientation of edge e in
+    distinct edge weight is divided once by every listed prime; any residue
+    signals a factor outside the alphabet.  Orientation of edge e in
     topology i points from the endpoint with the larger dimension d_i to
-    the smaller; equal dimensions cannot arise from a valid encoding.  The
-    edges are read in one pass, in any order; of the edges that fail, the
-    one whose (str, str) ends sort first raises, under every hash seed.
+    the smaller; equal dimensions cannot arise from a valid encoding.  Of
+    the edges that fail, the one whose (str, str) ends sort first raises.
     """
     primes = tuple(primes)
     _check_primes(primes)
-    dags: list[set] = [set() for _ in primes]
-    failures = {}  # (str u, str v) of a failing edge -> its exception
-    for e, weight in g.w.items():
-        u, v = e
-        residue = weight
-        members = []
+    w = g.w
+    labels, lo, hi = w.labels, w.lo, w.hi
+    code = {x: k for k, x in enumerate(dict.fromkeys(w.weights))}  # each distinct weight
+    residues = []
+    members = np.zeros((len(code), len(primes)), dtype=bool)
+    for k, residue in enumerate(code):
         for i, p in enumerate(primes):
             if residue % p == 0:
-                members.append(i)
+                members[k, i] = True
                 residue //= p
-        if residue != 1:
-            u, v = sorted(e, key=str)
-            failures[str(u), str(v)] = UnknownPrimeFactor(
-                f"edge {{{u!r},{v!r}}} has weight {weight} with factor {residue} outside {primes}"
-            )
-            continue
-        for i in members:
-            du, dv = g.d[u][i], g.d[v][i]
-            if du == dv:
-                u, v = sorted(e, key=str)
-                failures[str(u), str(v)] = AmbiguousOrientation(
-                    f"edge {{{u!r},{v!r}}} in topology {i}: both endpoints have dimension {du}"
-                )
-                break
-            dags[i].add((u, v) if du > dv else (v, u))
-    if failures:
-        raise failures[min(failures)]
-    return TopologyFamily(
-        vertex_ids=g.vertices,
-        dags=tuple(frozenset(d) for d in dags),
-        primes=primes,
-    )
+        residues.append(residue)
+    of_edge = np.fromiter(map(code.__getitem__, w.weights), dtype=np.intp, count=len(w))
+    unknown = np.array([r != 1 for r in residues], dtype=bool)[of_edge]
+    member = members[of_edge]
+    dims = _dims_by_rank(g)
+    if member[~unknown, dims.shape[1]:].any():
+        raise IndexError("a dimension vector is shorter than the primes")
+    dims = np.pad(dims[:, :len(primes)], ((0, 0), (0, max(len(primes) - dims.shape[1], 0))))
+    du, dv = dims[lo], dims[hi]
+    down = du > dv  # per edge and topology: the edge runs lo -> hi
+    tie = member & (du == dv)
+    failing = unknown | tie.any(axis=1)
+    if failing.any():
+        k = min(np.flatnonzero(failing).tolist(), key=lambda k: (lo[k], hi[k]))
+        u, v = labels[lo[k]], labels[hi[k]]
+        if unknown[k]:
+            weight = w.weights[k]
+            raise UnknownPrimeFactor(f"edge {{{u!r},{v!r}}} has weight {weight} with factor "
+                                     f"{residues[code[weight]]} outside {primes}")
+        i = int(np.argmax(tie[k]))
+        raise AmbiguousOrientation(
+            f"edge {{{u!r},{v!r}}} in topology {i}: both endpoints have dimension {g.d[u][i]}")
+    dags = []
+    for i in range(len(primes)):
+        a, b, forward = lo[member[:, i]], hi[member[:, i]], down[member[:, i], i]
+        origin, target = np.where(forward, a, b).tolist(), np.where(forward, b, a).tolist()
+        dags.append(frozenset(zip(map(labels.__getitem__, origin),
+                                  map(labels.__getitem__, target))))
+    return TopologyFamily(vertex_ids=g.vertices, dags=tuple(dags), primes=primes)

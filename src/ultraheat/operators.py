@@ -106,7 +106,7 @@ def _disc_shifts(spec: KernelSpec, assign: DiscAssignment, measure: str,
         scale = np.ones(len(spec.labels))
     elif measure == "nu":
         mass = np.array([float(assign.nu.leaf_mass(w)) for w in spec.labels])
-        scale = mass * float(assign.p) ** assign.m
+        scale = mass * np.float64(assign.p) ** assign.m  # inf, not OverflowError, past the range
     else:
         raise BadKernel(f"unknown measure {measure!r}")
     terms = spec.cross_rates() * mass[None, :]
@@ -129,7 +129,7 @@ def _disc_rates(spec: KernelSpec, dom: CellDomain, measure: str):
     block = np.full(len(spec.labels), -1, dtype=np.int64)
     block[leaf[leaf >= 0]] = dom.block_index[leaf >= 0]
     levels = np.array([ball.level for ball in dom.balls], dtype=np.int64)[block]
-    with np.errstate(over="ignore"):  # an overflow is raised as RateOverflow below
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: RateOverflow below
         mass, scale, escape = _disc_shifts(spec, dom.assignment, measure, block)
         shells = (1 - 1 / p) * np.float64(p) ** (np.arange(n) * (alpha - 1))
         tails = np.append(np.cumsum(shells[::-1])[::-1], 0.0)  # tails[b]: shells b .. n - 1
@@ -234,11 +234,14 @@ BLOCK_ENTRIES = 1 << 15  # 256 kB of float64: the size of a block of rows, or of
 
 def _check_dense(n_cells: int) -> None:
     if n_cells > MAX_DENSE_CELLS:
-        count = f"{n_cells}" if n_cells < 10**15 else f"about 10^{math.log10(n_cells):.1f}"
-        raise TooManyCells(
-            f"{count} cells exceed the dense-matrix limit of {MAX_DENSE_CELLS}; "
-            "choose a coarser level"
-        )
+        _too_many_cells(f"{n_cells}" if n_cells < 10**15 else f"about 10^{math.log10(n_cells):.1f}")
+
+
+def _too_many_cells(count: str):
+    raise TooManyCells(
+        f"{count} cells exceed the dense-matrix limit of {MAX_DENSE_CELLS}; "
+        "choose a coarser level"
+    )
 
 
 def generator_rows(spec: KernelSpec, disc: CellDomain, measure: str, blocks):

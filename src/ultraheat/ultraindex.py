@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BadWeight, DisconnectedGraph
-from .multitopo import WeightedMultiGraph
+from .multitopo import EdgeColumns, WeightedMultiGraph
 
 
 @dataclass(frozen=True)
@@ -85,17 +85,23 @@ def _log1(w: int) -> float:
         return math.log(w + 1)
 
 
-def default_distance_weights(g: WeightedMultiGraph) -> dict:
+def default_distance_weights(g: WeightedMultiGraph) -> EdgeColumns:
     """Distance weight 1/log(w(e)+1): edges shared by more topologies are
-    shorter, so strongly co-connected vertices cluster together."""
-    return {e: 1.0 / _log1(w) for e, w in g.w.items()}
+    shorter, so strongly co-connected vertices cluster together.  Taken
+    once per distinct weight, on g's own edge columns."""
+    w = g.w
+    distance = {x: 1.0 / _log1(x) for x in dict.fromkeys(w.weights)}
+    return EdgeColumns(w.labels, w.lo, w.hi,
+                       np.fromiter(map(distance.__getitem__, w.weights), dtype=float, count=len(w)))
 
 
-def _graph_edges(graph, weights: Mapping | None) -> tuple[tuple, list]:
-    """Vertex labels sorted by str and the edges as (weight, i, j), i < j,
-    of a graph given as ``graph_distances`` takes it.  Raises BadWeight for
-    a weight that is not finite and positive and for a key that does not
-    name two listed vertices."""
+def _graph_edges(graph, weights: Mapping | None) -> tuple[tuple, np.ndarray]:
+    """Vertex labels sorted by str and the edges as (weight, i, j) rows,
+    i < j, of a float array, of a graph given as ``graph_distances`` takes
+    it: ``EdgeColumns`` over those labels are read as they are, any other
+    map is ranked first.  Raises BadWeight for a weight that is not finite
+    and positive (the first in the map's order) and then for a key that
+    does not name two listed vertices."""
     if isinstance(graph, WeightedMultiGraph):
         vertices = graph.vertices
         if weights is None:
@@ -104,21 +110,20 @@ def _graph_edges(graph, weights: Mapping | None) -> tuple[tuple, list]:
         vertices = tuple(graph)
         if weights is None:
             raise ValueError("explicit weights required for a plain vertex list")
-    for e, wt in weights.items():
-        if not (math.isfinite(wt) and wt > 0):
-            raise BadWeight(f"edge weight must be finite and positive, got {wt} on {_key_text(e)}")
     labels = tuple(sorted(vertices, key=str))
-    pos = {v: i for i, v in enumerate(labels)}
-    edges = []
-    for e, wt in weights.items():
-        try:
-            u, v = e
-            i, j = pos[u], pos[v]
-        except (KeyError, ValueError):
-            raise BadWeight("edge weight key must name two listed vertices, "
-                            f"got {_key_text(e)}") from None
-        edges.append((float(wt), i, j) if i < j else (float(wt), j, i))
-    return labels, edges
+    values = weights.weights if isinstance(weights, EdgeColumns) else list(weights.values())
+    wt = np.array(values, dtype=float).reshape(-1)
+    good = np.isfinite(wt) & (wt > 0)
+    if not good.all():
+        k = int(np.argmin(good))
+        raise BadWeight(f"edge weight must be finite and positive, got {values[k]} on "
+                        f"{_key_text(list(weights)[k])}")
+    try:
+        weights = EdgeColumns.from_mapping(labels, weights)
+    except KeyError as exc:
+        raise BadWeight("edge weight key must name two listed vertices, "
+                        f"got {_key_text(exc.args[0])}") from None
+    return labels, np.column_stack((wt, weights.lo, weights.hi))
 
 
 def _key_text(e) -> str:
@@ -166,7 +171,7 @@ def graph_distances(graph, weights: Mapping | None = None) -> DistanceMatrix:
     """
     labels, edges = _graph_edges(graph, weights)
     n = len(labels)
-    wt, i, j = np.array(edges, dtype=float).reshape(-1, 3).T
+    wt, i, j = edges.T
     tail, head = np.concatenate([i, j]).astype(np.intp), np.concatenate([j, i]).astype(np.intp)
     order = np.argsort(tail, kind="stable")  # the arcs as CSR rows, one row per tail
     head, wt = head[order], np.concatenate([wt, wt])[order]
@@ -229,18 +234,23 @@ def _prim_edges(vals: np.ndarray) -> list:
     return edges
 
 
-def _single_linkage(n: int, edges: list):
+def _single_linkage(n: int, edges):
     """Single-linkage merges of n points joined by weighted edges.
 
-    Kruskal's walk: the edges sorted by (height, i, j) go through one
-    union-find, and every edge that joins two clusters is a merge; on a
-    minimum spanning tree every edge is one (Gower & Ross 1969).  Yields
-    (height, keep, gone) per merge: the clusters rooted at keep and gone
-    join at height, and keep stays the root.  Only the cluster sizes are
-    kept, to root the larger cluster (i's on a tie); no member list.
+    Kruskal's walk: the edges, (height, i, j) rows, are sorted once by
+    (height, i, j) with one ``np.lexsort`` and go through one union-find,
+    and every edge that joins two clusters is a merge; on a minimum
+    spanning tree every edge is one (Gower & Ross 1969).  Yields (height,
+    keep, gone) per merge: the clusters rooted at keep and gone join at
+    height, and keep stays the root.  Only the cluster sizes are kept, to
+    root the larger cluster (i's on a tie); no member list.  The walk
+    ends at the (n - 1)-th merge, after which no edge joins two clusters.
     """
+    height, first, second = np.asarray(edges, dtype=float).reshape(-1, 3).T
+    order = np.lexsort((second, first, height))
     parent = list(range(n))
     size = [1] * n
+    joins = n - 1
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -248,7 +258,8 @@ def _single_linkage(n: int, edges: list):
             x = parent[x]
         return x
 
-    for height, i, j in sorted(edges):
+    for height, i, j in zip(height[order].tolist(), first[order].astype(np.intp).tolist(),
+                            second[order].astype(np.intp).tolist()):
         keep, gone = find(i), find(j)
         if keep == gone:
             continue
@@ -257,6 +268,9 @@ def _single_linkage(n: int, edges: list):
         yield height, keep, gone
         size[keep] += size[gone]
         parent[gone] = keep
+        joins -= 1
+        if not joins:
+            return
 
 
 def subdominant_ultrametric(d: DistanceMatrix) -> UltrametricMatrix:
