@@ -135,14 +135,17 @@ def _resolve_seeds(dag: toposort.Dag, text: str) -> list:
         raise errors.ParseError(f"seed {exc.args[0]!r} names no vertex of the DAG") from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(least: int):
+    """The argument type of an integer at least ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return parse
 
 
 def _int_list(text: str) -> list[int]:
@@ -294,6 +297,9 @@ def cmd_converge(args) -> int:
     u0 = rng.uniform(-1, 1, padic.cell_count(assign, args.reference))
     spec = _spec_from_index(args.bullet, args.alpha, assign, weights)
     rows = heat.convergence_study(spec, assign, u0, args.levels, args.tau, args.measure)
+    bad = [n for n, gap in rows if not math.isfinite(gap)]
+    if bad:
+        raise errors.CertificateFailed(f"convergence gaps not finite at levels {bad}")
     text = "n\tgap\n" + "".join(f"{n}\t{gap:.17g}\n" for n, gap in rows)
     digest = serialize.write_text(args.output, text)
     _summary("converge", [{"path": args.output, "sha256": digest}], {
@@ -339,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toposort", parents=[files], help="cluster-parallel topological sort")
     p.add_argument("--seeds", default="")
-    p.add_argument("--parallelism", type=_positive_int, default=1)
+    p.add_argument("--parallelism", type=_int_at_least(1), default=1)
     p.add_argument("--index", default="")
 
     p = sub.add_parser("spectrum", parents=[files, kernel],
@@ -358,14 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--truncate", type=int, default=None)
     p.add_argument("--swap", type=_bullet_pair, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("converge", parents=[files, kernel],
                        help="level-refinement convergence study")
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--levels", type=_int_list, required=True)
     p.add_argument("--reference", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     return parser
 

@@ -108,6 +108,9 @@ class _BallEvolver:
             self.groups.append((d0, members, cells, spectrum.kozyrev[members, :dom.level - d0]))
         self.ball = np.repeat(np.arange(len(self.sizes)), self.sizes)  # the pure ball of each cell
 
+    # e^(lambda t) of a rounding-positive lambda overflows at a huge t: the
+    # result holds inf or NaN, with no warning, and the callers refuse it
+    @np.errstate(over="ignore", invalid="ignore")
     def over_grid(self, u: np.ndarray, times: np.ndarray) -> np.ndarray:
         """T(t) u for every t of the grid (u itself at t = 0) as the columns
         of one cells x times matrix.  Only elementwise work and one stack of
@@ -139,6 +142,7 @@ class _BallEvolver:
         out[:, times == 0] = u[:, None]
         return out
 
+    @np.errstate(over="ignore", invalid="ignore")
     def factors(self, t: float):
         """T(t) in block form: the coarse K x K transition V e^(Lambda t) V^T M
         (V orthonormal under the masses M) divided by the target pure ball's
@@ -451,8 +455,9 @@ def truncation_bound(
     u_ext[positions] = u
 
     grid = t_grid(t_max)
-    gap = (_BallEvolver(spec, dom).over_grid(u_ext, grid)[positions]
-           - _BallEvolver(spec, disc).over_grid(u, grid))
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN slack fails below
+        gap = (_BallEvolver(spec, dom).over_grid(u_ext, grid)[positions]
+               - _BallEvolver(spec, disc).over_grid(u, grid))
     gaps = np.max(np.abs(gap), axis=0)
     measured = float(gaps.max())
     max_cut_rate = cut.max_rate_z_to_filler()
@@ -461,6 +466,8 @@ def truncation_bound(
     factor = sup_u * (2.0 * csum + dom.vol_filler * max_cut_rate)
     proof_bound = t_max * factor
     tight_bound = t_max * sup_u * (csum + dom.vol_filler * max_cut_rate)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN slack fails below
+        slack = float(np.min(grid * factor - gaps))
     report = BoundReport(
         measured_sup_error=measured,
         theoretical_bound=proof_bound,
@@ -472,7 +479,7 @@ def truncation_bound(
             "vol_disc": vol_disc,
             "max_cut_rate": max_cut_rate,
         },
-        slack=float(np.min(grid * factor - gaps)),
+        slack=slack,
     )
     if not report.slack >= -1e-9:
         raise BoundViolated(
@@ -506,8 +513,10 @@ def kernel_swap_bound(
     ), vol_disc)
 
     Ta = _BallEvolver(spec_a, disc).matrix(t)
-    Ta -= _BallEvolver(spec_b, disc).matrix(t)
-    measured = float(np.max(np.abs(Ta, out=Ta).sum(axis=1)))
+    Tb = _BallEvolver(spec_b, disc).matrix(t)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN slack fails below
+        Ta -= Tb
+        measured = float(np.max(np.abs(Ta, out=Ta).sum(axis=1)))
     bound = 2.0 * t * csum
     report = BoundReport(
         measured_sup_error=measured,
@@ -569,5 +578,6 @@ def convergence_study(
         step = assign.p ** (n_ref - n)  # level-n cell i is cells i * step .. (i + 1) * step - 1
         un0 = u0[np.arange(len(disc_n)) * step]
         lifted = ev_n.over_grid(un0, grid)[np.arange(len(disc_ref)) // step]
-        rows.append((n, float(np.max(np.abs(lifted - refs)))))
+        with np.errstate(invalid="ignore"):  # inf - inf: the caller refuses a NaN gap
+            rows.append((n, float(np.max(np.abs(lifted - refs)))))
     return rows

@@ -1,10 +1,11 @@
 """File schemas: topology families, weighted graphs, DAGs, and index files.
 
-All JSON writers emit canonical JSON (sorted keys, fixed separators, sorted
-collections, trailing newline), so identical inputs produce identical
-bytes.  Index files are version 3: vertices, distance-weighted edges, the
-prime p and the disc depth m; the dendrogram, its embedding and every
-matrix are rebuilt on read.
+All JSON writers emit canonical JSON, the text of ``json.dumps(obj,
+sort_keys=True, indent=2, ensure_ascii=False)`` and a newline, with sorted
+collections, so identical inputs produce identical bytes.  Index files
+are version 3: vertices, distance-weighted edges, the prime p and the
+disc depth m; the dendrogram, its embedding and every matrix are rebuilt
+on read.
 
 Which writer writes which file:
 
@@ -15,9 +16,10 @@ Which writer writes which file:
   from each topology's rank pairs.  None makes a JSON object per edge.
   ``graph_to_obj``, ``family_to_obj`` and ``index_to_obj`` are their
   schemas as JSON values; the tests check that each writer's text is
-  ``canonical_dumps`` of its schema's value.
-* ``canonical_dumps`` (through ``write_canonical``) the ``bounds`` file and
-  every JSON summary.
+  ``json.dumps`` of its schema's value.
+* ``canonical_dumps``, which is ``json.dumps`` itself, the ``bounds`` file
+  (through ``write_canonical``) and every JSON summary: small objects, for
+  which json's pure-Python indenting encoder is fast enough.
 * ``matrix_export`` the heat table and ``spectrum_export`` the spectrum
   table.  ``write_text`` writes the three edge files' texts, the sort's
   order and the convergence table.
@@ -61,20 +63,9 @@ from .ultraindex import graph_dendrogram
 
 
 def canonical_dumps(obj) -> str:
-    """The canonical text of a JSON value: exactly
-    ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``.
-
-    With an indent, json leaves its C encoder for a pure-Python one, so
-    the text is written here instead, in one pass into one list of pieces.
-    Leaves are formatted as json formats them; a value json cannot write
-    (a set, bytes, np.int64, a dict key that is no str, int, float, bool
-    or None) raises TypeError, as json does.  A container that holds
-    itself raises RecursionError, where json raises ValueError.
-    """
-    pieces = []
-    _put(obj, "\n", pieces.append)
-    pieces.append("\n")
-    return "".join(pieces)
+    """The canonical text of a JSON value: indent 2, sorted keys, non-ASCII
+    characters kept, and a trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 _INFINITY = float("inf")
@@ -90,84 +81,12 @@ def _float_text(x) -> str:
     return float.__repr__(x)
 
 
-_LEAF_TEXT = {  # a leaf's formatter, by its exact type
-    str: encode_basestring,
-    int: int.__repr__,
-    float: _float_text,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _leaf_text(obj):
-    """The text of a leaf, also of a subclass of str, int or float (such
-    as np.float64 or an IntEnum), or None when obj is no leaf."""
-    text_of = _LEAF_TEXT.get(type(obj))
-    if text_of is not None:
-        return text_of(obj)
-    for base in (str, int, float):
-        if isinstance(obj, base):
-            return _LEAF_TEXT[base](obj)
-    return None
-
-
-def _key_text(key) -> str:
-    """The str json writes for a dict key: the key itself, or the text of
-    an int, float, bool or None."""
-    text = key if isinstance(key, str) else _leaf_text(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return text
-
-
-def _put(obj, newline: str, append, leaf_of=_LEAF_TEXT.get) -> None:
-    """Append the pieces of obj's text; newline is a line break and the
-    indent of the line obj starts on.  Items whose exact type is a leaf
-    type are written in the loop, everything else through a call."""
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            append("[]")
-            return
-        inner = newline + "  "
-        put, sep = "[" + inner, "," + inner
-        for item in obj:
-            text_of = leaf_of(type(item))
-            if text_of is not None:
-                append(put + text_of(item))
-            else:
-                append(put)
-                _put(item, inner, append)
-            put = sep
-        append(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            append("{}")
-            return
-        inner = newline + "  "
-        put, sep = "{" + inner, "," + inner
-        for key, item in sorted(obj.items()):
-            head = put + encode_basestring(key if type(key) is str else _key_text(key)) + ": "
-            text_of = leaf_of(type(item))
-            if text_of is not None:
-                append(head + text_of(item))
-            else:
-                append(head)
-                _put(item, inner, append)
-            put = sep
-        append(newline + "}")
-    else:  # no type is both a container and a leaf, so the order of the checks is free
-        text = _leaf_text(obj)
-        if text is None:
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        append(text)
-
-
 def _json_list(item_texts: list, depth: int, brackets: str = "[]") -> str:
-    """The text ``canonical_dumps`` writes for a list whose items have these
-    texts (a nested item's text already indented for its depth), when the
-    list starts at indent 2·depth: ``[]`` when it has no item.  With the
-    brackets "{}" and items of the form ``"key": value`` in key order, the
-    text of an object."""
+    """The indent-2 text json writes for a list whose items have these texts
+    (a nested item's text already indented for its depth), when the list
+    starts at indent 2·depth: ``[]`` when it has no item.  With the brackets
+    "{}" and items of the form ``"key": value`` in key order, the text of an
+    object."""
     if not item_texts:
         return brackets
     inner = "\n" + "  " * (depth + 1)
@@ -335,7 +254,7 @@ def _check_vertices_and_edges(kind: str, vertices, edge_lists) -> None:
                              "is not a pair of listed vertices")
 
 
-_LEAF_TYPES = frozenset(_LEAF_TEXT)
+_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
 
 
 def _listed_pairs(edges: list, type_of: dict) -> bool:

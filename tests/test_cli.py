@@ -1545,18 +1545,24 @@ def test_level_9_spectra_are_pinned(larger_index, tmp_path, capsys, bullet, meas
      "9670a678f889045149157dd4d529022a92e42b905d6c59c21ccbff4d6f5125c4"),
     (["bounds", "--level", "8", "--swap", "graphdist,ultrametric"],
      "7bc83d7c703d4be52b96cdbc890dd1277c3cf3763248f12ccb41d071ad9feb02"),
+    (["bounds", "--level", "8", "--truncate", "3"],
+     "8f8dd50e1bff5505d4101dab9487d3d45de060784bb64c82394f5cbafc098833"),
     (["converge", "--levels", "8,9", "--reference", "9"],
      "dc6c8aa49d700244c4042e777e96feeb6b9397b0b4f5e0f93a6afb807edaf61c"),
-], ids=["spectrum", "heat", "bounds", "converge"])
+], ids=["spectrum", "heat", "bounds", "truncate", "converge"])
 def test_graphdist_artifacts_are_pinned(larger_index, tmp_path, capsys, argv, digest):
     """The artifacts of every subcommand that builds graph distances, on the
     index of low_branching_family(31, 60, 7) (180 cells at level 8), pinned
     by sha256: `bounds --swap` builds them for its graphdist side, and the
-    others run under `--bullet graphdist`."""
+    others run under `--bullet graphdist`.  The summary on stdout is the
+    indent-2 text that json.dumps writes of it, with sorted keys."""
     out = tmp_path / "artifact"
-    bullet = [] if argv[0] == "bounds" else ["--bullet", "graphdist"]
+    bullet = [] if "--swap" in argv else ["--bullet", "graphdist"]
     assert main([*argv, *bullet, "--input", str(larger_index), "--output", str(out)]) == 0
-    assert json.loads(capsys.readouterr().out)["artifacts"][0]["sha256"] == digest
+    text = capsys.readouterr().out
+    summary = json.loads(text)
+    assert text == json.dumps(summary, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert summary["artifacts"][0]["sha256"] == digest
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
