@@ -126,8 +126,8 @@ class BoundViolated(UltraheatError):
 
 
 class CertificateFailed(UltraheatError, ValueError):
-    """A result fails its own check: a certificate of the ``heat``
-    subcommand (two-route gap or row-sum defect) is not finite."""
+    """A result fails its own check: a certificate of ``heat`` (two-route
+    gap or row-sum defect) or of ``bounds`` (error or bound) is not finite."""
 
 
 # --- cli / serialisation ---------------------------------------------------------------

@@ -48,7 +48,7 @@ Certified bounds
 
 A bound violation raises instead of warning: the bounds are provable
 facts about the operators, so a negative slack means a defect in the
-constants or in the assembly.
+constants or in the assembly; inf or NaN raises CertificateFailed.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ import numpy as np
 from .errors import (
     BadKernel,
     BoundViolated,
+    CertificateFailed,
     DimensionMismatch,
     InvalidLevel,
     NegativeTime,
@@ -68,7 +69,7 @@ from .errors import (
 )
 from .linalg import (check_symmetric, positive_roots, symmetrised_rows, symmetry_defect,
                      weighted_symmetric_eig)
-from .operators import (BLOCK_ENTRIES, GeneratorMatrix, KernelSpec, _check_dense,
+from .operators import (BLOCK_ENTRIES, GeneratorMatrix, KernelSpec, _check_dense, _check_labels,
                         _measure_vector, _prefix_table, generator_rows, truncated_domain)
 from .padic import CellDomain, DiscAssignment, discretize, padic_distance
 from .spectra import ball_spectrum
@@ -417,6 +418,17 @@ def _mean_value_constants(alpha: float, pairs, vol_disc: float) -> tuple[float, 
     return total, csum
 
 
+def _gated(report: BoundReport, kind: str, detail: str) -> BoundReport:
+    """The report, unless its error or bound (>= 0 or NaN) is not finite
+    (CertificateFailed) or its slack is below -1e-9 (BoundViolated)."""
+    measured, bound = report.measured_sup_error, report.theoretical_bound
+    if not math.isfinite(measured + bound):
+        raise CertificateFailed(f"{kind} bound not finite: measured {measured:.17g}, bound {bound:.17g}")
+    if not report.slack >= -1e-9:
+        raise BoundViolated(f"{kind} bound violated: {detail}")
+    return report
+
+
 def truncation_bound(
     spec: KernelSpec,
     disc: CellDomain,
@@ -431,23 +443,23 @@ def truncation_bound(
     against the derived constant, computed first (a zero base rate raises
     BadKernel before any evolution).  Both evolutions run through
     ``_BallEvolver``, so no N x N array is built.  Raises NegativeTime for
-    a t_max that is not a finite time >= 0, before any domain, and
-    BoundViolated unless the slack is at least -1e-9 (a NaN fails too).
+    a t_max that is not a finite time >= 0, before any domain; ``_gated``
+    raises CertificateFailed or BoundViolated on the report.
     """
     check_time(t_max, "t_max")
     u = np.asarray(u, dtype=float)
     if u.shape != (len(disc),):
         raise DimensionMismatch(f"u of shape {u.shape} over {len(disc)} cells")
     assign = disc.assignment
+    _check_labels(assign, spec)
     dom, cut = truncated_domain(assign, ell, disc.level, spec)
 
     # ordered pairs of distinct vertex discs inside one cut ball
     vol_disc = float(assign.p) ** -assign.m
-    labels, idx = assign.labels, spec.label_index()
-    node_of = dict(zip(labels, dom.block_index[dom.leaf_start].tolist()))
+    labels, node = assign.labels, dom.block_index[dom.leaf_start].tolist()
     constants_sum, csum = _mean_value_constants(spec.alpha, (
-        ((w, v), padic_distance(assign.discs[w], assign.discs[v]), float(spec.base[idx[w], idx[v]]))
-        for w in labels for v in labels if w != v and node_of[w] == node_of[v]
+        ((w, v), padic_distance(assign.discs[w], assign.discs[v]), float(spec.base[i, j]))
+        for i, w in enumerate(labels) for j, v in enumerate(labels) if i != j and node[i] == node[j]
     ), vol_disc)
 
     positions = disc.positions_in(dom)
@@ -455,7 +467,7 @@ def truncation_bound(
     u_ext[positions] = u
 
     grid = t_grid(t_max)
-    with np.errstate(invalid="ignore"):  # inf - inf: a NaN slack fails below
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN error, refused by _gated
         gap = (_BallEvolver(spec, dom).over_grid(u_ext, grid)[positions]
                - _BallEvolver(spec, disc).over_grid(u, grid))
     gaps = np.max(np.abs(gap), axis=0)
@@ -466,7 +478,7 @@ def truncation_bound(
     factor = sup_u * (2.0 * csum + dom.vol_filler * max_cut_rate)
     proof_bound = t_max * factor
     tight_bound = t_max * sup_u * (csum + dom.vol_filler * max_cut_rate)
-    with np.errstate(over="ignore", invalid="ignore"):  # a NaN slack fails below
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: refused by _gated
         slack = float(np.min(grid * factor - gaps))
     report = BoundReport(
         measured_sup_error=measured,
@@ -481,12 +493,8 @@ def truncation_bound(
         },
         slack=slack,
     )
-    if not report.slack >= -1e-9:
-        raise BoundViolated(
-            f"truncation bound violated: worst per-time slack {report.slack:.17g} "
-            f"(measured sup {measured:.17g}, bound at t_max {proof_bound:.17g})"
-        )
-    return report
+    return _gated(report, "truncation", f"worst per-time slack {slack:.17g} "
+                  f"(measured sup {measured:.17g}, bound at t_max {proof_bound:.17g})")
 
 
 def kernel_swap_bound(
@@ -498,23 +506,21 @@ def kernel_swap_bound(
     """Certify ||T_a(t) - T_b(t)||_inf <= 2 t sum C~_{w,v} Vol(U_v); the
     constants come first (a zero base rate raises BadKernel at once).
     Both semigroups come from ``_BallEvolver.matrix``, with no generator;
-    t must be a finite time >= 0."""
+    t must be a finite time >= 0.  Gated as ``truncation_bound`` is."""
     check_time(t)
-    if spec_a.labels != spec_b.labels:
-        raise ValueError("kernel specs must share the vertex labels")
+    _check_labels(disc.assignment, spec_a, spec_b)
     if spec_a.alpha != spec_b.alpha:
         raise ValueError("kernel specs must share alpha")
-    alpha = spec_a.alpha
-    idx = spec_a.label_index()
+    alpha, labels = spec_a.alpha, spec_a.labels
     vol_disc = float(disc.p) ** -disc.assignment.m
     constants_sum, csum = _mean_value_constants(alpha, (
-        ((w, v), float(spec_a.base[idx[w], idx[v]]), float(spec_b.base[idx[w], idx[v]]))
-        for w in spec_a.labels for v in spec_a.labels if w != v
+        ((w, v), float(spec_a.base[i, j]), float(spec_b.base[i, j]))
+        for i, w in enumerate(labels) for j, v in enumerate(labels) if i != j
     ), vol_disc)
 
     Ta = _BallEvolver(spec_a, disc).matrix(t)
     Tb = _BallEvolver(spec_b, disc).matrix(t)
-    with np.errstate(over="ignore", invalid="ignore"):  # a NaN slack fails below
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: refused by _gated
         Ta -= Tb
         measured = float(np.max(np.abs(Ta, out=Ta).sum(axis=1)))
     bound = 2.0 * t * csum
@@ -526,11 +532,7 @@ def kernel_swap_bound(
         volumes={"vol_disc": vol_disc},
         slack=bound - measured,
     )
-    if not report.slack >= -1e-9:
-        raise BoundViolated(
-            f"swap bound violated: measured {measured:.17g} > bound {bound:.17g}"
-        )
-    return report
+    return _gated(report, "swap", f"measured {measured:.17g} > bound {bound:.17g}")
 
 
 def convergence_study(

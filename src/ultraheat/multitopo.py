@@ -18,8 +18,8 @@ target's.  Hence ``decode(encode(family)) == family`` exactly.
 
 Each topology is checked and measured as a ``Dag``, the DAG type that
 ``toposort`` sorts too.  A ``Dag`` computes its chain lengths once, on
-first read (``Dag.heights``), from one Kahn walk (``_kahn``); the same
-lengths order every seed cluster in ``toposort``.
+first read (``Dag.heights``), from one Kahn walk over its ranks
+(``_kahn``); the same lengths order every seed cluster in ``toposort``.
 
 The graph holds its edges as ``EdgeColumns``: the str ranks of their two
 ends and their weights, column by column.  ``encode`` builds them from the
@@ -156,10 +156,9 @@ class Dag:
         from one Kahn order read backwards; along every edge u -> v the
         height of u exceeds that of v.  Computed on first read; raises
         CycleDetected, and caches nothing, if the edges have a cycle."""
-        succ, rank = self.succ, self.rank
+        succ = self.succ
         height = [0] * len(succ)
-        for v in reversed(_kahn(self, succ, list(self.indegree))):
-            i = rank[v]
+        for i in reversed(_kahn(succ, list(self.indegree))):
             best = 0
             for j in succ[i]:
                 if height[j] >= best:
@@ -168,9 +167,9 @@ class Dag:
         return tuple(height)
 
 
-def _kahn(dag: Dag, succ: Sequence, indeg: list) -> tuple:
+def _kahn(succ: Sequence, indeg: list) -> list:
     """Kahn's algorithm over every rank: pop the smallest rank of indegree
-    0, then decrement ``indeg`` (consumed) along ``succ``."""
+    0, then decrement ``indeg`` (consumed) along ``succ``; the ranks popped."""
     heap = [i for i, k in enumerate(indeg) if k == 0]
     heapq.heapify(heap)
     out = []
@@ -183,7 +182,7 @@ def _kahn(dag: Dag, succ: Sequence, indeg: list) -> tuple:
                 heapq.heappush(heap, j)
     if len(out) != len(indeg):
         raise CycleDetected(f"{len(indeg) - len(out)} vertices stuck on a cycle")
-    return tuple(map(dag.str_order.__getitem__, out))
+    return out
 
 
 def chain_lengths(vertices: Iterable, edges: Iterable[Edge]) -> dict:

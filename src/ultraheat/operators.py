@@ -18,8 +18,8 @@ tree measure is the assignment's own (``measure="nu"``).  A block's cells
 are numbered in digit order, so two of them share the block ball's level
 plus the common prefix of their offsets in the block: one Vladimirov
 table per ball level serves every block of that level.  A malformed
-kernel base, labels that differ from the assignment, or an unknown
-measure raise ``BadKernel`` (exit 25).
+kernel base, labels other than the assignment's, in its order, or an
+unknown measure raise ``BadKernel`` (exit 25).
 """
 
 from __future__ import annotations
@@ -82,25 +82,25 @@ class KernelSpec:
         np.fill_diagonal(rates, 0.0)
         return rates
 
-    def label_index(self) -> dict:
-        return {l: i for i, l in enumerate(self.labels)}
+
+def _check_labels(assign: DiscAssignment, *specs: KernelSpec) -> None:
+    """BadKernel unless each kernel's rows are the assignment's vertices, by rank."""
+    if any(spec.labels != assign.labels for spec in specs):
+        raise BadKernel("kernel labels do not match the disc assignment's, in its order")
 
 
 def _leaf_indices(spec: KernelSpec, dom: CellDomain) -> np.ndarray:
-    """Position in ``spec.labels`` of the vertex disc of every cell, -1 for
-    filler."""
-    if set(spec.labels) != set(dom.assignment.labels):
-        raise BadKernel("kernel labels do not match the disc assignment")
-    idx = spec.label_index()
-    per_leaf = [idx[label] for label in dom.assignment.labels]
-    return np.array(per_leaf + [-1])[dom.leaf_index]
+    """``dom.leaf_index`` (each cell's kernel row, -1 for filler), the labels checked."""
+    _check_labels(dom.assignment, spec)
+    return dom.leaf_index
 
 
 def _disc_shifts(spec: KernelSpec, assign: DiscAssignment, measure: str,
                  block: np.ndarray | None = None):
-    """Per disc in ``spec.labels`` order: its mass, its measure density s_v
-    and its escape rate sum_w k(v,w) mass(U_w), summed left to right over
-    the discs w outside v's block (``block``: one id per disc; default all)."""
+    """Per disc in label order: its mass, its measure density s_v and its
+    escape rate sum_w k(v,w) mass(U_w), summed left to right over the discs
+    w outside v's block (``block``: one id per disc; default all)."""
+    _check_labels(assign, spec)
     if measure == "haar":
         mass = np.full(len(spec.labels), float(assign.p) ** -assign.m)
         scale = np.ones(len(spec.labels))
@@ -125,9 +125,7 @@ def _disc_rates(spec: KernelSpec, dom: CellDomain, measure: str):
     p^(j (alpha - 1)) over the shells of cells sharing j digits with it,
     plus its escape rate; filler has less."""
     p, n, alpha = dom.p, dom.level, spec.alpha
-    leaf = _leaf_indices(spec, dom)
-    block = np.full(len(spec.labels), -1, dtype=np.int64)
-    block[leaf[leaf >= 0]] = dom.block_index[leaf >= 0]
+    block = np.where(dom.leaf_start >= 0, dom.block_index[dom.leaf_start], -1)  # per disc
     levels = np.array([ball.level for ball in dom.balls], dtype=np.int64)[block]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: RateOverflow below
         mass, scale, escape = _disc_shifts(spec, dom.assignment, measure, block)
@@ -193,6 +191,7 @@ def kernel_matrix(spec: KernelSpec, disc: CellDomain) -> np.ndarray:
 
 def kernel_value(spec: KernelSpec, assign: DiscAssignment, x: PAdicCell, y: PAdicCell) -> float:
     """Rate between two distinct same-level cells of the domain."""
+    _check_labels(assign, spec)
     vx = assign.vertex_of(x)
     vy = assign.vertex_of(y)
     if vx is None or vy is None:
@@ -201,8 +200,7 @@ def kernel_value(spec: KernelSpec, assign: DiscAssignment, x: PAdicCell, y: PAdi
         raise ValueError("kernel_value requires distinct cells")
     if vx == vy:
         return padic_distance(x, y) ** -spec.alpha
-    idx = spec.label_index()
-    return float(spec.cross_rates()[idx[vx], idx[vy]])
+    return float(spec.cross_rates()[assign.labels.index(vx), assign.labels.index(vy)])
 
 
 @dataclass(frozen=True)

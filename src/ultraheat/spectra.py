@@ -66,8 +66,7 @@ from .errors import (
 )
 from .linalg import weighted_symmetric_eig
 from .operators import (BLOCK_ENTRIES, Bullet, KernelSpec, _check_dense, _cross_rates,
-                        _disc_rates, _disc_shifts, _leaf_indices, _measure_vector,
-                        _prefix_table)
+                        _disc_rates, _disc_shifts, _measure_vector, _prefix_table)
 from .padic import CellDomain, DiscAssignment, PAdicCell, TreeMeasure
 from .ultraindex import DendrogramNode
 
@@ -180,8 +179,8 @@ def kozyrev_eigenvalue(
     measure: str = "haar",
 ) -> float:
     """Closed-form generator eigenvalue of the Kozyrev wavelet in B inside disc v."""
-    local = kozyrev_local_eigenvalue(assign.p, spec.alpha, B.level, assign.m)
     _, scale, escape = _disc_shifts(spec, assign, measure)
+    local = kozyrev_local_eigenvalue(assign.p, spec.alpha, B.level, assign.m)
     iv = spec.labels.index(v)
     return float(scale[iv] * local - escape[iv])
 
@@ -192,8 +191,8 @@ def kozyrev_eigenvalue(
 def ultrametric_wavelet(disc: CellDomain, node: DendrogramNode, k: int) -> np.ndarray:
     """Haar-like wavelet of a non-leaf node of the domain's dendrogram:
     nu(node)^(-1/2) times the k-th character of the cyclic group on its
-    children, constant per child: one value per vertex disc, gathered onto
-    the cells."""
+    children, constant per child: one value per leaf slot, gathered onto
+    the cells through the tree's ``slots``."""
     if node.is_leaf:
         raise LeafNode("ultrametric wavelets live on internal nodes")
     c = len(node.children)
@@ -202,12 +201,11 @@ def ultrametric_wavelet(disc: CellDomain, node: DendrogramNode, k: int) -> np.nd
     if not 1 <= k <= c - 1:
         raise ValueError(f"character index k must lie in 1..{c - 1}, got {k}")
     amp = float(disc.assignment.nu.of(node)) ** -0.5
-    pos = {label: i for i, label in enumerate(disc.assignment.labels)}
-    rows = [pos[label] for label in disc.assignment.dendrogram.order]  # per leaf-order slot
-    per_leaf = np.zeros(len(pos) + 1, dtype=complex)  # filler last
+    dend = disc.assignment.dendrogram
+    per_slot = np.zeros(len(dend.order) + 1, dtype=complex)  # filler last
     for ic, child in enumerate(node.children):
-        per_leaf[rows[child.start:child.stop]] = amp * np.exp(2j * math.pi * k * ic / c)
-    return per_leaf[disc.leaf_index]
+        per_slot[child.start:child.stop] = amp * np.exp(2j * math.pi * k * ic / c)
+    return per_slot[np.append(dend.slots, -1)[disc.leaf_index]]
 
 
 def ultrametric_eigenvalue(nu: TreeMeasure, node: DendrogramNode, alpha: float) -> float:
@@ -271,7 +269,7 @@ def ball_spectrum(spec: KernelSpec, dom: CellDomain, measure: str = "haar") -> B
     mass, scale, escape, _ = _disc_rates(spec, dom, measure)
     p, n = dom.p, dom.level
     starts, levels = dom.pure_balls()
-    leaf = _leaf_indices(spec, dom)[starts]
+    leaf = dom.leaf_index[starts]  # the kernel rows, which _disc_shifts checked
     block = dom.block_index[starts]
     mass = np.where(leaf >= 0, np.append(mass, 0.0)[leaf], float(p) ** -levels)
     scale, escape = np.append(scale, 1.0)[leaf], np.append(escape, 0.0)[leaf]
@@ -411,9 +409,7 @@ def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Eig
                   float(spectrum.kozyrev[k, d - m])) for d, tail, j in columns]
 
     if measure == "nu" and spec.bullet is Bullet.ULTRAMETRIC:
-        # ultrametric_wavelet(disc, node, k) on the discs, one child's leaf range at a time
-        pos = {label: i for i, label in enumerate(assign.labels)}
-        rows = np.array([pos[label] for label in assign.dendrogram.order])  # per leaf-order slot
+        # ultrametric_wavelet(disc, node, k) on the discs, by child leaf range, then by rank
         coarse[:, 0] = 1.0
         meta.append(("constant", "domain", 0, 0.0))
         for node in assign.dendrogram.internal_nodes():
@@ -423,8 +419,9 @@ def full_basis(spec: KernelSpec, disc: CellDomain, measure: str = "haar") -> Eig
             for k in range(1, c):
                 column = coarse[:, len(meta) - K * (s - 1)]
                 for ic, child in enumerate(node.children):
-                    column[rows[child.start:child.stop]] = amp * np.exp(2j * math.pi * k * ic / c)
+                    column[child.start:child.stop] = amp * np.exp(2j * math.pi * k * ic / c)
                 meta.append(("ultrametric", support, k, gamma))
+        coarse[:] = coarse[assign.dendrogram.slots]
     else:
         coarse[:] = spectrum.vecs
         meta += [("block", "discs", k, float(lam)) for k, lam in enumerate(spectrum.evals)]

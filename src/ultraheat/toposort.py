@@ -3,8 +3,8 @@
 A ``Dag`` (from ``multitopo``) numbers its vertices once, by rank in
 ``str`` order, and keeps each rank's successor ranks and indegree.  Every
 Kahn pass is ``multitopo._kahn`` on these integers with a min-rank heap,
-so ties go to the smallest label under ``str`` and no pass re-sorts or
-re-reads the labels.
+so ties go to the smallest label under ``str``, and no pass reads a label
+until its ranks become labels once, on return.
 
 The minimal cluster of each seed (the smallest non-singleton ball of the
 index around it) is sorted by longest chain to a sink, the critical-path
@@ -30,7 +30,7 @@ from .ultraindex import Dendrogram, minimal_cluster
 
 def kahn_sort(dag: Dag) -> tuple:
     """Linear extension of the DAG; ties go to the smallest label under ``str``."""
-    return _kahn(dag, dag.succ, list(dag.indegree))
+    return tuple(map(dag.str_order.__getitem__, _kahn(dag.succ, list(dag.indegree))))
 
 
 def merge_sorted_clusters(dag: Dag, *orders: Sequence) -> tuple:
@@ -49,7 +49,7 @@ def merge_sorted_clusters(dag: Dag, *orders: Sequence) -> tuple:
         for i, j in zip(ranks, ranks[1:]):
             succ[i] += (j,)
             indeg[j] += 1
-    return _kahn(dag, succ, indeg)
+    return tuple(map(dag.str_order.__getitem__, _kahn(succ, indeg)))
 
 
 def parallel_toposort(dag: Dag, dend: Dendrogram, seeds: Sequence, parallelism: int = 1) -> tuple:

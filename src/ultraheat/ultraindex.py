@@ -11,7 +11,8 @@ from a full distance matrix.  Both walk one minimum spanning tree through
 one union-find, which yields only the merges: the tree's nodes, or the
 dense ultrametric's one array of root labels, are the clusters.  The tree
 keeps one leaf order, the labels in preorder: each node is a range of it,
-numbered by its preorder position.
+numbered by its preorder position; ``slots`` gives the leaf slot of each
+vertex's rank in ``str`` order, the order of every other layer.
 """
 
 from __future__ import annotations
@@ -340,6 +341,7 @@ class Dendrogram:
     leaves.  The root is at level 0.  Children are kept sorted by their
     str-smallest label so that traversals are reproducible; ``nodes`` and
     ``order`` (the leaf labels) are in preorder, so a node is a range of it.
+    ``labels`` lists them by rank, ties in preorder: labels[r] is order[slots[r]].
     """
 
     def __init__(self, root: DendrogramNode):
@@ -370,7 +372,9 @@ class Dendrogram:
         self.leaves: dict = {node.label: node for node in nodes if node.is_leaf}
         if len(self.leaves) != len(order):
             raise ValueError("a label appears on two leaves")
-        self.labels = tuple(sorted(order, key=str))
+        self.slots = np.array(sorted(range(len(order)), key=lambda k: str(order[k])), dtype=np.intp)
+        self.slots.setflags(write=False)
+        self.labels = tuple(order[k] for k in self.slots.tolist())
 
     def index_of(self, node: DendrogramNode) -> int:
         """Position of a node of this tree in ``nodes``; KeyError otherwise."""
@@ -396,15 +400,13 @@ class Dendrogram:
 
     def delta_matrix(self) -> UltrametricMatrix:
         """In leaf order, each child's rows take its parent's radius on the
-        parent's range left and right of its own; then permuted to labels."""
+        parent's range left and right of its own; then read by rank."""
         vals = np.zeros((len(self.order), len(self.order)))
         for node in self.internal_nodes():
             for c in node.children:
                 vals[c.start:c.stop, node.start:c.start] = node.radius
                 vals[c.start:c.stop, c.stop:node.stop] = node.radius
-        pos = {label: i for i, label in enumerate(self.order)}
-        perm = [pos[label] for label in self.labels]
-        return UltrametricMatrix(self.labels, vals[np.ix_(perm, perm)])
+        return UltrametricMatrix(self.labels, vals[np.ix_(self.slots, self.slots)])
 
     def branching(self) -> int:
         internal = self.internal_nodes()

@@ -158,11 +158,13 @@ def runs(draw):
 # (d) a huge level: exit 24 at once
 @example(run=("spectrum", "low", (), ["--bullet", "ultrametric", "--level", "10000000"], 24))
 # a time at which e^(lambda t) of a rounding-positive eigenvalue overflows:
-# no warning, and no table whose gap is NaN
+# no warning, and no table whose gap is NaN nor bound whose slack is
 @example(run=("heat", "low", (), ["--bullet", "ultrametric", "--level", "8", "--t", "1e308"], 27))
 @example(run=("bounds", "low", (), ["--swap", "ultrametric,ultrametric", "--level", "8",
-                                    "--t", "1e308"], 20))
-@example(run=("bounds", "low", (), ["--truncate", "1", "--level", "8", "--t", "1e308"], 20))
+                                    "--t", "1e308"], 27))
+@example(run=("bounds", "low", (), ["--swap", "graphdist,ultrametric", "--level", "8",
+                                    "--t", "1e308"], 27))
+@example(run=("bounds", "low", (), ["--truncate", "1", "--level", "8", "--t", "1e308"], 27))
 @example(run=("converge", "low", (), ["--bullet", "ultrametric", "--levels", "8",
                                       "--reference", "8", "--tau", "1e308"], 27))
 def test_any_input_and_argument_ends_with_a_listed_code(tmp_path, capsys, run):

@@ -904,15 +904,15 @@ def test_times_that_are_not_finite_and_non_negative_raise_before_any_domain(monk
 
 def test_bound_gates_refuse_a_nan_error(monkeypatch):
     from ultraheat import heat
-    from ultraheat.errors import BoundViolated
+    from ultraheat.errors import CertificateFailed
 
     dend, assign, spec = three_leaf_setup()
     disc = discretize(assign, assign.m + 1)
     u = np.zeros(len(disc))
     u[0] = np.nan
-    with pytest.raises(BoundViolated, match="nan"):
+    with pytest.raises(CertificateFailed, match="nan"):
         truncation_bound(spec, disc, 1, 1.0, u)
     monkeypatch.setattr(heat._BallEvolver, "matrix",
                         lambda evolver, t: np.full((len(disc),) * 2, np.nan))
-    with pytest.raises(BoundViolated, match="nan"):
+    with pytest.raises(CertificateFailed, match="nan"):
         kernel_swap_bound(spec, spec, disc, 1.0)

@@ -16,11 +16,16 @@ from ultraheat import (
     degree,
     discretize,
     embed,
+    full_basis,
     generator,
+    kernel_swap_bound,
     kernel_value,
+    kozyrev_eigenvalue,
     truncated_domain,
+    truncation_bound,
 )
 from ultraheat.errors import CellOutsideZ, InvalidLevel
+from ultraheat.heat import heat_table
 from ultraheat.operators import _prefix_table, cut_nodes, kernel_matrix
 from ultraheat.padic import padic_distance
 
@@ -512,6 +517,37 @@ def test_kernel_errors_are_typed_and_still_value_errors():
         _leaf_indices(other, disc)
     with pytest.raises(BadKernel, match="unknown measure"):
         generator(spec, disc, "lebesgue")
+
+
+KERNEL_ROUTES = {
+    "generator": lambda spec, assign, disc: generator(spec, disc),
+    "full_basis": lambda spec, assign, disc: full_basis(spec, disc),
+    "heat_table": lambda spec, assign, disc: heat_table(spec, disc, 1.0),
+    "truncation_bound": lambda spec, assign, disc: truncation_bound(
+        spec, disc, 1, 1.0, np.ones(len(disc))),
+    "kernel_swap_bound": lambda spec, assign, disc: kernel_swap_bound(spec, spec, disc, 1.0),
+    "kernel_value": lambda spec, assign, disc: kernel_value(
+        spec, assign, assign.discs["a"], assign.discs["c"]),
+    "kozyrev_eigenvalue": lambda spec, assign, disc: kozyrev_eigenvalue(
+        spec, assign, assign.discs["a"], "a"),
+}
+
+
+@pytest.mark.parametrize("labels", ["reversed", "foreign"])
+@pytest.mark.parametrize("route", sorted(KERNEL_ROUTES))
+def test_kernel_rows_are_the_assignment_labels_in_its_order(route, labels):
+    """A kernel's rows are the assignment's vertices in its order: the same
+    kernel over the labels reversed, or over other labels, is refused as
+    BadKernel on every route, before any evolution or bound."""
+    from ultraheat.errors import BadKernel
+
+    dend, assign, spec = simple_assignment()
+    disc = discretize(assign, assign.m + 1)
+    KERNEL_ROUTES[route](spec, assign, disc)  # the assignment's own order runs
+    names = spec.labels[::-1] if labels == "reversed" else ("x", "y", "z")
+    other = KernelSpec(spec.bullet, spec.alpha, names, spec.base[::-1, ::-1])
+    with pytest.raises(BadKernel, match="do not match"):
+        KERNEL_ROUTES[route](other, assign, disc)
 
 
 def test_truncated_domains_refuse_nu_and_unknown_measures_alike():

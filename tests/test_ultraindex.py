@@ -487,6 +487,22 @@ def test_nodes_are_ranges_of_one_leaf_order():
         inner.label
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_labels_are_the_leaf_order_read_through_the_slots(seed):
+    """``slots`` is a permutation of the leaf slots, and reading the
+    preorder leaves through it lists them in str order, ties in preorder
+    (the leaf 1 and the leaf "1" here), as ``sorted`` does."""
+    rng = np.random.default_rng(seed)
+    dend = random_dendrogram(rng, int(rng.integers(1, 40)))
+    if seed % 2:
+        one, text = DendrogramNode.leaf(1), DendrogramNode.leaf("1")
+        root = DendrogramNode(dend.root.radius + 1.0, (dend.root, text, one))
+        dend = Dendrogram(root)
+    assert sorted(dend.slots.tolist()) == list(range(len(dend.order)))
+    assert dend.labels == tuple(dend.order[k] for k in dend.slots)
+    assert dend.labels == tuple(sorted(dend.order, key=str))
+
+
 def test_dendrogram_validation():
     leaf = DendrogramNode.leaf
     with pytest.raises(ValueError, match="at least two children"):
