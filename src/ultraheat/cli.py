@@ -9,6 +9,7 @@ errors map to distinct exit codes; malformed input exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -273,16 +274,7 @@ def cmd_bounds(args) -> int:
         spec_a, spec_b = (_spec_from_index(name, args.alpha, assign, weights) for name in args.swap)
         report = heat.kernel_swap_bound(spec_a, spec_b, disc, args.t)
         meta = {"mode": "swap", "pair": list(args.swap)}
-    obj = {
-        "measured_sup_error": report.measured_sup_error,
-        "theoretical_bound": report.theoretical_bound,
-        "tight_bound": report.tight_bound,
-        "slack": report.slack,
-        "volumes": report.volumes,
-        "constants_sum": report.constants_sum,
-        **meta,
-    }
-    digest = serialize.write_canonical(args.output, obj)
+    digest = serialize.write_canonical(args.output, {**dataclasses.asdict(report), **meta})
     _summary("bounds", [{"path": args.output, "sha256": digest}], {
         "slack": _fmt(report.slack),
         "measured": _fmt(report.measured_sup_error),

@@ -235,6 +235,13 @@ def _check_dense(n_cells: int) -> None:
         _too_many_cells(f"{n_cells}" if n_cells < 10**15 else f"about 10^{math.log10(n_cells):.1f}")
 
 
+def _check_log_count(log10_count: float) -> None:
+    """Refuse, as about 10^log10_count, a count past both the dense limit
+    and 10^16 from its log alone, before the count itself is formed."""
+    if log10_count > math.log10(max(MAX_DENSE_CELLS, 10**16)) + 1e-9:
+        _too_many_cells(f"about 10^{log10_count:.1f}")
+
+
 def _too_many_cells(count: str):
     raise TooManyCells(
         f"{count} cells exceed the dense-matrix limit of {MAX_DENSE_CELLS}; "
@@ -363,6 +370,9 @@ def truncated_domain(
     if n <= assign.m:
         raise InvalidLevel(f"cell level {n} is not finer than the vertex discs (m={assign.m})")
     balls = tuple(assign.cell_of(node) for node in cut_nodes(assign, ell))
+    low = min(ball.level for ball in balls)  # p^(n - low) times the blocks' float share
+    _check_log_count((n - low) * math.log10(assign.p)
+                     + math.log10(sum(float(assign.p) ** (low - ball.level) for ball in balls)))
     _check_dense(sum(assign.p ** (n - ball.level) for ball in balls))
     dom = CellDomain(assign, n, balls, ell)
     return dom, (TruncatedKernel(spec, dom) if spec is not None else None)

@@ -323,18 +323,15 @@ class CellDomain:
 def cell_count(assign: DiscAssignment, n: int) -> int:
     """Number |V| * p^(n-m) of level-n cells in the vertex discs (n > m),
     checked against the dense-matrix limit without building any cell.
-    (n - m) log p is compared with log(limit / |V|) first, so that a count
-    past both the limit and 10^16 is refused, as about 10^(its log10),
-    before p^(n - m) is formed."""
+    Its log is compared with the limit's first, so that a count past both
+    the limit and 10^16 is refused, as about 10^(its log10), before
+    p^(n - m) is formed."""
     from . import operators  # operators imports this module
 
     if n <= assign.m:
         raise LevelTooCoarse(f"level {n} is not finer than the vertex discs (m={assign.m})")
     digits, vertices = n - assign.m, len(assign.labels)
-    limit = max(operators.MAX_DENSE_CELLS, 10**16)
-    if digits * math.log(assign.p) > math.log(limit / vertices) + 1e-9:
-        operators._too_many_cells(
-            f"about 10^{math.log10(vertices) + digits * math.log10(assign.p):.1f}")
+    operators._check_log_count(math.log10(vertices) + digits * math.log10(assign.p))
     count = vertices * assign.p ** digits
     operators._check_dense(count)
     return count

@@ -143,17 +143,25 @@ def kozyrev_wavelet(disc: CellDomain, B: PAdicCell, j: int) -> np.ndarray:
     p = assign.p
     if not 1 <= j <= p - 1:
         raise BadJ(f"j must lie in 1..{p - 1}, got {j}")
-    if B.p != p:
-        raise BallOutsideZ(f"ball over p={B.p}, domain over p={p}")
+    _ball_vertex(assign, B)
     d = B.level
-    if d < assign.m or assign.vertex_of(B) is None:
-        raise BallOutsideZ("ball is not contained in a vertex disc")
     if disc.level < d + 1:
         raise ValueError("discretisation too coarse to resolve the wavelet")
     cells = disc.ball_range(B)
     out = np.zeros(len(disc), dtype=complex)
     out[cells.start:cells.stop] = np.repeat(_wavelet_values(p, d, j), len(cells) // p)
     return out
+
+
+def _ball_vertex(assign: DiscAssignment, B: PAdicCell):
+    """The vertex whose disc holds ball B; BallOutsideZ for a ball over
+    another p or in no vertex disc."""
+    if B.p != assign.p:
+        raise BallOutsideZ(f"ball over p={B.p}, domain over p={assign.p}")
+    v = assign.vertex_of(B)
+    if v is None:
+        raise BallOutsideZ("ball is not contained in a vertex disc")
+    return v
 
 
 def kozyrev_local_eigenvalue(p: int, alpha: float, d: int, m: int) -> float:
@@ -175,13 +183,14 @@ def kozyrev_eigenvalue(
     spec: KernelSpec,
     assign: DiscAssignment,
     B: PAdicCell,
-    v,
     measure: str = "haar",
 ) -> float:
-    """Closed-form generator eigenvalue of the Kozyrev wavelet in B inside disc v."""
+    """Closed-form generator eigenvalue of the Kozyrev wavelet in ball B, on
+    the disc of the vertex that holds B; BallOutsideZ as ``kozyrev_wavelet``."""
+    v = _ball_vertex(assign, B)
     _, scale, escape = _disc_shifts(spec, assign, measure)
     local = kozyrev_local_eigenvalue(assign.p, spec.alpha, B.level, assign.m)
-    iv = spec.labels.index(v)
+    iv = assign.labels.index(v)
     return float(scale[iv] * local - escape[iv])
 
 

@@ -7,12 +7,15 @@ are nested or disjoint and form a rooted tree, the dendrogram, which is
 the index structure used everywhere else in this package.  Of a graph,
 ``graph_dendrogram`` builds that tree from the graph's own edges; the
 dense routes (``subdominant_ultrametric``, ``build_dendrogram``) start
-from a full distance matrix.  Both walk one minimum spanning tree through
-one union-find, which yields only the merges: the tree's nodes, or the
-dense ultrametric's one array of root labels, are the clusters.  The tree
-keeps one leaf order, the labels in preorder: each node is a range of it,
-numbered by its preorder position; ``slots`` gives the leaf slot of each
-vertex's rank in ``str`` order, the order of every other layer.
+from a full distance matrix.  One function builds the tree for all of
+them, one union-find over the graph's edges or the matrix's minimum
+spanning tree, and the rest is read off it: the dense ultrametric is its
+``delta_matrix``, and ``graph_distances`` builds it to tell a graph that
+falls apart from a distance that overflows.  A node belongs to the one
+tree built over it.  The tree keeps one leaf order, the labels in
+preorder: each node is a range of it, numbered by its preorder position;
+``slots`` gives the leaf slot of each vertex's rank in ``str`` order, the
+order of every other layer.
 """
 
 from __future__ import annotations
@@ -201,11 +204,10 @@ def graph_distances(graph, weights: Mapping | None = None) -> DistanceMatrix:
             frontier = np.flatnonzero(fell)
             fell[frontier] = False
     if np.isinf(flat).any():
-        if sum(1 for _ in _single_linkage(n, edges)) == n - 1:
-            a, b = sorted(divmod(int(np.argmax(np.isinf(flat))), n))
-            raise BadWeight(f"graph distance from {labels[a]!r} to {labels[b]!r} "
-                            "overflows the largest float")
-        raise DisconnectedGraph("graph is not connected")
+        _dendrogram(labels, edges)  # raises DisconnectedGraph unless the edges join every vertex
+        a, b = sorted(divmod(int(np.argmax(np.isinf(flat))), n))
+        raise BadWeight(f"graph distance from {labels[a]!r} to {labels[b]!r} "
+                        "overflows the largest float")
     out = np.minimum(out, out.T)  # symmetrise against fp asymmetry
     return DistanceMatrix(labels, out)
 
@@ -235,62 +237,18 @@ def _prim_edges(vals: np.ndarray) -> list:
     return edges
 
 
-def _single_linkage(n: int, edges):
-    """Single-linkage merges of n points joined by weighted edges.
-
-    Kruskal's walk: the edges, (height, i, j) rows, are sorted once by
-    (height, i, j) with one ``np.lexsort`` and go through one union-find,
-    and every edge that joins two clusters is a merge; on a minimum
-    spanning tree every edge is one (Gower & Ross 1969).  Yields (height,
-    keep, gone) per merge: the clusters rooted at keep and gone join at
-    height, and keep stays the root.  Only the cluster sizes are kept, to
-    root the larger cluster (i's on a tie); no member list.  The walk
-    ends at the (n - 1)-th merge, after which no edge joins two clusters.
-    """
-    height, first, second = np.asarray(edges, dtype=float).reshape(-1, 3).T
-    order = np.lexsort((second, first, height))
-    parent = list(range(n))
-    size = [1] * n
-    joins = n - 1
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for height, i, j in zip(height[order].tolist(), first[order].astype(np.intp).tolist(),
-                            second[order].astype(np.intp).tolist()):
-        keep, gone = find(i), find(j)
-        if keep == gone:
-            continue
-        if size[keep] < size[gone]:
-            keep, gone = gone, keep
-        yield height, keep, gone
-        size[keep] += size[gone]
-        parent[gone] = keep
-        joins -= 1
-        if not joins:
-            return
-
-
 def subdominant_ultrametric(d: DistanceMatrix) -> UltrametricMatrix:
     """Largest ultrametric pointwise below d.
 
     Single-linkage agglomeration: two clusters merge at height d(i,j), and
     the merge height becomes the ultrametric value for every cross pair.
     Equivalently the minimax path distance in the complete graph weighted
-    by d, read off its minimum spanning tree.  Each point's cluster is read
-    off one array of root labels.
+    by d, read off its minimum spanning tree: the ``delta_matrix`` of the
+    single-linkage tree, in d's label order.
     """
-    delta = np.zeros((d.n, d.n))
-    root = np.arange(d.n)
-    for height, keep, gone in _single_linkage(d.n, _prim_edges(d.values)):
-        a, b = root == keep, root == gone
-        delta[np.ix_(a, b)] = height
-        delta[np.ix_(b, a)] = height
-        root[b] = keep
-    return UltrametricMatrix(d.labels, delta)
+    dend = _dendrogram(d.labels, _prim_edges(d.values))
+    rank = np.argsort(dend.slots)[[dend.leaves[label].start for label in d.labels]]
+    return UltrametricMatrix(d.labels, dend.delta_matrix().values[np.ix_(rank, rank)])
 
 
 # --- dendrogram ---------------------------------------------------------------
@@ -298,8 +256,9 @@ def subdominant_ultrametric(d: DistanceMatrix) -> UltrametricMatrix:
 
 class DendrogramNode:
     """A ball: built from its merge radius and two or more children, or, as a
-    leaf, from its label.  The last tree built over it sets ``index`` (in
-    ``nodes``), ``level``, ``parent`` and its range ``start:stop`` of ``order``."""
+    leaf, from its label.  It belongs to the one tree built over it, which
+    sets ``index`` (in ``nodes``), ``level``, ``parent`` and its range
+    ``start:stop`` of ``order``."""
 
     index = level = start = stop = 0
     parent = _tree = _label = None
@@ -342,18 +301,20 @@ class Dendrogram:
     str-smallest label so that traversals are reproducible; ``nodes`` and
     ``order`` (the leaf labels) are in preorder, so a node is a range of it.
     ``labels`` lists them by rank, ties in preorder: labels[r] is order[slots[r]].
+    A node of another tree is refused before it is written, and a tree that
+    is refused claims none of its nodes.
     """
 
     def __init__(self, root: DendrogramNode):
         self.root = root
-        root.level, root.parent = 0, None
         nodes, order = [], []
         stack = [root]
         while stack:  # preorder with an explicit stack: no depth limit
             node = stack.pop()
-            if node._tree is self:
+            if node._tree is not None:
+                raise ValueError("a node belongs to another dendrogram")
+            if node.index < len(nodes) and nodes[node.index] is node:  # numbered in this walk
                 raise ValueError("a node appears twice in the tree")
-            node._tree = self
             node.index, node.start = len(nodes), len(order)
             nodes.append(node)
             if node.is_leaf:
@@ -363,15 +324,19 @@ class Dendrogram:
             for ch in node.children:
                 if not ch.radius < node.radius:
                     raise ValueError("radii must strictly decrease towards the leaves")
-                ch.level, ch.parent = node.level + 1, node
             stack.extend(reversed(node.children))
+        self.leaves: dict = {node.label: node for node in nodes if node.is_leaf}
+        if len(self.leaves) != len(order):
+            raise ValueError("a label appears on two leaves")
+        root.level, root.parent = 0, None
+        for node in nodes:  # parents before children; a node is the tree's once all checks pass
+            node._tree = self
+            for ch in node.children:
+                ch.level, ch.parent = node.level + 1, node
         for node in reversed(nodes):  # children before parents
             node.stop = node.children[-1].stop if node.children else node.start + 1
         self.nodes: tuple = tuple(nodes)
         self.order: tuple = tuple(order)
-        self.leaves: dict = {node.label: node for node in nodes if node.is_leaf}
-        if len(self.leaves) != len(order):
-            raise ValueError("a label appears on two leaves")
         self.slots = np.array(sorted(range(len(order)), key=lambda k: str(order[k])), dtype=np.intp)
         self.slots.setflags(write=False)
         self.labels = tuple(order[k] for k in self.slots.tolist())
@@ -413,26 +378,50 @@ class Dendrogram:
         return max((len(n.children) for n in internal), default=1)
 
 
-def _dendrogram(labels: tuple, merges) -> Dendrogram:
-    """Tree of the clusters made by single-linkage merges of labels.
+def _dendrogram(labels: tuple, edges) -> Dendrogram:
+    """Single-linkage tree of labels joined by weighted edges, (height, i, j)
+    rows over label positions.
 
+    Kruskal's walk: the rows are sorted once by (height, i, j) with one
+    ``np.lexsort`` and go through one union-find, and every edge that joins
+    two clusters is a merge; on a minimum spanning tree every edge is one
+    (Gower & Ross 1969).  The larger cluster keeps its root (i's on a tie).
     Clusters merging at equal heights join a single polytomous node, so
     the nodes are exactly the distinct balls and merge radii strictly
-    decrease root-to-leaf.  Raises DisconnectedGraph unless the merges
-    join every label, which takes n - 1 of them.
+    decrease root-to-leaf.  The walk stops at the (n - 1)-th merge, after
+    which no edge joins two clusters; DisconnectedGraph if the edges run
+    out first.
     """
     if not labels:
         raise ValueError("no points to merge into a single root")
-    cluster = {i: DendrogramNode.leaf(l) for i, l in enumerate(labels)}
+    height, first, second = np.asarray(edges, dtype=float).reshape(-1, 3).T
+    order = np.lexsort((second, first, height))
+    parent = list(range(len(labels)))
+    size = [1] * len(labels)
+    cluster = [DendrogramNode.leaf(l) for l in labels]  # by root
     pending: dict[int, list[DendrogramNode]] = {}  # root -> children at `radius`
-    radius, root, count = None, 0, 0
+    radius, keep, joins = None, 0, len(labels) - 1
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
     def flush():
         for r, group in pending.items():
             cluster[r] = DendrogramNode(radius, group)
         pending.clear()
 
-    for height, keep, gone in merges:
+    for height, i, j in zip(height[order].tolist(), first[order].astype(np.intp).tolist(),
+                            second[order].astype(np.intp).tolist()):
+        if not joins:
+            break
+        keep, gone = find(i), find(j)
+        if keep == gone:
+            continue
+        if size[keep] < size[gone]:
+            keep, gone = gone, keep
         if height <= 0:
             raise ValueError("distinct points at ultrametric distance 0")
         if height != radius:
@@ -440,17 +429,19 @@ def _dendrogram(labels: tuple, merges) -> Dendrogram:
             radius = height
         group = pending.setdefault(keep, [cluster[keep]])
         group.extend(pending.pop(gone, [cluster[gone]]))
-        root, count = keep, count + 1
-    flush()
-    if count != len(labels) - 1:
+        size[keep] += size[gone]
+        parent[gone] = keep
+        joins -= 1
+    if joins:
         raise DisconnectedGraph("graph is not connected")
-    return Dendrogram(cluster[root])
+    flush()
+    return Dendrogram(cluster[keep])
 
 
 def build_dendrogram(delta: UltrametricMatrix) -> Dendrogram:
     """Tree of the distinct balls of an ultrametric, from the single-linkage
     merges along the minimum spanning tree of its dense matrix."""
-    return _dendrogram(delta.labels, _single_linkage(delta.n, _prim_edges(delta.values)))
+    return _dendrogram(delta.labels, _prim_edges(delta.values))
 
 
 def graph_dendrogram(graph, weights: Mapping | None = None) -> Dendrogram:
@@ -465,8 +456,7 @@ def graph_dendrogram(graph, weights: Mapping | None = None) -> Dendrogram:
     the same BadWeight for a weight or key and DisconnectedGraph; it sums
     no weights, so no distance overflows.
     """
-    labels, edges = _graph_edges(graph, weights)
-    return _dendrogram(labels, _single_linkage(len(labels), edges))
+    return _dendrogram(*_graph_edges(graph, weights))
 
 
 def minimal_cluster(dend: Dendrogram, x) -> frozenset:

@@ -529,7 +529,7 @@ KERNEL_ROUTES = {
     "kernel_value": lambda spec, assign, disc: kernel_value(
         spec, assign, assign.discs["a"], assign.discs["c"]),
     "kozyrev_eigenvalue": lambda spec, assign, disc: kozyrev_eigenvalue(
-        spec, assign, assign.discs["a"], "a"),
+        spec, assign, assign.discs["a"]),
 }
 
 

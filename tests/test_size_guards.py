@@ -10,6 +10,7 @@ boundary is checked with the cap moved to the domain's own size, where
 the arrays are small; the counting builders are checked at the real cap.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -152,3 +153,13 @@ def test_a_request_of_about_ten_to_the_fifteen_cells_allocates_nothing_first():
                 assert tracemalloc.get_traced_memory()[1] < 8 * MAX_DENSE_CELLS
     finally:
         tracemalloc.stop()
+
+
+def test_truncated_domain_refuses_a_huge_level_from_its_log():
+    """At level 10^8 the count of a 6-leaf p = 3 tree has tens of millions
+    of digits; its log refuses it before it is formed, within a second."""
+    assign = embed(random_dendrogram(np.random.default_rng(4), 6, max_children=3), 3)
+    start = time.perf_counter()
+    with pytest.raises(TooManyCells, match="about 10\\^4771212"):
+        truncated_domain(assign, 1, 10**8)
+    assert time.perf_counter() - start < 1.0

@@ -135,7 +135,7 @@ def test_kozyrev_eigenvalue_certifies_single_disc():
     disc = discretize(assign, 2)
     gen = generator(spec, disc, "haar")
     B = PAdicCell(3, (0,))
-    lam = kozyrev_eigenvalue(spec, assign, B, "a")
+    lam = kozyrev_eigenvalue(spec, assign, B)
     assert lam == pytest.approx(-5.0 / 3.0)
     psi = kozyrev_wavelet(disc, B, 1)
     assert verify_eigenpair(gen, psi, lam) < 1e-12
@@ -146,10 +146,10 @@ def test_kozyrev_eigenvalue_shift_is_linear_in_cross_rates():
     delta = dend.delta_matrix()
     spec = ultra_spec(dend)
     B = assign.discs["a"]
-    lam = kozyrev_eigenvalue(spec, assign, B, "a")
+    lam = kozyrev_eigenvalue(spec, assign, B)
     # doubling the jump rate towards the other disc lowers lambda by rate*mass
     spec_half = KernelSpec(Bullet.ULTRAMETRIC, 1.0, delta.labels, delta.values * 2.0)
-    lam_half = kozyrev_eigenvalue(spec_half, assign, B, "a")
+    lam_half = kozyrev_eigenvalue(spec_half, assign, B)
     mass = 2.0**-assign.m
     expected_shift = (delta.values[0, 1] ** -1.0 - (2 * delta.values[0, 1]) ** -1.0) * mass
     assert lam_half - lam == pytest.approx(expected_shift)
@@ -161,7 +161,7 @@ def test_kozyrev_eigenvalue_independent_of_j():
     disc = discretize(assign, 2)
     gen = generator(spec, disc, "haar")
     B = PAdicCell(5, (3,))
-    lam = kozyrev_eigenvalue(spec, assign, B, "a")
+    lam = kozyrev_eigenvalue(spec, assign, B)
     for j in range(1, 5):
         psi = kozyrev_wavelet(disc, B, j)
         assert verify_eigenpair(gen, psi, lam) < 1e-12
@@ -182,8 +182,37 @@ def test_kozyrev_eigenvalue_nonpositive():
         assign = embed(dend)
         spec = ultra_spec(dend, alpha=float(rng.choice([1.0, 2.0])))
         for label in assign.labels:
-            lam = kozyrev_eigenvalue(spec, assign, assign.discs[label], label)
+            lam = kozyrev_eigenvalue(spec, assign, assign.discs[label])
             assert lam <= 0.0
+
+
+def test_kozyrev_eigenvalue_reads_its_vertex_off_the_ball():
+    """The vertex is the one whose disc holds the ball: a ball inside a
+    disc takes that disc's escape rate, and a ball in no disc, coarser than
+    the discs or over another p is refused as ``kozyrev_wavelet`` refuses it."""
+    dend = random_dendrogram(np.random.default_rng(3), 5, max_children=3)
+    assign = embed(dend)
+    delta = dend.delta_matrix()
+    base = delta.values + np.where(~np.eye(5, dtype=bool), 0.3 * np.arange(5), 0.0)
+    spec = KernelSpec(Bullet.GRAPH_DISTANCE, 1.0, delta.labels, np.maximum(base, base.T))
+    p, m = assign.p, assign.m
+    shifts = []
+    for label in assign.labels:  # under Haar, lambda = local - the disc's escape rate
+        B = PAdicCell(p, assign.discs[label].digits + (1,))
+        shift = kozyrev_local_eigenvalue(p, 1.0, m, m) - kozyrev_eigenvalue(
+            spec, assign, assign.discs[label])
+        assert kozyrev_local_eigenvalue(p, 1.0, m + 1, m) - kozyrev_eigenvalue(
+            spec, assign, B) == pytest.approx(shift, rel=1e-12)
+        shifts.append(shift)
+    assert len(set(shifts)) == len(shifts)
+    taken = {cell.digits for cell in assign.discs.values()}
+    free = next(PAdicCell(assign.p, digits)
+                for digits in itertools.product(range(assign.p), repeat=assign.m)
+                if digits not in taken)
+    other_p = 3 if assign.p == 2 else 2
+    for B in (free, PAdicCell(assign.p, ()), PAdicCell(other_p, (0,) * assign.m)):
+        with pytest.raises(BallOutsideZ):
+            kozyrev_eigenvalue(spec, assign, B)
 
 
 # --- ultrametric wavelets ----------------------------------------------------------
@@ -533,7 +562,7 @@ def test_full_basis_kozyrev_eigenvalues_equal_the_closed_form_bit_for_bit():
             for r in records:
                 label, digits = r.support.split(":")
                 B = PAdicCell(assign.p, tuple(int(d) for d in digits))
-                assert r.lam == kozyrev_eigenvalue(spec, assign, B, label, measure)
+                assert r.lam == kozyrev_eigenvalue(spec, assign, B, measure)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

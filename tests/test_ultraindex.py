@@ -25,6 +25,7 @@ from ultraheat import (
     PAdicCell,
     UltrametricMatrix,
     build_dendrogram,
+    discretize,
     embed,
     graph_dendrogram,
     graph_distances,
@@ -36,7 +37,7 @@ from ultraheat import ultraindex
 from ultraheat.errors import BadWeight, DisconnectedGraph
 from ultraheat.multitopo import TopologyFamily, encode, first_primes
 from ultraheat.serialize import canonical_dumps, family_from_obj, index_from_obj, index_to_obj
-from ultraheat.ultraindex import _single_linkage
+from ultraheat.ultraindex import _dendrogram
 
 from conftest import random_connected_weights, random_dendrogram, random_metric
 
@@ -434,6 +435,16 @@ def test_single_linkage_index_matches_oracles(data):
     assert np.array_equal(dend.delta_matrix().values, delta.values)
 
 
+def test_subdominant_ultrametric_keeps_the_trees_errors():
+    """No points, or two distinct points at distance 0, make no tree, so
+    they make no ultrametric either."""
+    with pytest.raises(ValueError, match="single root"):
+        subdominant_ultrametric(DistanceMatrix((), np.zeros((0, 0))))
+    vals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="distance 0"):
+        subdominant_ultrametric(DistanceMatrix(tuple("abc"), vals))
+
+
 def test_build_dendrogram_keeps_its_errors():
     with pytest.raises(ValueError, match="single root"):
         build_dendrogram(UltrametricMatrix((), np.zeros((0, 0))))
@@ -492,11 +503,16 @@ def test_labels_are_the_leaf_order_read_through_the_slots(seed):
     """``slots`` is a permutation of the leaf slots, and reading the
     preorder leaves through it lists them in str order, ties in preorder
     (the leaf 1 and the leaf "1" here), as ``sorted`` does."""
+    def fresh(node):  # the same tree over new nodes: a node belongs to one tree
+        if node.is_leaf:
+            return DendrogramNode.leaf(node.label)
+        return DendrogramNode(node.radius, [fresh(c) for c in node.children])
+
     rng = np.random.default_rng(seed)
     dend = random_dendrogram(rng, int(rng.integers(1, 40)))
     if seed % 2:
         one, text = DendrogramNode.leaf(1), DendrogramNode.leaf("1")
-        root = DendrogramNode(dend.root.radius + 1.0, (dend.root, text, one))
+        root = DendrogramNode(dend.root.radius + 1.0, (fresh(dend.root), text, one))
         dend = Dendrogram(root)
     assert sorted(dend.slots.tolist()) == list(range(len(dend.order)))
     assert dend.labels == tuple(dend.order[k] for k in dend.slots)
@@ -517,6 +533,28 @@ def test_dendrogram_validation():
         )))
     with pytest.raises(ValueError, match="two leaves"):
         Dendrogram(DendrogramNode(1.0, (leaf("a"), leaf("a"))))
+
+
+def test_a_node_belongs_to_one_tree():
+    """A tree built over another tree's node is refused before it writes
+    anything: the first tree's ultrametric and embedding stay as they were.
+    A refused tree claims no node: its leaves can make a tree after it."""
+    leaf = DendrogramNode.leaf
+    first = Dendrogram(DendrogramNode(2.0, (DendrogramNode(1.0, (leaf("a"), leaf("b"))), leaf("c"))))
+    before = first.delta_matrix().values
+    assign = embed(first)
+    for node in (first.root, first.nodes[1], first.leaves["c"]):
+        with pytest.raises(ValueError, match="another dendrogram"):
+            Dendrogram(DendrogramNode(3.0, (leaf("0"), node)))
+    assert np.array_equal(first.delta_matrix().values, before)
+    assert np.array_equal(before, [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+    assert [(x.level, x.parent) for x in first.nodes] == [
+        (0, None), (1, first.root), (2, first.nodes[1]), (2, first.nodes[1]), (1, first.root)]
+    assert len(discretize(assign, assign.m + 1)) == 3 * assign.p
+    a, b = leaf("a"), leaf("b")
+    with pytest.raises(ValueError, match="two leaves"):
+        Dendrogram(DendrogramNode(1.0, (a, b, leaf("a"))))
+    assert Dendrogram(DendrogramNode(1.0, (a, b))).order == ("a", "b")
 
 
 def test_a_node_of_another_tree_is_refused():
@@ -648,8 +686,11 @@ def test_joined_tree_has_the_reachable_sets_as_root_children(seed, n, density):
 
 
 def test_single_linkage_yields_the_merges_only():
-    """One (height, keep, gone) triple per merge: the larger cluster's root
-    is kept, the first end's on a tie, and an edge inside one cluster
-    yields nothing."""
+    """One internal node per distinct merge: the edge (0, 2) lies inside
+    {a, b, c} once (1, 2) has merged and makes no node, so the tree holds
+    {a, b} at 1, {a, b, c} at 2 and the root at 3."""
     edges = [(1.0, 0, 1), (2.0, 1, 2), (2.0, 0, 2), (3.0, 3, 2)]
-    assert list(_single_linkage(4, edges)) == [(1.0, 0, 1), (2.0, 0, 2), (3.0, 0, 3)]
+    dend = _dendrogram(tuple("abcd"), edges)
+    assert [(node.members, node.radius) for node in dend.internal_nodes()] == [
+        (frozenset("abcd"), 3.0), (frozenset("abc"), 2.0), (frozenset("ab"), 1.0)]
+    assert dend.order == tuple("abcd")
