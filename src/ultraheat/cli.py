@@ -240,7 +240,7 @@ def cmd_heat(args) -> int:
     assign, weights = serialize.index_from_obj(serialize.load_json(args.input))
     disc = padic.discretize(assign, args.level)
     spec = _spec_from_index(args.bullet, args.alpha, assign, weights)
-    (cross, own), certificates = heat.heat_table(spec, disc, args.t, args.measure)
+    (cross, levels), certificates = heat.heat_table(spec, disc, args.t, args.measure)
     gap, defect = certificates["two_route_gap"], certificates["row_sum_defect"]
     scale = certificates["gap_scale"]
     if not math.isfinite(gap + defect):  # both are >= 0, so only inf or NaN fails
@@ -248,7 +248,7 @@ def cmd_heat(args) -> int:
                                        f"{gap:g}, row-sum defect {defect:g}")
     if gap > scale:
         raise errors.CertificateFailed(f"heat two-route gap {gap:g} above its scale {scale:g}")
-    digest = serialize.matrix_export(args.output, cross, own, {
+    digest = serialize.matrix_export(args.output, cross, levels, {
         "p": assign.p, "n": args.level, "bullet": args.bullet,
         "alpha": args.alpha, "measure": args.measure, "t": args.t,
     })

@@ -21,9 +21,10 @@ return the N x N array, and ``disc_semigroup`` the pair (T2, bound).
 ``heat_table``, what the ``heat`` subcommand runs, holds no N x N array:
 both routes split by vertex disc, so it certifies them from their K x K
 and (K, s, s) block forms, reading the generator once, in row blocks of
-whole discs (``operators.generator_rows``), and returns the table in its
-block form, one value per pair of distinct discs and one s x s block per
-disc, which ``serialize.matrix_export`` writes.  ``heat_kernel``,
+whole discs (``operators.generator_rows``), and returns the table in the
+block form it is computed in: one value per pair of distinct discs and,
+per disc, one value per common-prefix level of two of its cells, n - m +
+1 in all, which ``serialize.matrix_export`` writes.  ``heat_kernel``,
 ``disc_semigroup`` and ``_BallEvolver.matrix`` lift the same block forms
 onto the cells.
 
@@ -70,7 +71,7 @@ from .errors import (
 from .linalg import (check_symmetric, positive_roots, symmetrised_rows, symmetry_defect,
                      weighted_symmetric_eig)
 from .operators import (BLOCK_ENTRIES, GeneratorMatrix, KernelSpec, _check_dense, _check_labels,
-                        _measure_vector, _prefix_table, generator_rows, truncated_domain)
+                        _measure_vector, generator_rows, prefix_blocks, truncated_domain)
 from .padic import CellDomain, DiscAssignment, discretize, padic_distance
 from .spectra import ball_spectrum
 
@@ -148,36 +149,37 @@ class _BallEvolver:
         """T(t) in block form: the coarse K x K transition V e^(Lambda t) V^T M
         (V orthonormal under the masses M) divided by the target pure ball's
         cell count, which T(t) is between two distinct pure balls, and per
-        group of pure balls of one level d0 the (members, s, s) stack of T(t)
-        on each: its coarse entry plus the sum over d0 <= d < n of
-        e^(lambda_d t) (P_{d+1} - P_d), with P_d(x, y) = [x and y share their
-        level-d ball] / p^(n - d) read off one prefix table per ball level.
-        At t = 0 the coarse part is 0 and every stack the identity."""
+        group of pure balls of one level d0 the (members, n - d0 + 1) table
+        of T(t) on each by common-prefix level: between two of a ball's
+        cells that share d0 + j digits it is column j, the ball's coarse
+        entry plus the sum over d0 <= d < n of e^(lambda_d t) (P_{d+1} -
+        P_d), with P_d(x, y) = [x and y share their level-d ball] / p^(n - d).
+        ``operators.prefix_blocks`` lifts a table onto the ball's cells.
+        At t = 0 the coarse part is 0 and every table 1 at j = n - d0 (a
+        cell with itself) and 0 below: the identity."""
         p, n = self.p, self.level
         if t == 0:
             return (np.zeros((len(self.sizes),) * 2),
-                    [np.broadcast_to(np.eye(cells.shape[1]), (*cells.shape, cells.shape[1]))
-                     for _, _, cells, _ in self.groups])
+                    [np.repeat(np.eye(n - d0 + 1)[-1:], len(members), axis=0)
+                     for d0, members, _, _ in self.groups])
         coarse = (self.vecs * np.exp(t * self.evals)[None, :]) @ self.vecs.T
         coarse *= (self.mass / self.sizes)[None, :]
-        stacks = []
+        tables = []
         for d0, members, _, lam in self.groups:
             # steps[k, j]: P_{d0+k+1} - P_{d0+k} on two cells sharing d0 + j digits
             k, j = np.arange(n - d0)[:, None], np.arange(n - d0 + 1)[None, :]
             weight = float(p) ** (np.arange(d0, n + 1) - n)  # 1 / p^(n - d), d = d0 .. n
             steps = np.where(j > k, weight[1:, None], 0) - np.where(j >= k, weight[:-1, None], 0)
-            by_prefix = np.exp(lam * t) @ steps
-            stacks.append(coarse[members, members][:, None, None]
-                          + by_prefix[:, _prefix_table(p, d0, n) - d0])
-        return coarse, stacks
+            tables.append(coarse[members, members][:, None] + np.exp(lam * t) @ steps)
+        return coarse, tables
 
     def matrix(self, t: float) -> np.ndarray:
         """T(t) as an N x N array, lifted from ``factors(t)``: the identity
         itself at t = 0."""
         _check_dense(len(self.ball))
-        coarse, stacks = self.factors(t)
-        return _lift(coarse, self.ball, [(cells, stack) for (_, _, cells, _), stack
-                                         in zip(self.groups, stacks)])
+        coarse, tables = self.factors(t)
+        return _lift(coarse, self.ball, [(cells, prefix_blocks(table, self.p)) for
+                                         (_, _, cells, _), table in zip(self.groups, tables)])
 
 
 def _lift(coarse: np.ndarray, ball: np.ndarray, stacks) -> np.ndarray:
@@ -339,24 +341,27 @@ def heat_table(spec: KernelSpec, disc: CellDomain, t: float, measure: str = "haa
     block form, and the certificates of its two routes, with no N x N
     array.
 
-    The pure balls of a discretisation are its K vertex discs of s cells,
-    and the measure is constant on each, so p(t) = T1(t) / mu is one value
-    per pair of distinct discs: cross[a, b] = coarse[a, b] / mu(b), a K x K
-    array whose diagonal is unused, and own[a] = closed[a] / mu on disc a's
-    s x s diagonal block, from ``_BallEvolver.factors``.  T2 is the lumped
-    route of ``disc_semigroup`` on the generator's row blocks
-    (``generator_rows``, read once, in order), which never reads ``ball_spectrum``;
-    the gap and T2's row sums are taken on those K x K values and on the
-    (K, s, s) diagonal blocks.  Returns ((cross, own), {"two_route_gap":
-    max |p(t) mu - T2| plus T2's bound, "row_sum_defect": max |T2 1 - 1|,
-    "gap_scale": max(1e-12, 4 eps ||A||_inf t)}); the values may be inf or
-    NaN where a route overflows.
+    The pure balls of a discretisation are its K vertex discs of s = p^(n -
+    m) cells, and the measure is constant on each, so p(t) = T1(t) / mu is
+    cross[a, b] = coarse[a, b] / mu(b) between distinct discs a and b (a
+    K x K array whose diagonal is unused) and, on disc a, levels[a, j] =
+    table[a, j] / mu(a) between two cells that share m + j digits: the
+    (K, n - m + 1) tables of ``_BallEvolver.factors``, which
+    ``operators.prefix_blocks`` lifts onto each disc's s x s block.  T2 is
+    the lumped route of ``disc_semigroup`` on the generator's row blocks
+    (``generator_rows``, read once, in order), which never reads
+    ``ball_spectrum``; the gap and T2's row sums are taken on the K x K
+    values and on the (K, s, s) diagonal blocks, T1's lifted from its
+    tables.  Returns ((cross, levels), {"two_route_gap": max |p(t) mu -
+    T2| plus T2's bound, "row_sum_defect": max |T2 1 - 1|, "gap_scale":
+    max(1e-12, 4 eps ||A||_inf t)}); the values may be inf or NaN where a
+    route overflows.
     """
     check_time(t)
-    coarse, (closed,) = _BallEvolver(spec, disc, measure).factors(t)  # one group: the K discs
+    coarse, (table,) = _BallEvolver(spec, disc, measure).factors(t)  # one group: the K discs
     mu = _measure_vector(disc, measure)
     generator_blocks = generator_rows(spec, disc, measure, _disc_blocks(disc))
-    K, s = closed.shape[:2]
+    K, s = len(coarse), len(disc) // len(coarse)
     mu_disc, mu_cell = mu[::s], mu.reshape(K, 1, s)
     d_disc, d_cell = np.sqrt(mu_disc), np.sqrt(mu_cell)
     off = ~np.eye(K, dtype=bool)
@@ -365,13 +370,13 @@ def heat_table(spec: KernelSpec, disc: CellDomain, t: float, measure: str = "haa
         cross2 = np.where(off, lift * d_disc[None, :] / d_disc[:, None], 0.0)  # T2 between discs
         own2 *= d_cell
         own2 /= d_cell.transpose(0, 2, 1)  # T2 on each disc
-        cross, own = coarse / mu_disc, closed / mu_cell
+        cross, levels = coarse / mu_disc, table / mu_disc[:, None]
         gap = np.maximum(np.max(np.abs(cross * mu_disc - cross2)[off], initial=0.0),
-                         np.max(np.abs(own * mu_cell - own2))) + bound
+                         np.max(np.abs(prefix_blocks(levels, disc.p) * mu_cell - own2))) + bound
         defect = np.max(np.abs(s * cross2.sum(axis=1)[:, None] + own2.sum(axis=2) - 1.0))
     scale = max(1e-12, 4 * np.finfo(float).eps * norm * t)
-    return (cross, own), {"two_route_gap": float(gap), "row_sum_defect": float(defect),
-                          "gap_scale": scale}
+    return (cross, levels), {"two_route_gap": float(gap), "row_sum_defect": float(defect),
+                             "gap_scale": scale}
 
 
 def solve_cauchy(spec: KernelSpec, dom: CellDomain, u0: np.ndarray, t: float,

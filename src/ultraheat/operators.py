@@ -158,6 +158,13 @@ def _prefix_table(p: int, ball_level: int, level: int) -> np.ndarray:
     return j + ball_level
 
 
+def prefix_blocks(levels: np.ndarray, p: int) -> np.ndarray:
+    """The (K, s, s) blocks, s = p^L, of a (K, L + 1) table by common-prefix
+    level: between two of a ball's s cells, in digit order, that share j
+    digits below the ball's level, block k is levels[k, j]."""
+    return levels[:, _prefix_table(p, 0, levels.shape[1] - 1)]
+
+
 def kernel_rows(spec: KernelSpec, disc: CellDomain, blocks):
     """Yield (cells, k_p[cells, :]) for each range ``cells`` of ``blocks``,
     each a run of whole domain blocks (vertex discs, or the cut balls of a

@@ -20,9 +20,11 @@ Which writer writes which file:
 * ``canonical_dumps``, which is ``json.dumps`` itself, the ``bounds`` file
   (through ``write_canonical``) and every JSON summary: small objects, for
   which json's pure-Python indenting encoder is fast enough.
-* ``matrix_export`` the heat table and ``spectrum_export`` the spectrum
-  table.  ``write_text`` writes the three edge files' texts, the sort's
-  order and the convergence table.
+* ``matrix_export`` the heat table in its block form (K x K cross values
+  and, per disc, one value per common-prefix level), ``expand_heat`` the
+  N x N text of such a file, and ``spectrum_export`` the spectrum table.
+  ``write_text`` writes the three edge files' texts, the sort's order and
+  the convergence table.
 
 Which reader fills which columns:
 
@@ -58,6 +60,7 @@ import numpy as np
 
 from .errors import DisconnectedGraph, OutputError, ParseError
 from .multitopo import Dag, EdgeColumns, TopologyFamily, WeightedMultiGraph, first_primes
+from .operators import _prefix_table
 from .padic import DiscAssignment, embed
 from .ultraindex import graph_dendrogram
 
@@ -128,8 +131,8 @@ def write_text(path, text: str) -> str:
 def _write_hashed(path, chunks) -> str:
     """Write the byte chunks in order and return the sha256 of the file:
     every artifact is written and hashed here, from the same bytes.  The
-    64 kB buffer gathers a heat table's rows (one chunk each, about 11 kB
-    at 540 cells) into fewer writes."""
+    64 kB buffer gathers an expanded heat table's rows (one chunk each,
+    about 11 kB at 540 cells) into fewer writes."""
     digest = hashlib.sha256()
     try:
         with open(path, "wb", buffering=1 << 16) as out:
@@ -566,41 +569,93 @@ def _index_edge(edge, rank: dict) -> None:
         raise ParseError(f"index weight {wt!r} of the edge {u!r}-{v!r} is not a JSON number")
 
 
-# --- text matrices ---------------------------------------------------------------------
+# --- heat tables -----------------------------------------------------------------------
+
+_BLOCK_KEYS = ("K", "m", "s")  # what matrix_export adds to a heat table's header
 
 
 def matrix_export(path, cross, own, header: dict) -> str:
-    """Write the line ``# {header}`` (its JSON with sorted keys), then one
-    line per row of a table given in disc block form, its entries as
-    ``%.17g`` separated by one space; return the sha256 of the file's bytes.
+    """Write a heat table in its block form and return the sha256 of the
+    file's bytes: the line ``# {header}``, then the K rows of the K x K
+    cross table and the K rows of own, a (K, n - m + 1) table, one line
+    each, every value as ``%.17g`` and separated by one space.
 
-    The table has K discs of r rows and c columns each: between two
-    distinct discs a and b every entry is cross[a, b] (a K x K array whose
-    diagonal is not read), and own[a] (a (K, r, c) array) is disc a's
-    diagonal block.  A dense matrix is the case K = 1.  The file is written
-    one disc at a time: its K cross values and its own block are formatted
-    once per distinct bit pattern, and each of its rows is the text of the
-    discs before it, the row of its own block and the text of the discs
-    after it, so no text larger than a disc's rows is held at once.
+    Between two distinct discs a and b the table is cross[a, b] (the
+    diagonal is written, never read), and between two cells of disc a that
+    share m + j digits it is own[a, j].  The header holds the table's
+    prime p and level n; it is written as JSON with sorted keys, with K,
+    the disc level m and the disc size s = p^(n - m) added, which
+    ``expand_heat`` reads and drops.
     """
     cross = np.asarray(cross, dtype=np.float64)
     own = np.asarray(own, dtype=np.float64)
-    if own.ndim != 3 or cross.shape != (len(own),) * 2:
-        raise ValueError(f"expected a K x K cross array and a (K, r, c) own array, "
-                         f"got shapes {cross.shape} and {own.shape}")
-    head = ("# " + json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
-    return _write_hashed(path, itertools.chain([head], _disc_lines(cross, own)))
+    if own.ndim != 2 or 0 in own.shape or cross.shape != (len(own),) * 2:
+        raise ValueError(f"expected a K x K cross array and a (K, levels) own array, K and "
+                         f"levels >= 1, got shapes {cross.shape} and {own.shape}")
+    if not {"p", "n"} <= header.keys() or not header.keys().isdisjoint(_BLOCK_KEYS):
+        raise ValueError(f"a heat table's header holds p and n and none of {_BLOCK_KEYS}, "
+                         f"not {sorted(header)}")
+    depth = own.shape[1] - 1
+    head = dict(header, K=len(own), m=header["n"] - depth, s=header["p"] ** depth)
+    lines = [b" ".join(row) + b"\n" for table in (cross, own)
+             for row in _float_texts(table.ravel(), b"%.17g".__mod__).reshape(table.shape).tolist()]
+    return _write_hashed(path, [_header_line(head), *lines])
 
 
-def _disc_lines(cross: np.ndarray, own: np.ndarray):
-    """The text lines of ``matrix_export``'s table, disc by disc."""
-    K, rows, cols = own.shape
+def expand_heat(src, dst) -> str:
+    """Write the N x N text of the heat table that ``matrix_export`` wrote
+    to ``src`` into ``dst``, and return the sha256 of the bytes written:
+    the line ``# {header}`` without K, m and s, then one line per cell x of
+    p(t, x, y) over every cell y, both in domain order (disc by disc, digit
+    order inside a disc), as ``%.17g`` separated by one space.  The text is
+    written and hashed disc by disc, never held whole.  A file that is not
+    such a table is a ParseError."""
+    cross, own, header = _read_heat(src)
+    lines = _disc_lines(cross, own, header["p"])
+    return _write_hashed(dst, itertools.chain([_header_line(header)], lines))
+
+
+def _header_line(header: dict) -> bytes:
+    return ("# " + json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _read_heat(path):
+    """(cross, own, header without K, m and s) of a heat table's block
+    file: a ParseError unless its header is a JSON object whose K >= 1, m,
+    n, p >= 2 and s = p^(n - m) are ints with 0 <= m <= n, followed by K lines
+    of K values and K lines of n - m + 1 values."""
+    try:
+        head, *lines = Path(path).read_text(encoding="utf-8").split("\n")
+        header = json.loads(head[2:]) if head.startswith("# ") else None
+        K, m, s = map(header.pop, _BLOCK_KEYS)
+        p, n = header["p"], header["n"]
+        rows = [line.split(" ") for line in lines]
+        if not (all(type(x) is int for x in (K, m, s, p, n)) and K >= 1 and p >= 2 and 0 <= m <= n
+                and len(rows) == 2 * K + 1 and rows[-1] == [""]
+                and {len(row) for row in rows[:K]} == {K}
+                and {len(row) for row in rows[K:-1]} == {n - m + 1} and s == p ** (n - m)):
+            raise ValueError("its header does not describe its rows")
+        values = np.array([float(x) for row in rows[:-1] for x in row])
+    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+        raise ParseError(f"cannot read the heat table {path}: {exc}") from exc
+    return values[:K * K].reshape(K, K), values[K * K:].reshape(K, n - m + 1), header
+
+
+def _disc_lines(cross: np.ndarray, own: np.ndarray, p: int):
+    """The text lines of ``expand_heat``'s table, disc by disc: a disc's K
+    cross values and n - m + 1 level values are formatted once, and each of
+    its rows is the text of the discs before it, the row of its s x s block
+    (its level texts read through the prefix table) and the text of the
+    discs after it."""
+    K = len(cross)
+    table = _prefix_table(p, 0, own.shape[1] - 1)
+    s = len(table)
     for a in range(K):
-        texts = _float_texts(np.concatenate([cross[a], own[a].ravel()]), b"%.17g".__mod__)
+        texts = _float_texts(np.concatenate([cross[a], own[a]]), b"%.17g".__mod__)
         by_disc = texts[:K].tolist()
-        left = b"".join([(x + b" ") * cols for x in by_disc[:a]])
-        right = b"".join([(b" " + x) * cols for x in by_disc[a + 1:]]) + b"\n"
-        for row in texts[K:].reshape(rows, cols).tolist():
+        left = b"".join([(x + b" ") * s for x in by_disc[:a]])
+        right = b"".join([(b" " + x) * s for x in by_disc[a + 1:]]) + b"\n"
+        for row in texts[K:][table].tolist():
             yield left + b" ".join(row) + right
 
 

@@ -191,7 +191,7 @@ def specs_from_weights(rng, labels, weights, alpha=1.0):
     n = len(d_e.labels)
     pos = {l: i for i, l in enumerate(d_e.labels)}
     kappa = np.zeros((n, n))
-    wmax = max(weights.values())
+    wmax = max(weights.values(), default=1.0)  # a single vertex has no edge
     for e, wt in weights.items():
         u, v = tuple(e)
         kappa[pos[u], pos[v]] = kappa[pos[v], pos[u]] = wt / (wmax * 1.25)

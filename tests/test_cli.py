@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ultraheat import heat, multitopo, spectra, toposort
 from ultraheat.cli import EXIT_CODES, main
-from ultraheat.serialize import canonical_dumps
+from ultraheat.serialize import canonical_dumps, expand_heat
 
 from conftest import LOW_BRANCHING_FAMILY
 
@@ -1446,6 +1446,39 @@ def test_heat_runs_no_eigensolve_larger_than_a_disc_or_the_disc_count(tmp_path, 
     assert sizes and max(sizes) == 12
 
 
+# The sha256 of the block file that `heat` writes for each pinned heat table,
+# keyed by the sha256 of the table's N x N text, which `expand_heat` writes
+# and which `heat` itself wrote before it wrote the block form.
+HEAT_BLOCK_DIGESTS = {
+    # level 5 of LOW_BRANCHING_FAMILY (108 cells)
+    "69d2f6a572a6dd2efa2966eec19265103943131b6eae2fdf32f942a0a1035c55":
+        "2ce775f58e22efd7c695a199ade4335f4c7c2bc10eb7352e75adb9936affd374",
+    "aed567147590870468b64462c4d788cd9a32ae02a156caf9c3f7b223a2cc26ce":
+        "62204aa6aa8246370dab30c98b5c9e56ecee3d63bd3e709bc6323dbe84ffdf4d",
+    "fb4213e3c52786a4f49a57dc713edae19cdd0efb7673ed8369361c8c9aa83779":
+        "899bdb463e95bea134d63079c744f38e8a7728599e5b206d8a852f701451cce5",
+    "35b5ce8f1e44f27eb6e420fb2750be82fe37c524b6489d751bb2c260dbec5741":
+        "401ef2494b103bbe9367c900c3f33b4dd467d47fce25093d738d237d143d1712",
+    # levels 8, 10 and 11 of low_branching_family(31, 60, 7)
+    "9670a678f889045149157dd4d529022a92e42b905d6c59c21ccbff4d6f5125c4":
+        "17d9b5b0ded87ddffe88a0248b4f9f835ad702fe509a1f1013a5aabccec4b9c1",
+    "7cbefc254e492b4ded22e374093700d58b254c534bfff012db2cf29497709f9c":
+        "1ebe817e2110bd93de6d2cb5170e2c6a6f1990c56c20025ebe313610c0997eb9",
+    "90ec400fe5787506ee2422f6177eace710253b80c56c39fa54cb4e333eb56439":
+        "286160de5a69cf873329ec35169470777c3297f5e4a7c9e86114fd3646ef24fe",
+    "19c355ec998ef4cb5c1e68c6fc3a42681043f2f525cba6ad6fd4ea92a77475c9":
+        "39671807bb5ebabdec878a8cd8ffe53c2b1629083448199166ef973a7af973f0",
+    "029593bd9259845ccd5c02716ca2e2d7752c2254a32fe5d01916f8e5504e3787":
+        "a321cc1f64b46f105167affa81672db6cb4b90036a422692f8dc75b8cfe70037",
+    "e1c9cdca53166a62fc6bccf7dd263112962e6be1d50beee0291134e250ea6f70":
+        "5cf58604c3975413a954b02bd9722bd253dede410708189515e00367e3ead498",
+    "568ac5c9bc8666e483a109364dacbcfead545485c6d4ea854959ce1f542292b0":
+        "0d4f66ea72fc57cf5e4f2f47b6007cc37698d77c792fa97113933707209fd37b",
+    "8c132b50df248bd672b1640f29aff0a0c3478c6e77ee53493161021857390846":
+        "27c40087e7f6d77b45fb85d721e35af3f74a2f0e814ed542a4ceb9199310b760",
+}
+
+
 @pytest.mark.parametrize("bullet, measure, t, digest", [
     ("graphdist", "haar", "0.5", "69d2f6a572a6dd2efa2966eec19265103943131b6eae2fdf32f942a0a1035c55"),
     ("graphdist", "haar", "0", "aed567147590870468b64462c4d788cd9a32ae02a156caf9c3f7b223a2cc26ce"),
@@ -1454,10 +1487,11 @@ def test_heat_runs_no_eigensolve_larger_than_a_disc_or_the_disc_count(tmp_path, 
 ])
 def test_heat_tables_are_pinned(tmp_path, capsys, bullet, measure, t, digest):
     """The `heat` tables of a low-branching index (p = 3, m = 3) at level
-    m + 2 (108 cells), pinned by sha256: a rewrite of the table writer must
-    leave them byte for byte as they were, and the reported sha256 is that
-    of the file's bytes."""
-    family, graph, index, table = (tmp_path / name for name in ("f.json", "g.json", "i.json", "k.txt"))
+    m + 2 (108 cells), pinned by sha256: the block file `heat` writes,
+    whose sha256 the summary reports, and its N x N expansion, which a
+    rewrite of the table writer must leave byte for byte as it was."""
+    family, graph, index, table, dense = (tmp_path / name for name in
+                                          ("f.json", "g.json", "i.json", "k.txt", "dense.txt"))
     write(family, LOW_BRANCHING_FAMILY)
     assert main(["encode", "--input", str(family), "--output", str(graph)]) == 0
     assert main(["index", "--input", str(graph), "--output", str(index)]) == 0
@@ -1466,8 +1500,11 @@ def test_heat_tables_are_pinned(tmp_path, capsys, bullet, measure, t, digest):
                  "--measure", measure, "--level", "5", "--t", t]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["metrics"]["cells"] == 108
-    assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
-    assert summary["artifacts"][0]["sha256"] == digest
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == HEAT_BLOCK_DIGESTS[digest]
+    assert summary["artifacts"][0]["sha256"] == HEAT_BLOCK_DIGESTS[digest]
+    assert expand_heat(table, dense) == digest
+    assert hashlib.sha256(dense.read_bytes()).hexdigest() == digest
+    assert len(dense.read_bytes().splitlines()) == 108 + 1
 
 
 LARGER_FAMILY = Path(__file__).with_name("low_branching_31_60_7.json")  # p = 3, m = 7
@@ -1489,16 +1526,20 @@ def larger_index(tmp_path_factory):
     (11, "haar", "19c355ec998ef4cb5c1e68c6fc3a42681043f2f525cba6ad6fd4ea92a77475c9"),
     (11, "nu", "029593bd9259845ccd5c02716ca2e2d7752c2254a32fe5d01916f8e5504e3787"),
 ])
-def test_larger_heat_tables_are_pinned(larger_index, capsys, level, measure, digest):
+def test_larger_heat_tables_are_pinned(larger_index, tmp_path, capsys, level, measure, digest):
     """The graphdist `heat --t 0.5` tables of low_branching_family(31, 60, 7)
     at levels 10 (1,620 cells) and 11 (4,860 cells), pinned by the sha256
-    that `heat` reports of the bytes it writes, here to the null device
-    (the level-11 table is 482 MB)."""
-    assert main(["heat", "--input", str(larger_index), "--output", os.devnull, "--bullet",
+    that `heat` reports of the block file it writes (under 80 kB) and by
+    that of its expansion, here written to the null device (the level-11
+    N x N text is 477.5 MB)."""
+    table = tmp_path / "kernel.txt"
+    assert main(["heat", "--input", str(larger_index), "--output", str(table), "--bullet",
                  "graphdist", "--measure", measure, "--level", str(level), "--t", "0.5"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["metrics"]["cells"] == 60 * 3 ** (level - 7)
-    assert summary["artifacts"][0]["sha256"] == digest
+    assert summary["artifacts"][0]["sha256"] == HEAT_BLOCK_DIGESTS[digest]
+    assert table.stat().st_size < 80_000
+    assert expand_heat(table, os.devnull) == digest
 
 
 @pytest.mark.parametrize("bullet, measure, t, digest", [
@@ -1506,17 +1547,20 @@ def test_larger_heat_tables_are_pinned(larger_index, capsys, level, measure, dig
     ("adjacency", "haar", "0.5", "568ac5c9bc8666e483a109364dacbcfead545485c6d4ea854959ce1f542292b0"),
     ("graphdist", "nu", "0", "8c132b50df248bd672b1640f29aff0a0c3478c6e77ee53493161021857390846"),
 ])
-def test_level_10_heat_tables_of_every_bullet_are_pinned(larger_index, capsys, bullet, measure,
-                                                         t, digest):
+def test_level_10_heat_tables_of_every_bullet_are_pinned(larger_index, tmp_path, capsys, bullet,
+                                                         measure, t, digest):
     """The level-10 `heat` tables (1,620 cells: 60 discs of 27) of
     low_branching_family(31, 60, 7) under the ultrametric and adjacency
     kernels, and the t = 0 table (the identity over nu), pinned by the
-    sha256 that `heat` reports of the bytes it writes."""
-    assert main(["heat", "--input", str(larger_index), "--output", os.devnull, "--bullet", bullet,
+    sha256 that `heat` reports of the block file it writes and by that of
+    its expansion, written to the null device."""
+    table = tmp_path / "kernel.txt"
+    assert main(["heat", "--input", str(larger_index), "--output", str(table), "--bullet", bullet,
                  "--measure", measure, "--level", "10", "--t", t]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["metrics"]["cells"] == 1620
-    assert summary["artifacts"][0]["sha256"] == digest
+    assert summary["artifacts"][0]["sha256"] == HEAT_BLOCK_DIGESTS[digest]
+    assert expand_heat(table, os.devnull) == digest
 
 
 @pytest.mark.parametrize("bullet, measure, digest", [
@@ -1555,13 +1599,17 @@ def test_graphdist_artifacts_are_pinned(larger_index, tmp_path, capsys, argv, di
     index of low_branching_family(31, 60, 7) (180 cells at level 8), pinned
     by sha256: `bounds --swap` builds them for its graphdist side, and the
     others run under `--bullet graphdist`.  The summary on stdout is the
-    indent-2 text that json.dumps writes of it, with sorted keys."""
+    indent-2 text that json.dumps writes of it, with sorted keys.  The
+    `heat` artifact is its block file, pinned by its expansion's digest."""
     out = tmp_path / "artifact"
     bullet = [] if "--swap" in argv else ["--bullet", "graphdist"]
     assert main([*argv, *bullet, "--input", str(larger_index), "--output", str(out)]) == 0
     text = capsys.readouterr().out
     summary = json.loads(text)
     assert text == json.dumps(summary, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    if argv[0] == "heat":
+        assert expand_heat(out, os.devnull) == digest
+        digest = HEAT_BLOCK_DIGESTS[digest]
     assert summary["artifacts"][0]["sha256"] == digest
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

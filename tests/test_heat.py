@@ -34,7 +34,7 @@ from ultraheat import (
 )
 from ultraheat.errors import NegativeTime
 from ultraheat.heat import _BallEvolver, _mean_value_constants, heat_table, t_grid
-from ultraheat.operators import GeneratorMatrix, cut_nodes
+from ultraheat.operators import GeneratorMatrix, _prefix_table, cut_nodes
 
 from conftest import (
     dense_table,
@@ -778,28 +778,32 @@ def test_disc_semigroup_bound_covers_a_generator_that_is_not_lumpable(
     alpha=st.floats(1.0, 2.0),
     t=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
     seed=st.integers(0, 2**32 - 1),
-    leaves=st.integers(2, 6),
+    leaves=st.integers(1, 6),
     entries=st.sampled_from([1, 200, 1 << 14]),
 )
+@example(p=3, alpha=1.0, t=0.0, seed=0, leaves=1, entries=1)
+@example(p=2, alpha=1.5, t=0.5, seed=1, leaves=1, entries=200)
 def test_heat_table_is_the_two_dense_routes_by_row_blocks(p, alpha, t, seed, leaves, entries):
     """Whatever the size of the generator's row blocks (one disc each at
     ``entries`` = 1), `heat_table`'s block form is `heat_kernel` bit for
-    bit: cross[a, b] on every entry between discs a != b and own[a] on
-    disc a.  Its certificates are those of the stacked routes: the gap
-    against `disc_semigroup` plus its bound and the row-sum defect within
-    the oracle tolerance, and gap_scale is max(1e-12, 4 eps ||A||_inf t)."""
+    bit: cross[a, b] on every entry between discs a != b and, on disc a,
+    the level value levels[a, j - m] of the two cells' common-prefix
+    length j (``_prefix_table``), one disc (K = 1) and t = 0 included.
+    Its certificates are those of the stacked routes: the gap against
+    `disc_semigroup` plus its bound and the row-sum defect within the
+    oracle tolerance, and gap_scale is max(1e-12, 4 eps ||A||_inf t)."""
     from ultraheat import heat
 
     _, specs, discs = _disc_cases(p, alpha, seed, leaves)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(heat, "BLOCK_ENTRIES", entries)
         for disc in discs:
-            K, s = len(disc.balls), len(disc) // len(disc.balls)
+            K, m, n = len(disc.balls), disc.assignment.m, disc.level
             for measure in ("haar", "nu"):
                 for spec in specs:
-                    (cross, own), certificates = heat_table(spec, disc, t, measure)
-                    assert cross.shape == (K, K) and own.shape == (K, s, s)
-                    table = dense_table(cross, own)
+                    (cross, levels), certificates = heat_table(spec, disc, t, measure)
+                    assert cross.shape == (K, K) and levels.shape == (K, n - m + 1)
+                    table = dense_table(cross, levels[:, _prefix_table(p, m, n) - m])
                     assert np.array_equal(table, heat_kernel(spec, disc, t, measure))
                     gen = generator(spec, disc, measure)
                     T, bound = disc_semigroup(gen, disc, t)
